@@ -217,9 +217,143 @@ impl RunningMoments {
     }
 }
 
+/// Exact power sums `(n, Σx, Σx²)` of non-negative integer observations.
+///
+/// The mergeable alternative to [`RunningMoments`] for accumulators that
+/// are fed a batch at a time: a batch contributes three integer additions
+/// instead of one Welford step (with its division) per observation, sums
+/// combine in any grouping to the same value, and the mean, variance and
+/// CLT interval are derived when read. Sums saturate at `u128::MAX`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PowerSums {
+    n: u64,
+    sum: u128,
+    sum_sq: u128,
+}
+
+impl PowerSums {
+    /// Fold in one observation.
+    #[inline]
+    pub fn push(&mut self, x: u128) {
+        self.n += 1;
+        self.sum = self.sum.saturating_add(x);
+        self.sum_sq = self.sum_sq.saturating_add(x.saturating_mul(x));
+    }
+
+    /// Fold in one observation known to fit 64 bits: its square cannot
+    /// overflow, so this is the cheap form batch kernels loop over.
+    #[inline]
+    pub fn push_u64(&mut self, x: u64) {
+        self.n += 1;
+        self.sum = self.sum.saturating_add(x as u128);
+        self.sum_sq = self.sum_sq.saturating_add(x as u128 * x as u128);
+    }
+
+    /// Combine with independently accumulated observations (associative
+    /// and commutative: integer addition).
+    pub fn merge(&mut self, other: &PowerSums) {
+        self.n += other.n;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// `Σx`.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Sample mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.n as f64
+        }
+    }
+
+    /// Population variance `(n·Σx² − (Σx)²) / n²` (0 when fewer than 2
+    /// observations). The numerator is formed in integers whenever it fits
+    /// 128 bits, so equal observations give exactly 0 rather than the
+    /// cancellation noise of `Σx²/n − mean²`.
+    pub fn variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = self.n as u128;
+        match (n.checked_mul(self.sum_sq), self.sum.checked_mul(self.sum)) {
+            (Some(a), Some(b)) => a.saturating_sub(b) as f64 / (n as f64 * n as f64),
+            _ => {
+                let mean = self.mean();
+                (self.sum_sq as f64 / n as f64 - mean * mean).max(0.0)
+            }
+        }
+    }
+
+    /// CLT confidence interval for the mean at `z` (`[0, ∞)` when empty).
+    pub fn mean_ci(&self, z: f64) -> ConfidenceInterval {
+        if self.n == 0 {
+            return ConfidenceInterval {
+                estimate: 0.0,
+                lo: 0.0,
+                hi: f64::INFINITY,
+            };
+        }
+        let std_error = (self.variance() / self.n as f64).sqrt();
+        ConfidenceInterval::around(self.mean(), z * std_error)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn power_sums_match_running_moments_and_merge_exactly() {
+        let xs: Vec<u64> = (0..1000).map(|i| (i * 37) % 101).collect();
+        let mut welford = RunningMoments::new();
+        let mut whole = PowerSums::default();
+        for &x in &xs {
+            welford.push(x as f64);
+            whole.push_u64(x);
+        }
+        assert_eq!(whole.count(), 1000);
+        assert!((whole.mean() - welford.mean()).abs() < 1e-9);
+        assert!((whole.variance() - welford.variance()).abs() < 1e-6);
+        let (a, b) = (whole.mean_ci(2.576), welford.mean_ci(2.576));
+        assert!((a.lo - b.lo).abs() < 1e-9 && (a.hi - b.hi).abs() < 1e-9);
+        // Any split merges to the identical sums, wide pushes included.
+        for split in [0, 1, 250, 1000] {
+            let (mut left, mut right) = (PowerSums::default(), PowerSums::default());
+            xs[..split].iter().for_each(|&x| left.push_u64(x));
+            xs[split..].iter().for_each(|&x| right.push(x as u128));
+            left.merge(&right);
+            assert_eq!(left, whole, "split {split}");
+        }
+    }
+
+    #[test]
+    fn power_sums_edges() {
+        let empty = PowerSums::default();
+        assert_eq!(empty.mean(), 0.0);
+        assert_eq!(empty.mean_ci(2.0).hi, f64::INFINITY);
+        // Equal observations: variance exactly 0, no cancellation noise.
+        let mut flat = PowerSums::default();
+        (0..1000).for_each(|_| flat.push_u64(1_000_003));
+        assert_eq!(flat.variance(), 0.0);
+        assert_eq!(flat.mean_ci(4.0).width(), 0.0);
+        // Observations beyond 64 bits saturate instead of wrapping, and the
+        // variance falls back to floating point without going negative.
+        let mut wide = PowerSums::default();
+        wide.push(u128::MAX / 2);
+        wide.push(u128::MAX);
+        assert_eq!(wide.sum(), u128::MAX);
+        assert!(wide.variance() >= 0.0);
+    }
 
     #[test]
     fn z_alpha_matches_standard_table() {

@@ -14,7 +14,7 @@
 //! *lightweight*. Memory accounting (`memory_used` / `memory_allocated`)
 //! reproduces the bookkeeping of the paper's Table 2.
 
-use qprog_types::Key;
+use qprog_types::{Key, QError, QResult, Value};
 
 use crate::fx::FxHashMap;
 
@@ -86,13 +86,6 @@ pub struct FreqHist {
 impl FreqHist {
     /// An empty histogram.
     pub fn new() -> Self {
-        FreqHist::default()
-    }
-
-    /// An empty histogram expecting around `n` distinct keys (sizing hint
-    /// for the fallback hash lane).
-    pub fn with_capacity(n: usize) -> Self {
-        let _ = n; // dense lane sizes itself from the observed key span
         FreqHist::default()
     }
 
@@ -228,17 +221,70 @@ impl FreqHist {
         before
     }
 
+    /// Record every non-NULL key of a column: `weights[r]` occurrences of
+    /// `keys[r]` (one each when `weights` is `None`; zero weights are
+    /// skipped) — the column-at-a-time form of [`observe_n`](Self::observe_n)
+    /// the build side of a join feeds a whole batch through. A DOUBLE value
+    /// raises the same type error as [`Key::from_value`].
+    pub fn observe_column(&mut self, keys: &[Value], weights: Option<&[u64]>) -> QResult<()> {
+        if weights.is_some_and(|w| w.len() != keys.len()) {
+            return Err(QError::internal("observe_column: one weight per key"));
+        }
+        for (r, v) in keys.iter().enumerate() {
+            let key = match v {
+                Value::Null => continue,
+                Value::Int64(k) => Key::Int(*k),
+                other => Key::from_value(other)?,
+            };
+            let n = weights.map_or(1, |w| w[r]);
+            if n > 0 {
+                self.observe_n(&key, n);
+            }
+        }
+        Ok(())
+    }
+
     /// Current count `N_i` for `key` (0 if never seen).
     pub fn count(&self, key: &Key) -> u64 {
         match &self.counts {
             CountLane::Dense { lo, slots, .. } => match key {
-                Key::Int(k) if *k >= *lo && ((*k - *lo) as u64) < slots.len() as u64 => {
-                    slots[(*k - *lo) as usize]
-                }
+                Key::Int(k) => dense_count(*lo, slots, *k),
                 _ => 0,
             },
             CountLane::Map(map) => map.get(key).copied().unwrap_or(0),
         }
+    }
+
+    /// Column-at-a-time [`count`](Self::count): `out[r] = N_i` of `col[r]`,
+    /// 0 for NULL (NULL keys never equi-join). The lane is resolved once per
+    /// column, so on the dense lane each row costs one bounds-checked array
+    /// read. A DOUBLE value raises the same type error as
+    /// [`Key::from_value`].
+    pub fn counts_of_column(&self, col: &[Value], out: &mut [u64]) -> QResult<()> {
+        if col.len() != out.len() {
+            return Err(QError::internal("counts_of_column: one slot per row"));
+        }
+        match &self.counts {
+            CountLane::Dense { lo, slots, .. } => {
+                for (v, o) in col.iter().zip(out) {
+                    *o = match v {
+                        Value::Int64(k) => dense_count(*lo, slots, *k),
+                        Value::Null => 0,
+                        // Only integers live on the dense lane.
+                        other => Key::from_value(other).map(|_| 0)?,
+                    };
+                }
+            }
+            CountLane::Map(map) => {
+                for (v, o) in col.iter().zip(out) {
+                    *o = match v {
+                        Value::Null => 0,
+                        other => map.get(&Key::from_value(other)?).copied().unwrap_or(0),
+                    };
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total observations `t`.
@@ -350,6 +396,19 @@ impl FreqHist {
             }
         };
         std::mem::size_of::<Self>() + body + self.key_payload_bytes
+    }
+}
+
+/// Dense-lane read of `Key::Int(k)`. The wrapping difference is `k - lo`
+/// exactly when `k >= lo` and at least `2^63` otherwise, so one unsigned
+/// compare covers both ends of the span.
+#[inline]
+fn dense_count(lo: i64, slots: &[u64], k: i64) -> u64 {
+    let off = k.wrapping_sub(lo) as u64;
+    if off < slots.len() as u64 {
+        slots[off as usize]
+    } else {
+        0
     }
 }
 
@@ -624,6 +683,66 @@ mod tests {
                 (format!("{:?}", Key::from("abc")), 1),
             ]
         );
+    }
+
+    #[test]
+    fn column_kernels_match_per_key_calls_on_both_lanes() {
+        let col = [
+            Value::Int64(5),
+            Value::Null,
+            Value::Int64(-2),
+            Value::Int64(5),
+            Value::str("s"),
+            Value::Int64(i64::MAX),
+            Value::Int64(i64::MIN),
+            Value::Bool(true),
+        ];
+        let ints = [
+            Value::Int64(5),
+            Value::Null,
+            Value::Int64(-2),
+            Value::Int64(5),
+        ];
+        let mut dense = FreqHist::new();
+        dense.observe_column(&ints, None).unwrap();
+        let mut map = FreqHist::new();
+        map.observe_column(&col, None).unwrap();
+        assert_eq!((dense.total(), dense.distinct()), (3, 2)); // NULL skipped
+        assert_eq!((map.total(), map.distinct()), (7, 6));
+        for h in [&dense, &map] {
+            let mut out = [u64::MAX; 8];
+            h.counts_of_column(&col, &mut out).unwrap();
+            for (v, n) in col.iter().zip(out) {
+                let key = Key::from_value(v).unwrap();
+                let expect = if key.is_null() { 0 } else { h.count(&key) };
+                assert_eq!(n, expect, "{v:?}");
+            }
+        }
+        // Weighted observe is observe_n per row; zero weights are skipped.
+        let mut weighted = FreqHist::new();
+        weighted.observe_column(&ints, Some(&[2, 9, 0, 3])).unwrap();
+        assert_eq!(weighted.count(&Key::Int(5)), 5);
+        assert_eq!((weighted.total(), weighted.distinct()), (5, 1));
+        assert_eq!(weighted.sum_squared_counts(), 25);
+    }
+
+    #[test]
+    fn column_kernels_reject_double_keys_and_ragged_slices() {
+        let doubles = [Value::Int64(1), Value::Float64(1.5)];
+        let expect = Key::from_value(&doubles[1]).unwrap_err();
+        let mut dense = FreqHist::new();
+        dense.observe(&Key::Int(1));
+        let mut map = dense.clone();
+        map.observe(&Key::from("force-map-lane"));
+        for h in [&dense, &map] {
+            assert_eq!(
+                h.counts_of_column(&doubles, &mut [0; 2]),
+                Err(expect.clone())
+            );
+            assert!(h.counts_of_column(&doubles[..1], &mut [0; 2]).is_err());
+        }
+        assert_eq!(dense.observe_column(&doubles, None), Err(expect));
+        assert!(dense.observe_column(&doubles[..1], Some(&[1, 1])).is_err());
     }
 
     #[test]

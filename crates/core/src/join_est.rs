@@ -20,7 +20,7 @@
 //! paper presents it to motivate the cheaper asymmetric form, and it remains
 //! useful when neither input has a preprocessing phase.
 
-use qprog_types::Key;
+use qprog_types::{Key, QResult, Value};
 
 use crate::confidence::{beta, ConfidenceInterval, RunningMoments};
 use crate::freq_hist::FreqHist;
@@ -98,11 +98,11 @@ pub struct OnceJoinEstimator {
     build: FreqHist,
     probe_size: u64,
     kind: JoinKind,
-    /// Probe tuples observed so far (`t`), including null-key tuples.
-    t: u64,
-    /// Exact `Σ contribution(key(s))` over observed probe tuples.
-    sum: u128,
-    moments: RunningMoments,
+    /// `(t, Σ contribution, moments)` over the probe tuples observed so
+    /// far, null-key tuples included.
+    seen: ProbeFragment,
+    /// Reused scratch: the build-side multiplicities of the last batch.
+    counts: Vec<u64>,
 }
 
 impl OnceJoinEstimator {
@@ -118,9 +118,8 @@ impl OnceJoinEstimator {
             build,
             probe_size,
             kind,
-            t: 0,
-            sum: 0,
-            moments: RunningMoments::new(),
+            seen: ProbeFragment::new(),
+            counts: Vec::new(),
         }
     }
 
@@ -139,16 +138,18 @@ impl OnceJoinEstimator {
     /// multiplicity `N_R[key]` (NULL keys never equi-join and count as 0).
     /// The running estimate accumulates this kind's contribution function.
     pub fn observe_probe(&mut self, key: &Key) -> u64 {
-        let n = if key.is_null() {
-            0
-        } else {
-            self.build.count(key)
-        };
-        let c = self.kind.contribution(n);
-        self.t += 1;
-        self.sum += c as u128;
-        self.moments.push(c as f64);
-        n
+        self.seen.observe(&self.build, self.kind, key)
+    }
+
+    /// Observe a column of probe-side join keys, in order, and return their
+    /// build-side multiplicities (one per row, NULL keys 0) — the batch
+    /// form of [`observe_probe`](Self::observe_probe), leaving the same
+    /// state as observing the rows one by one. A DOUBLE key raises the
+    /// type error of [`Key::from_value`] and observes nothing.
+    pub fn observe_probe_batch(&mut self, keys: &[Value]) -> QResult<&[u64]> {
+        self.seen
+            .observe_batch(&self.build, self.kind, keys, &mut self.counts)?;
+        Ok(&self.counts)
     }
 
     /// Revise the probe input size (e.g. when `|S|` was itself an estimate
@@ -159,7 +160,7 @@ impl OnceJoinEstimator {
 
     /// Probe tuples observed so far.
     pub fn probe_seen(&self) -> u64 {
-        self.t
+        self.seen.t
     }
 
     /// Fraction of the probe input observed (clamped to 1).
@@ -167,14 +168,14 @@ impl OnceJoinEstimator {
         if self.probe_size == 0 {
             1.0
         } else {
-            (self.t as f64 / self.probe_size as f64).min(1.0)
+            (self.seen.t as f64 / self.probe_size as f64).min(1.0)
         }
     }
 
     /// Exact number of join output tuples attributable to the probe tuples
     /// seen so far (the estimate's numerator before scaling).
     pub fn matched_so_far(&self) -> u128 {
-        self.sum
+        self.seen.sum
     }
 
     /// The join semantics this estimator is configured for.
@@ -186,21 +187,22 @@ impl OnceJoinEstimator {
     /// callers should keep using the optimizer estimate until `probe_seen`
     /// is positive.
     pub fn estimate(&self) -> f64 {
-        if self.t == 0 {
+        let (t, sum) = (self.seen.t, self.seen.sum);
+        if t == 0 {
             0.0
-        } else if self.converged() && self.t == self.probe_size {
+        } else if t == self.probe_size {
             // the running sum IS the exact cardinality; avoid the
             // floating-point round trip of sum/t·|S|
-            self.sum as f64
+            sum as f64
         } else {
-            self.sum as f64 / self.t as f64 * self.probe_size as f64
+            sum as f64 / t as f64 * self.probe_size as f64
         }
     }
 
     /// Whether the estimator has seen the whole probe input and therefore
     /// reports the exact join cardinality.
     pub fn converged(&self) -> bool {
-        self.t >= self.probe_size
+        self.seen.t >= self.probe_size
     }
 
     /// CLT confidence interval for `D_t` at the two-sided level implied by
@@ -210,7 +212,7 @@ impl OnceJoinEstimator {
             // exact: the remaining-sampling variance is zero
             return ConfidenceInterval::around(self.estimate(), 0.0);
         }
-        let mean_ci = self.moments.mean_ci(z);
+        let mean_ci = self.seen.moments.mean_ci(z);
         ConfidenceInterval {
             estimate: self.estimate(),
             lo: mean_ci.lo * self.probe_size as f64,
@@ -221,7 +223,7 @@ impl OnceJoinEstimator {
     /// The paper's distribution-free half-width bound `β = z/(2√t)` on the
     /// per-value fraction estimates underlying `D_t`.
     pub fn beta(&self, z: f64) -> f64 {
-        beta(self.t, z)
+        beta(self.seen.t, z)
     }
 
     /// Fold a worker-private [`ProbeFragment`] into this estimator, as if
@@ -237,9 +239,7 @@ impl OnceJoinEstimator {
     /// floating-point rounding; it only feeds confidence intervals, never
     /// the estimate itself).
     pub fn absorb(&mut self, fragment: &ProbeFragment) {
-        self.t += fragment.t;
-        self.sum += fragment.sum;
-        self.moments.merge(&fragment.moments);
+        self.seen.merge(fragment);
     }
 }
 
@@ -268,11 +268,35 @@ impl ProbeFragment {
     /// the worker-side mirror of [`OnceJoinEstimator::observe_probe`].
     pub fn observe(&mut self, build: &FreqHist, kind: JoinKind, key: &Key) -> u64 {
         let n = if key.is_null() { 0 } else { build.count(key) };
-        let c = kind.contribution(n);
-        self.t += 1;
-        self.sum += c as u128;
-        self.moments.push(c as f64);
+        self.accumulate(kind, &[n]);
         n
+    }
+
+    /// Observe a column of probe-side join keys against the shared build
+    /// histogram, in order, leaving their build-side multiplicities in
+    /// `counts` (resized to one per row) — the worker-side mirror of
+    /// [`OnceJoinEstimator::observe_probe_batch`].
+    pub fn observe_batch(
+        &mut self,
+        build: &FreqHist,
+        kind: JoinKind,
+        keys: &[Value],
+        counts: &mut Vec<u64>,
+    ) -> QResult<()> {
+        counts.resize(keys.len(), 0);
+        build.counts_of_column(keys, counts)?;
+        self.accumulate(kind, counts);
+        Ok(())
+    }
+
+    /// Fold in probe tuples given their build-side multiplicities.
+    fn accumulate(&mut self, kind: JoinKind, counts: &[u64]) {
+        for &n in counts {
+            let c = kind.contribution(n);
+            self.t += 1;
+            self.sum += c as u128;
+            self.moments.push(c as f64);
+        }
     }
 
     /// Probe tuples this fragment has observed.

@@ -32,9 +32,9 @@
 //! the driving stream `C`), join `n−1` is the top. Builds must be fed in
 //! execution order, i.e. top-down (`n−1`, `n−2`, …, `0`).
 
-use qprog_types::{Key, QError, QResult, Row};
+use qprog_types::{QError, QResult, Row, Value};
 
-use crate::confidence::{ConfidenceInterval, RunningMoments};
+use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Where a join's probe-side key comes from, relative to the pipeline's
@@ -72,9 +72,12 @@ struct JoinEstState {
     /// Current key source for `hist`; estimation can start once every
     /// state's source is `Probe`.
     source: AttrSource,
-    /// Σ of per-probe-tuple output contributions for this join.
-    sum: f64,
-    moments: RunningMoments,
+    /// `(t, Σc, Σc²)` of the per-probe-tuple output contributions `c` of
+    /// this join: `Σc / t · |C|` is the estimate, the rest its interval.
+    sums: PowerSums,
+    /// Whether no contribution can exceed 64 bits (the product of the
+    /// factor histograms' largest counts fits), fixed at probe start.
+    fits_u64: bool,
     /// Joins whose multiplicity is folded into `hist` (this join's
     /// derivation chain) — used to assemble multiplicative factor lists.
     chain: Vec<usize>,
@@ -117,17 +120,58 @@ pub struct PipelineEstimator {
     /// Per-join multiplicative factor lists, fixed at probe start:
     /// `(join supplying the histogram, probe column for the lookup)`.
     factors: Vec<Vec<(usize, usize)>>,
-    /// Distinct factor pairs across all lists; each is looked up once per
-    /// probe tuple (factor lists overlap heavily in deep pipelines, so the
-    /// naive per-join lookup is quadratic in the chain length).
+    /// Distinct factor pairs across all lists; each fills one count lane
+    /// per probe batch (factor lists overlap heavily in deep pipelines, so
+    /// the naive per-join lookup is quadratic in the chain length).
     uniq_factors: Vec<(usize, usize)>,
     /// `factor_idx[u][k]`: position in `uniq_factors` of `factors[u][k]`.
     factor_idx: Vec<Vec<usize>>,
-    /// Per-tuple scratch of `uniq_factors` histogram counts.
-    counts: Vec<u64>,
+    /// Reused batch scratch: lane `i` (`lanes[i·n..(i+1)·n]`) holds the
+    /// histogram counts of `uniq_factors[i]` for the batch's `n` rows.
+    lanes: Vec<u64>,
     probe_size: u64,
-    t: u64,
     phase: Phase,
+}
+
+/// Column `c` of a column-major batch, cut to its `n` rows.
+fn batch_col(cols: &[Vec<Value>], c: usize, n: usize) -> QResult<&[Value]> {
+    cols.get(c).and_then(|col| col.get(..n)).ok_or_else(|| {
+        QError::internal(format!(
+            "column {c} with {n} rows out of bounds for batch of arity {}",
+            cols.len()
+        ))
+    })
+}
+
+/// `(n, Σc, Σc²)` of one batch, row `r`'s contribution `c` being the
+/// product of its counts in the lanes `idx` (layout as
+/// `PipelineEstimator::lanes`).
+fn batch_power_sums(
+    lanes: &[u64],
+    prod: &mut [u64],
+    n: usize,
+    idx: &[usize],
+    fits_u64: bool,
+) -> PowerSums {
+    let mut sums = PowerSums::default();
+    if fits_u64 {
+        // Lane-at-a-time running product: every pass is a zipped loop over
+        // contiguous slices, whatever the number of factors.
+        let lane = |k: usize| &lanes[idx[k] * n..][..n];
+        prod.copy_from_slice(lane(0));
+        for k in 1..idx.len() {
+            prod.iter_mut().zip(lane(k)).for_each(|(p, &x)| *p *= x);
+        }
+        prod.iter().for_each(|&c| sums.push_u64(c));
+    } else {
+        for r in 0..n {
+            sums.push(
+                idx.iter()
+                    .fold(1u128, |c, &i| c.saturating_mul(lanes[i * n + r] as u128)),
+            );
+        }
+    }
+    sums
 }
 
 impl PipelineEstimator {
@@ -165,8 +209,8 @@ impl PipelineEstimator {
             .map(|s| JoinEstState {
                 hist: FreqHist::new(),
                 source: s.probe_attr,
-                sum: 0.0,
-                moments: RunningMoments::new(),
+                sums: PowerSums::default(),
+                fits_u64: false,
                 chain: Vec::new(),
             })
             .collect();
@@ -178,9 +222,8 @@ impl PipelineEstimator {
             factors: Vec::new(),
             uniq_factors: Vec::new(),
             factor_idx: Vec::new(),
-            counts: Vec::new(),
+            lanes: Vec::new(),
             probe_size,
-            t: 0,
             phase: Phase::AwaitBuild(n - 1),
         })
     }
@@ -237,18 +280,24 @@ impl PipelineEstimator {
         Ok(())
     }
 
-    /// Feed one build tuple of the current build relation.
+    /// Feed one build tuple of the current build relation (a one-row
+    /// [`build_batch`](Self::build_batch)).
     pub fn build_tuple(&mut self, join: usize, row: &Row) -> QResult<()> {
-        self.build_tuple_with(join, |col| row.key(col))
+        self.build_kernel(join, |c| row.get(c).map(std::slice::from_ref))
     }
 
-    /// [`build_tuple`](Self::build_tuple) with the tuple supplied as a
-    /// column-keyed extractor, so vectorized callers feed directly from a
-    /// column batch without materializing a [`Row`].
-    pub fn build_tuple_with(
+    /// Feed the first `n` rows of a column-major batch (`cols[c][r]`) of
+    /// the current build relation, column at a time. The phase check and
+    /// the `core/pipeline/build_tuple` failpoint run once per batch.
+    pub fn build_batch(&mut self, join: usize, cols: &[Vec<Value>], n: usize) -> QResult<()> {
+        self.build_kernel(join, |c| batch_col(cols, c, n))
+    }
+
+    /// The build-side kernel; `col_of(c)` yields column `c` of the batch.
+    fn build_kernel<'a>(
         &mut self,
         join: usize,
-        key_of: impl Fn(usize) -> QResult<Key>,
+        col_of: impl Fn(usize) -> QResult<&'a [Value]>,
     ) -> QResult<()> {
         qprog_fault::fail_point!("core/pipeline/build_tuple");
         if self.phase != Phase::Building(join) {
@@ -257,24 +306,22 @@ impl PipelineEstimator {
                 self.phase
             )));
         }
-        let build_key = key_of(self.specs[join].build_attr_col)?;
-        // Translate pending upper histograms (Case 2 fold).
+        let build_keys = col_of(self.specs[join].build_attr_col)?;
+        // Translate pending upper histograms (Case 2 fold): each build
+        // tuple adds the upper count of its carried key under its build
+        // key. NULL carried keys count 0 and NULL build keys are skipped.
+        self.lanes.resize(build_keys.len(), 0);
         for (u, new_hist) in &mut self.pending {
             let AttrSource::Build { col, .. } = self.states[*u].source else {
                 unreachable!("pending entries are Build-sourced by construction");
             };
-            let carried = key_of(col)?;
-            if build_key.is_null() || carried.is_null() {
-                continue;
-            }
-            let mult = self.states[*u].hist.count(&carried);
-            new_hist.observe_n(&build_key, mult);
+            self.states[*u]
+                .hist
+                .counts_of_column(col_of(col)?, &mut self.lanes)?;
+            new_hist.observe_column(build_keys, Some(&self.lanes))?;
         }
         // Raw count for this join's own histogram.
-        if !build_key.is_null() {
-            self.states[join].hist.observe(&build_key);
-        }
-        Ok(())
+        self.states[join].hist.observe_column(build_keys, None)
     }
 
     /// Finish the current build relation, committing translations.
@@ -364,8 +411,17 @@ impl PipelineEstimator {
                     .collect()
             })
             .collect();
-        self.counts = vec![0; uniq.len()];
         self.uniq_factors = uniq;
+        // The histograms are final from here on, so the largest count of
+        // each bounds every lane value the probe pass will read.
+        for u in 0..n {
+            self.states[u].fits_u64 = self.factors[u]
+                .iter()
+                .try_fold(1u64, |bound, &(w, _)| {
+                    bound.checked_mul(self.states[w].hist.max_frequency())
+                })
+                .is_some();
+        }
         Ok(())
     }
 
@@ -375,16 +431,29 @@ impl PipelineEstimator {
     }
 
     /// Observe one tuple of the lowest probe stream; updates every join's
-    /// estimate. This is the per-tuple hot path of the framework — it does
-    /// not allocate.
+    /// estimate (a one-row [`observe_probe_batch`](Self::observe_probe_batch);
+    /// it does not allocate).
     pub fn observe_probe(&mut self, row: &Row) -> QResult<()> {
-        self.observe_probe_with(|col| row.key(col))
+        self.probe_kernel(1, |c| row.get(c).map(std::slice::from_ref))
     }
 
-    /// [`observe_probe`](Self::observe_probe) with the tuple supplied as a
-    /// column-keyed extractor, so vectorized callers feed directly from a
-    /// column batch without materializing a [`Row`].
-    pub fn observe_probe_with(&mut self, key_of: impl Fn(usize) -> QResult<Key>) -> QResult<()> {
+    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
+    /// the lowest probe stream; updates every join's estimate. This is the
+    /// hot path of the framework: the phase check and the
+    /// `core/pipeline/observe_probe` failpoint run once per batch, each
+    /// distinct factor reads its column once, and nothing allocates once
+    /// the lanes have grown to the batch size.
+    pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
+        self.probe_kernel(n, |c| batch_col(cols, c, n))
+    }
+
+    /// The probe-side kernel; `col_of(c)` yields the `n` values of column
+    /// `c`. Nothing is accumulated unless every lane fills without error.
+    fn probe_kernel<'a>(
+        &mut self,
+        n: usize,
+        col_of: impl Fn(usize) -> QResult<&'a [Value]>,
+    ) -> QResult<()> {
         qprog_fault::fail_point!("core/pipeline/observe_probe");
         if self.phase != Phase::Probing {
             return Err(QError::estimation(format!(
@@ -392,36 +461,26 @@ impl PipelineEstimator {
                 self.phase
             )));
         }
-        self.t += 1;
-        // Histogram count of every distinct factor pair, once per tuple.
-        for i in 0..self.uniq_factors.len() {
-            let (w, col) = self.uniq_factors[i];
-            let key = key_of(col)?;
-            self.counts[i] = if key.is_null() {
-                0
-            } else {
-                self.states[w].hist.count(&key)
-            };
+        if n == 0 {
+            return Ok(());
         }
-        let n = self.specs.len();
-        for u in 0..n {
-            let mut contribution: u128 = 1;
-            for &i in &self.factor_idx[u] {
-                contribution = contribution.saturating_mul(self.counts[i] as u128);
-                if contribution == 0 {
-                    break;
-                }
-            }
-            let st = &mut self.states[u];
-            st.sum += contribution as f64;
-            st.moments.push(contribution as f64);
+        // (1) One count lane per distinct factor pair, column at a time.
+        self.lanes.resize((self.uniq_factors.len() + 1) * n, 0);
+        let (lanes, prod) = self.lanes.split_at_mut(self.uniq_factors.len() * n);
+        for (&(w, col), lane) in self.uniq_factors.iter().zip(lanes.chunks_exact_mut(n)) {
+            self.states[w].hist.counts_of_column(col_of(col)?, lane)?;
+        }
+        // (2) Per join, the row-wise product of its lanes.
+        for (st, idx) in self.states.iter_mut().zip(&self.factor_idx) {
+            st.sums
+                .merge(&batch_power_sums(lanes, prod, n, idx, st.fits_u64));
         }
         Ok(())
     }
 
     /// Probe tuples observed so far.
     pub fn probe_seen(&self) -> u64 {
-        self.t
+        self.states[0].sums.count()
     }
 
     /// Revise the probe stream size (e.g. once the stream is exhausted and
@@ -435,16 +494,17 @@ impl PipelineEstimator {
         if self.probe_size == 0 {
             1.0
         } else {
-            (self.t as f64 / self.probe_size as f64).min(1.0)
+            (self.probe_seen() as f64 / self.probe_size as f64).min(1.0)
         }
     }
 
     /// Current cardinality estimate for `join` (0 before any probe tuple).
     pub fn estimate(&self, join: usize) -> f64 {
-        if self.t == 0 {
+        let sums = &self.states[join].sums;
+        if sums.count() == 0 {
             return 0.0;
         }
-        self.states[join].sum / self.t as f64 * self.probe_size as f64
+        sums.sum() as f64 / sums.count() as f64 * self.probe_size as f64
     }
 
     /// Estimates for every join, bottom-up.
@@ -452,12 +512,13 @@ impl PipelineEstimator {
         (0..self.specs.len()).map(|u| self.estimate(u)).collect()
     }
 
-    /// CLT confidence interval for `join`'s estimate.
+    /// CLT confidence interval for `join`'s estimate, derived from the
+    /// power sums of its contributions.
     pub fn confidence_interval(&self, join: usize, z: f64) -> ConfidenceInterval {
         if self.converged() {
             return ConfidenceInterval::around(self.estimate(join), 0.0);
         }
-        let ci = self.states[join].moments.mean_ci(z);
+        let ci = self.states[join].sums.mean_ci(z);
         ConfidenceInterval {
             estimate: self.estimate(join),
             lo: ci.lo * self.probe_size as f64,
@@ -467,7 +528,7 @@ impl PipelineEstimator {
 
     /// Whether the full probe stream has been observed (estimates exact).
     pub fn converged(&self) -> bool {
-        self.phase == Phase::Probing && self.t >= self.probe_size
+        self.phase == Phase::Probing && self.probe_seen() >= self.probe_size
     }
 
     /// This join's current histogram (e.g. for aggregation push-down).

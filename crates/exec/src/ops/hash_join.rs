@@ -332,44 +332,39 @@ impl HashJoin {
                 for s in &mut sel {
                     s.clear();
                 }
-                if let JoinEstimation::Pipeline {
-                    handle, join_index, ..
-                } = &self.estimation
-                {
-                    // One shared-state lock per batch; the estimator sees
-                    // rows in scan order, exactly as per-tuple execution.
-                    let mut shared = handle.lock();
-                    for r in 0..n {
-                        let key = scratch.key(r, self.build_key)?;
-                        if key.is_null() {
-                            continue; // NULL keys never equi-join
-                        }
-                        shared
+                // Estimation reads the batch's columns in scan order (the
+                // kernels skip NULL keys themselves): one shared-state lock
+                // and one kernel call per batch.
+                if n > 0 {
+                    if let JoinEstimation::Pipeline {
+                        handle, join_index, ..
+                    } = &self.estimation
+                    {
+                        handle
+                            .lock()
                             .estimator
-                            .build_tuple_with(*join_index, |col| scratch.key(r, col))?;
-                        sel[partition_of(&key, self.num_partitions)].push(r);
+                            .build_batch(*join_index, scratch.cols(), n)?;
                     }
-                } else {
-                    for r in 0..n {
-                        let key = scratch.key(r, self.build_key)?;
-                        if key.is_null() {
-                            continue; // NULL keys never equi-join
+                    if let Some(h) = &mut build_hist {
+                        h.observe_column(scratch.col(self.build_key), None)?;
+                        // Soft histogram-memory budget: degrade the estimator one
+                        // rung (exact frequency histogram → dne baseline) instead
+                        // of aborting the query (ladder documented in DESIGN.md §5).
+                        if self.metrics.hist_budget_exceeded(h.memory_allocated()) {
+                            build_hist = None;
+                            self.estimation = JoinEstimation::Dne {
+                                optimizer_estimate: self.metrics.estimated_total(),
+                            };
+                            self.metrics.trace_degraded(DegradeReason::HistogramMemory);
                         }
-                        if let Some(h) = &mut build_hist {
-                            h.observe(&key);
-                            // Soft histogram-memory budget: degrade the estimator one
-                            // rung (exact frequency histogram → dne baseline) instead
-                            // of aborting the query (ladder documented in DESIGN.md §5).
-                            if self.metrics.hist_budget_exceeded(h.memory_allocated()) {
-                                build_hist = None;
-                                self.estimation = JoinEstimation::Dne {
-                                    optimizer_estimate: self.metrics.estimated_total(),
-                                };
-                                self.metrics.trace_degraded(DegradeReason::HistogramMemory);
-                            }
-                        }
-                        sel[partition_of(&key, self.num_partitions)].push(r);
                     }
+                }
+                for r in 0..n {
+                    let key = scratch.key(r, self.build_key)?;
+                    if key.is_null() {
+                        continue; // NULL keys never equi-join
+                    }
+                    sel[partition_of(&key, self.num_partitions)].push(r);
                 }
                 for (p, s) in sel.iter().enumerate() {
                     if !s.is_empty() {
@@ -422,15 +417,17 @@ impl HashJoin {
                 for s in &mut sel {
                     s.clear();
                 }
-                for r in 0..n {
-                    probe_rows += 1;
-                    let key = scratch.key(r, self.probe_key)?;
-                    if let Some(once) = &mut self.once {
-                        let mult = once.observe_probe(&key);
-                        if mult > 0 && self.agg_pushdown.is_some() {
-                            agg_buf.push((key.clone(), mult));
-                        }
+                probe_rows += n as u64;
+                // `D_{t+1}` over the whole key column; matched keys are
+                // staged for the push-down tracker.
+                if let Some(once) = &mut self.once {
+                    let mults = once.observe_probe_batch(scratch.col(self.probe_key))?;
+                    if self.agg_pushdown.is_some() {
+                        stage_matched_keys(&mut agg_buf, &scratch, self.probe_key, mults)?;
                     }
+                }
+                for r in 0..n {
+                    let key = scratch.key(r, self.probe_key)?;
                     if key.is_null() {
                         if keep_nulls {
                             self.null_probe_rows.push(scratch.row(r));
@@ -449,11 +446,7 @@ impl HashJoin {
                     } = &self.estimation
                     {
                         let mut shared = handle.lock();
-                        for r in 0..n {
-                            shared
-                                .estimator
-                                .observe_probe_with(|col| scratch.key(r, col))?;
-                        }
+                        shared.estimator.observe_probe_batch(scratch.cols(), n)?;
                         shared.publish();
                     }
                     // Batch-boundary estimate publication — the per-tuple
@@ -573,13 +566,13 @@ impl HashJoin {
                         for s in &mut sel {
                             s.clear();
                         }
+                        if let Some(h) = &mut hist {
+                            h.observe_column(scratch.col(build_key), None)?;
+                        }
                         for r in 0..n {
                             let key = scratch.key(r, build_key)?;
                             if key.is_null() {
                                 continue; // NULL keys never equi-join
-                            }
-                            if let Some(h) = &mut hist {
-                                h.observe(&key);
                             }
                             sel[partition_of(&key, num_partitions)].push(r);
                         }
@@ -671,6 +664,7 @@ impl HashJoin {
                     let mut sel: Vec<Vec<usize>> =
                         (0..num_partitions).map(|_| Vec::new()).collect();
                     let (mut flushed_t, mut flushed_sum) = (0u64, 0u128);
+                    let mut mults: Vec<u64> = Vec::new();
                     let mut scratch = RowBatch::with_capacity(arity, batch_cap);
                     loop {
                         let status = op.next_batch(&mut scratch)?;
@@ -682,27 +676,32 @@ impl HashJoin {
                         for s in &mut sel {
                             s.clear();
                         }
-                        for r in 0..n {
-                            chunk.rows += 1;
-                            let key = scratch.key(r, probe_key)?;
-                            if let Some(h) = hist {
-                                let mult = chunk.frag.observe(h, kind, &key);
-                                if want_agg && mult > 0 {
-                                    chunk.agg.push((key.clone(), mult));
-                                }
-                                if chunk.rows.is_multiple_of(PUBLISH_EVERY) {
-                                    let dt = chunk.frag.seen() - flushed_t;
-                                    let ds = (chunk.frag.matched() - flushed_sum) as u64;
-                                    flushed_t = chunk.frag.seen();
-                                    flushed_sum = chunk.frag.matched();
-                                    let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
-                                    let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
-                                    if t > 0 {
-                                        let est = s as f64 / t as f64 * hint.max(t) as f64;
-                                        metrics.set_estimated_total(est);
-                                    }
-                                }
+                        chunk.rows += n as u64;
+                        if let Some(h) = hist {
+                            chunk.frag.observe_batch(
+                                h,
+                                kind,
+                                scratch.col(probe_key),
+                                &mut mults,
+                            )?;
+                            if want_agg {
+                                stage_matched_keys(&mut chunk.agg, &scratch, probe_key, &mults)?;
                             }
+                            // Mid-flight publication at batch boundaries,
+                            // at most once per PUBLISH_EVERY local rows.
+                            let dt = chunk.frag.seen() - flushed_t;
+                            if dt >= PUBLISH_EVERY {
+                                let ds = (chunk.frag.matched() - flushed_sum) as u64;
+                                flushed_t = chunk.frag.seen();
+                                flushed_sum = chunk.frag.matched();
+                                let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
+                                let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
+                                let est = s as f64 / t as f64 * hint.max(t) as f64;
+                                metrics.set_estimated_total(est);
+                            }
+                        }
+                        for r in 0..n {
+                            let key = scratch.key(r, probe_key)?;
                             if key.is_null() {
                                 if keep_nulls {
                                     chunk.nulls.push(scratch.row(r));
@@ -766,6 +765,22 @@ impl HashJoin {
         };
         Ok(())
     }
+}
+
+/// Stage `(key, multiplicity)` of every probe row of `batch` with a build
+/// match, in row order, for the aggregation push-down tracker.
+fn stage_matched_keys(
+    staged: &mut Vec<(Key, u64)>,
+    batch: &RowBatch,
+    key_col: usize,
+    mults: &[u64],
+) -> QResult<()> {
+    for (r, &mult) in mults.iter().enumerate() {
+        if mult > 0 {
+            staged.push((batch.key(r, key_col)?, mult));
+        }
+    }
+    Ok(())
 }
 
 /// Apply one output batch's accumulated bookkeeping: `drv` probe rows

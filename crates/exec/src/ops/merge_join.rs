@@ -135,23 +135,25 @@ impl MergeJoin {
             let n = scratch.len();
             if n > 0 {
                 self.metrics.checkpoint(n as u64)?;
-            }
-            for r in 0..n {
-                let key = scratch.key(r, self.left_key)?;
-                if key.is_null() {
-                    continue;
-                }
+                // Estimation reads the batch's columns (the kernels skip
+                // NULL keys themselves): one lock, one call per batch.
                 if let Some(h) = &mut hist {
-                    h.observe(&key);
+                    h.observe_column(scratch.col(self.left_key), None)?;
                 }
-                let row = scratch.row(r);
                 if let MergeJoinEstimation::Pipeline {
                     handle, join_index, ..
                 } = &self.estimation
                 {
-                    handle.lock().estimator.build_tuple(*join_index, &row)?;
+                    handle
+                        .lock()
+                        .estimator
+                        .build_batch(*join_index, scratch.cols(), n)?;
                 }
-                self.left_rows.push(row);
+            }
+            for r in 0..n {
+                if !scratch.key(r, self.left_key)?.is_null() {
+                    self.left_rows.push(scratch.row(r));
+                }
             }
             if status.is_exhausted() {
                 break;
@@ -184,21 +186,47 @@ impl MergeJoin {
             if n > 0 {
                 self.metrics.checkpoint(n as u64)?;
             }
-            for r in 0..n {
-                right_count += 1;
-                let key = scratch.key(r, self.right_key)?;
-                if let Some(once) = &mut self.once {
-                    once.observe_probe(&key);
-                    if right_count.is_multiple_of(PUBLISH_EVERY) {
+            if let Some(once) = &mut self.once {
+                // Cut the key column where the publication cadence falls,
+                // so every PUBLISH_EVERY-th row publishes the state it
+                // would have had tuple at a time.
+                let keys = scratch.col(self.right_key);
+                let mut seen = right_count;
+                let mut at = 0;
+                while at < n {
+                    let due = (PUBLISH_EVERY - seen % PUBLISH_EVERY) as usize;
+                    let end = n.min(at + due);
+                    once.observe_probe_batch(&keys[at..end])?;
+                    seen += (end - at) as u64;
+                    at = end;
+                    if seen.is_multiple_of(PUBLISH_EVERY) {
                         self.metrics.set_estimated_total(once.estimate());
                         let ci = once.confidence_interval(2.576);
                         self.metrics.set_estimated_bounds(ci.lo, ci.hi);
                     }
                 }
-                if key.is_null() {
-                    continue;
+            }
+            // Algorithm-1 push-down: the lowest join of a merge chain
+            // drives probe observation from its right-sort consume phase,
+            // so every join of the chain is refined before any merge
+            // output exists.
+            if n > 0 {
+                if let MergeJoinEstimation::Pipeline {
+                    handle,
+                    lowest: true,
+                    ..
+                } = &self.estimation
+                {
+                    let mut shared = handle.lock();
+                    shared.estimator.observe_probe_batch(scratch.cols(), n)?;
+                    shared.publish();
                 }
-                self.right_rows.push(scratch.row(r));
+            }
+            right_count += n as u64;
+            for r in 0..n {
+                if !scratch.key(r, self.right_key)?.is_null() {
+                    self.right_rows.push(scratch.row(r));
+                }
             }
             if status.is_exhausted() {
                 break;
@@ -571,6 +599,91 @@ mod tests {
         assert_eq!(rows.len(), 4);
         assert_eq!(m_lower.estimated_total(), 3.0);
         assert_eq!(m_upper.estimated_total(), 4.0);
+    }
+
+    /// Passes its child through, recording both joins' published estimates
+    /// the first time the child hands over a batch.
+    struct Tap {
+        child: BoxedOp,
+        watched: [Arc<OpMetrics>; 2],
+        at_first_batch: Arc<std::sync::Mutex<Option<[f64; 2]>>>,
+    }
+
+    impl Operator for Tap {
+        fn schema(&self) -> SchemaRef {
+            self.child.schema()
+        }
+
+        fn next_batch(&mut self, out: &mut RowBatch) -> QResult<BatchStatus> {
+            let status = self.child.next_batch(out)?;
+            self.at_first_batch
+                .lock()
+                .unwrap()
+                .get_or_insert_with(|| self.watched.each_ref().map(|m| m.estimated_total()));
+            Ok(status)
+        }
+
+        fn name(&self) -> &str {
+            "tap"
+        }
+    }
+
+    /// §4.1.4.3: the lowest merge join's right-sort pass drives the shared
+    /// push-down estimator, so every join of the chain is exact before the
+    /// lowest join emits its first row — not only once `mark_finished`
+    /// overwrites the optimizer estimate.
+    #[test]
+    fn pipeline_mode_merge_chain_is_exact_before_first_output_row() {
+        use crate::ops::hash_join::PipelineShared;
+        use crate::sync::Mutex;
+        use qprog_core::pipeline_est::PipelineEstimator;
+
+        let a = [1i64, 1, 2];
+        let b = [1i64, 2, 2];
+        let c = [1i64, 2, 9];
+        let m_lower = OpMetrics::with_initial_estimate(1.0);
+        let m_upper = OpMetrics::with_initial_estimate(1.0);
+        let shared: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
+            estimator: PipelineEstimator::same_attribute(2, 0, 0, c.len() as u64).unwrap(),
+            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
+        }));
+        let lower = MergeJoin::new(
+            scan1("b", &b),
+            scan1("c", &c),
+            0,
+            0,
+            MergeJoinEstimation::Pipeline {
+                handle: Arc::clone(&shared),
+                join_index: 0,
+                lowest: true,
+            },
+            Arc::clone(&m_lower),
+        );
+        let at_first_batch = Arc::new(std::sync::Mutex::new(None));
+        let tap = Tap {
+            child: Box::new(lower),
+            watched: [Arc::clone(&m_lower), Arc::clone(&m_upper)],
+            at_first_batch: Arc::clone(&at_first_batch),
+        };
+        let mut upper = MergeJoin::new(
+            scan1("a", &a),
+            Box::new(tap),
+            0,
+            0,
+            MergeJoinEstimation::Pipeline {
+                handle: Arc::clone(&shared),
+                join_index: 1,
+                lowest: false,
+            },
+            Arc::clone(&m_upper),
+        );
+        let mut src = crate::ops::RowSource::new(&mut upper);
+        assert!(src.next_row().unwrap().is_some());
+        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows
+        assert_eq!(*at_first_batch.lock().unwrap(), Some([3.0, 4.0]));
+        assert!(!m_upper.is_finished());
+        assert_eq!(m_upper.estimated_total(), 4.0);
+        assert_eq!(shared.lock().estimator.probe_seen(), c.len() as u64);
     }
 
     #[test]

@@ -458,3 +458,346 @@ fn disjunction_estimator_exact() {
         assert_eq!(est.estimate().round() as u64, truth);
     }
 }
+
+// ---- Kernel equivalence: the batch kernels against their one-row wrappers ----
+
+/// How a join attribute's small value indices become keys: `Dense` stays
+/// on the histogram's array lane, the others force the hash lane (strings,
+/// an integer span wider than 2^20 slots, or both kinds in one column).
+#[derive(Clone, Copy)]
+enum Domain {
+    Dense,
+    Str,
+    Wide,
+    Mixed,
+}
+
+const DOMAINS: [Domain; 4] = [Domain::Dense, Domain::Str, Domain::Wide, Domain::Mixed];
+
+impl Domain {
+    fn value(self, i: i64) -> Value {
+        match self {
+            Domain::Dense => Value::Int64(i - 3),
+            Domain::Str => Value::str(format!("k{i}")),
+            Domain::Wide => Value::Int64((i - 3) << 21),
+            Domain::Mixed if i % 2 == 0 => Value::Int64(i),
+            Domain::Mixed => Value::str(format!("k{i}")),
+        }
+    }
+
+    fn pick(rng: &mut StdRng) -> Domain {
+        DOMAINS[rng.random_range(0..DOMAINS.len())]
+    }
+
+    /// One key in eight is NULL; the rest are drawn from 8 values.
+    fn random(self, rng: &mut StdRng) -> Value {
+        if rng.random_range(0..8) == 0 {
+            Value::Null
+        } else {
+            self.value(rng.random_range(0i64..8))
+        }
+    }
+}
+
+/// Rows to a column-major batch (`cols[c][r]`).
+fn to_cols(rows: &[Row], arity: usize) -> Vec<Vec<Value>> {
+    (0..arity)
+        .map(|c| rows.iter().map(|r| r.values()[c].clone()).collect())
+        .collect()
+}
+
+/// Drive a pipeline estimator over `builds` (bottom-up) and `probe`, row by
+/// row through the wrappers (`split == 0`) or in batches of `split` rows.
+fn drive_pipeline(
+    specs: &[JoinSpec],
+    builds: &[Vec<Row>],
+    probe: &[Row],
+    probe_size: u64,
+    split: usize,
+) -> qprog_types::QResult<PipelineEstimator> {
+    let mut est = PipelineEstimator::new(specs.to_vec(), probe_size)?;
+    for (j, rows) in builds.iter().enumerate().rev() {
+        est.begin_build(j)?;
+        if split == 0 {
+            rows.iter().try_for_each(|r| est.build_tuple(j, r))?;
+        } else {
+            for chunk in rows.chunks(split) {
+                est.build_batch(j, &to_cols(chunk, 2), chunk.len())?;
+            }
+        }
+        est.end_build(j)?;
+    }
+    if split == 0 {
+        probe.iter().try_for_each(|r| est.observe_probe(r))?;
+    } else {
+        for chunk in probe.chunks(split) {
+            est.observe_probe_batch(&to_cols(chunk, 2), chunk.len())?;
+        }
+    }
+    Ok(est)
+}
+
+/// Everything a histogram exposes, in a comparable (and printable) form.
+fn hist_contents(h: &FreqHist) -> String {
+    let mut pairs: Vec<_> = h.iter().map(|(k, c)| (format!("{k:?}"), c)).collect();
+    pairs.sort();
+    let mut classes: Vec<_> = h.frequency_classes().collect();
+    classes.sort_unstable();
+    format!(
+        "{pairs:?} f_j {classes:?} t {} d {} M {} sum_sq {}",
+        h.total(),
+        h.distinct(),
+        h.max_frequency(),
+        h.sum_squared_counts()
+    )
+}
+
+fn assert_close(a: f64, b: f64, what: &str) {
+    assert!(
+        a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+        "{what}: {a} vs {b}"
+    );
+}
+
+fn assert_same_pipeline(rows: &PipelineEstimator, batches: &PipelineEstimator, what: &str) {
+    assert_eq!(rows.probe_seen(), batches.probe_seen(), "{what}");
+    let bits = |e: &PipelineEstimator| {
+        e.estimates()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(rows), bits(batches), "{what}");
+    for u in 0..rows.num_joins() {
+        assert_eq!(
+            hist_contents(rows.histogram(u)),
+            hist_contents(batches.histogram(u)),
+            "{what} join {u}"
+        );
+        let (a, b) = (
+            rows.confidence_interval(u, 2.576),
+            batches.confidence_interval(u, 2.576),
+        );
+        assert_close(a.lo, b.lo, what);
+        assert_close(a.hi, b.hi, what);
+    }
+}
+
+fn probe_spec(col: usize) -> JoinSpec {
+    JoinSpec {
+        build_attr_col: 0,
+        probe_attr: AttrSource::Probe { col },
+    }
+}
+
+fn build_spec(join: usize) -> JoinSpec {
+    JoinSpec {
+        build_attr_col: 0,
+        probe_attr: AttrSource::Build { join, col: 1 },
+    }
+}
+
+/// The pipeline shapes of §4.1.4: same attribute, Case 1, Case 2, a
+/// two-level cascade, and a cascade under a Case-1 join.
+fn pipeline_shapes() -> Vec<Vec<JoinSpec>> {
+    vec![
+        vec![probe_spec(0); 3],
+        vec![probe_spec(0), probe_spec(1)],
+        vec![probe_spec(0), build_spec(0)],
+        vec![probe_spec(0), build_spec(0), build_spec(1)],
+        vec![probe_spec(1), build_spec(0), probe_spec(0), build_spec(2)],
+    ]
+}
+
+/// Feeding a pipeline in batches of any size leaves the estimator exactly
+/// where feeding it row by row does: estimates bit for bit, histograms
+/// value for value, confidence intervals to rounding.
+#[test]
+fn pipeline_batch_kernels_match_row_wrappers() {
+    let mut rng = StdRng::seed_from_u64(0xba7c4);
+    let shapes = pipeline_shapes();
+    for case in 0..CASES {
+        let specs = &shapes[case as usize % shapes.len()];
+        // One domain per join attribute; joins probing the same probe
+        // column share it, so keys actually meet.
+        let probe_domains = [Domain::pick(&mut rng), Domain::pick(&mut rng)];
+        let attr: Vec<Domain> = specs
+            .iter()
+            .map(|s| match s.probe_attr {
+                AttrSource::Probe { col } => probe_domains[col],
+                AttrSource::Build { .. } => Domain::pick(&mut rng),
+            })
+            .collect();
+        // Build j = (own key, the key carried for the join sourced from it).
+        let builds: Vec<Vec<Row>> = (0..specs.len())
+            .map(|j| {
+                let carried = specs
+                    .iter()
+                    .position(
+                        |s| matches!(s.probe_attr, AttrSource::Build { join, .. } if join == j),
+                    )
+                    .map_or(Domain::Dense, |u| attr[u]);
+                let len = match case {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.random_range(0..60usize),
+                };
+                (0..len)
+                    .map(|_| Row::new(vec![attr[j].random(&mut rng), carried.random(&mut rng)]))
+                    .collect()
+            })
+            .collect();
+        let probe: Vec<Row> = (0..rng.random_range(0..200usize))
+            .map(|_| {
+                Row::new(vec![
+                    probe_domains[0].random(&mut rng),
+                    probe_domains[1].random(&mut rng),
+                ])
+            })
+            .collect();
+        // Twice the stream: mid-flight, so the intervals are not collapsed.
+        let size = 2 * probe.len() as u64 + 1;
+        let by_row = drive_pipeline(specs, &builds, &probe, size, 0).unwrap();
+        for split in [1usize, 7, 1024] {
+            let by_batch = drive_pipeline(specs, &builds, &probe, size, split).unwrap();
+            assert_same_pipeline(&by_row, &by_batch, &format!("case {case} split {split}"));
+        }
+    }
+}
+
+/// Contributions beyond 64 bits: two three-level cascades of 2100-row
+/// builds on one key multiply to 2100^6 ≈ 8.6e19 per probe tuple. The sum
+/// is carried exactly (the sum of squares saturates) on both paths.
+#[test]
+fn pipeline_kernels_agree_beyond_u64_products() {
+    const R: usize = 2100;
+    let specs = vec![
+        probe_spec(0),
+        build_spec(0),
+        build_spec(1),
+        probe_spec(1),
+        build_spec(3),
+        build_spec(4),
+    ];
+    let one = |v: i64| Row::new(vec![Value::Int64(v), Value::Int64(v)]);
+    let builds: Vec<Vec<Row>> = (0..specs.len()).map(|_| vec![one(1); R]).collect();
+    let probe = vec![
+        one(1),
+        one(2),
+        one(1),
+        Row::new(vec![Value::Null, Value::Int64(1)]),
+        one(1),
+    ];
+    let by_row = drive_pipeline(&specs, &builds, &probe, 10, 0).unwrap();
+    for split in [1usize, 7, 1024] {
+        let by_batch = drive_pipeline(&specs, &builds, &probe, 10, split).unwrap();
+        assert_same_pipeline(&by_row, &by_batch, &format!("split {split}"));
+    }
+    // Three of the five probe tuples match everywhere.
+    let per_match = (R as u128).pow(6);
+    assert!(per_match > u64::MAX as u128);
+    assert_eq!(by_row.estimate(5), (3 * per_match) as f64 / 5.0 * 10.0);
+    assert_eq!(
+        by_row.estimate(4),
+        (3 * (R as u128).pow(5)) as f64 / 5.0 * 10.0
+    );
+    let ci = by_row.confidence_interval(5, 2.576);
+    assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi);
+}
+
+/// A DOUBLE key column is the same typed error on both paths, build side
+/// and probe side.
+#[test]
+fn pipeline_kernels_reject_double_keys_alike() {
+    let specs = vec![probe_spec(0), build_spec(0)];
+    let int = |a: i64, b: i64| Row::new(vec![Value::Int64(a), Value::Int64(b)]);
+    let bad = Row::new(vec![Value::Int64(1), Value::Float64(0.5)]);
+    let good_builds = vec![vec![int(1, 1), int(2, 1)], vec![int(1, 0)]];
+    let bad_builds = vec![vec![int(1, 1), bad.clone()], vec![int(1, 0)]];
+    let bad_probe = vec![int(1, 0), Row::new(vec![Value::Float64(1.0), Value::Null])];
+    for split in [0usize, 1, 7, 1024] {
+        for (builds, probe) in [(&bad_builds, &vec![int(1, 0)]), (&good_builds, &bad_probe)] {
+            let err = drive_pipeline(&specs, builds, probe, 4, split).unwrap_err();
+            assert_eq!(
+                err,
+                Key::from_value(&Value::Float64(0.0)).unwrap_err(),
+                "split {split}"
+            );
+            assert!(matches!(err, qprog_types::QError::Type(_)));
+        }
+    }
+}
+
+/// The binary estimator's batch kernel against its one-key wrapper, for
+/// every join kind: same multiplicities, same `(t, Σ)`, and bit-identical
+/// estimates and published Welford bounds.
+#[test]
+fn once_batch_kernel_matches_row_wrapper() {
+    use qprog::core::join_est::JoinKind;
+    let mut rng = StdRng::seed_from_u64(0x0ba7c4);
+    for case in 0..CASES {
+        let domain = DOMAINS[case as usize % 4];
+        let mut hist = FreqHist::new();
+        let build: Vec<Value> = (0..rng.random_range(0..80usize))
+            .map(|_| domain.random(&mut rng))
+            .collect();
+        hist.observe_column(&build, None).unwrap();
+        let by_key: FreqHist = build
+            .iter()
+            .map(|v| Key::from_value(v).unwrap())
+            .filter(|k| !k.is_null())
+            .collect::<Vec<_>>()
+            .iter()
+            .collect();
+        assert_eq!(hist_contents(&hist), hist_contents(&by_key), "case {case}");
+        let probe: Vec<Value> = (0..rng.random_range(0..300usize))
+            .map(|_| domain.random(&mut rng))
+            .collect();
+        let size = 2 * probe.len() as u64 + 1;
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let mut by_row = OnceJoinEstimator::with_kind(hist.clone(), size, kind);
+            let mults: Vec<u64> = probe
+                .iter()
+                .map(|v| by_row.observe_probe(&Key::from_value(v).unwrap()))
+                .collect();
+            for split in [1usize, 7, 1024] {
+                let mut by_batch = OnceJoinEstimator::with_kind(hist.clone(), size, kind);
+                let mut seen = Vec::new();
+                for chunk in probe.chunks(split) {
+                    seen.extend_from_slice(by_batch.observe_probe_batch(chunk).unwrap());
+                }
+                let what = format!("case {case} {kind:?} split {split}");
+                assert_eq!(seen, mults, "{what}");
+                assert_eq!(by_batch.probe_seen(), by_row.probe_seen(), "{what}");
+                assert_eq!(by_batch.matched_so_far(), by_row.matched_so_far(), "{what}");
+                assert_eq!(
+                    by_batch.estimate().to_bits(),
+                    by_row.estimate().to_bits(),
+                    "{what}"
+                );
+                let (a, b) = (
+                    by_batch.confidence_interval(2.576),
+                    by_row.confidence_interval(2.576),
+                );
+                assert_eq!(
+                    (a.lo.to_bits(), a.hi.to_bits()),
+                    (b.lo.to_bits(), b.hi.to_bits()),
+                    "{what}"
+                );
+            }
+        }
+    }
+    // A DOUBLE key is the typed error of the one-key path, and observes nothing.
+    let mut est = OnceJoinEstimator::new(FreqHist::new(), 4);
+    let keys = [Value::Int64(1), Value::Float64(2.0)];
+    assert_eq!(
+        est.observe_probe_batch(&keys).unwrap_err(),
+        Key::from_value(&keys[1]).unwrap_err()
+    );
+    assert_eq!(est.probe_seen(), 0);
+}
