@@ -23,85 +23,30 @@
 //! fractions and converged estimates are identical to the per-tuple
 //! engine, which a capacity-1 batch reproduces exactly.
 //!
-//! In a pipeline of hash joins, all joins share a
-//! [`PipelineHandle`]; each feeds its build tuples to the shared
-//! [`PipelineEstimator`] and the lowest join drives probe observation
-//! (Algorithm 1 push-down, §4.1.4), locking the shared state once per
-//! batch.
+//! Both drains run through one loop (`partition_input`), inline or on
+//! worker threads. What to estimate per batch is the business of the
+//! [join-estimation driver](crate::ops::join_estimation); the hash join
+//! only decides when to call it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::sync::Mutex;
-use qprog_core::byte::ByteEstimator;
 use qprog_core::distinct::DistinctTracker;
-use qprog_core::dne::DneEstimator;
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::fx::FxHashMap;
-use qprog_core::join_est::{JoinKind, OnceJoinEstimator, ProbeFragment};
-use qprog_core::pipeline_est::PipelineEstimator;
+use qprog_core::join_est::{JoinKind, ProbeFragment};
 use qprog_types::{BatchStatus, Key, QError, QResult, Row, RowBatch, SchemaRef};
 
 use crate::metrics::OpMetrics;
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{partition_of, BoxedOp, Operator, PUBLISH_EVERY};
 use crate::parallel;
-use crate::trace::{DegradeReason, Phase};
+use crate::trace::Phase;
 
 /// Default number of grace partitions.
 pub const DEFAULT_PARTITIONS: usize = 16;
-
-/// `Z_α` used for published confidence bounds (two-sided 99%).
-const CI_Z: f64 = 2.576;
-
-/// Shared pipeline estimation state: the Algorithm-1 estimator plus the
-/// metrics handle of each join in the pipeline (bottom-up order) for
-/// publishing refined estimates.
-#[derive(Debug)]
-pub struct PipelineShared {
-    /// The push-down estimator (joins indexed bottom-up).
-    pub estimator: PipelineEstimator,
-    /// Metrics of each join, indexed like the estimator's joins.
-    pub metrics: Vec<Arc<OpMetrics>>,
-}
-
-impl PipelineShared {
-    /// Publish every join's current estimate to its metrics handle.
-    pub fn publish(&self) {
-        for (u, m) in self.metrics.iter().enumerate() {
-            if self.estimator.probe_seen() > 0 {
-                m.set_estimated_total(self.estimator.estimate(u));
-            }
-        }
-    }
-}
-
-/// Handle shared by all hash joins of one pipeline.
-pub type PipelineHandle = Arc<Mutex<PipelineShared>>;
-
-/// Which online estimation strategy this join runs.
-pub enum JoinEstimation {
-    /// No estimation.
-    Off,
-    /// The paper's framework on a standalone binary join; `probe_size_hint`
-    /// is the known or optimizer-estimated probe input size.
-    Once { probe_size_hint: u64 },
-    /// Algorithm-1 pipeline push-down; this join is `join_index` in the
-    /// shared estimator and drives probe observation iff `lowest`.
-    Pipeline {
-        handle: PipelineHandle,
-        join_index: usize,
-        lowest: bool,
-    },
-    /// Driver-node baseline (driver = probe rows consumed in the join
-    /// pass).
-    Dne { optimizer_estimate: f64 },
-    /// Byte-model baseline.
-    Byte {
-        optimizer_estimate: f64,
-        probe_row_bytes: u64,
-    },
-}
 
 enum JState {
     /// Build + probe-partition phases not yet run.
@@ -119,6 +64,150 @@ enum JState {
     Done,
 }
 
+/// One drained input, hash-partitioned on its join key.
+#[derive(Default)]
+struct Partitions {
+    /// Columnar partition accumulators, filled by gathers.
+    parts: Vec<RowBatch>,
+    /// NULL-key rows a LeftOuter/Anti join stashed from its probe side;
+    /// emitted at the end (NULL keys never match anything).
+    null_rows: Vec<Row>,
+    /// Input rows drained, NULL keys included.
+    rows: u64,
+}
+
+impl Partitions {
+    fn new(partitions: usize, arity: usize) -> Self {
+        Partitions {
+            parts: (0..partitions)
+                .map(|_| RowBatch::accumulator(arity))
+                .collect(),
+            ..Partitions::default()
+        }
+    }
+
+    /// Append a later chunk of the same input (chunks are contiguous slices
+    /// of the scan order, so appending in chunk order reproduces the serial
+    /// partition contents exactly).
+    fn append(&mut self, mut chunk: Partitions) {
+        for (part, batch) in self.parts.iter_mut().zip(&mut chunk.parts) {
+            part.append_batch(batch);
+        }
+        self.null_rows.extend(chunk.null_rows);
+        self.rows += chunk.rows;
+    }
+}
+
+/// What one build- or probe-side drain needs besides its data.
+struct Drain<'a> {
+    key_col: usize,
+    /// Stash NULL-key rows instead of dropping them.
+    keep_nulls: bool,
+    failpoint: &'static str,
+    batch_cap: usize,
+    metrics: &'a OpMetrics,
+}
+
+/// Drain `input` and hash-partition its rows into `into`, calling
+/// `on_batch` on every non-empty batch in scan order, before it is
+/// partitioned. The one drain loop of the hash join: the serial path runs
+/// it straight into the operator's partitions, [`partition_parallel`] on
+/// worker-local ones.
+fn partition_input(
+    input: &mut dyn Operator,
+    drain: &Drain<'_>,
+    into: &mut Partitions,
+    mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
+) -> QResult<()> {
+    let mut scratch = RowBatch::with_capacity(input.schema().arity(), drain.batch_cap);
+    let partitions = into.parts.len();
+    let mut sel: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+    loop {
+        let status = input.next_batch(&mut scratch)?;
+        let n = scratch.len();
+        if n > 0 {
+            drain.metrics.checkpoint(n as u64)?;
+            qprog_fault::fail_point!(drain.failpoint);
+            on_batch(&scratch)?;
+        }
+        for s in &mut sel {
+            s.clear();
+        }
+        for r in 0..n {
+            let key = scratch.key(r, drain.key_col)?;
+            if key.is_null() {
+                // NULL keys never equi-join
+                if drain.keep_nulls {
+                    into.null_rows.push(scratch.row(r));
+                }
+                continue;
+            }
+            sel[partition_of(&key, partitions)].push(r);
+        }
+        for (part, s) in into.parts.iter_mut().zip(&sel) {
+            if !s.is_empty() {
+                part.gather_from(&scratch, s);
+            }
+        }
+        into.rows += n as u64;
+        if status.is_exhausted() {
+            return Ok(());
+        }
+    }
+}
+
+/// Run [`partition_input`] over pre-split chunks of one input on worker
+/// threads, each with private partitions and a private `on_batch` state
+/// from `new_state`. Chunks are appended to `into` **in worker order**, and
+/// the states come back in the same order for the caller to merge — which
+/// is what keeps partitions, histogram and `D_{t+1}` identical to serial
+/// execution.
+fn partition_parallel<S: Send>(
+    chunks: Vec<BoxedOp>,
+    drain: &Drain<'_>,
+    into: &mut Partitions,
+    worker_busy: &mut Vec<Duration>,
+    new_state: impl Fn() -> S,
+    on_batch: impl Fn(&mut S, &RowBatch) -> QResult<()> + Sync,
+) -> QResult<Vec<S>> {
+    let partitions = into.parts.len();
+    let on_batch = &on_batch;
+    let tasks: Vec<_> = chunks
+        .into_iter()
+        .map(|mut op| {
+            let mut state = new_state();
+            move |_w: usize| -> QResult<(Partitions, S)> {
+                let mut local = Partitions::new(partitions, op.schema().arity());
+                partition_input(&mut *op, drain, &mut local, |b| on_batch(&mut state, b))?;
+                Ok((local, state))
+            }
+        })
+        .collect();
+    let outputs = parallel::run_tasks(tasks)?;
+    if worker_busy.len() < outputs.len() {
+        worker_busy.resize(outputs.len(), Duration::ZERO);
+    }
+    let mut states = Vec::with_capacity(outputs.len());
+    for (w, out) in outputs.into_iter().enumerate() {
+        worker_busy[w] += out.busy;
+        let (local, state) = out.value;
+        into.append(local);
+        states.push(state);
+    }
+    Ok(states)
+}
+
+/// A parallel probe worker's private estimation state.
+#[derive(Default)]
+struct ProbeWorker {
+    frag: ProbeFragment,
+    /// Agg-push-down observations in arrival order.
+    agg: Vec<(Key, u64)>,
+    mults: Vec<u64>,
+    /// `(t, Σ contribution)` already added to the shared counters.
+    flushed: (u64, u128),
+}
+
 /// Grace hash join on single-column equi-keys, supporting inner,
 /// (probe-preserving) left outer, semi and anti semantics.
 pub struct HashJoin {
@@ -130,23 +219,15 @@ pub struct HashJoin {
     schema: SchemaRef,
     /// Build-arity NULL padding for outer-join misses.
     null_pad: Row,
-    /// NULL-key probe rows stashed during partitioning; LeftOuter/Anti
-    /// emit them at the end (NULL keys never match anything).
-    null_probe_rows: Vec<Row>,
     metrics: Arc<OpMetrics>,
-    estimation: JoinEstimation,
+    est: JoinEstimator,
     num_partitions: usize,
-    /// Degree of parallelism for the build/probe drains (1 = the serial
-    /// engine, byte-for-byte).
+    /// Degree of parallelism for the build/probe drains.
     threads: usize,
-    /// Columnar partition accumulators, filled by gathers.
-    build_parts: Vec<RowBatch>,
-    probe_parts: Vec<RowBatch>,
+    build_parts: Partitions,
+    probe_parts: Partitions,
     /// Reused `(build row, probe row)` gather list for inner-join output.
     pair_buf: Vec<(u32, u32)>,
-    once: Option<OnceJoinEstimator>,
-    dne: Option<DneEstimator>,
-    byte: Option<ByteEstimator>,
     /// Optional aggregation push-down (§4.2 end): tracks the distinct
     /// values of the join key in the join *output* distribution.
     agg_pushdown: Option<Arc<Mutex<DistinctTracker>>>,
@@ -173,17 +254,13 @@ impl HashJoin {
             kind: JoinKind::Inner,
             schema,
             null_pad: Row::default(),
-            null_probe_rows: Vec::new(),
+            est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
-            estimation,
             num_partitions: DEFAULT_PARTITIONS,
             threads: 1,
-            build_parts: Vec::new(),
-            probe_parts: Vec::new(),
+            build_parts: Partitions::default(),
+            probe_parts: Partitions::default(),
             pair_buf: Vec::new(),
-            once: None,
-            dne: None,
-            byte: None,
             agg_pushdown: None,
             state: JState::Init,
         }
@@ -233,25 +310,17 @@ impl HashJoin {
         self
     }
 
-    /// Set the degree of parallelism for the build and probe drains. At 1
-    /// (the default) the serial engine runs verbatim. At `n > 1` each drain
-    /// splits its input scan into `n` contiguous chunks executed across
-    /// worker threads; per-worker histogram and `D_{t+1}` fragments are
-    /// merged associatively in worker order, so both the output row order
-    /// and the converged join estimate are identical to serial execution.
-    /// Pipeline-estimated joins (Algorithm 1 push-down) always run serial —
-    /// the shared estimator's push-down protocol is order-sensitive.
+    /// Set the degree of parallelism for the build and probe drains
+    /// (default 1). At `n > 1` each drain splits its input scan into `n`
+    /// contiguous chunks executed across worker threads; per-worker
+    /// histogram and `D_{t+1}` fragments are merged associatively in worker
+    /// order, so both the output row order and the converged join estimate
+    /// are identical to serial execution. Pipeline-estimated joins
+    /// (Algorithm 1 push-down) always run serial — the shared estimator's
+    /// push-down protocol is order-sensitive.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
-    }
-
-    /// Effective worker-pool width for the drains.
-    fn pool_width(&self) -> usize {
-        match self.estimation {
-            JoinEstimation::Pipeline { .. } => 1,
-            _ => self.threads,
-        }
     }
 
     /// Attach aggregation push-down: the tracker observes the join-key
@@ -273,485 +342,146 @@ impl HashJoin {
             .probe
             .take()
             .ok_or_else(|| QError::internal("hash join probe input consumed twice"))?;
-        let build_arity = build.schema().arity();
-        let probe_arity = probe.schema().arity();
-
-        self.build_parts = (0..self.num_partitions)
-            .map(|_| RowBatch::accumulator(build_arity))
-            .collect();
-        self.probe_parts = (0..self.num_partitions)
-            .map(|_| RowBatch::accumulator(probe_arity))
-            .collect();
+        self.build_parts = Partitions::new(self.num_partitions, build.schema().arity());
+        self.probe_parts = Partitions::new(self.num_partitions, probe.schema().arity());
+        let width = if self.est.is_pipeline() {
+            1
+        } else {
+            self.threads
+        };
+        // Per-worker busy time, build + probe combined.
+        let mut worker_busy: Vec<Duration> = Vec::new();
+        let (build_key, probe_key, kind) = (self.build_key, self.probe_key, self.kind);
+        let est = &mut self.est;
 
         // ---- Build phase ----
         self.metrics.trace_phase(Phase::Init, Phase::Build);
-        let width = self.pool_width();
-        let mut worker_busy: Vec<Duration> = Vec::new();
-        let mut build_hist = match self.estimation {
-            JoinEstimation::Once { .. } => Some(FreqHist::new()),
-            _ => None,
+        est.begin_build()?;
+        let drain = Drain {
+            key_col: build_key,
+            keep_nulls: false,
+            failpoint: "exec/hash_build/insert",
+            batch_cap,
+            metrics: &self.metrics,
         };
-        if let JoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.estimation
-        {
-            handle.lock().estimator.begin_build(*join_index)?;
-        }
-        let split_build = if width > 1 {
-            build.try_split(width)
+        let chunks = (width > 1).then(|| build.try_split(width)).flatten();
+        if let Some(chunks) = chunks {
+            // Each worker builds a local histogram fragment.
+            let want_hist = est.builds_histogram();
+            let fragments = partition_parallel(
+                chunks,
+                &drain,
+                &mut self.build_parts,
+                &mut worker_busy,
+                || want_hist.then(FreqHist::new),
+                |hist, batch| match hist {
+                    Some(h) => h.observe_column(batch.col(build_key), None),
+                    None => Ok(()),
+                },
+            )?;
+            est.absorb_build(fragments.iter().flatten());
         } else {
-            None
-        };
-        if let Some(subs) = split_build {
-            build_hist =
-                self.drain_build_parallel(subs, build_hist.is_some(), batch_cap, &mut worker_busy)?;
-            // The soft histogram budget is checked on the *merged* histogram:
-            // workers accumulate disjoint fragments, so the serial path's
-            // mid-build degradation point has no parallel equivalent, but
-            // the ladder (exact histogram → dne) and its trace event are the
-            // same.
-            if let Some(h) = &build_hist {
-                if self.metrics.hist_budget_exceeded(h.memory_allocated()) {
-                    build_hist = None;
-                    self.estimation = JoinEstimation::Dne {
-                        optimizer_estimate: self.metrics.estimated_total(),
-                    };
-                    self.metrics.trace_degraded(DegradeReason::HistogramMemory);
-                }
-            }
-        } else {
-            let mut scratch = RowBatch::with_capacity(build_arity, batch_cap);
-            let mut sel: Vec<Vec<usize>> = (0..self.num_partitions).map(|_| Vec::new()).collect();
-            loop {
-                let status = build.next_batch(&mut scratch)?;
-                let n = scratch.len();
-                if n > 0 {
-                    self.metrics.checkpoint(n as u64)?;
-                    qprog_fault::fail_point!("exec/hash_build/insert");
-                }
-                for s in &mut sel {
-                    s.clear();
-                }
-                // Estimation reads the batch's columns in scan order (the
-                // kernels skip NULL keys themselves): one shared-state lock
-                // and one kernel call per batch.
-                if n > 0 {
-                    if let JoinEstimation::Pipeline {
-                        handle, join_index, ..
-                    } = &self.estimation
-                    {
-                        handle
-                            .lock()
-                            .estimator
-                            .build_batch(*join_index, scratch.cols(), n)?;
-                    }
-                    if let Some(h) = &mut build_hist {
-                        h.observe_column(scratch.col(self.build_key), None)?;
-                        // Soft histogram-memory budget: degrade the estimator one
-                        // rung (exact frequency histogram → dne baseline) instead
-                        // of aborting the query (ladder documented in DESIGN.md §5).
-                        if self.metrics.hist_budget_exceeded(h.memory_allocated()) {
-                            build_hist = None;
-                            self.estimation = JoinEstimation::Dne {
-                                optimizer_estimate: self.metrics.estimated_total(),
-                            };
-                            self.metrics.trace_degraded(DegradeReason::HistogramMemory);
-                        }
-                    }
-                }
-                for r in 0..n {
-                    let key = scratch.key(r, self.build_key)?;
-                    if key.is_null() {
-                        continue; // NULL keys never equi-join
-                    }
-                    sel[partition_of(&key, self.num_partitions)].push(r);
-                }
-                for (p, s) in sel.iter().enumerate() {
-                    if !s.is_empty() {
-                        self.build_parts[p].gather_from(&scratch, s);
-                    }
-                }
-                if status.is_exhausted() {
-                    break;
-                }
-            }
+            partition_input(&mut *build, &drain, &mut self.build_parts, |batch| {
+                est.observe_build(batch, build_key)
+            })?;
         }
-        if let JoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.estimation
-        {
-            handle.lock().estimator.end_build(*join_index)?;
-        }
-        if let JoinEstimation::Once { probe_size_hint } = self.estimation {
-            self.once = Some(OnceJoinEstimator::with_kind(
-                build_hist.take().expect("histogram built in Once mode"),
-                probe_size_hint,
-                self.kind,
-            ));
-        }
+        est.end_build(kind)?;
 
         // ---- Probe partitioning phase ----
         self.metrics.trace_phase(Phase::Build, Phase::Probe);
-        let mut probe_rows: u64 = 0;
-        let split_probe = if width > 1 {
-            probe.try_split(width)
-        } else {
-            None
+        let drain = Drain {
+            key_col: probe_key,
+            keep_nulls: matches!(kind, JoinKind::LeftOuter | JoinKind::Anti),
+            failpoint: "exec/hash_probe/observe",
+            ..drain
         };
-        if let Some(subs) = split_probe {
-            probe_rows = self.drain_probe_parallel(subs, batch_cap, &mut worker_busy)?;
+        let tracker = self.agg_pushdown.as_deref();
+        let chunks = (width > 1).then(|| probe.try_split(width)).flatten();
+        if let Some(chunks) = chunks {
+            // Each worker refines a private `D_{t+1}` fragment against the
+            // (read-only) build histogram. Workers publish a combined
+            // mid-flight estimate through shared counters at batch
+            // boundaries, at most once per PUBLISH_EVERY local rows
+            // (confidence bounds are published only at the exact
+            // end-of-probe point when parallel).
+            let view = est.probe_worker_view();
+            let (seen, matched) = (AtomicU64::new(0), AtomicU64::new(0));
+            let metrics = &self.metrics;
+            let workers = partition_parallel(
+                chunks,
+                &drain,
+                &mut self.probe_parts,
+                &mut worker_busy,
+                ProbeWorker::default,
+                |w, batch| {
+                    let Some((hist, hint)) = view else {
+                        return Ok(());
+                    };
+                    w.frag
+                        .observe_batch(hist, kind, batch.col(probe_key), &mut w.mults)?;
+                    if tracker.is_some() {
+                        stage_matched_keys(&mut w.agg, batch, probe_key, &w.mults)?;
+                    }
+                    let dt = w.frag.seen() - w.flushed.0;
+                    if dt >= PUBLISH_EVERY {
+                        let ds = (w.frag.matched() - w.flushed.1) as u64;
+                        w.flushed = (w.frag.seen(), w.frag.matched());
+                        let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
+                        let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
+                        metrics.set_estimated_total(s as f64 / t as f64 * hint.max(t) as f64);
+                    }
+                    Ok(())
+                },
+            )?;
+            for w in workers {
+                est.absorb_probe(&w.frag);
+                if let Some(tracker) = tracker {
+                    let mut t = tracker.lock();
+                    for (key, mult) in w.agg {
+                        t.observe_n(&key, mult);
+                    }
+                }
+            }
         } else {
-            let keep_nulls = matches!(self.kind, JoinKind::LeftOuter | JoinKind::Anti);
-            let mut scratch = RowBatch::with_capacity(probe_arity, batch_cap);
-            let mut sel: Vec<Vec<usize>> = (0..self.num_partitions).map(|_| Vec::new()).collect();
             // Per-batch (key, multiplicity) staging for the push-down
             // tracker, applied under one lock per batch.
             let mut agg_buf: Vec<(Key, u64)> = Vec::new();
-            loop {
-                let status = probe.next_batch(&mut scratch)?;
-                let n = scratch.len();
-                if n > 0 {
-                    self.metrics.checkpoint(n as u64)?;
-                    qprog_fault::fail_point!("exec/hash_probe/observe");
+            partition_input(&mut *probe, &drain, &mut self.probe_parts, |batch| {
+                let mults = est.observe_probe_keys(batch.col(probe_key))?;
+                if tracker.is_some() {
+                    stage_matched_keys(&mut agg_buf, batch, probe_key, mults)?;
                 }
-                for s in &mut sel {
-                    s.clear();
-                }
-                probe_rows += n as u64;
-                // `D_{t+1}` over the whole key column; matched keys are
-                // staged for the push-down tracker.
-                if let Some(once) = &mut self.once {
-                    let mults = once.observe_probe_batch(scratch.col(self.probe_key))?;
-                    if self.agg_pushdown.is_some() {
-                        stage_matched_keys(&mut agg_buf, &scratch, self.probe_key, mults)?;
+                est.observe_probe_rows(batch)?;
+                // Batch-boundary estimate publication — the per-tuple
+                // cadence of the paper when `batch_rows = 1`.
+                est.publish();
+                if let (Some(tracker), Some(estimate)) = (tracker, est.once_estimate()) {
+                    let mut t = tracker.lock();
+                    for (key, mult) in agg_buf.drain(..) {
+                        t.observe_n(&key, mult);
                     }
+                    t.set_input_size(estimate.round() as u64);
                 }
-                for r in 0..n {
-                    let key = scratch.key(r, self.probe_key)?;
-                    if key.is_null() {
-                        if keep_nulls {
-                            self.null_probe_rows.push(scratch.row(r));
-                        }
-                        continue;
-                    }
-                    sel[partition_of(&key, self.num_partitions)].push(r);
-                }
-                // Algorithm-1 push-down: the lowest join feeds the shared
-                // estimator under one lock per batch, in scan order.
-                if n > 0 {
-                    if let JoinEstimation::Pipeline {
-                        handle,
-                        lowest: true,
-                        ..
-                    } = &self.estimation
-                    {
-                        let mut shared = handle.lock();
-                        shared.estimator.observe_probe_batch(scratch.cols(), n)?;
-                        shared.publish();
-                    }
-                    // Batch-boundary estimate publication — the per-tuple
-                    // cadence of the paper when `batch_rows = 1`.
-                    if let Some(once) = &mut self.once {
-                        self.metrics.set_estimated_total(once.estimate());
-                        let ci = once.confidence_interval(CI_Z);
-                        self.metrics.set_estimated_bounds(ci.lo, ci.hi);
-                        if let Some(tracker) = &self.agg_pushdown {
-                            let mut t = tracker.lock();
-                            for (key, mult) in agg_buf.drain(..) {
-                                t.observe_n(&key, mult);
-                            }
-                            t.set_input_size(once.estimate().round() as u64);
-                        }
-                    }
-                }
-                for (p, s) in sel.iter().enumerate() {
-                    if !s.is_empty() {
-                        self.probe_parts[p].gather_from(&scratch, s);
-                    }
-                }
-                if status.is_exhausted() {
-                    break;
-                }
-            }
+                Ok(())
+            })?;
         }
-        // Per-worker wall-time attribution (build + probe busy combined);
-        // serial drains leave `worker_busy` empty, so no events appear.
         for (w, busy) in worker_busy.iter().enumerate() {
             if !busy.is_zero() {
                 self.metrics.record_worker_busy(w as u32, *busy);
             }
         }
-        // The probe input is now exhausted: |S| is exact.
-        if let Some(once) = &mut self.once {
-            once.set_probe_size(probe_rows);
-            self.metrics.set_estimated_total(once.estimate());
-            self.metrics
-                .set_estimated_bounds(once.estimate(), once.estimate());
-            if let Some(tracker) = &self.agg_pushdown {
-                tracker
-                    .lock()
-                    .set_input_size(once.estimate().round() as u64);
-            }
-        }
-        if let JoinEstimation::Pipeline { handle, lowest, .. } = &self.estimation {
-            if *lowest {
-                let mut shared = handle.lock();
-                shared.estimator.set_probe_size(probe_rows);
-                shared.publish();
-            }
-        }
-        match self.estimation {
-            JoinEstimation::Dne { optimizer_estimate } => {
-                self.dne = Some(DneEstimator::new(probe_rows, optimizer_estimate));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            JoinEstimation::Byte {
-                optimizer_estimate,
-                probe_row_bytes,
-            } => {
-                self.byte = Some(ByteEstimator::new(
-                    probe_rows,
-                    probe_row_bytes,
-                    optimizer_estimate,
-                ));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            _ => {}
+        est.end_probe(self.probe_parts.rows);
+        if let (Some(tracker), Some(estimate)) = (tracker, est.once_estimate()) {
+            tracker.lock().set_input_size(estimate.round() as u64);
         }
 
         self.metrics.trace_phase(Phase::Probe, Phase::PartitionJoin);
-        self.load_partition(0)?;
-        Ok(())
-    }
-
-    /// Drain pre-split build chunks across worker threads. Each worker
-    /// hash-partitions its chunk into columnar accumulators and builds a
-    /// local [`FreqHist`] fragment; fragments are merged **in worker
-    /// order**, which — because chunks are contiguous slices of the scan
-    /// order — reproduces the serial partition contents and histogram state
-    /// exactly.
-    fn drain_build_parallel(
-        &mut self,
-        subs: Vec<BoxedOp>,
-        want_hist: bool,
-        batch_cap: usize,
-        worker_busy: &mut Vec<Duration>,
-    ) -> QResult<Option<FreqHist>> {
-        let build_key = self.build_key;
-        let num_partitions = self.num_partitions;
-        let tasks: Vec<_> = subs
-            .into_iter()
-            .map(|mut op| {
-                let metrics = Arc::clone(&self.metrics);
-                move |_w: usize| -> QResult<(Vec<RowBatch>, Option<FreqHist>)> {
-                    let arity = op.schema().arity();
-                    let mut parts: Vec<RowBatch> = (0..num_partitions)
-                        .map(|_| RowBatch::accumulator(arity))
-                        .collect();
-                    let mut hist = if want_hist {
-                        Some(FreqHist::new())
-                    } else {
-                        None
-                    };
-                    let mut sel: Vec<Vec<usize>> =
-                        (0..num_partitions).map(|_| Vec::new()).collect();
-                    let mut scratch = RowBatch::with_capacity(arity, batch_cap);
-                    loop {
-                        let status = op.next_batch(&mut scratch)?;
-                        let n = scratch.len();
-                        if n > 0 {
-                            metrics.checkpoint(n as u64)?;
-                            qprog_fault::fail_point!("exec/hash_build/insert");
-                        }
-                        for s in &mut sel {
-                            s.clear();
-                        }
-                        if let Some(h) = &mut hist {
-                            h.observe_column(scratch.col(build_key), None)?;
-                        }
-                        for r in 0..n {
-                            let key = scratch.key(r, build_key)?;
-                            if key.is_null() {
-                                continue; // NULL keys never equi-join
-                            }
-                            sel[partition_of(&key, num_partitions)].push(r);
-                        }
-                        for (p, s) in sel.iter().enumerate() {
-                            if !s.is_empty() {
-                                parts[p].gather_from(&scratch, s);
-                            }
-                        }
-                        if status.is_exhausted() {
-                            break;
-                        }
-                    }
-                    Ok((parts, hist))
-                }
-            })
-            .collect();
-        let outputs = parallel::run_tasks(tasks)?;
-        let mut merged = if want_hist {
-            Some(FreqHist::new())
-        } else {
-            None
-        };
-        for (w, out) in outputs.into_iter().enumerate() {
-            if w >= worker_busy.len() {
-                worker_busy.resize(w + 1, Duration::ZERO);
-            }
-            worker_busy[w] += out.busy;
-            let (mut parts, hist) = out.value;
-            for (p, batch) in parts.iter_mut().enumerate() {
-                self.build_parts[p].append_batch(batch);
-            }
-            if let (Some(m), Some(h)) = (&mut merged, hist) {
-                m.merge(&h);
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Drain pre-split probe chunks across worker threads. Each worker
-    /// partitions its chunk, runs the `D_{t+1}` refinement against the
-    /// (read-only) build histogram into a local [`ProbeFragment`], and
-    /// records agg-push-down observations in arrival order; fragments are
-    /// absorbed in worker order, so the converged estimate and all
-    /// partition/tracker state are identical to serial execution. Workers
-    /// publish a combined mid-flight estimate through shared counters every
-    /// [`PUBLISH_EVERY`] local rows (confidence bounds are published only at
-    /// the exact end-of-probe point when parallel).
-    fn drain_probe_parallel(
-        &mut self,
-        subs: Vec<BoxedOp>,
-        batch_cap: usize,
-        worker_busy: &mut Vec<Duration>,
-    ) -> QResult<u64> {
-        struct ProbeChunk {
-            parts: Vec<RowBatch>,
-            nulls: Vec<Row>,
-            rows: u64,
-            frag: ProbeFragment,
-            agg: Vec<(Key, u64)>,
-        }
-        let probe_key = self.probe_key;
-        let num_partitions = self.num_partitions;
-        let kind = self.kind;
-        let keep_nulls = matches!(self.kind, JoinKind::LeftOuter | JoinKind::Anti);
-        let want_agg = self.agg_pushdown.is_some();
-        let hint = match self.estimation {
-            JoinEstimation::Once { probe_size_hint } => probe_size_hint,
-            _ => 0,
-        };
-        let hist = self.once.as_ref().map(|o| o.build_histogram());
-        let seen = AtomicU64::new(0);
-        let matched = AtomicU64::new(0);
-        let tasks: Vec<_> = subs
-            .into_iter()
-            .map(|mut op| {
-                let metrics = Arc::clone(&self.metrics);
-                let (seen, matched) = (&seen, &matched);
-                move |_w: usize| -> QResult<ProbeChunk> {
-                    let arity = op.schema().arity();
-                    let mut chunk = ProbeChunk {
-                        parts: (0..num_partitions)
-                            .map(|_| RowBatch::accumulator(arity))
-                            .collect(),
-                        nulls: Vec::new(),
-                        rows: 0,
-                        frag: ProbeFragment::new(),
-                        agg: Vec::new(),
-                    };
-                    let mut sel: Vec<Vec<usize>> =
-                        (0..num_partitions).map(|_| Vec::new()).collect();
-                    let (mut flushed_t, mut flushed_sum) = (0u64, 0u128);
-                    let mut mults: Vec<u64> = Vec::new();
-                    let mut scratch = RowBatch::with_capacity(arity, batch_cap);
-                    loop {
-                        let status = op.next_batch(&mut scratch)?;
-                        let n = scratch.len();
-                        if n > 0 {
-                            metrics.checkpoint(n as u64)?;
-                            qprog_fault::fail_point!("exec/hash_probe/observe");
-                        }
-                        for s in &mut sel {
-                            s.clear();
-                        }
-                        chunk.rows += n as u64;
-                        if let Some(h) = hist {
-                            chunk.frag.observe_batch(
-                                h,
-                                kind,
-                                scratch.col(probe_key),
-                                &mut mults,
-                            )?;
-                            if want_agg {
-                                stage_matched_keys(&mut chunk.agg, &scratch, probe_key, &mults)?;
-                            }
-                            // Mid-flight publication at batch boundaries,
-                            // at most once per PUBLISH_EVERY local rows.
-                            let dt = chunk.frag.seen() - flushed_t;
-                            if dt >= PUBLISH_EVERY {
-                                let ds = (chunk.frag.matched() - flushed_sum) as u64;
-                                flushed_t = chunk.frag.seen();
-                                flushed_sum = chunk.frag.matched();
-                                let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
-                                let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
-                                let est = s as f64 / t as f64 * hint.max(t) as f64;
-                                metrics.set_estimated_total(est);
-                            }
-                        }
-                        for r in 0..n {
-                            let key = scratch.key(r, probe_key)?;
-                            if key.is_null() {
-                                if keep_nulls {
-                                    chunk.nulls.push(scratch.row(r));
-                                }
-                                continue;
-                            }
-                            sel[partition_of(&key, num_partitions)].push(r);
-                        }
-                        for (p, s) in sel.iter().enumerate() {
-                            if !s.is_empty() {
-                                chunk.parts[p].gather_from(&scratch, s);
-                            }
-                        }
-                        if status.is_exhausted() {
-                            break;
-                        }
-                    }
-                    Ok(chunk)
-                }
-            })
-            .collect();
-        let outputs = parallel::run_tasks(tasks)?;
-        let mut probe_rows = 0;
-        for (w, out) in outputs.into_iter().enumerate() {
-            if w >= worker_busy.len() {
-                worker_busy.resize(w + 1, Duration::ZERO);
-            }
-            worker_busy[w] += out.busy;
-            let mut chunk = out.value;
-            probe_rows += chunk.rows;
-            for (p, batch) in chunk.parts.iter_mut().enumerate() {
-                self.probe_parts[p].append_batch(batch);
-            }
-            self.null_probe_rows.extend(chunk.nulls);
-            if let Some(once) = &mut self.once {
-                once.absorb(&chunk.frag);
-            }
-            if let Some(tracker) = &self.agg_pushdown {
-                let mut t = tracker.lock();
-                for (key, mult) in chunk.agg {
-                    t.observe_n(&key, mult);
-                }
-            }
-        }
-        Ok(probe_rows)
+        self.load_partition(0)
     }
 
     /// Build the in-memory hash table for partition `part`.
     fn load_partition(&mut self, part: usize) -> QResult<()> {
-        let bpart = &self.build_parts[part];
+        let bpart = &self.build_parts.parts[part];
         let mut table: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
         for i in 0..bpart.len() {
             let key = bpart.key(i, self.build_key)?;
@@ -783,52 +513,6 @@ fn stage_matched_keys(
     Ok(())
 }
 
-/// Apply one output batch's accumulated bookkeeping: `drv` probe rows
-/// consumed and `emit` rows emitted since the last flush. Governor
-/// checkpoints, gnm counters, and baseline estimators all advance by the
-/// summed deltas; with capacity-1 batches this runs once per tuple, the
-/// legacy cadence. Free function so it can run while the join state is
-/// mutably borrowed.
-fn flush_join_batch(
-    metrics: &OpMetrics,
-    dne: &mut Option<DneEstimator>,
-    byte: &mut Option<ByteEstimator>,
-    drv: &mut u64,
-    emit: &mut u64,
-) -> QResult<()> {
-    if *drv == 0 && *emit == 0 {
-        return Ok(());
-    }
-    if *drv > 0 {
-        metrics.checkpoint(*drv)?;
-        metrics.record_driver(*drv);
-        if let Some(dne) = dne {
-            dne.observe_driver(*drv);
-        }
-        if let Some(byte) = byte {
-            byte.observe_input_rows(*drv);
-        }
-    }
-    if *emit > 0 {
-        metrics.record_emitted_n(*emit);
-        if let Some(dne) = dne {
-            dne.observe_output(*emit);
-        }
-        if let Some(byte) = byte {
-            byte.observe_output_rows(*emit);
-        }
-    }
-    if let Some(dne) = dne {
-        metrics.set_estimated_total(dne.estimate());
-    }
-    if let Some(byte) = byte {
-        metrics.set_estimated_total(byte.estimate());
-    }
-    *drv = 0;
-    *emit = 0;
-    Ok(())
-}
-
 impl Operator for HashJoin {
     fn schema(&self) -> SchemaRef {
         Arc::clone(&self.schema)
@@ -852,8 +536,8 @@ impl Operator for HashJoin {
                     pending,
                 } => {
                     let part_idx = *part;
-                    let bpart = &self.build_parts[part_idx];
-                    let ppart = &self.probe_parts[part_idx];
+                    let bpart = &self.build_parts.parts[part_idx];
+                    let ppart = &self.probe_parts.parts[part_idx];
                     // Governor granularity: at most one output batch worth
                     // of probe rows is consumed between flushes, even when
                     // nothing matches.
@@ -959,13 +643,8 @@ impl Operator for HashJoin {
                         }
                     }
                     let more_here = *probe_pos < ppart.len() || pending.is_some();
-                    flush_join_batch(
-                        &self.metrics,
-                        &mut self.dne,
-                        &mut self.byte,
-                        &mut drv,
-                        &mut emit,
-                    )?;
+                    self.est
+                        .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
                     if out.is_full() {
                         return Ok(BatchStatus::HasMore);
                     }
@@ -981,7 +660,7 @@ impl Operator for HashJoin {
                     // NULL-key probe rows never match: LeftOuter pads
                     // them, Anti passes them through.
                     while !out.is_full() {
-                        let Some(row) = self.null_probe_rows.pop() else {
+                        let Some(row) = self.probe_parts.null_rows.pop() else {
                             break;
                         };
                         match self.kind {
@@ -992,13 +671,8 @@ impl Operator for HashJoin {
                         }
                         emit += 1;
                     }
-                    flush_join_batch(
-                        &self.metrics,
-                        &mut self.dne,
-                        &mut self.byte,
-                        &mut drv,
-                        &mut emit,
-                    )?;
+                    self.est
+                        .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
                     if out.is_full() {
                         return Ok(BatchStatus::HasMore);
                     }
@@ -1019,8 +693,8 @@ impl Operator for HashJoin {
 mod tests {
     use super::*;
     use crate::ops::test_util::{drain, int_table};
-    use crate::ops::TableScan;
-    use qprog_core::pipeline_est::{AttrSource, JoinSpec};
+    use crate::ops::{PipelineHandle, PipelineShared, TableScan};
+    use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();

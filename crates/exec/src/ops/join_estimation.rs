@@ -1,0 +1,549 @@
+//! The estimation protocol of joins with a preprocessing phase (§4.1.1–
+//! 4.1.2), driven the same way by [`HashJoin`](crate::ops::HashJoin) and
+//! [`MergeJoin`](crate::ops::MergeJoin):
+//!
+//! 1. **Build** (hash build / first sort): `begin_build`, one
+//!    `observe_build` per batch, `end_build` — the exact join-key
+//!    histogram `N_R`, or the shared Algorithm-1 estimator's build side.
+//! 2. **Probe** (probe partitioning / second sort): `observe_probe_keys`
+//!    and `observe_probe_rows` refine `D_{t+1}`, `publish` makes the
+//!    estimate and its bounds visible, `end_probe` fixes `|S|` — the
+//!    estimate is exact before the first output row.
+//! 3. **Join pass**: `observe_join_pass` charges one output batch's driver
+//!    and emitted rows to the governor, the gnm counters and the dne/byte
+//!    baselines, which only ever watch this phase.
+//!
+//! The operators decide *when* to publish (hash join: every batch boundary;
+//! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
+//! everything else about estimation lives here.
+
+use std::sync::Arc;
+
+use qprog_core::byte::ByteEstimator;
+use qprog_core::dne::DneEstimator;
+use qprog_core::freq_hist::FreqHist;
+use qprog_core::join_est::{JoinKind, OnceJoinEstimator, ProbeFragment};
+use qprog_core::pipeline_est::PipelineEstimator;
+use qprog_types::{QResult, RowBatch, Value};
+
+use crate::metrics::OpMetrics;
+use crate::sync::Mutex;
+use crate::trace::DegradeReason;
+
+/// `Z_α` used for published confidence bounds (two-sided 99%).
+const CI_Z: f64 = 2.576;
+
+/// Shared pipeline estimation state: the Algorithm-1 estimator plus the
+/// metrics handle of each join in the pipeline (bottom-up order) for
+/// publishing refined estimates.
+#[derive(Debug)]
+pub struct PipelineShared {
+    /// The push-down estimator (joins indexed bottom-up).
+    pub estimator: PipelineEstimator,
+    /// Metrics of each join, indexed like the estimator's joins.
+    pub metrics: Vec<Arc<OpMetrics>>,
+}
+
+impl PipelineShared {
+    /// Publish every join's current estimate to its metrics handle.
+    pub fn publish(&self) {
+        for (u, m) in self.metrics.iter().enumerate() {
+            if self.estimator.probe_seen() > 0 {
+                m.set_estimated_total(self.estimator.estimate(u));
+            }
+        }
+    }
+}
+
+/// Handle shared by all joins of one pipeline.
+pub type PipelineHandle = Arc<Mutex<PipelineShared>>;
+
+/// Which online estimation strategy a hash or sort-merge join runs. The
+/// *probe* input is the hash join's probe side / the merge join's right
+/// (second-sorted) side.
+pub enum JoinEstimation {
+    /// No estimation.
+    Off,
+    /// The paper's framework on a standalone binary join; `probe_size_hint`
+    /// is the known or optimizer-estimated probe input size.
+    Once { probe_size_hint: u64 },
+    /// Algorithm-1 pipeline push-down (§4.1.4; §4.1.4.3 for sort-merge
+    /// chains); this join is `join_index` in the shared estimator and
+    /// drives probe observation iff `lowest`.
+    Pipeline {
+        handle: PipelineHandle,
+        join_index: usize,
+        lowest: bool,
+    },
+    /// Driver-node baseline (driver = probe rows consumed in the join
+    /// pass).
+    Dne { optimizer_estimate: f64 },
+    /// Byte-model baseline.
+    Byte {
+        optimizer_estimate: f64,
+        probe_row_bytes: u64,
+    },
+}
+
+/// The estimator state a join owns in its current phase.
+enum Stage {
+    /// Nothing of its own: `Off`, `Pipeline` (state lives behind the
+    /// handle), or a baseline before the join pass.
+    Idle,
+    /// `Once`, build phase: the join-key histogram under construction.
+    Building(FreqHist),
+    /// `Once`, from the end of the build phase on.
+    Probing(OnceJoinEstimator),
+    /// Baselines, from the end of the probe phase on.
+    Dne(DneEstimator),
+    Byte(ByteEstimator),
+}
+
+/// Drives one join's [`JoinEstimation`] through the phases above and
+/// publishes to the join's [`OpMetrics`].
+pub(crate) struct JoinEstimator {
+    mode: JoinEstimation,
+    metrics: Arc<OpMetrics>,
+    stage: Stage,
+}
+
+impl JoinEstimator {
+    pub fn new(mode: JoinEstimation, metrics: Arc<OpMetrics>) -> Self {
+        JoinEstimator {
+            mode,
+            metrics,
+            stage: Stage::Idle,
+        }
+    }
+
+    /// Whether this join is part of an Algorithm-1 pipeline, whose shared
+    /// push-down protocol is order-sensitive (no parallel drains).
+    pub fn is_pipeline(&self) -> bool {
+        matches!(self.mode, JoinEstimation::Pipeline { .. })
+    }
+
+    /// Whether the build phase is maintaining a join-key histogram (which
+    /// parallel build workers then contribute fragments to).
+    pub fn builds_histogram(&self) -> bool {
+        matches!(self.stage, Stage::Building(_))
+    }
+
+    pub fn begin_build(&mut self) -> QResult<()> {
+        match &self.mode {
+            JoinEstimation::Once { .. } => self.stage = Stage::Building(FreqHist::new()),
+            JoinEstimation::Pipeline {
+                handle, join_index, ..
+            } => handle.lock().estimator.begin_build(*join_index)?,
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Observe one non-empty build batch, in scan order. Reads columns (the
+    /// kernels skip NULL keys themselves): one kernel call, and for a
+    /// pipeline one shared-state lock, per batch.
+    pub fn observe_build(&mut self, batch: &RowBatch, key_col: usize) -> QResult<()> {
+        if let JoinEstimation::Pipeline {
+            handle, join_index, ..
+        } = &self.mode
+        {
+            handle
+                .lock()
+                .estimator
+                .build_batch(*join_index, batch.cols(), batch.len())?;
+        }
+        if let Stage::Building(hist) = &mut self.stage {
+            hist.observe_column(batch.col(key_col), None)?;
+            self.enforce_hist_budget();
+        }
+        Ok(())
+    }
+
+    /// Fold in the histogram fragments of parallel build workers, in worker
+    /// order. Workers accumulate disjoint fragments, so the soft budget is
+    /// checked once on the merged histogram: the serial path's mid-build
+    /// degradation point has no parallel equivalent, but the ladder and its
+    /// trace event are the same.
+    pub fn absorb_build<'a>(&mut self, fragments: impl IntoIterator<Item = &'a FreqHist>) {
+        if let Stage::Building(hist) = &mut self.stage {
+            for fragment in fragments {
+                hist.merge(fragment);
+            }
+            self.enforce_hist_budget();
+        }
+    }
+
+    /// Soft histogram-memory budget: degrade the estimator one rung (exact
+    /// frequency histogram → dne baseline) instead of aborting the query
+    /// (ladder documented in DESIGN.md §5).
+    fn enforce_hist_budget(&mut self) {
+        let Stage::Building(hist) = &self.stage else {
+            return;
+        };
+        if self.metrics.hist_budget_exceeded(hist.memory_allocated()) {
+            self.stage = Stage::Idle;
+            self.mode = JoinEstimation::Dne {
+                optimizer_estimate: self.metrics.estimated_total(),
+            };
+            self.metrics.trace_degraded(DegradeReason::HistogramMemory);
+        }
+    }
+
+    pub fn end_build(&mut self, kind: JoinKind) -> QResult<()> {
+        if let JoinEstimation::Pipeline {
+            handle, join_index, ..
+        } = &self.mode
+        {
+            handle.lock().estimator.end_build(*join_index)?;
+        }
+        if let JoinEstimation::Once { probe_size_hint } = self.mode {
+            if let Stage::Building(hist) = std::mem::replace(&mut self.stage, Stage::Idle) {
+                self.stage =
+                    Stage::Probing(OnceJoinEstimator::with_kind(hist, probe_size_hint, kind));
+            }
+        }
+        Ok(())
+    }
+
+    /// `D_{t+1}` over a run of probe-side join keys, in scan order; returns
+    /// their build-side multiplicities (empty unless `Once`). A caller may
+    /// cut a batch's key column wherever its publication cadence falls.
+    pub fn observe_probe_keys(&mut self, keys: &[Value]) -> QResult<&[u64]> {
+        match &mut self.stage {
+            Stage::Probing(once) => once.observe_probe_batch(keys),
+            _ => Ok(&[]),
+        }
+    }
+
+    /// Algorithm-1 push-down: the lowest join of a pipeline feeds one
+    /// non-empty probe batch to the shared estimator and publishes every
+    /// join of the chain, under one lock. Any other join observes nothing.
+    pub fn observe_probe_rows(&mut self, batch: &RowBatch) -> QResult<()> {
+        if let JoinEstimation::Pipeline {
+            handle,
+            lowest: true,
+            ..
+        } = &self.mode
+        {
+            let mut shared = handle.lock();
+            shared
+                .estimator
+                .observe_probe_batch(batch.cols(), batch.len())?;
+            shared.publish();
+        }
+        Ok(())
+    }
+
+    /// Publish the `Once` estimate and its confidence bounds (pipelines
+    /// publish inside [`observe_probe_rows`](Self::observe_probe_rows),
+    /// under the lock they already hold).
+    pub fn publish(&self) {
+        if let Stage::Probing(once) = &self.stage {
+            self.metrics.set_estimated_total(once.estimate());
+            let ci = once.confidence_interval(CI_Z);
+            self.metrics.set_estimated_bounds(ci.lo, ci.hi);
+        }
+    }
+
+    /// What a parallel probe worker refines a private [`ProbeFragment`]
+    /// against: the finished build histogram and the probe-size hint.
+    pub fn probe_worker_view(&self) -> Option<(&FreqHist, u64)> {
+        match (&self.stage, &self.mode) {
+            (Stage::Probing(once), JoinEstimation::Once { probe_size_hint }) => {
+                Some((once.build_histogram(), *probe_size_hint))
+            }
+            _ => None,
+        }
+    }
+
+    /// Fold in a parallel probe worker's fragment.
+    pub fn absorb_probe(&mut self, fragment: &ProbeFragment) {
+        if let Stage::Probing(once) = &mut self.stage {
+            once.absorb(fragment);
+        }
+    }
+
+    /// The current `Once` estimate, for aggregation push-down.
+    pub fn once_estimate(&self) -> Option<f64> {
+        match &self.stage {
+            Stage::Probing(once) => Some(once.estimate()),
+            _ => None,
+        }
+    }
+
+    /// The probe input is exhausted after `probe_rows` rows: `|S|` is exact,
+    /// so `Once` and pipeline estimates are too; the baselines start here.
+    pub fn end_probe(&mut self, probe_rows: u64) {
+        if let Stage::Probing(once) = &mut self.stage {
+            once.set_probe_size(probe_rows);
+            let exact = once.estimate();
+            self.metrics.set_estimated_total(exact);
+            self.metrics.set_estimated_bounds(exact, exact);
+        }
+        match self.mode {
+            JoinEstimation::Pipeline {
+                ref handle,
+                lowest: true,
+                ..
+            } => {
+                let mut shared = handle.lock();
+                shared.estimator.set_probe_size(probe_rows);
+                shared.publish();
+            }
+            JoinEstimation::Dne { optimizer_estimate } => {
+                self.stage = Stage::Dne(DneEstimator::new(probe_rows, optimizer_estimate));
+                self.metrics.set_estimated_total(optimizer_estimate);
+            }
+            JoinEstimation::Byte {
+                optimizer_estimate,
+                probe_row_bytes,
+            } => {
+                self.stage = Stage::Byte(ByteEstimator::new(
+                    probe_rows,
+                    probe_row_bytes,
+                    optimizer_estimate,
+                ));
+                self.metrics.set_estimated_total(optimizer_estimate);
+            }
+            _ => {}
+        }
+    }
+
+    /// Apply one output batch's accumulated bookkeeping: `driver_rows` probe
+    /// rows consumed and `emitted_rows` rows emitted since the last call.
+    /// Governor checkpoint, gnm counters and baseline estimators all advance
+    /// by the summed deltas; with capacity-1 batches this runs once per
+    /// tuple, the legacy cadence.
+    pub fn observe_join_pass(&mut self, driver_rows: u64, emitted_rows: u64) -> QResult<()> {
+        if driver_rows == 0 && emitted_rows == 0 {
+            return Ok(());
+        }
+        if driver_rows > 0 {
+            self.metrics.checkpoint(driver_rows)?;
+            self.metrics.record_driver(driver_rows);
+        }
+        self.metrics.record_emitted_n(emitted_rows);
+        let estimate = match &mut self.stage {
+            Stage::Dne(dne) => {
+                dne.observe_driver(driver_rows);
+                dne.observe_output(emitted_rows);
+                dne.estimate()
+            }
+            Stage::Byte(byte) => {
+                byte.observe_input_rows(driver_rows);
+                byte.observe_output_rows(emitted_rows);
+                byte.estimate()
+            }
+            _ => return Ok(()),
+        };
+        self.metrics.set_estimated_total(estimate);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::{Budgets, Governor};
+    use crate::metrics::MetricsRegistry;
+    use crate::trace::{EventBus, TraceEvent, TraceEventKind, TraceSink};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const BUILD: [i64; 4] = [1, 1, 2, 3];
+    const PROBE: [Option<i64>; 6] = [Some(1), Some(2), Some(2), Some(4), Some(9), None];
+    /// Optimizer estimate handed to every join under test.
+    const OPTIMIZER: f64 = 13.0;
+
+    /// One-column batch of join keys (`None` = NULL).
+    fn keys(vals: &[Option<i64>]) -> RowBatch {
+        let mut batch = RowBatch::with_capacity(1, vals.len());
+        for v in vals {
+            batch.push_values(&[v.map_or(Value::Null, Value::Int64)]);
+        }
+        batch
+    }
+
+    fn build_phase(est: &mut JoinEstimator, build: &[i64], kind: JoinKind) {
+        est.begin_build().unwrap();
+        for half in build.chunks(2) {
+            let batch = keys(&half.iter().copied().map(Some).collect::<Vec<_>>());
+            est.observe_build(&batch, 0).unwrap();
+        }
+        est.end_build(kind).unwrap();
+    }
+
+    /// Probe phase over `probe` — the last rows of a `total_rows`-row probe
+    /// input — in batches of three, published at batch boundaries; returns
+    /// the multiplicities `observe_probe_keys` handed back.
+    fn probe_phase(est: &mut JoinEstimator, probe: &[Option<i64>], total_rows: u64) -> Vec<u64> {
+        let mut mults = Vec::new();
+        for chunk in probe.chunks(3) {
+            let batch = keys(chunk);
+            mults.extend_from_slice(est.observe_probe_keys(batch.col(0)).unwrap());
+            est.observe_probe_rows(&batch).unwrap();
+            est.publish();
+        }
+        est.end_probe(total_rows);
+        mults
+    }
+
+    #[test]
+    fn once_is_exact_with_collapsed_bounds_after_end_probe_for_every_kind() {
+        // 1 matches twice, each 2 once; 4, 9 and NULL match nothing.
+        for (kind, truth) in [
+            (JoinKind::Inner, 4.0),
+            (JoinKind::Semi, 3.0),
+            (JoinKind::Anti, 3.0),
+            (JoinKind::LeftOuter, 7.0),
+        ] {
+            let m = OpMetrics::with_initial_estimate(OPTIMIZER);
+            let mode = JoinEstimation::Once {
+                probe_size_hint: 100, // wildly wrong; end_probe corrects it
+            };
+            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+            assert!(!est.is_pipeline());
+            build_phase(&mut est, &BUILD, kind);
+            assert_eq!(m.estimated_bounds(), None, "{kind:?}");
+
+            // Mid-probe: the running estimate, inside published bounds.
+            let first = keys(&PROBE[..3]);
+            assert_eq!(est.observe_probe_keys(first.col(0)).unwrap(), [2, 1, 1]);
+            est.publish();
+            let (lo, hi) = m.estimated_bounds().expect("bounds published");
+            assert!(lo <= m.estimated_total() && m.estimated_total() <= hi);
+            assert_eq!(Some(m.estimated_total()), est.once_estimate(), "{kind:?}");
+
+            let mults = probe_phase(&mut est, &PROBE[3..], 6);
+            assert_eq!(mults, [0, 0, 0], "{kind:?}");
+            assert_eq!(m.estimated_total(), truth, "{kind:?}");
+            assert_eq!(m.estimated_bounds(), Some((truth, truth)), "{kind:?}");
+            assert_eq!(est.once_estimate(), Some(truth), "{kind:?}");
+
+            // The join pass counts work but no longer moves the estimate.
+            est.observe_join_pass(6, truth as u64).unwrap();
+            assert_eq!((m.driver_consumed(), m.emitted()), (6, truth as u64));
+            assert_eq!(m.estimated_total(), truth, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn baselines_watch_only_the_join_pass() {
+        let dne = JoinEstimation::Dne {
+            optimizer_estimate: OPTIMIZER,
+        };
+        let byte = JoinEstimation::Byte {
+            optimizer_estimate: OPTIMIZER,
+            probe_row_bytes: 8,
+        };
+        // Halfway through the driver with 2 of 4 rows out: dne extrapolates
+        // 2 / 0.5, byte blends that with the optimizer estimate.
+        for (mode, halfway) in [(JoinEstimation::Off, OPTIMIZER), (dne, 4.0), (byte, 8.5)] {
+            let off = matches!(mode, JoinEstimation::Off);
+            let m = OpMetrics::with_initial_estimate(OPTIMIZER);
+            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+            build_phase(&mut est, &BUILD, JoinKind::Inner);
+            assert!(!est.builds_histogram());
+            assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
+            assert_eq!(est.once_estimate(), None);
+            assert_eq!(m.estimated_total(), OPTIMIZER);
+            assert_eq!(m.estimated_bounds(), None);
+
+            est.observe_join_pass(0, 0).unwrap();
+            est.observe_join_pass(3, 2).unwrap();
+            assert_eq!(m.estimated_total(), halfway);
+            est.observe_join_pass(3, 2).unwrap();
+            assert_eq!(m.estimated_total(), if off { OPTIMIZER } else { 4.0 });
+            assert_eq!((m.driver_consumed(), m.emitted()), (6, 4));
+        }
+    }
+
+    /// Counts `EstimatorDegraded` events.
+    #[derive(Default)]
+    struct DegradedCount(AtomicUsize);
+
+    impl TraceSink for DegradedCount {
+        fn publish(&self, event: &TraceEvent) {
+            if let TraceEventKind::EstimatorDegraded { reason, .. } = event.kind {
+                assert_eq!(reason, DegradeReason::HistogramMemory);
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn hist_budget_breach_degrades_once_to_dne() {
+        // Serial builds breach mid-build; parallel builds on the merged
+        // fragments. Either way: one event, dne from the join pass on.
+        for parallel in [false, true] {
+            let degraded = Arc::new(DegradedCount::default());
+            let mut registry = MetricsRegistry::traced(EventBus::with_sink(
+                Arc::clone(&degraded) as Arc<dyn TraceSink>
+            ));
+            registry.set_governor(Arc::new(Governor::new(Budgets {
+                max_rows: None,
+                max_hist_bytes: Some(64),
+            })));
+            let m = registry.register("join", OPTIMIZER);
+            let mode = JoinEstimation::Once { probe_size_hint: 6 };
+            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+            est.begin_build().unwrap();
+            assert!(est.builds_histogram());
+            if parallel {
+                let build: Vec<_> = BUILD.iter().map(|&v| qprog_types::Key::Int(v)).collect();
+                let fragments: Vec<FreqHist> =
+                    build.chunks(2).map(|c| c.iter().collect()).collect();
+                est.absorb_build(&fragments);
+            } else {
+                est.observe_build(&keys(&[Some(1), Some(1)]), 0).unwrap();
+                assert!(!est.builds_histogram(), "breached on the first batch");
+                est.observe_build(&keys(&[Some(2), Some(3)]), 0).unwrap();
+            }
+            assert!(!est.builds_histogram());
+            est.end_build(JoinKind::Inner).unwrap();
+            assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
+            assert_eq!(m.estimated_total(), OPTIMIZER);
+            assert_eq!(m.estimated_bounds(), None);
+            est.observe_join_pass(6, 4).unwrap();
+            assert_eq!(m.estimated_total(), 4.0);
+            assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "parallel={parallel}");
+        }
+    }
+
+    #[test]
+    fn pipeline_probes_are_observed_by_the_lowest_join_only() {
+        // upper: A ⋈ (B ⋈ C), all on column 0.
+        let (a, b) = ([1i64, 1, 2], [1i64, 2, 2]);
+        let c = [Some(1), Some(2), Some(9)];
+        let m_lower = OpMetrics::with_initial_estimate(OPTIMIZER);
+        let m_upper = OpMetrics::with_initial_estimate(OPTIMIZER);
+        let handle: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
+            estimator: PipelineEstimator::same_attribute(2, 0, 0, 100).unwrap(),
+            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
+        }));
+        let join = |join_index: usize, metrics: &Arc<OpMetrics>| {
+            let mode = JoinEstimation::Pipeline {
+                handle: Arc::clone(&handle),
+                join_index,
+                lowest: join_index == 0,
+            };
+            JoinEstimator::new(mode, Arc::clone(metrics))
+        };
+        let (mut lower, mut upper) = (join(0, &m_lower), join(1, &m_upper));
+        assert!(lower.is_pipeline() && upper.is_pipeline());
+        // Execution order: the upper join builds first, then pulls its
+        // probe input — the lower join — which builds and probes.
+        build_phase(&mut upper, &a, JoinKind::Inner);
+        build_phase(&mut lower, &b, JoinKind::Inner);
+        assert!(!upper.builds_histogram() && !lower.builds_histogram());
+
+        assert!(probe_phase(&mut upper, &c, 3).is_empty());
+        assert_eq!(handle.lock().estimator.probe_seen(), 0);
+        assert_eq!(m_upper.estimated_total(), OPTIMIZER);
+
+        assert!(probe_phase(&mut lower, &c, 3).is_empty());
+        assert_eq!(handle.lock().estimator.probe_seen(), 3);
+        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows
+        assert_eq!(m_lower.estimated_total(), 3.0);
+        assert_eq!(m_upper.estimated_total(), 4.0);
+    }
+}

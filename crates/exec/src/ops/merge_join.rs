@@ -7,47 +7,23 @@
 //! merge emits anything. The merged output is necessarily key-clustered,
 //! which is what makes the dne/byte baselines fluctuate here just as for
 //! hash joins.
+//!
+//! Estimation runs through the same
+//! [driver](crate::ops::join_estimation) as the hash join's: left = build,
+//! right = probe (and, in a chain of sort-merge joins, §4.1.4.3, the lowest
+//! join's right-sort pass drives the shared push-down estimator, so every
+//! join of the chain is refined before any merge output exists).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use qprog_core::byte::ByteEstimator;
-use qprog_core::dne::DneEstimator;
-use qprog_core::freq_hist::FreqHist;
-use qprog_core::join_est::OnceJoinEstimator;
+use qprog_core::join_est::JoinKind;
 use qprog_types::{BatchStatus, QError, QResult, Row, RowBatch, SchemaRef};
 
 use crate::metrics::OpMetrics;
-use crate::ops::hash_join::PipelineHandle;
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::trace::Phase;
-
-/// Estimation strategy for a sort-merge join.
-pub enum MergeJoinEstimation {
-    Off,
-    /// The paper's framework; `probe_size_hint` is the right input's known
-    /// or estimated size.
-    Once {
-        probe_size_hint: u64,
-    },
-    /// Algorithm-1 push-down for a chain of sort-merge joins (§4.1.4.3):
-    /// each join's left-sort phase feeds the shared estimator's build for
-    /// `join_index`; the lowest join's right-sort consume drives probing.
-    Pipeline {
-        handle: PipelineHandle,
-        join_index: usize,
-        lowest: bool,
-    },
-    /// Driver-node baseline (driver = right rows consumed by the merge).
-    Dne {
-        optimizer_estimate: f64,
-    },
-    /// Byte-model baseline.
-    Byte {
-        optimizer_estimate: f64,
-        probe_row_bytes: u64,
-    },
-}
 
 enum MState {
     Init,
@@ -69,12 +45,9 @@ pub struct MergeJoin {
     right_key: usize,
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
-    estimation: MergeJoinEstimation,
+    est: JoinEstimator,
     left_rows: Vec<Row>,
     right_rows: Vec<Row>,
-    once: Option<OnceJoinEstimator>,
-    dne: Option<DneEstimator>,
-    byte: Option<ByteEstimator>,
     state: MState,
 }
 
@@ -85,7 +58,7 @@ impl MergeJoin {
         right: BoxedOp,
         left_key: usize,
         right_key: usize,
-        estimation: MergeJoinEstimation,
+        estimation: JoinEstimation,
         metrics: Arc<OpMetrics>,
     ) -> Self {
         let schema = left.schema().join(&right.schema()).into_ref();
@@ -95,176 +68,58 @@ impl MergeJoin {
             left_key,
             right_key,
             schema,
+            est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
-            estimation,
             left_rows: Vec::new(),
             right_rows: Vec::new(),
-            once: None,
-            dne: None,
-            byte: None,
             state: MState::Init,
         }
     }
 
     /// Sort phases for both inputs, with estimation interleaved.
     fn preprocess(&mut self, batch_cap: usize) -> QResult<()> {
-        let mut left = self
+        let left = self
             .left
             .take()
             .ok_or_else(|| QError::internal("merge join left input consumed twice"))?;
-        let mut right = self
+        let right = self
             .right
             .take()
             .ok_or_else(|| QError::internal("merge join right input consumed twice"))?;
+        let (left_key, right_key) = (self.left_key, self.right_key);
+        let est = &mut self.est;
 
         // Sort left (R): every tuple is seen before output → histogram.
         self.metrics.trace_phase(Phase::Init, Phase::SortInput);
-        let mut hist = match self.estimation {
-            MergeJoinEstimation::Once { .. } => Some(FreqHist::new()),
-            _ => None,
-        };
-        if let MergeJoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.estimation
-        {
-            handle.lock().estimator.begin_build(*join_index)?;
-        }
-        let mut scratch = RowBatch::with_capacity(left.schema().arity(), batch_cap);
-        loop {
-            let status = left.next_batch(&mut scratch)?;
-            let n = scratch.len();
-            if n > 0 {
-                self.metrics.checkpoint(n as u64)?;
-                // Estimation reads the batch's columns (the kernels skip
-                // NULL keys themselves): one lock, one call per batch.
-                if let Some(h) = &mut hist {
-                    h.observe_column(scratch.col(self.left_key), None)?;
-                }
-                if let MergeJoinEstimation::Pipeline {
-                    handle, join_index, ..
-                } = &self.estimation
-                {
-                    handle
-                        .lock()
-                        .estimator
-                        .build_batch(*join_index, scratch.cols(), n)?;
-                }
-            }
-            for r in 0..n {
-                if !scratch.key(r, self.left_key)?.is_null() {
-                    self.left_rows.push(scratch.row(r));
-                }
-            }
-            if status.is_exhausted() {
-                break;
-            }
-        }
-        if let MergeJoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.estimation
-        {
-            handle.lock().estimator.end_build(*join_index)?;
-        }
-        let lk = self.left_key;
-        self.left_rows.sort_by(|a, b| key_cmp(a, b, lk, lk));
-
-        if let MergeJoinEstimation::Once { probe_size_hint } = self.estimation {
-            self.once = Some(OnceJoinEstimator::new(
-                hist.take().expect("histogram built in Once mode"),
-                probe_size_hint,
-            ));
-        }
+        est.begin_build()?;
+        self.left_rows = drain_sorted(left, left_key, batch_cap, &self.metrics, |batch| {
+            est.observe_build(batch, left_key)
+        })?;
+        est.end_build(JoinKind::Inner)?;
 
         // Sort right (S): probe the histogram while consuming. Estimates
         // are published in batches — per-tuple publication is measurable
         // overhead for a monitor that polls far less often anyway.
         let mut right_count: u64 = 0;
-        let mut scratch = RowBatch::with_capacity(right.schema().arity(), batch_cap);
-        loop {
-            let status = right.next_batch(&mut scratch)?;
-            let n = scratch.len();
-            if n > 0 {
-                self.metrics.checkpoint(n as u64)?;
-            }
-            if let Some(once) = &mut self.once {
-                // Cut the key column where the publication cadence falls,
-                // so every PUBLISH_EVERY-th row publishes the state it
-                // would have had tuple at a time.
-                let keys = scratch.col(self.right_key);
-                let mut seen = right_count;
-                let mut at = 0;
-                while at < n {
-                    let due = (PUBLISH_EVERY - seen % PUBLISH_EVERY) as usize;
-                    let end = n.min(at + due);
-                    once.observe_probe_batch(&keys[at..end])?;
-                    seen += (end - at) as u64;
-                    at = end;
-                    if seen.is_multiple_of(PUBLISH_EVERY) {
-                        self.metrics.set_estimated_total(once.estimate());
-                        let ci = once.confidence_interval(2.576);
-                        self.metrics.set_estimated_bounds(ci.lo, ci.hi);
-                    }
+        self.right_rows = drain_sorted(right, right_key, batch_cap, &self.metrics, |batch| {
+            // Cut the key column where the publication cadence falls, so
+            // every PUBLISH_EVERY-th row publishes the state it would have
+            // had tuple at a time.
+            let mut keys = batch.col(right_key);
+            while !keys.is_empty() {
+                let due = (PUBLISH_EVERY - right_count % PUBLISH_EVERY) as usize;
+                let (head, rest) = keys.split_at(due.min(keys.len()));
+                est.observe_probe_keys(head)?;
+                right_count += head.len() as u64;
+                keys = rest;
+                if right_count.is_multiple_of(PUBLISH_EVERY) {
+                    est.publish();
                 }
             }
-            // Algorithm-1 push-down: the lowest join of a merge chain
-            // drives probe observation from its right-sort consume phase,
-            // so every join of the chain is refined before any merge
-            // output exists.
-            if n > 0 {
-                if let MergeJoinEstimation::Pipeline {
-                    handle,
-                    lowest: true,
-                    ..
-                } = &self.estimation
-                {
-                    let mut shared = handle.lock();
-                    shared.estimator.observe_probe_batch(scratch.cols(), n)?;
-                    shared.publish();
-                }
-            }
-            right_count += n as u64;
-            for r in 0..n {
-                if !scratch.key(r, self.right_key)?.is_null() {
-                    self.right_rows.push(scratch.row(r));
-                }
-            }
-            if status.is_exhausted() {
-                break;
-            }
-        }
-        let rk = self.right_key;
-        self.right_rows.sort_by(|a, b| key_cmp(a, b, rk, rk));
-        if let Some(once) = &mut self.once {
-            once.set_probe_size(right_count);
-            self.metrics.set_estimated_total(once.estimate());
-            self.metrics
-                .set_estimated_bounds(once.estimate(), once.estimate());
-        }
-        if let MergeJoinEstimation::Pipeline { handle, lowest, .. } = &self.estimation {
-            if *lowest {
-                let mut shared = handle.lock();
-                shared.estimator.set_probe_size(right_count);
-                shared.publish();
-            }
-        }
-        match self.estimation {
-            MergeJoinEstimation::Dne { optimizer_estimate } => {
-                self.dne = Some(DneEstimator::new(right_count, optimizer_estimate));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            MergeJoinEstimation::Byte {
-                optimizer_estimate,
-                probe_row_bytes,
-            } => {
-                self.byte = Some(ByteEstimator::new(
-                    right_count,
-                    probe_row_bytes,
-                    optimizer_estimate,
-                ));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            _ => {}
-        }
+            est.observe_probe_rows(batch)
+        })?;
+        est.end_probe(right_count);
+
         self.metrics.trace_phase(Phase::SortInput, Phase::Merge);
         self.state = MState::Merging {
             li: 0,
@@ -286,29 +141,35 @@ impl MergeJoin {
             })
             .count()
     }
+}
 
-    fn observe_right_consumed(&mut self, n: u64) {
-        if n == 0 {
-            return;
+/// Drain `input` into its rows sorted on `key_col` (NULL keys never
+/// equi-join and are dropped), calling `on_batch` on every non-empty batch
+/// in scan order.
+fn drain_sorted(
+    mut input: BoxedOp,
+    key_col: usize,
+    batch_cap: usize,
+    metrics: &OpMetrics,
+    mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
+) -> QResult<Vec<Row>> {
+    let mut rows = Vec::new();
+    let mut scratch = RowBatch::with_capacity(input.schema().arity(), batch_cap);
+    loop {
+        let status = input.next_batch(&mut scratch)?;
+        let n = scratch.len();
+        if n > 0 {
+            metrics.checkpoint(n as u64)?;
+            on_batch(&scratch)?;
         }
-        if let Some(dne) = &mut self.dne {
-            dne.observe_driver(n);
-            self.metrics.set_estimated_total(dne.estimate());
+        for r in 0..n {
+            if !scratch.key(r, key_col)?.is_null() {
+                rows.push(scratch.row(r));
+            }
         }
-        if let Some(byte) = &mut self.byte {
-            byte.observe_input_rows(n);
-            self.metrics.set_estimated_total(byte.estimate());
-        }
-    }
-
-    fn observe_output(&mut self) {
-        if let Some(dne) = &mut self.dne {
-            dne.observe_output(1);
-            self.metrics.set_estimated_total(dne.estimate());
-        }
-        if let Some(byte) = &mut self.byte {
-            byte.observe_output_rows(1);
-            self.metrics.set_estimated_total(byte.estimate());
+        if status.is_exhausted() {
+            rows.sort_by(|a, b| key_cmp(a, b, key_col, key_col));
+            return Ok(rows);
         }
     }
 }
@@ -330,7 +191,20 @@ impl Operator for MergeJoin {
         if matches!(self.state, MState::Init) {
             self.preprocess(out.capacity())?;
         }
+        // Right (driver) rows consumed and rows emitted since the last
+        // `observe_join_pass`. Flushed once per output batch, and — governor
+        // granularity — once per output batch worth of right rows consumed
+        // even when nothing matches.
+        let (mut drv, mut emit) = (0u64, 0u64);
+        let chunk = out.capacity().max(1) as u64;
         loop {
+            if out.is_full() || drv >= chunk {
+                self.est
+                    .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
+                if out.is_full() {
+                    return Ok(BatchStatus::HasMore);
+                }
+            }
             // Split borrows: copy indices out of the state.
             let (mut li, mut ri, group) = match &mut self.state {
                 MState::Done => return Ok(BatchStatus::Exhausted),
@@ -345,36 +219,29 @@ impl Operator for MergeJoin {
                     let l = lr.start + cursor / width;
                     let r = rr.start + cursor % width;
                     out.push_concat(self.left_rows[l].values(), self.right_rows[r].values());
+                    emit += 1;
                     self.state = MState::Merging {
                         li,
                         ri,
                         group: Some((lr, rr, cursor + 1)),
                     };
-                    self.metrics.record_emitted();
-                    self.observe_output();
-                    if out.is_full() {
-                        return Ok(BatchStatus::HasMore);
-                    }
                     continue;
                 }
                 // group exhausted: advance past both runs
-                li = lr.end;
-                let consumed = rr.len() as u64;
-                ri = rr.end;
+                drv += rr.len() as u64;
                 self.state = MState::Merging {
-                    li,
-                    ri,
+                    li: lr.end,
+                    ri: rr.end,
                     group: None,
                 };
-                self.observe_right_consumed(consumed);
                 continue;
             }
 
             // Advance the merge.
             if li >= self.left_rows.len() || ri >= self.right_rows.len() {
                 // account for right rows never matched
-                let remaining = (self.right_rows.len() - ri) as u64;
-                self.observe_right_consumed(remaining);
+                drv += (self.right_rows.len() - ri) as u64;
+                self.est.observe_join_pass(drv, emit)?;
                 self.state = MState::Done;
                 self.metrics.mark_finished();
                 return Ok(BatchStatus::Exhausted);
@@ -385,20 +252,10 @@ impl Operator for MergeJoin {
                 self.left_key,
                 self.right_key,
             ) {
-                Ordering::Less => {
-                    self.state = MState::Merging {
-                        li: li + 1,
-                        ri,
-                        group: None,
-                    };
-                }
+                Ordering::Less => li += 1,
                 Ordering::Greater => {
-                    self.state = MState::Merging {
-                        li,
-                        ri: ri + 1,
-                        group: None,
-                    };
-                    self.observe_right_consumed(1);
+                    ri += 1;
+                    drv += 1;
                 }
                 Ordering::Equal => {
                     let lrun = Self::run_len(&self.left_rows, li, self.left_key);
@@ -408,8 +265,14 @@ impl Operator for MergeJoin {
                         ri,
                         group: Some((li..li + lrun, ri..ri + rrun, 0)),
                     };
+                    continue;
                 }
             }
+            self.state = MState::Merging {
+                li,
+                ri,
+                group: None,
+            };
         }
     }
 
@@ -422,7 +285,9 @@ impl Operator for MergeJoin {
 mod tests {
     use super::*;
     use crate::ops::test_util::{drain, int_table};
-    use crate::ops::TableScan;
+    use crate::ops::{PipelineHandle, PipelineShared, TableScan};
+    use crate::sync::Mutex;
+    use qprog_core::pipeline_est::PipelineEstimator;
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();
@@ -445,7 +310,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            MergeJoinEstimation::Off,
+            JoinEstimation::Off,
             Arc::clone(&m),
         );
         let rows = drain(&mut j);
@@ -461,14 +326,7 @@ mod tests {
         let r = [2i64, 1, 2, 1];
         let s = [1i64, 2, 1, 2];
         let m = OpMetrics::with_initial_estimate(0.0);
-        let mut j = MergeJoin::new(
-            scan1("r", &r),
-            scan1("s", &s),
-            0,
-            0,
-            MergeJoinEstimation::Off,
-            m,
-        );
+        let mut j = MergeJoin::new(scan1("r", &r), scan1("s", &s), 0, 0, JoinEstimation::Off, m);
         let keys: Vec<i64> = drain(&mut j)
             .iter()
             .map(|row| row.get(0).unwrap().as_i64().unwrap())
@@ -489,7 +347,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            MergeJoinEstimation::Once {
+            JoinEstimation::Once {
                 probe_size_hint: s.len() as u64,
             },
             Arc::clone(&m),
@@ -513,7 +371,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            MergeJoinEstimation::Dne {
+            JoinEstimation::Dne {
                 optimizer_estimate: 7.0,
             },
             Arc::clone(&m),
@@ -531,7 +389,7 @@ mod tests {
             scan1("s", &[1]),
             0,
             0,
-            MergeJoinEstimation::Off,
+            JoinEstimation::Off,
             m,
         );
         assert!(crate::ops::RowSource::new(&mut j)
@@ -544,7 +402,7 @@ mod tests {
             scan1("s", &[]),
             0,
             0,
-            MergeJoinEstimation::Once { probe_size_hint: 0 },
+            JoinEstimation::Once { probe_size_hint: 0 },
             Arc::clone(&m),
         );
         assert!(crate::ops::RowSource::new(&mut j)
@@ -556,11 +414,6 @@ mod tests {
 
     #[test]
     fn pipeline_mode_two_merge_joins_same_attribute() {
-        use crate::ops::hash_join::PipelineShared;
-        use crate::sync::Mutex;
-        use qprog_core::pipeline_est::PipelineEstimator;
-        use std::sync::Arc;
-
         let a = [1i64, 1, 2];
         let b = [1i64, 2, 2];
         let c = [1i64, 2, 9];
@@ -575,7 +428,7 @@ mod tests {
             scan1("c", &c),
             0,
             0,
-            MergeJoinEstimation::Pipeline {
+            JoinEstimation::Pipeline {
                 handle: Arc::clone(&shared),
                 join_index: 0,
                 lowest: true,
@@ -587,7 +440,7 @@ mod tests {
             Box::new(lower),
             0,
             0,
-            MergeJoinEstimation::Pipeline {
+            JoinEstimation::Pipeline {
                 handle: Arc::clone(&shared),
                 join_index: 1,
                 lowest: false,
@@ -634,10 +487,6 @@ mod tests {
     /// overwrites the optimizer estimate.
     #[test]
     fn pipeline_mode_merge_chain_is_exact_before_first_output_row() {
-        use crate::ops::hash_join::PipelineShared;
-        use crate::sync::Mutex;
-        use qprog_core::pipeline_est::PipelineEstimator;
-
         let a = [1i64, 1, 2];
         let b = [1i64, 2, 2];
         let c = [1i64, 2, 9];
@@ -652,7 +501,7 @@ mod tests {
             scan1("c", &c),
             0,
             0,
-            MergeJoinEstimation::Pipeline {
+            JoinEstimation::Pipeline {
                 handle: Arc::clone(&shared),
                 join_index: 0,
                 lowest: true,
@@ -670,7 +519,7 @@ mod tests {
             Box::new(tap),
             0,
             0,
-            MergeJoinEstimation::Pipeline {
+            JoinEstimation::Pipeline {
                 handle: Arc::clone(&shared),
                 join_index: 1,
                 lowest: false,
@@ -696,7 +545,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            MergeJoinEstimation::Byte {
+            JoinEstimation::Byte {
                 optimizer_estimate: 9.0,
                 probe_row_bytes: 16,
             },

@@ -3,6 +3,7 @@
 pub mod agg;
 pub mod filter;
 pub mod hash_join;
+pub mod join_estimation;
 pub mod limit;
 pub mod merge_join;
 pub mod nl_join;
@@ -17,7 +18,8 @@ use qprog_types::{BatchStatus, Key, QResult, Row, RowBatch, SchemaRef};
 
 pub use agg::{AggFunc, AggSpec, HashAggregate};
 pub use filter::Filter;
-pub use hash_join::{HashJoin, JoinEstimation, PipelineHandle};
+pub use hash_join::HashJoin;
+pub use join_estimation::{JoinEstimation, PipelineHandle, PipelineShared};
 pub use limit::Limit;
 pub use merge_join::MergeJoin;
 pub use nl_join::NestedLoopsJoin;

@@ -10,11 +10,10 @@ use qprog_core::EstimationMode;
 use qprog_exec::governor::{Budgets, CancellationToken, Governor};
 use qprog_exec::metrics::{MetricsRegistry, OpMetrics};
 use qprog_exec::ops::agg::AggEstimation;
-use qprog_exec::ops::hash_join::{JoinEstimation, PipelineShared};
-use qprog_exec::ops::merge_join::{MergeJoin, MergeJoinEstimation};
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
 use qprog_exec::ops::{
-    BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, Sort, SortAggregate, TableScan,
+    BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, PipelineShared,
+    Project, Sort, SortAggregate, TableScan,
 };
 use qprog_exec::runtime::run_with_observer;
 use qprog_exec::sync::Mutex;
@@ -604,19 +603,14 @@ impl Compiler<'_> {
             return Err(QError::internal("compile_join on a non-join node"));
         };
         match algo {
-            JoinAlgo::Hash => {
-                let JoinCondition::Equi { .. } = condition else {
-                    return Err(QError::plan("hash join requires an equi-join condition"));
-                };
+            JoinAlgo::Hash | JoinAlgo::Merge => {
+                // §4.1.4 / §4.1.4.3: a chain of hash joins, or of sort-merge
+                // joins, shares one push-down estimator.
                 if self.opts.mode == EstimationMode::Once && *kind == JoinKind::Inner {
-                    let chain = collect_join_chain(plan, JoinAlgo::Hash);
+                    let chain = collect_join_chain(plan, *algo);
                     if chain.len() >= 2 {
-                        match self.compile_join_chain(
-                            &chain,
-                            JoinAlgo::Hash,
-                            pipeline,
-                            agg_tracker.clone(),
-                        ) {
+                        match self.compile_join_chain(&chain, *algo, pipeline, agg_tracker.clone())
+                        {
                             Ok(op) => return Ok(op),
                             Err(QError::Estimation(_)) => {
                                 // unsupported pipeline shape (e.g. shared
@@ -627,62 +621,33 @@ impl Compiler<'_> {
                         }
                     }
                 }
-                self.compile_binary_hash_join(
-                    plan,
-                    build,
-                    probe,
-                    condition,
-                    *kind,
-                    pipeline,
-                    agg_tracker,
-                )
-            }
-            JoinAlgo::Merge => {
-                let JoinCondition::Equi {
-                    build_key,
-                    probe_key,
-                } = condition
-                else {
-                    return Err(QError::plan("merge join requires an equi-join condition"));
-                };
-                // §4.1.4.3: chains of sort-merge joins share one push-down
-                // estimator just like hash pipelines.
-                if self.opts.mode == EstimationMode::Once && *kind == JoinKind::Inner {
-                    let chain = collect_join_chain(plan, JoinAlgo::Merge);
-                    if chain.len() >= 2 {
-                        match self.compile_join_chain(&chain, JoinAlgo::Merge, pipeline, None) {
-                            Ok(op) => return Ok(op),
-                            Err(QError::Estimation(_)) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                let (idx, m) = self.register_idx("merge_join", plan.estimate, pipeline);
+                let (idx, m) = self.register_idx(join_op_name(*algo), plan.estimate, pipeline);
                 self.set_label(idx, self.join_label());
                 let build_pipeline = self.pipelines.new_pipeline();
-                let probe_pipeline = self.pipelines.new_pipeline();
-                let probe_estimate = probe.estimate;
+                // A merge join sorts its probe side too: a blocking input.
+                let probe_pipeline = match algo {
+                    JoinAlgo::Merge => self.pipelines.new_pipeline(),
+                    _ => pipeline,
+                };
                 let build_op = self.compile_child(idx, build, build_pipeline)?;
                 let probe_op = self.compile_child(idx, probe, probe_pipeline)?;
                 let estimation = match self.opts.mode {
-                    EstimationMode::Off => MergeJoinEstimation::Off,
-                    EstimationMode::Once => MergeJoinEstimation::Once {
-                        probe_size_hint: probe_estimate.round() as u64,
+                    EstimationMode::Off => JoinEstimation::Off,
+                    EstimationMode::Once => JoinEstimation::Once {
+                        probe_size_hint: probe.estimate.round() as u64,
                     },
-                    EstimationMode::Dne => MergeJoinEstimation::Dne {
+                    EstimationMode::Dne => JoinEstimation::Dne {
                         optimizer_estimate: plan.estimate,
                     },
-                    EstimationMode::Byte => MergeJoinEstimation::Byte {
+                    EstimationMode::Byte => JoinEstimation::Byte {
                         optimizer_estimate: plan.estimate,
                         probe_row_bytes: row_bytes(probe),
                     },
                 };
-                Ok(Box::new(MergeJoin::new(
-                    build_op, probe_op, *build_key, *probe_key, estimation, m,
-                )))
+                self.join_operator(plan, build_op, probe_op, estimation, m, agg_tracker)
             }
             JoinAlgo::NestedLoops => {
-                let (idx, m) = self.register_idx("nl_join", plan.estimate, pipeline);
+                let (idx, m) = self.register_idx(join_op_name(*algo), plan.estimate, pipeline);
                 let inner_pipeline = self.pipelines.new_pipeline();
                 let outer_estimate = probe.estimate;
                 let inner_op = self.compile_child(idx, build, inner_pipeline)?;
@@ -732,47 +697,44 @@ impl Compiler<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compile_binary_hash_join(
-        &mut self,
-        plan: &LogicalPlan,
-        build: &LogicalPlan,
-        probe: &LogicalPlan,
-        condition: &JoinCondition,
-        kind: JoinKind,
-        pipeline: usize,
+    /// Instantiate the hash or sort-merge join of plan node `join` over its
+    /// compiled inputs.
+    fn join_operator(
+        &self,
+        join: &LogicalPlan,
+        build_op: BoxedOp,
+        probe_op: BoxedOp,
+        estimation: JoinEstimation,
+        metrics: Arc<OpMetrics>,
         agg_tracker: Option<Arc<Mutex<DistinctTracker>>>,
     ) -> QResult<BoxedOp> {
-        let JoinCondition::Equi {
-            build_key,
-            probe_key,
-        } = condition
+        let Node::Join {
+            condition:
+                JoinCondition::Equi {
+                    build_key,
+                    probe_key,
+                },
+            algo,
+            kind,
+            ..
+        } = &join.node
         else {
-            return Err(QError::plan("hash join requires an equi-join condition"));
+            return Err(QError::plan(
+                "hash and merge joins require an equi-join condition",
+            ));
         };
-        let (idx, m) = self.register_idx("hash_join", plan.estimate, pipeline);
-        self.set_label(idx, self.join_label());
-        let build_pipeline = self.pipelines.new_pipeline();
-        let probe_estimate = probe.estimate;
-        let build_op = self.compile_child(idx, build, build_pipeline)?;
-        let probe_op = self.compile_child(idx, probe, pipeline)?;
-        let estimation = match self.opts.mode {
-            EstimationMode::Off => JoinEstimation::Off,
-            EstimationMode::Once => JoinEstimation::Once {
-                probe_size_hint: probe_estimate.round() as u64,
-            },
-            EstimationMode::Dne => JoinEstimation::Dne {
-                optimizer_estimate: plan.estimate,
-            },
-            EstimationMode::Byte => JoinEstimation::Byte {
-                optimizer_estimate: plan.estimate,
-                probe_row_bytes: row_bytes(probe),
-            },
-        };
-        let mut hj = HashJoin::new(build_op, probe_op, *build_key, *probe_key, estimation, m)
-            .with_join_kind(kind)
-            .with_partitions(self.opts.partitions)
-            .with_threads(self.opts.threads);
+        let (build_key, probe_key) = (*build_key, *probe_key);
+        if *algo == JoinAlgo::Merge {
+            return Ok(Box::new(MergeJoin::new(
+                build_op, probe_op, build_key, probe_key, estimation, metrics,
+            )));
+        }
+        let mut hj = HashJoin::new(
+            build_op, probe_op, build_key, probe_key, estimation, metrics,
+        )
+        .with_join_kind(*kind)
+        .with_partitions(self.opts.partitions)
+        .with_threads(self.opts.threads);
         if let Some(tracker) = agg_tracker {
             hj = hj.with_agg_pushdown(tracker);
         }
@@ -814,18 +776,11 @@ impl Compiler<'_> {
         // fallback leaves no stray metrics behind.
         let estimator = PipelineEstimator::new(specs, probe_size)?;
 
-        let op_name = match algo {
-            JoinAlgo::Hash => "hash_join",
-            JoinAlgo::Merge => "merge_join",
-            JoinAlgo::NestedLoops => {
-                return Err(QError::internal("nested-loops joins do not pipeline"))
-            }
-        };
         let mut join_indices = Vec::with_capacity(chain.len());
         let metrics: Vec<Arc<OpMetrics>> = chain
             .iter()
             .map(|node| {
-                let (idx, m) = self.register_idx(op_name, node.estimate, pipeline);
+                let (idx, m) = self.register_idx(join_op_name(algo), node.estimate, pipeline);
                 join_indices.push(idx);
                 m
             })
@@ -843,16 +798,7 @@ impl Compiler<'_> {
         let lowest_probe_idx = self.chain_root.take().unwrap_or(lowest_probe_idx);
         self.op_inputs[join_indices[0]].push(lowest_probe_idx);
         for (j, node) in chain.iter().enumerate() {
-            let Node::Join {
-                build,
-                condition:
-                    JoinCondition::Equi {
-                        build_key,
-                        probe_key,
-                    },
-                ..
-            } = &node.node
-            else {
+            let Node::Join { build, .. } = &node.node else {
                 unreachable!("validated above");
             };
             let build_pipeline = self.pipelines.new_pipeline();
@@ -860,43 +806,15 @@ impl Compiler<'_> {
             if j > 0 {
                 self.op_inputs[join_indices[j]].push(join_indices[j - 1]);
             }
-            cur = match algo {
-                JoinAlgo::Hash => {
-                    let mut hj = HashJoin::new(
-                        build_op,
-                        cur,
-                        *build_key,
-                        *probe_key,
-                        JoinEstimation::Pipeline {
-                            handle: Arc::clone(&handle),
-                            join_index: j,
-                            lowest: j == 0,
-                        },
-                        Arc::clone(&metrics[j]),
-                    )
-                    .with_partitions(self.opts.partitions)
-                    .with_threads(self.opts.threads);
-                    if j == chain.len() - 1 {
-                        if let Some(tracker) = &agg_tracker {
-                            hj = hj.with_agg_pushdown(Arc::clone(tracker));
-                        }
-                    }
-                    Box::new(hj)
-                }
-                JoinAlgo::Merge => Box::new(MergeJoin::new(
-                    build_op,
-                    cur,
-                    *build_key,
-                    *probe_key,
-                    MergeJoinEstimation::Pipeline {
-                        handle: Arc::clone(&handle),
-                        join_index: j,
-                        lowest: j == 0,
-                    },
-                    Arc::clone(&metrics[j]),
-                )),
-                JoinAlgo::NestedLoops => unreachable!("rejected above"),
+            let estimation = JoinEstimation::Pipeline {
+                handle: Arc::clone(&handle),
+                join_index: j,
+                lowest: j == 0,
             };
+            // Aggregation push-down attaches to the top join of the chain.
+            let tracker = agg_tracker.clone().filter(|_| j == chain.len() - 1);
+            let metrics = Arc::clone(&metrics[j]);
+            cur = self.join_operator(node, build_op, cur, estimation, metrics, tracker)?;
         }
         // Joins were registered bottom-up, so this subtree's root operator
         // is the LAST chain index, not the first one registered — leave it
@@ -927,6 +845,15 @@ fn collect_join_chain(top: &LogicalPlan, chain_algo: JoinAlgo) -> Vec<&LogicalPl
     }
     top_down.reverse();
     top_down
+}
+
+/// Operator name of a join, for metrics registration.
+fn join_op_name(algo: JoinAlgo) -> &'static str {
+    match algo {
+        JoinAlgo::Hash => "hash_join",
+        JoinAlgo::Merge => "merge_join",
+        JoinAlgo::NestedLoops => "nl_join",
+    }
 }
 
 /// The probe child of a join node.

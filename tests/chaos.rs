@@ -110,13 +110,119 @@ fn row_budget_breach_aborts_with_typed_error() {
     assert_eq!(err.lifecycle().map(ExecError::kind), Some("budget"));
 }
 
+/// `customer ⋈ nation` (50 000 output rows) as a binary join of `algo`.
+fn customer_nation_join(session: &Session, algo: qprog::plan::JoinAlgo) -> QueryHandle {
+    let b = session.builder();
+    let plan = b
+        .scan("customer")
+        .unwrap()
+        .join_build(
+            b.scan("nation").unwrap(),
+            "nation.nationkey",
+            "customer.nationkey",
+            algo,
+        )
+        .unwrap();
+    session.query_plan(plan).unwrap()
+}
+
+/// DESIGN §5 degradation ladder: a `once` join whose build histogram
+/// outgrows the soft budget drops it and continues as dne — same answer,
+/// one `EstimatorDegraded` event, one counter bump — whichever algorithm
+/// builds the histogram.
+#[test]
+fn hist_budget_breach_degrades_once_to_dne() {
+    use qprog::exec::trace::TraceEventKind;
+    use qprog::plan::JoinAlgo;
+    let _scenario = scenario();
+    for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
+        let ring = Arc::new(RingSink::with_capacity(1 << 16));
+        let registry = Arc::new(Registry::new());
+        let session = SessionBuilder::new(catalog())
+            .options(PhysicalOptions {
+                max_hist_bytes: Some(64),
+                ..PhysicalOptions::default()
+            })
+            .observability(
+                Observability::new()
+                    .with_trace(EventBus::with_sink(Arc::clone(&ring) as _))
+                    .with_metrics(Arc::clone(&registry)),
+            )
+            .build()
+            .unwrap();
+        let rows = customer_nation_join(&session, algo).collect().unwrap();
+        assert_eq!(rows.len(), 50_000, "{algo:?}");
+        let degraded = ring
+            .drain()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::EstimatorDegraded {
+                        reason: DegradeReason::HistogramMemory,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(degraded, 1, "{algo:?}");
+        let text = registry.render();
+        assert!(
+            text.contains(
+                "qprog_estimator_degraded_total{estimator=\"once\",\
+                 reason=\"histogram_memory\"} 1"
+            ),
+            "{algo:?}: {text}"
+        );
+    }
+}
+
+/// A cancel that lands after the first output row is observed by the join
+/// pass itself (no checkpointing operator sits above the join here).
+#[test]
+fn cancellation_is_observed_in_the_join_pass() {
+    use qprog::plan::JoinAlgo;
+    let _scenario = scenario();
+    let session = Session::new(catalog());
+    for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
+        let mut h = customer_nation_join(&session, algo);
+        assert!(h.step().unwrap().is_some(), "{algo:?}");
+        h.cancel();
+        let mut stepped = 0;
+        let err = loop {
+            match h.step() {
+                Ok(Some(_)) => stepped += 1,
+                Ok(None) => panic!("{algo:?}: ran to completion after cancel"),
+                Err(e) => break e,
+            }
+            assert!(stepped < 50_000, "{algo:?}: cancel never observed");
+        };
+        assert_eq!(
+            err.lifecycle().map(ExecError::kind),
+            Some("cancelled"),
+            "{algo:?}"
+        );
+    }
+}
+
 #[test]
 fn no_threads_leak_across_query_lifecycles() {
     let _scenario = scenario();
-    let baseline = match thread_count() {
-        Some(n) => n,
-        None => return, // not a procfs platform; nothing to measure
+    let Some(mut baseline) = thread_count() else {
+        return; // not a procfs platform; nothing to measure
     };
+    // Let the census hold still first: the scenario lock can be won while
+    // the harness is between retiring the previous test's thread and
+    // spawning the next one's (which then waits on the lock until this test
+    // ends), and a baseline read in that gap is one short.
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = thread_count().unwrap();
+        if now == baseline {
+            break;
+        }
+        baseline = now;
+    }
     for _ in 0..3 {
         let session = SessionBuilder::new(catalog())
             .observability(Observability::new().serve_on("127.0.0.1:0"))
@@ -206,9 +312,11 @@ mod faulted {
         assert_eq!(err.lifecycle().map(ExecError::kind), Some("panic"));
         assert!(err.to_string().contains("chaos"), "{err}");
         // The process survived; the same session keeps serving queries.
-        drop(scenario);
+        // (Still under the scenario lock: this scan passes `exec/scan/next`,
+        // and released early it would eat the next test's one-shot fault.)
         let mut h2 = session.query("SELECT * FROM nation").unwrap();
         assert_eq!(h2.collect().unwrap().len(), 500);
+        drop(scenario);
     }
 
     #[test]

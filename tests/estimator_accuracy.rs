@@ -172,8 +172,8 @@ fn chooser_picks_the_better_estimator_per_skew() {
 #[test]
 fn agg_pushdown_tracker_is_exact_after_probe_pass() {
     use qprog_exec::metrics::OpMetrics;
-    use qprog_exec::ops::hash_join::{HashJoin, JoinEstimation};
     use qprog_exec::ops::{BoxedOp, RowSource, TableScan};
+    use qprog_exec::ops::{HashJoin, JoinEstimation};
     use qprog_exec::sync::Mutex;
 
     let r = qprog::datagen::customer_table("r", 5_000, 1.0, 400, 1).into_shared();
