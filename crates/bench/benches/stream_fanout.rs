@@ -166,7 +166,8 @@ fn main() {
         let mut terminals = 0u32;
         loop {
             match sub.next(Duration::from_secs(5)) {
-                StreamNext::Frame(f) if f.starts_with("event: terminal\n") => terminals += 1,
+                // Hub frames lead with an `id:` line.
+                StreamNext::Frame(f) if f.contains("\nevent: terminal\n") => terminals += 1,
                 StreamNext::Frame(_) => {}
                 // Per-query streams close right after the terminal frame;
                 // a timeout here means the frame never came.

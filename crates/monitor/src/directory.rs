@@ -14,10 +14,14 @@
 //!   ([`attach_execution`](QueryDirectory::attach_execution)) when a
 //!   worker dispatches the job. The terminal SSE frame is emitted exactly
 //!   once, and only when the service says so.
+//!
+//! Lifecycle frames are **pushed** by the thread making the transition, in the
+//! critical section that records it (`set_managed_state`; a bound
+//! [`PhaseSink`]'s terminal event); the `tick` only samples running queries.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 use qprog_core::gnm::PipelineState;
@@ -93,6 +97,9 @@ pub struct PhaseSink {
     rows: AtomicU64,
     finished: AtomicBool,
     aborted: Mutex<Option<AbortKind>>,
+    /// The entry this sink reports to, bound at `register` /
+    /// `attach_execution` (a sink serves one execution: first binding wins).
+    owner: OnceLock<(Weak<QueryDirectory>, u64)>,
 }
 
 impl PhaseSink {
@@ -134,6 +141,22 @@ impl PhaseSink {
         (self.is_finished() || self.abort_reason().is_some())
             .then(|| self.rows.load(Ordering::Relaxed))
     }
+
+    /// The query ended: push the owning entry's `terminal` frame now (a
+    /// managed entry's `view()` is terminal only once the service says so).
+    /// Terminal events only: health events fire under `tick`'s entries lock.
+    fn notify_terminal(&self) {
+        let owner = self
+            .owner
+            .get()
+            .and_then(|(d, id)| Some((d.upgrade()?, *id)));
+        let Some((directory, id)) = owner else { return };
+        let Some(hub) = directory.hub() else { return };
+        let entries = directory.entries.lock();
+        if let Some(e) = entries.get(&id) {
+            QueryDirectory::publish_state(&hub, id, e, e.view().terminal, false);
+        }
+    }
 }
 
 impl TraceSink for PhaseSink {
@@ -150,10 +173,12 @@ impl TraceSink for PhaseSink {
             TraceEventKind::QueryFinished { rows } => {
                 self.rows.store(rows, Ordering::Relaxed);
                 self.finished.store(true, Ordering::Release);
+                self.notify_terminal();
             }
             TraceEventKind::QueryAborted { reason, rows } => {
                 self.rows.store(rows, Ordering::Relaxed);
                 *self.aborted.lock() = Some(reason);
+                self.notify_terminal();
             }
             _ => {}
         }
@@ -337,6 +362,7 @@ impl QueryDirectory {
         health: Option<Arc<HealthAnalyzer>>,
     ) -> MonitoredQuery {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let _ = phases.owner.set((Arc::downgrade(self), id));
         self.insert(
             id,
             QueryEntry {
@@ -396,7 +422,13 @@ impl QueryDirectory {
     }
 
     fn insert(self: &Arc<Self>, id: u64, entry: QueryEntry) -> MonitoredQuery {
-        self.entries.lock().insert(id, entry);
+        let mut entries = self.entries.lock();
+        entries.insert(id, entry);
+        if let Some(hub) = self.hub() {
+            // Registration is a transition too: the firehose learns of it now.
+            Self::publish_state(&hub, id, &entries[&id], false, true);
+        }
+        drop(entries);
         if let Some(g) = &self.live_gauge {
             g.add(1.0);
         }
@@ -414,12 +446,13 @@ impl QueryDirectory {
     /// attachment; the published fraction stays monotone across attempts.
     /// Returns false if the id is unknown.
     pub fn attach_execution(
-        &self,
+        self: &Arc<Self>,
         id: u64,
         tracker: ProgressTracker,
         phases: Arc<PhaseSink>,
         health: Option<Arc<HealthAnalyzer>>,
     ) -> bool {
+        let _ = phases.owner.set((Arc::downgrade(self), id));
         let mut entries = self.entries.lock();
         match entries.get_mut(&id) {
             Some(e) => {
@@ -434,24 +467,37 @@ impl QueryDirectory {
         }
     }
 
-    /// Move a managed entry through its service-dictated lifecycle.
-    /// Setting [`ManagedState::Terminal`] arms the exactly-once terminal
-    /// frame (emitted by the next tick, or on unregister). Returns false
-    /// if the id is unknown.
+    /// Move a managed entry through its service-dictated lifecycle and push
+    /// the new state to its listeners before the entries lock is released:
+    /// the exactly-once `terminal` frame for [`ManagedState::Terminal`], one
+    /// `progress` frame otherwise. Returns false if the id is unknown.
     pub fn set_managed_state(&self, id: u64, state: ManagedState) -> bool {
         let mut entries = self.entries.lock();
-        match entries.get_mut(&id) {
-            Some(e) => {
-                match &state {
-                    ManagedState::Running { attempt } | ManagedState::Retrying { attempt, .. } => {
-                        e.attempt = *attempt
-                    }
-                    _ => {}
-                }
-                e.managed = Some(state);
-                true
+        let Some(e) = entries.get_mut(&id) else {
+            return false;
+        };
+        if let ManagedState::Running { attempt } | ManagedState::Retrying { attempt, .. } = &state {
+            e.attempt = *attempt;
+        }
+        e.managed = Some(state);
+        if let Some(hub) = self.hub() {
+            Self::publish_state(&hub, id, e, e.view().terminal, true);
+        }
+        true
+    }
+
+    /// Publish the frame for `e`'s state: if `terminal`, the `terminal` frame
+    /// unless it is already out; else, if `progress` and anyone listens, one
+    /// `progress` frame. The only `terminal_emitted` swap — transition, tick
+    /// backstop and unregistration all come through here, so the terminal
+    /// frame is exactly-once by construction.
+    fn publish_state(hub: &StreamHub, id: u64, e: &QueryEntry, terminal: bool, progress: bool) {
+        if terminal {
+            if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
+                hub.publish(id, "terminal", &Self::summary_json(id, e), true);
             }
-            None => false,
+        } else if progress && hub.wants(id) {
+            hub.publish(id, "progress", &Self::summary_json(id, e), false);
         }
     }
 
@@ -461,15 +507,11 @@ impl QueryDirectory {
             if let Some(g) = &self.live_gauge {
                 g.sub(1.0);
             }
-            // A query can unregister before the broadcast tick saw it end
-            // (or while still running, if its handle is dropped early).
-            // Streams must still always learn the outcome: emit the final
-            // frame now, then close its per-query subscribers.
-            let hub = self.hub.lock().clone();
-            if let Some(hub) = hub {
-                if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
-                    hub.publish(id, "terminal", &Self::summary_json(id, &e), true);
-                }
+            // A query can unregister while still running (handle dropped
+            // early). Streams must still always learn the outcome: emit the
+            // final frame if none went out, then close per-query subscribers.
+            if let Some(hub) = self.hub() {
+                Self::publish_state(&hub, id, &e, true, false);
                 hub.close_query(id);
             }
         }
@@ -482,17 +524,23 @@ impl QueryDirectory {
         *self.hub.lock() = Some(hub);
     }
 
-    /// One broadcast tick: per registered query, sample health, then push
-    /// a `progress` frame (if anyone is listening) or — exactly once — a
-    /// `terminal` frame. Encoding happens at most once per query per tick
-    /// regardless of subscriber count.
+    fn hub(&self) -> Option<Arc<StreamHub>> {
+        self.hub.lock().clone()
+    }
+
+    /// One broadcast tick, the periodic part only: per query still running,
+    /// sample health, then push a `progress` frame if anyone is listening
+    /// (encoded once for all subscribers). Its one lifecycle duty: backstop a
+    /// session query that completed without a `QueryFinished` trace event.
     pub fn tick(&self) {
-        let hub = match self.hub.lock().clone() {
-            Some(h) => h,
-            None => return,
-        };
+        let Some(hub) = self.hub() else { return };
         let entries = self.entries.lock();
         for (&id, e) in entries.iter() {
+            // The ending is out: nothing left to say, and retained terminal
+            // entries can outnumber live ones by orders of magnitude.
+            if e.terminal_emitted.load(Ordering::Relaxed) {
+                continue;
+            }
             let view = e.view();
             if let Some(exec) = &e.exec {
                 if let Some(h) = &exec.health {
@@ -515,13 +563,7 @@ impl QueryDirectory {
                     }
                 }
             }
-            if view.terminal {
-                if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
-                    hub.publish(id, "terminal", &Self::summary_json(id, e), true);
-                }
-            } else if hub.wants(id) {
-                hub.publish(id, "progress", &Self::summary_json(id, e), false);
-            }
+            Self::publish_state(&hub, id, e, view.terminal, view.running);
         }
     }
 
@@ -724,6 +766,7 @@ impl std::fmt::Debug for MonitoredQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hub::{StreamNext, StreamSubscriber};
     use qprog_exec::metrics::MetricsRegistry;
     use qprog_plan::pipeline::PipelineSet;
 
@@ -742,6 +785,30 @@ mod tests {
             at_us: 0,
             kind,
         }
+    }
+
+    /// A directory with a hub and a firehose subscriber, but no server and
+    /// no broadcast thread: every frame seen was published by the call
+    /// under test, on the calling thread.
+    fn pushed() -> (Arc<QueryDirectory>, Arc<StreamHub>, Arc<StreamSubscriber>) {
+        let dir = Arc::new(QueryDirectory::new(None));
+        let hub = Arc::new(StreamHub::new(None));
+        dir.set_hub(Arc::clone(&hub));
+        let firehose = hub.subscribe(None, 64);
+        (dir, hub, firehose)
+    }
+
+    /// Drain what is queued right now: `(event, data)` per frame.
+    fn frames(sub: &StreamSubscriber) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        while let StreamNext::Frame(f) = sub.next(std::time::Duration::ZERO) {
+            let field = |name: &str| {
+                let line = f.lines().find(|l| l.starts_with(name)).unwrap();
+                line[name.len()..].to_string()
+            };
+            out.push((field("event: "), field("data: ")));
+        }
+        out
     }
 
     #[test]
@@ -944,21 +1011,127 @@ mod tests {
     fn managed_terminal_is_not_derived_from_trace_state() {
         // A retryable abort publishes QueryAborted into the phase sink;
         // the entry must stay non-terminal until the service says so.
-        let dir = Arc::new(QueryDirectory::new(None));
+        let (dir, _hub, firehose) = pushed();
         let id = dir.allocate_id(1);
         let _q = dir.register_managed(id, "flaky", "gnm", "t");
         dir.set_managed_state(id, ManagedState::Running { attempt: 1 });
         let (t, _reg) = tracker();
         let sink = Arc::new(PhaseSink::new());
         dir.attach_execution(id, t, Arc::clone(&sink), None);
+        frames(&firehose);
         sink.publish(&ev(TraceEventKind::QueryAborted {
             reason: AbortKind::Injected,
             rows: 0,
         }));
+        assert_eq!(frames(&firehose), vec![], "the bound sink pushed a frame");
         let (_, terminal, emitted) = dir.stream_snapshot(id).unwrap();
         assert!(!terminal, "trace abort must not leak a managed terminal");
         assert!(!emitted);
         let all = dir.render_all();
         assert!(all.contains("\"state\":\"running\""), "{all}");
+    }
+
+    #[test]
+    fn managed_transitions_are_pushed_by_the_thread_that_makes_them() {
+        let (dir, hub, firehose) = pushed();
+        let id = dir.allocate_id(1);
+        let q = dir.register_managed(id, "svc", "gnm", "acme");
+        let watcher = hub.subscribe(Some(id), 8);
+        let got = frames(&firehose);
+        assert_eq!(got.len(), 1, "registration: {got:?}");
+        assert!(got[0].1.contains("\"state\":\"queued\""), "{got:?}");
+        // One `progress` frame per non-terminal state, carrying that state.
+        let states: [(ManagedState, &str); 3] = [
+            (
+                ManagedState::Running { attempt: 1 },
+                "\"state\":\"running\"",
+            ),
+            (
+                ManagedState::Retrying {
+                    kind: "injected".to_string(),
+                    attempt: 1,
+                },
+                "\"state\":\"retrying\"",
+            ),
+            (ManagedState::Running { attempt: 2 }, "\"attempt\":2"),
+        ];
+        for (state, expect) in states {
+            dir.set_managed_state(id, state);
+            let got = frames(&firehose);
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert_eq!(got[0].0, "progress");
+            assert!(got[0].1.contains(expect), "{got:?}");
+        }
+        // Terminal: exactly one frame, immediately, and it ends the
+        // per-query stream.
+        dir.set_managed_state(
+            id,
+            ManagedState::Terminal {
+                done: true,
+                failure: None,
+                rows: Some(7),
+            },
+        );
+        let got = frames(&firehose);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].0, "terminal");
+        assert!(got[0].1.contains("\"done\":true,\"rows\":7"), "{got:?}");
+        let seen: Vec<String> = frames(&watcher).into_iter().map(|f| f.0).collect();
+        assert_eq!(seen, ["progress", "progress", "progress", "terminal"]);
+        assert!(watcher.is_closed());
+        // Neither a later tick nor unregistration repeats it.
+        dir.tick();
+        drop(q);
+        assert_eq!(frames(&firehose), vec![]);
+    }
+
+    #[test]
+    fn session_entries_push_their_terminal_at_the_trace_event() {
+        let (dir, _hub, firehose) = pushed();
+        let endings = [
+            (
+                TraceEventKind::QueryFinished { rows: 9 },
+                "\"state\":\"done\"",
+            ),
+            (
+                TraceEventKind::QueryAborted {
+                    reason: AbortKind::Cancelled,
+                    rows: 3,
+                },
+                "\"failure\":\"cancelled\"",
+            ),
+        ];
+        for (ending, expect) in endings {
+            let (t, _reg) = tracker();
+            let sink = Arc::new(PhaseSink::new());
+            let q = dir.register("s", "once", t, Arc::clone(&sink), None);
+            frames(&firehose);
+            sink.publish(&ev(ending));
+            let got = frames(&firehose);
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert_eq!(got[0].0, "terminal");
+            assert!(got[0].1.contains(expect), "{got:?}");
+            dir.tick();
+            drop(q);
+            assert_eq!(frames(&firehose), vec![], "terminal repeated");
+        }
+    }
+
+    #[test]
+    fn tick_backstops_a_completion_no_trace_event_announced() {
+        let (dir, _hub, firehose) = pushed();
+        let (t, reg) = tracker();
+        let q = dir.register("quiet", "once", t, Arc::new(PhaseSink::new()), None);
+        frames(&firehose);
+        reg.finish_all();
+        assert_eq!(frames(&firehose), vec![], "nothing announced the ending");
+        dir.tick();
+        let got = frames(&firehose);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].0, "terminal");
+        assert!(got[0].1.contains("\"done\":true"), "{got:?}");
+        dir.tick();
+        drop(q);
+        assert_eq!(frames(&firehose), vec![]);
     }
 }

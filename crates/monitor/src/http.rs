@@ -231,23 +231,23 @@ impl Response {
         }
     }
 
-    /// Serialize head + body. `head_only` omits the body (HEAD requests).
+    /// Serialize head + body as one write. `head_only` omits the body (HEAD).
     pub fn write_to(&self, stream: &mut impl Write, head_only: bool) -> std::io::Result<()> {
-        write!(
-            stream,
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        )?;
+        );
         if let Some(secs) = self.retry_after {
-            write!(stream, "Retry-After: {secs}\r\n")?;
+            out.push_str(&format!("Retry-After: {secs}\r\n"));
         }
-        write!(stream, "Connection: close\r\n\r\n")?;
+        out.push_str("Connection: close\r\n\r\n");
         if !head_only {
-            stream.write_all(self.body.as_bytes())?;
+            out.push_str(&self.body);
         }
+        stream.write_all(out.as_bytes())?;
         stream.flush()
     }
 }
@@ -263,24 +263,19 @@ pub fn write_sse_head(stream: &mut impl Write) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Write one SSE frame (`event:` + `data:` lines and the blank-line
-/// terminator). `data` must be a single line — the monitor's frames are
-/// compact JSON.
-pub fn write_sse_frame(stream: &mut impl Write, event: &str, data: &str) -> std::io::Result<()> {
-    write!(stream, "event: {event}\ndata: {data}\n\n")?;
-    stream.flush()
-}
-
-/// [`write_sse_frame`] with an explicit `id:` line, so the client's
-/// `Last-Event-ID` tracking advances (used for snapshot-resync frames,
-/// which stamp the hub's current frame id).
-pub fn write_sse_frame_with_id(
+/// Write one SSE frame — `event:` + `data:` lines and the blank-line
+/// terminator — as one write. `data` must be a single line (the monitor's
+/// frames are compact JSON). With `id`, an `id:` line leads so the client's
+/// `Last-Event-ID` tracking advances (snapshot resyncs stamp the hub's
+/// current frame id).
+pub fn write_sse_frame(
     stream: &mut impl Write,
-    id: u64,
+    id: Option<u64>,
     event: &str,
     data: &str,
 ) -> std::io::Result<()> {
-    write!(stream, "id: {id}\nevent: {event}\ndata: {data}\n\n")?;
+    let id = id.map_or(String::new(), |id| format!("id: {id}\n"));
+    stream.write_all(format!("{id}event: {event}\ndata: {data}\n\n").as_bytes())?;
     stream.flush()
 }
 
@@ -416,7 +411,7 @@ mod tests {
     #[test]
     fn sse_frames_can_carry_ids() {
         let mut out = Vec::new();
-        write_sse_frame_with_id(&mut out, 9, "snapshot", "{\"queries\":[]}").unwrap();
+        write_sse_frame(&mut out, Some(9), "snapshot", "{\"queries\":[]}").unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "id: 9\nevent: snapshot\ndata: {\"queries\":[]}\n\n"
@@ -490,7 +485,7 @@ mod tests {
     fn sse_head_and_frames_are_well_formed() {
         let mut out = Vec::new();
         write_sse_head(&mut out).unwrap();
-        write_sse_frame(&mut out, "progress", "{\"id\":1}").unwrap();
+        write_sse_frame(&mut out, None, "progress", "{\"id\":1}").unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(

@@ -1,16 +1,16 @@
-//! The server-push broadcast hub: one encoded SSE frame per progress tick,
+//! The server-push broadcast hub: one encoded SSE frame per publication,
 //! fanned out to every subscriber.
 //!
 //! Polling `/progress/{id}` costs O(N) renders per tick for N clients; the
-//! hub inverts that. The monitor's broadcast tick encodes each query's
-//! summary **once** (an `Arc<String>` SSE frame) and pushes the `Arc` into
-//! every subscriber's bounded queue — N clients cost N queue pushes, not N
-//! renders. Subscribers are the server's `GET /progress/{id}/stream` and
-//! `GET /events` connections (and, in benches, in-process drains).
+//! hub inverts that. The publisher (a thread making a lifecycle transition, or
+//! the tick sampling a running query) encodes the summary **once** and pushes
+//! the `Arc<String>` frame into every subscriber's bounded queue: N clients
+//! cost N queue pushes, not N renders. Subscribers are the server's `GET
+//! /progress/{id}/stream` and `GET /events` connections (and bench drains).
 //!
 //! Backpressure policy: each subscriber owns a bounded queue. When it is
 //! full, **non-terminal** frames are dropped (progress is snapshot-like:
-//! the next tick supersedes the lost one) and counted; a subscriber that
+//! the next frame supersedes the lost one) and counted; a subscriber that
 //! accumulates more than a full queue's worth of drops is evicted (closed)
 //! — it was never going to catch up. **Terminal** frames are exempt from
 //! both: they are force-pushed past the cap and never dropped, so every
@@ -239,8 +239,8 @@ impl StreamHub {
         self.subs().len()
     }
 
-    /// Whether any subscriber would receive a frame for `query_id` — the
-    /// broadcast tick skips encoding entirely when nobody is listening.
+    /// Whether any subscriber would receive a frame for `query_id` —
+    /// publishers skip encoding entirely when nobody is listening.
     pub fn wants(&self, query_id: u64) -> bool {
         self.subs()
             .iter()

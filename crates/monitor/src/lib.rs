@@ -20,11 +20,11 @@
 //! - [`http`] — the minimal HTTP/1.1 request parsing and response writing
 //!   underneath, shared by the server and its tests;
 //! - [`hub`] — the server-push [`StreamHub`](hub::StreamHub) behind
-//!   `GET /progress/{id}/stream` and the `GET /events` firehose: each
-//!   broadcast tick encodes a query's progress **once** and fans the frame
-//!   out to every `text/event-stream` subscriber through bounded queues
-//!   (slow readers drop stale progress frames and are eventually evicted;
-//!   terminal frames are never dropped);
+//!   `GET /progress/{id}/stream` and the `GET /events` firehose: a frame is
+//!   encoded **once** and fanned out through bounded queues (slow readers
+//!   drop stale progress frames and are eventually evicted; terminal frames
+//!   are never dropped). Lifecycle frames are pushed at the transition; the
+//!   broadcast tick only samples queries that are still running;
 //! - [`eta`] — the [`EtaSmoother`](eta::EtaSmoother) turning the raw
 //!   `elapsed × (1 − p) / p` remaining-time formula into a stable number.
 //!

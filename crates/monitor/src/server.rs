@@ -16,13 +16,14 @@ use qprog_types::{QError, QResult};
 use crate::dashboard::DASHBOARD_HTML;
 use crate::directory::QueryDirectory;
 use crate::http::{
-    body_str_field, body_u64_field, read_request, write_sse_frame, write_sse_frame_with_id,
-    write_sse_head, ReadError, Request, Response,
+    body_str_field, body_u64_field, read_request, write_sse_frame, write_sse_head, ReadError,
+    Request, Response,
 };
 use crate::hub::{StreamHub, StreamNext, StreamSubscriber, DEFAULT_QUEUE_CAP};
 
-/// Cadence of the broadcast tick that samples every registered query and
-/// fans progress/health/terminal frames out to stream subscribers.
+/// Cadence of the broadcast tick that samples every *running* query. It
+/// bounds how stale a watcher's fraction can be, never the time to learn
+/// that a query ended: lifecycle frames are pushed at the transition.
 const TICK: Duration = Duration::from_millis(25);
 
 /// How long an SSE writer waits for a frame before emitting a keepalive
@@ -99,8 +100,9 @@ impl Default for ServerConfig {
 /// Errors are structured JSON bodies (`{"error","detail"}`) with accurate
 /// status codes; shed responses carry `Retry-After`.
 ///
-/// Streamed frames are encoded once per broadcast tick and shared across
-/// subscribers, so N watchers cost O(1) encodes per tick, not O(N).
+/// Streamed frames are encoded once and shared across subscribers, so N
+/// watchers cost O(1) encodes per frame, not O(N). Lifecycle frames leave at
+/// the transition; the broadcast tick only samples queries still running.
 ///
 /// Dropping the server (or calling [`shutdown`](Self::shutdown)) stops the
 /// accept loop and joins every thread the server spawned.
@@ -178,12 +180,12 @@ impl MonitorServer {
         Ok(server)
     }
 
-    /// The broadcast tick: sample every registered query and fan frames
-    /// out to stream subscribers until shutdown.
+    /// The broadcast tick: sample every running query and fan frames out
+    /// to stream subscribers until shutdown (whose `unpark` ends the wait).
     fn broadcast_loop(&self) {
         while !self.stop.load(Ordering::Acquire) {
             self.directory.tick();
-            std::thread::sleep(TICK);
+            std::thread::park_timeout(TICK);
         }
     }
 
@@ -281,6 +283,8 @@ impl MonitorServer {
     }
 
     fn handle_connection(&self, mut stream: TcpStream) {
+        // Each response and frame is one complete write: Nagle only delays it.
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.config.io_timeout));
         let _ = stream.set_write_timeout(Some(self.config.io_timeout));
         // Fault-injection site: simulate request-read failures (client gone
@@ -360,9 +364,9 @@ impl MonitorServer {
                     .and_then(|()| stream.flush())
                     .is_ok()
             }),
-            None => write_sse_frame_with_id(
+            None => write_sse_frame(
                 &mut stream,
-                self.hub.last_frame_id(),
+                Some(self.hub.last_frame_id()),
                 "snapshot",
                 &self.directory.render_all(),
             )
@@ -391,7 +395,7 @@ impl MonitorServer {
             return;
         };
         if write_sse_head(&mut stream).is_err()
-            || write_sse_frame(&mut stream, "progress", &summary).is_err()
+            || write_sse_frame(&mut stream, None, "progress", &summary).is_err()
         {
             self.hub.unsubscribe(&sub);
             return;
@@ -399,7 +403,7 @@ impl MonitorServer {
         if terminal && already_emitted {
             // The broadcast predates this subscriber; synthesize the
             // terminal frame so late watchers still learn the outcome.
-            let _ = write_sse_frame(&mut stream, "terminal", &summary);
+            let _ = write_sse_frame(&mut stream, None, "terminal", &summary);
         } else {
             self.pump(&mut stream, &sub);
         }
@@ -712,6 +716,8 @@ impl MonitorServer {
             let _ = handle.join();
         }
         if let Some(handle) = self.tick_thread.lock().take() {
+            // `stop` is set: the token makes its current or next wait return.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         let connections: Vec<_> = std::mem::take(&mut *self.connections.lock());
@@ -784,6 +790,12 @@ mod tests {
     /// Open a streaming GET and read until the server closes (or errors),
     /// tolerating the open-ended body.
     fn stream_get(addr: SocketAddr, path: &str) -> String {
+        stream_get_until(addr, path, None)
+    }
+
+    /// [`stream_get`] that also stops once `until` has been read — for
+    /// streams the server never closes on its own (`/events`).
+    fn stream_get_until(addr: SocketAddr, path: &str, until: Option<&str>) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
         stream
@@ -791,13 +803,30 @@ mod tests {
             .unwrap();
         let mut out = String::new();
         let mut buf = [0u8; 4096];
-        loop {
+        while !until.is_some_and(|u| out.contains(u)) {
             match stream.read(&mut buf) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => out.push_str(&String::from_utf8_lossy(&buf[..n])),
             }
         }
         out
+    }
+
+    /// Block until `n` stream subscribers are attached to the hub.
+    fn await_subscribers(server: &MonitorServer, n: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.hub().subscriber_count() < n {
+            assert!(std::time::Instant::now() < deadline, "no subscriber");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn finished(rows: u64) -> qprog_exec::trace::TraceEvent {
+        qprog_exec::trace::TraceEvent {
+            seq: 0,
+            at_us: 0,
+            kind: qprog_exec::trace::TraceEventKind::QueryFinished { rows },
+        }
     }
 
     /// A trivial executor for service-over-HTTP tests: every job succeeds
@@ -869,17 +898,19 @@ mod tests {
 
     #[test]
     fn late_stream_subscribers_still_get_a_terminal_frame() {
+        use qprog_exec::trace::TraceSink;
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
         let (t, reg) = tracker();
+        let sink = Arc::new(PhaseSink::new());
         let q = server
             .directory()
-            .register("late", "once", t, Arc::new(PhaseSink::new()), None);
+            .register("late", "once", t, Arc::clone(&sink), None);
         for _ in 0..100 {
             reg.get(0).unwrap().record_emitted();
         }
         reg.finish_all();
-        // Wait for the broadcast tick to notice and emit the terminal.
-        std::thread::sleep(Duration::from_millis(120));
+        // The terminal frame leaves with the trace event, to nobody.
+        sink.publish(&finished(100));
         // A subscriber arriving after the broadcast gets a synthesized one.
         let out = stream_get(server.addr(), &format!("/progress/{}/stream", q.id()));
         assert!(out.contains("event: terminal\n"), "{out}");
@@ -889,22 +920,29 @@ mod tests {
 
     #[test]
     fn events_firehose_snapshots_then_reports_unregistration() {
+        use qprog_exec::trace::TraceSink;
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
         let (t, reg) = tracker();
+        let sink = Arc::new(PhaseSink::new());
         let q = server
             .directory()
-            .register("fire", "once", t, Arc::new(PhaseSink::new()), None);
+            .register("fire", "once", t, Arc::clone(&sink), None);
         let addr = server.addr();
-        let reader = std::thread::spawn(move || stream_get(addr, "/events"));
-        std::thread::sleep(Duration::from_millis(80));
+        let reader = std::thread::spawn(move || {
+            stream_get_until(addr, "/events", Some("event: terminal\n"))
+        });
+        await_subscribers(&server, 1);
         for _ in 0..100 {
             reg.get(0).unwrap().record_emitted();
         }
         reg.finish_all();
-        std::thread::sleep(Duration::from_millis(120));
+        // Pushed to the attached firehose by this call, not by a later tick;
+        // the reader returns once it has the frame (shutdown drops what a
+        // stream has not written yet).
+        sink.publish(&finished(100));
+        let out = reader.join().unwrap();
         drop(q);
         server.shutdown();
-        let out = reader.join().unwrap();
         assert!(
             out.contains("event: snapshot\ndata: {\"queries\":["),
             "{out}"

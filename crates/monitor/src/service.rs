@@ -5,8 +5,8 @@
 //!
 //! The bridge holds each submission's [`MonitoredQuery`] registration
 //! token: a job stays listed from acceptance until the service evicts its
-//! terminal record, and the exactly-once terminal SSE frame fires when the
-//! service declares the outcome (never from a transient attempt's abort).
+//! terminal record, and the exactly-once terminal SSE frame leaves inside
+//! the callback that declares the outcome (never on a transient attempt's abort).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,9 +19,10 @@ use crate::directory::{ManagedState, MonitoredQuery, QueryDirectory};
 
 /// [`StatusObserver`] implementation backed by a [`QueryDirectory`].
 ///
-/// Callbacks arrive under the service's state lock; every method here only
-/// touches the directory (entries lock, then hub), never the service, so
-/// the lock order service → directory is acyclic.
+/// Callbacks may arrive under the service's state lock (`on_terminal` always
+/// does); every method here only touches the directory — state recorded and
+/// frame published under its entries lock, then the hub's — never the
+/// service, so the lock order service → entries → hub is acyclic.
 pub struct DirectoryObserver {
     directory: Arc<QueryDirectory>,
     /// Estimator label rendered for managed entries (execution attaches
@@ -100,15 +101,9 @@ impl StatusObserver for DirectoryObserver {
     }
 
     fn on_evicted(&self, id: u64) {
-        // Dropping the token unregisters the entry; its terminal frame was
-        // already broadcast (or is synthesized by the drop for watchers).
+        // Dropping the token unregisters the entry; its terminal frame
+        // went out when the outcome was declared.
         self.tokens.lock().remove(&id);
-    }
-
-    fn flush(&self) {
-        // Drain calls this so streaming subscribers observe every ending
-        // before the process goes away: force a broadcast tick now.
-        self.directory.tick();
     }
 }
 

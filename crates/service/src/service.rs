@@ -298,8 +298,9 @@ pub trait JobExecutor: Send + Sync {
 /// Receives lifecycle callbacks; the monitor's bridge turns these into
 /// directory entries and SSE frames.
 ///
-/// Observers are called with the service's internal lock held and must not
-/// call back into the service.
+/// Observers may be called with the service's internal lock held
+/// (`on_terminal` always is, so a client that saw the terminal reads the
+/// final record) and must not call back into the service.
 pub trait StatusObserver: Send + Sync {
     /// Reserve a fresh id `≥ floor`, unique among all ids the observer has
     /// seen (including replayed ones).
@@ -329,10 +330,6 @@ pub trait StatusObserver: Send + Sync {
     fn on_evicted(&self, id: u64) {
         let _ = id;
     }
-
-    /// Push any buffered state (drain calls this so SSE subscribers see
-    /// every ending before shutdown).
-    fn flush(&self) {}
 }
 
 /// Minimal [`StatusObserver`]: allocates ids, ignores events. Used when no
@@ -942,14 +939,13 @@ impl QueryService {
     /// Graceful drain: stop admitting, wait up to `cfg.drain_timeout` for
     /// queued + running work, then checkpoint-abort the remainder
     /// (queued jobs reach a `cancelled` terminal; running jobs get their
-    /// cancellation tokens fired) and flush the observer so every SSE
-    /// subscriber sees an ending.
+    /// cancellation tokens fired). Every terminal reaches the observer —
+    /// and through it every SSE subscriber — as it is declared, so nothing
+    /// is left to flush.
     pub fn drain(&self) {
         self.admitting.store(false, Ordering::Release);
         let deadline = Instant::now() + self.cfg.drain_timeout;
-        while Instant::now() < deadline
-            && (self.queue.depth() > 0 || self.running.load(Ordering::Relaxed) > 0)
-        {
+        while Instant::now() < deadline && self.in_system() {
             std::thread::sleep(Duration::from_millis(5));
         }
         for job in self.queue.drain_all() {
@@ -970,11 +966,17 @@ impl QueryService {
             }
         }
         let grace = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < grace && self.running.load(Ordering::Relaxed) > 0 {
+        while Instant::now() < grace && self.in_system() {
             std::thread::sleep(Duration::from_millis(5));
         }
         self.refresh_depth();
-        self.observer.flush();
+    }
+
+    /// Whether any accepted submission has yet to reach its terminal. Read
+    /// from the in-flight table, not `queue.depth()` + `running`: a job a
+    /// worker has popped but not yet marked running is in neither.
+    fn in_system(&self) -> bool {
+        !self.state.lock().tenant_inflight.is_empty()
     }
 
     /// Stop workers without draining: queued submissions stay journaled

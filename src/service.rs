@@ -84,8 +84,8 @@ impl JobExecutor for SessionExecutor {
 /// Dropping the runtime shuts the service down abruptly ([`QueryService::
 /// shutdown`]): accepted-but-unfinished work stays journaled and is
 /// re-dispatched on the next open. Call [`drain`](Self::drain) first for a
-/// graceful ending (finish or checkpoint-abort in-flight work, flush
-/// terminal states to streaming subscribers).
+/// graceful ending (finish or checkpoint-abort in-flight work; every
+/// terminal state reaches streaming subscribers as it is declared).
 pub struct ServiceRuntime {
     session: Session,
     service: Arc<QueryService>,
@@ -142,8 +142,8 @@ impl ServiceRuntime {
     }
 
     /// Graceful shutdown: stop admitting, let in-flight and queued work
-    /// finish within the configured drain timeout, checkpoint-abort the
-    /// rest, and flush every terminal to streaming subscribers.
+    /// finish within the configured drain timeout and checkpoint-abort the
+    /// rest (each terminal is pushed to streaming subscribers as it lands).
     pub fn drain(&self) {
         self.service.drain();
     }
