@@ -28,9 +28,9 @@ use qprog_core::gnm::PipelineState;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, Phase, TraceEvent, TraceEventKind, TraceSink};
 use qprog_metrics::{Counter, Gauge, Registry};
-use qprog_obs::json::{escape, num};
 use qprog_obs::HealthAnalyzer;
 use qprog_plan::ProgressTracker;
+use qprog_types::json::{escape, num};
 
 use crate::eta::EtaSmoother;
 use crate::hub::StreamHub;
@@ -230,8 +230,11 @@ struct LifeView {
 }
 
 impl QueryEntry {
-    /// Monotonically-clamped published fraction. Mutated only with the
-    /// directory's entries lock held, so a plain load/store race-free.
+    /// Monotonically-clamped published fraction. Not redundant with the
+    /// tracker's own high-water mark: a retried job runs under a fresh
+    /// tracker, and this entry-level clamp is what keeps the published
+    /// series monotone across attempts. Mutated only with the directory's
+    /// entries lock held, so a plain load/store is race-free.
     fn clamped_fraction(&self, raw: f64) -> f64 {
         let prev = f64::from_bits(self.max_fraction.load(Ordering::Relaxed));
         if raw.is_finite() && raw > prev {

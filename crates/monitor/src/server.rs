@@ -1143,6 +1143,32 @@ mod tests {
     }
 
     #[test]
+    fn submit_accepts_surrogate_pairs_and_journals_the_text() {
+        // What a default-configured client sends (`json.dumps` writes
+        // non-BMP text as a surrogate pair; \b and \f are legal JSON).
+        let dir = temp_dir("escapes");
+        let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
+        let cfg = ServiceConfig {
+            workers: 0, // nothing dispatches: the submission stays pending
+            ..ServiceConfig::default()
+        };
+        let service = attach_service(&server, &dir, cfg);
+        let body = "{\"sql\":\"select '\\ud83d\\ude00\\b\\f\\/' from t\",\
+                    \"tenant\":\"acme\",\"label\":\"caf\\u00e9 \\uD83C\\uDFAF\"}";
+        let out = post(server.addr(), "/submit", body);
+        assert!(out.starts_with("HTTP/1.1 202 Accepted"), "{out}");
+        service.shutdown();
+        server.shutdown();
+        // The accepted text survives the journal across a reopen.
+        let (_, replay) = qprog_service::Journal::open(&dir).unwrap();
+        assert!(replay.diagnostics.is_empty(), "{:?}", replay.diagnostics);
+        assert_eq!(replay.pending.len(), 1);
+        assert_eq!(replay.pending[0].sql, "select '😀\u{8}\u{c}/' from t");
+        assert_eq!(replay.pending[0].label, "café 🎯");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn invalid_submissions_get_structured_400s() {
         let dir = temp_dir("invalid");
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();

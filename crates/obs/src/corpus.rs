@@ -39,8 +39,8 @@ use std::sync::{Arc, Weak};
 
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{EventBus, RegressionKind, TraceEvent, TraceEventKind, TraceSink};
+use qprog_types::json;
 
-use crate::json::raw_field;
 use crate::replay::ReplayedTrace;
 use crate::scoring::{score_events, ProgressScore};
 
@@ -297,21 +297,6 @@ pub struct RunRecord {
     pub score: ProgressScore,
 }
 
-/// Index strings are written unescaped and parsed back with
-/// [`raw_field`], so characters that would break the flat format are
-/// replaced.
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || (c as u32) < 0x20 {
-                ' '
-            } else {
-                c
-            }
-        })
-        .collect()
-}
-
 impl RunRecord {
     /// Encode as one flat JSON line (the index format).
     pub fn to_json(&self) -> String {
@@ -321,12 +306,12 @@ impl RunRecord {
              \"threads\":{},\"seed\":{},\"state\":\"{}\",\"wall_us\":{},\"events\":{},\
              \"trace_bytes\":{},\"regressions\":{},{}",
             self.run,
-            sanitize(&self.label),
-            sanitize(&self.workload),
-            sanitize(&self.estimator),
+            json::escape(&self.label),
+            json::escape(&self.workload),
+            json::escape(&self.estimator),
             self.threads,
             self.seed,
-            sanitize(&self.state),
+            json::escape(&self.state),
             self.wall_us,
             self.events,
             self.trace_bytes,
@@ -337,31 +322,23 @@ impl RunRecord {
 
     /// Parse one index line back (inverse of [`Self::to_json`]).
     pub fn parse(line: &str) -> Result<RunRecord, String> {
-        fn req<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-            raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))
-        }
-        fn u64_of(line: &str, key: &str) -> Result<u64, String> {
-            req(line, key)?
-                .parse::<u64>()
-                .map_err(|e| format!("field \"{key}\": {e}"))
-        }
-        if !line.ends_with('}') {
-            return Err("truncated record (no closing brace)".to_string());
-        }
-        Ok(RunRecord {
-            run: u64_of(line, "run")?,
-            label: req(line, "label")?.to_string(),
-            workload: req(line, "workload")?.to_string(),
-            estimator: req(line, "estimator")?.to_string(),
-            threads: u64_of(line, "threads")? as usize,
-            seed: u64_of(line, "seed")?,
-            state: req(line, "state")?.to_string(),
-            wall_us: u64_of(line, "wall_us")?,
-            events: u64_of(line, "events")?,
-            trace_bytes: u64_of(line, "trace_bytes")?,
-            regressions: u64_of(line, "regressions")? as usize,
-            score: ProgressScore::from_json(line)?,
-        })
+        let parsed = || {
+            Some(RunRecord {
+                run: json::u64(line, "run")?,
+                label: json::str(line, "label")?,
+                workload: json::str(line, "workload")?,
+                estimator: json::str(line, "estimator")?,
+                threads: json::u64(line, "threads")? as usize,
+                seed: json::u64(line, "seed")?,
+                state: json::str(line, "state")?,
+                wall_us: json::u64(line, "wall_us")?,
+                events: json::u64(line, "events")?,
+                trace_bytes: json::u64(line, "trace_bytes")?,
+                regressions: json::u64(line, "regressions")? as usize,
+                score: ProgressScore::from_json(line).ok()?,
+            })
+        };
+        parsed().ok_or_else(|| "truncated or malformed index record".to_string())
     }
 }
 

@@ -25,8 +25,11 @@ use qprog_exec::trace::{
     AbortKind, DegradeReason, EstimateSource, HealthReason, HealthState, Phase, RegressionKind,
     TraceEvent, TraceEventKind, TraceSink,
 };
+use qprog_types::json;
 
-use crate::json::{raw_field, unescape};
+/// Operator indices a trace may name: bounds what one hostile line can
+/// make [`ReplayedTrace::parse`] allocate.
+const MAX_OPS: usize = 1 << 16;
 
 /// A parsed trace: the event stream plus whatever operator names the JSONL
 /// carried.
@@ -54,15 +57,27 @@ impl ReplayedTrace {
             }
             match parse_event(line) {
                 Ok(event) => {
-                    if let (Some(op), Some(name)) =
-                        (op_index(&event.kind), raw_field(line, "op_name"))
-                    {
-                        let idx = op as usize;
-                        if trace.op_names.len() <= idx {
+                    // Only events about an operator carry `op`/`op_name`.
+                    let named = json::raw(line, "op_name")
+                        .and_then(|name| Some((u32_of(line, "op")? as usize, name)));
+                    if let Some((idx, name)) = named {
+                        if trace.op_names.len() <= idx && idx < MAX_OPS {
                             trace.op_names.resize(idx + 1, String::new());
                         }
-                        if trace.op_names[idx].is_empty() {
-                            trace.op_names[idx] = unescape(name);
+                        // The codec is strict; the tolerance is here: a name
+                        // that does not decode, or an index no plan reaches,
+                        // is a diagnostic and the event still replays.
+                        match trace.op_names.get_mut(idx) {
+                            Some(slot) if slot.is_empty() => match json::unescape(name) {
+                                Some(name) => *slot = name,
+                                None => trace
+                                    .errors
+                                    .push((i + 1, "malformed escape in \"op_name\"".to_string())),
+                            },
+                            Some(_) => {}
+                            None => trace
+                                .errors
+                                .push((i + 1, format!("operator index {idx} out of range"))),
                         }
                     }
                     trace.events.push(event);
@@ -91,178 +106,109 @@ impl ReplayedTrace {
     }
 }
 
-/// The operator index an event is about, if any.
-fn op_index(kind: &TraceEventKind) -> Option<u32> {
-    match kind {
-        TraceEventKind::PhaseTransition { op, .. }
-        | TraceEventKind::EstimateRefined { op, .. }
-        | TraceEventKind::BoundsRefined { op, .. }
-        | TraceEventKind::OperatorFinished { op, .. }
-        | TraceEventKind::EstimatorDegraded { op, .. }
-        | TraceEventKind::OperatorWallTime { op, .. }
-        | TraceEventKind::WorkerWallTime { op, .. } => Some(*op),
-        TraceEventKind::PipelineStarted { .. }
-        | TraceEventKind::PipelineFinished { .. }
-        | TraceEventKind::QueryFinished { .. }
-        | TraceEventKind::QueryAborted { .. }
-        | TraceEventKind::ProgressSampled { .. }
-        | TraceEventKind::HealthTransition { .. }
-        | TraceEventKind::RegressionDetected { .. }
-        | TraceEventKind::SpanStart { .. }
-        | TraceEventKind::SpanEnd { .. } => None,
-    }
-}
-
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-fn parse_u64(line: &str, key: &str) -> Result<u64, String> {
-    field(line, key)?
-        .parse::<u64>()
-        .map_err(|e| format!("field \"{key}\": {e}"))
-}
-
-fn parse_u32(line: &str, key: &str) -> Result<u32, String> {
-    field(line, key)?
-        .parse::<u32>()
-        .map_err(|e| format!("field \"{key}\": {e}"))
-}
-
-/// `null` (the encoding of NaN/inf, which JSON cannot represent) parses
-/// back as NaN; finite values round-trip exactly through Rust's f64
-/// shortest-repr `Display`.
-fn parse_f64(line: &str, key: &str) -> Result<f64, String> {
-    let raw = field(line, key)?;
-    if raw == "null" {
-        return Ok(f64::NAN);
-    }
-    raw.parse::<f64>()
-        .map_err(|e| format!("field \"{key}\": {e}"))
-}
-
-fn parse_phase(line: &str, key: &str) -> Result<Phase, String> {
-    let raw = field(line, key)?;
-    Phase::from_name(raw).ok_or_else(|| format!("unknown phase \"{raw}\""))
+fn u32_of(line: &str, key: &str) -> Option<u32> {
+    json::u64(line, key)?.try_into().ok()
 }
 
 /// Parse one event object produced by
 /// [`event_to_json`](crate::json::event_to_json).
 pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let seq = parse_u64(line, "seq")?;
-    let at_us = parse_u64(line, "at_us")?;
-    let event = field(line, "event")?;
-    let kind = match event {
+    let event = json::raw(line, "event").ok_or("not an event object (no \"event\" member)")?;
+    let parsed = || {
+        Some(TraceEvent {
+            seq: json::u64(line, "seq")?,
+            at_us: json::u64(line, "at_us")?,
+            kind: parse_kind(line, event)?,
+        })
+    };
+    parsed().ok_or_else(|| format!("unknown or malformed \"{event}\" event"))
+}
+
+/// The payload of an `event`-tagged line; `None` when the tag is unknown
+/// or any member the kind needs is missing, mistyped or out of range.
+fn parse_kind(line: &str, event: &str) -> Option<TraceEventKind> {
+    let phase = |key| Phase::from_name(json::raw(line, key)?);
+    let health = |key| HealthState::from_name(json::raw(line, key)?);
+    Some(match event {
         "pipeline_started" => TraceEventKind::PipelineStarted {
-            pipeline: parse_u32(line, "pipeline")?,
+            pipeline: u32_of(line, "pipeline")?,
         },
         "pipeline_finished" => TraceEventKind::PipelineFinished {
-            pipeline: parse_u32(line, "pipeline")?,
+            pipeline: u32_of(line, "pipeline")?,
         },
         "phase_transition" => TraceEventKind::PhaseTransition {
-            op: parse_u32(line, "op")?,
-            from: parse_phase(line, "from")?,
-            to: parse_phase(line, "to")?,
+            op: u32_of(line, "op")?,
+            from: phase("from")?,
+            to: phase("to")?,
         },
-        "estimate_refined" => {
-            let raw = field(line, "source")?;
-            TraceEventKind::EstimateRefined {
-                op: parse_u32(line, "op")?,
-                old: parse_f64(line, "old")?,
-                new: parse_f64(line, "new")?,
-                source: EstimateSource::from_name(raw)
-                    .ok_or_else(|| format!("unknown estimate source \"{raw}\""))?,
-            }
-        }
+        "estimate_refined" => TraceEventKind::EstimateRefined {
+            op: u32_of(line, "op")?,
+            old: json::f64(line, "old")?,
+            new: json::f64(line, "new")?,
+            source: EstimateSource::from_name(json::raw(line, "source")?)?,
+        },
         "bounds_refined" => TraceEventKind::BoundsRefined {
-            op: parse_u32(line, "op")?,
-            lo: parse_f64(line, "lo")?,
-            hi: parse_f64(line, "hi")?,
+            op: u32_of(line, "op")?,
+            lo: json::f64(line, "lo")?,
+            hi: json::f64(line, "hi")?,
         },
         "operator_finished" => TraceEventKind::OperatorFinished {
-            op: parse_u32(line, "op")?,
-            emitted: parse_u64(line, "emitted")?,
+            op: u32_of(line, "op")?,
+            emitted: json::u64(line, "emitted")?,
         },
         "query_finished" => TraceEventKind::QueryFinished {
-            rows: parse_u64(line, "rows")?,
+            rows: json::u64(line, "rows")?,
         },
-        "query_aborted" => {
-            let raw = field(line, "reason")?;
-            TraceEventKind::QueryAborted {
-                reason: AbortKind::from_name(raw)
-                    .ok_or_else(|| format!("unknown abort reason \"{raw}\""))?,
-                rows: parse_u64(line, "rows")?,
-            }
-        }
-        "estimator_degraded" => {
-            let raw = field(line, "reason")?;
-            TraceEventKind::EstimatorDegraded {
-                op: parse_u32(line, "op")?,
-                reason: DegradeReason::from_name(raw)
-                    .ok_or_else(|| format!("unknown degrade reason \"{raw}\""))?,
-            }
-        }
+        "query_aborted" => TraceEventKind::QueryAborted {
+            reason: AbortKind::from_name(json::raw(line, "reason")?)?,
+            rows: json::u64(line, "rows")?,
+        },
+        "estimator_degraded" => TraceEventKind::EstimatorDegraded {
+            op: u32_of(line, "op")?,
+            reason: DegradeReason::from_name(json::raw(line, "reason")?)?,
+        },
         "progress_sampled" => TraceEventKind::ProgressSampled {
-            current: parse_u64(line, "current")?,
-            total: parse_f64(line, "total")?,
-            fraction: parse_f64(line, "fraction")?,
-            lo: parse_f64(line, "lo")?,
-            hi: parse_f64(line, "hi")?,
+            current: json::u64(line, "current")?,
+            total: json::f64(line, "total")?,
+            fraction: json::f64(line, "fraction")?,
+            lo: json::f64(line, "lo")?,
+            hi: json::f64(line, "hi")?,
         },
         "operator_wall_time" => TraceEventKind::OperatorWallTime {
-            op: parse_u32(line, "op")?,
-            wall_us: parse_u64(line, "wall_us")?,
+            op: u32_of(line, "op")?,
+            wall_us: json::u64(line, "wall_us")?,
         },
         "worker_wall_time" => TraceEventKind::WorkerWallTime {
-            op: parse_u32(line, "op")?,
-            worker: parse_u32(line, "worker")?,
-            busy_us: parse_u64(line, "busy_us")?,
+            op: u32_of(line, "op")?,
+            worker: u32_of(line, "worker")?,
+            busy_us: json::u64(line, "busy_us")?,
         },
-        "health_transition" => {
-            let from_raw = field(line, "from")?;
-            let to_raw = field(line, "to")?;
-            let reason_raw = field(line, "reason")?;
-            TraceEventKind::HealthTransition {
-                from: HealthState::from_name(from_raw)
-                    .ok_or_else(|| format!("unknown health state \"{from_raw}\""))?,
-                to: HealthState::from_name(to_raw)
-                    .ok_or_else(|| format!("unknown health state \"{to_raw}\""))?,
-                reason: HealthReason::from_name(reason_raw)
-                    .ok_or_else(|| format!("unknown health reason \"{reason_raw}\""))?,
-            }
-        }
-        "regression_detected" => {
-            let raw = field(line, "kind")?;
-            TraceEventKind::RegressionDetected {
-                kind: RegressionKind::from_name(raw)
-                    .ok_or_else(|| format!("unknown regression kind \"{raw}\""))?,
-                observed: parse_f64(line, "observed")?,
-                baseline: parse_f64(line, "baseline")?,
-                threshold: parse_f64(line, "threshold")?,
-            }
-        }
-        "span_start" => {
-            let raw = field(line, "kind")?;
-            TraceEventKind::SpanStart {
-                span: parse_u32(line, "span")?,
-                // Roots encode no parent field at all.
-                parent: match raw_field(line, "parent") {
-                    Some(p) => p
-                        .parse::<u32>()
-                        .map_err(|e| format!("field \"parent\": {e}"))?,
-                    None => NO_PARENT,
-                },
-                kind: SpanKind::from_name(raw)
-                    .ok_or_else(|| format!("unknown span kind \"{raw}\""))?,
-                arg: parse_u32(line, "arg")?,
-            }
-        }
+        "health_transition" => TraceEventKind::HealthTransition {
+            from: health("from")?,
+            to: health("to")?,
+            reason: HealthReason::from_name(json::raw(line, "reason")?)?,
+        },
+        "regression_detected" => TraceEventKind::RegressionDetected {
+            kind: RegressionKind::from_name(json::raw(line, "kind")?)?,
+            observed: json::f64(line, "observed")?,
+            baseline: json::f64(line, "baseline")?,
+            threshold: json::f64(line, "threshold")?,
+        },
+        "span_start" => TraceEventKind::SpanStart {
+            span: u32_of(line, "span")?,
+            // Roots encode no parent field at all.
+            parent: match json::raw(line, "parent") {
+                Some(_) => u32_of(line, "parent")?,
+                None => NO_PARENT,
+            },
+            kind: SpanKind::from_name(json::raw(line, "kind")?)?,
+            arg: u32_of(line, "arg")?,
+        },
         "span_end" => TraceEventKind::SpanEnd {
-            span: parse_u32(line, "span")?,
+            span: u32_of(line, "span")?,
         },
-        other => return Err(format!("unknown event kind \"{other}\"")),
-    };
-    Ok(TraceEvent { seq, at_us, kind })
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -450,16 +396,19 @@ mod tests {
 \n\
 not json at all\n\
 {\"seq\":1,\"at_us\":2,\"event\":\"mystery\"}\n\
-{\"seq\":2,\"at_us\":3,\"event\":\"query_finished\",\"rows\":5}\n";
+{\"seq\":2,\"at_us\":3,\"event\":\"query_finished\",\"rows\":5}\n\
+{\"seq\":3,\"at_us\":4,\"event\":\"operator_finished\",\"op\":4294967295,\"op_name\":\"x\",\"emitted\":1}\n\
+{\"seq\":4,\"at_us\":5,\"event\":\"operator_finished\",\"op\":0,\"op_name\":\"bad \\q\",\"emitted\":1}\n";
         let trace = ReplayedTrace::parse(jsonl);
-        assert_eq!(trace.events.len(), 2);
+        // A name that cannot be used (hostile index, bad escape) is a
+        // diagnostic; its event still replays.
+        assert_eq!(trace.events.len(), 4);
         assert_eq!(
             trace.op_names,
             vec!["".to_string(), "hash_join".to_string()]
         );
-        assert_eq!(trace.errors.len(), 2);
-        assert_eq!(trace.errors[0].0, 3);
-        assert_eq!(trace.errors[1].0, 4);
+        let lines: Vec<usize> = trace.errors.iter().map(|(n, _)| *n).collect();
+        assert_eq!(lines, vec![3, 4, 6, 7], "{:?}", trace.errors);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! [`ProgressLog`](crate::timeline::ProgressLog) from a timeline recorder.
 
 use qprog_exec::trace::{EstimateSource, TraceEvent, TraceEventKind};
+use qprog_types::json::{self, num};
 
 use crate::explain::q_error;
-use crate::json::num;
 use crate::timeline::ProgressLog;
 
 /// Absolute progress-error band defining convergence (±10 points, the
@@ -109,41 +109,21 @@ impl ProgressScore {
     /// index record embeds the scorecard alongside run metadata); `null`
     /// numerics decode as NaN and a `null` convergence as `None`.
     pub fn from_json(line: &str) -> Result<ProgressScore, String> {
-        fn req<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-            crate::json::raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))
-        }
-        fn usize_of(line: &str, key: &str) -> Result<usize, String> {
-            req(line, key)?
-                .parse::<usize>()
-                .map_err(|e| format!("field \"{key}\": {e}"))
-        }
-        fn f64_of(line: &str, key: &str) -> Result<f64, String> {
-            let raw = req(line, key)?;
-            if raw == "null" {
-                return Ok(f64::NAN);
-            }
-            raw.parse::<f64>()
-                .map_err(|e| format!("field \"{key}\": {e}"))
-        }
-        let convergence = match req(line, "convergence")? {
-            "null" => None,
-            raw => Some(
-                raw.parse::<f64>()
-                    .map_err(|e| format!("field \"convergence\": {e}"))?,
-            ),
+        let parsed = || {
+            Some(ProgressScore {
+                samples: json::u64(line, "samples")? as usize,
+                mean_abs_err: json::f64(line, "mean_abs_err")?,
+                max_abs_err: json::f64(line, "max_abs_err")?,
+                monotonicity_violations: json::u64(line, "monotonicity_violations")? as usize,
+                convergence: Some(json::f64(line, "convergence")?).filter(|c| !c.is_nan()),
+                q_error: QErrorSummary {
+                    count: json::u64(line, "q_error_count")? as usize,
+                    mean: json::f64(line, "q_error_mean")?,
+                    max: json::f64(line, "q_error_max")?,
+                },
+            })
         };
-        Ok(ProgressScore {
-            samples: usize_of(line, "samples")?,
-            mean_abs_err: f64_of(line, "mean_abs_err")?,
-            max_abs_err: f64_of(line, "max_abs_err")?,
-            monotonicity_violations: usize_of(line, "monotonicity_violations")?,
-            convergence,
-            q_error: QErrorSummary {
-                count: usize_of(line, "q_error_count")?,
-                mean: f64_of(line, "q_error_mean")?,
-                max: f64_of(line, "q_error_max")?,
-            },
-        })
+        parsed().ok_or_else(|| "missing or malformed scorecard field".to_string())
     }
 }
 
@@ -410,11 +390,11 @@ mod tests {
     fn score_json_is_flat_and_parsable() {
         let s = score_samples(&pts(&[(0.5, 50), (1.0, 100)]), &[2.0]);
         let json = s.to_json();
-        assert_eq!(crate::json::raw_field(&json, "samples"), Some("2"));
-        assert_eq!(crate::json::raw_field(&json, "q_error_mean"), Some("2"));
-        assert_eq!(crate::json::raw_field(&json, "convergence"), Some("0"));
+        assert_eq!(json::raw(&json, "samples"), Some("2"));
+        assert_eq!(json::raw(&json, "q_error_mean"), Some("2"));
+        assert_eq!(json::raw(&json, "convergence"), Some("0"));
         let none = ProgressScore::default().to_json();
-        assert_eq!(crate::json::raw_field(&none, "convergence"), Some("null"));
+        assert_eq!(json::raw(&none, "convergence"), Some("null"));
     }
 
     #[test]

@@ -22,8 +22,7 @@ use std::time::{Duration, Instant};
 use qprog_core::gnm::PipelineState;
 use qprog_exec::trace::{EventBus, TraceEventKind};
 use qprog_plan::ProgressTracker;
-
-use crate::json::num;
+use qprog_types::json::{escape, num};
 
 /// One operator's state at a sample instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,7 +127,7 @@ impl ProgressLog {
         let names: Vec<String> = self
             .op_names
             .iter()
-            .map(|n| format!("\"{}\"", crate::json::escape(n)))
+            .map(|n| format!("\"{}\"", escape(n)))
             .collect();
         let points: Vec<String> = self
             .points
@@ -180,10 +179,6 @@ pub struct TimelineRecorder {
     log: ProgressLog,
     /// Last observed per-pipeline state, for start/finish event edges.
     pipeline_states: Vec<PipelineState>,
-    /// Running max of the published fraction: reported progress is clamped
-    /// monotone at this layer while the raw (possibly wobbling) estimates
-    /// stay visible in `EstimateRefined` events and per-op trajectories.
-    max_fraction: f64,
 }
 
 impl TimelineRecorder {
@@ -204,7 +199,6 @@ impl TimelineRecorder {
                 points: Vec::new(),
             },
             pipeline_states: Vec::new(),
-            max_fraction: 0.0,
         }
     }
 
@@ -264,17 +258,10 @@ impl TimelineRecorder {
             }
         }
 
-        // Published progress is clamped to its running max: estimate
-        // refinements may shrink `ΣN_i` and wobble the raw fraction
-        // backwards, but a user-facing indicator must never retreat. The
-        // raw values stay in the trace via `EstimateRefined` / per-op
-        // trajectories.
-        let raw = snapshot.fraction();
-        if raw.is_finite() && raw > self.max_fraction {
-            self.max_fraction = raw;
-        }
-        let fraction = self.max_fraction;
-        // Keep the published interval consistent with the clamped point.
+        // Already monotone: `ProgressTracker::snapshot` floors the fraction
+        // with the high-water mark its clones share. Keep the published
+        // interval consistent with that clamped point.
+        let fraction = snapshot.fraction();
         let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
 
         // A sampled gnm snapshot in the trace itself makes the recorded

@@ -87,7 +87,12 @@ impl ProgressTracker {
         }
         let m = self.registry.get(i).expect("index in range");
         let started = m.is_finished() || m.emitted() > 0 || m.driver_consumed() > 0;
-        let value = if started || self.initial_estimates.is_empty() {
+        // Refined: someone has published an estimate over the optimizer's
+        // (the `once` estimators do from the first probe/sort batch). `dne`
+        // and `byte` republish the optimizer's number until `end_probe`, so
+        // they stay on the cascade below.
+        let published = || m.estimated_total() != self.initial_estimates[i].max(0.0);
+        let value = if started || self.initial_estimates.is_empty() || published() {
             m.estimated_total()
         } else {
             let mut ratio = 1.0f64;

@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use qprog_exec::sync::Mutex;
+use qprog_types::json::{self, escape};
 
 /// Journal file name inside the service directory.
 pub const JOURNAL_FILE: &str = "queue.jsonl";
@@ -56,9 +57,13 @@ pub struct Replay {
     pub next_id: u64,
 }
 
-enum Record {
+/// One journal line, parsed.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Record {
+    /// An accepted submission.
     Submit(PendingEntry),
-    Terminal { id: u64 },
+    /// The terminal outcome of the submission with this id.
+    Terminal(u64),
 }
 
 /// Append-only journal handle. All appends flush before returning.
@@ -117,7 +122,7 @@ impl Journal {
                         max_id = max_id.max(e.id);
                         submits.push(e);
                     }
-                    Ok(Record::Terminal { id }) => {
+                    Ok(Record::Terminal(id)) => {
                         max_id = max_id.max(id);
                         if submits.iter().all(|s| s.id != id) {
                             replay.diagnostics.push(format!(
@@ -165,18 +170,8 @@ impl Journal {
     /// failpoint so chaos tests can fail the WAL itself.
     pub fn append_submit(&self, e: &PendingEntry) -> io::Result<()> {
         qprog_fault::eval("service/journal/append").map_err(io::Error::other)?;
-        let mut line = format!(
-            "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
-            e.id,
-            escape(&e.tenant),
-            escape(&e.label)
-        );
-        if let Some(d) = e.deadline {
-            line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
-        }
-        line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
         let mut inner = self.inner.lock();
-        inner.file.write_all(line.as_bytes())?;
+        inner.file.write_all(submit_line(e).as_bytes())?;
         inner.file.flush()
     }
 
@@ -218,121 +213,48 @@ impl std::fmt::Debug for Journal {
     }
 }
 
+/// One `submit` record as the journal stores it, newline included.
+pub fn submit_line(e: &PendingEntry) -> String {
+    let mut line = format!(
+        "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
+        e.id,
+        escape(&e.tenant),
+        escape(&e.label)
+    );
+    if let Some(d) = e.deadline {
+        line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
+    }
+    line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
+    line
+}
+
 fn rewrite(path: &Path, pending: &[PendingEntry]) -> io::Result<()> {
     let tmp = path.with_extension("jsonl.tmp");
     {
         let mut f = File::create(&tmp)?;
         for e in pending {
-            let mut line = format!(
-                "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
-                e.id,
-                escape(&e.tenant),
-                escape(&e.label)
-            );
-            if let Some(d) = e.deadline {
-                line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
-            }
-            line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
-            f.write_all(line.as_bytes())?;
+            f.write_all(submit_line(e).as_bytes())?;
         }
         f.flush()?;
     }
     fs::rename(&tmp, path)
 }
 
-fn parse_line(line: &str) -> Result<Record, String> {
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("not a JSON object".to_string());
-    }
-    let op = string_field(line, "op").ok_or("missing \"op\"")?;
-    let id = u64_field(line, "id").ok_or("missing \"id\"")?;
+/// Parse one journal line; the error is a recovery diagnostic.
+pub fn parse_line(line: &str) -> Result<Record, String> {
+    let op = json::str(line, "op").ok_or("not a journal record (no \"op\" string)")?;
+    let id = json::u64(line, "id").ok_or("missing \"id\"")?;
     match op.as_str() {
         "submit" => Ok(Record::Submit(PendingEntry {
             id,
-            tenant: string_field(line, "tenant").ok_or("missing \"tenant\"")?,
-            label: string_field(line, "label").ok_or("missing \"label\"")?,
-            sql: string_field(line, "sql").ok_or("missing \"sql\"")?,
-            deadline: u64_field(line, "deadline_ms").map(Duration::from_millis),
+            tenant: json::str(line, "tenant").ok_or("missing \"tenant\"")?,
+            label: json::str(line, "label").ok_or("missing \"label\"")?,
+            sql: json::str(line, "sql").ok_or("missing \"sql\"")?,
+            deadline: json::u64(line, "deadline_ms").map(Duration::from_millis),
         })),
-        "terminal" => Ok(Record::Terminal { id }),
+        "terminal" => Ok(Record::Terminal(id)),
         other => Err(format!("unknown op {other:?}")),
     }
-}
-
-/// JSON string escaping for journal values (quotes, backslashes, control
-/// characters). The inverse of [`unescape`].
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Extract string field `key` from a flat JSON object, handling escaped
-/// quotes inside the value (unlike `qprog_obs::json::raw_field`, which is
-/// only safe for pre-sanitized values — journal entries carry raw SQL).
-pub(crate) fn string_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return unescape(&line[start..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Extract numeric field `key` from a flat JSON object.
-pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -454,13 +376,5 @@ mod tests {
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.pending, vec![entry(20, "select 1")]);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn string_field_handles_escapes() {
-        let line = "{\"op\":\"submit\",\"sql\":\"a \\\"b\\\" \\\\ c\",\"id\":7}";
-        assert_eq!(string_field(line, "sql").unwrap(), "a \"b\" \\ c");
-        assert_eq!(u64_field(line, "id"), Some(7));
-        assert_eq!(string_field(line, "missing"), None);
     }
 }

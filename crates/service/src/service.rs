@@ -30,11 +30,12 @@ use qprog_exec::span::SpanKind;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::TraceEvent;
 use qprog_metrics::{Counter, Gauge, Histogram, Registry};
+use qprog_types::json::escape;
 use qprog_types::{ExecError, QError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::journal::{escape, Journal, PendingEntry};
+use crate::journal::{Journal, PendingEntry};
 use crate::queue::{AdmissionConfig, JobSpec, Pop, ReadyQueue, RejectReason};
 use crate::spans::{SpanLog, SpanTotals};
 

@@ -10,6 +10,7 @@
 
 pub mod batch;
 pub mod error;
+pub mod json;
 pub mod key;
 pub mod row;
 pub mod schema;

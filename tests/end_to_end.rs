@@ -2,8 +2,13 @@
 //! with every estimation mode, checked for result consistency and sane
 //! progress reporting.
 
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, OnceLock};
+
 use qprog::core::EstimationMode;
-use qprog::plan::physical::PhysicalOptions;
+use qprog::exec::trace::{EstimateSource, TraceEventKind};
+use qprog::plan::physical::{compile_traced, PhysicalOptions};
+use qprog::plan::{LogicalPlan, ProgressTracker};
 use qprog::prelude::*;
 use qprog::workloads::q8_plan;
 use qprog_datagen::{TpchConfig, TpchGenerator};
@@ -198,5 +203,165 @@ fn sampling_fraction_is_semantically_invisible() {
             .collect()
             .unwrap();
         assert_eq!(rows[0].get(0).unwrap().as_i64().unwrap(), 20_000);
+    }
+}
+
+/// Samples a query's tracker from inside the executing thread, once per
+/// trace event, so the series is the same on every run (no sampler thread
+/// to race the query).
+#[derive(Default)]
+struct InlineSampler {
+    tracker: OnceLock<ProgressTracker>,
+    state: Mutex<SamplerState>,
+}
+
+#[derive(Default)]
+struct SamplerState {
+    /// Joins an online estimator has published an estimate for.
+    refined: BTreeSet<usize>,
+    samples: Vec<Sample>,
+}
+
+struct Sample {
+    /// `refined.len()` when the sample was taken.
+    refined_ops: usize,
+    /// `C(Q)`, the published fraction and `T(Q)`.
+    current: u64,
+    fraction: f64,
+    total: f64,
+    /// `Σ estimated_total()` over started or refined operators.
+    own_total: f64,
+}
+
+impl TraceSink for InlineSampler {
+    fn publish(&self, event: &TraceEvent) {
+        let Some(tracker) = self.tracker.get() else {
+            return; // compile-time optimizer estimates
+        };
+        let mut state = self.state.lock().unwrap();
+        if let TraceEventKind::EstimateRefined {
+            op,
+            source: EstimateSource::Online,
+            ..
+        } = event.kind
+        {
+            let name = tracker
+                .registry()
+                .iter()
+                .nth(op as usize)
+                .map(|(name, _)| name);
+            if name.is_some_and(|n| n.contains("join")) {
+                state.refined.insert(op as usize);
+            }
+        }
+        let snap = tracker.snapshot();
+        let own_total = tracker
+            .registry()
+            .iter()
+            .enumerate()
+            .filter(|(i, (_, m))| {
+                let started = m.is_finished() || m.emitted() > 0 || m.driver_consumed() > 0;
+                started || state.refined.contains(i)
+            })
+            .map(|(_, (_, m))| m.estimated_total())
+            .sum();
+        let sample = Sample {
+            refined_ops: state.refined.len(),
+            current: snap.current(),
+            fraction: snap.fraction(),
+            total: snap.total(),
+            own_total,
+        };
+        state.samples.push(sample);
+    }
+}
+
+/// Run `plan` in `mode` under an [`InlineSampler`]; returns the samples
+/// and the work-weighted mean `|fraction − C/C_final|` over them.
+fn sampled_run(session: &Session, plan: LogicalPlan, mode: EstimationMode) -> (Vec<Sample>, f64) {
+    let sampler = Arc::new(InlineSampler::default());
+    let bus = EventBus::builder().sink(Arc::clone(&sampler) as _).build();
+    let opts = PhysicalOptions {
+        mode,
+        ..*session.options()
+    };
+    let mut q = compile_traced(&plan, &opts, Some(bus)).unwrap();
+    sampler.tracker.set(q.tracker()).unwrap();
+    q.collect().unwrap();
+    let final_c = q.tracker().snapshot().current() as f64;
+    let samples = std::mem::take(&mut sampler.state.lock().unwrap().samples);
+    let mean_abs_err = samples
+        .windows(2)
+        .map(|w| {
+            let err = (w[0].fraction - w[0].current as f64 / final_c).abs();
+            err * (w[1].current - w[0].current) as f64 / final_c
+        })
+        .sum();
+    (samples, mean_abs_err)
+}
+
+/// ROADMAP 1(a): the published total must use the estimates the online
+/// framework has published, from the moment it publishes them — not the
+/// optimizer's guess until the probe/sort pass ends.
+#[test]
+fn published_total_follows_refined_estimates_during_the_probe_pass() {
+    let tpch = TpchGenerator::new(TpchConfig {
+        scale: 0.003,
+        skew: 2.0,
+        seed: 3,
+    })
+    .catalog()
+    .unwrap();
+    let q8 = Session::new(tpch);
+    let merge = Session::new(skewed_catalog());
+    let merge_chain = |b: &PlanBuilder| {
+        b.scan("customer")
+            .unwrap()
+            .join_build(
+                b.scan("customer2").unwrap(),
+                "customer2.nationkey",
+                "customer.nationkey",
+                qprog::plan::JoinAlgo::Merge,
+            )
+            .unwrap()
+            .join_build(
+                b.scan("nation").unwrap(),
+                "nation.nationkey",
+                "customer.nationkey",
+                qprog::plan::JoinAlgo::Merge,
+            )
+            .unwrap()
+    };
+    for (name, session, plan) in [
+        ("q8", &q8, q8_plan(q8.builder()).unwrap()),
+        ("merge chain", &merge, merge_chain(merge.builder())),
+    ] {
+        let (samples, once_err) = sampled_run(session, plan.clone(), EstimationMode::Once);
+        // The pass proper: every join the framework refines has published.
+        let refined_ops = samples.last().unwrap().refined_ops;
+        let pass: Vec<&Sample> = samples
+            .iter()
+            .filter(|s| s.refined_ops == refined_ops)
+            .collect();
+        assert!(
+            refined_ops >= 2 && pass.len() > 20,
+            "{name}: {refined_ops} ops, {} samples",
+            pass.len()
+        );
+        for s in pass {
+            assert!(
+                (s.total - s.own_total).abs() <= 0.02 * s.total,
+                "{name}: at C = {} the published total {} ignores the refined \
+                 estimates (Σ = {})",
+                s.current,
+                s.total,
+                s.own_total
+            );
+        }
+        let (_, dne_err) = sampled_run(session, plan, EstimationMode::Dne);
+        assert!(
+            once_err < 0.5 * dne_err,
+            "{name}: once mean |err| {once_err:.4} vs dne {dne_err:.4}"
+        );
     }
 }

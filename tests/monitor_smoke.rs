@@ -15,6 +15,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use qprog::prelude::*;
+use qprog::types::json;
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -35,23 +36,6 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
     stream.read_to_string(&mut raw).unwrap();
     let split = raw.find("\r\n\r\n").expect("response has a blank line");
     (raw[..split].to_string(), raw[split + 4..].to_string())
-}
-
-/// Extract the first `"key":<number>` from a JSON string (the monitor's
-/// JSON is flat enough that a textual probe is unambiguous for top-level
-/// summary keys).
-fn json_num(json: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {json}"));
-    let rest = &json[at + pat.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|_| panic!("bad number for {key}: {rest}"))
 }
 
 /// Minimal Prometheus text-format check: every sample line is
@@ -131,10 +115,10 @@ fn monitored_query_is_observable_live_over_http() {
             // The worker finished and dropped the handle between polls.
             break;
         }
-        let c = json_num(&body, "current");
-        let fraction = json_num(&body, "fraction");
-        let lo = json_num(&body, "lo");
-        let hi = json_num(&body, "hi");
+        let c = json::f64(&body, "current").expect("current");
+        let fraction = json::f64(&body, "fraction").expect("fraction");
+        let lo = json::f64(&body, "lo").expect("lo");
+        let hi = json::f64(&body, "hi").expect("hi");
         assert!(c >= last_c, "C went backwards: {last_c} -> {c}");
         assert!(
             fraction >= last_fraction - 1e-9,
@@ -147,11 +131,11 @@ fn monitored_query_is_observable_live_over_http() {
         // once meaningful progress registers, a running query also reports
         // a smoothed `eta_us` derived from `elapsed × (1−p)/p` (null until
         // p clears the smoother's floor and after terminal states).
-        let elapsed = json_num(&body, "elapsed_us");
+        let elapsed = json::f64(&body, "elapsed_us").expect("elapsed_us");
         assert!(elapsed > 0.0, "elapsed_us not positive: {body}");
         assert!(body.contains("\"eta_us\":"), "{body}");
         if fraction > 0.0 && !body.contains("\"done\":true") && !body.contains("\"eta_us\":null") {
-            let eta = json_num(&body, "eta_us");
+            let eta = json::f64(&body, "eta_us").expect("eta_us");
             let expect = elapsed * (1.0 - fraction) / fraction;
             // The smoothed estimate lags the raw formula (and the two
             // fields are sampled at slightly different instants in the
@@ -177,7 +161,11 @@ fn monitored_query_is_observable_live_over_http() {
     // Terminal state: fraction pinned at 1 while the handle is alive.
     let (head, body) = get(addr, &path);
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert_eq!(json_num(&body, "fraction"), 1.0, "{body}");
+    assert_eq!(
+        json::f64(&body, "fraction").expect("fraction"),
+        1.0,
+        "{body}"
+    );
     assert!(body.contains("\"done\":true"), "{body}");
     assert!(
         body.contains("\"eta_us\":null"),

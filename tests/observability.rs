@@ -6,9 +6,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use qprog::obs::json::raw_field;
 use qprog::obs::timeline::TimelineRecorder;
 use qprog::prelude::*;
+use qprog::types::json::raw as raw_field;
 
 /// A `Write` target the test can read back while the sink keeps ownership.
 #[derive(Clone, Default)]

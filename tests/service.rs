@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use qprog::prelude::*;
 use qprog::svc::AdmissionConfig;
+use qprog::types::json;
 use qprog::ServiceRuntime;
 
 fn catalog() -> Catalog {
@@ -91,15 +92,6 @@ fn submit(addr: SocketAddr, tenant: &str, sql: &str) -> (u16, String) {
     (status, body)
 }
 
-fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let at = body.find(&format!("\"{key}\":"))?;
-    let rest = &body[at + key.len() + 3..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Poll `/progress/{id}` until `pred` matches (or fail after `timeout`).
 fn await_progress(
     addr: SocketAddr,
@@ -145,7 +137,7 @@ fn submitted_query_runs_to_done_visible_over_http_and_sse() {
 
     let (status, body) = submit(addr, "acme", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").expect("ticket id");
+    let id = json::u64(&body, "id").expect("ticket id");
 
     let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
         d.contains("\"state\":\"done\"")
@@ -194,7 +186,7 @@ fn span_tree_is_gapless_and_reconciles_with_the_journal_wall_time() {
 
     let (status, body) = submit(addr, "acme", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").expect("ticket id");
+    let id = json::u64(&body, "id").expect("ticket id");
     await_progress(addr, id, Duration::from_secs(10), |d| {
         d.contains("\"state\":\"done\"")
     });
@@ -227,7 +219,7 @@ fn span_tree_is_gapless_and_reconciles_with_the_journal_wall_time() {
     let wall = journal
         .lines()
         .filter(|l| l.contains("\"op\":\"terminal\"") && l.contains(&format!("\"id\":{id},")))
-        .filter_map(|l| field_u64(l, "wall_us"))
+        .filter_map(|l| json::u64(l, "wall_us"))
         .next_back()
         .expect("terminal journal record with wall_us");
     let diff = wall.abs_diff(totals.total_us) as f64;
@@ -323,7 +315,7 @@ fn cancel_over_http_reaches_a_cancelled_terminal() {
     let runtime = ServiceRuntime::start(session, &dir, cfg).unwrap();
     let (status, body) = submit(addr, "t", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").unwrap();
+    let id = json::u64(&body, "id").unwrap();
 
     let cancelled = http(addr, "POST", &format!("/progress/{id}/cancel"), "");
     assert!(cancelled.contains("\"state\":\"cancelled\""), "{cancelled}");
@@ -359,7 +351,7 @@ fn graceful_drain_flushes_every_terminal_and_stops_admission() {
     for _ in 0..6 {
         let (status, body) = submit(addr, "t", JOIN_SQL);
         assert_eq!(status, 202, "{body}");
-        ids.push(field_u64(&body, "id").unwrap());
+        ids.push(json::u64(&body, "id").unwrap());
     }
     runtime.drain();
     // After drain every accepted submission is terminal — none hung.
@@ -518,7 +510,7 @@ fn every_stream_ends_with_exactly_one_terminal_however_the_subscribe_races() {
                 for _ in 0..JOBS_EACH {
                     let (status, body) = submit(addr, &format!("t{c}"), "select 1");
                     assert_eq!(status, 202, "{body}");
-                    let id = field_u64(&body, "id").unwrap();
+                    let id = json::u64(&body, "id").unwrap();
                     std::thread::sleep(Duration::from_micros(rng.random_range(0u64..3000)));
                     let connected = Instant::now();
                     let out = watch(addr, id);
@@ -576,7 +568,7 @@ fn submit_to_terminal_round_trip_does_not_wait_for_a_tick() {
                 let sent = Instant::now();
                 let (status, body) = submit(addr, "t", JOIN_SQL);
                 assert_eq!(status, 202, "{body}");
-                let out = watch(addr, field_u64(&body, "id").unwrap());
+                let out = watch(addr, json::u64(&body, "id").unwrap());
                 let took = sent.elapsed();
                 assert_eq!(out.matches("event: terminal\n").count(), 1, "{out}");
                 assert!(out.contains("\"done\":true,\"rows\":1}"), "{out}");
@@ -622,7 +614,7 @@ mod chaos {
         // The fault was one-shot: the service recovers immediately.
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = json::u64(&body, "id").unwrap();
         await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });
@@ -691,7 +683,7 @@ mod chaos {
         fault::configure("service/dispatch", "1*error(chaos: dispatch glitch)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = json::u64(&body, "id").unwrap();
         // The injected fault is transient → retried → done, same id.
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
@@ -717,7 +709,7 @@ mod chaos {
         fault::configure("service/retry", "1*error(chaos: retry broker down)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = json::u64(&body, "id").unwrap();
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"failed\"")
         });
@@ -775,7 +767,7 @@ mod chaos {
         fault::configure("exec/scan/next", "1*error(chaos: page gone)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = json::u64(&body, "id").unwrap();
         await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });
@@ -804,7 +796,7 @@ mod chaos {
         let wall = journal
             .lines()
             .filter(|l| l.contains("\"op\":\"terminal\"") && l.contains(&format!("\"id\":{id},")))
-            .filter_map(|l| field_u64(l, "wall_us"))
+            .filter_map(|l| json::u64(l, "wall_us"))
             .next_back()
             .expect("terminal journal record");
         let diff = wall.abs_diff(totals.total_us) as f64;
@@ -842,7 +834,7 @@ mod chaos {
         fault::configure("exec/scan/next", "1*error(chaos: page gone)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = json::u64(&body, "id").unwrap();
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });
