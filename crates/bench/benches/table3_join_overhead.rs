@@ -112,9 +112,9 @@ fn main() {
         "paper: overhead is a small fraction of response time for both hash \
          and sort-merge joins at every scale factor, because estimation runs \
          inside the (I/O-heavy) preprocessing phases",
-        "the `mem` rows run fully in memory, where the same absolute work is \
-         a 10-25% relative overhead — there is no I/O to hide behind; the \
-         `io` rows restore the paper's disk-page cost model (50µs/block) and \
-         the single-digit overheads of Table 3",
+        "the `mem` rows run fully in memory, where there is no I/O for the \
+         same absolute work to hide behind; the `io` rows restore the \
+         paper's disk-page cost model (150µs/block); EXPERIMENTS.md quotes \
+         the CSV this run wrote",
     ]);
 }

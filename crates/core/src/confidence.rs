@@ -4,7 +4,7 @@
 //! the binomial: after `t` observations, `p̂ ± Z_α √(p̂(1−p̂)/t)`, and bounds
 //! the half-width by `β = Z_α / (2√t)` using `p(1−p) ≤ 1/4`. For the
 //! composite join estimates we additionally provide the standard
-//! empirical-variance CLT interval (via [`RunningMoments`]) — the paper's
+//! empirical-variance CLT interval (via [`PowerSums`]) — the paper's
 //! footnote 1 notes such strengthened limit-theorem techniques "can be
 //! easily adapted".
 
@@ -127,103 +127,14 @@ impl ConfidenceInterval {
     }
 }
 
-/// Online mean/variance accumulator (Welford's algorithm).
+/// Exact power sums `(n, Σx, Σx²)` of non-negative integer observations —
+/// the one moments accumulator of the crate.
 ///
-/// Join estimates of the form `|S|/t · Σ X_i` are scaled sample means; the
-/// CLT interval for the mean uses the running variance maintained here in
-/// `O(1)` per observation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningMoments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningMoments {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunningMoments::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard error of the mean, `√(var/n)`.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            f64::INFINITY
-        } else {
-            (self.variance() / self.n as f64).sqrt()
-        }
-    }
-
-    /// Combine with an independently accumulated set of observations
-    /// (Chan et al.'s pairwise update), as if every observation folded into
-    /// `other` had been pushed here. Counts and means are exact; `m2`
-    /// combines up to floating-point rounding, so merged variances agree
-    /// with the serial accumulation to machine precision — good enough for
-    /// confidence intervals, while cardinality *estimates* (which must be
-    /// bit-reproducible) are carried in integer sums elsewhere.
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        self.mean += delta * nb / n;
-        self.m2 += other.m2 + delta * delta * na * nb / n;
-        self.n += other.n;
-    }
-
-    /// CLT confidence interval for the mean at `z`.
-    pub fn mean_ci(&self, z: f64) -> ConfidenceInterval {
-        if self.n == 0 {
-            return ConfidenceInterval {
-                estimate: 0.0,
-                lo: 0.0,
-                hi: f64::INFINITY,
-            };
-        }
-        ConfidenceInterval::around(self.mean, z * self.std_error())
-    }
-}
-
-/// Exact power sums `(n, Σx, Σx²)` of non-negative integer observations.
-///
-/// The mergeable alternative to [`RunningMoments`] for accumulators that
-/// are fed a batch at a time: a batch contributes three integer additions
-/// instead of one Welford step (with its division) per observation, sums
-/// combine in any grouping to the same value, and the mean, variance and
-/// CLT interval are derived when read. Sums saturate at `u128::MAX`.
+/// Join estimates of the form `|S|/t · Σ X_i` are scaled sample means of
+/// integer contributions: an observation costs three integer additions,
+/// sums combine in any grouping and order to the same value (so worker
+/// fragments merge bit-exactly), and the mean, variance and CLT interval
+/// are derived when read. Sums saturate at `u128::MAX`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PowerSums {
     n: u64,
@@ -312,35 +223,53 @@ impl PowerSums {
 mod tests {
     use super::*;
 
+    fn sums_of(xs: &[u64]) -> PowerSums {
+        let mut sums = PowerSums::default();
+        xs.iter().for_each(|&x| sums.push_u64(x));
+        sums
+    }
+
     #[test]
-    fn power_sums_match_running_moments_and_merge_exactly() {
+    fn power_sums_match_direct_computation_and_merge_exactly() {
         let xs: Vec<u64> = (0..1000).map(|i| (i * 37) % 101).collect();
-        let mut welford = RunningMoments::new();
-        let mut whole = PowerSums::default();
-        for &x in &xs {
-            welford.push(x as f64);
-            whole.push_u64(x);
-        }
+        let whole = sums_of(&xs);
+        let mean = xs.iter().sum::<u64>() as f64 / 1000.0;
+        let var = xs.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / 1000.0;
         assert_eq!(whole.count(), 1000);
-        assert!((whole.mean() - welford.mean()).abs() < 1e-9);
-        assert!((whole.variance() - welford.variance()).abs() < 1e-6);
-        let (a, b) = (whole.mean_ci(2.576), welford.mean_ci(2.576));
-        assert!((a.lo - b.lo).abs() < 1e-9 && (a.hi - b.hi).abs() < 1e-9);
-        // Any split merges to the identical sums, wide pushes included.
-        for split in [0, 1, 250, 1000] {
-            let (mut left, mut right) = (PowerSums::default(), PowerSums::default());
-            xs[..split].iter().for_each(|&x| left.push_u64(x));
+        assert!((whole.mean() - mean).abs() < 1e-9);
+        assert!((whole.variance() - var).abs() < 1e-6);
+        let ci = whole.mean_ci(2.576);
+        let hw = 2.576 * (var / 1000.0).sqrt();
+        assert!((ci.lo - (mean - hw)).abs() < 1e-9 && (ci.hi - (mean + hw)).abs() < 1e-9);
+        // Any split merges to the identical sums — and so to a bit-equal
+        // mean, variance and interval — wide pushes included.
+        for split in [0, 1, 250, 999, 1000] {
+            let mut left = sums_of(&xs[..split]);
+            let mut right = PowerSums::default();
             xs[split..].iter().for_each(|&x| right.push(x as u128));
             left.merge(&right);
             assert_eq!(left, whole, "split {split}");
+            assert_eq!(left.mean_ci(2.576), whole.mean_ci(2.576), "split {split}");
         }
+    }
+
+    #[test]
+    fn power_sums_small_case_by_hand() {
+        let m = sums_of(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        assert_eq!(m.count(), 8);
+        assert!((m.mean() - 5.0).abs() < 1e-12);
+        assert!((m.variance() - 4.0).abs() < 1e-12);
+        // z = 1: the half-width is the standard error √(var/n)
+        assert!((m.mean_ci(1.0).hi - 5.0 - (4.0f64 / 8.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn power_sums_edges() {
         let empty = PowerSums::default();
         assert_eq!(empty.mean(), 0.0);
+        assert_eq!(empty.variance(), 0.0);
         assert_eq!(empty.mean_ci(2.0).hi, f64::INFINITY);
+        assert_eq!(sums_of(&[3]).variance(), 0.0);
         // Equal observations: variance exactly 0, no cancellation noise.
         let mut flat = PowerSums::default();
         (0..1000).for_each(|_| flat.push_u64(1_000_003));
@@ -353,6 +282,25 @@ mod tests {
         wide.push(u128::MAX);
         assert_eq!(wide.sum(), u128::MAX);
         assert!(wide.variance() >= 0.0);
+    }
+
+    #[test]
+    fn merge_is_order_insensitive() {
+        let (a, b) = (sums_of(&[1, 2, 3]), sums_of(&[10, 20]));
+        let (mut ab, mut ba) = (a, b);
+        ab.merge(&b);
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab, sums_of(&[1, 2, 3, 10, 20]));
+    }
+
+    #[test]
+    fn mean_ci_narrows_with_samples() {
+        let small = sums_of(&(0..10).map(|i| i % 5).collect::<Vec<_>>());
+        let large = sums_of(&(0..10_000).map(|i| i % 5).collect::<Vec<_>>());
+        let z = z_alpha(0.95);
+        assert!(large.mean_ci(z).width() < small.mean_ci(z).width());
+        assert!(large.mean_ci(z).contains(2.0));
     }
 
     #[test]
@@ -414,85 +362,5 @@ mod tests {
         assert_eq!(ci.hi, 15.0);
         assert!(ci.contains(0.0));
         assert!(!ci.contains(16.0));
-    }
-
-    #[test]
-    fn running_moments_match_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut m = RunningMoments::new();
-        for &x in &xs {
-            m.push(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.std_error() - (4.0f64 / 8.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_moments_edge_cases() {
-        let m = RunningMoments::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.std_error(), f64::INFINITY);
-        assert_eq!(m.mean_ci(2.0).hi, f64::INFINITY);
-        let mut m = RunningMoments::new();
-        m.push(3.0);
-        assert_eq!(m.variance(), 0.0);
-    }
-
-    #[test]
-    fn merged_moments_match_serial_accumulation() {
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut serial = RunningMoments::new();
-        for &x in &xs {
-            serial.push(x);
-        }
-        for split in [0, 1, 250, 999, 1000] {
-            let (left, right) = xs.split_at(split);
-            let mut a = RunningMoments::new();
-            let mut b = RunningMoments::new();
-            left.iter().for_each(|&x| a.push(x));
-            right.iter().for_each(|&x| b.push(x));
-            a.merge(&b);
-            assert_eq!(a.count(), serial.count());
-            assert!((a.mean() - serial.mean()).abs() < 1e-9, "split {split}");
-            assert!(
-                (a.variance() - serial.variance()).abs() < 1e-6,
-                "split {split}: {} vs {}",
-                a.variance(),
-                serial.variance()
-            );
-        }
-    }
-
-    #[test]
-    fn merge_is_order_insensitive() {
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        [1.0, 2.0, 3.0].iter().for_each(|&x| a.push(x));
-        [10.0, 20.0].iter().for_each(|&x| b.push(x));
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab.count(), ba.count());
-        assert!((ab.mean() - ba.mean()).abs() < 1e-12);
-        assert!((ab.variance() - ba.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_ci_narrows_with_samples() {
-        let mut small = RunningMoments::new();
-        let mut large = RunningMoments::new();
-        for i in 0..10 {
-            small.push((i % 5) as f64);
-        }
-        for i in 0..10_000 {
-            large.push((i % 5) as f64);
-        }
-        let z = z_alpha(0.95);
-        assert!(large.mean_ci(z).width() < small.mean_ci(z).width());
-        assert!(large.mean_ci(z).contains(2.0));
     }
 }

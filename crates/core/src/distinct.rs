@@ -70,23 +70,36 @@ impl DistinctTracker {
 
     /// Observe one grouping key.
     pub fn observe(&mut self, key: &Key) {
-        let prior = self.hist.observe(key);
-        self.gee.observe_transition(prior);
-        if self.interval.tick() {
-            let new = mle_estimate(&self.hist, self.input_size);
-            self.interval.feedback(self.mle_cache, new);
-            self.mle_cache = new;
-        }
+        self.observe_n(key, 1);
     }
 
     /// Observe `n` occurrences of a grouping key at once (weighted
     /// observation, e.g. from a join's derived output histogram). Counts as
     /// a single tick of the MLE recomputation interval.
     pub fn observe_n(&mut self, key: &Key, n: u64) {
-        if n == 0 {
-            return;
+        if n > 0 {
+            let prior = self.hist.observe_n(key, n);
+            self.after_transition(prior, n);
         }
-        let prior = self.hist.observe_n(key, n);
+    }
+
+    /// Observe `n` occurrences of a grouping key the *caller* counts: its
+    /// count was `prior` before them. An aggregate's hashing phase keeps a
+    /// row count per group in the table it probes anyway, so it feeds the
+    /// tracker transitions and the tracker keeps no per-key table at all —
+    /// every estimate is the same as if the keys had been
+    /// [`observe_n`](Self::observe_n)d, but [`histogram`](Self::histogram)
+    /// then holds the aggregates only, no per-key counts. One tracker takes
+    /// keys or transitions, not both.
+    pub fn observe_transition(&mut self, prior: u64, n: u64) {
+        if n > 0 {
+            self.hist.transition(prior, n);
+            self.after_transition(prior, n);
+        }
+    }
+
+    /// Algorithm 2's GEE step and one tick of Algorithm 3's interval.
+    fn after_transition(&mut self, prior: u64, n: u64) {
         self.gee.observe_transition_n(prior, n);
         if self.interval.tick() {
             let new = mle_estimate(&self.hist, self.input_size);
@@ -256,5 +269,54 @@ mod tests {
             t.observe(&Key::from(s));
         }
         assert_eq!(t.estimate(), 3.0);
+    }
+
+    /// A tracker handed prior counts out of the caller's own table is, bit
+    /// for bit and after every observation, the tracker handed the keys.
+    #[test]
+    fn transition_fed_tracker_matches_key_fed_tracker() {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e);
+        for input_size in [15_000u64, 40_000, 1_000_000] {
+            let mut by_key = DistinctTracker::new(input_size);
+            let mut by_count = DistinctTracker::new(input_size);
+            let mut table: std::collections::HashMap<Key, u64> = Default::default();
+            // Key 0 arrives 10 000 times, one at a time (its class climbs
+            // through the dense-class limit and on); the rest are light
+            // keys, some weighted (classes jump over the limit and back
+            // down to nothing as the heavy key leaves them).
+            let mut heavy_left = 10_000;
+            while heavy_left > 0 {
+                let (key, n) = match rng.random_range(0..10) {
+                    0..=5 => {
+                        heavy_left -= 1;
+                        (Key::Int(0), 1)
+                    }
+                    6..=8 => (Key::Int(rng.random_range(1..400)), 1),
+                    _ => (Key::Int(rng.random_range(1..40)), rng.random_range(1..900)),
+                };
+                by_key.observe_n(&key, n);
+                let count = table.entry(key).or_insert(0);
+                by_count.observe_transition(*count, n);
+                *count += n;
+
+                assert_eq!(by_count.seen(), by_key.seen());
+                assert_eq!(by_count.groups_seen(), by_key.groups_seen());
+                let bits = |t: &DistinctTracker| {
+                    [
+                        t.estimate(),
+                        t.gee_estimate(),
+                        t.gamma_squared(),
+                        t.mle_cache,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(bits(&by_count), bits(&by_key), "t = {}", by_key.seen());
+            }
+            assert!(by_key.histogram().max_frequency() >= 10_000);
+            assert!(by_key.mle_cache > 0.0, "the MLE interval fired");
+            // Only the key-fed tracker holds per-key counts.
+            assert_eq!(by_key.histogram().count(&Key::Int(0)), 10_000);
+            assert_eq!(by_count.histogram().iter().count(), 0);
+        }
     }
 }

@@ -22,6 +22,11 @@ use crate::fx::FxHashMap;
 /// spans wider than this fall back to the hash lane.
 const DENSE_MAX_SLOTS: usize = 1 << 20;
 
+/// Frequencies below this keep their class count `f_j` in a vector indexed
+/// by `j` (≤ 32 KiB, grown on demand); only the few classes of heavy
+/// hitters above it pay for a hash map entry.
+const DENSE_CLASSES: u64 = 4096;
+
 /// Count storage: a contiguous array when the keys are integers in a
 /// bounded span (the common case for synthetic and surrogate keys, and the
 /// layout that makes the per-probe-tuple `N_i` lookup an array read instead
@@ -33,8 +38,6 @@ enum CountLane {
     Dense {
         lo: i64,
         slots: Vec<u64>,
-        /// Number of non-zero slots.
-        distinct: usize,
     },
     Map(FxHashMap<Key, u64>),
 }
@@ -44,7 +47,6 @@ impl Default for CountLane {
         CountLane::Dense {
             lo: 0,
             slots: Vec::new(),
-            distinct: 0,
         }
     }
 }
@@ -71,9 +73,12 @@ impl Default for CountLane {
 pub struct FreqHist {
     counts: CountLane,
     total: u64,
-    /// `f_j`: number of distinct values with frequency exactly `j`.
-    /// The number of *distinct frequencies* is `O(√t)`, so this stays tiny.
-    count_of_counts: FxHashMap<u64, u64>,
+    distinct: u64,
+    /// `f_j`, the number of distinct values with frequency exactly `j`:
+    /// `class_dense[j]` for `j <` [`DENSE_CLASSES`], `class_sparse[&j]`
+    /// (never holding a zero) above.
+    class_dense: Vec<u64>,
+    class_sparse: FxHashMap<u64, u64>,
     /// Largest frequency ever reached (monotone: when a value moves from
     /// count `M` to `M+1`, the maximum becomes `M+1`).
     max_freq: u64,
@@ -93,14 +98,9 @@ impl FreqHist {
     /// or the integer span outgrew [`DENSE_MAX_SLOTS`]). Counts and every
     /// derived aggregate are unchanged.
     fn spill_to_map(&mut self) {
-        if let CountLane::Dense {
-            lo,
-            slots,
-            distinct,
-        } = &self.counts
-        {
+        if let CountLane::Dense { lo, slots } = &self.counts {
             let mut map: FxHashMap<Key, u64> =
-                FxHashMap::with_capacity_and_hasher(*distinct, Default::default());
+                FxHashMap::with_capacity_and_hasher(self.distinct as usize, Default::default());
             for (i, &c) in slots.iter().enumerate() {
                 if c > 0 {
                     map.insert(Key::Int(lo + i as i64), c);
@@ -115,11 +115,7 @@ impl FreqHist {
     fn bump(&mut self, key: &Key, n: u64) -> u64 {
         loop {
             match &mut self.counts {
-                CountLane::Dense {
-                    lo,
-                    slots,
-                    distinct,
-                } => {
+                CountLane::Dense { lo, slots } => {
                     let Key::Int(k) = *key else {
                         // Bool/Str/Composite keys use the hash lane.
                         self.spill_to_map();
@@ -128,15 +124,11 @@ impl FreqHist {
                     if slots.is_empty() {
                         *lo = k;
                         slots.push(n);
-                        *distinct = 1;
                         return 0;
                     }
                     if k >= *lo && ((k - *lo) as u64) < slots.len() as u64 {
                         let slot = &mut slots[(k - *lo) as usize];
                         let before = *slot;
-                        if before == 0 {
-                            *distinct += 1;
-                        }
                         *slot += n;
                         return before;
                     }
@@ -203,22 +195,42 @@ impl FreqHist {
             return self.count(key);
         }
         let before = self.bump(key, n);
+        self.transition(before, n);
+        before
+    }
+
+    /// Some value's count rose from `before` to `before + n` (`n ≥ 1`):
+    /// update `t`, `d`, `f_j`, `Σ N_i²` and `M`. This is everything an
+    /// observation does besides the per-key count, so a caller that keeps
+    /// the counts in a table of its own (an aggregate's group table) feeds
+    /// transitions and leaves the per-key lane empty.
+    pub(crate) fn transition(&mut self, before: u64, n: u64) {
         let after = before + n;
         self.total += n;
         self.sum_sq += (after as u128) * (after as u128) - (before as u128) * (before as u128);
-        if before > 0 {
+        if before == 0 {
+            self.distinct += 1;
+        } else if before < DENSE_CLASSES {
+            self.class_dense[before as usize] -= 1;
+        } else {
             let f = self
-                .count_of_counts
+                .class_sparse
                 .get_mut(&before)
                 .expect("count-of-counts must contain the old frequency");
             *f -= 1;
             if *f == 0 {
-                self.count_of_counts.remove(&before);
+                self.class_sparse.remove(&before);
             }
         }
-        *self.count_of_counts.entry(after).or_insert(0) += 1;
+        if after < DENSE_CLASSES {
+            if self.class_dense.len() <= after as usize {
+                self.class_dense.resize(after as usize + 1, 0);
+            }
+            self.class_dense[after as usize] += 1;
+        } else {
+            *self.class_sparse.entry(after).or_insert(0) += 1;
+        }
         self.max_freq = self.max_freq.max(after);
-        before
     }
 
     /// Record every non-NULL key of a column: `weights[r]` occurrences of
@@ -294,20 +306,25 @@ impl FreqHist {
 
     /// Number of distinct values `d`.
     pub fn distinct(&self) -> u64 {
-        match &self.counts {
-            CountLane::Dense { distinct, .. } => *distinct as u64,
-            CountLane::Map(map) => map.len() as u64,
-        }
+        self.distinct
     }
 
     /// `f_1`: the number of singleton values.
     pub fn singletons(&self) -> u64 {
-        self.count_of_counts.get(&1).copied().unwrap_or(0)
+        self.class_dense.get(1).copied().unwrap_or(0)
     }
 
-    /// The count-of-counts profile `(j, f_j)`, in unspecified order.
+    /// The count-of-counts profile `(j, f_j)` with `f_j > 0`, in ascending
+    /// `j` — a function of the multiset of counts alone, whatever order the
+    /// observations arrived in.
     pub fn frequency_classes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.count_of_counts.iter().map(|(&j, &f)| (j, f))
+        let mut sparse: Vec<(u64, u64)> = self.class_sparse.iter().map(|(&j, &f)| (j, f)).collect();
+        sparse.sort_unstable();
+        let dense = self.class_dense.iter().enumerate();
+        dense
+            .filter(|(_, &f)| f > 0)
+            .map(|(j, &f)| (j as u64, f))
+            .chain(sparse)
     }
 
     /// The largest observed frequency `M` (0 when empty).
@@ -372,6 +389,8 @@ impl FreqHist {
     /// Bytes of live data — the "Mem. Used" column of the paper's Table 2.
     /// Hash lane: one `(Key, u64)` entry per distinct value plus string
     /// payloads. Dense lane: one `u64` slot per key in the covered span.
+    /// Either way plus the `f_j` profile: one `u64` per dense class and one
+    /// `(u64, u64)` entry per class above it.
     pub fn memory_used(&self) -> usize {
         let body = match &self.counts {
             CountLane::Dense { slots, .. } => slots.len() * std::mem::size_of::<u64>(),
@@ -380,7 +399,9 @@ impl FreqHist {
                 map.len() * entry
             }
         };
-        std::mem::size_of::<Self>() + body + self.key_payload_bytes
+        let profile = self.class_dense.len() * std::mem::size_of::<u64>()
+            + self.class_sparse.len() * std::mem::size_of::<(u64, u64)>();
+        std::mem::size_of::<Self>() + body + profile + self.key_payload_bytes
     }
 
     /// Bytes reserved by the backing storage (capacity, not length) —
@@ -395,7 +416,9 @@ impl FreqHist {
                 map.capacity() * slot
             }
         };
-        std::mem::size_of::<Self>() + body + self.key_payload_bytes
+        let profile = self.class_dense.capacity() * std::mem::size_of::<u64>()
+            + self.class_sparse.capacity() * (std::mem::size_of::<(u64, u64)>() + 1);
+        std::mem::size_of::<Self>() + body + profile + self.key_payload_bytes
     }
 }
 
@@ -574,15 +597,13 @@ mod tests {
         h.observe(&Key::Int(1));
         assert!(h.memory_used() > used0);
         assert!(h.memory_allocated() >= h.memory_used() - std::mem::size_of::<FreqHist>());
-        // duplicate string key payload counted once
+        // duplicate string key payload counted once: the second occurrence
+        // costs only the `f_2` slot its count moved to
         let one_str = h.memory_used();
         let mut h2 = FreqHist::new();
         h2.observe(&Key::from("abcdefgh"));
         h2.observe(&Key::Int(1));
-        assert_eq!(
-            one_str - 2 * (std::mem::size_of::<Key>() + 8) - 8,
-            h2.memory_used() - 2 * (std::mem::size_of::<Key>() + 8) - 8
-        );
+        assert_eq!(one_str, h2.memory_used() + std::mem::size_of::<u64>());
     }
 
     #[test]

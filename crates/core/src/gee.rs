@@ -44,15 +44,7 @@ impl Gee {
     /// Algorithm 2's update: observe a value whose count *before* this
     /// observation was `prior_count`.
     pub fn observe_transition(&mut self, prior_count: u64) {
-        match prior_count {
-            0 => self.s1 += 1,
-            1 => {
-                self.s1 -= 1;
-                self.sn += 1;
-            }
-            _ => {}
-        }
-        self.t += 1;
+        self.observe_transition_n(prior_count, 1);
     }
 
     /// Bulk form of [`observe_transition`](Self::observe_transition):

@@ -22,7 +22,7 @@
 
 use qprog_types::{Key, QResult, Value};
 
-use crate::confidence::{beta, ConfidenceInterval, RunningMoments};
+use crate::confidence::{beta, ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Join semantics, oriented around a completed build side `R` and a
@@ -98,8 +98,8 @@ pub struct OnceJoinEstimator {
     build: FreqHist,
     probe_size: u64,
     kind: JoinKind,
-    /// `(t, Σ contribution, moments)` over the probe tuples observed so
-    /// far, null-key tuples included.
+    /// `(t, Σ contribution, Σ contribution²)` over the probe tuples
+    /// observed so far, null-key tuples included.
     seen: ProbeFragment,
     /// Reused scratch: the build-side multiplicities of the last batch.
     counts: Vec<u64>,
@@ -160,7 +160,7 @@ impl OnceJoinEstimator {
 
     /// Probe tuples observed so far.
     pub fn probe_seen(&self) -> u64 {
-        self.seen.t
+        self.seen.seen()
     }
 
     /// Fraction of the probe input observed (clamped to 1).
@@ -168,14 +168,14 @@ impl OnceJoinEstimator {
         if self.probe_size == 0 {
             1.0
         } else {
-            (self.seen.t as f64 / self.probe_size as f64).min(1.0)
+            (self.seen.seen() as f64 / self.probe_size as f64).min(1.0)
         }
     }
 
     /// Exact number of join output tuples attributable to the probe tuples
     /// seen so far (the estimate's numerator before scaling).
     pub fn matched_so_far(&self) -> u128 {
-        self.seen.sum
+        self.seen.matched()
     }
 
     /// The join semantics this estimator is configured for.
@@ -187,7 +187,7 @@ impl OnceJoinEstimator {
     /// callers should keep using the optimizer estimate until `probe_seen`
     /// is positive.
     pub fn estimate(&self) -> f64 {
-        let (t, sum) = (self.seen.t, self.seen.sum);
+        let (t, sum) = (self.seen.seen(), self.seen.matched());
         if t == 0 {
             0.0
         } else if t == self.probe_size {
@@ -202,7 +202,7 @@ impl OnceJoinEstimator {
     /// Whether the estimator has seen the whole probe input and therefore
     /// reports the exact join cardinality.
     pub fn converged(&self) -> bool {
-        self.seen.t >= self.probe_size
+        self.seen.seen() >= self.probe_size
     }
 
     /// CLT confidence interval for `D_t` at the two-sided level implied by
@@ -212,7 +212,7 @@ impl OnceJoinEstimator {
             // exact: the remaining-sampling variance is zero
             return ConfidenceInterval::around(self.estimate(), 0.0);
         }
-        let mean_ci = self.seen.moments.mean_ci(z);
+        let mean_ci = self.seen.0.mean_ci(z);
         ConfidenceInterval {
             estimate: self.estimate(),
             lo: mean_ci.lo * self.probe_size as f64,
@@ -223,21 +223,19 @@ impl OnceJoinEstimator {
     /// The paper's distribution-free half-width bound `β = z/(2√t)` on the
     /// per-value fraction estimates underlying `D_t`.
     pub fn beta(&self, z: f64) -> f64 {
-        beta(self.seen.t, z)
+        beta(self.seen.seen(), z)
     }
 
     /// Fold a worker-private [`ProbeFragment`] into this estimator, as if
     /// its probe tuples had been observed here via
     /// [`observe_probe`](Self::observe_probe).
     ///
-    /// `D_t` is maintained as the integer pair `(t, Σ contribution)`, and
-    /// integer addition is associative and commutative, so fragments may be
-    /// absorbed in any order: once every probe tuple is accounted for
-    /// (`t == |S|`), [`estimate`](Self::estimate) returns `sum as f64` —
-    /// byte-identical to the serial engine's converged estimate. The
-    /// variance accumulator merges via Chan's update (exact up to
-    /// floating-point rounding; it only feeds confidence intervals, never
-    /// the estimate itself).
+    /// The whole state is the integer triple `(t, Σc, Σc²)`, and integer
+    /// addition is associative and commutative, so fragments may be
+    /// absorbed in any order and cut at any offset: the estimate *and* its
+    /// mid-flight confidence interval are bit-equal to the serial
+    /// accumulation's, and once every probe tuple is accounted for
+    /// (`t == |S|`) [`estimate`](Self::estimate) returns `sum as f64`.
     pub fn absorb(&mut self, fragment: &ProbeFragment) {
         self.seen.merge(fragment);
     }
@@ -246,16 +244,12 @@ impl OnceJoinEstimator {
 /// Worker-private probe-side accumulation for partition-parallel execution.
 ///
 /// Each worker observes its slice of the probe stream against the shared
-/// (completed, read-only) build histogram, accumulating the same integer
-/// `(t, Σ contribution)` pair the serial estimator keeps. Fragments merge
-/// associatively into each other and into an [`OnceJoinEstimator`] via
-/// [`OnceJoinEstimator::absorb`].
+/// (completed, read-only) build histogram, accumulating the power sums of
+/// the per-tuple contributions (`t = n`, `Σ contribution = Σx`) the serial
+/// estimator keeps. Fragments merge by integer addition into each other and
+/// into an [`OnceJoinEstimator`] via [`OnceJoinEstimator::absorb`].
 #[derive(Debug, Clone, Default)]
-pub struct ProbeFragment {
-    t: u64,
-    sum: u128,
-    moments: RunningMoments,
-}
+pub struct ProbeFragment(PowerSums);
 
 impl ProbeFragment {
     /// An empty fragment.
@@ -268,7 +262,7 @@ impl ProbeFragment {
     /// the worker-side mirror of [`OnceJoinEstimator::observe_probe`].
     pub fn observe(&mut self, build: &FreqHist, kind: JoinKind, key: &Key) -> u64 {
         let n = if key.is_null() { 0 } else { build.count(key) };
-        self.accumulate(kind, &[n]);
+        self.0.push_u64(kind.contribution(n));
         n
     }
 
@@ -285,36 +279,25 @@ impl ProbeFragment {
     ) -> QResult<()> {
         counts.resize(keys.len(), 0);
         build.counts_of_column(keys, counts)?;
-        self.accumulate(kind, counts);
-        Ok(())
-    }
-
-    /// Fold in probe tuples given their build-side multiplicities.
-    fn accumulate(&mut self, kind: JoinKind, counts: &[u64]) {
-        for &n in counts {
-            let c = kind.contribution(n);
-            self.t += 1;
-            self.sum += c as u128;
-            self.moments.push(c as f64);
+        for &n in counts.iter() {
+            self.0.push_u64(kind.contribution(n));
         }
+        Ok(())
     }
 
     /// Probe tuples this fragment has observed.
     pub fn seen(&self) -> u64 {
-        self.t
+        self.0.count()
     }
 
     /// Exact `Σ contribution` over this fragment's probe tuples.
     pub fn matched(&self) -> u128 {
-        self.sum
+        self.0.sum()
     }
 
-    /// Fold another fragment into this one (associative, commutative in
-    /// `(t, sum)`; moments combine via Chan's update).
+    /// Fold another fragment into this one (associative and commutative).
     pub fn merge(&mut self, other: &ProbeFragment) {
-        self.t += other.t;
-        self.sum += other.sum;
-        self.moments.merge(&other.moments);
+        self.0.merge(&other.0);
     }
 }
 
@@ -610,6 +593,44 @@ mod tests {
                 "{kind:?}"
             );
             assert_eq!(parallel.confidence_interval(4.0).width(), 0.0);
+        }
+    }
+
+    #[test]
+    fn absorbed_splits_give_bit_equal_midflight_intervals() {
+        // Skewed multiplicities, so the variance is far from zero.
+        let r: Vec<i64> = (0..200).map(|i| (i * i) % 23).collect();
+        let s: Vec<i64> = (0..97).map(|i| (i * 13 + 1) % 31).collect();
+        let hist: FreqHist = keys(&r).iter().collect();
+        let probe = keys(&s);
+        let z = z_alpha(0.99);
+        // |S| is under-observed on purpose: the estimate is mid-flight.
+        let mut serial = OnceJoinEstimator::new(hist.clone(), 1000);
+        for k in &probe {
+            serial.observe_probe(k);
+        }
+        assert!(!serial.converged());
+        assert!(serial.confidence_interval(z).width() > 0.0);
+        let fragment = |chunk: &[Key]| {
+            let mut f = ProbeFragment::new();
+            for k in chunk {
+                f.observe(&hist, JoinKind::Inner, k);
+            }
+            f
+        };
+        for cut in 0..=probe.len() {
+            let (head, tail) = (fragment(&probe[..cut]), fragment(&probe[cut..]));
+            for order in [[&head, &tail], [&tail, &head]] {
+                let mut split = OnceJoinEstimator::new(hist.clone(), 1000);
+                order.iter().for_each(|f| split.absorb(f));
+                assert_eq!(split.seen.0, serial.seen.0, "cut {cut}");
+                assert_eq!(
+                    split.confidence_interval(z),
+                    serial.confidence_interval(z),
+                    "cut {cut}"
+                );
+                assert_eq!(split.estimate().to_bits(), serial.estimate().to_bits());
+            }
         }
     }
 

@@ -40,7 +40,7 @@ pub mod multi_est;
 pub mod pipeline_est;
 
 pub use chooser::{choose_estimator, EstimatorChoice, DEFAULT_TAU};
-pub use confidence::{z_alpha, ConfidenceInterval, RunningMoments};
+pub use confidence::{z_alpha, ConfidenceInterval, PowerSums};
 pub use distinct::DistinctTracker;
 pub use freq_hist::FreqHist;
 pub use gee::Gee;

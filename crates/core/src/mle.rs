@@ -28,6 +28,11 @@ use crate::freq_hist::FreqHist;
 ///
 /// Returns the observed distinct count when the stream is exhausted
 /// (`t ≥ input_size`) and 0 for an empty histogram.
+///
+/// The terms are added in ascending `j` — the order
+/// [`FreqHist::frequency_classes`] yields — so two histograms holding the
+/// same multiset of counts give bit-equal estimates however they were
+/// built.
 pub fn mle_estimate(hist: &FreqHist, input_size: u64) -> f64 {
     let t = hist.total();
     if t == 0 {
@@ -139,5 +144,35 @@ mod tests {
         let h = hist_of(&[9i64; 10]);
         let est = mle_estimate(&h, 1000);
         assert_eq!(est, 1.0);
+    }
+
+    #[test]
+    fn same_multiset_gives_bit_equal_estimates_whatever_the_history() {
+        // Counts {7: 5000, 8: 4097, 9: 4096, 10..40: 1 + k % 5}: classes on
+        // both sides of the dense-class limit.
+        let light: Vec<(i64, u64)> = (10..40).map(|k| (k, 1 + k as u64 % 5)).collect();
+        // One at a time, heavy keys first: every class below 5000 is
+        // entered and emptied again on the way up.
+        let mut stepped = FreqHist::new();
+        for (key, n) in [(7, 5000), (8, 4097), (9, 4096)].iter().chain(&light) {
+            for _ in 0..*n {
+                stepped.observe(&Key::Int(*key));
+            }
+        }
+        // Weighted, light keys first, in descending key order.
+        let mut bulk = FreqHist::new();
+        for (key, n) in light.iter().rev().chain(&[(9, 4096), (8, 4097), (7, 5000)]) {
+            bulk.observe_n(&Key::Int(*key), *n);
+        }
+        let classes = |h: &FreqHist| h.frequency_classes().collect::<Vec<_>>();
+        assert_eq!(classes(&stepped), classes(&bulk));
+        assert!(classes(&bulk).is_sorted());
+        for input_size in [20_000, 100_000, 10_000_000] {
+            assert_eq!(
+                mle_estimate(&stepped, input_size).to_bits(),
+                mle_estimate(&bulk, input_size).to_bits(),
+                "|T| = {input_size}"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use qprog_types::Key;
 
-use crate::confidence::{ConfidenceInterval, RunningMoments};
+use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Builder for conjunctive (composite-key) estimation: collapse a
@@ -38,9 +38,8 @@ pub struct DisjunctionJoinEstimator {
     hist_b: FreqHist,
     hist_ab: FreqHist,
     probe_size: u64,
-    t: u64,
-    sum: u128,
-    moments: RunningMoments,
+    /// `(t, Σ matches, Σ matches²)` over the probe tuples observed.
+    seen: PowerSums,
 }
 
 impl DisjunctionJoinEstimator {
@@ -69,9 +68,7 @@ impl DisjunctionJoinEstimator {
             hist_b,
             hist_ab,
             probe_size,
-            t: 0,
-            sum: 0,
-            moments: RunningMoments::new(),
+            seen: PowerSums::default(),
         }
     }
 
@@ -87,15 +84,13 @@ impl DisjunctionJoinEstimator {
                 .count(&Key::composite(vec![x.clone(), y.clone()]))
         };
         let matches = na + nb - nab;
-        self.t += 1;
-        self.sum += matches as u128;
-        self.moments.push(matches as f64);
+        self.seen.push_u64(matches);
         matches
     }
 
     /// Probe tuples observed so far.
     pub fn probe_seen(&self) -> u64 {
-        self.t
+        self.seen.count()
     }
 
     /// Revise the probe input size.
@@ -105,16 +100,12 @@ impl DisjunctionJoinEstimator {
 
     /// Current estimate of the disjunctive join's cardinality.
     pub fn estimate(&self) -> f64 {
-        if self.t == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.t as f64 * self.probe_size as f64
-        }
+        self.seen.mean() * self.probe_size as f64
     }
 
     /// Whether the probe stream has been fully observed (estimate exact).
     pub fn converged(&self) -> bool {
-        self.t >= self.probe_size
+        self.seen.count() >= self.probe_size
     }
 
     /// CLT confidence interval for the estimate.
@@ -122,7 +113,7 @@ impl DisjunctionJoinEstimator {
         if self.converged() {
             return ConfidenceInterval::around(self.estimate(), 0.0);
         }
-        let ci = self.moments.mean_ci(z);
+        let ci = self.seen.mean_ci(z);
         ConfidenceInterval {
             estimate: self.estimate(),
             lo: ci.lo * self.probe_size as f64,

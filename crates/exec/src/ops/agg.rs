@@ -323,7 +323,14 @@ impl HashAggregate {
                 }
             }
         }
-        let mut groups: FxHashMap<CompositeKey, (Row, Vec<Acc>)> = FxHashMap::default();
+        let new_accs = || -> Vec<Acc> {
+            let typed = self.aggs.iter().zip(&input_types);
+            typed.map(|(a, t)| Acc::new(a.func, *t)).collect()
+        };
+        // Per group: its key values, the input rows it has absorbed, and
+        // its accumulators. The row count is the `N_i` of §4.2: the tracker
+        // is handed each row's prior count and keeps no table of its own.
+        let mut groups: FxHashMap<CompositeKey, (Row, u64, Vec<Acc>)> = FxHashMap::default();
         // Reused per-row key scratch: hits resolve through a borrowed
         // `&[Key]` lookup (see `CompositeKey: Borrow<[Key]>`), so only the
         // first row of each group allocates a boxed key.
@@ -342,14 +349,12 @@ impl HashAggregate {
                 for &c in &self.group_cols {
                     key_buf.push(scratch.key(r, c)?);
                 }
-                if let Some(tracker) = &mut self.tracker {
-                    tracker.observe(&key_buf[0]);
-                }
-                if let Some((_, accs)) = groups.get_mut(key_buf.as_slice()) {
+                let prior = if let Some((_, rows, accs)) = groups.get_mut(key_buf.as_slice()) {
                     for (i, spec) in self.aggs.iter().enumerate() {
                         let value = spec.col.map(|c| scratch.value(r, c));
                         accs[i].update_value(spec.func, value)?;
                     }
+                    std::mem::replace(rows, *rows + 1)
                 } else {
                     let group_vals = Row::new(
                         self.group_cols
@@ -357,18 +362,17 @@ impl HashAggregate {
                             .map(|&c| scratch.value(r, c).clone())
                             .collect(),
                     );
-                    let mut accs: Vec<Acc> = self
-                        .aggs
-                        .iter()
-                        .zip(&input_types)
-                        .map(|(a, t)| Acc::new(a.func, *t))
-                        .collect();
+                    let mut accs = new_accs();
                     for (i, spec) in self.aggs.iter().enumerate() {
                         let value = spec.col.map(|c| scratch.value(r, c));
                         accs[i].update_value(spec.func, value)?;
                     }
                     let key = CompositeKey(key_buf.as_slice().into());
-                    groups.insert(key, (group_vals, accs));
+                    groups.insert(key, (group_vals, 1, accs));
+                    0
+                };
+                if let Some(tracker) = &mut self.tracker {
+                    tracker.observe_transition(prior, 1);
                 }
             }
             // Estimates are published once per batch, after K_i has been
@@ -389,20 +393,14 @@ impl HashAggregate {
         }
         // Global aggregation over an empty input still yields one row.
         if self.group_cols.is_empty() && groups.is_empty() {
-            let accs: Vec<Acc> = self
-                .aggs
-                .iter()
-                .zip(&input_types)
-                .map(|(a, t)| Acc::new(a.func, *t))
-                .collect();
-            groups.insert(CompositeKey(Box::new([])), (Row::default(), accs));
+            groups.insert(CompositeKey(Box::new([])), (Row::default(), 0, new_accs()));
         }
         // The consume phase has enumerated the groups: exact cardinality.
         self.metrics.set_estimated_total(groups.len() as f64);
 
         let mut out: Vec<Row> = groups
             .into_values()
-            .map(|(group_vals, accs)| {
+            .map(|(group_vals, _, accs)| {
                 let mut vals = group_vals.into_values();
                 vals.extend(accs.into_iter().map(Acc::finalize));
                 Row::new(vals)

@@ -15,25 +15,81 @@
 //! join of the chain is refined before any merge output exists).
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use qprog_core::join_est::JoinKind;
-use qprog_types::{BatchStatus, QError, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
 use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::trace::Phase;
 
+/// How a [`Run`]'s rows are ordered by key; the form is decided by the key
+/// values the input actually delivered.
+enum RunIndex {
+    /// Every key was a BIGINT: `(key, row)` sorted, so ties fall in row —
+    /// that is scan — order without a stable sort.
+    Int(Vec<(i64, u32)>),
+    /// Any other key type: row numbers, stably sorted by
+    /// [`Value::total_cmp`] of their keys.
+    Perm(Vec<u32>),
+}
+
+/// One sorted input: its non-NULL-key rows, columnar and in scan order,
+/// plus the index that orders them. The rows themselves are never moved.
+struct Run {
+    rows: RowBatch,
+    key_col: usize,
+    index: RunIndex,
+}
+
+impl Run {
+    /// Row number of the `i`-th row in key order.
+    fn row(&self, i: usize) -> u32 {
+        match &self.index {
+            RunIndex::Int(keys) => keys[i].1,
+            RunIndex::Perm(perm) => perm[i],
+        }
+    }
+
+    /// Key of the `i`-th row in key order.
+    fn key(&self, i: usize) -> &Value {
+        self.rows.value(self.row(i) as usize, self.key_col)
+    }
+
+    /// Order this run's `i`-th key against `other`'s `j`-th.
+    fn cmp_key(&self, i: usize, other: &Run, j: usize) -> Ordering {
+        match (&self.index, &other.index) {
+            (RunIndex::Int(a), RunIndex::Int(b)) => a[i].0.cmp(&b[j].0),
+            _ => self.key(i).total_cmp(other.key(j)),
+        }
+    }
+
+    /// The positions, from `start`, whose key equals the one at `start`.
+    fn equal_range(&self, start: usize) -> Range<usize> {
+        let len = (start..self.rows.len())
+            .take_while(|&i| self.cmp_key(i, self, start) == Ordering::Equal)
+            .count();
+        start..start + len
+    }
+}
+
+/// The merge of the two sorted runs, at positions `li`/`ri` in key order.
+struct Merge {
+    left: Run,
+    right: Run,
+    li: usize,
+    ri: usize,
+    /// The equal-key group being emitted: `(left range, right range, next
+    /// pair)` of its left-major cross product.
+    group: Option<(Range<usize>, Range<usize>, usize)>,
+}
+
 enum MState {
     Init,
-    Merging {
-        li: usize,
-        ri: usize,
-        /// Cartesian emission state within an equal-key group:
-        /// (l range, r range, cursor within the cross product).
-        group: Option<(std::ops::Range<usize>, std::ops::Range<usize>, usize)>,
-    },
+    Merging(Box<Merge>),
     Done,
 }
 
@@ -46,8 +102,8 @@ pub struct MergeJoin {
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
     est: JoinEstimator,
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
+    /// Reused `(left row, right row)` gather list of one output batch.
+    pair_buf: Vec<(u32, u32)>,
     state: MState,
 }
 
@@ -70,8 +126,7 @@ impl MergeJoin {
             schema,
             est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
-            left_rows: Vec::new(),
-            right_rows: Vec::new(),
+            pair_buf: Vec::new(),
             state: MState::Init,
         }
     }
@@ -87,12 +142,20 @@ impl MergeJoin {
             .take()
             .ok_or_else(|| QError::internal("merge join right input consumed twice"))?;
         let (left_key, right_key) = (self.left_key, self.right_key);
+        for (side, input, key) in [("left", &left, left_key), ("right", &right, right_key)] {
+            let arity = input.schema().arity();
+            if key >= arity {
+                return Err(QError::internal(format!(
+                    "merge join {side} key column {key} out of bounds for arity {arity}"
+                )));
+            }
+        }
         let est = &mut self.est;
 
         // Sort left (R): every tuple is seen before output → histogram.
         self.metrics.trace_phase(Phase::Init, Phase::SortInput);
         est.begin_build()?;
-        self.left_rows = drain_sorted(left, left_key, batch_cap, &self.metrics, |batch| {
+        let left = drain_sorted(left, left_key, batch_cap, &self.metrics, |batch| {
             est.observe_build(batch, left_key)
         })?;
         est.end_build(JoinKind::Inner)?;
@@ -101,7 +164,7 @@ impl MergeJoin {
         // are published in batches — per-tuple publication is measurable
         // overhead for a monitor that polls far less often anyway.
         let mut right_count: u64 = 0;
-        self.right_rows = drain_sorted(right, right_key, batch_cap, &self.metrics, |batch| {
+        let right = drain_sorted(right, right_key, batch_cap, &self.metrics, |batch| {
             // Cut the key column where the publication cadence falls, so
             // every PUBLISH_EVERY-th row publishes the state it would have
             // had tuple at a time.
@@ -121,40 +184,32 @@ impl MergeJoin {
         est.end_probe(right_count);
 
         self.metrics.trace_phase(Phase::SortInput, Phase::Merge);
-        self.state = MState::Merging {
+        self.state = MState::Merging(Box::new(Merge {
+            left,
+            right,
             li: 0,
             ri: 0,
             group: None,
-        };
+        }));
         Ok(())
-    }
-
-    /// Length of the run of rows equal on `col` starting at `start`.
-    fn run_len(rows: &[Row], start: usize, col: usize) -> usize {
-        let head = rows[start].get(col).expect("validated column");
-        rows[start..]
-            .iter()
-            .take_while(|r| {
-                r.get(col)
-                    .map(|v| v.total_cmp(head) == Ordering::Equal)
-                    .unwrap_or(false)
-            })
-            .count()
     }
 }
 
-/// Drain `input` into its rows sorted on `key_col` (NULL keys never
+/// Drain `input` into a [`Run`] sorted on `key_col` (NULL keys never
 /// equi-join and are dropped), calling `on_batch` on every non-empty batch
-/// in scan order.
+/// in scan order. A DOUBLE key is the type error of [`Key::from_value`].
 fn drain_sorted(
     mut input: BoxedOp,
     key_col: usize,
     batch_cap: usize,
     metrics: &OpMetrics,
     mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
-) -> QResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    let mut scratch = RowBatch::with_capacity(input.schema().arity(), batch_cap);
+) -> QResult<Run> {
+    let arity = input.schema().arity();
+    let mut rows = RowBatch::accumulator(arity);
+    let mut all_ints = true;
+    let mut scratch = RowBatch::with_capacity(arity, batch_cap);
+    let mut sel: Vec<usize> = Vec::new();
     loop {
         let status = input.next_batch(&mut scratch)?;
         let n = scratch.len();
@@ -162,23 +217,45 @@ fn drain_sorted(
             metrics.checkpoint(n as u64)?;
             on_batch(&scratch)?;
         }
-        for r in 0..n {
-            if !scratch.key(r, key_col)?.is_null() {
-                rows.push(scratch.row(r));
+        sel.clear();
+        for (r, key) in scratch.col(key_col).iter().enumerate() {
+            match key {
+                Value::Null => continue,
+                Value::Int64(_) => {}
+                other => {
+                    Key::from_value(other)?;
+                    all_ints = false;
+                }
             }
+            sel.push(r);
         }
+        rows.gather_from(&scratch, &sel);
         if status.is_exhausted() {
-            rows.sort_by(|a, b| key_cmp(a, b, key_col, key_col));
-            return Ok(rows);
+            break;
         }
     }
-}
-
-fn key_cmp(a: &Row, b: &Row, ca: usize, cb: usize) -> Ordering {
-    match (a.get(ca), b.get(cb)) {
-        (Ok(x), Ok(y)) => x.total_cmp(y),
-        _ => Ordering::Equal,
-    }
+    // Row numbers are `u32`s, in the index and in the output gather lists.
+    let len = u32::try_from(rows.len())
+        .map_err(|_| QError::internal("merge join input exceeds 2^32 rows"))?;
+    let keys = rows.col(key_col);
+    // Either index is built once, at its exact size, after the drain.
+    let index = if all_ints {
+        let mut index = Vec::with_capacity(keys.len());
+        for (row, key) in (0..len).zip(keys) {
+            index.push((key.as_i64()?, row));
+        }
+        index.sort_unstable();
+        RunIndex::Int(index)
+    } else {
+        let mut perm: Vec<u32> = (0..len).collect();
+        perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+        RunIndex::Perm(perm)
+    };
+    Ok(Run {
+        rows,
+        key_col,
+        index,
+    })
 }
 
 impl Operator for MergeJoin {
@@ -191,89 +268,74 @@ impl Operator for MergeJoin {
         if matches!(self.state, MState::Init) {
             self.preprocess(out.capacity())?;
         }
-        // Right (driver) rows consumed and rows emitted since the last
+        let MState::Merging(merge) = &mut self.state else {
+            return Ok(BatchStatus::Exhausted);
+        };
+        let m: &mut Merge = merge;
+        let pairs = &mut self.pair_buf;
+        pairs.clear();
+        // Right (driver) rows consumed and pairs collected since the last
         // `observe_join_pass`. Flushed once per output batch, and — governor
         // granularity — once per output batch worth of right rows consumed
         // even when nothing matches.
         let (mut drv, mut emit) = (0u64, 0u64);
-        let chunk = out.capacity().max(1) as u64;
-        loop {
-            if out.is_full() || drv >= chunk {
+        let room = out.capacity();
+        let status = loop {
+            let full = pairs.len() >= room;
+            if full || drv >= room as u64 {
                 self.est
                     .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
-                if out.is_full() {
-                    return Ok(BatchStatus::HasMore);
+                if full {
+                    break BatchStatus::HasMore;
                 }
             }
-            // Split borrows: copy indices out of the state.
-            let (mut li, mut ri, group) = match &mut self.state {
-                MState::Done => return Ok(BatchStatus::Exhausted),
-                MState::Merging { li, ri, group } => (*li, *ri, group.take()),
-                MState::Init => unreachable!("preprocessed above"),
-            };
-
-            // Emit remaining pairs of the current equal-key group.
-            if let Some((lr, rr, cursor)) = group {
+            if let Some((lr, rr, next)) = &mut m.group {
                 let width = rr.len();
-                if cursor < lr.len() * width {
-                    let l = lr.start + cursor / width;
-                    let r = rr.start + cursor % width;
-                    out.push_concat(self.left_rows[l].values(), self.right_rows[r].values());
-                    emit += 1;
-                    self.state = MState::Merging {
-                        li,
-                        ri,
-                        group: Some((lr, rr, cursor + 1)),
-                    };
+                let remaining = lr.len() * width - *next;
+                if remaining == 0 {
+                    // group exhausted: advance past both runs
+                    drv += width as u64;
+                    (m.li, m.ri) = (lr.end, rr.end);
+                    m.group = None;
                     continue;
                 }
-                // group exhausted: advance past both runs
-                drv += rr.len() as u64;
-                self.state = MState::Merging {
-                    li: lr.end,
-                    ri: rr.end,
-                    group: None,
-                };
+                // Collect the group's remaining pairs, as many as fit.
+                let take = remaining.min(room - pairs.len());
+                let (mut l, mut r) = (*next / width, *next % width);
+                for _ in 0..take {
+                    pairs.push((m.left.row(lr.start + l), m.right.row(rr.start + r)));
+                    r += 1;
+                    if r == width {
+                        (l, r) = (l + 1, 0);
+                    }
+                }
+                *next += take;
+                emit += take as u64;
                 continue;
             }
-
-            // Advance the merge.
-            if li >= self.left_rows.len() || ri >= self.right_rows.len() {
+            if m.li >= m.left.rows.len() || m.ri >= m.right.rows.len() {
                 // account for right rows never matched
-                drv += (self.right_rows.len() - ri) as u64;
+                drv += (m.right.rows.len() - m.ri) as u64;
                 self.est.observe_join_pass(drv, emit)?;
-                self.state = MState::Done;
-                self.metrics.mark_finished();
-                return Ok(BatchStatus::Exhausted);
+                break BatchStatus::Exhausted;
             }
-            match key_cmp(
-                &self.left_rows[li],
-                &self.right_rows[ri],
-                self.left_key,
-                self.right_key,
-            ) {
-                Ordering::Less => li += 1,
+            match m.left.cmp_key(m.li, &m.right, m.ri) {
+                Ordering::Less => m.li += 1,
                 Ordering::Greater => {
-                    ri += 1;
+                    m.ri += 1;
                     drv += 1;
                 }
                 Ordering::Equal => {
-                    let lrun = Self::run_len(&self.left_rows, li, self.left_key);
-                    let rrun = Self::run_len(&self.right_rows, ri, self.right_key);
-                    self.state = MState::Merging {
-                        li,
-                        ri,
-                        group: Some((li..li + lrun, ri..ri + rrun, 0)),
-                    };
-                    continue;
+                    m.group = Some((m.left.equal_range(m.li), m.right.equal_range(m.ri), 0));
                 }
             }
-            self.state = MState::Merging {
-                li,
-                ri,
-                group: None,
-            };
+        };
+        out.gather_concat_from(&m.left.rows, &m.right.rows, pairs);
+        if status.is_exhausted() {
+            self.state = MState::Done;
+            self.metrics.mark_finished();
         }
+        Ok(status)
     }
 
     fn name(&self) -> &str {
@@ -284,10 +346,14 @@ impl Operator for MergeJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::test_util::{drain, int_table};
+    use crate::ops::test_util::{drain, drain_batched, int_table};
     use crate::ops::{PipelineHandle, PipelineShared, TableScan};
     use crate::sync::Mutex;
     use qprog_core::pipeline_est::PipelineEstimator;
+    use qprog_storage::Table;
+    use qprog_types::{DataType, Field, Row, Schema};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();
@@ -341,24 +407,27 @@ mod tests {
         let r: Vec<i64> = (0..300).map(|i| i % 30).collect();
         let s: Vec<i64> = (0..400).map(|i| i % 40).collect();
         let truth = exact_join(&r, &s) as f64;
-        let m = OpMetrics::with_initial_estimate(1.0);
-        let mut j = MergeJoin::new(
-            scan1("r", &r),
-            scan1("s", &s),
-            0,
-            0,
-            JoinEstimation::Once {
-                probe_size_hint: s.len() as u64,
-            },
-            Arc::clone(&m),
-        );
-        {
-            let mut src = crate::ops::RowSource::new(&mut j);
-            let first = src.next_row().unwrap();
-            assert!(first.is_some());
+        for cap in [1, 7, 64, 1024] {
+            let m = OpMetrics::with_initial_estimate(1.0);
+            let mut j = MergeJoin::new(
+                scan1("r", &r),
+                scan1("s", &s),
+                0,
+                0,
+                JoinEstimation::Once {
+                    probe_size_hint: s.len() as u64,
+                },
+                Arc::clone(&m),
+            );
+            // The first call sorts both inputs and returns the first rows.
+            let mut first = RowBatch::with_capacity(2, cap);
+            assert_eq!(j.next_batch(&mut first).unwrap(), BatchStatus::HasMore);
+            assert_eq!(m.emitted(), cap as u64);
+            assert_eq!(m.estimated_total(), truth, "cap {cap}");
+            assert_eq!(m.estimated_bounds(), Some((truth, truth)), "cap {cap}");
+            let rest = drain_batched(&mut j, cap);
+            assert_eq!((first.len() + rest.len()) as f64, truth, "cap {cap}");
         }
-        assert_eq!(m.estimated_total(), truth);
-        assert_eq!(drain(&mut j).len() + 1, truth as usize);
     }
 
     #[test]
@@ -553,5 +622,142 @@ mod tests {
         );
         assert_eq!(drain(&mut j).len(), 2);
         assert_eq!(m.estimated_total(), 2.0);
+    }
+
+    /// A scan of `(k, id)` rows: `k` the given keys (nullable, typed `ty`),
+    /// `id` the row's scan position.
+    fn keyed_scan(name: &str, ty: DataType, keys: &[Value]) -> (Vec<Row>, BoxedOp) {
+        let schema = Schema::new(vec![
+            Field::new("k", ty).with_nullable(true),
+            Field::new("id", DataType::Int64),
+        ]);
+        let rows: Vec<Row> = (0i64..)
+            .zip(keys)
+            .map(|(id, k)| Row::new(vec![k.clone(), Value::Int64(id)]))
+            .collect();
+        let mut t = Table::new(name, schema);
+        t.extend(rows.clone()).unwrap();
+        let scan = TableScan::new(t.into_shared(), OpMetrics::with_initial_estimate(0.0));
+        (rows, Box::new(scan))
+    }
+
+    /// The reference: stable sort of the non-NULL-key rows by key, then the
+    /// left-major cross product of every equal-key pair of runs.
+    fn reference_join(left: &[Row], right: &[Row]) -> Vec<Row> {
+        let key = |r: &Row| r.get(0).unwrap().clone();
+        let sorted = |rows: &[Row]| {
+            let mut rows: Vec<Row> = rows.iter().filter(|r| !key(r).is_null()).cloned().collect();
+            rows.sort_by(|a, b| key(a).total_cmp(&key(b)));
+            rows
+        };
+        let (left, right) = (sorted(left), sorted(right));
+        let mut out = Vec::new();
+        for l in &left {
+            for r in right
+                .iter()
+                .filter(|r| key(l).total_cmp(&key(r)) == Ordering::Equal)
+            {
+                out.push(Row::new([l.values(), r.values()].concat()));
+            }
+        }
+        out
+    }
+
+    /// `n` keys drawn from `domain` values (heavy duplicates) with about one
+    /// NULL in eight.
+    fn random_keys(rng: &mut StdRng, n: usize, domain: i64, make: fn(i64) -> Value) -> Vec<Value> {
+        (0..n)
+            .map(|_| match rng.random_range(0..8) {
+                0 => Value::Null,
+                _ => make(rng.random_range(-domain..domain)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_row_at_a_time_reference_on_every_key_type() {
+        let int = |v: i64| Value::Int64(v * 1_000_003);
+        let text = |v: i64| Value::str(format!("k{v}"));
+        let boolean = |v: i64| Value::Bool(v % 2 == 0);
+        type Make = fn(i64) -> Value;
+        let sides: [(DataType, Make); 3] = [
+            (DataType::Int64, int),
+            (DataType::Utf8, text),
+            (DataType::Bool, boolean),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed22);
+        let mut matched = 0;
+        for (lt, lmake) in sides {
+            // Same-typed sides, and BIGINT against VARCHAR: nothing matches.
+            for (rt, rmake) in [(lt, lmake), (DataType::Utf8, text)] {
+                for (ln, rn) in [(0, 40), (40, 0), (1, 1), (150, 220)] {
+                    let lkeys = random_keys(&mut rng, ln, 6, lmake);
+                    let rkeys = random_keys(&mut rng, rn, 6, rmake);
+                    for cap in [1, 7, 1024] {
+                        let (lrows, lscan) = keyed_scan("l", lt, &lkeys);
+                        let (rrows, rscan) = keyed_scan("r", rt, &rkeys);
+                        let expect = reference_join(&lrows, &rrows);
+                        let m = OpMetrics::with_initial_estimate(0.0);
+                        let estimation = JoinEstimation::Once {
+                            probe_size_hint: rn as u64,
+                        };
+                        let mut j = MergeJoin::new(lscan, rscan, 0, 0, estimation, Arc::clone(&m));
+                        let got = drain_batched(&mut j, cap);
+                        assert_eq!(got, expect, "{lt} x {rt}, {ln} x {rn} rows, cap {cap}");
+                        assert_eq!(m.estimated_total(), expect.len() as f64);
+                        let driver = rkeys.iter().filter(|k| !k.is_null()).count();
+                        assert_eq!(m.driver_consumed(), driver as u64);
+                        assert!(lt == rt || expect.is_empty());
+                        matched += expect.len();
+                    }
+                }
+            }
+        }
+        assert!(matched > 10_000, "the inputs must share keys: {matched}");
+    }
+
+    #[test]
+    fn double_keys_are_a_type_error_on_either_side() {
+        let doubles = [Value::Float64(1.5), Value::Float64(2.5)];
+        let ints = [Value::Int64(1), Value::Int64(2)];
+        let expect = Key::from_value(&doubles[0]).unwrap_err();
+        for double_left in [true, false] {
+            for once in [true, false] {
+                let (_, d) = keyed_scan("d", DataType::Float64, &doubles);
+                let (_, i) = keyed_scan("i", DataType::Int64, &ints);
+                let (l, r) = if double_left { (d, i) } else { (i, d) };
+                let estimation = match once {
+                    true => JoinEstimation::Once { probe_size_hint: 2 },
+                    false => JoinEstimation::Off,
+                };
+                let m = OpMetrics::with_initial_estimate(0.0);
+                let mut j = MergeJoin::new(l, r, 0, 0, estimation, Arc::clone(&m));
+                let mut out = RowBatch::with_capacity(4, 8);
+                assert_eq!(j.next_batch(&mut out), Err(expect.clone()));
+                assert!(out.is_empty());
+                assert_eq!(m.emitted(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn key_column_past_the_child_arity_is_an_error_not_a_cross_product() {
+        for (left_key, right_key) in [(1, 0), (0, 1), (7, 7)] {
+            let m = OpMetrics::with_initial_estimate(0.0);
+            let mut j = MergeJoin::new(
+                scan1("r", &[1, 2]),
+                scan1("s", &[1, 2]),
+                left_key,
+                right_key,
+                JoinEstimation::Off,
+                Arc::clone(&m),
+            );
+            let mut out = RowBatch::with_capacity(2, 8);
+            let err = j.next_batch(&mut out).unwrap_err();
+            assert!(matches!(err, QError::Internal(_)), "{err}");
+            assert!(err.to_string().contains("out of bounds"), "{err}");
+            assert!(out.is_empty());
+            assert_eq!(m.emitted(), 0);
+        }
     }
 }

@@ -210,6 +210,124 @@ fn results_and_converged_estimates_identical_across_batch_sizes() {
     }
 }
 
+/// Sort-merge plans over heavily duplicated keys: one merge join (binary
+/// `once` estimation, published on a row cadence) and a chain of two
+/// (Algorithm-1 push-down, published per probe batch).
+fn merge_workloads() -> Vec<(&'static str, LogicalPlan)> {
+    let mut catalog = Catalog::new();
+    for (name, rows, seed) in [("customer", 3000, 1), ("customer2", 500, 2)] {
+        catalog
+            .register(qprog::datagen::customer_table(name, rows, 1.5, 40, seed))
+            .expect("customer");
+    }
+    catalog
+        .register(qprog::datagen::nation_table("nation", 40))
+        .expect("nation");
+    let b = PlanBuilder::new(catalog);
+    let merge = |probe: LogicalPlan, build: &str| {
+        let build_key = format!("{build}.nationkey");
+        probe
+            .join_build(
+                b.scan(build).expect("scan"),
+                &build_key,
+                "customer.nationkey",
+                qprog::plan::JoinAlgo::Merge,
+            )
+            .expect("merge join")
+    };
+    let single = merge(b.scan("customer").expect("scan"), "customer2");
+    let chain = merge(single.clone(), "nation");
+    vec![("merge_join", single), ("merge_chain", chain)]
+}
+
+/// What a merge plan's run looks like from outside: its rows *in output
+/// order*, the converged per-operator state, and every online estimate a
+/// merge join published, in publication order.
+#[derive(PartialEq, Debug)]
+struct OrderedRun {
+    rows: Vec<String>,
+    converged: Vec<(String, u64, u64, u64)>,
+    published: Vec<(u32, u64)>,
+}
+
+fn ordered_run(plan: &LogicalPlan, popts: &PhysicalOptions) -> OrderedRun {
+    let ring = Arc::new(RingSink::with_capacity(1 << 16));
+    let bus = EventBus::builder().sink(Arc::clone(&ring) as _).build();
+    let mut q = compile_traced(plan, popts, Some(bus)).expect("compile");
+    let rows = q.collect().expect("run");
+    let tracker = q.tracker();
+    let registry = tracker.registry();
+    let merge_ops: Vec<u32> = (0u32..)
+        .zip(registry.iter())
+        .filter(|(_, (name, _))| name.contains("merge_join"))
+        .map(|(op, _)| op)
+        .collect();
+    assert!(!merge_ops.is_empty(), "not a merge plan");
+    OrderedRun {
+        rows: rows.iter().map(|r| format!("{r:?}")).collect(),
+        converged: registry
+            .iter()
+            .map(|(name, m)| {
+                let total = m.estimated_total().to_bits();
+                (name.to_string(), total, m.emitted(), m.driver_consumed())
+            })
+            .collect(),
+        published: ring
+            .drain()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::EstimateRefined {
+                    op,
+                    new,
+                    source: qprog_exec::trace::EstimateSource::Online,
+                    ..
+                } if merge_ops.contains(&op) => Some((op, new.to_bits())),
+                _ => None,
+            })
+            .collect(),
+    }
+}
+
+/// Merge plans produce the same rows in the same order and the same
+/// converged estimates at every batch capacity and thread count; a single
+/// merge join under `once` also publishes the same estimate sequence
+/// (its cadence is counted in rows, not batches).
+#[test]
+fn merge_plans_are_identical_across_batch_sizes_and_threads() {
+    let _scenario = qprog::fault::FailScenario::setup();
+    for (name, plan) in &merge_workloads() {
+        for (label, mode) in MODES {
+            let strict = ordered_run(plan, &opts(mode, 1));
+            assert!(
+                strict.rows.len() > 1000,
+                "{name}/{label}: {} rows",
+                strict.rows.len()
+            );
+            assert!(
+                strict.published.len() > 8,
+                "{name}/{label}: nothing published"
+            );
+            for batch in [1, 7, 64, 1024] {
+                let serial = ordered_run(plan, &opts(mode, batch));
+                let what = format!("{name}/{label} at batch_rows={batch}");
+                assert!(strict.rows == serial.rows, "{what}: rows or their order");
+                assert_eq!(strict.converged, serial.converged, "{what}");
+                if (*name, mode) == ("merge_join", EstimationMode::Once) {
+                    assert_eq!(strict.published, serial.published, "{what}");
+                }
+                let parallel = PhysicalOptions {
+                    threads: 4,
+                    ..opts(mode, batch)
+                };
+                assert!(
+                    ordered_run(plan, &parallel) == serial,
+                    "{what}: 4 threads diverged from 1"
+                );
+            }
+        }
+    }
+}
+
 /// Progress fractions observed at a row cadence are clamped to `[0, 1]`
 /// and never decrease, at every batch capacity.
 #[test]

@@ -76,6 +76,36 @@ fn freq_hist_aggregates_consistent() {
     }
 }
 
+/// `Σ f_j = d` and `Σ j·f_j = t` hold at every step while counts climb
+/// through the limit between `f_j`'s dense lane and its overflow map, one
+/// at a time and in weighted jumps over it.
+#[test]
+fn freq_hist_profile_invariants_across_the_class_lane_boundary() {
+    let mut rng = StdRng::seed_from_u64(0xc1a55);
+    let mut h = FreqHist::new();
+    let mut counts = std::collections::HashMap::<i64, u64>::new();
+    for step in 0..6000 {
+        // Key 0 climbs by one per step; keys 1..5 jump by up to 3000.
+        let (key, n) = match step % 4 {
+            0 => (rng.random_range(1..5), rng.random_range(1..3000)),
+            _ => (0, 1),
+        };
+        let before = h.observe_n(&Key::Int(key), n);
+        let count = counts.entry(key).or_insert(0);
+        assert_eq!(before, *count);
+        *count += n;
+        let d: u64 = h.frequency_classes().map(|(_, f)| f).sum();
+        let t: u64 = h.frequency_classes().map(|(j, f)| j * f).sum();
+        assert_eq!(d, h.distinct());
+        assert_eq!(t, h.total());
+        assert!(h
+            .frequency_classes()
+            .all(|(j, f)| f > 0 && f == counts.values().filter(|&&c| c == j).count() as u64));
+    }
+    assert!(counts[&0] > 4096 && h.max_frequency() > 100_000);
+    assert_eq!(h.distinct(), counts.len() as u64);
+}
+
 /// The once estimator is exact once the probe stream is exhausted, for any
 /// pair of key vectors and any probe order.
 #[test]
