@@ -98,6 +98,16 @@ impl DistinctTracker {
         }
     }
 
+    /// [`observe_transition`](Self::observe_transition)`(prior, 1)` for each
+    /// of a batch's rows in order: `priors[r]` is the count row `r`'s group
+    /// had before that row (so a group met twice in the batch shows `c`,
+    /// then `c + 1`). One call per batch instead of one per row.
+    pub fn observe_transitions(&mut self, priors: &[u64]) {
+        for &prior in priors {
+            self.observe_transition(prior, 1);
+        }
+    }
+
     /// Algorithm 2's GEE step and one tick of Algorithm 3's interval.
     fn after_transition(&mut self, prior: u64, n: u64) {
         self.gee.observe_transition_n(prior, n);
@@ -317,6 +327,47 @@ mod tests {
             // Only the key-fed tracker holds per-key counts.
             assert_eq!(by_key.histogram().count(&Key::Int(0)), 10_000);
             assert_eq!(by_count.histogram().iter().count(), 0);
+        }
+    }
+
+    /// A stream cut into batches at random offsets and handed over a batch
+    /// at a time leaves, after every batch, the tracker that per-row
+    /// feeding leaves — MLE recomputes inside a batch included.
+    #[test]
+    fn batch_fed_tracker_matches_row_fed_tracker_after_every_batch() {
+        let mut rng = StdRng::seed_from_u64(0xba7c4);
+        for input_size in [15_000u64, 40_000, 1_000_000] {
+            let mut by_row = DistinctTracker::new(input_size);
+            let mut by_batch = DistinctTracker::new(input_size);
+            let mut counts = vec![0u64; 400];
+            let mut batch = Vec::new();
+            for _ in 0..20_000 {
+                // Key 0 is heavy; a batch meets the same group repeatedly.
+                let key = match rng.random_range(0..10) {
+                    0..=5 => 0,
+                    _ => rng.random_range(1..400),
+                };
+                by_row.observe_transition(counts[key], 1);
+                batch.push(counts[key]);
+                counts[key] += 1;
+                if rng.random_range(0..300) > 0 {
+                    continue;
+                }
+                by_batch.observe_transitions(&batch);
+                batch.clear();
+                let state = |t: &DistinctTracker| {
+                    let floats = [
+                        t.estimate(),
+                        t.gee_estimate(),
+                        t.gamma_squared(),
+                        t.mle_cache,
+                    ];
+                    (floats.map(f64::to_bits), t.groups_seen(), t.seen())
+                };
+                assert_eq!(state(&by_batch), state(&by_row), "t = {}", by_row.seen());
+            }
+            assert!(by_row.mle_cache > 0.0, "the MLE interval fired");
+            assert!(by_batch.seen() > 15_000, "batches were handed over");
         }
     }
 }

@@ -8,17 +8,15 @@
 //! [`HashJoin::with_agg_pushdown`](crate::ops::hash_join::HashJoin::with_agg_pushdown))
 //! and this operator merely publishes the shared tracker's estimates.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::sync::Mutex;
 use qprog_core::distinct::DistinctTracker;
-use qprog_core::fx::FxHashMap;
-use qprog_types::{
-    BatchStatus, CompositeKey, DataType, Key, QError, QResult, Row, RowBatch, SchemaRef, Value,
-};
+use qprog_types::{BatchStatus, DataType, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
-use crate::ops::sort::{compare_rows, SortKey};
+use crate::ops::chain::{key_hash, ChainIndex, NIL};
 use crate::ops::{BoxedOp, Operator};
 use crate::trace::Phase;
 
@@ -99,16 +97,8 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, func: AggFunc, row: &Row, col: Option<usize>) -> QResult<()> {
-        let value = match col {
-            Some(c) => Some(row.get(c)?),
-            None => None,
-        };
-        self.update_value(func, value)
-    }
-
-    /// Core accumulator step over an already-fetched value (the batch path
-    /// reads column-major storage directly, without materializing rows).
+    /// One accumulator step over a value read in place from column-major
+    /// storage.
     fn update_value(&mut self, func: AggFunc, value: Option<&Value>) -> QResult<()> {
         match (self, func) {
             (Acc::Count(n), AggFunc::CountStar) => *n += 1,
@@ -166,84 +156,35 @@ impl Acc {
         Ok(())
     }
 
-    fn finalize(self) -> Value {
-        match self {
-            Acc::Count(n) => Value::Int64(n as i64),
-            Acc::SumI { sum, seen } => {
-                if seen {
-                    Value::Int64(sum as i64)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::SumF { sum, seen } => {
-                if seen {
-                    Value::Float64(sum)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-            Acc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / n as f64)
-                }
-            }
-        }
+    /// The aggregate's result. A BIGINT `SUM` that does not fit `i64` is the
+    /// error the same overflow is in an expression, not a wrapped value.
+    fn finalize(&self) -> QResult<Value> {
+        Ok(match self {
+            Acc::Count(n) => Value::Int64(*n as i64),
+            Acc::SumI { seen: false, .. } | Acc::SumF { seen: false, .. } => Value::Null,
+            Acc::SumI { sum, .. } => Value::Int64(
+                i64::try_from(*sum).map_err(|_| QError::exec("integer overflow in SUM"))?,
+            ),
+            Acc::SumF { sum, .. } => Value::Float64(*sum),
+            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
+            Acc::Avg { n: 0, .. } => Value::Null,
+            Acc::Avg { sum, n } => Value::Float64(sum / *n as f64),
+        })
     }
-}
-
-/// Fold a *group-sorted* row run into one output row per group (group
-/// values then finalized aggregates). Shared by the sort-based aggregate;
-/// a global aggregation (`group_cols` empty) over an empty input still
-/// produces one row.
-pub(crate) fn accumulate_sorted_groups(
-    rows: &[Row],
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    input_types: &[Option<DataType>],
-) -> QResult<Vec<Row>> {
-    let new_accs = || -> Vec<Acc> {
-        aggs.iter()
-            .zip(input_types)
-            .map(|(a, t)| Acc::new(a.func, *t))
-            .collect()
-    };
-    let finalize = |group_vals: Row, accs: Vec<Acc>| -> Row {
-        let mut vals = group_vals.into_values();
-        vals.extend(accs.into_iter().map(Acc::finalize));
-        Row::new(vals)
-    };
-    let mut out = Vec::new();
-    let mut current: Option<(CompositeKey, Row, Vec<Acc>)> = None;
-    for row in rows {
-        let key = row.composite_key(group_cols)?;
-        let same_group = current.as_ref().is_some_and(|(k, _, _)| *k == key);
-        if !same_group {
-            if let Some((_, gv, accs)) = current.take() {
-                out.push(finalize(gv, accs));
-            }
-            current = Some((key, row.project(group_cols)?, new_accs()));
-        }
-        let (_, _, accs) = current.as_mut().expect("group just ensured");
-        for (i, spec) in aggs.iter().enumerate() {
-            accs[i].update(spec.func, row, spec.col)?;
-        }
-    }
-    if let Some((_, gv, accs)) = current.take() {
-        out.push(finalize(gv, accs));
-    }
-    if group_cols.is_empty() && out.is_empty() {
-        out.push(finalize(Row::default(), new_accs()));
-    }
-    Ok(out)
 }
 
 enum AState {
     Consuming,
-    Emitting { rows: std::vec::IntoIter<Row> },
+    /// Emitting the groups, held column-major in first-seen order — group
+    /// `g`'s key values are row `g` of `keys`, its accumulators
+    /// `accs[g * stride..][..stride]` — in `order` (sorted by key), from
+    /// `order[pos]` on.
+    Emitting {
+        keys: RowBatch,
+        accs: Vec<Acc>,
+        order: Vec<u32>,
+        pos: usize,
+    },
     Done,
 }
 
@@ -302,17 +243,10 @@ impl HashAggregate {
         self
     }
 
-    fn consume(&mut self, batch_cap: usize) -> QResult<Vec<Row>> {
+    /// Drain the input into its groups; returns the `Emitting` state.
+    fn consume(&mut self, batch_cap: usize) -> QResult<AState> {
         self.metrics.trace_phase(Phase::Init, Phase::Accumulate);
         let input_schema = self.input.schema();
-        let input_types: Vec<Option<DataType>> = self
-            .aggs
-            .iter()
-            .map(|a| {
-                a.col
-                    .and_then(|c| input_schema.field(c).ok().map(|f| f.data_type))
-            })
-            .collect();
         for spec in &self.aggs {
             if let Some(c) = spec.col {
                 if c >= input_schema.arity() {
@@ -323,18 +257,26 @@ impl HashAggregate {
                 }
             }
         }
-        let new_accs = || -> Vec<Acc> {
-            let typed = self.aggs.iter().zip(&input_types);
-            typed.map(|(a, t)| Acc::new(a.func, *t)).collect()
-        };
-        // Per group: its key values, the input rows it has absorbed, and
-        // its accumulators. The row count is the `N_i` of §4.2: the tracker
-        // is handed each row's prior count and keeps no table of its own.
-        let mut groups: FxHashMap<CompositeKey, (Row, u64, Vec<Acc>)> = FxHashMap::default();
-        // Reused per-row key scratch: hits resolve through a borrowed
-        // `&[Key]` lookup (see `CompositeKey: Borrow<[Key]>`), so only the
-        // first row of each group allocates a boxed key.
-        let mut key_buf: Vec<Key> = Vec::with_capacity(self.group_cols.len());
+        let new_accs: Vec<Acc> = self
+            .aggs
+            .iter()
+            .map(|a| {
+                let input = a.col.and_then(|c| input_schema.field(c).ok());
+                Acc::new(a.func, input.map(|f| f.data_type))
+            })
+            .collect();
+        let (group_cols, stride) = (&self.group_cols, self.aggs.len());
+        let mut keys = RowBatch::accumulator(group_cols.len());
+        let mut accs: Vec<Acc> = Vec::new();
+        // The groups chained by key hash, and each group's input rows so
+        // far (the `N_i` of §4.2).
+        let mut index = ChainIndex::default();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut new_key: Vec<Value> = Vec::with_capacity(group_cols.len());
+        // Each row's group count before the row, in row order: what the
+        // tracker is handed per batch (it keeps no table of its own).
+        let mut priors: Vec<u64> = Vec::new();
+        let track = self.tracker.is_some();
         let mut scratch = RowBatch::with_capacity(input_schema.arity(), batch_cap);
         loop {
             let status = self.input.next_batch(&mut scratch)?;
@@ -344,35 +286,34 @@ impl HashAggregate {
                 qprog_fault::fail_point!("exec/agg/accumulate");
                 self.metrics.record_driver(n as u64);
             }
+            priors.clear();
             for r in 0..n {
-                key_buf.clear();
-                for &c in &self.group_cols {
-                    key_buf.push(scratch.key(r, c)?);
+                let cells = || group_cols.iter().map(|&c| scratch.value(r, c));
+                let hash = key_hash(cells())?;
+                let mut g = index.first(hash);
+                while g != NIL && !cells().eq(keys.cols().iter().map(|k| &k[g as usize])) {
+                    g = index.next(g);
                 }
-                let prior = if let Some((_, rows, accs)) = groups.get_mut(key_buf.as_slice()) {
-                    for (i, spec) in self.aggs.iter().enumerate() {
-                        let value = spec.col.map(|c| scratch.value(r, c));
-                        accs[i].update_value(spec.func, value)?;
+                if g == NIL {
+                    if index.is_crowded() {
+                        let cols = keys.cols();
+                        index
+                            .rebuild(counts.len(), |row| key_hash(cols.iter().map(|k| &k[row])))?;
                     }
-                    std::mem::replace(rows, *rows + 1)
-                } else {
-                    let group_vals = Row::new(
-                        self.group_cols
-                            .iter()
-                            .map(|&c| scratch.value(r, c).clone())
-                            .collect(),
-                    );
-                    let mut accs = new_accs();
-                    for (i, spec) in self.aggs.iter().enumerate() {
-                        let value = spec.col.map(|c| scratch.value(r, c));
-                        accs[i].update_value(spec.func, value)?;
-                    }
-                    let key = CompositeKey(key_buf.as_slice().into());
-                    groups.insert(key, (group_vals, 1, accs));
-                    0
-                };
-                if let Some(tracker) = &mut self.tracker {
-                    tracker.observe_transition(prior, 1);
+                    g = index.push(hash);
+                    new_key.clear();
+                    new_key.extend(cells().cloned());
+                    keys.push_values(&new_key);
+                    counts.push(0);
+                    accs.extend_from_slice(&new_accs);
+                }
+                let g = g as usize;
+                if track {
+                    priors.push(counts[g]);
+                }
+                counts[g] += 1;
+                for (acc, spec) in accs[g * stride..][..stride].iter_mut().zip(&self.aggs) {
+                    acc.update_value(spec.func, spec.col.map(|c| scratch.value(r, c)))?;
                 }
             }
             // Estimates are published once per batch, after K_i has been
@@ -381,7 +322,8 @@ impl HashAggregate {
             // monotonicity contract). At batch_rows = 1 this is the exact
             // per-row publish sequence of the serial engine.
             if n > 0 {
-                if let Some(tracker) = &self.tracker {
+                if let Some(tracker) = &mut self.tracker {
+                    tracker.observe_transitions(&priors);
                     self.metrics.set_estimated_total(tracker.estimate());
                 } else if let AggEstimation::Pushdown(shared) = &self.estimation {
                     self.metrics.set_estimated_total(shared.lock().estimate());
@@ -392,28 +334,28 @@ impl HashAggregate {
             }
         }
         // Global aggregation over an empty input still yields one row.
-        if self.group_cols.is_empty() && groups.is_empty() {
-            groups.insert(CompositeKey(Box::new([])), (Row::default(), 0, new_accs()));
+        if group_cols.is_empty() && keys.is_empty() {
+            keys.push_values(&[]);
+            accs.extend_from_slice(&new_accs);
         }
         // The consume phase has enumerated the groups: exact cardinality.
-        self.metrics.set_estimated_total(groups.len() as f64);
+        self.metrics.set_estimated_total(keys.len() as f64);
 
-        let mut out: Vec<Row> = groups
-            .into_values()
-            .map(|(group_vals, _, accs)| {
-                let mut vals = group_vals.into_values();
-                vals.extend(accs.into_iter().map(Acc::finalize));
-                Row::new(vals)
-            })
-            .collect();
-        let sort_keys: Vec<SortKey> = (0..self.group_cols.len())
-            .map(|col| SortKey {
-                col,
-                ascending: true,
-            })
-            .collect();
-        out.sort_by(|a, b| compare_rows(a, b, &sort_keys));
-        Ok(out)
+        // Groups are distinct, so no two compare equal and the order is
+        // the same from any starting permutation.
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        let cols = keys.cols();
+        order.sort_unstable_by(|&a, &b| {
+            let mut by_col = cols.iter().map(|k| k[a as usize].total_cmp(&k[b as usize]));
+            by_col.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        });
+        let pos = 0;
+        Ok(AState::Emitting {
+            keys,
+            accs,
+            order,
+            pos,
+        })
     }
 
     /// The internal tracker (for tests and experiment harnesses).
@@ -432,26 +374,35 @@ impl Operator for HashAggregate {
         loop {
             match &mut self.state {
                 AState::Consuming => {
-                    let rows = self.consume(out.capacity())?;
+                    let emitting = self.consume(out.capacity())?;
                     self.metrics.trace_phase(Phase::Accumulate, Phase::Emit);
-                    self.state = AState::Emitting {
-                        rows: rows.into_iter(),
-                    };
+                    self.state = emitting;
                 }
-                AState::Emitting { rows } => {
-                    while !out.is_full() {
-                        match rows.next() {
-                            Some(r) => out.push_row(r),
-                            None => {
-                                self.metrics.record_emitted_n(out.len() as u64);
-                                self.metrics.mark_finished();
-                                self.state = AState::Done;
-                                return Ok(BatchStatus::Exhausted);
-                            }
+                AState::Emitting {
+                    keys,
+                    accs,
+                    order,
+                    pos,
+                } => {
+                    let stride = self.aggs.len();
+                    let mut row: Vec<Value> = Vec::with_capacity(out.arity());
+                    while !out.is_full() && *pos < order.len() {
+                        let g = order[*pos] as usize;
+                        *pos += 1;
+                        row.clear();
+                        row.extend(keys.cols().iter().map(|k| k[g].clone()));
+                        for acc in &accs[g * stride..][..stride] {
+                            row.push(acc.finalize()?);
                         }
+                        out.push_values(&row);
                     }
                     self.metrics.record_emitted_n(out.len() as u64);
-                    return Ok(BatchStatus::HasMore);
+                    if out.is_full() {
+                        return Ok(BatchStatus::HasMore);
+                    }
+                    self.metrics.mark_finished();
+                    self.state = AState::Done;
+                    return Ok(BatchStatus::Exhausted);
                 }
                 AState::Done => return Ok(BatchStatus::Exhausted),
             }
@@ -466,9 +417,13 @@ impl Operator for HashAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::test_util::{col_i64, drain, int2_table};
+    use crate::ops::test_util::{col_i64, drain, drain_batched, int2_table};
     use crate::ops::TableScan;
-    use qprog_types::{Field, Schema};
+    use qprog_storage::Table;
+    use qprog_types::{Field, Row as TRow, Schema};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn scan2(vals: &[(i64, i64)]) -> BoxedOp {
         let t = int2_table("t", ("g", "v"), vals).into_shared();
@@ -569,7 +524,6 @@ mod tests {
 
     #[test]
     fn count_ignores_nulls_sum_of_nothing_is_null() {
-        use qprog_types::Row as TRow;
         let mut t = qprog_storage::Table::new(
             "t",
             Schema::new(vec![
@@ -653,5 +607,221 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert!(agg.tracker().is_none());
         assert_eq!(col_i64(&rows, 2), vec![2, 1, 1]);
+    }
+
+    /// Group keys in `Value::total_cmp` order, column by column: the order
+    /// groups are emitted in.
+    #[derive(PartialEq, Eq)]
+    struct GroupKey(Vec<Value>);
+
+    impl Ord for GroupKey {
+        fn cmp(&self, other: &Self) -> Ordering {
+            let mut by_col = self.0.iter().zip(&other.0).map(|(a, b)| a.total_cmp(b));
+            by_col.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        }
+    }
+
+    impl PartialOrd for GroupKey {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The reference: a `BTreeMap` from group key to the group's rows in
+    /// input order, each aggregate computed from that list.
+    fn reference_aggregate(rows: &[TRow], group_cols: &[usize], aggs: &[AggSpec]) -> Vec<TRow> {
+        let mut groups: BTreeMap<GroupKey, Vec<&TRow>> = BTreeMap::new();
+        if group_cols.is_empty() {
+            groups.insert(GroupKey(Vec::new()), Vec::new());
+        }
+        for r in rows {
+            let key = GroupKey(r.project(group_cols).unwrap().into_values());
+            groups.entry(key).or_default().push(r);
+        }
+        let finish = |(key, members): (GroupKey, Vec<&TRow>)| {
+            let mut out = key.0;
+            for spec in aggs {
+                let all = spec.col.into_iter();
+                let all = all.flat_map(|c| members.iter().map(move |r| r.get(c).unwrap()));
+                let vals: Vec<&Value> = all.filter(|v| !v.is_null()).collect();
+                let as_f64 = |v: &&Value| v.as_f64().unwrap();
+                let float_sum = || vals.iter().map(as_f64).fold(0.0, |a, b| a + b);
+                out.push(match spec.func {
+                    AggFunc::CountStar => Value::Int64(members.len() as i64),
+                    AggFunc::Count => Value::Int64(vals.len() as i64),
+                    AggFunc::Sum | AggFunc::Avg if vals.is_empty() => Value::Null,
+                    AggFunc::Sum if matches!(vals[0], Value::Float64(_)) => {
+                        Value::Float64(float_sum())
+                    }
+                    AggFunc::Sum => Value::Int64(vals.iter().map(|v| v.as_i64().unwrap()).sum()),
+                    AggFunc::Avg => Value::Float64(float_sum() / vals.len() as f64),
+                    AggFunc::Min => {
+                        let min = vals.iter().min_by(|a, b| a.total_cmp(b));
+                        min.map_or(Value::Null, |v| (*v).clone())
+                    }
+                    AggFunc::Max => {
+                        let max = vals.iter().max_by(|a, b| a.total_cmp(b));
+                        max.map_or(Value::Null, |v| (*v).clone())
+                    }
+                });
+            }
+            TRow::new(out)
+        };
+        groups.into_iter().map(finish).collect()
+    }
+
+    /// `(g1 BIGINT, g2 VARCHAR, vi BIGINT, vf DOUBLE)`, every column
+    /// nullable; about `groups` distinct `g1` values.
+    fn mixed_table(rng: &mut StdRng, rows: usize, groups: i64) -> (Vec<TRow>, Arc<Table>) {
+        fn nullable(rng: &mut StdRng, v: Value) -> Value {
+            match rng.random_range(0..16) {
+                0 => Value::Null,
+                _ => v,
+            }
+        }
+        let rows: Vec<TRow> = (0..rows)
+            .map(|_| {
+                let (g1, g2) = (rng.random_range(0..groups), rng.random_range(0..40));
+                let (vi, vf) = (rng.random_range(-1000..1000), rng.random_range(-1000..1000));
+                TRow::new(vec![
+                    nullable(rng, Value::Int64(g1 * 1_000_003)),
+                    nullable(rng, Value::str(format!("s{g2}"))),
+                    nullable(rng, Value::Int64(vi)),
+                    nullable(rng, Value::Float64(vf as f64 / 8.0)),
+                ])
+            })
+            .collect();
+        let types = [
+            ("g1", DataType::Int64),
+            ("g2", DataType::Utf8),
+            ("vi", DataType::Int64),
+            ("vf", DataType::Float64),
+        ];
+        let fields = types.map(|(n, t)| Field::new(n, t).with_nullable(true));
+        let mut t = Table::new("t", Schema::new(fields.to_vec()));
+        t.extend(rows.clone()).unwrap();
+        (rows, t.into_shared())
+    }
+
+    fn spec(func: AggFunc, col: Option<usize>) -> AggSpec {
+        AggSpec { func, col }
+    }
+
+    fn mixed_aggregate(
+        table: &Arc<Table>,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+        estimation: AggEstimation,
+    ) -> (HashAggregate, Arc<OpMetrics>) {
+        let scan = TableScan::new(Arc::clone(table), OpMetrics::with_initial_estimate(0.0));
+        let arity = group_cols.len() + aggs.len();
+        let fields = (0..arity).map(|i| Field::new(format!("c{i}"), DataType::Int64));
+        let schema = Schema::new(fields.collect()).into_ref();
+        let m = OpMetrics::with_initial_estimate(0.0);
+        let (groups, aggs) = (group_cols.to_vec(), aggs.to_vec());
+        let agg = HashAggregate::new(
+            Box::new(scan),
+            groups,
+            aggs,
+            schema,
+            estimation,
+            Arc::clone(&m),
+        );
+        (agg, m)
+    }
+
+    #[test]
+    fn matches_the_btreemap_reference_row_for_row() {
+        let mut rng = StdRng::seed_from_u64(0x5eed23);
+        let every_func = [
+            spec(AggFunc::CountStar, None),
+            spec(AggFunc::Count, Some(2)),
+            spec(AggFunc::Sum, Some(2)),
+            spec(AggFunc::Sum, Some(3)),
+            spec(AggFunc::Min, Some(2)),
+            spec(AggFunc::Max, Some(1)),
+            spec(AggFunc::Avg, Some(2)),
+            spec(AggFunc::Avg, Some(3)),
+        ];
+        // 5000 rows over ~2300 g1 values: the group index is relinked at
+        // 16, 32, ... 2048 groups.
+        for (n, domain) in [(0, 1), (1, 1), (300, 12), (5000, 3000)] {
+            let (rows, table) = mixed_table(&mut rng, n, domain);
+            for group_cols in [&[0][..], &[1], &[0, 1], &[1, 0], &[]] {
+                let expect = reference_aggregate(&rows, group_cols, &every_func);
+                assert_eq!(expect.is_empty(), n == 0 && !group_cols.is_empty());
+                for cap in [1, 7, 1024] {
+                    // Far more input promised than arrives: the tracker
+                    // never falls back on "all seen, the count is exact".
+                    let track = AggEstimation::Track {
+                        input_size_hint: 1 << 20,
+                    };
+                    let (mut agg, m) = mixed_aggregate(&table, group_cols, &every_func, track);
+                    let got = drain_batched(&mut agg, cap);
+                    let what = format!("{n} rows, GROUP BY {group_cols:?}, cap {cap}");
+                    assert!(got == expect, "{what}: rows or their order");
+                    assert_eq!(m.emitted(), expect.len() as u64, "{what}");
+                    assert_eq!(m.estimated_total(), expect.len() as f64, "{what}");
+                    // Fed prior counts a batch at a time, the tracker is the
+                    // tracker fed the keys one by one.
+                    let &[col] = group_cols else {
+                        assert!(agg.tracker().is_none());
+                        continue;
+                    };
+                    let mut by_key = DistinctTracker::new(1 << 20);
+                    for r in &rows {
+                        by_key.observe(&r.key(col).unwrap());
+                    }
+                    let bits = |t: &DistinctTracker| {
+                        let floats = [t.estimate(), t.gee_estimate(), t.gamma_squared()];
+                        (floats.map(f64::to_bits), t.groups_seen(), t.seen())
+                    };
+                    assert_eq!(bits(agg.tracker().unwrap()), bits(&by_key), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn double_group_column_is_a_type_error() {
+        let (_, table) = mixed_table(&mut StdRng::seed_from_u64(1), 50, 5);
+        let expect = qprog_types::Key::from_value(&Value::Float64(0.5)).unwrap_err();
+        for group_cols in [&[3][..], &[0, 3]] {
+            let count = [spec(AggFunc::CountStar, None)];
+            let (mut agg, m) = mixed_aggregate(&table, group_cols, &count, AggEstimation::Off);
+            let mut out = RowBatch::with_capacity(3, 8);
+            assert_eq!(agg.next_batch(&mut out), Err(expect.clone()));
+            assert!(out.is_empty());
+            assert_eq!(m.emitted(), 0);
+        }
+    }
+
+    /// A BIGINT `SUM` is exact while it fits (the accumulator is wider than
+    /// the result) and the overflow error of an expression when it does not.
+    #[test]
+    fn bigint_sum_past_i64_is_an_error_not_a_wrapped_value() {
+        let sum_of = |vals: &[i64]| {
+            let data: Vec<(i64, i64)> = vals.iter().map(|&v| (1, v)).collect();
+            let schema = out_schema(&[("g", DataType::Int64), ("sum", DataType::Int64)]);
+            let mut agg = HashAggregate::new(
+                scan2(&data),
+                vec![0],
+                vec![spec(AggFunc::Sum, Some(1))],
+                schema,
+                AggEstimation::Off,
+                OpMetrics::with_initial_estimate(0.0),
+            );
+            let mut out = RowBatch::with_capacity(2, 8);
+            agg.next_batch(&mut out).map(|_| out.value(0, 1).clone())
+        };
+        assert_eq!(sum_of(&[i64::MAX, -1]), Ok(Value::Int64(i64::MAX - 1)));
+        assert_eq!(
+            sum_of(&[i64::MAX, i64::MAX, i64::MIN]),
+            Ok(Value::Int64(i64::MAX - 1))
+        );
+        for overflowing in [[i64::MAX, i64::MAX], [i64::MIN, -1]] {
+            let err = sum_of(&overflowing).unwrap_err();
+            assert_eq!(err, QError::exec("integer overflow in SUM"));
+        }
     }
 }

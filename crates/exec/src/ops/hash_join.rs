@@ -15,9 +15,10 @@
 //!    baselines (which watch this phase) fluctuate under skew (Fig. 4).
 //!
 //! All three phases are columnar: partitions are [`RowBatch`] accumulators
-//! filled by selection-vector gathers, the per-partition tables map keys to
-//! build-row indices, and an inner join emits whole batches of
-//! `(build, probe)` pairs with one column-wise gather. Estimation, governor
+//! filled by selection-vector gathers, the per-partition table is a
+//! [chained row index](crate::ops::chain) over the build partition, and
+//! matches leave as batches of `(build, probe)` pairs in one column-wise
+//! gather. Estimation, governor
 //! checkpoints, and metrics are accounted **per batch** — the `K_i` deltas
 //! of a batch are summed and applied at its boundary, so published
 //! fractions and converged estimates are identical to the per-tuple
@@ -35,13 +36,13 @@ use std::time::Duration;
 use crate::sync::Mutex;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::freq_hist::FreqHist;
-use qprog_core::fx::FxHashMap;
 use qprog_core::join_est::{JoinKind, ProbeFragment};
 use qprog_types::{BatchStatus, Key, QError, QResult, Row, RowBatch, SchemaRef};
 
 use crate::metrics::OpMetrics;
+use crate::ops::chain::{key_hash, ChainIndex, NIL};
 use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
-use crate::ops::{partition_of, BoxedOp, Operator, PUBLISH_EVERY};
+use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::parallel;
 use crate::trace::Phase;
 
@@ -51,15 +52,14 @@ pub const DEFAULT_PARTITIONS: usize = 16;
 enum JState {
     /// Build + probe-partition phases not yet run.
     Init,
-    /// Joining partition `part`; `probe_pos` indexes its probe rows.
+    /// Joining partition `part`, whose build rows `HashJoin::index` chains;
+    /// `probe_pos` indexes its probe rows.
     Joining {
         part: usize,
-        /// Build-row indices (into the partition's batch) per key.
-        table: FxHashMap<Key, Vec<u32>>,
         probe_pos: usize,
-        /// Partially emitted match group: (probe row index, cursor into
-        /// its match list) — resumes when the output batch filled mid-group.
-        pending: Option<(usize, usize)>,
+        /// A match group the full output batch cut short: (probe row, its
+        /// next matching build row).
+        pending: Option<(usize, u32)>,
     },
     Done,
 }
@@ -133,8 +133,7 @@ fn partition_input(
         for s in &mut sel {
             s.clear();
         }
-        for r in 0..n {
-            let key = scratch.key(r, drain.key_col)?;
+        for (r, key) in scratch.col(drain.key_col).iter().enumerate() {
             if key.is_null() {
                 // NULL keys never equi-join
                 if drain.keep_nulls {
@@ -142,7 +141,7 @@ fn partition_input(
                 }
                 continue;
             }
-            sel[partition_of(&key, partitions)].push(r);
+            sel[(key_hash([key])? % partitions as u64) as usize].push(r);
         }
         for (part, s) in into.parts.iter_mut().zip(&sel) {
             if !s.is_empty() {
@@ -226,7 +225,11 @@ pub struct HashJoin {
     threads: usize,
     build_parts: Partitions,
     probe_parts: Partitions,
-    /// Reused `(build row, probe row)` gather list for inner-join output.
+    /// The current partition's build rows, chained by key hash (reused
+    /// across partitions).
+    index: ChainIndex,
+    /// Reused `(build row, probe row)` list of matches not yet gathered
+    /// into the output batch.
     pair_buf: Vec<(u32, u32)>,
     /// Optional aggregation push-down (§4.2 end): tracks the distinct
     /// values of the join key in the join *output* distribution.
@@ -260,6 +263,7 @@ impl HashJoin {
             threads: 1,
             build_parts: Partitions::default(),
             probe_parts: Partitions::default(),
+            index: ChainIndex::default(),
             pair_buf: Vec::new(),
             agg_pushdown: None,
             state: JState::Init,
@@ -479,21 +483,31 @@ impl HashJoin {
         self.load_partition(0)
     }
 
-    /// Build the in-memory hash table for partition `part`.
+    /// Chain the build rows of partition `part`. Chains ascend, so a probe
+    /// row meets its matches in build-row order.
     fn load_partition(&mut self, part: usize) -> QResult<()> {
-        let bpart = &self.build_parts.parts[part];
-        let mut table: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-        for i in 0..bpart.len() {
-            let key = bpart.key(i, self.build_key)?;
-            table.entry(key).or_default().push(i as u32);
-        }
+        let keys = self.build_parts.parts[part].col(self.build_key);
+        self.index
+            .rebuild(keys.len(), |row| key_hash([&keys[row]]))?;
         self.state = JState::Joining {
             part,
-            table,
             probe_pos: 0,
             pending: None,
         };
         Ok(())
+    }
+}
+
+/// Gather the collected `(build, probe)` pairs into `out`.
+fn flush_pairs(
+    out: &mut RowBatch,
+    build: &RowBatch,
+    probe: &RowBatch,
+    pairs: &mut Vec<(u32, u32)>,
+) {
+    if !pairs.is_empty() {
+        out.gather_concat_from(build, probe, pairs);
+        pairs.clear();
     }
 }
 
@@ -531,117 +545,77 @@ impl Operator for HashJoin {
                 JState::Done => return Ok(BatchStatus::Exhausted),
                 JState::Joining {
                     part,
-                    table,
                     probe_pos,
                     pending,
                 } => {
                     let part_idx = *part;
                     let bpart = &self.build_parts.parts[part_idx];
                     let ppart = &self.probe_parts.parts[part_idx];
+                    let (bkeys, pkeys) = (bpart.col(self.build_key), ppart.col(self.probe_key));
+                    let index = &self.index;
+                    // The first build row at or after chain candidate `c`
+                    // whose key cell equals probe row `pidx`'s. Cells of
+                    // different types never compare equal.
+                    let match_from = |pidx: usize, mut c: u32| {
+                        while c != NIL && bkeys[c as usize] != pkeys[pidx] {
+                            c = index.next(c);
+                        }
+                        c
+                    };
                     // Governor granularity: at most one output batch worth
                     // of probe rows is consumed between flushes, even when
                     // nothing matches.
                     let chunk = out.capacity().max(1);
-                    match self.kind {
-                        JoinKind::Inner => {
-                            // Vectorized fast path: collect (build, probe)
-                            // index pairs, then emit them with one
-                            // column-wise gather.
-                            self.pair_buf.clear();
-                            let room = out.remaining();
-                            if let Some((pidx, cur)) = pending.take() {
-                                let key = ppart.key(pidx, self.probe_key)?;
-                                let matches = table.get(&key).map_or(&[][..], Vec::as_slice);
-                                let take = (matches.len() - cur).min(room);
-                                self.pair_buf.extend(
-                                    matches[cur..cur + take].iter().map(|&b| (b, pidx as u32)),
-                                );
-                                if cur + take < matches.len() {
-                                    *pending = Some((pidx, cur + take));
+                    // Inner and LeftOuter collect their matches as index
+                    // pairs and emit them with one column-wise gather (a
+                    // LeftOuter miss flushes first: misses interleave with
+                    // matches in probe order); Semi and Anti emit probe
+                    // rows only.
+                    let pairs = &mut self.pair_buf;
+                    let emits_pairs = matches!(self.kind, JoinKind::Inner | JoinKind::LeftOuter);
+                    let mut resume = pending.take();
+                    let mut scanned = 0usize;
+                    loop {
+                        let (pidx, mut m) = match resume.take() {
+                            Some(cut) => cut,
+                            None => {
+                                if out.remaining() == pairs.len()
+                                    || scanned >= chunk
+                                    || *probe_pos >= ppart.len()
+                                {
+                                    break;
                                 }
-                            }
-                            let mut scanned = 0usize;
-                            while self.pair_buf.len() < room
-                                && scanned < chunk
-                                && *probe_pos < ppart.len()
-                            {
                                 let pidx = *probe_pos;
                                 *probe_pos += 1;
                                 drv += 1;
                                 scanned += 1;
-                                let key = ppart.key(pidx, self.probe_key)?;
-                                if let Some(matches) = table.get(&key) {
-                                    let take = matches.len().min(room - self.pair_buf.len());
-                                    self.pair_buf
-                                        .extend(matches[..take].iter().map(|&b| (b, pidx as u32)));
-                                    if take < matches.len() {
-                                        *pending = Some((pidx, take));
-                                    }
-                                }
-                            }
-                            out.gather_concat_from(bpart, ppart, &self.pair_buf);
-                            emit += self.pair_buf.len() as u64;
-                        }
-                        _ => {
-                            // LeftOuter / Semi / Anti: misses interleave
-                            // with matches in probe order, row-wise.
-                            if let Some((pidx, cur)) = pending.take() {
-                                let key = ppart.key(pidx, self.probe_key)?;
-                                let matches = table.get(&key).map_or(&[][..], Vec::as_slice);
-                                let mut c = cur;
-                                while c < matches.len() && !out.is_full() {
-                                    out.gather_concat_from(
-                                        bpart,
-                                        ppart,
-                                        &[(matches[c], pidx as u32)],
-                                    );
-                                    emit += 1;
-                                    c += 1;
-                                }
-                                if c < matches.len() {
-                                    *pending = Some((pidx, c));
-                                }
-                            }
-                            let mut scanned = 0usize;
-                            while !out.is_full() && scanned < chunk && *probe_pos < ppart.len() {
-                                let pidx = *probe_pos;
-                                *probe_pos += 1;
-                                drv += 1;
-                                scanned += 1;
-                                let key = ppart.key(pidx, self.probe_key)?;
-                                match (self.kind, table.get(&key)) {
-                                    (JoinKind::LeftOuter, Some(matches)) => {
-                                        let mut c = 0;
-                                        while c < matches.len() && !out.is_full() {
-                                            out.gather_concat_from(
-                                                bpart,
-                                                ppart,
-                                                &[(matches[c], pidx as u32)],
-                                            );
-                                            emit += 1;
-                                            c += 1;
-                                        }
-                                        if c < matches.len() {
-                                            *pending = Some((pidx, c));
-                                        }
-                                    }
-                                    (JoinKind::LeftOuter, None) => {
-                                        out.push_concat_row_from(
-                                            self.null_pad.values(),
-                                            ppart,
-                                            pidx,
-                                        );
-                                        emit += 1;
-                                    }
-                                    (JoinKind::Semi, Some(_)) | (JoinKind::Anti, None) => {
+                                let m = match_from(pidx, index.first(key_hash([&pkeys[pidx]])?));
+                                if !emits_pairs {
+                                    if (m != NIL) == (self.kind == JoinKind::Semi) {
                                         out.push_from(ppart, pidx);
                                         emit += 1;
                                     }
-                                    _ => {}
+                                    continue;
                                 }
+                                if m == NIL && self.kind == JoinKind::LeftOuter {
+                                    flush_pairs(out, bpart, ppart, pairs);
+                                    out.push_concat_row_from(self.null_pad.values(), ppart, pidx);
+                                    emit += 1;
+                                }
+                                (pidx, m)
                             }
+                        };
+                        while m != NIL {
+                            if out.remaining() == pairs.len() {
+                                *pending = Some((pidx, m));
+                                break;
+                            }
+                            pairs.push((m, pidx as u32));
+                            emit += 1;
+                            m = match_from(pidx, index.next(m));
                         }
                     }
+                    flush_pairs(out, bpart, ppart, pairs);
                     let more_here = *probe_pos < ppart.len() || pending.is_some();
                     self.est
                         .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
@@ -692,9 +666,12 @@ impl Operator for HashJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::test_util::{drain, int_table};
+    use crate::ops::test_util::{
+        assert_double_keys_rejected, drain, int_table, keyed_scan, random_keys,
+    };
     use crate::ops::{PipelineHandle, PipelineShared, TableScan};
     use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
+    use qprog_types::{DataType, Value};
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();
@@ -1204,5 +1181,115 @@ mod tests {
                 assert_eq!(run(cap), strict, "{kind:?} cap={cap}");
             }
         }
+    }
+
+    /// The reference: partitions in order, within one the probe rows in
+    /// scan order, for each its matching build rows in scan order; then the
+    /// NULL-key probe rows a LeftOuter/Anti join stashed, last stashed
+    /// first.
+    fn reference_join(build: &[Row], probe: &[Row], kind: JoinKind, partitions: u64) -> Vec<Row> {
+        let key = |r: &Row| r.get(0).unwrap().clone();
+        let padded = |p: &Row| Row::new([&[Value::Null, Value::Null], p.values()].concat());
+        let mut out = Vec::new();
+        for part in 0..partitions {
+            let here =
+                |r: &&Row| !key(r).is_null() && key_hash([&key(r)]).unwrap() % partitions == part;
+            for p in probe.iter().filter(here) {
+                let matches: Vec<&Row> = build.iter().filter(|b| key(b) == key(p)).collect();
+                match kind {
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        out.extend(matches.iter().map(|b| b.concat(p)));
+                        if matches.is_empty() && kind == JoinKind::LeftOuter {
+                            out.push(padded(p));
+                        }
+                    }
+                    JoinKind::Semi | JoinKind::Anti => {
+                        if matches.is_empty() == (kind == JoinKind::Anti) {
+                            out.push(p.clone());
+                        }
+                    }
+                }
+            }
+        }
+        for p in probe.iter().rev().filter(|p| key(p).is_null()) {
+            match kind {
+                JoinKind::LeftOuter => out.push(padded(p)),
+                JoinKind::Anti => out.push(p.clone()),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matches_the_nested_loop_reference_row_for_row() {
+        use rand::SeedableRng;
+        let int = |v: i64| Value::Int64(v * 1_000_003);
+        let text = |v: i64| Value::str(format!("k{v}"));
+        let boolean = |v: i64| Value::Bool(v % 2 == 0);
+        type Make = fn(i64) -> Value;
+        let sides: [(DataType, Make); 3] = [
+            (DataType::Int64, int),
+            (DataType::Utf8, text),
+            (DataType::Bool, boolean),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed23);
+        let mut matched = 0;
+        for (bt, bmake) in sides {
+            // Same-typed sides, and BIGINT against VARCHAR: nothing matches.
+            for (pt, pmake) in [(bt, bmake), (DataType::Utf8, text)] {
+                // The last shape repeats each of two build keys ~1100
+                // times: one probe row's matches overflow every batch
+                // capacity below, and the cut match group is resumed across
+                // batches in each partition that holds one.
+                for (bn, pn, domain) in [
+                    (0, 40, 6),
+                    (40, 0, 6),
+                    (1, 1, 6),
+                    (150, 220, 6),
+                    (2600, 6, 1),
+                ] {
+                    let bkeys = random_keys(&mut rng, bn, domain, bmake);
+                    let pkeys = random_keys(&mut rng, pn, domain, pmake);
+                    for kind in [
+                        JoinKind::Inner,
+                        JoinKind::LeftOuter,
+                        JoinKind::Semi,
+                        JoinKind::Anti,
+                    ] {
+                        for (partitions, cap) in [(1, 1), (1, 1024), (16, 1), (16, 7), (16, 1024)] {
+                            let (brows, bscan) = keyed_scan("b", bt, &bkeys);
+                            let (prows, pscan) = keyed_scan("p", pt, &pkeys);
+                            let expect = reference_join(&brows, &prows, kind, partitions);
+                            let m = OpMetrics::with_initial_estimate(0.0);
+                            let estimation = JoinEstimation::Once {
+                                probe_size_hint: pn as u64,
+                            };
+                            let mut j =
+                                HashJoin::new(bscan, pscan, 0, 0, estimation, Arc::clone(&m))
+                                    .with_join_kind(kind)
+                                    .with_partitions(partitions as usize);
+                            let got = crate::ops::test_util::drain_batched(&mut j, cap);
+                            let what = format!(
+                                "{kind:?} {bt} x {pt}, {bn} x {pn} rows, {partitions} partitions, cap {cap}"
+                            );
+                            assert!(got == expect, "{what}: rows or their order");
+                            assert_eq!(m.emitted(), expect.len() as u64, "{what}");
+                            assert_eq!(m.estimated_total(), expect.len() as f64, "{what}");
+                            assert!(bt == pt || kind != JoinKind::Inner || expect.is_empty());
+                            matched += expect.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(matched > 100_000, "the inputs must share keys: {matched}");
+    }
+
+    #[test]
+    fn double_keys_are_a_type_error_on_either_side() {
+        assert_double_keys_rejected(|l, r, estimation, m| {
+            Box::new(HashJoin::new(l, r, 0, 0, estimation, m))
+        });
     }
 }

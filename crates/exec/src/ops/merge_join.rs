@@ -346,14 +346,15 @@ impl Operator for MergeJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::test_util::{drain, drain_batched, int_table};
+    use crate::ops::test_util::{
+        assert_double_keys_rejected, drain, drain_batched, int_table, keyed_scan, random_keys,
+    };
     use crate::ops::{PipelineHandle, PipelineShared, TableScan};
     use crate::sync::Mutex;
     use qprog_core::pipeline_est::PipelineEstimator;
-    use qprog_storage::Table;
-    use qprog_types::{DataType, Field, Row, Schema};
+    use qprog_types::{DataType, Row};
     use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::SeedableRng;
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();
@@ -624,23 +625,6 @@ mod tests {
         assert_eq!(m.estimated_total(), 2.0);
     }
 
-    /// A scan of `(k, id)` rows: `k` the given keys (nullable, typed `ty`),
-    /// `id` the row's scan position.
-    fn keyed_scan(name: &str, ty: DataType, keys: &[Value]) -> (Vec<Row>, BoxedOp) {
-        let schema = Schema::new(vec![
-            Field::new("k", ty).with_nullable(true),
-            Field::new("id", DataType::Int64),
-        ]);
-        let rows: Vec<Row> = (0i64..)
-            .zip(keys)
-            .map(|(id, k)| Row::new(vec![k.clone(), Value::Int64(id)]))
-            .collect();
-        let mut t = Table::new(name, schema);
-        t.extend(rows.clone()).unwrap();
-        let scan = TableScan::new(t.into_shared(), OpMetrics::with_initial_estimate(0.0));
-        (rows, Box::new(scan))
-    }
-
     /// The reference: stable sort of the non-NULL-key rows by key, then the
     /// left-major cross product of every equal-key pair of runs.
     fn reference_join(left: &[Row], right: &[Row]) -> Vec<Row> {
@@ -661,17 +645,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// `n` keys drawn from `domain` values (heavy duplicates) with about one
-    /// NULL in eight.
-    fn random_keys(rng: &mut StdRng, n: usize, domain: i64, make: fn(i64) -> Value) -> Vec<Value> {
-        (0..n)
-            .map(|_| match rng.random_range(0..8) {
-                0 => Value::Null,
-                _ => make(rng.random_range(-domain..domain)),
-            })
-            .collect()
     }
 
     #[test]
@@ -718,26 +691,9 @@ mod tests {
 
     #[test]
     fn double_keys_are_a_type_error_on_either_side() {
-        let doubles = [Value::Float64(1.5), Value::Float64(2.5)];
-        let ints = [Value::Int64(1), Value::Int64(2)];
-        let expect = Key::from_value(&doubles[0]).unwrap_err();
-        for double_left in [true, false] {
-            for once in [true, false] {
-                let (_, d) = keyed_scan("d", DataType::Float64, &doubles);
-                let (_, i) = keyed_scan("i", DataType::Int64, &ints);
-                let (l, r) = if double_left { (d, i) } else { (i, d) };
-                let estimation = match once {
-                    true => JoinEstimation::Once { probe_size_hint: 2 },
-                    false => JoinEstimation::Off,
-                };
-                let m = OpMetrics::with_initial_estimate(0.0);
-                let mut j = MergeJoin::new(l, r, 0, 0, estimation, Arc::clone(&m));
-                let mut out = RowBatch::with_capacity(4, 8);
-                assert_eq!(j.next_batch(&mut out), Err(expect.clone()));
-                assert!(out.is_empty());
-                assert_eq!(m.emitted(), 0);
-            }
-        }
+        assert_double_keys_rejected(|l, r, estimation, m| {
+            Box::new(MergeJoin::new(l, r, 0, 0, estimation, m))
+        });
     }
 
     #[test]

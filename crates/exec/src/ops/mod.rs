@@ -1,6 +1,7 @@
 //! Physical operators.
 
 pub mod agg;
+pub(crate) mod chain;
 pub mod filter;
 pub mod hash_join;
 pub mod join_estimation;
@@ -10,11 +11,8 @@ pub mod nl_join;
 pub mod project;
 pub mod scan;
 pub mod sort;
-pub mod sort_agg;
 
-use std::hash::{Hash, Hasher};
-
-use qprog_types::{BatchStatus, Key, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, QResult, Row, RowBatch, SchemaRef};
 
 pub use agg::{AggFunc, AggSpec, HashAggregate};
 pub use filter::Filter;
@@ -26,7 +24,6 @@ pub use nl_join::NestedLoopsJoin;
 pub use project::Project;
 pub use scan::TableScan;
 pub use sort::Sort;
-pub use sort_agg::SortAggregate;
 
 /// The vectorized pull interface. One [`next_batch`](Operator::next_batch)
 /// call refills the caller's [`RowBatch`] with up to `out.capacity()` rows;
@@ -125,23 +122,15 @@ impl<'a> RowSource<'a> {
 /// publishing every tuple is pure overhead.
 pub const PUBLISH_EVERY: u64 = 256;
 
-/// Stable partition hash for grace-join partitioning (independent of the
-/// hash used inside per-partition join tables, so partitioning skew does not
-/// correlate with bucket collisions). Runs once per build *and* probe tuple,
-/// so it uses the framework's Fx-style hasher rather than SipHash.
-pub(crate) fn partition_of(key: &Key, partitions: usize) -> usize {
-    let mut h = qprog_core::fx::FxHasher::default();
-    // Fixed tag decorrelates this from the join tables' Fx usage.
-    0x9E37_79B9_7F4A_7C15_u64.hash(&mut h);
-    key.hash(&mut h);
-    (h.finish() % partitions as u64) as usize
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     use super::*;
+    use crate::metrics::OpMetrics;
     use qprog_storage::Table;
-    use qprog_types::{row, DataType, Field, Schema};
+    use qprog_types::{row, DataType, Field, Schema, Value};
+    use rand::rngs::StdRng;
+    use rand::RngExt;
+    use std::sync::Arc;
 
     /// Build a one-column BIGINT table from values.
     pub fn int_table(name: &str, col: &str, vals: &[i64]) -> Table {
@@ -165,6 +154,67 @@ pub(crate) mod test_util {
             t.push(row![a, b]).unwrap();
         }
         t
+    }
+
+    /// A scan of `(k, id)` rows: `k` the given keys (nullable, typed `ty`),
+    /// `id` the row's scan position.
+    pub fn keyed_scan(name: &str, ty: DataType, keys: &[Value]) -> (Vec<Row>, BoxedOp) {
+        let schema = Schema::new(vec![
+            Field::new("k", ty).with_nullable(true),
+            Field::new("id", DataType::Int64),
+        ]);
+        let rows: Vec<Row> = (0i64..)
+            .zip(keys)
+            .map(|(id, k)| Row::new(vec![k.clone(), Value::Int64(id)]))
+            .collect();
+        let mut t = Table::new(name, schema);
+        t.extend(rows.clone()).unwrap();
+        let metrics = OpMetrics::with_initial_estimate(0.0);
+        (rows, Box::new(TableScan::new(t.into_shared(), metrics)))
+    }
+
+    /// A DOUBLE key on either side of the join `make` builds is
+    /// `Key::from_value`'s type error, estimating or not, and nothing is
+    /// emitted.
+    pub fn assert_double_keys_rejected(
+        make: impl Fn(BoxedOp, BoxedOp, JoinEstimation, Arc<OpMetrics>) -> BoxedOp,
+    ) {
+        let doubles = [Value::Float64(1.5), Value::Float64(2.5)];
+        let ints = [Value::Int64(1), Value::Int64(2)];
+        let expect = qprog_types::Key::from_value(&doubles[0]).unwrap_err();
+        for double_first in [true, false] {
+            for once in [true, false] {
+                let (_, d) = keyed_scan("d", DataType::Float64, &doubles);
+                let (_, i) = keyed_scan("i", DataType::Int64, &ints);
+                let (first, second) = if double_first { (d, i) } else { (i, d) };
+                let estimation = match once {
+                    true => JoinEstimation::Once { probe_size_hint: 2 },
+                    false => JoinEstimation::Off,
+                };
+                let m = OpMetrics::with_initial_estimate(0.0);
+                let mut j = make(first, second, estimation, Arc::clone(&m));
+                let mut out = RowBatch::with_capacity(4, 8);
+                assert_eq!(j.next_batch(&mut out), Err(expect.clone()));
+                assert!(out.is_empty());
+                assert_eq!(m.emitted(), 0);
+            }
+        }
+    }
+
+    /// `n` keys drawn from `2 × domain` values (heavy duplicates) with
+    /// about one NULL in eight.
+    pub fn random_keys(
+        rng: &mut StdRng,
+        n: usize,
+        domain: i64,
+        make: fn(i64) -> Value,
+    ) -> Vec<Value> {
+        (0..n)
+            .map(|_| match rng.random_range(0..8) {
+                0 => Value::Null,
+                _ => make(rng.random_range(-domain..domain)),
+            })
+            .collect()
     }
 
     /// Drain an operator into a vector through capacity-1 batches (the

@@ -13,7 +13,7 @@ use qprog_exec::ops::agg::AggEstimation;
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
 use qprog_exec::ops::{
     BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, PipelineShared,
-    Project, Sort, SortAggregate, TableScan,
+    Project, Sort, TableScan,
 };
 use qprog_exec::runtime::run_with_observer;
 use qprog_exec::sync::Mutex;
@@ -40,9 +40,6 @@ pub struct PhysicalOptions {
     /// Reproduces the paper's disk-resident cost model for the overhead
     /// experiments.
     pub block_io_us: u64,
-    /// Use sort-based aggregation instead of hash aggregation (§4.2's
-    /// alternative implementation; estimation behaves identically).
-    pub sort_aggregate: bool,
     /// Hard budget: maximum tuples processed across all operators; on
     /// breach the query aborts with `BudgetExceeded`. `None` = unlimited.
     pub max_rows: Option<u64>,
@@ -73,7 +70,6 @@ impl Default for PhysicalOptions {
             seed: 42,
             partitions: 16,
             block_io_us: 0,
-            sort_aggregate: false,
             max_rows: None,
             max_hist_bytes: None,
             threads: std::env::var("QPROG_THREADS")
@@ -521,12 +517,7 @@ impl Compiler<'_> {
         aggs: &[qprog_exec::ops::agg::AggSpec],
         pipeline: usize,
     ) -> QResult<BoxedOp> {
-        let agg_name = if self.opts.sort_aggregate {
-            "sort_agg"
-        } else {
-            "hash_agg"
-        };
-        let (agg_idx, m) = self.register_idx(agg_name, plan.estimate, pipeline);
+        let (agg_idx, m) = self.register_idx("hash_agg", plan.estimate, pipeline);
         let input_pipeline = self.pipelines.new_pipeline();
 
         // §4.2 (end): when grouping on the join attribute of a hash join
@@ -565,25 +556,14 @@ impl Compiler<'_> {
                 }
             }
         };
-        if self.opts.sort_aggregate {
-            Ok(Box::new(SortAggregate::new(
-                child,
-                group_cols.to_vec(),
-                aggs.to_vec(),
-                Arc::clone(&plan.schema),
-                estimation,
-                m,
-            )))
-        } else {
-            Ok(Box::new(HashAggregate::new(
-                child,
-                group_cols.to_vec(),
-                aggs.to_vec(),
-                Arc::clone(&plan.schema),
-                estimation,
-                m,
-            )))
-        }
+        Ok(Box::new(HashAggregate::new(
+            child,
+            group_cols.to_vec(),
+            aggs.to_vec(),
+            Arc::clone(&plan.schema),
+            estimation,
+            m,
+        )))
     }
 
     fn compile_join(
@@ -1173,37 +1153,6 @@ mod tests {
         for r in &rows {
             assert_eq!(r.get(1).unwrap(), r.get(2).unwrap());
         }
-    }
-
-    #[test]
-    fn sort_aggregate_option_agrees_with_hash_aggregate() {
-        let b = PlanBuilder::new(catalog());
-        let plan = b
-            .scan("customer")
-            .unwrap()
-            .aggregate(&["nationkey"], &[(AggFunc::CountStar, None, "cnt")])
-            .unwrap();
-        let hash_rows: Vec<String> = compile(&plan, &PhysicalOptions::default())
-            .unwrap()
-            .collect()
-            .unwrap()
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        let opts = PhysicalOptions {
-            sort_aggregate: true,
-            ..PhysicalOptions::default()
-        };
-        let mut q = compile(&plan, &opts).unwrap();
-        let sort_rows: Vec<String> = q.collect().unwrap().iter().map(|r| r.to_string()).collect();
-        assert_eq!(hash_rows, sort_rows);
-        let agg_total = q
-            .registry()
-            .iter()
-            .find(|(n, _)| *n == "sort_agg")
-            .map(|(_, m)| m.estimated_total())
-            .unwrap();
-        assert_eq!(agg_total, 25.0);
     }
 
     #[test]

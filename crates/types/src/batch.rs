@@ -13,7 +13,7 @@
 //! performs no heap allocation at all for fixed-width columns.
 
 use crate::error::QResult;
-use crate::key::{CompositeKey, Key};
+use crate::key::Key;
 use crate::row::Row;
 use crate::value::Value;
 
@@ -280,15 +280,6 @@ impl RowBatch {
     pub fn key(&self, row: usize, col: usize) -> QResult<Key> {
         Key::from_value(&self.cols[col][row])
     }
-
-    /// [`CompositeKey`] over `cols` of `row`.
-    pub fn composite_key(&self, row: usize, cols: &[usize]) -> QResult<CompositeKey> {
-        let mut parts = Vec::with_capacity(cols.len());
-        for &c in cols {
-            parts.push(Key::from_value(&self.cols[c][row])?);
-        }
-        Ok(CompositeKey(parts.into_boxed_slice()))
-    }
 }
 
 #[cfg(test)]
@@ -383,8 +374,6 @@ mod tests {
         let mut b = RowBatch::with_capacity(2, 2);
         b.push_row(row![7i64, "k"]);
         assert_eq!(b.key(0, 0).unwrap(), Key::Int(7));
-        let ck = b.composite_key(0, &[0, 1]).unwrap();
-        assert_eq!(ck.to_string(), "(7, k)");
         let mut rows = Vec::new();
         b.append_rows_to(&mut rows);
         assert_eq!(rows, vec![row![7i64, "k"]]);

@@ -42,6 +42,33 @@ impl Key {
         }
     }
 
+    /// Feed `state` exactly what `Key::from_value(v)?.hash(state)` would,
+    /// without building the key (no `Arc` traffic for strings): operators
+    /// that hash key cells in place land in the same partitions and buckets
+    /// as code that hashes a [`Key`].
+    #[inline]
+    pub fn hash_value<H: Hasher>(v: &Value, state: &mut H) -> QResult<()> {
+        // The derived `Hash` writes the variant index as an `isize`, then
+        // the payload's own hash.
+        match v {
+            Value::Null => state.write_isize(0),
+            Value::Bool(b) => {
+                state.write_isize(1);
+                b.hash(state);
+            }
+            Value::Int64(i) => {
+                state.write_isize(2);
+                i.hash(state);
+            }
+            Value::Str(s) => {
+                state.write_isize(3);
+                s.hash(state);
+            }
+            Value::Float64(_) => return Key::from_value(v).map(|_| ()),
+        }
+        Ok(())
+    }
+
     /// Build a composite key from parts. A composite containing any NULL
     /// part is itself considered NULL for equi-join purposes.
     pub fn composite(parts: Vec<Key>) -> Key {
@@ -102,60 +129,6 @@ impl From<&str> for Key {
     }
 }
 
-/// A composite (multi-column) key.
-///
-/// Stored as a boxed slice to keep the common single-column case cheap to
-/// clone and hash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompositeKey(pub Box<[Key]>);
-
-impl CompositeKey {
-    /// Build a composite key by extracting `cols` from a slice of values.
-    pub fn from_values(values: &[Value], cols: &[usize]) -> QResult<CompositeKey> {
-        let mut parts = Vec::with_capacity(cols.len());
-        for &c in cols {
-            let v = values.get(c).ok_or_else(|| {
-                QError::internal(format!("key column {c} out of bounds ({})", values.len()))
-            })?;
-            parts.push(Key::from_value(v)?);
-        }
-        Ok(CompositeKey(parts.into_boxed_slice()))
-    }
-
-    /// True iff any component is NULL (such keys never equi-join).
-    pub fn any_null(&self) -> bool {
-        self.0.iter().any(Key::is_null)
-    }
-}
-
-impl Hash for CompositeKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must match `<[Key] as Hash>` exactly: hash tables keyed by
-        // `CompositeKey` rely on `Borrow<[Key]>` lookups with a borrowed
-        // slice to avoid allocating a boxed key per probe.
-        self.0.hash(state);
-    }
-}
-
-impl std::borrow::Borrow<[Key]> for CompositeKey {
-    fn borrow(&self) -> &[Key] {
-        &self.0
-    }
-}
-
-impl fmt::Display for CompositeKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, k) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{k}")?;
-        }
-        write!(f, ")")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +143,22 @@ mod tests {
         );
         assert_eq!(Key::from_value(&Value::Null).unwrap(), Key::Null);
         assert!(Key::from_value(&Value::Float64(1.0)).is_err());
+    }
+
+    #[test]
+    fn hash_value_feeds_the_hasher_what_the_key_would() {
+        use std::collections::hash_map::DefaultHasher;
+        let mut cells = vec![Value::Null, Value::Bool(false), Value::Bool(true)];
+        cells.extend([0, 1, -1, i64::MAX, i64::MIN].map(Value::Int64));
+        cells.extend((0..20).map(|n| Value::str(&"abcdefghijklmnopqrst"[..n])));
+        for v in &cells {
+            let (mut by_key, mut in_place) = (DefaultHasher::new(), DefaultHasher::new());
+            Key::from_value(v).unwrap().hash(&mut by_key);
+            Key::hash_value(v, &mut in_place).unwrap();
+            assert_eq!(in_place.finish(), by_key.finish(), "{v:?}");
+        }
+        let err = Key::hash_value(&Value::Float64(1.0), &mut DefaultHasher::new());
+        assert_eq!(err, Key::from_value(&Value::Float64(1.0)).map(|_| ()));
     }
 
     #[test]
@@ -194,26 +183,5 @@ mod tests {
         m.insert(k.clone(), 5);
         assert_eq!(m[&Key::composite(vec![Key::Int(1), Key::from("a")])], 5);
         assert!(k.memory_size() > Key::Int(1).memory_size());
-    }
-
-    #[test]
-    fn composite_key_extraction_and_null_detection() {
-        let row = vec![Value::Int64(1), Value::str("a"), Value::Null];
-        let k = CompositeKey::from_values(&row, &[0, 1]).unwrap();
-        assert!(!k.any_null());
-        assert_eq!(k.to_string(), "(1, a)");
-        let k2 = CompositeKey::from_values(&row, &[0, 2]).unwrap();
-        assert!(k2.any_null());
-        assert!(CompositeKey::from_values(&row, &[9]).is_err());
-    }
-
-    #[test]
-    fn composite_keys_hash_consistently() {
-        let row = vec![Value::Int64(1), Value::Int64(2)];
-        let a = CompositeKey::from_values(&row, &[0, 1]).unwrap();
-        let b = CompositeKey::from_values(&row, &[0, 1]).unwrap();
-        let mut m = HashMap::new();
-        m.insert(a, 1);
-        assert_eq!(m[&b], 1);
     }
 }

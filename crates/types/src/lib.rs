@@ -18,7 +18,7 @@ pub mod value;
 
 pub use batch::{BatchStatus, RowBatch, DEFAULT_BATCH_ROWS};
 pub use error::{ExecError, QError, QResult};
-pub use key::{CompositeKey, Key};
+pub use key::Key;
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use value::{DataType, Value};

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::{QError, QResult};
-use crate::key::{CompositeKey, Key};
+use crate::key::Key;
 use crate::value::Value;
 
 /// A row (tuple) of dynamically typed values.
@@ -55,11 +55,6 @@ impl Row {
     /// Extract a single-column [`Key`] from column `idx`.
     pub fn key(&self, idx: usize) -> QResult<Key> {
         Key::from_value(self.get(idx)?)
-    }
-
-    /// Extract a [`CompositeKey`] from the given column indices.
-    pub fn composite_key(&self, cols: &[usize]) -> QResult<CompositeKey> {
-        CompositeKey::from_values(&self.values, cols)
     }
 
     /// Concatenate two rows (used by join operators).
@@ -150,8 +145,6 @@ mod tests {
     fn key_extraction() {
         let r = row![7i64, "k"];
         assert_eq!(r.key(0).unwrap(), Key::Int(7));
-        let ck = r.composite_key(&[0, 1]).unwrap();
-        assert_eq!(ck.to_string(), "(7, k)");
     }
 
     #[test]

@@ -240,9 +240,9 @@ fn merge_workloads() -> Vec<(&'static str, LogicalPlan)> {
     vec![("merge_join", single), ("merge_chain", chain)]
 }
 
-/// What a merge plan's run looks like from outside: its rows *in output
-/// order*, the converged per-operator state, and every online estimate a
-/// merge join published, in publication order.
+/// What a plan's run looks like from outside: its rows *in output order*,
+/// the converged per-operator state, and every online estimate the
+/// operators named `publisher` published, in publication order.
 #[derive(PartialEq, Debug)]
 struct OrderedRun {
     rows: Vec<String>,
@@ -250,19 +250,19 @@ struct OrderedRun {
     published: Vec<(u32, u64)>,
 }
 
-fn ordered_run(plan: &LogicalPlan, popts: &PhysicalOptions) -> OrderedRun {
+fn ordered_run(plan: &LogicalPlan, popts: &PhysicalOptions, publisher: &str) -> OrderedRun {
     let ring = Arc::new(RingSink::with_capacity(1 << 16));
     let bus = EventBus::builder().sink(Arc::clone(&ring) as _).build();
     let mut q = compile_traced(plan, popts, Some(bus)).expect("compile");
     let rows = q.collect().expect("run");
     let tracker = q.tracker();
     let registry = tracker.registry();
-    let merge_ops: Vec<u32> = (0u32..)
+    let publishers: Vec<u32> = (0u32..)
         .zip(registry.iter())
-        .filter(|(_, (name, _))| name.contains("merge_join"))
+        .filter(|(_, (name, _))| name.contains(publisher))
         .map(|(op, _)| op)
         .collect();
-    assert!(!merge_ops.is_empty(), "not a merge plan");
+    assert!(!publishers.is_empty(), "no {publisher} in the plan");
     OrderedRun {
         rows: rows.iter().map(|r| format!("{r:?}")).collect(),
         converged: registry
@@ -281,7 +281,7 @@ fn ordered_run(plan: &LogicalPlan, popts: &PhysicalOptions) -> OrderedRun {
                     new,
                     source: qprog_exec::trace::EstimateSource::Online,
                     ..
-                } if merge_ops.contains(&op) => Some((op, new.to_bits())),
+                } if publishers.contains(&op) => Some((op, new.to_bits())),
                 _ => None,
             })
             .collect(),
@@ -297,7 +297,7 @@ fn merge_plans_are_identical_across_batch_sizes_and_threads() {
     let _scenario = qprog::fault::FailScenario::setup();
     for (name, plan) in &merge_workloads() {
         for (label, mode) in MODES {
-            let strict = ordered_run(plan, &opts(mode, 1));
+            let strict = ordered_run(plan, &opts(mode, 1), "merge_join");
             assert!(
                 strict.rows.len() > 1000,
                 "{name}/{label}: {} rows",
@@ -308,7 +308,7 @@ fn merge_plans_are_identical_across_batch_sizes_and_threads() {
                 "{name}/{label}: nothing published"
             );
             for batch in [1, 7, 64, 1024] {
-                let serial = ordered_run(plan, &opts(mode, batch));
+                let serial = ordered_run(plan, &opts(mode, batch), "merge_join");
                 let what = format!("{name}/{label} at batch_rows={batch}");
                 assert!(strict.rows == serial.rows, "{what}: rows or their order");
                 assert_eq!(strict.converged, serial.converged, "{what}");
@@ -320,10 +320,58 @@ fn merge_plans_are_identical_across_batch_sizes_and_threads() {
                     ..opts(mode, batch)
                 };
                 assert!(
-                    ordered_run(plan, &parallel) == serial,
+                    ordered_run(plan, &parallel, "merge_join") == serial,
                     "{what}: 4 threads diverged from 1"
                 );
             }
+        }
+    }
+}
+
+/// The benchmark's `hash_agg_uniform` shape at test size: a hash join on a
+/// near-unique key into an aggregate with thousands of groups. Same rows in
+/// the same order and same converged estimates at every batch capacity and
+/// thread count; the aggregate, whose tracker is handed each input batch
+/// whole, publishes the same estimate sequence at 4 threads as at 1 (the
+/// parallel join's own mid-flight estimates depend on worker timing).
+#[test]
+fn join_into_many_group_aggregate_is_identical_across_batch_sizes_and_threads() {
+    let _scenario = qprog::fault::FailScenario::setup();
+    let mut catalog = Catalog::new();
+    let a = qprog::datagen::two_key_table("a", 12_000, 0.0, 3000, 88, 0.0, 1500, 89);
+    catalog.register(a).expect("a");
+    catalog
+        .register(qprog::datagen::nation_table("nation", 3000))
+        .expect("nation");
+    let b = PlanBuilder::new(catalog);
+    let plan = b
+        .scan("a")
+        .expect("scan a")
+        .hash_join(
+            b.scan("nation").expect("scan nation"),
+            "nation.nationkey",
+            "a.custkey",
+        )
+        .expect("join")
+        .aggregate(&["a.nationkey"], &[(AggFunc::CountStar, None, "tally")])
+        .expect("aggregate");
+    for (label, mode) in MODES {
+        let strict = ordered_run(&plan, &opts(mode, 1), "hash_agg");
+        assert!(strict.rows.len() > 1400, "{label}: {}", strict.rows.len());
+        assert!(strict.published.len() > 8, "{label}: nothing published");
+        for batch in [1, 7, 64, 1024] {
+            let serial = ordered_run(&plan, &opts(mode, batch), "hash_agg");
+            let what = format!("{label} at batch_rows={batch}");
+            assert!(strict.rows == serial.rows, "{what}: rows or their order");
+            assert_eq!(strict.converged, serial.converged, "{what}");
+            let parallel = PhysicalOptions {
+                threads: 4,
+                ..opts(mode, batch)
+            };
+            assert!(
+                ordered_run(&plan, &parallel, "hash_agg") == serial,
+                "{what}: 4 threads diverged from 1"
+            );
         }
     }
 }

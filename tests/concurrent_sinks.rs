@@ -45,7 +45,9 @@ fn concurrent_publication_loses_no_events_and_counters_stay_monotone() {
             };
             let (mut last_events, mut last_finished) = (0.0, 0.0);
             let mut snapshots = 0usize;
-            while !done.load(Ordering::Acquire) {
+            // Sample first, test the flag after: a reader first scheduled
+            // when the producers are done still takes its one snapshot.
+            loop {
                 let snap = registry.snapshot();
                 let events = sum_of(&snap, "qprog_trace_events_total");
                 let finished = sum_of(&snap, "qprog_queries_finished_total");
@@ -61,9 +63,11 @@ fn concurrent_publication_loses_no_events_and_counters_stay_monotone() {
                 last_events = events;
                 last_finished = finished;
                 snapshots += 1;
+                if done.load(Ordering::Acquire) {
+                    return snapshots;
+                }
                 thread::yield_now();
             }
-            snapshots
         })
     };
 
