@@ -2,12 +2,13 @@
 //! database, comparing the paper's framework (`once`) with the `dne`
 //! baseline. 10% samples, as in the paper.
 //!
-//! Actual progress is computed post-hoc: a monitor thread records
-//! `(C(Q), estimated fraction)` while the query runs; after completion the
-//! true total `T(Q) = C_final(Q)` is known, so actual progress at each
-//! sample is `C/C_final`.
+//! Actual progress is computed post-hoc: a progress subscriber records
+//! `(C(Q), estimated fraction)` at each of the query's publications (made
+//! in-thread at operator batch boundaries, so the series is deterministic);
+//! after completion the true total `T(Q) = C_final(Q)` is known, so actual
+//! progress at each publication is `C/C_final`.
 
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use qprog::plan::physical::{compile, PhysicalOptions};
 use qprog::plan::PlanBuilder;
@@ -27,22 +28,12 @@ fn run_q8(builder: &PlanBuilder, mode: EstimationMode) -> Vec<(f64, f64)> {
         ..PhysicalOptions::default()
     };
     let mut q = compile(&plan, &opts).expect("compile");
-    let tracker = q.tracker();
-    let worker = std::thread::spawn(move || {
-        let rows = q.collect().expect("q8 run");
-        rows.len()
-    });
-    let mut samples: Vec<(u64, f64)> = Vec::new();
-    loop {
-        let snap = tracker.snapshot();
-        samples.push((snap.current(), snap.fraction()));
-        if snap.is_complete() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    worker.join().expect("worker");
-    let final_c = tracker.snapshot().current().max(1);
+    let published = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&published);
+    q.on_progress(move |snap| sink.lock().unwrap().push((snap.current(), snap.fraction())));
+    q.collect().expect("q8 run");
+    let final_c = q.tracker().snapshot().current().max(1);
+    let samples = std::mem::take(&mut *published.lock().unwrap());
     samples
         .into_iter()
         .map(|(c, est)| (c as f64 / final_c as f64, est))

@@ -125,18 +125,16 @@ fn time_threads(w: &Workload, runs: usize) -> Vec<Duration> {
     interleaved_min_times(runs, closures)
 }
 
-/// One traced, sampled run at `threads`: converged hash-join estimate (bit
-/// pattern) plus the progress-quality score against the oracle.
+/// One traced run at `threads` with publication on: converged hash-join
+/// estimate (bit pattern) plus the progress-quality score against the
+/// oracle.
 fn quality(w: &Workload, threads: usize) -> (Option<u64>, ProgressScore) {
     let ring = Arc::new(RingSink::with_capacity(1 << 16));
     let bus = EventBus::builder().sink(Arc::clone(&ring) as _).build();
     // Quality runs skip the emulated I/O: it only stretches wall time.
-    let mut q =
-        compile_traced(&w.plan, &opts(threads, 0), Some(Arc::clone(&bus))).expect("compile");
-    let recorder = TimelineRecorder::new(q.tracker()).with_bus(bus);
-    let sampler = recorder.spawn(Duration::from_millis(2));
+    let mut q = compile_traced(&w.plan, &opts(threads, 0), Some(bus)).expect("compile");
+    q.on_progress(|_| {});
     q.collect().expect("workload run");
-    let _ = sampler.finish();
     let estimate = q
         .registry()
         .iter()

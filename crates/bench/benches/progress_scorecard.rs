@@ -6,8 +6,8 @@
 //!
 //! - throughput (driver tuples/s) and per-configuration overhead vs the
 //!   untraced baseline, measured with interleaved minimum-of-runs timing,
-//! - progress-quality scores from a traced run sampled by a
-//!   [`TimelineRecorder`]: mean/max absolute progress error against the
+//! - progress-quality scores from a traced run's own progress
+//!   publications: mean/max absolute progress error against the
 //!   retrospective oracle, monotonicity violations, convergence point, and
 //!   final-estimate q-errors ([`qprog::obs::score_events`]).
 //!
@@ -159,11 +159,11 @@ fn time_configs(plan: &LogicalPlan, mode: EstimationMode, runs: usize) -> Vec<Du
     interleaved_min_times(runs, closures)
 }
 
-/// One traced run sampled by a [`TimelineRecorder`], scored against the
-/// retrospective oracle; also returns the driver-tuple count. With a
-/// corpus, the run is archived under `results/` so repeated bench
-/// invocations accumulate a scorecard history (and eventually exercise the
-/// retention cap) that the regression baselines run against.
+/// One traced run with publication on, scored from its `ProgressSampled`
+/// events against the retrospective oracle; also returns the driver-tuple
+/// count. With a corpus, the run is archived under `results/` so repeated
+/// bench invocations accumulate a scorecard history (and eventually
+/// exercise the retention cap) that the regression baselines run against.
 fn quality(
     plan: &LogicalPlan,
     mode: EstimationMode,
@@ -172,12 +172,10 @@ fn quality(
 ) -> (ProgressScore, u64) {
     let ring = Arc::new(RingSink::with_capacity(1 << 16));
     let bus = EventBus::builder().sink(Arc::clone(&ring) as _).build();
-    let mut q = compile_traced(plan, &opts(mode), Some(Arc::clone(&bus))).expect("compile");
+    let mut q = compile_traced(plan, &opts(mode), Some(bus)).expect("compile");
     let tracker = q.tracker();
-    let recorder = TimelineRecorder::new(q.tracker()).with_bus(bus);
-    let sampler = recorder.spawn(Duration::from_millis(2));
+    q.on_progress(|_| {});
     q.collect().expect("workload run");
-    let _ = sampler.finish();
     let events = ring.drain();
     if let Some(corpus) = corpus {
         let op_names: Vec<String> = q.registry().iter().map(|(n, _)| n.to_string()).collect();

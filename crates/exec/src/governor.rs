@@ -11,6 +11,10 @@
 //! amortize `Instant::now()` over [`DEADLINE_STRIDE`] checkpoints, so the
 //! per-tuple cost stays within the paper's "couple of atomics" budget.
 //!
+//! The checkpoint is also the query's progress publication point: a hook
+//! set with [`Governor::set_progress_hook`] runs at the end of every
+//! passing check, i.e. at every operator batch boundary.
+//!
 //! Breaches surface as typed [`ExecError`](qprog_types::ExecError)s through
 //! the normal `QResult` channel — cancellation is *cooperative*: a query
 //! notices at its next checkpoint, which the chaos suite bounds at well
@@ -66,6 +70,15 @@ pub struct Budgets {
     pub max_hist_bytes: Option<usize>,
 }
 
+/// The callback [`Governor::set_progress_hook`] installs.
+struct ProgressHook(Box<dyn Fn() + Send + Sync>);
+
+impl std::fmt::Debug for ProgressHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ProgressHook")
+    }
+}
+
 /// Per-query lifecycle state: cancellation flag, optional deadline, and
 /// resource budgets, checked cooperatively at operator checkpoints.
 #[derive(Debug)]
@@ -83,6 +96,9 @@ pub struct Governor {
     /// query (see [`link_token`](Self::link_token)); checked alongside the
     /// query's own token at every checkpoint.
     linked: std::sync::OnceLock<CancellationToken>,
+    /// Run at the end of every passing checkpoint (see
+    /// [`set_progress_hook`](Self::set_progress_hook)).
+    progress: std::sync::OnceLock<ProgressHook>,
 }
 
 impl Default for Governor {
@@ -102,7 +118,17 @@ impl Governor {
             units: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
             linked: std::sync::OnceLock::new(),
+            progress: std::sync::OnceLock::new(),
         }
+    }
+
+    /// Install the query's progress publication point: `hook` runs at the
+    /// end of every checkpoint that passes, i.e. once per operator batch,
+    /// on the thread doing the work (a parallel drain's workers included).
+    /// At most one hook can be set; later calls are ignored. Without one
+    /// the checkpoint pays one load and a branch.
+    pub fn set_progress_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.progress.set(ProgressHook(Box::new(hook)));
     }
 
     /// Link an external cancellation token (e.g. one supplied through
@@ -149,7 +175,8 @@ impl Governor {
     }
 
     /// The cooperative checkpoint: charge `units` tuples of work and fail
-    /// if the query is cancelled, past deadline, or over its row budget.
+    /// if the query is cancelled, past deadline, or over its row budget;
+    /// otherwise run the progress hook, if one is set.
     ///
     /// The unarmed path (no cancel, no budget, no deadline — the common
     /// case) is two relaxed atomic *loads* and a predictable branch; the
@@ -182,6 +209,9 @@ impl Governor {
             {
                 return Err(ExecError::DeadlineExceeded.into());
             }
+        }
+        if let Some(hook) = self.progress.get() {
+            (hook.0)();
         }
         Ok(())
     }
@@ -268,6 +298,25 @@ mod tests {
         g2.link_token(ignored.clone());
         ignored.cancel();
         g2.check(1).unwrap();
+    }
+
+    #[test]
+    fn progress_hook_runs_once_per_passing_checkpoint() {
+        use std::sync::atomic::AtomicUsize;
+        let g = Governor::default();
+        g.check(1).unwrap(); // no hook yet
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        g.set_progress_hook(move || {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        g.set_progress_hook(|| panic!("only the first hook sticks"));
+        for _ in 0..3 {
+            g.check(1).unwrap();
+        }
+        g.cancel();
+        assert!(g.check(1).is_err());
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "failing checks skip it");
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use expr::{BinOp, Expr};
 pub use governor::{Budgets, CancellationToken, Governor};
 pub use metrics::{MetricsRegistry, OpMetrics};
 pub use ops::{BoxedOp, Operator};
-pub use runtime::{collect, run_with_observer};
+pub use runtime::collect;

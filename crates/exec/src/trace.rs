@@ -358,8 +358,9 @@ impl fmt::Display for RegressionKind {
 /// buffer them without allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEventKind {
-    /// A pipeline moved from pending to running (observer-derived, so the
-    /// timestamp is accurate to the monitor's sampling cadence).
+    /// A pipeline moved from pending to running (derived by a timeline
+    /// recorder, so the timestamp is accurate to the query's progress
+    /// publications).
     PipelineStarted { pipeline: u32 },
     /// Every operator of a pipeline finished (observer-derived).
     PipelineFinished { pipeline: u32 },
@@ -391,11 +392,13 @@ pub enum TraceEventKind {
     /// after breaching a resource budget; progress estimates continue but
     /// coarser.
     EstimatorDegraded { op: u32, reason: DegradeReason },
-    /// A periodic `gnm` progress snapshot, published by the timeline
-    /// recorder when it is bus-attached. Makes a recorded trace
-    /// self-sufficient for post-hoc quality scoring (replay needs no live
-    /// tracker): `fraction = current / total` with the estimator's current
-    /// `ΣN_i`, and `[lo, hi]` the bounds-derived progress interval.
+    /// One of the query's `gnm` progress publications (made in-thread at
+    /// operator batch boundaries while publication is on: a progress
+    /// subscriber is attached, or the session archives into a corpus).
+    /// Makes a recorded trace self-sufficient for post-hoc quality scoring
+    /// (replay needs no live tracker): `fraction = current / total` with
+    /// the estimator's current `ΣN_i`, and `[lo, hi]` the bounds-derived
+    /// progress interval.
     ProgressSampled {
         /// `ΣK_i` — total work done across monitored operators.
         current: u64,

@@ -12,10 +12,9 @@
 //!   [`ValidatorSink`](sinks::ValidatorSink) that flags events violating
 //!   the progress model's invariants.
 //! - [`timeline`] — a [`TimelineRecorder`](timeline::TimelineRecorder)
-//!   that samples a query's [`ProgressTracker`](qprog_plan::ProgressTracker)
-//!   at a configurable cadence into a [`ProgressLog`](timeline::ProgressLog)
-//!   of timestamped `(K_i, N_i, lo, hi)` trajectories, exportable as CSV
-//!   or JSON.
+//!   that subscribes to a query's progress publications and records them
+//!   into a [`ProgressLog`](timeline::ProgressLog) of timestamped
+//!   `(K_i, N_i, lo, hi)` trajectories, exportable as CSV or JSON.
 //! - [`explain`] — an EXPLAIN ANALYZE renderer comparing actual
 //!   cardinalities against optimizer and online estimates (with q-errors,
 //!   `getnext()` counts, phase wall-times, and estimator attribution).
@@ -70,7 +69,7 @@ pub use explain::explain_analyze;
 pub use health::{HealthAnalyzer, HealthConfig};
 pub use metrics_sink::MetricsSink;
 pub use replay::ReplayedTrace;
-pub use scoring::{score_events, score_log, ProgressScore, QErrorSummary};
+pub use scoring::{score_events, ProgressScore, QErrorSummary};
 pub use sinks::{JsonlSink, RingSink, StderrSink, ValidatorSink};
 pub use spans::{LifecycleTotals, SpanNode, SpanTree, Track};
-pub use timeline::{ProgressLog, RecorderHandle, TimelinePoint, TimelineRecorder};
+pub use timeline::{ProgressLog, RecordedTimeline, TimelinePoint, TimelineRecorder};

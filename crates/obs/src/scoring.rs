@@ -20,16 +20,14 @@
 //!   [`MetricsSink`](crate::metrics_sink::MetricsSink) histogram: only
 //!   operators that actually refined online are scored).
 //!
-//! Inputs: [`score_events`] consumes a trace (live ring or
+//! Input: [`score_events`] consumes a trace (live ring or
 //! [`ReplayedTrace`](crate::replay::ReplayedTrace)) using its embedded
-//! `progress_sampled` snapshots; [`score_log`] consumes a
-//! [`ProgressLog`](crate::timeline::ProgressLog) from a timeline recorder.
+//! `progress_sampled` snapshots — the query's own progress publications.
 
 use qprog_exec::trace::{EstimateSource, TraceEvent, TraceEventKind};
 use qprog_types::json::{self, num};
 
 use crate::explain::q_error;
-use crate::timeline::ProgressLog;
 
 /// Absolute progress-error band defining convergence (±10 points, the
 /// issue's "within 10% of truth").
@@ -200,12 +198,11 @@ pub fn score_samples(points: &[SamplePoint], q_errors: &[f64]) -> ProgressScore 
     }
 }
 
-/// Score a trace using its embedded `progress_sampled` snapshots (requires
-/// the query to have run with a bus-attached
-/// [`TimelineRecorder`](crate::timeline::TimelineRecorder)); q-errors come
-/// from the `estimate_refined` stream, mirroring the metrics sink: each
-/// operator's last pre-exact estimate vs its exact pin, online-refined
-/// operators only.
+/// Score a trace using its embedded `progress_sampled` snapshots (the
+/// query must have run traced with publication on: a progress subscriber,
+/// or a session with a corpus); q-errors come from the `estimate_refined`
+/// stream, mirroring the metrics sink: each operator's last pre-exact
+/// estimate vs its exact pin, online-refined operators only.
 pub fn score_events(events: &[TraceEvent]) -> ProgressScore {
     let mut points = Vec::new();
     // (last_estimate, refined_online) per operator.
@@ -237,48 +234,6 @@ pub fn score_events(events: &[TraceEvent]) -> ProgressScore {
                 }
             }
             _ => {}
-        }
-    }
-    score_samples(&points, &q_errors)
-}
-
-/// Score a recorded timeline. q-errors are derived from the per-operator
-/// trajectories: an operator is considered online-refined when its
-/// estimate changed between registration and its last unfinished sample
-/// (the log does not carry refinement sources).
-pub fn score_log(log: &ProgressLog) -> ProgressScore {
-    let points: Vec<SamplePoint> = log
-        .points()
-        .iter()
-        .map(|p| SamplePoint {
-            fraction: p.fraction,
-            current: p.current,
-        })
-        .collect();
-
-    let n_ops = log.op_names().len();
-    let mut q_errors = Vec::new();
-    for i in 0..n_ops {
-        let mut first_est = None;
-        let mut last_unfinished_est = None;
-        let mut final_emitted = None;
-        for p in log.points() {
-            let Some(op) = p.ops.get(i) else { continue };
-            if first_est.is_none() {
-                first_est = Some(op.estimate);
-            }
-            if op.finished {
-                final_emitted.get_or_insert(op.emitted);
-            } else {
-                last_unfinished_est = Some(op.estimate);
-            }
-        }
-        if let (Some(first), Some(last), Some(actual)) =
-            (first_est, last_unfinished_est, final_emitted)
-        {
-            if last.is_finite() && last != first {
-                q_errors.push(q_error(actual as f64, last));
-            }
         }
     }
     score_samples(&points, &q_errors)

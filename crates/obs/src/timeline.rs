@@ -1,30 +1,30 @@
-//! Progress timelines: periodic sampling of a running query's gnm state.
+//! Progress timelines: a running query's published gnm states.
 //!
-//! A [`TimelineRecorder`] polls a query's
-//! [`ProgressTracker`](qprog_plan::ProgressTracker) — from the same thread
-//! between batches, or from a dedicated monitor thread via
-//! [`TimelineRecorder::spawn`] — capturing a [`TimelinePoint`] per sample:
-//! the whole-query gnm fraction with its confidence bounds plus every
-//! operator's `(K_i, N_i, lo_i, hi_i)` trajectory. The finished
-//! [`ProgressLog`] exports as CSV or JSON for plotting (the paper's Figs.
-//! 2–7 are exactly such trajectories).
+//! A [`TimelineRecorder`] [attaches](TimelineRecorder::attach) to a
+//! compiled query as a progress subscriber, so it records exactly what the
+//! query publishes — in-thread, at operator batch boundaries, rate-limited
+//! by work — with no thread of its own. Each publication becomes a
+//! [`TimelinePoint`]: the whole-query gnm fraction with its confidence
+//! bounds plus every operator's `(K_i, N_i, lo_i, hi_i)` trajectory. The
+//! [`ProgressLog`] handed back after the run exports as CSV or JSON for
+//! plotting (the paper's Figs. 2–7 are exactly such trajectories).
 //!
-//! Sampling is entirely observer-side: the query thread never blocks on
-//! the recorder. When a trace bus is attached, the recorder also publishes
+//! When a trace bus is attached, the recorder also publishes
 //! `PipelineStarted` / `PipelineFinished` events as it observes pipeline
-//! state changes (accurate to the sampling cadence, as documented on the
-//! event).
+//! state changes (accurate to the publication granularity, as documented
+//! on the event). The `ProgressSampled` events themselves come from the
+//! query's publisher, not from the recorder.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use qprog_core::gnm::PipelineState;
+use qprog_core::gnm::{PipelineState, ProgressSnapshot};
+use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{EventBus, TraceEventKind};
-use qprog_plan::ProgressTracker;
+use qprog_plan::{CompiledQuery, ProgressTracker};
 use qprog_types::json::{escape, num};
 
-/// One operator's state at a sample instant.
+/// One operator's state at a publication.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpPoint {
     /// `K_i`: `getnext()` calls answered so far.
@@ -39,7 +39,7 @@ pub struct OpPoint {
     pub finished: bool,
 }
 
-/// One whole-query sample.
+/// One whole-query publication.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelinePoint {
     /// Microseconds since recording started (or since the trace bus epoch,
@@ -73,22 +73,22 @@ impl ProgressLog {
         &self.op_names
     }
 
-    /// The samples, in time order.
+    /// The points, in publication order.
     pub fn points(&self) -> &[TimelinePoint] {
         &self.points
     }
 
-    /// Number of samples taken.
+    /// Number of points recorded.
     pub fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// Whether no samples were taken.
+    /// Whether no points were recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
-    /// Count of adjacent samples where the progress fraction *decreased*
+    /// Count of adjacent points where the progress fraction *decreased*
     /// by more than `tolerance` — the timeline half of the progress-sanity
     /// validation (estimate refinements may wobble the fraction slightly;
     /// sustained regressions indicate an estimator bug).
@@ -99,7 +99,7 @@ impl ProgressLog {
             .count()
     }
 
-    /// CSV export: one row per sample with whole-query columns followed by
+    /// CSV export: one row per point with whole-query columns followed by
     /// `emitted`/`estimate` pairs per operator.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -171,7 +171,7 @@ impl ProgressLog {
     }
 }
 
-/// Samples a [`ProgressTracker`] into a [`ProgressLog`].
+/// Records a query's progress publications into a [`ProgressLog`].
 pub struct TimelineRecorder {
     tracker: ProgressTracker,
     bus: Option<Arc<EventBus>>,
@@ -182,8 +182,8 @@ pub struct TimelineRecorder {
 }
 
 impl TimelineRecorder {
-    /// A recorder over `tracker` (same-thread sampling via
-    /// [`sample`](Self::sample)).
+    /// A recorder over `tracker` (the per-operator state each point
+    /// records is read from it).
     pub fn new(tracker: ProgressTracker) -> Self {
         let op_names: Vec<String> = tracker
             .registry()
@@ -203,7 +203,7 @@ impl TimelineRecorder {
     }
 
     /// Publish `PipelineStarted`/`PipelineFinished` edges to `bus` as the
-    /// recorder observes pipeline state changes, and timestamp samples
+    /// recorder observes pipeline state changes, and timestamp points
     /// against the bus epoch.
     pub fn with_bus(mut self, bus: Arc<EventBus>) -> Self {
         self.epoch = bus.epoch();
@@ -211,10 +211,18 @@ impl TimelineRecorder {
         self
     }
 
-    /// Take one sample now.
-    pub fn sample(&mut self) {
+    /// Subscribe to `query`'s progress publications (see
+    /// [`CompiledQuery::on_progress`]); the returned handle yields the log.
+    pub fn attach(self, query: &CompiledQuery) -> RecordedTimeline {
+        let recorder = Arc::new(Mutex::new(self));
+        let subscriber = Arc::clone(&recorder);
+        query.on_progress(move |snapshot| subscriber.lock().record(snapshot));
+        RecordedTimeline(recorder)
+    }
+
+    /// Record one published snapshot, with every operator's state now.
+    fn record(&mut self, snapshot: &ProgressSnapshot) {
         let at_us = self.epoch.elapsed().as_micros() as u64;
-        let snapshot = self.tracker.snapshot();
         let (lo, hi) = self.tracker.fraction_bounds();
         let ops: Vec<OpPoint> = self
             .tracker
@@ -245,7 +253,7 @@ impl TimelineRecorder {
                             bus.publish(TraceEventKind::PipelineStarted { pipeline: id });
                         }
                         (PipelineState::Pending, PipelineState::Finished) => {
-                            // ran to completion between two samples
+                            // ran to completion between two publications
                             bus.publish(TraceEventKind::PipelineStarted { pipeline: id });
                             bus.publish(TraceEventKind::PipelineFinished { pipeline: id });
                         }
@@ -259,24 +267,10 @@ impl TimelineRecorder {
         }
 
         // Already monotone: `ProgressTracker::snapshot` floors the fraction
-        // with the high-water mark its clones share. Keep the published
+        // with the high-water mark its clones share. Keep the recorded
         // interval consistent with that clamped point.
         let fraction = snapshot.fraction();
         let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
-
-        // A sampled gnm snapshot in the trace itself makes the recorded
-        // JSONL self-sufficient for post-hoc quality scoring (replay needs
-        // no live tracker).
-        if let Some(bus) = &self.bus {
-            bus.publish(TraceEventKind::ProgressSampled {
-                current: snapshot.current(),
-                total: snapshot.total(),
-                fraction,
-                lo,
-                hi,
-            });
-        }
-
         self.log.points.push(TimelinePoint {
             at_us,
             fraction,
@@ -287,84 +281,15 @@ impl TimelineRecorder {
             ops,
         });
     }
-
-    /// Whether the tracked query has finished (all pipelines complete).
-    pub fn is_complete(&self) -> bool {
-        self.tracker.snapshot().is_complete()
-    }
-
-    /// Finish recording and return the log.
-    pub fn into_log(self) -> ProgressLog {
-        self.log
-    }
-
-    /// The log so far.
-    pub fn log(&self) -> &ProgressLog {
-        &self.log
-    }
-
-    /// Spawn a monitor thread sampling every `cadence` until
-    /// [`RecorderHandle::finish`] is called (a final sample is always taken
-    /// at finish, so the terminal state is captured) or the handle is
-    /// dropped (which stops and joins the thread, discarding the log).
-    pub fn spawn(self, cadence: Duration) -> RecorderHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let mut recorder = self;
-        let join = std::thread::Builder::new()
-            .name("qprog-timeline".to_string())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    recorder.sample();
-                    // Sleep in short slices so a stop request (finish or
-                    // drop) is honored promptly even at long cadences.
-                    let mut remaining = cadence;
-                    while !stop2.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                        let slice = remaining.min(Duration::from_millis(5));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-                recorder.sample();
-                recorder
-            })
-            .expect("spawn timeline monitor thread");
-        RecorderHandle {
-            stop,
-            join: Some(join),
-        }
-    }
 }
 
-/// Handle to a recorder running on a monitor thread.
-///
-/// The thread never outlives the handle: [`finish`](Self::finish) stops and
-/// joins it, returning the log, and dropping the handle without finishing
-/// does the same join (discarding the log) — no sampler is left spinning
-/// against a dead query.
-pub struct RecorderHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<TimelineRecorder>>,
-}
+/// An [attached](TimelineRecorder::attach) recorder's log.
+pub struct RecordedTimeline(Arc<Mutex<TimelineRecorder>>);
 
-impl RecorderHandle {
-    /// Stop the monitor thread, take a final sample, and return the log.
-    pub fn finish(mut self) -> ProgressLog {
-        self.stop_and_join()
-            .map(TimelineRecorder::into_log)
-            .unwrap_or_default()
-    }
-
-    fn stop_and_join(&mut self) -> Option<TimelineRecorder> {
-        let join = self.join.take()?;
-        self.stop.store(true, Ordering::Relaxed);
-        join.join().ok()
-    }
-}
-
-impl Drop for RecorderHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
+impl RecordedTimeline {
+    /// The points recorded so far (after the run: the whole timeline).
+    pub fn log(&self) -> ProgressLog {
+        self.0.lock().log.clone()
     }
 }
 
@@ -372,8 +297,7 @@ impl Drop for RecorderHandle {
 mod tests {
     use super::*;
     use qprog_exec::metrics::MetricsRegistry;
-    use qprog_exec::sync::Mutex;
-    use qprog_exec::trace::{EventBus, TraceEvent, TraceSink};
+    use qprog_exec::trace::{TraceEvent, TraceSink};
     use qprog_plan::pipeline::PipelineSet;
 
     fn two_op_tracker() -> (ProgressTracker, MetricsRegistry) {
@@ -389,18 +313,24 @@ mod tests {
         (tracker, reg)
     }
 
+    /// Record a snapshot taken now, as a publication would hand it over.
+    fn sample(rec: &mut TimelineRecorder) {
+        let snapshot = rec.tracker.snapshot();
+        rec.record(&snapshot);
+    }
+
     #[test]
     fn samples_capture_per_op_trajectories() {
         let (tracker, reg) = two_op_tracker();
         let mut rec = TimelineRecorder::new(tracker);
-        rec.sample();
+        sample(&mut rec);
         let scan = reg.get(0).unwrap();
         for _ in 0..60 {
             scan.record_emitted();
         }
         scan.set_estimated_total(120.0);
-        rec.sample();
-        let log = rec.into_log();
+        sample(&mut rec);
+        let log = rec.log;
         assert_eq!(log.len(), 2);
         assert_eq!(log.op_names(), &["scan".to_string(), "join".to_string()]);
         assert_eq!(log.points()[0].ops[0].emitted, 0);
@@ -415,8 +345,8 @@ mod tests {
         let (tracker, reg) = two_op_tracker();
         let mut rec = TimelineRecorder::new(tracker);
         reg.get(0).unwrap().record_emitted();
-        rec.sample();
-        let log = rec.into_log();
+        sample(&mut rec);
+        let log = rec.log;
         let csv = log.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
@@ -457,13 +387,13 @@ mod tests {
         for _ in 0..60 {
             scan.record_emitted();
         }
-        rec.sample();
-        let before = rec.log().points().last().unwrap().fraction;
+        sample(&mut rec);
+        let before = rec.log.points().last().unwrap().fraction;
         assert!(before > 0.0);
         // An upward estimate revision shrinks the raw fraction...
         scan.set_estimated_total(10_000.0);
-        rec.sample();
-        let log = rec.into_log();
+        sample(&mut rec);
+        let log = rec.log;
         let after = log.points().last().unwrap();
         // ...but the published fraction holds its running max, with the
         // interval kept consistent.
@@ -484,75 +414,21 @@ mod tests {
         let bus = EventBus::with_sink(Arc::clone(&sink) as _);
         let (tracker, reg) = two_op_tracker();
         let mut rec = TimelineRecorder::new(tracker).with_bus(bus);
-        rec.sample(); // both pending: no events
+        sample(&mut rec); // both pending: no events
         let scan = reg.get(0).unwrap();
         scan.record_emitted();
-        rec.sample(); // pipeline 0 running
-        rec.sample(); // still running: no duplicate
+        sample(&mut rec); // pipeline 0 running
+        sample(&mut rec); // still running: no duplicate
         scan.mark_finished();
-        rec.sample(); // pipeline 0 finished
-        let all: Vec<_> = sink.0.lock().iter().map(|e| e.kind).collect();
-        // every sample also publishes a gnm snapshot into the trace
-        let samples = all
-            .iter()
-            .filter(|k| matches!(k, TraceEventKind::ProgressSampled { .. }))
-            .count();
-        assert_eq!(samples, 4);
-        let edges: Vec<_> = all
-            .into_iter()
-            .filter(|k| !matches!(k, TraceEventKind::ProgressSampled { .. }))
-            .collect();
+        sample(&mut rec); // pipeline 0 finished
+                          // Edges only: `ProgressSampled` is the query publisher's to emit.
+        let edges: Vec<_> = sink.0.lock().iter().map(|e| e.kind).collect();
         assert_eq!(
             edges,
             vec![
                 TraceEventKind::PipelineStarted { pipeline: 0 },
                 TraceEventKind::PipelineFinished { pipeline: 0 },
             ]
-        );
-    }
-
-    #[test]
-    fn spawned_recorder_collects_until_finish() {
-        let (tracker, reg) = two_op_tracker();
-        let handle = TimelineRecorder::new(tracker).spawn(Duration::from_millis(1));
-        for _ in 0..50 {
-            reg.get(0).unwrap().record_emitted();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        reg.finish_all();
-        let log = handle.finish();
-        assert!(
-            log.len() >= 2,
-            "expected several samples, got {}",
-            log.len()
-        );
-        let last = log.points().last().unwrap();
-        assert_eq!(last.fraction, 1.0, "final sample sees the finished query");
-    }
-
-    #[test]
-    fn dropping_the_handle_joins_the_sampler_thread_promptly() {
-        // A long cadence would previously leave the thread asleep (and the
-        // recorder alive) long after the handle was gone; the chunked sleep
-        // plus Drop-join must reclaim it in well under one cadence.
-        let bus = EventBus::builder().build();
-        let (tracker, _reg) = two_op_tracker();
-        let handle = TimelineRecorder::new(tracker)
-            .with_bus(Arc::clone(&bus))
-            .spawn(Duration::from_secs(60));
-        let started = std::time::Instant::now();
-        drop(handle);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "drop blocked for {:?} — stop not honored promptly",
-            started.elapsed()
-        );
-        // The thread owned the recorder (and its bus clone); after the
-        // join, ours is the only reference left.
-        assert_eq!(
-            Arc::strong_count(&bus),
-            1,
-            "sampler thread still holds the recorder after drop"
         );
     }
 }

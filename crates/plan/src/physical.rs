@@ -1,13 +1,14 @@
 //! Physical compilation: logical plans → instrumented operator trees with
 //! estimator wiring and pipeline decomposition.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use qprog_core::distinct::DistinctTracker;
+use qprog_core::gnm::ProgressSnapshot;
 use qprog_core::join_est::JoinKind;
 use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 use qprog_core::EstimationMode;
-use qprog_exec::governor::{Budgets, CancellationToken, Governor};
+use qprog_exec::governor::{guarded, Budgets, CancellationToken, Governor};
 use qprog_exec::metrics::{MetricsRegistry, OpMetrics};
 use qprog_exec::ops::agg::AggEstimation;
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
@@ -15,14 +16,13 @@ use qprog_exec::ops::{
     BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, PipelineShared,
     Project, Sort, TableScan,
 };
-use qprog_exec::runtime::run_with_observer;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, EventBus, TraceEventKind};
 use qprog_types::{QError, QResult, Row};
 
 use crate::logical::{JoinAlgo, JoinCondition, LogicalPlan, Node};
 use crate::pipeline::PipelineSet;
-use crate::progress::ProgressTracker;
+use crate::progress::{ProgressTracker, Publisher};
 
 /// Knobs for physical compilation.
 #[derive(Debug, Clone, Copy)]
@@ -120,15 +120,18 @@ pub struct CompiledQuery {
     /// Which estimator drives each operator's `N_i` (registry order) —
     /// surfaced by EXPLAIN ANALYZE.
     estimator_labels: Vec<&'static str>,
-    /// Trace bus (from [`compile_traced`]); `QueryFinished` is published
-    /// here exactly once when the root is exhausted.
+    /// Trace bus (from [`compile_traced`]); the one terminal event,
+    /// `QueryFinished` or `QueryAborted`, is published here.
     bus: Option<Arc<EventBus>>,
-    /// Output rows pulled so far (for the `QueryFinished` payload).
+    /// Output rows pulled so far (for the terminal event's payload).
     rows_emitted: u64,
-    finished_published: bool,
-    aborted_published: bool,
-    /// Root batch capacity for [`collect`](Self::collect)/
-    /// [`run_with`](Self::run_with) (from `PhysicalOptions::batch_rows`).
+    /// Set once the terminal publication has gone out.
+    terminated: bool,
+    /// The progress publication point, created by the first
+    /// [`on_progress`](Self::on_progress).
+    publisher: OnceLock<Arc<Publisher>>,
+    /// Root batch capacity for [`collect`](Self::collect) (from
+    /// `PhysicalOptions::batch_rows`).
     batch_rows: usize,
     /// Single-row buffer for [`step`](Self::step) (Volcano stepping stays
     /// tuple-granular regardless of `batch_rows`).
@@ -176,33 +179,69 @@ impl CompiledQuery {
         self.bus.as_ref()
     }
 
-    fn publish_query_finished(&mut self) {
-        if self.finished_published || self.aborted_published {
-            return;
-        }
-        self.finished_published = true;
-        if let Some(bus) = &self.bus {
-            bus.publish(TraceEventKind::QueryFinished {
-                rows: self.rows_emitted,
-            });
-        }
+    /// Subscribe `f` to the query's progress publications. There may be
+    /// any number of subscribers; the first one turns publication on.
+    ///
+    /// Publications are made in-thread at operator batch boundaries
+    /// (every passing governor checkpoint), whenever `ΣK` has advanced by
+    /// ≥ 1/1000 of the last published `T̂`, plus once at the terminal: 1.0
+    /// after a finish, the frozen snapshot after an abort. A traced query
+    /// also emits each publication as a `ProgressSampled` event. A
+    /// parallel drain that finds the publisher busy skips a publication
+    /// rather than block, and a subscriber that panics ends the query with
+    /// `OperatorPanic` and stops publication.
+    pub fn on_progress(&self, f: impl FnMut(&ProgressSnapshot) + Send + 'static) {
+        let publisher = self.publisher.get_or_init(|| {
+            let publisher = Arc::new(Publisher::new(self.tracker(), self.bus.clone()));
+            // Weak: the publisher's registry holds the governor, so a
+            // strong handle in the hook would keep the query alive forever.
+            let hook = Arc::downgrade(&publisher);
+            if let Some(g) = self.governor() {
+                g.set_progress_hook(move || {
+                    if let Some(p) = hook.upgrade() {
+                        p.at_batch();
+                    }
+                });
+            }
+            publisher
+        });
+        publisher.subscribe(Box::new(f));
     }
 
-    /// Publish the terminal `QueryAborted` event for `error` (at most one
-    /// terminal event is ever published). Estimates are deliberately *not*
-    /// pinned (`finish_all`): an aborted query never reached its totals, so
-    /// progress must freeze where it stopped rather than jump to 1.0.
-    fn publish_query_aborted(&mut self, error: &QError) {
-        if self.finished_published || self.aborted_published {
-            return;
+    /// End the query: publish its terminal progress snapshot, then its one
+    /// terminal event — `QueryFinished` when the root is exhausted (`error`
+    /// is `None`), `QueryAborted` otherwise. Later calls do nothing.
+    ///
+    /// A finish first pins every total (`finish_all`): operators abandoned
+    /// by early termination (LIMIT) will never run again, so progress reads
+    /// 1.0. An abort pins nothing, so progress freezes where it stopped. A
+    /// subscriber panicking at the terminal turns a finish into an abort.
+    fn terminate(&mut self, error: Option<QError>) -> QResult<()> {
+        if std::mem::replace(&mut self.terminated, true) {
+            return error.map_or(Ok(()), Err);
         }
-        self.aborted_published = true;
+        if error.is_none() {
+            self.registry.finish_all();
+        }
+        let published = match self.publisher.get() {
+            Some(p) => guarded(|| {
+                p.at_terminal();
+                Ok(())
+            }),
+            None => Ok(()),
+        };
+        let error = error.or(published.err());
         if let Some(bus) = &self.bus {
-            bus.publish(TraceEventKind::QueryAborted {
-                reason: AbortKind::from_error(error),
-                rows: self.rows_emitted,
+            let rows = self.rows_emitted;
+            bus.publish(match &error {
+                None => TraceEventKind::QueryFinished { rows },
+                Some(e) => TraceEventKind::QueryAborted {
+                    reason: AbortKind::from_error(e),
+                    rows,
+                },
             });
         }
+        error.map_or(Ok(()), Err)
     }
 
     /// The root batch capacity rows are pulled at.
@@ -211,7 +250,7 @@ impl CompiledQuery {
     }
 
     /// Override the root batch capacity for subsequent
-    /// [`collect`](Self::collect)/[`run_with`](Self::run_with) calls
+    /// [`collect`](Self::collect) calls
     /// (clamped to ≥ 1; `1` is strict per-row equivalence mode). Operators
     /// size their internal scratch batches from the capacity of the batch
     /// they are handed, so the override applies to the whole plan.
@@ -257,48 +296,18 @@ impl CompiledQuery {
     /// fault, or organic error — the terminal `QueryAborted` event is
     /// published and the error propagates.
     pub fn collect(&mut self) -> QResult<Vec<Row>> {
-        let rows = match qprog_exec::runtime::collect(self.root.as_mut(), self.batch_rows) {
-            Ok(rows) => rows,
-            Err(e) => {
-                self.publish_query_aborted(&e);
-                return Err(e);
+        match qprog_exec::runtime::collect(self.root.as_mut(), self.batch_rows) {
+            Ok(rows) => {
+                self.rows_emitted += rows.len() as u64;
+                self.terminate(None)?;
+                Ok(rows)
             }
-        };
-        // The root is exhausted: operators abandoned by early termination
-        // (LIMIT) will never run again — pin their totals so progress
-        // reads 1.0 and monitors observe completion.
-        self.registry.finish_all();
-        self.rows_emitted += rows.len() as u64;
-        self.publish_query_finished();
-        Ok(rows)
+            Err(e) => self.terminate(Some(e)).map(|_| Vec::new()),
+        }
     }
 
-    /// Run to completion, invoking `observer` with a progress snapshot
-    /// after every `every_n` output rows and at completion.
-    pub fn run_with(
-        &mut self,
-        every_n: u64,
-        mut observer: impl FnMut(&qprog_core::gnm::ProgressSnapshot),
-    ) -> QResult<Vec<Row>> {
-        let tracker = self.tracker();
-        let rows = match run_with_observer(self.root.as_mut(), every_n, self.batch_rows, |_| {
-            observer(&tracker.snapshot());
-        }) {
-            Ok(rows) => rows,
-            Err(e) => {
-                self.publish_query_aborted(&e);
-                return Err(e);
-            }
-        };
-        self.registry.finish_all();
-        self.rows_emitted += rows.len() as u64;
-        self.publish_query_finished();
-        observer(&tracker.snapshot());
-        Ok(rows)
-    }
-
-    /// Pull a single output row (Volcano-style stepping, for monitors that
-    /// want finer control than [`run_with`](Self::run_with)). Stepping
+    /// Pull a single output row (Volcano-style stepping, for callers that
+    /// want finer control than [`collect`](Self::collect)). Stepping
     /// always pulls through a single-row batch, so it is tuple-granular
     /// regardless of the configured `batch_rows`.
     pub fn step(&mut self) -> QResult<Option<Row>> {
@@ -315,17 +324,12 @@ impl CompiledQuery {
                 return Ok(Some(row));
             }
             if self.step_exhausted {
-                self.registry.finish_all();
-                self.publish_query_finished();
-                return Ok(None);
+                return self.terminate(None).map(|_| None);
             }
             self.step_pos = 0;
             let status = match qprog_exec::governor::guarded_next_batch(self.root.as_mut(), buf) {
                 Ok(status) => status,
-                Err(e) => {
-                    self.publish_query_aborted(&e);
-                    return Err(e);
-                }
+                Err(e) => return self.terminate(Some(e)).map(|_| None),
             };
             if status.is_exhausted() {
                 self.step_exhausted = true;
@@ -379,8 +383,8 @@ pub fn compile_traced(
         estimator_labels: c.estimator_labels,
         bus,
         rows_emitted: 0,
-        finished_published: false,
-        aborted_published: false,
+        terminated: false,
+        publisher: OnceLock::new(),
         batch_rows: opts.batch_rows.max(1),
         step_buf: None,
         step_pos: 0,
@@ -1042,16 +1046,16 @@ mod tests {
         let plan = two_join_plan(&b);
         let mut q = compile(&plan, &PhysicalOptions::default()).unwrap();
         let tracker = q.tracker();
-        let mut last = 0.0;
-        let rows = q
-            .run_with(100, |snap| {
-                let f = snap.fraction();
-                assert!((0.0..=1.0).contains(&f));
-                last = f;
-            })
-            .unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        q.on_progress(move |snap| sink.lock().push(snap.fraction()));
+        let rows = q.collect().unwrap();
         assert_eq!(rows.len(), 2000);
-        assert_eq!(last, 1.0);
+        let seen = seen.lock();
+        assert!(seen.iter().all(|f| (0.0..=1.0).contains(f)), "{seen:?}");
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+        assert!(seen.iter().filter(|&&f| f > 0.0 && f < 1.0).count() >= 5);
+        assert_eq!(seen.last(), Some(&1.0));
         assert!(tracker.snapshot().is_complete());
     }
 

@@ -1,7 +1,11 @@
 //! The live progress tracker bridging operator metrics to the gnm model.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
 use qprog_core::gnm::{PipelineProgress, PipelineState, ProgressSnapshot};
 use qprog_exec::metrics::MetricsRegistry;
+use qprog_exec::trace::{EventBus, TraceEventKind};
 
 use crate::pipeline::PipelineSet;
 
@@ -29,7 +33,7 @@ pub struct ProgressTracker {
     /// execution advances `K_i` and publishes `N_i` in separate atomic
     /// writes, and a sampler landing between them would otherwise see the
     /// ratio dip.
-    high_water: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    high_water: Arc<AtomicU64>,
 }
 
 impl ProgressTracker {
@@ -43,7 +47,7 @@ impl ProgressTracker {
             pipelines,
             initial_estimates: Vec::new(),
             op_inputs: vec![Vec::new(); n],
-            high_water: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            high_water: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -151,9 +155,7 @@ impl ProgressTracker {
         // never report below it. Non-negative f64 bit patterns compare
         // identically as integers, so fetch_max on the bits suffices.
         let bits = snap.raw_fraction().to_bits();
-        let prev = self
-            .high_water
-            .fetch_max(bits, std::sync::atomic::Ordering::AcqRel);
+        let prev = self.high_water.fetch_max(bits, Ordering::AcqRel);
         snap.with_floor(f64::from_bits(prev.max(bits)))
     }
 
@@ -193,6 +195,99 @@ impl ProgressTracker {
         };
         // a larger T(Q) means a smaller progress fraction
         (frac(total_hi), frac(total_lo.max(current as f64)))
+    }
+}
+
+/// A snapshot goes out once `ΣK` has advanced by this share of the last
+/// published `T̂` (or by one tuple, whichever is more).
+const PUBLISH_EVERY: f64 = 1e-3;
+
+/// A [`CompiledQuery::on_progress`](crate::CompiledQuery::on_progress)
+/// subscriber.
+pub type Subscriber = Box<dyn FnMut(&ProgressSnapshot) + Send>;
+
+/// A query's one progress publication point.
+///
+/// The query's governor calls [`at_batch`](Self::at_batch) at the end of
+/// every passing checkpoint, so snapshots are taken on the thread doing the
+/// work, at operator batch boundaries — the only instants the gnm fraction
+/// changes. Publication is rate-limited by work ([`PUBLISH_EVERY`]), and
+/// the compiled query adds one terminal publication
+/// ([`at_terminal`](Self::at_terminal)).
+/// Each publication hands one [`ProgressTracker::snapshot`] to every
+/// subscriber and, when the query is traced, emits it as the trace's only
+/// source of `ProgressSampled` events.
+pub(crate) struct Publisher {
+    tracker: ProgressTracker,
+    bus: Option<Arc<EventBus>>,
+    /// `ΣK` at which the next publication is due.
+    next_at: AtomicU64,
+    /// Poisoned once a subscriber panicked: nothing more is published.
+    subscribers: Mutex<Vec<Subscriber>>,
+}
+
+impl Publisher {
+    pub(crate) fn new(tracker: ProgressTracker, bus: Option<Arc<EventBus>>) -> Self {
+        Publisher {
+            tracker,
+            bus,
+            next_at: AtomicU64::new(0),
+            subscribers: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub(crate) fn subscribe(&self, f: Subscriber) {
+        if let Ok(mut subscribers) = self.subscribers.lock() {
+            subscribers.push(f);
+        }
+    }
+
+    /// Publish if `ΣK` has moved far enough. A drain that finds the
+    /// publisher busy (another worker is publishing) skips rather than
+    /// blocks.
+    pub(crate) fn at_batch(&self) {
+        let due =
+            || self.tracker.registry().total_emitted() >= self.next_at.load(Ordering::Relaxed);
+        if !due() {
+            return;
+        }
+        if let Ok(mut subscribers) = self.subscribers.try_lock() {
+            if due() {
+                self.publish(&mut subscribers);
+            }
+        }
+    }
+
+    /// The terminal publication: 1.0 once `finish_all` has pinned every
+    /// total, or the frozen snapshot of an aborted query.
+    pub(crate) fn at_terminal(&self) {
+        if let Ok(mut subscribers) = self.subscribers.lock() {
+            self.publish(&mut subscribers);
+        }
+    }
+
+    fn publish(&self, subscribers: &mut [Subscriber]) {
+        let snap = self.tracker.snapshot();
+        let step = ((snap.total() * PUBLISH_EVERY) as u64).max(1);
+        self.next_at
+            .store(snap.current().saturating_add(step), Ordering::Relaxed);
+        if let Some(bus) = &self.bus {
+            let fraction = snap.fraction();
+            let (lo, hi) = self.tracker.fraction_bounds();
+            // `fraction` carries the tracker's monotone floor; keep the
+            // interval consistent with it.
+            let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
+            bus.publish(TraceEventKind::ProgressSampled {
+                current: snap.current(),
+                total: snap.total(),
+                fraction,
+                lo,
+                hi,
+            });
+        }
+        for f in subscribers {
+            f(&snap);
+        }
     }
 }
 

@@ -31,27 +31,24 @@ fn main() -> QResult<()> {
     let mut query = session.query(sql)?;
     println!("plan:\n{}", query.explain());
 
-    // 4. Run it with a concurrent monitor: the tracker is cloneable and
-    //    lock-free to read, so progress is visible even while blocking
-    //    operators (hash build, aggregation) are mid-phase.
-    let tracker = query.tracker();
-    let monitor = std::thread::spawn(move || loop {
-        let snapshot = tracker.snapshot();
-        println!(
-            "progress {:5.1}%  (getnext so far: {}, estimated total: {:.0})",
-            snapshot.fraction() * 100.0,
-            snapshot.current(),
-            snapshot.total()
-        );
-        if snapshot.is_complete() {
-            break;
+    // 4. Run it with a progress observer. The query publishes progress in
+    //    its own thread at operator batch boundaries, so it is visible even
+    //    while blocking operators (hash build, aggregation) are mid-phase,
+    //    and once more at the end. Print a line per 10 points.
+    //    `RunOptions` also composes a wall-clock deadline and an external
+    //    cancellation token when you need them.
+    let mut next_line = 0.0;
+    let rows = query.run(RunOptions::new().observer(move |snapshot| {
+        if snapshot.fraction() >= next_line || snapshot.is_complete() {
+            println!(
+                "progress {:5.1}%  (getnext so far: {}, estimated total: {:.0})",
+                snapshot.fraction() * 100.0,
+                snapshot.current(),
+                snapshot.total()
+            );
+            next_line = snapshot.fraction() + 0.1;
         }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
-    // `RunOptions` also composes an in-thread observer callback, a wall-clock
-    // deadline, and an external cancellation token when you need them.
-    let rows = query.run(RunOptions::new())?;
-    monitor.join().expect("monitor thread");
+    }))?;
 
     println!("\ntop nations by customers:");
     for row in &rows {

@@ -7,8 +7,9 @@
 //! - every trace event streams to `results/trace_q8.jsonl` as one JSON
 //!   line,
 //! - a [`ValidatorSink`] checks the progress model's invariants live,
-//! - a [`TimelineRecorder`] on a monitor thread samples per-operator
-//!   `(K_i, N_i)` trajectories to `results/trace_q8_timeline.csv`,
+//! - a [`TimelineRecorder`] subscribed to the query's progress
+//!   publications records per-operator `(K_i, N_i)` trajectories to
+//!   `results/trace_q8_timeline.csv`,
 //! - after completion, an EXPLAIN ANALYZE report compares actual vs
 //!   optimizer vs online cardinalities per operator with q-errors and
 //!   phase wall-times.
@@ -20,7 +21,6 @@
 use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
-use std::time::Duration;
 
 use qprog::obs::timeline::TimelineRecorder;
 use qprog::prelude::*;
@@ -70,13 +70,15 @@ fn main() -> QResult<()> {
     let plan = q8_plan(session.builder())?;
     let mut query = session.query_plan(plan)?;
 
-    // Timeline recorder on a monitor thread, 5ms cadence; it also publishes
+    // Timeline recorder subscribed to the query's progress publications
+    // (in-thread, every 0.1% of the estimated work); it also publishes
     // pipeline start/finish events to the bus as it observes them.
-    let recorder = TimelineRecorder::new(query.tracker()).with_bus(Arc::clone(&bus));
-    let handle = recorder.spawn(Duration::from_millis(5));
+    let timeline = TimelineRecorder::new(query.tracker())
+        .with_bus(Arc::clone(&bus))
+        .attach(query.compiled());
 
     let rows = query.collect()?;
-    let log = handle.finish();
+    let log = timeline.log();
 
     println!("market volume by order year:");
     for row in &rows {
@@ -94,7 +96,7 @@ fn main() -> QResult<()> {
         bus.published(),
         ring.dropped()
     );
-    println!("timeline: {} samples -> {csv_path}", log.len());
+    println!("timeline: {} publications -> {csv_path}", log.len());
     println!(
         "monotonicity regressions (>1% fraction drop): {}",
         log.monotonicity_violations(0.01)

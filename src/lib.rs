@@ -36,15 +36,20 @@
 //! let nation = qprog::datagen::nation_table("nation", 200);
 //! catalog.register(nation).unwrap();
 //!
-//! // Run a join with a live progress monitor.
+//! // Run a join with a progress observer: it sees each publication, made
+//! // in the executing thread at operator batch boundaries, ending at 1.0.
 //! let session = Session::new(catalog);
 //! let mut handle = session
 //!     .query("SELECT count(*) FROM customer JOIN nation ON customer.nationkey = nation.nationkey")
 //!     .unwrap();
-//! let rows = handle.run(RunOptions::new().observer(|progress| {
+//! let last = std::sync::Arc::new(std::sync::Mutex::new(0.0));
+//! let seen = last.clone();
+//! let rows = handle.run(RunOptions::new().observer(move |progress| {
 //!     assert!((0.0..=1.0).contains(&progress.fraction()));
+//!     *seen.lock().unwrap() = progress.fraction();
 //! })).unwrap();
 //! assert_eq!(rows.len(), 1);
+//! assert_eq!(*last.lock().unwrap(), 1.0);
 //! ```
 
 pub use qprog_core as core;
@@ -65,16 +70,12 @@ pub mod workloads;
 pub use qprog_fault as fault;
 pub use qprog_service as svc;
 pub use service::ServiceRuntime;
-pub use session::{
-    Observability, ProgressWatcher, QueryHandle, RunOptions, Session, SessionBuilder,
-};
+pub use session::{Observability, QueryHandle, RunOptions, Session, SessionBuilder};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::service::ServiceRuntime;
-    pub use crate::session::{
-        Observability, ProgressWatcher, QueryHandle, RunOptions, Session, SessionBuilder,
-    };
+    pub use crate::session::{Observability, QueryHandle, RunOptions, Session, SessionBuilder};
     pub use qprog_core::gnm::ProgressSnapshot;
     pub use qprog_core::EstimationMode;
     pub use qprog_exec::governor::{Budgets, CancellationToken, Governor};

@@ -1,6 +1,5 @@
 //! High-level session API: SQL in, rows + live progress out.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,6 +13,7 @@ use qprog_obs::{
     ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, RunMeta,
 };
 use qprog_plan::physical::{compile_traced, CompiledQuery, PhysicalOptions};
+use qprog_plan::progress::Subscriber;
 use qprog_plan::{LogicalPlan, PlanBuilder, ProgressTracker};
 use qprog_storage::Catalog;
 use qprog_types::{QResult, Row};
@@ -121,7 +121,9 @@ impl Observability {
     /// [`SessionBuilder::build`]). Each query's full trace and scorecard
     /// are stored at terminal time and checked against rolling
     /// `(workload, estimator, threads)` baselines for progress-quality
-    /// regressions.
+    /// regressions. The corpus turns progress publication on for every
+    /// query, so the trace carries the `ProgressSampled` events it is
+    /// scored over.
     pub fn with_corpus(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.corpus = Some(CorpusAttachment::Path(dir.into()));
         self
@@ -420,6 +422,9 @@ impl Session {
         }
         if let Some(cs) = &corpus_sink {
             cs.set_op_names(op_names());
+            // The corpus scores a run from its `ProgressSampled` events,
+            // which the query emits only while publication is on.
+            compiled.on_progress(|_| {});
         }
         let monitored = match (&self.monitor, &phase_sink) {
             (Some(server), Some(phases)) => match adopt {
@@ -456,8 +461,8 @@ impl Session {
     }
 }
 
-/// How to drive a query to completion: one options value in place of the
-/// old `run_with` / `run_with_cadence` / `run_with_deadline` trio.
+/// How to drive a query to completion: progress observer, deadline,
+/// external cancellation token and batch capacity in one options value.
 ///
 /// Every field is optional; [`RunOptions::new`] (or `Default`) reproduces
 /// plain [`QueryHandle::collect`]. Compose freely:
@@ -469,50 +474,31 @@ impl Session {
 /// let rows = handle.run(
 ///     RunOptions::new()
 ///         .observer(|snap| eprintln!("{:.1}%", 100.0 * snap.fraction()))
-///         .cadence(64)
 ///         .deadline(Duration::from_secs(30)),
 /// )?;
 /// # Ok::<(), qprog::types::QError>(())
 /// ```
-pub struct RunOptions<'a> {
-    observer: Option<ProgressObserver<'a>>,
-    cadence: u64,
+#[derive(Default)]
+pub struct RunOptions {
+    observer: Option<Subscriber>,
     deadline: Option<Duration>,
     cancel: Option<CancellationToken>,
     batch_rows: Option<usize>,
 }
 
-/// A boxed progress-observer callback, as carried by [`RunOptions`].
-type ProgressObserver<'a> = Box<dyn FnMut(&ProgressSnapshot) + 'a>;
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions {
-            observer: None,
-            cadence: 256,
-            deadline: None,
-            cancel: None,
-            batch_rows: None,
-        }
-    }
-}
-
-impl<'a> RunOptions<'a> {
+impl RunOptions {
     /// Plain collection: no observer, no deadline, no external token.
     pub fn new() -> Self {
         RunOptions::default()
     }
 
-    /// Invoke `f` with a progress snapshot every
-    /// [`cadence`](Self::cadence) output rows and once at completion.
-    pub fn observer(mut self, f: impl FnMut(&ProgressSnapshot) + 'a) -> Self {
+    /// Invoke `f` with each of the query's progress publications (see
+    /// [`CompiledQuery::on_progress`]): in the executing thread, at
+    /// operator batch boundaries, whenever `ΣK` has moved by 0.1% of the
+    /// estimated total, and once at the terminal. A panicking observer
+    /// ends the query with [`qprog_types::ExecError::OperatorPanic`].
+    pub fn observer(mut self, f: impl FnMut(&ProgressSnapshot) + Send + 'static) -> Self {
         self.observer = Some(Box::new(f));
-        self
-    }
-
-    /// Observer row cadence (default 256; ignored without an observer).
-    pub fn cadence(mut self, every_n: u64) -> Self {
-        self.cadence = every_n.max(1);
         self
     }
 
@@ -544,11 +530,10 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-impl std::fmt::Debug for RunOptions<'_> {
+impl std::fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("observer", &self.observer.is_some())
-            .field("cadence", &self.cadence)
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel.is_some())
             .field("batch_rows", &self.batch_rows)
@@ -598,11 +583,10 @@ impl QueryHandle {
         self.compiled.collect()
     }
 
-    /// Run to completion under [`RunOptions`]: optional progress observer
-    /// (at a row cadence), wall-clock deadline, and external cancellation
-    /// token, in any combination. `RunOptions::new()` is plain
-    /// [`collect`](Self::collect).
-    pub fn run(&mut self, options: RunOptions<'_>) -> QResult<Vec<Row>> {
+    /// Run to completion under [`RunOptions`]: optional progress observer,
+    /// wall-clock deadline, and external cancellation token, in any
+    /// combination. `RunOptions::new()` is plain [`collect`](Self::collect).
+    pub fn run(&mut self, options: RunOptions) -> QResult<Vec<Row>> {
         if let Some(n) = options.batch_rows {
             self.compiled.set_batch_rows(n);
         }
@@ -614,10 +598,10 @@ impl QueryHandle {
                 governor.link_token(token);
             }
         }
-        match options.observer {
-            Some(mut f) => self.compiled.run_with(options.cadence, |snap| f(snap)),
-            None => self.compiled.collect(),
+        if let Some(f) = options.observer {
+            self.compiled.on_progress(f);
         }
+        self.compiled.collect()
     }
 
     /// Pull one output row (manual Volcano stepping).
@@ -679,25 +663,6 @@ impl QueryHandle {
         self.corpus.as_ref().and_then(|c| c.archived_run())
     }
 
-    /// Spawn a watcher thread sampling this query's progress every
-    /// `period`, feeding each snapshot to `f`. The watcher exits promptly
-    /// — without waiting for natural completion — when the query finishes,
-    /// fails, is cancelled, or the returned [`ProgressWatcher`] is
-    /// stopped/dropped (drop joins the thread).
-    pub fn watch(
-        &self,
-        period: Duration,
-        f: impl FnMut(&ProgressSnapshot) + Send + 'static,
-    ) -> ProgressWatcher {
-        ProgressWatcher::spawn(
-            self.compiled.tracker(),
-            self.phases.clone(),
-            self.cancellation_token(),
-            period,
-            f,
-        )
-    }
-
     /// The compiled query's per-operator metrics.
     pub fn registry(&self) -> &qprog_exec::metrics::MetricsRegistry {
         self.compiled.registry()
@@ -718,75 +683,6 @@ impl QueryHandle {
     }
 }
 
-/// A progress-sampling thread with a bounded lifetime.
-///
-/// Earlier revisions open-coded watcher loops that spun until
-/// `snapshot().is_complete()` — a query that failed or was cancelled never
-/// completes, so the watcher leaked. This watcher exits as soon as the
-/// query reaches *any* terminal state (done, failed, cancelled) or when
-/// explicitly stopped, and [`Drop`] joins the thread so it can never
-/// outlive its owner.
-pub struct ProgressWatcher {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ProgressWatcher {
-    fn spawn(
-        tracker: ProgressTracker,
-        phases: Option<Arc<PhaseSink>>,
-        token: Option<CancellationToken>,
-        period: Duration,
-        mut f: impl FnMut(&ProgressSnapshot) + Send + 'static,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("qprog-progress-watch".to_string())
-            .spawn(move || loop {
-                let snap = tracker.snapshot();
-                f(&snap);
-                let failed = phases
-                    .as_deref()
-                    .is_some_and(|p| p.abort_reason().is_some());
-                let cancelled = token.as_ref().is_some_and(|t| t.is_cancelled());
-                if snap.is_complete() || failed || cancelled || stop2.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::park_timeout(period);
-            })
-            .expect("spawn progress watcher thread");
-        ProgressWatcher {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Signal the watcher to exit and join it. Idempotent; also runs on
-    /// drop.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ProgressWatcher {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl std::fmt::Debug for ProgressWatcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressWatcher")
-            .field("stopped", &self.stop.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,6 +697,19 @@ mod tests {
         c.register(qprog_datagen::nation_table("nation", 100))
             .unwrap();
         c
+    }
+
+    /// An observer that logs every published fraction, and the log.
+    fn fraction_log() -> (
+        impl FnMut(&ProgressSnapshot) + Send + 'static,
+        Arc<std::sync::Mutex<Vec<f64>>>,
+    ) {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        (
+            move |snap: &ProgressSnapshot| sink.lock().unwrap().push(snap.fraction()),
+            log,
+        )
     }
 
     fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
@@ -821,12 +730,11 @@ mod tests {
             )
             .unwrap();
         assert!(h.explain().contains("Join[Hash"));
-        let mut fractions = Vec::new();
-        let rows = h
-            .run(RunOptions::new().observer(|snap| fractions.push(snap.fraction())))
-            .unwrap();
+        let (observer, fractions) = fraction_log();
+        let rows = h.run(RunOptions::new().observer(observer)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0).unwrap().as_i64().unwrap(), 5000);
+        let fractions = fractions.lock().unwrap();
         assert_eq!(*fractions.last().unwrap(), 1.0);
         assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
     }
@@ -878,45 +786,6 @@ mod tests {
         let h = session.query("SELECT * FROM nation").unwrap();
         assert!(h.compiled().bus().is_none());
         assert!(h.query_id().is_none());
-    }
-
-    #[test]
-    fn watcher_observes_from_another_thread_and_exits_on_completion() {
-        let session = Session::new(catalog());
-        let mut h = session
-            .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
-            .unwrap();
-        let fractions = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&fractions);
-        let mut watcher = h.watch(Duration::from_micros(50), move |snap| {
-            sink.lock().unwrap().push(snap.fraction());
-        });
-        let rows = h.collect().unwrap();
-        assert_eq!(rows.len(), 100);
-        // The watcher notices completion by itself; stop() merely joins.
-        watcher.stop();
-        let fractions = fractions.lock().unwrap();
-        assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
-        assert!(
-            fractions.windows(2).all(|w| w[0] <= w[1]),
-            "monotone: {fractions:?}"
-        );
-    }
-
-    #[test]
-    fn watcher_exits_promptly_on_cancel_without_completion() {
-        let session = Session::new(catalog());
-        let h = session.query("SELECT * FROM customer").unwrap();
-        // Query never runs: progress stays incomplete forever.
-        let watcher = h.watch(Duration::from_millis(1), |_| {});
-        h.cancel();
-        let start = std::time::Instant::now();
-        drop(watcher); // joins; must not wait for natural completion
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "watcher failed to exit promptly on cancel"
-        );
-        assert_eq!(h.state(), QueryState::Running, "no terminal event yet");
     }
 
     #[test]
@@ -1056,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn run_options_compose_observer_cadence_and_deadline() {
+    fn run_options_compose_observer_and_deadline() {
         let session = Session::new(catalog());
         let mut h = session
             .query(
@@ -1064,20 +933,22 @@ mod tests {
                  JOIN nation ON customer.nationkey = nation.nationkey",
             )
             .unwrap();
-        let mut samples = 0u64;
+        let (observer, fractions) = fraction_log();
         let rows = h
             .run(
                 RunOptions::new()
-                    .observer(|snap| {
-                        samples += 1;
-                        assert!((0.0..=1.0).contains(&snap.fraction()));
-                    })
-                    .cadence(64)
+                    .observer(observer)
                     .deadline(Duration::from_secs(60)),
             )
             .unwrap();
         assert_eq!(rows.len(), 1);
-        assert!(samples >= 1, "observer fires at least at completion");
+        let fractions = fractions.lock().unwrap();
+        assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
+        // A blocking root emits nothing until its work is done: only
+        // publication at operator batch boundaries sees the run in flight.
+        let inside = fractions.iter().filter(|&&f| f > 0.0 && f < 1.0).count();
+        assert!(inside >= 5, "{fractions:?}");
+        assert_eq!(fractions.last(), Some(&1.0));
     }
 
     #[test]

@@ -28,6 +28,20 @@ fn catalog() -> Catalog {
     c
 }
 
+/// An observer that logs every published fraction, and the log.
+#[cfg(feature = "failpoints")]
+fn fraction_log() -> (
+    impl FnMut(&ProgressSnapshot) + Send + 'static,
+    Arc<std::sync::Mutex<Vec<f64>>>,
+) {
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    (
+        move |snap: &ProgressSnapshot| sink.lock().unwrap().push(snap.fraction()),
+        log,
+    )
+}
+
 /// Current thread count of this process (Linux; `None` elsewhere).
 fn thread_count() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -205,6 +219,44 @@ fn cancellation_is_observed_in_the_join_pass() {
     }
 }
 
+/// An observer runs in the executing thread, inside the query's panic
+/// boundary: its panic ends the query as a typed `OperatorPanic` (with the
+/// abort traced), not an unwind through the caller.
+#[test]
+fn panicking_observer_ends_the_query_as_a_typed_panic() {
+    let _scenario = scenario();
+    let ring = Arc::new(RingSink::with_capacity(1 << 16));
+    let session = SessionBuilder::new(catalog())
+        .observability(Observability::new().with_trace(EventBus::with_sink(Arc::clone(&ring) as _)))
+        .build()
+        .unwrap();
+    // Mid-run, at a batch boundary; and at the terminal publication.
+    for panic_at in [0.3, 1.0] {
+        let mut h = session
+            .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
+            .unwrap();
+        let saved = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = h.run(RunOptions::new().observer(move |snap| {
+            if snap.fraction() >= panic_at {
+                panic!("observer gave up at {}", snap.fraction());
+            }
+        }));
+        std::panic::set_hook(saved);
+        let err = result.unwrap_err();
+        assert_eq!(err.lifecycle().map(ExecError::kind), Some("panic"), "{err}");
+        assert!(err.to_string().contains("observer gave up"), "{err}");
+        let last = ring.drain().last().map(|e| e.kind);
+        assert!(
+            matches!(
+                last,
+                Some(qprog::exec::trace::TraceEventKind::QueryAborted { .. })
+            ),
+            "{panic_at}: {last:?}"
+        );
+    }
+}
+
 #[test]
 fn no_threads_leak_across_query_lifecycles() {
     let _scenario = scenario();
@@ -230,10 +282,8 @@ fn no_threads_leak_across_query_lifecycles() {
             .unwrap();
         let server = Arc::clone(session.monitor().unwrap());
         let mut h = session.query("SELECT * FROM customer").unwrap();
-        let watcher = h.watch(Duration::from_millis(1), |_| {});
         h.cancel();
         assert!(h.collect().is_err());
-        drop(watcher); // joins the watcher thread
         drop(h);
         server.shutdown(); // joins accept + connection threads
     }
@@ -329,16 +379,12 @@ mod faulted {
         let mut h = session
             .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
             .unwrap();
-        let mut fractions = Vec::new();
-        let rows = h
-            .run(
-                RunOptions::new()
-                    .observer(|snap| fractions.push(snap.fraction()))
-                    .cadence(64),
-            )
-            .unwrap();
+        let (observer, fractions) = fraction_log();
+        let rows = h.run(RunOptions::new().observer(observer)).unwrap();
         assert_eq!(rows.len(), 500);
-        assert!(fractions.len() > 2);
+        let fractions = fractions.lock().unwrap();
+        let inside = fractions.iter().filter(|&&f| f > 0.0 && f < 1.0).count();
+        assert!(inside >= 5, "{fractions:?}");
         assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
         assert!(
             fractions.windows(2).all(|w| w[0] <= w[1]),
@@ -355,18 +401,18 @@ mod faulted {
         // mid-query with near certainty, at a seed-determined point.
         fault::configure("exec/agg/accumulate", "1%1*error(mid-query fault)").unwrap();
         let session = Session::new(catalog());
-        let mut fractions = Vec::new();
+        let (observer, fractions) = fraction_log();
         let mut h = session
             .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
             .unwrap();
-        let err = h
-            .run(
-                RunOptions::new()
-                    .observer(|snap| fractions.push(snap.fraction()))
-                    .cadence(64),
-            )
-            .unwrap_err();
+        let err = h.run(RunOptions::new().observer(observer)).unwrap_err();
         assert_eq!(err.lifecycle().map(ExecError::kind), Some("injected"));
+        let fractions = fractions.lock().unwrap();
+        // Seen in flight before the abort; the terminal publication is the
+        // frozen snapshot, not 1.0.
+        let inside = fractions.iter().filter(|&&f| f > 0.0 && f < 1.0).count();
+        assert!(inside >= 1, "{fractions:?}");
+        assert!(*fractions.last().unwrap() < 1.0, "{fractions:?}");
         assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
         assert!(
             fractions.windows(2).all(|w| w[0] <= w[1]),

@@ -273,6 +273,10 @@ fn session_archives_runs_that_round_trip_through_replay() {
     }
     assert_eq!(jsonl, reencoded, "segment must round-trip byte-identically");
     assert_eq!(qprog::obs::score_events(&trace.events), stored.score);
+    // A corpus turns publication on: the run is scored over the query's own
+    // progress publications.
+    assert!(stored.score.samples >= 10, "{:?}", stored.score);
+    assert!(stored.score.convergence.is_some(), "{:?}", stored.score);
 
     // The monitor picked the corpus up from the session automatically.
     let listing = http_get(server.addr(), "/history");

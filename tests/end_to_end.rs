@@ -85,22 +85,21 @@ fn once_estimates_exact_at_first_output_under_skew() {
     assert_eq!(join_estimate, count as f64);
 }
 
-/// gnm progress: monotone non-decreasing when observed at output cadence,
-/// ends at 1.0, complete at the end.
+/// gnm progress: monotone non-decreasing as published, seen in flight
+/// (a blocking root emits nothing until its work is done), ends at 1.0.
 #[test]
 fn progress_is_monotone_and_complete() {
     let session = Session::new(skewed_catalog());
     let mut q = session
         .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
         .unwrap();
-    let mut fractions = Vec::new();
-    q.run(
-        RunOptions::new()
-            .observer(|s| fractions.push(s.fraction()))
-            .cadence(16),
-    )
-    .unwrap();
-    assert!(!fractions.is_empty());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    q.run(RunOptions::new().observer(move |s| sink.lock().unwrap().push(s.fraction())))
+        .unwrap();
+    let fractions = seen.lock().unwrap();
+    let inside = fractions.iter().filter(|&&f| f > 0.0 && f < 1.0).count();
+    assert!(inside >= 5, "{fractions:?}");
     for w in fractions.windows(2) {
         assert!(
             w[1] >= w[0] - 1e-9,
@@ -110,6 +109,43 @@ fn progress_is_monotone_and_complete() {
         );
     }
     assert_eq!(*fractions.last().unwrap(), 1.0);
+}
+
+/// Publication happens in the executing thread at batch boundaries, so a
+/// serial run publishes the same sequence every time, and two traced runs
+/// score bit-identically — no sampler decides what is seen.
+#[test]
+fn serial_q8_publishes_the_same_sequence_every_run() {
+    let catalog = TpchGenerator::new(TpchConfig {
+        scale: 0.004,
+        skew: 2.0,
+        seed: 88,
+    })
+    .catalog()
+    .unwrap();
+    let plan = q8_plan(&PlanBuilder::new(catalog)).unwrap();
+    let opts = PhysicalOptions {
+        threads: 1,
+        batch_rows: 1024,
+        ..PhysicalOptions::default()
+    };
+    let run = || {
+        let ring = Arc::new(RingSink::with_capacity(1 << 16));
+        let bus = EventBus::with_sink(Arc::clone(&ring) as _);
+        let mut q = compile_traced(&plan, &opts, Some(bus)).unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        q.on_progress(move |s| sink.lock().unwrap().push((s.current(), s.fraction())));
+        q.collect().unwrap();
+        let published = std::mem::take(&mut *seen.lock().unwrap());
+        (published, qprog::obs::score_events(&ring.drain()))
+    };
+    let (first, first_score) = run();
+    let (second, second_score) = run();
+    assert!(first.len() >= 10, "{first:?}");
+    assert_eq!(first, second);
+    assert_eq!(first_score.samples, first.len());
+    assert_eq!(format!("{first_score:?}"), format!("{second_score:?}"));
 }
 
 /// Early termination (LIMIT) must still drive progress to completion.

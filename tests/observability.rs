@@ -4,7 +4,6 @@
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use qprog::obs::timeline::TimelineRecorder;
 use qprog::prelude::*;
@@ -149,15 +148,21 @@ fn ring_timeline_and_explain_cover_a_monitored_query() {
         .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
         .unwrap();
 
-    let recorder = TimelineRecorder::new(h.tracker()).with_bus(bus);
-    let handle = recorder.spawn(Duration::from_millis(1));
+    let timeline = TimelineRecorder::new(h.tracker())
+        .with_bus(bus)
+        .attach(h.compiled());
     let rows = h.collect().unwrap();
-    let log = handle.finish();
+    let log = timeline.log();
     assert_eq!(rows.len(), 100);
 
-    // Timeline: samples exist, progress never regresses, terminal state is
-    // complete, and exports carry every operator column.
-    assert!(!log.is_empty());
+    // Timeline: the run was seen in flight, progress never regresses, the
+    // terminal point is complete, and exports carry every operator column.
+    let inside = log
+        .points()
+        .iter()
+        .filter(|p| p.fraction > 0.0 && p.fraction < 1.0)
+        .count();
+    assert!(inside >= 5, "{}", log.to_csv());
     assert_eq!(log.monotonicity_violations(0.01), 0);
     let last = log.points().last().unwrap();
     assert_eq!(last.fraction, 1.0);

@@ -107,6 +107,32 @@ fn aggregation_over_parallel_join_matches_serial() {
     }
 }
 
+/// At P = 4 the drains' workers publish progress from their own threads,
+/// skipping a publication rather than block when another holds the
+/// publisher: the observed series stays rate-limited by work (≤ 1 per
+/// 0.1% of `T̂`, plus the terminal), monotone, and ends at 1.0.
+#[test]
+fn parallel_publications_are_bounded_monotone_and_complete() {
+    let s = session(4);
+    let mut q = s
+        .query(
+            "SELECT nation.name, count(*) AS customers FROM customer \
+             JOIN nation ON customer.nationkey = nation.nationkey \
+             GROUP BY nation.name",
+        )
+        .unwrap();
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = std::sync::Arc::clone(&seen);
+    q.run(RunOptions::new().observer(move |snap| sink.lock().unwrap().push(snap.fraction())))
+        .unwrap();
+    let fractions = seen.lock().unwrap();
+    let inside = fractions.iter().filter(|&&f| f > 0.0 && f < 1.0).count();
+    assert!(inside >= 5, "{fractions:?}");
+    assert!(fractions.len() <= 1_001, "{} publications", fractions.len());
+    assert!(fractions.windows(2).all(|w| w[0] <= w[1]), "{fractions:?}");
+    assert_eq!(fractions.last(), Some(&1.0));
+}
+
 /// The worker pool is scoped: every worker joins before the drain returns,
 /// so repeated parallel queries leave the process at its baseline thread
 /// count.

@@ -3,7 +3,8 @@
 //!
 //! The live run drives a JSONL sink, a [`MetricsSink`] over its own
 //! registry, and a ring buffer, with a bus-attached [`TimelineRecorder`]
-//! embedding `progress_sampled` snapshots in the trace. The recorded JSONL
+//! subscribed to the query's progress publications, which embed
+//! `progress_sampled` snapshots in the trace. The recorded JSONL
 //! is then parsed back ([`ReplayedTrace`]) and replayed into a second
 //! [`MetricsSink`] over a second registry — the two registries' full
 //! Prometheus expositions must be identical, the replayed trace must pass
@@ -12,7 +13,6 @@
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use qprog::obs::timeline::TimelineRecorder;
 use qprog::obs::{score_events, ReplayedTrace};
@@ -65,8 +65,8 @@ fn replayed_trace_reproduces_live_metrics_aggregates() {
         h.registry().iter().map(|(n, _)| n.to_string()).collect()
     };
 
-    // Live run: JSONL + metrics + ring on one bus, sampled by a timeline
-    // recorder so the trace carries progress snapshots.
+    // Live run: JSONL + metrics + ring on one bus, with a timeline
+    // recorder subscribed so the trace carries progress snapshots.
     let buf = SharedBuf::default();
     let jsonl = Arc::new(JsonlSink::new(buf.clone()).with_op_names(names.clone()));
     let live_registry = Arc::new(Registry::new());
@@ -84,13 +84,15 @@ fn replayed_trace_reproduces_live_metrics_aggregates() {
         .build()
         .unwrap();
     let mut h = session.query(SQL).unwrap();
-    let recorder = TimelineRecorder::new(h.tracker()).with_bus(bus);
-    let sampler = recorder.spawn(Duration::from_millis(1));
+    let timeline = TimelineRecorder::new(h.tracker())
+        .with_bus(bus)
+        .attach(h.compiled());
     let rows = h.collect().unwrap();
-    let log = sampler.finish();
+    let log = timeline.log();
     // Zipf-skewed customers: tail nations may have no customers at all.
     assert!(!rows.is_empty() && rows.len() <= 150, "{}", rows.len());
     assert!(!log.is_empty());
+    assert_eq!(log.points().last().unwrap().fraction, 1.0);
 
     // Parse the recorded JSONL back.
     let text = buf.text();
@@ -142,7 +144,7 @@ fn replayed_trace_reproduces_live_metrics_aggregates() {
     let live_score = score_events(&ring.drain());
     let replay_score = score_events(&trace.events);
     assert_eq!(live_score, replay_score);
-    assert!(replay_score.samples > 0);
+    assert_eq!(replay_score.samples, log.len(), "one event per publication");
     assert!(
         replay_score.mean_abs_err.is_finite() && replay_score.mean_abs_err >= 0.0,
         "{replay_score:?}"
