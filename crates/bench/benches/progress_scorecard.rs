@@ -137,7 +137,8 @@ fn time_configs(plan: &LogicalPlan, mode: EstimationMode, runs: usize) -> Vec<Du
             let bus = EventBus::builder().sink(sink as _).build();
             drain(compile_traced(plan, &popts, Some(bus)).expect("compile"));
         }),
-        // monitor: metrics + phase tracking + live directory registration,
+        // monitor: metrics + phase tracking + live directory registration
+        // (whose progress cell subscribes to the query's publications),
         // i.e. everything the HTTP monitor needs.
         Box::new(|| {
             let sink = Arc::new(MetricsSink::new(
@@ -150,8 +151,7 @@ fn time_configs(plan: &LogicalPlan, mode: EstimationMode, runs: usize) -> Vec<Du
                 .sink(Arc::clone(&phases) as _)
                 .build();
             let mut q = compile_traced(plan, &popts, Some(bus)).expect("compile");
-            let monitored =
-                directory.register("scorecard", mode.label(), q.tracker(), phases, None);
+            let monitored = directory.register("scorecard", mode.label(), &q, phases, None);
             q.collect().expect("workload run");
             drop(monitored);
         }),

@@ -107,6 +107,10 @@ pub struct ProgressSnapshot {
     /// keeps the *reported* fraction non-decreasing. Zero (the default)
     /// leaves the raw ratio untouched.
     floor: f64,
+    /// The bracket `[lo, hi]` on the raw ratio, before the floor: `[0, 1]`
+    /// (nothing known) unless one was attached.
+    lo: f64,
+    hi: f64,
 }
 
 impl ProgressSnapshot {
@@ -115,6 +119,8 @@ impl ProgressSnapshot {
         ProgressSnapshot {
             pipelines,
             floor: 0.0,
+            lo: 0.0,
+            hi: 1.0,
         }
     }
 
@@ -123,6 +129,27 @@ impl ProgressSnapshot {
     pub fn with_floor(mut self, floor: f64) -> Self {
         self.floor = floor.clamp(0.0, 1.0);
         self
+    }
+
+    /// Attach the bracket on the raw ratio that per-operator estimate
+    /// bounds give.
+    pub fn with_bracket(mut self, lo: f64, hi: f64) -> Self {
+        (self.lo, self.hi) = (lo, hi);
+        self
+    }
+
+    /// The confidence bracket `(lo, hi)` around [`fraction`](Self::fraction).
+    pub fn bounds(&self) -> (f64, f64) {
+        let (_, lo, hi) = self.floored(0.0);
+        (lo, hi)
+    }
+
+    /// `(fraction, lo, hi)` with the fraction raised to at least `floor` (a
+    /// floor this snapshot's query does not know, such as an earlier
+    /// attempt's), and `hi` raised to the fraction so the bracket holds it.
+    pub fn floored(&self, floor: f64) -> (f64, f64, f64) {
+        let fraction = self.fraction().max(floor);
+        (fraction, self.lo, self.hi.max(fraction))
     }
 
     /// The per-pipeline summaries.
@@ -211,6 +238,17 @@ mod tests {
         // pushes past 1.0
         assert_eq!(snap.clone().with_floor(0.1).fraction(), 0.25);
         assert_eq!(snap.with_floor(7.0).fraction(), 1.0);
+    }
+
+    #[test]
+    fn bracket_holds_the_floored_fraction() {
+        let snap = ProgressSnapshot::new(vec![PipelineProgress::running(0, 25, 100.0)]);
+        assert_eq!(snap.bounds(), (0.0, 1.0), "no bracket attached");
+        let snap = snap.with_bracket(0.2, 0.3);
+        assert_eq!(snap.bounds(), (0.2, 0.3));
+        assert_eq!(snap.clone().with_floor(0.4).bounds(), (0.2, 0.4));
+        assert_eq!(snap.floored(0.5), (0.5, 0.2, 0.5));
+        assert_eq!(snap.floored(0.1), (0.25, 0.2, 0.3));
     }
 
     #[test]

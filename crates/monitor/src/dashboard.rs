@@ -2,9 +2,9 @@
 //!
 //! One page, zero external assets. It subscribes to the `GET /events`
 //! server-push stream (SSE) for live summaries, health transitions, and
-//! terminal frames, falling back to polling `GET /progress` twice a second
-//! when streaming is unavailable; per-operator detail (`GET
-//! /progress/{id}`) is refreshed on a slower reconcile pass. Each live
+//! terminal frames; the browser's `EventSource` reconnects a dropped
+//! stream by itself. Membership and per-operator detail (`GET /progress`,
+//! `GET /progress/{id}`) are refreshed on a 2 s reconcile pass. Each live
 //! query renders a progress bar (point estimate plus the `[lo, hi]`
 //! confidence band), a health badge (healthy / stalled / unstable), and a
 //! per-operator table of `K_i`, `N_i`, bounds, and phase.
@@ -73,8 +73,8 @@ pub const DASHBOARD_HTML: &str = r#"<!doctype html>
 </head>
 <body>
 <h1>qprog — live query progress</h1>
-<p class="muted">Streaming <a href="/events">/events</a> (SSE, polling
-<a href="/progress">/progress</a> as fallback)
+<p class="muted">Streaming <a href="/events">/events</a> (SSE, reconciled
+against <a href="/progress">/progress</a> every 2 s)
 &middot; <a href="/metrics">/metrics</a> (Prometheus)</p>
 <div id="service"></div>
 <div id="queries"><p class="muted">waiting for queries&hellip;</p></div>
@@ -111,11 +111,10 @@ function ops(detail) {
     <th>bounds</th><th>wall</th><th>thr</th></tr>${rows}</table>`;
 }
 
-let queries = new Map();  // id -> latest summary (streamed or polled)
+let queries = new Map();  // id -> latest summary
 let details = new Map();  // id -> per-operator detail (reconcile pass)
 let traces = new Map();   // id -> Chrome trace JSON (waterfall tab)
 let waterfall = new Set();// query ids with the waterfall tab open
-let streaming = false;
 
 // Waterfall tab: toggle per query; span trees come from GET /trace/{id}
 // (Chrome trace-event JSON — the same document Perfetto loads).
@@ -189,8 +188,7 @@ function render() {
   </div>`).join("");
 }
 
-// Full refresh over the JSON endpoints: the only data path when polling,
-// the membership/detail reconcile pass when streaming.
+// Membership/detail reconcile pass over the JSON endpoints.
 async function poll() {
   try {
     const res = await fetch("/progress");
@@ -205,8 +203,8 @@ async function poll() {
   } catch (e) { /* server going away between polls is fine */ }
 }
 
-// Primary path: server-push over SSE. One broadcast frame updates every
-// open dashboard; no per-client polling while the stream is healthy.
+// The data path: server-push over SSE. One broadcast frame updates every
+// open dashboard.
 function connect() {
   if (!window.EventSource) return;
   const es = new EventSource("/events");
@@ -216,7 +214,6 @@ function connect() {
     render();
   };
   es.addEventListener("snapshot", e => {
-    streaming = true;
     queries = new Map(JSON.parse(e.data).queries.map(q => [q.id, q]));
     render();
   });
@@ -227,8 +224,6 @@ function connect() {
     const q = queries.get(h.id);
     if (q) { q.health = h.to; render(); }
   });
-  // Stream gone (server restart, proxy strips SSE): fall back to polling.
-  es.onerror = () => { es.close(); streaming = false; };
 }
 
 // Run history: archived traces + progress-quality scorecards from the
@@ -287,8 +282,7 @@ async function pollService() {
 let beat = 0;
 setInterval(() => {
   beat += 1;
-  if (!streaming || beat % 4 === 0) poll();
-  if (beat % 4 === 0) pollService();
+  if (beat % 4 === 0) { poll(); pollService(); }
   if (beat % 10 === 0) pollHistory();
 }, 500);
 connect();
@@ -336,14 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn dashboard_streams_with_polling_fallback() {
+    fn dashboard_streams_and_leaves_reconnects_to_the_event_source() {
         assert!(DASHBOARD_HTML.contains(r#"new EventSource("/events")"#));
         assert!(DASHBOARD_HTML.contains(r#"addEventListener("snapshot""#));
         assert!(DASHBOARD_HTML.contains(r#"addEventListener("progress""#));
         assert!(DASHBOARD_HTML.contains(r#"addEventListener("terminal""#));
-        // on stream error the page degrades to the polling loop
-        assert!(DASHBOARD_HTML.contains("es.onerror"));
-        assert!(DASHBOARD_HTML.contains("streaming = false"));
+        // one data path: no polling fallback, and an error never closes
+        // the stream (EventSource retries on its own)
+        assert!(!DASHBOARD_HTML.contains("streaming"));
+        assert!(!DASHBOARD_HTML.contains("es.close()"));
+        assert!(DASHBOARD_HTML.contains("if (beat % 4 === 0) { poll();"));
     }
 
     #[test]

@@ -1,42 +1,48 @@
 //! The registry of live (and recently finished, still-held) queries.
 //!
-//! Entries come in two flavours:
+//! An entry is told everything it shows; nothing is derived or polled:
 //!
-//! - **Session-owned** ([`register`](QueryDirectory::register)): created
-//!   when a session compiles a query; lifecycle state is *derived* from the
-//!   execution trace (the [`PhaseSink`]).
-//! - **Service-owned** ([`register_managed`](QueryDirectory::register_managed)):
-//!   created by the query service at submit time, before any execution
-//!   exists. Lifecycle state is *dictated* by the service
-//!   ([`set_managed_state`](QueryDirectory::set_managed_state)) so a
-//!   transiently-failed attempt can show `retrying` instead of leaking a
-//!   premature terminal; execution progress attaches later
-//!   ([`attach_execution`](QueryDirectory::attach_execution)) when a
-//!   worker dispatches the job. The terminal SSE frame is emitted exactly
-//!   once, and only when the service says so.
+//! - **Lifecycle** is set by whoever holds the entry's registration token
+//!   ([`MonitoredQuery`]), through one transition,
+//!   [`set_managed_state`](QueryDirectory::set_managed_state). A session's
+//!   `QueryHandle` ([`register`](QueryDirectory::register)) reports its
+//!   query's recorded outcome when the query ends. The query service's
+//!   status observer ([`register_managed`](QueryDirectory::register_managed))
+//!   walks a submission through queued, running and retrying to its
+//!   terminal, so a transiently-failed attempt shows `retrying` instead of
+//!   leaking a premature terminal.
+//! - **Progress** is the query's own last publication.
+//!   [`register`](QueryDirectory::register) and
+//!   [`attach_execution`](QueryDirectory::attach_execution) subscribe the
+//!   entry to `CompiledQuery::on_progress`; each publication, made in the
+//!   executing thread at an operator batch boundary, overwrites a small
+//!   per-entry cell without taking the directory's lock. The cell outlives
+//!   retry attempts, so the published fraction stays monotone across them.
+//!   Per-operator detail rows read the operators' own counters.
 //!
-//! Lifecycle frames are **pushed** by the thread making the transition, in the
-//! critical section that records it (`set_managed_state`; a bound
-//! [`PhaseSink`]'s terminal event); the `tick` only samples running queries.
+//! Lifecycle frames are **pushed** by the thread making the transition, in
+//! the critical section that records it, and the terminal SSE frame leaves
+//! exactly once. The broadcast [`tick`](QueryDirectory::tick) samples health
+//! and sends `progress` frames for running entries from their cells.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
-use qprog_core::gnm::PipelineState;
+use qprog_core::gnm::{PipelineState, ProgressSnapshot};
+use qprog_exec::metrics::MetricsRegistry;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, Phase, TraceEvent, TraceEventKind, TraceSink};
 use qprog_metrics::{Counter, Gauge, Registry};
 use qprog_obs::HealthAnalyzer;
-use qprog_plan::ProgressTracker;
+use qprog_plan::CompiledQuery;
 use qprog_types::json::{escape, num};
 
 use crate::eta::EtaSmoother;
 use crate::hub::StreamHub;
 
-/// A monitored query's lifecycle state, as rendered in `/progress` and the
-/// dashboard.
+/// A session query's lifecycle state, as `QueryHandle::state` reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryState {
     /// Still executing (or compiled and not yet driven).
@@ -48,18 +54,9 @@ pub enum QueryState {
     Failed(AbortKind),
 }
 
-impl QueryState {
-    /// Stable lowercase name (`running` / `done` / `failed`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryState::Running => "running",
-            QueryState::Done => "done",
-            QueryState::Failed(_) => "failed",
-        }
-    }
-}
-
-/// Service-dictated lifecycle for managed entries.
+/// An entry's lifecycle, as set by whoever holds its registration. Session
+/// entries start `Running` and end `Terminal`; service entries walk every
+/// state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManagedState {
     /// Accepted, waiting for a dispatcher worker.
@@ -76,8 +73,8 @@ pub enum ManagedState {
         /// Attempts completed so far.
         attempt: u32,
     },
-    /// The service declared the outcome. This — and only this — triggers
-    /// the exactly-once terminal frame for managed entries.
+    /// The registration's holder declared the outcome. This — and only
+    /// this — triggers the exactly-once terminal frame.
     Terminal {
         /// Completed successfully.
         done: bool,
@@ -88,18 +85,11 @@ pub enum ManagedState {
     },
 }
 
-/// A [`TraceSink`] tracking each operator's last observed phase plus the
-/// query's terminal event — the live-status complement to the cumulative
-/// counters a `MetricsSink` keeps. One per monitored query.
+/// A [`TraceSink`] tracking each operator's last observed phase, for the
+/// per-operator rows of `/progress/{id}`. One per monitored query.
 #[derive(Debug, Default)]
 pub struct PhaseSink {
     phases: Mutex<Vec<Option<Phase>>>,
-    rows: AtomicU64,
-    finished: AtomicBool,
-    aborted: Mutex<Option<AbortKind>>,
-    /// The entry this sink reports to, bound at `register` /
-    /// `attach_execution` (a sink serves one execution: first binding wins).
-    owner: OnceLock<(Weak<QueryDirectory>, u64)>,
 }
 
 impl PhaseSink {
@@ -113,74 +103,17 @@ impl PhaseSink {
     pub fn phase(&self, op: usize) -> Option<Phase> {
         self.phases.lock().get(op).copied().flatten()
     }
-
-    /// Whether the query's root has been exhausted (`QueryFinished` seen).
-    pub fn is_finished(&self) -> bool {
-        self.finished.load(Ordering::Relaxed)
-    }
-
-    /// Why the query aborted, if a terminal `QueryAborted` was observed.
-    pub fn abort_reason(&self) -> Option<AbortKind> {
-        *self.aborted.lock()
-    }
-
-    /// The query's lifecycle state as observed through trace events.
-    pub fn state(&self) -> QueryState {
-        if let Some(reason) = self.abort_reason() {
-            QueryState::Failed(reason)
-        } else if self.is_finished() {
-            QueryState::Done
-        } else {
-            QueryState::Running
-        }
-    }
-
-    /// Rows the query returned before reaching a terminal state (`None`
-    /// while still running).
-    pub fn rows(&self) -> Option<u64> {
-        (self.is_finished() || self.abort_reason().is_some())
-            .then(|| self.rows.load(Ordering::Relaxed))
-    }
-
-    /// The query ended: push the owning entry's `terminal` frame now (a
-    /// managed entry's `view()` is terminal only once the service says so).
-    /// Terminal events only: health events fire under `tick`'s entries lock.
-    fn notify_terminal(&self) {
-        let owner = self
-            .owner
-            .get()
-            .and_then(|(d, id)| Some((d.upgrade()?, *id)));
-        let Some((directory, id)) = owner else { return };
-        let Some(hub) = directory.hub() else { return };
-        let entries = directory.entries.lock();
-        if let Some(e) = entries.get(&id) {
-            QueryDirectory::publish_state(&hub, id, e, e.view().terminal, false);
-        }
-    }
 }
 
 impl TraceSink for PhaseSink {
     fn publish(&self, event: &TraceEvent) {
-        match event.kind {
-            TraceEventKind::PhaseTransition { op, to, .. } => {
-                let mut phases = self.phases.lock();
-                let idx = op as usize;
-                if phases.len() <= idx {
-                    phases.resize(idx + 1, None);
-                }
-                phases[idx] = Some(to);
+        if let TraceEventKind::PhaseTransition { op, to, .. } = event.kind {
+            let mut phases = self.phases.lock();
+            let idx = op as usize;
+            if phases.len() <= idx {
+                phases.resize(idx + 1, None);
             }
-            TraceEventKind::QueryFinished { rows } => {
-                self.rows.store(rows, Ordering::Relaxed);
-                self.finished.store(true, Ordering::Release);
-                self.notify_terminal();
-            }
-            TraceEventKind::QueryAborted { reason, rows } => {
-                self.rows.store(rows, Ordering::Relaxed);
-                *self.aborted.lock() = Some(reason);
-                self.notify_terminal();
-            }
-            _ => {}
+            phases[idx] = Some(to);
         }
     }
 }
@@ -188,9 +121,57 @@ impl TraceSink for PhaseSink {
 /// Live execution state attached to an entry (present from compile time
 /// for session-owned queries; from dispatch time for managed ones).
 struct ExecAttachment {
-    tracker: ProgressTracker,
+    /// The operators' counters: per-operator detail rows and the stall
+    /// detector's work counter `ΣK`.
+    registry: MetricsRegistry,
     phases: Arc<PhaseSink>,
     health: Option<Arc<HealthAnalyzer>>,
+}
+
+/// An entry's progress numbers: its query's last publication (of any
+/// attempt), with the fraction floored at every earlier one.
+#[derive(Debug, Clone, Copy)]
+struct Published {
+    fraction: f64,
+    lo: f64,
+    hi: f64,
+    current: u64,
+    total: f64,
+    pipelines: usize,
+    pipelines_finished: usize,
+}
+
+impl Published {
+    /// Before any publication: nothing done, nothing known.
+    const NONE: Published = Published {
+        fraction: 0.0,
+        lo: 0.0,
+        hi: 1.0,
+        current: 0,
+        total: f64::NAN,
+        pipelines: 0,
+        pipelines_finished: 0,
+    };
+
+    /// Take one publication. The raw gnm estimate may regress when an
+    /// estimator revises `N_i` upward, and a retried job starts over under
+    /// a fresh tracker; the reported fraction never moves backwards.
+    fn update(&mut self, snap: &ProgressSnapshot) {
+        let (fraction, lo, hi) = snap.floored(self.fraction);
+        let pipelines = snap.pipelines();
+        *self = Published {
+            fraction,
+            lo,
+            hi,
+            current: snap.current(),
+            total: snap.total(),
+            pipelines: pipelines.len(),
+            pipelines_finished: pipelines
+                .iter()
+                .filter(|p| p.state == PipelineState::Finished)
+                .count(),
+        };
+    }
 }
 
 /// One registered query.
@@ -203,108 +184,45 @@ struct QueryEntry {
     /// Dispatch attempts (managed entries).
     attempt: u32,
     exec: Option<ExecAttachment>,
-    /// `None` = session-owned (lifecycle derived from the trace).
-    managed: Option<ManagedState>,
+    state: ManagedState,
+    /// Overwritten by each of the query's publications.
+    progress: Arc<Mutex<Published>>,
     started: Instant,
     /// Smoothed remaining-time estimate (interior mutability: refreshed
     /// from whichever render or broadcast tick observes the entry).
     eta: Mutex<EtaSmoother>,
-    /// Running maximum of the published fraction (f64 bits). The raw gnm
-    /// estimate may regress when an estimator revises `N_i` upward; the
-    /// *reported* fraction is clamped monotone so progress bars never
-    /// move backwards. Raw estimates stay visible in the trace stream.
-    max_fraction: AtomicU64,
     /// Whether the stream hub already saw this query's terminal frame.
     terminal_emitted: AtomicBool,
 }
 
-/// Flattened lifecycle used by every render path.
-struct LifeView {
-    state: &'static str,
-    /// Failure kind (terminal failures and retry parks).
-    failure: Option<String>,
-    done: bool,
-    terminal: bool,
-    rows: Option<u64>,
-    running: bool,
-}
-
 impl QueryEntry {
-    /// Monotonically-clamped published fraction. Not redundant with the
-    /// tracker's own high-water mark: a retried job runs under a fresh
-    /// tracker, and this entry-level clamp is what keeps the published
-    /// series monotone across attempts. Mutated only with the directory's
-    /// entries lock held, so a plain load/store is race-free.
-    fn clamped_fraction(&self, raw: f64) -> f64 {
-        let prev = f64::from_bits(self.max_fraction.load(Ordering::Relaxed));
-        if raw.is_finite() && raw > prev {
-            self.max_fraction.store(raw.to_bits(), Ordering::Relaxed);
-            raw
-        } else {
-            prev
+    fn new(
+        label: String,
+        estimator: String,
+        tenant: Option<String>,
+        state: ManagedState,
+        exec: Option<ExecAttachment>,
+    ) -> Self {
+        QueryEntry {
+            label,
+            estimator,
+            tenant,
+            attempt: 0,
+            exec,
+            state,
+            progress: Arc::new(Mutex::new(Published::NONE)),
+            started: Instant::now(),
+            eta: Mutex::new(EtaSmoother::new()),
+            terminal_emitted: AtomicBool::new(false),
         }
     }
 
-    fn view(&self) -> LifeView {
-        match &self.managed {
-            None => {
-                let exec = self.exec.as_ref().expect("session entries carry exec");
-                let state = exec.phases.state();
-                let done = match state {
-                    QueryState::Failed(_) => false,
-                    QueryState::Done => true,
-                    QueryState::Running => exec.tracker.snapshot().is_complete(),
-                };
-                let terminal = done || matches!(state, QueryState::Failed(_));
-                LifeView {
-                    state: if done { "done" } else { state.name() },
-                    failure: match state {
-                        QueryState::Failed(reason) => Some(reason.to_string()),
-                        _ => None,
-                    },
-                    done,
-                    terminal,
-                    rows: exec.phases.rows(),
-                    running: state == QueryState::Running && !done,
-                }
-            }
-            Some(ManagedState::Queued) => LifeView {
-                state: "queued",
-                failure: None,
-                done: false,
-                terminal: false,
-                rows: None,
-                running: false,
-            },
-            Some(ManagedState::Running { .. }) => LifeView {
-                state: "running",
-                failure: None,
-                done: false,
-                terminal: false,
-                rows: None,
-                running: true,
-            },
-            Some(ManagedState::Retrying { kind, .. }) => LifeView {
-                state: "retrying",
-                failure: Some(kind.clone()),
-                done: false,
-                terminal: false,
-                rows: None,
-                running: false,
-            },
-            Some(ManagedState::Terminal {
-                done,
-                failure,
-                rows,
-            }) => LifeView {
-                state: if *done { "done" } else { "failed" },
-                failure: failure.clone(),
-                done: *done,
-                terminal: true,
-                rows: *rows,
-                running: false,
-            },
-        }
+    fn running(&self) -> bool {
+        matches!(self.state, ManagedState::Running { .. })
+    }
+
+    fn terminal(&self) -> bool {
+        matches!(self.state, ManagedState::Terminal { .. })
     }
 }
 
@@ -319,6 +237,8 @@ pub struct QueryDirectory {
     entries: Mutex<BTreeMap<u64, QueryEntry>>,
     /// Server-push fan-out, attached by the [`MonitorServer`] when it
     /// starts. Lock order is always entries → hub.
+    ///
+    /// [`MonitorServer`]: crate::server::MonitorServer
     hub: Mutex<Option<Arc<StreamHub>>>,
     /// `qprog_queries_live`, when a metrics registry is attached.
     live_gauge: Option<Arc<Gauge>>,
@@ -352,39 +272,39 @@ impl QueryDirectory {
         }
     }
 
-    /// Register a query; the returned token unregisters it on drop. Pass
-    /// a [`HealthAnalyzer`] to have the broadcast tick sample it and to
-    /// surface its verdict in the query's JSON (`"health"` is `null`
-    /// otherwise).
+    /// Register a compiled query, `running`, and subscribe its entry to the
+    /// query's progress publications. The returned token unregisters it on
+    /// drop, and its holder reports the outcome
+    /// ([`MonitoredQuery::set_state`]). Pass a [`HealthAnalyzer`] to have
+    /// the broadcast tick sample it and to surface its verdict in the
+    /// query's JSON (`"health"` is `null` otherwise).
     pub fn register(
         self: &Arc<Self>,
         label: impl Into<String>,
         estimator: impl Into<String>,
-        tracker: ProgressTracker,
+        query: &CompiledQuery,
         phases: Arc<PhaseSink>,
         health: Option<Arc<HealthAnalyzer>>,
     ) -> MonitoredQuery {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let _ = phases.owner.set((Arc::downgrade(self), id));
-        self.insert(
-            id,
-            QueryEntry {
-                label: label.into(),
-                estimator: estimator.into(),
-                tenant: None,
-                attempt: 0,
-                exec: Some(ExecAttachment {
-                    tracker,
-                    phases,
-                    health,
-                }),
-                managed: None,
-                started: Instant::now(),
-                eta: Mutex::new(EtaSmoother::new()),
-                max_fraction: AtomicU64::new(0.0f64.to_bits()),
-                terminal_emitted: AtomicBool::new(false),
-            },
-        )
+        let exec = ExecAttachment {
+            registry: query.registry().clone(),
+            phases,
+            health,
+        };
+        let entry = QueryEntry::new(
+            label.into(),
+            estimator.into(),
+            None,
+            ManagedState::Running { attempt: 1 },
+            Some(exec),
+        );
+        Self::subscribe(query, Arc::clone(&entry.progress));
+        self.insert(self.next_id.fetch_add(1, Ordering::Relaxed), entry)
+    }
+
+    /// Every publication of `query` overwrites `cell`.
+    fn subscribe(query: &CompiledQuery, cell: Arc<Mutex<Published>>) {
+        query.on_progress(move |snap| cell.lock().update(snap));
     }
 
     /// Reserve a fresh query id that is `≥ floor` and unique among every
@@ -407,21 +327,14 @@ impl QueryDirectory {
         tenant: impl Into<String>,
     ) -> MonitoredQuery {
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        self.insert(
-            id,
-            QueryEntry {
-                label: label.into(),
-                estimator: estimator.into(),
-                tenant: Some(tenant.into()),
-                attempt: 0,
-                exec: None,
-                managed: Some(ManagedState::Queued),
-                started: Instant::now(),
-                eta: Mutex::new(EtaSmoother::new()),
-                max_fraction: AtomicU64::new(0.0f64.to_bits()),
-                terminal_emitted: AtomicBool::new(false),
-            },
-        )
+        let entry = QueryEntry::new(
+            label.into(),
+            estimator.into(),
+            Some(tenant.into()),
+            ManagedState::Queued,
+            None,
+        );
+        self.insert(id, entry)
     }
 
     fn insert(self: &Arc<Self>, id: u64, entry: QueryEntry) -> MonitoredQuery {
@@ -444,36 +357,34 @@ impl QueryDirectory {
         }
     }
 
-    /// Attach live execution state to a managed entry (a worker is about
-    /// to drive the query). A retry attempt replaces the previous
-    /// attachment; the published fraction stays monotone across attempts.
-    /// Returns false if the id is unknown.
+    /// Attach a dispatched attempt's execution to a managed entry and
+    /// subscribe the entry to its publications. A retry attempt replaces
+    /// the previous attachment; the published fraction stays monotone
+    /// across attempts. Returns false if the id is unknown.
     pub fn attach_execution(
-        self: &Arc<Self>,
+        &self,
         id: u64,
-        tracker: ProgressTracker,
+        query: &CompiledQuery,
         phases: Arc<PhaseSink>,
         health: Option<Arc<HealthAnalyzer>>,
     ) -> bool {
-        let _ = phases.owner.set((Arc::downgrade(self), id));
         let mut entries = self.entries.lock();
-        match entries.get_mut(&id) {
-            Some(e) => {
-                e.exec = Some(ExecAttachment {
-                    tracker,
-                    phases,
-                    health,
-                });
-                true
-            }
-            None => false,
-        }
+        let Some(e) = entries.get_mut(&id) else {
+            return false;
+        };
+        e.exec = Some(ExecAttachment {
+            registry: query.registry().clone(),
+            phases,
+            health,
+        });
+        Self::subscribe(query, Arc::clone(&e.progress));
+        true
     }
 
-    /// Move a managed entry through its service-dictated lifecycle and push
-    /// the new state to its listeners before the entries lock is released:
-    /// the exactly-once `terminal` frame for [`ManagedState::Terminal`], one
-    /// `progress` frame otherwise. Returns false if the id is unknown.
+    /// Move an entry through its lifecycle and push the new state to its
+    /// listeners before the entries lock is released: the exactly-once
+    /// `terminal` frame for [`ManagedState::Terminal`], one `progress` frame
+    /// otherwise. Returns false if the id is unknown.
     pub fn set_managed_state(&self, id: u64, state: ManagedState) -> bool {
         let mut entries = self.entries.lock();
         let Some(e) = entries.get_mut(&id) else {
@@ -482,18 +393,18 @@ impl QueryDirectory {
         if let ManagedState::Running { attempt } | ManagedState::Retrying { attempt, .. } = &state {
             e.attempt = *attempt;
         }
-        e.managed = Some(state);
+        e.state = state;
         if let Some(hub) = self.hub() {
-            Self::publish_state(&hub, id, e, e.view().terminal, true);
+            Self::publish_state(&hub, id, e, e.terminal(), true);
         }
         true
     }
 
     /// Publish the frame for `e`'s state: if `terminal`, the `terminal` frame
     /// unless it is already out; else, if `progress` and anyone listens, one
-    /// `progress` frame. The only `terminal_emitted` swap — transition, tick
-    /// backstop and unregistration all come through here, so the terminal
-    /// frame is exactly-once by construction.
+    /// `progress` frame. The only `terminal_emitted` swap — transition and
+    /// unregistration both come through here, so the terminal frame is
+    /// exactly-once by construction.
     fn publish_state(hub: &StreamHub, id: u64, e: &QueryEntry, terminal: bool, progress: bool) {
         if terminal {
             if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
@@ -531,10 +442,11 @@ impl QueryDirectory {
         self.hub.lock().clone()
     }
 
-    /// One broadcast tick, the periodic part only: per query still running,
-    /// sample health, then push a `progress` frame if anyone is listening
-    /// (encoded once for all subscribers). Its one lifecycle duty: backstop a
-    /// session query that completed without a `QueryFinished` trace event.
+    /// One broadcast tick over the entries whose ending is not out yet:
+    /// sample health (a stall is `ΣK` standing still), then push a
+    /// `progress` frame from the last publication for each running entry
+    /// anyone listens to (encoded once for all subscribers). Lifecycle
+    /// frames never come from here.
     pub fn tick(&self) {
         let Some(hub) = self.hub() else { return };
         let entries = self.entries.lock();
@@ -544,15 +456,14 @@ impl QueryDirectory {
             if e.terminal_emitted.load(Ordering::Relaxed) {
                 continue;
             }
-            let view = e.view();
             if let Some(exec) = &e.exec {
                 if let Some(h) = &exec.health {
-                    let snap = exec.tracker.snapshot();
                     let elapsed_us = e.started.elapsed().as_micros() as u64;
-                    let fraction = e.clamped_fraction(snap.fraction());
-                    let eta = e.eta.lock().update(elapsed_us, fraction, view.running);
+                    let fraction = e.progress.lock().fraction;
+                    let eta = e.eta.lock().update(elapsed_us, fraction, e.running());
+                    let work = exec.registry.total_emitted();
                     if let Some((from, to, reason)) =
-                        h.observe(snap.current(), eta.map(|v| v as f64), view.running)
+                        h.observe(work, eta.map(|v| v as f64), e.running())
                     {
                         hub.publish(
                             id,
@@ -566,7 +477,7 @@ impl QueryDirectory {
                     }
                 }
             }
-            Self::publish_state(&hub, id, e, view.terminal, view.running);
+            Self::publish_state(&hub, id, e, false, e.running());
         }
     }
 
@@ -586,35 +497,21 @@ impl QueryDirectory {
     }
 
     fn summary_json(id: u64, e: &QueryEntry) -> String {
-        let view = e.view();
-        // Progress numbers come from the execution attachment; entries
-        // waiting for dispatch render the trivially-true bounds.
-        let (fraction, lo, hi, current, total, pipes, pipes_done) = match &e.exec {
-            Some(exec) => {
-                let snap = exec.tracker.snapshot();
-                let (lo, hi) = exec.tracker.fraction_bounds();
-                let fraction = e.clamped_fraction(snap.fraction());
-                let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
-                let pipelines = snap.pipelines();
-                let finished = pipelines
-                    .iter()
-                    .filter(|p| p.state == PipelineState::Finished)
-                    .count();
-                (
-                    fraction,
-                    lo,
-                    hi,
-                    snap.current(),
-                    snap.total(),
-                    pipelines.len(),
-                    finished,
-                )
-            }
-            None => {
-                let fraction = e.clamped_fraction(0.0);
-                (fraction, 0.0, 1.0, 0, f64::NAN, 0, 0)
-            }
+        let (state, failure, rows) = match &e.state {
+            ManagedState::Queued => ("queued", None, None),
+            ManagedState::Running { .. } => ("running", None, None),
+            ManagedState::Retrying { kind, .. } => ("retrying", Some(kind), None),
+            ManagedState::Terminal {
+                done,
+                failure,
+                rows,
+            } => (
+                if *done { "done" } else { "failed" },
+                failure.as_ref(),
+                *rows,
+            ),
         };
+        let p = *e.progress.lock();
         let elapsed_us = e.started.elapsed().as_micros() as u64;
         // The paper's motivating use case, estimated time remaining from
         // the gnm fraction, smoothed so refinement noise does not whipsaw
@@ -622,7 +519,7 @@ impl QueryDirectory {
         let eta_us = e
             .eta
             .lock()
-            .update(elapsed_us, fraction, view.running)
+            .update(elapsed_us, p.fraction, e.running())
             .map_or_else(|| "null".to_string(), |v| v.to_string());
         let health = e.exec.as_ref().and_then(|x| x.health.as_ref()).map_or_else(
             || "null".to_string(),
@@ -638,21 +535,21 @@ impl QueryDirectory {
             "{{\"id\":{id},\"label\":\"{}\",\"estimator\":\"{}\",{tenancy}\
              \"elapsed_us\":{elapsed_us},\"eta_us\":{eta_us},\
              \"fraction\":{},\"lo\":{},\"hi\":{},\
-             \"current\":{current},\"total\":{},\"pipelines\":{pipes},\
-             \"pipelines_finished\":{pipes_done},\"state\":\"{}\",\"failure\":{},\
+             \"current\":{},\"total\":{},\"pipelines\":{},\
+             \"pipelines_finished\":{},\"state\":\"{state}\",\"failure\":{},\
              \"health\":{health},\"done\":{},\"rows\":{}}}",
             escape(&e.label),
             escape(&e.estimator),
-            num(fraction),
-            num(lo),
-            num(hi),
-            num(total),
-            view.state,
-            view.failure
-                .as_ref()
-                .map_or("null".to_string(), |f| format!("\"{}\"", escape(f))),
-            view.done,
-            view.rows.map_or("null".to_string(), |r| r.to_string()),
+            num(p.fraction),
+            num(p.lo),
+            num(p.hi),
+            p.current,
+            num(p.total),
+            p.pipelines,
+            p.pipelines_finished,
+            failure.map_or("null".to_string(), |f| format!("\"{}\"", escape(f))),
+            state == "done",
+            rows.map_or("null".to_string(), |r| r.to_string()),
         )
     }
 
@@ -661,8 +558,7 @@ impl QueryDirectory {
         let ops: Vec<String> = match &e.exec {
             None => Vec::new(),
             Some(exec) => exec
-                .tracker
-                .registry()
+                .registry
                 .iter()
                 .enumerate()
                 .map(|(i, (name, m))| {
@@ -723,7 +619,7 @@ impl QueryDirectory {
         entries.get(&id).map(|e| {
             (
                 Self::summary_json(id, e),
-                e.view().terminal,
+                e.terminal(),
                 e.terminal_emitted.load(Ordering::Relaxed),
             )
         })
@@ -739,7 +635,8 @@ impl std::fmt::Debug for QueryDirectory {
 }
 
 /// Registration token: while alive, the query is listed by the monitor;
-/// dropping it unregisters the query.
+/// dropping it unregisters the query. Its holder sets the entry's
+/// lifecycle.
 pub struct MonitoredQuery {
     directory: Arc<QueryDirectory>,
     id: u64,
@@ -749,6 +646,12 @@ impl MonitoredQuery {
     /// The process-unique query id (`/progress/{id}`).
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Move this entry to `state`
+    /// ([`set_managed_state`](QueryDirectory::set_managed_state)).
+    pub fn set_state(&self, state: ManagedState) -> bool {
+        self.directory.set_managed_state(self.id, state)
     }
 }
 
@@ -767,26 +670,70 @@ impl std::fmt::Debug for MonitoredQuery {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hub::{StreamNext, StreamSubscriber};
-    use qprog_exec::metrics::MetricsRegistry;
-    use qprog_plan::pipeline::PipelineSet;
+    use qprog_core::gnm::PipelineProgress;
 
-    fn tracker() -> (ProgressTracker, MetricsRegistry) {
-        let mut reg = MetricsRegistry::new();
-        reg.register("scan", 100.0);
-        let mut pipes = PipelineSet::new();
-        let p = pipes.new_pipeline();
-        pipes.assign(p, 0);
-        (ProgressTracker::new(reg.clone(), pipes), reg)
+    /// A publication: `current` of `total` done, on one pipeline.
+    fn snapshot(current: u64, total: f64) -> ProgressSnapshot {
+        let pipeline = if current as f64 >= total {
+            PipelineProgress::finished(0, current)
+        } else {
+            PipelineProgress::running(0, current, total)
+        };
+        ProgressSnapshot::new(vec![pipeline])
     }
 
-    fn ev(kind: TraceEventKind) -> TraceEvent {
-        TraceEvent {
-            seq: 0,
-            at_us: 0,
-            kind,
+    fn one_scan() -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.register("scan", 100.0);
+        reg
+    }
+
+    fn exec(registry: &MetricsRegistry) -> ExecAttachment {
+        ExecAttachment {
+            registry: registry.clone(),
+            phases: Arc::new(PhaseSink::new()),
+            health: None,
+        }
+    }
+
+    /// A session entry over a one-scan registry, as `register` makes for a
+    /// compiled query, plus a `publish(current, total)` that writes its
+    /// progress cell the way the query's publications do.
+    pub(crate) fn session_entry(
+        dir: &Arc<QueryDirectory>,
+        label: &str,
+    ) -> (MonitoredQuery, impl Fn(u64, f64), MetricsRegistry) {
+        let reg = one_scan();
+        let running = ManagedState::Running { attempt: 1 };
+        let entry = QueryEntry::new(label.into(), "once".into(), None, running, Some(exec(&reg)));
+        let cell = Arc::clone(&entry.progress);
+        let q = dir.insert(dir.allocate_id(1), entry);
+        let publish = move |current, total| cell.lock().update(&snapshot(current, total));
+        (q, publish, reg)
+    }
+
+    /// Attach `exec` to entry `id` as `attach_execution` does for a
+    /// compiled query; the cell its publications would write.
+    fn attach(
+        dir: &QueryDirectory,
+        id: u64,
+        exec: ExecAttachment,
+    ) -> Option<Arc<Mutex<Published>>> {
+        let mut entries = dir.entries.lock();
+        let e = entries.get_mut(&id)?;
+        e.exec = Some(exec);
+        Some(Arc::clone(&e.progress))
+    }
+
+    /// The outcome a `QueryHandle` reports for a finish of `rows` rows.
+    pub(crate) fn finished(rows: u64) -> ManagedState {
+        ManagedState::Terminal {
+            done: true,
+            failure: None,
+            rows: Some(rows),
         }
     }
 
@@ -817,10 +764,8 @@ mod tests {
     #[test]
     fn register_list_unregister() {
         let dir = Arc::new(QueryDirectory::new(None));
-        let (t1, _) = tracker();
-        let (t2, _) = tracker();
-        let q1 = dir.register("q one", "once", t1, Arc::new(PhaseSink::new()), None);
-        let q2 = dir.register("q two", "dne", t2, Arc::new(PhaseSink::new()), None);
+        let (q1, _, _) = session_entry(&dir, "q one");
+        let (q2, _, _) = session_entry(&dir, "q two");
         assert_eq!(dir.len(), 2);
         assert_eq!(dir.ids(), vec![q1.id(), q2.id()]);
         assert_ne!(q1.id(), q2.id());
@@ -832,17 +777,25 @@ mod tests {
     }
 
     #[test]
-    fn progress_json_reflects_tracker_state() {
+    fn progress_json_reflects_the_last_publication() {
         let dir = Arc::new(QueryDirectory::new(None));
-        let (t, reg) = tracker();
-        let q = dir.register("sel", "once", t, Arc::new(PhaseSink::new()), None);
+        let (q, publish, reg) = session_entry(&dir, "sel");
+        // Until the first publication: the numbers recorded at registration.
+        let all = dir.render_all();
+        assert!(all.contains("\"fraction\":0,\"lo\":0,\"hi\":1"), "{all}");
         for _ in 0..50 {
             reg.get(0).unwrap().record_emitted();
         }
+        assert!(dir.render_all().contains("\"current\":0"), "not published");
+        publish(50, 100.0);
         let all = dir.render_all();
         assert!(all.contains("\"label\":\"sel\""), "{all}");
         assert!(all.contains("\"current\":50"), "{all}");
         assert!(all.contains("\"fraction\":0.5"), "{all}");
+        assert!(
+            all.contains("\"pipelines\":1,\"pipelines_finished\":0"),
+            "{all}"
+        );
         assert!(all.contains("\"done\":false"), "{all}");
         // running at p = 0.5: elapsed and a finite ETA are reported
         assert!(all.contains("\"elapsed_us\":"), "{all}");
@@ -850,70 +803,59 @@ mod tests {
         assert!(!all.contains("\"eta_us\":null"), "{all}");
         // session-owned queries carry no tenancy fields
         assert!(!all.contains("\"tenant\""), "{all}");
+        // per-operator rows read the operators' own counters
         let detail = dir.render_query(q.id()).unwrap();
         assert!(detail.contains("\"ops\":[{\"name\":\"scan\""), "{detail}");
         assert!(detail.contains("\"k\":50"), "{detail}");
-        reg.finish_all();
+        publish(100, 100.0);
+        q.set_state(finished(100));
         let detail = dir.render_query(q.id()).unwrap();
         assert!(detail.contains("\"done\":true"), "{detail}");
         assert!(detail.contains("\"fraction\":1"), "{detail}");
+        assert!(detail.contains("\"pipelines_finished\":1"), "{detail}");
         // terminal queries have no remaining-time estimate
         assert!(detail.contains("\"eta_us\":null"), "{detail}");
     }
 
     #[test]
-    fn phase_sink_tracks_last_phase_and_terminal_event() {
+    fn phase_sink_tracks_last_phase() {
         let sink = PhaseSink::new();
         assert_eq!(sink.phase(0), None);
-        assert_eq!(sink.rows(), None);
-        sink.publish(&ev(TraceEventKind::PhaseTransition {
-            op: 2,
-            from: Phase::Init,
-            to: Phase::Build,
-        }));
-        sink.publish(&ev(TraceEventKind::PhaseTransition {
-            op: 2,
-            from: Phase::Build,
-            to: Phase::Probe,
-        }));
+        sink.publish(&TraceEvent {
+            seq: 0,
+            at_us: 0,
+            kind: TraceEventKind::PhaseTransition {
+                op: 2,
+                from: Phase::Init,
+                to: Phase::Build,
+            },
+        });
+        sink.publish(&TraceEvent {
+            seq: 1,
+            at_us: 0,
+            kind: TraceEventKind::PhaseTransition {
+                op: 2,
+                from: Phase::Build,
+                to: Phase::Probe,
+            },
+        });
         assert_eq!(sink.phase(2), Some(Phase::Probe));
         assert_eq!(sink.phase(0), None);
-        assert!(!sink.is_finished());
-        sink.publish(&ev(TraceEventKind::QueryFinished { rows: 9 }));
-        assert!(sink.is_finished());
-        assert_eq!(sink.rows(), Some(9));
-    }
-
-    #[test]
-    fn phase_sink_records_aborts_as_failed_state() {
-        let sink = PhaseSink::new();
-        assert_eq!(sink.state(), QueryState::Running);
-        sink.publish(&ev(TraceEventKind::QueryAborted {
-            reason: AbortKind::Cancelled,
-            rows: 17,
-        }));
-        assert_eq!(sink.state(), QueryState::Failed(AbortKind::Cancelled));
-        assert_eq!(sink.abort_reason(), Some(AbortKind::Cancelled));
-        assert_eq!(sink.rows(), Some(17));
-        assert!(!sink.is_finished());
     }
 
     #[test]
     fn summary_json_reports_failed_queries() {
         let dir = Arc::new(QueryDirectory::new(None));
-        let (t, reg) = tracker();
-        let sink = Arc::new(PhaseSink::new());
-        let q = dir.register("doomed", "once", t, Arc::clone(&sink), None);
-        for _ in 0..30 {
-            reg.get(0).unwrap().record_emitted();
-        }
+        let (q, publish, _) = session_entry(&dir, "doomed");
+        publish(30, 100.0);
         let all = dir.render_all();
         assert!(all.contains("\"state\":\"running\""), "{all}");
         assert!(all.contains("\"failure\":null"), "{all}");
-        sink.publish(&ev(TraceEventKind::QueryAborted {
-            reason: AbortKind::DeadlineExceeded,
-            rows: 30,
-        }));
+        q.set_state(ManagedState::Terminal {
+            done: false,
+            failure: Some(AbortKind::DeadlineExceeded.to_string()),
+            rows: Some(30),
+        });
         let detail = dir.render_query(q.id()).unwrap();
         assert!(detail.contains("\"state\":\"failed\""), "{detail}");
         assert!(detail.contains("\"failure\":\"deadline\""), "{detail}");
@@ -929,8 +871,7 @@ mod tests {
         let dir = Arc::new(QueryDirectory::new(Some(&metrics)));
         let gauge = metrics.gauge("qprog_queries_live", "", &[]);
         let registered = metrics.counter("qprog_queries_registered_total", "", &[]);
-        let (t, _) = tracker();
-        let q = dir.register("q", "once", t, Arc::new(PhaseSink::new()), None);
+        let (q, _, _) = session_entry(&dir, "q");
         assert_eq!(gauge.get(), 1.0);
         assert_eq!(registered.get(), 1);
         drop(q);
@@ -957,11 +898,12 @@ mod tests {
         assert!(all.contains("\"eta_us\":null"), "{all}");
 
         assert!(dir.set_managed_state(id, ManagedState::Running { attempt: 1 }));
-        let (t, reg) = tracker();
-        assert!(dir.attach_execution(id, t, Arc::new(PhaseSink::new()), None));
+        let reg = one_scan();
+        let cell = attach(&dir, id, exec(&reg)).unwrap();
         for _ in 0..40 {
             reg.get(0).unwrap().record_emitted();
         }
+        cell.lock().update(&snapshot(40, 100.0));
         let detail = dir.render_query(id).unwrap();
         assert!(detail.contains("\"state\":\"running\""), "{detail}");
         assert!(detail.contains("\"attempt\":1"), "{detail}");
@@ -994,7 +936,45 @@ mod tests {
         assert!(detail.contains("\"rows\":123"), "{detail}");
         drop(q);
         assert!(!dir.set_managed_state(id, ManagedState::Queued));
-        assert!(!dir.attach_execution(id, tracker().0, Arc::new(PhaseSink::new()), None));
+        assert!(attach(&dir, id, exec(&reg)).is_none());
+    }
+
+    #[test]
+    fn managed_progress_stays_monotone_across_a_retry() {
+        let dir = Arc::new(QueryDirectory::new(None));
+        let id = dir.allocate_id(1);
+        let _q = dir.register_managed(id, "flaky", "gnm", "t");
+        let fraction = || {
+            let detail = dir.render_query(id).unwrap();
+            qprog_types::json::f64(&detail, "fraction").unwrap()
+        };
+        dir.set_managed_state(id, ManagedState::Running { attempt: 1 });
+        let first = attach(&dir, id, exec(&one_scan())).unwrap();
+        first.lock().update(&snapshot(60, 100.0));
+        assert_eq!(fraction(), 0.6);
+        dir.set_managed_state(
+            id,
+            ManagedState::Retrying {
+                kind: "injected".to_string(),
+                attempt: 1,
+            },
+        );
+        assert_eq!(fraction(), 0.6, "a parked job keeps its progress");
+        dir.set_managed_state(id, ManagedState::Running { attempt: 2 });
+        // Attempt 2 runs under a fresh tracker and starts over.
+        let second = attach(&dir, id, exec(&one_scan())).unwrap();
+        second.lock().update(&snapshot(20, 100.0));
+        let detail = dir.render_query(id).unwrap();
+        assert!(detail.contains("\"attempt\":2"), "{detail}");
+        assert!(detail.contains("\"current\":20"), "{detail}");
+        assert_eq!(fraction(), 0.6, "{detail}");
+        let hi = qprog_types::json::f64(&detail, "hi").unwrap();
+        assert!(
+            hi >= 0.6,
+            "the bracket holds the floored fraction: {detail}"
+        );
+        second.lock().update(&snapshot(80, 100.0));
+        assert_eq!(fraction(), 0.8);
     }
 
     #[test]
@@ -1005,30 +985,33 @@ mod tests {
         let _q = dir.register_managed(50, "replayed", "gnm", "t");
         let b = dir.allocate_id(1);
         assert!(b > 50, "{b}");
-        let (t, _) = tracker();
-        let s = dir.register("session", "once", t, Arc::new(PhaseSink::new()), None);
+        let (s, _, _) = session_entry(&dir, "session");
         assert!(s.id() > b, "session ids share the namespace: {}", s.id());
     }
 
     #[test]
-    fn managed_terminal_is_not_derived_from_trace_state() {
-        // A retryable abort publishes QueryAborted into the phase sink;
-        // the entry must stay non-terminal until the service says so.
+    fn trace_events_set_no_lifecycle() {
+        // A retryable abort publishes QueryAborted onto the attempt's bus;
+        // the entry stays where its registration's holder put it.
         let (dir, _hub, firehose) = pushed();
         let id = dir.allocate_id(1);
         let _q = dir.register_managed(id, "flaky", "gnm", "t");
         dir.set_managed_state(id, ManagedState::Running { attempt: 1 });
-        let (t, _reg) = tracker();
-        let sink = Arc::new(PhaseSink::new());
-        dir.attach_execution(id, t, Arc::clone(&sink), None);
+        let attachment = exec(&one_scan());
+        let sink = Arc::clone(&attachment.phases);
+        attach(&dir, id, attachment);
         frames(&firehose);
-        sink.publish(&ev(TraceEventKind::QueryAborted {
-            reason: AbortKind::Injected,
-            rows: 0,
-        }));
-        assert_eq!(frames(&firehose), vec![], "the bound sink pushed a frame");
+        sink.publish(&TraceEvent {
+            seq: 0,
+            at_us: 0,
+            kind: TraceEventKind::QueryAborted {
+                reason: AbortKind::Injected,
+                rows: 0,
+            },
+        });
+        assert_eq!(frames(&firehose), vec![], "the sink pushed a frame");
         let (_, terminal, emitted) = dir.stream_snapshot(id).unwrap();
-        assert!(!terminal, "trace abort must not leak a managed terminal");
+        assert!(!terminal, "trace abort must not leak a terminal");
         assert!(!emitted);
         let all = dir.render_all();
         assert!(all.contains("\"state\":\"running\""), "{all}");
@@ -1067,14 +1050,7 @@ mod tests {
         }
         // Terminal: exactly one frame, immediately, and it ends the
         // per-query stream.
-        dir.set_managed_state(
-            id,
-            ManagedState::Terminal {
-                done: true,
-                failure: None,
-                rows: Some(7),
-            },
-        );
+        dir.set_managed_state(id, finished(7));
         let got = frames(&firehose);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].0, "terminal");
@@ -1089,27 +1065,33 @@ mod tests {
     }
 
     #[test]
-    fn session_entries_push_their_terminal_at_the_trace_event() {
+    fn session_entries_push_their_terminal_exactly_once() {
         let (dir, _hub, firehose) = pushed();
+        let cancelled = ManagedState::Terminal {
+            done: false,
+            failure: Some(AbortKind::Cancelled.to_string()),
+            rows: Some(3),
+        };
         let endings = [
-            (
-                TraceEventKind::QueryFinished { rows: 9 },
-                "\"state\":\"done\"",
-            ),
-            (
-                TraceEventKind::QueryAborted {
-                    reason: AbortKind::Cancelled,
-                    rows: 3,
-                },
-                "\"failure\":\"cancelled\"",
-            ),
+            (Some(finished(9)), "\"state\":\"done\""),
+            (Some(cancelled), "\"failure\":\"cancelled\""),
+            // The handle dropped before its query ran.
+            (None, "\"state\":\"running\""),
         ];
         for (ending, expect) in endings {
-            let (t, _reg) = tracker();
-            let sink = Arc::new(PhaseSink::new());
-            let q = dir.register("s", "once", t, Arc::clone(&sink), None);
+            let (q, publish, _) = session_entry(&dir, "s");
+            publish(3, 9.0);
             frames(&firehose);
-            sink.publish(&ev(ending));
+            let q = match ending {
+                Some(state) => {
+                    q.set_state(state);
+                    Some(q)
+                }
+                None => {
+                    drop(q);
+                    None
+                }
+            };
             let got = frames(&firehose);
             assert_eq!(got.len(), 1, "{got:?}");
             assert_eq!(got[0].0, "terminal");
@@ -1121,20 +1103,20 @@ mod tests {
     }
 
     #[test]
-    fn tick_backstops_a_completion_no_trace_event_announced() {
+    fn tick_sends_running_entries_their_last_publication() {
         let (dir, _hub, firehose) = pushed();
-        let (t, reg) = tracker();
-        let q = dir.register("quiet", "once", t, Arc::new(PhaseSink::new()), None);
+        let (q, publish, _) = session_entry(&dir, "live");
         frames(&firehose);
-        reg.finish_all();
-        assert_eq!(frames(&firehose), vec![], "nothing announced the ending");
+        publish(25, 100.0);
+        assert_eq!(frames(&firehose), vec![], "a publication pushes no frame");
         dir.tick();
         let got = frames(&firehose);
         assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].0, "terminal");
-        assert!(got[0].1.contains("\"done\":true"), "{got:?}");
+        assert_eq!(got[0].0, "progress");
+        assert!(got[0].1.contains("\"fraction\":0.25"), "{got:?}");
+        q.set_state(finished(1));
+        frames(&firehose);
         dir.tick();
-        drop(q);
-        assert_eq!(frames(&firehose), vec![]);
+        assert_eq!(frames(&firehose), vec![], "nothing after the terminal");
     }
 }

@@ -745,12 +745,9 @@ impl std::fmt::Debug for MonitorServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::PhaseSink;
+    use crate::directory::tests::{finished, session_entry};
     use crate::service::DirectoryObserver;
     use qprog_exec::governor::CancellationToken;
-    use qprog_exec::metrics::MetricsRegistry;
-    use qprog_plan::pipeline::PipelineSet;
-    use qprog_plan::ProgressTracker;
     use qprog_service::{JobExecutor, JobSpec, ServiceConfig};
     use std::io::{Read, Write};
     use std::path::{Path, PathBuf};
@@ -776,15 +773,6 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         out
-    }
-
-    fn tracker() -> (ProgressTracker, MetricsRegistry) {
-        let mut reg = MetricsRegistry::new();
-        reg.register("scan", 100.0);
-        let mut pipes = PipelineSet::new();
-        let p = pipes.new_pipeline();
-        pipes.assign(p, 0);
-        (ProgressTracker::new(reg.clone(), pipes), reg)
     }
 
     /// Open a streaming GET and read until the server closes (or errors),
@@ -818,14 +806,6 @@ mod tests {
         while server.hub().subscriber_count() < n {
             assert!(std::time::Instant::now() < deadline, "no subscriber");
             std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn finished(rows: u64) -> qprog_exec::trace::TraceEvent {
-        qprog_exec::trace::TraceEvent {
-            seq: 0,
-            at_us: 0,
-            kind: qprog_exec::trace::TraceEventKind::QueryFinished { rows },
         }
     }
 
@@ -867,24 +847,16 @@ mod tests {
     #[test]
     fn query_stream_pushes_progress_and_always_ends_with_terminal() {
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
-        let (t, reg) = tracker();
-        let q =
-            server
-                .directory()
-                .register("streamed", "once", t, Arc::new(PhaseSink::new()), None);
+        let (q, publish, _) = session_entry(server.directory(), "streamed");
         let id = q.id();
         let addr = server.addr();
-        for _ in 0..40 {
-            reg.get(0).unwrap().record_emitted();
-        }
+        publish(40, 100.0);
         let reader =
             std::thread::spawn(move || stream_get(addr, &format!("/progress/{id}/stream")));
         // Let the subscriber attach and see at least one live frame.
         std::thread::sleep(Duration::from_millis(80));
-        for _ in 0..60 {
-            reg.get(0).unwrap().record_emitted();
-        }
-        reg.finish_all();
+        publish(100, 100.0);
+        q.set_state(finished(100));
         let out = reader.join().unwrap();
         assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
         assert!(out.contains("Content-Type: text/event-stream"), "{out}");
@@ -898,19 +870,11 @@ mod tests {
 
     #[test]
     fn late_stream_subscribers_still_get_a_terminal_frame() {
-        use qprog_exec::trace::TraceSink;
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
-        let (t, reg) = tracker();
-        let sink = Arc::new(PhaseSink::new());
-        let q = server
-            .directory()
-            .register("late", "once", t, Arc::clone(&sink), None);
-        for _ in 0..100 {
-            reg.get(0).unwrap().record_emitted();
-        }
-        reg.finish_all();
-        // The terminal frame leaves with the trace event, to nobody.
-        sink.publish(&finished(100));
+        let (q, publish, _) = session_entry(server.directory(), "late");
+        publish(100, 100.0);
+        // The terminal frame leaves with the reported outcome, to nobody.
+        q.set_state(finished(100));
         // A subscriber arriving after the broadcast gets a synthesized one.
         let out = stream_get(server.addr(), &format!("/progress/{}/stream", q.id()));
         assert!(out.contains("event: terminal\n"), "{out}");
@@ -920,26 +884,18 @@ mod tests {
 
     #[test]
     fn events_firehose_snapshots_then_reports_unregistration() {
-        use qprog_exec::trace::TraceSink;
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
-        let (t, reg) = tracker();
-        let sink = Arc::new(PhaseSink::new());
-        let q = server
-            .directory()
-            .register("fire", "once", t, Arc::clone(&sink), None);
+        let (q, publish, _) = session_entry(server.directory(), "fire");
         let addr = server.addr();
         let reader = std::thread::spawn(move || {
             stream_get_until(addr, "/events", Some("event: terminal\n"))
         });
         await_subscribers(&server, 1);
-        for _ in 0..100 {
-            reg.get(0).unwrap().record_emitted();
-        }
-        reg.finish_all();
+        publish(100, 100.0);
         // Pushed to the attached firehose by this call, not by a later tick;
         // the reader returns once it has the frame (shutdown drops what a
         // stream has not written yet).
-        sink.publish(&finished(100));
+        q.set_state(finished(100));
         let out = reader.join().unwrap();
         drop(q);
         server.shutdown();
@@ -1312,17 +1268,13 @@ mod tests {
     fn events_reconnect_replays_missed_frames_or_resyncs() {
         let server = MonitorServer::start("127.0.0.1:0", None).unwrap();
         let addr = server.addr();
-        let (t, reg) = tracker();
-        let _q = server
-            .directory()
-            .register("recon", "once", t, Arc::new(PhaseSink::new()), None);
+        let (_q, _, _) = session_entry(server.directory(), "recon");
         // Publish a few frames through the hub directly (deterministic ids).
         for i in 0..4 {
             server
                 .hub()
                 .publish(1, "progress", &format!("{{\"n\":{i}}}"), false);
         }
-        drop(reg);
         // Reconnect claiming id 2: frames 3 and 4 replay, no snapshot.
         let shutdown_later = {
             let server = Arc::clone(&server);

@@ -4,9 +4,10 @@
 //! exactly like a session-run query.
 //!
 //! The bridge holds each submission's [`MonitoredQuery`] registration
-//! token: a job stays listed from acceptance until the service evicts its
-//! terminal record, and the exactly-once terminal SSE frame leaves inside
-//! the callback that declares the outcome (never on a transient attempt's abort).
+//! token, so it alone sets the entry's lifecycle: a job stays listed from
+//! acceptance until the service evicts its terminal record, and the
+//! exactly-once terminal SSE frame leaves inside the callback that declares
+//! the outcome (never on a transient attempt's abort).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

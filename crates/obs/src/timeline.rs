@@ -223,7 +223,6 @@ impl TimelineRecorder {
     /// Record one published snapshot, with every operator's state now.
     fn record(&mut self, snapshot: &ProgressSnapshot) {
         let at_us = self.epoch.elapsed().as_micros() as u64;
-        let (lo, hi) = self.tracker.fraction_bounds();
         let ops: Vec<OpPoint> = self
             .tracker
             .registry()
@@ -266,14 +265,13 @@ impl TimelineRecorder {
             }
         }
 
-        // Already monotone: `ProgressTracker::snapshot` floors the fraction
-        // with the high-water mark its clones share. Keep the recorded
-        // interval consistent with that clamped point.
-        let fraction = snapshot.fraction();
-        let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
+        // Already monotone, and the bracket already holds it:
+        // `ProgressTracker::snapshot` floors the fraction with the
+        // high-water mark its clones share.
+        let (lo, hi) = snapshot.bounds();
         self.log.points.push(TimelinePoint {
             at_us,
-            fraction,
+            fraction: snapshot.fraction(),
             lo,
             hi,
             current: snapshot.current(),

@@ -125,8 +125,9 @@ pub struct CompiledQuery {
     bus: Option<Arc<EventBus>>,
     /// Output rows pulled so far (for the terminal event's payload).
     rows_emitted: u64,
-    /// Set once the terminal publication has gone out.
-    terminated: bool,
+    /// The terminal outcome, recorded once: rows returned, and why the
+    /// query aborted (`None` for a finish).
+    outcome: Option<(u64, Option<AbortKind>)>,
     /// The progress publication point, created by the first
     /// [`on_progress`](Self::on_progress).
     publisher: OnceLock<Arc<Publisher>>,
@@ -216,8 +217,9 @@ impl CompiledQuery {
     /// by early termination (LIMIT) will never run again, so progress reads
     /// 1.0. An abort pins nothing, so progress freezes where it stopped. A
     /// subscriber panicking at the terminal turns a finish into an abort.
+    /// The outcome is recorded for [`outcome`](Self::outcome).
     fn terminate(&mut self, error: Option<QError>) -> QResult<()> {
-        if std::mem::replace(&mut self.terminated, true) {
+        if self.outcome.is_some() {
             return error.map_or(Ok(()), Err);
         }
         if error.is_none() {
@@ -231,17 +233,22 @@ impl CompiledQuery {
             None => Ok(()),
         };
         let error = error.or(published.err());
+        let rows = self.rows_emitted;
+        let abort = error.as_ref().map(AbortKind::from_error);
+        self.outcome = Some((rows, abort));
         if let Some(bus) = &self.bus {
-            let rows = self.rows_emitted;
-            bus.publish(match &error {
+            bus.publish(match abort {
                 None => TraceEventKind::QueryFinished { rows },
-                Some(e) => TraceEventKind::QueryAborted {
-                    reason: AbortKind::from_error(e),
-                    rows,
-                },
+                Some(reason) => TraceEventKind::QueryAborted { reason, rows },
             });
         }
         error.map_or(Ok(()), Err)
+    }
+
+    /// How the query ended — rows returned, and why it aborted (`None` for
+    /// a finish) — or `None` while it has not ended.
+    pub fn outcome(&self) -> Option<(u64, Option<AbortKind>)> {
+        self.outcome
     }
 
     /// The root batch capacity rows are pulled at.
@@ -383,7 +390,7 @@ pub fn compile_traced(
         estimator_labels: c.estimator_labels,
         bus,
         rows_emitted: 0,
-        terminated: false,
+        outcome: None,
         publisher: OnceLock::new(),
         batch_rows: opts.batch_rows.max(1),
         step_buf: None,

@@ -111,9 +111,29 @@ impl ProgressTracker {
     }
 
     /// Point-in-time gnm snapshot (with refinement applied to pending
-    /// pipelines).
+    /// pipelines) and its confidence bracket, both from one pass of
+    /// refinement: operators that publish estimate intervals (the `once`
+    /// estimators do, per §4.1's guarantees) contribute their bounds to
+    /// `T(Q)`, others their refined point estimate.
     pub fn snapshot(&self) -> ProgressSnapshot {
         let refined = self.refined_estimates();
+        // The bracket's totals, summed in registry order.
+        let mut current: u64 = 0;
+        let mut total_lo = 0.0f64;
+        let mut total_hi = 0.0f64;
+        for (i, (_, m)) in self.registry.iter().enumerate() {
+            current += m.emitted();
+            let (lo, hi) = m.estimated_bounds().unwrap_or((refined[i], refined[i]));
+            total_lo += lo;
+            total_hi += hi;
+        }
+        let frac = |total: f64| {
+            if total <= 0.0 {
+                0.0
+            } else {
+                (current as f64 / total).clamp(0.0, 1.0)
+            }
+        };
         let pipelines = self
             .pipelines
             .groups()
@@ -150,7 +170,9 @@ impl ProgressTracker {
                 p
             })
             .collect();
-        let snap = ProgressSnapshot::new(pipelines);
+        // A larger T(Q) means a smaller progress fraction.
+        let snap = ProgressSnapshot::new(pipelines)
+            .with_bracket(frac(total_hi), frac(total_lo.max(current as f64)));
         // Monotone clamp: remember the highest fraction ever reported and
         // never report below it. Non-negative f64 bit patterns compare
         // identically as integers, so fetch_max on the bits suffices.
@@ -162,39 +184,6 @@ impl ProgressTracker {
     /// Convenience: the gnm progress fraction right now.
     pub fn fraction(&self) -> f64 {
         self.snapshot().fraction()
-    }
-
-    /// Confidence bounds on the progress fraction: operators that publish
-    /// estimate intervals (the `once` estimators do, per §4.1's guarantees)
-    /// contribute their bounds to `T(Q)`; others contribute their refined
-    /// point estimate. Returns `(lo, hi)` with `lo ≤ fraction ≤ hi`.
-    pub fn fraction_bounds(&self) -> (f64, f64) {
-        let refined = self.refined_estimates();
-        let mut current: u64 = 0;
-        let mut total_lo = 0.0f64;
-        let mut total_hi = 0.0f64;
-        for (i, (_, m)) in self.registry.iter().enumerate() {
-            current += m.emitted();
-            match m.estimated_bounds() {
-                Some((lo, hi)) => {
-                    total_lo += lo;
-                    total_hi += hi;
-                }
-                None => {
-                    total_lo += refined[i];
-                    total_hi += refined[i];
-                }
-            }
-        }
-        let frac = |total: f64| {
-            if total <= 0.0 {
-                0.0
-            } else {
-                (current as f64 / total).clamp(0.0, 1.0)
-            }
-        };
-        // a larger T(Q) means a smaller progress fraction
-        (frac(total_hi), frac(total_lo.max(current as f64)))
     }
 }
 
@@ -272,15 +261,11 @@ impl Publisher {
         self.next_at
             .store(snap.current().saturating_add(step), Ordering::Relaxed);
         if let Some(bus) = &self.bus {
-            let fraction = snap.fraction();
-            let (lo, hi) = self.tracker.fraction_bounds();
-            // `fraction` carries the tracker's monotone floor; keep the
-            // interval consistent with it.
-            let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
+            let (lo, hi) = snap.bounds();
             bus.publish(TraceEventKind::ProgressSampled {
                 current: snap.current(),
                 total: snap.total(),
-                fraction,
+                fraction: snap.fraction(),
                 lo,
                 hi,
             });
@@ -378,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn fraction_bounds_bracket_the_point_estimate() {
+    fn snapshot_bracket_holds_the_point_estimate() {
         let mut reg = MetricsRegistry::new();
         let a = reg.register("join", 100.0);
         let mut pipes = PipelineSet::new();
@@ -390,14 +375,15 @@ mod tests {
         }
         a.set_estimated_total(100.0);
         a.set_estimated_bounds(80.0, 120.0);
-        let (lo, hi) = tracker.fraction_bounds();
-        let point = tracker.fraction();
+        let snap = tracker.snapshot();
+        let (lo, hi) = snap.bounds();
+        let point = snap.fraction();
         assert!(lo <= point && point <= hi, "{lo} ≤ {point} ≤ {hi}");
         assert!((lo - 40.0 / 120.0).abs() < 1e-9);
         assert!((hi - 40.0 / 80.0).abs() < 1e-9);
         // once finished, bounds collapse
         a.mark_finished();
-        let (lo, hi) = tracker.fraction_bounds();
+        let (lo, hi) = tracker.snapshot().bounds();
         assert_eq!((lo, hi), (1.0, 1.0));
     }
 

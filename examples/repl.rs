@@ -10,7 +10,7 @@
 //! to switch the estimation framework; `\quit` to exit.
 
 use std::io::{BufRead, Write};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qprog::core::EstimationMode;
 use qprog::plan::physical::PhysicalOptions;
@@ -91,12 +91,13 @@ fn main() -> QResult<()> {
             continue;
         }
 
-        let tracker = query.tracker();
+        // The bar is redrawn at each of the query's progress publications,
+        // in the executing thread; the run's result ends it, however the
+        // query ends.
         let started = Instant::now();
-        let monitor = std::thread::spawn(move || loop {
-            let snap = tracker.snapshot();
-            let (lo, hi) = tracker.fraction_bounds();
+        let result = query.run(RunOptions::new().observer(|snap| {
             let frac = snap.fraction();
+            let (lo, hi) = snap.bounds();
             let filled = (frac * 30.0) as usize;
             eprint!(
                 "\r[{}{}] {:5.1}%  (bounds {:.1}–{:.1}%)   ",
@@ -107,15 +108,10 @@ fn main() -> QResult<()> {
                 hi * 100.0,
             );
             std::io::stderr().flush().ok();
-            if snap.is_complete() {
-                eprintln!();
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        });
-        match query.collect() {
+        }));
+        eprintln!();
+        match result {
             Ok(rows) => {
-                monitor.join().ok();
                 let shown = rows.len().min(20);
                 for row in &rows[..shown] {
                     println!("{row}");
@@ -130,10 +126,7 @@ fn main() -> QResult<()> {
                     mode.label()
                 );
             }
-            Err(e) => {
-                monitor.join().ok();
-                eprintln!("error: {e}");
-            }
+            Err(e) => eprintln!("error: {e}"),
         }
     }
     Ok(())

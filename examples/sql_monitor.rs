@@ -77,9 +77,8 @@ fn main() -> QResult<()> {
         let plan = q8_plan(session.builder())?;
         let mut query = session.query_plan_labeled(plan, "TPC-H Q8 (8-table join)")?;
         let id = query.query_id().expect("registered with the monitor");
-        let tracker = query.tracker();
-        let monitor = std::thread::spawn(move || loop {
-            let snap = tracker.snapshot();
+        // Redrawn at each of the query's progress publications.
+        let rows = query.run(RunOptions::new().observer(move |snap| {
             let frac = snap.fraction();
             let filled = (frac * 40.0) as usize;
             eprint!(
@@ -89,15 +88,9 @@ fn main() -> QResult<()> {
                 frac * 100.0,
             );
             std::io::stderr().flush().ok();
-            if snap.is_complete() {
-                eprintln!();
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        });
-        let rows = query.collect()?;
-        monitor.join().expect("monitor thread");
-        eprintln!("  -> {} result rows", rows.len());
+        }));
+        eprintln!();
+        eprintln!("  -> {} result rows", rows?.len());
         // Keep the finished query on the dashboard briefly before its
         // handle drops and it unregisters.
         std::thread::sleep(Duration::from_millis(300));

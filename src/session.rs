@@ -8,7 +8,7 @@ use qprog_exec::governor::CancellationToken;
 use qprog_exec::trace::HealthState;
 use qprog_exec::trace::{EventBus, TraceEvent, TraceSink};
 use qprog_metrics::Registry;
-use qprog_monitor::{MonitorServer, MonitoredQuery, PhaseSink, QueryState};
+use qprog_monitor::{ManagedState, MonitorServer, MonitoredQuery, PhaseSink, QueryState};
 use qprog_obs::{
     ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, RunMeta,
 };
@@ -357,10 +357,11 @@ impl Session {
             .metrics
             .as_ref()
             .map(|r| Arc::new(MetricsSink::new(Arc::clone(r), self.options.mode.label())));
-        let phase_sink = self.monitor.as_ref().map(|_| Arc::new(PhaseSink::new()));
-        // Monitored queries also get a health analyzer: it taps the same
+        // Monitored queries keep each operator's last phase for the
+        // monitor's detail rows, and get a health analyzer: it taps the same
         // trace stream (estimate oscillation/divergence) and is sampled by
         // the monitor's broadcast tick (stall and ETA-volatility checks).
+        let phase_sink = self.monitor.as_ref().map(|_| Arc::new(PhaseSink::new()));
         let health_analyzer = self
             .monitor
             .as_ref()
@@ -429,12 +430,12 @@ impl Session {
         let monitored = match (&self.monitor, &phase_sink) {
             (Some(server), Some(phases)) => match adopt {
                 // Service-managed entry: attach this attempt's execution
-                // state to the pre-registered id; ownership stays with the
+                // to the pre-registered id; its lifecycle stays with the
                 // service's status observer.
                 Some(id) => {
                     server.directory().attach_execution(
                         id,
-                        compiled.tracker(),
+                        &compiled,
                         Arc::clone(phases),
                         health_analyzer.clone(),
                     );
@@ -443,7 +444,7 @@ impl Session {
                 None => Some(server.directory().register(
                     label,
                     self.options.mode.label(),
-                    compiled.tracker(),
+                    &compiled,
                     Arc::clone(phases),
                     health_analyzer.clone(),
                 )),
@@ -454,7 +455,6 @@ impl Session {
             plan,
             compiled,
             monitored,
-            phases: phase_sink,
             health: health_analyzer,
             corpus: corpus_sink,
         })
@@ -545,12 +545,12 @@ impl std::fmt::Debug for RunOptions {
 ///
 /// When the session has a monitor attached, the handle also holds the
 /// query's monitor registration: the query is listed at
-/// `/progress/{query_id}` until the handle drops.
+/// `/progress/{query_id}` until the handle drops, and the handle reports
+/// the query's outcome there when it ends.
 pub struct QueryHandle {
     plan: LogicalPlan,
     compiled: CompiledQuery,
     monitored: Option<MonitoredQuery>,
-    phases: Option<Arc<PhaseSink>>,
     health: Option<Arc<HealthAnalyzer>>,
     corpus: Option<Arc<CorpusSink>>,
 }
@@ -572,15 +572,32 @@ impl QueryHandle {
         self.monitored.as_ref().map(|m| m.id())
     }
 
-    /// A cloneable, thread-safe progress tracker (gnm snapshots on demand,
-    /// e.g. from a monitor thread while [`collect`](Self::collect) runs).
+    /// A cloneable, thread-safe progress tracker (gnm snapshots on demand).
+    /// To follow a running query, subscribe to its publications with
+    /// [`RunOptions::observer`] rather than poll this.
     pub fn tracker(&self) -> ProgressTracker {
         self.compiled.tracker()
     }
 
     /// Run to completion, collecting all rows.
     pub fn collect(&mut self) -> QResult<Vec<Row>> {
-        self.compiled.collect()
+        let rows = self.compiled.collect();
+        self.report_outcome();
+        rows
+    }
+
+    /// Push the query's recorded outcome, once it has one, into the
+    /// monitor entry this handle registered — the same transition the
+    /// query service makes for its submissions, which sends the entry's
+    /// one `terminal` frame.
+    fn report_outcome(&self) {
+        if let (Some(m), Some((rows, abort))) = (&self.monitored, self.compiled.outcome()) {
+            m.set_state(ManagedState::Terminal {
+                done: abort.is_none(),
+                failure: abort.map(|kind| kind.to_string()),
+                rows: Some(rows),
+            });
+        }
     }
 
     /// Run to completion under [`RunOptions`]: optional progress observer,
@@ -601,12 +618,16 @@ impl QueryHandle {
         if let Some(f) = options.observer {
             self.compiled.on_progress(f);
         }
-        self.compiled.collect()
+        self.collect()
     }
 
     /// Pull one output row (manual Volcano stepping).
     pub fn step(&mut self) -> QResult<Option<Row>> {
-        self.compiled.step()
+        let row = self.compiled.step();
+        if !matches!(row, Ok(Some(_))) {
+            self.report_outcome();
+        }
+        row
     }
 
     /// The query's cancellation token, shareable with other threads (e.g.
@@ -631,20 +652,14 @@ impl QueryHandle {
         self.compiled.set_deadline(after);
     }
 
-    /// The query's lifecycle state. Terminal failure reasons are observed
-    /// through trace events, so `Failed{..}` is reported when the session
-    /// has a monitor attached (the same view `/progress` serves);
-    /// otherwise the state derives from progress alone.
+    /// The query's lifecycle state: the outcome the query recorded when it
+    /// ended, with or without a monitor (a monitored query reports the same
+    /// outcome at `/progress/{id}`).
     pub fn state(&self) -> QueryState {
-        match &self.phases {
-            Some(p) => p.state(),
-            None => {
-                if self.compiled.tracker().snapshot().is_complete() {
-                    QueryState::Done
-                } else {
-                    QueryState::Running
-                }
-            }
+        match self.compiled.outcome() {
+            None => QueryState::Running,
+            Some((_, None)) => QueryState::Done,
+            Some((_, Some(kind))) => QueryState::Failed(kind),
         }
     }
 
@@ -687,6 +702,7 @@ impl QueryHandle {
 mod tests {
     use super::*;
     use qprog_core::EstimationMode;
+    use qprog_exec::trace::{AbortKind, TraceEventKind};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -730,8 +746,10 @@ mod tests {
             )
             .unwrap();
         assert!(h.explain().contains("Join[Hash"));
+        assert_eq!(h.state(), QueryState::Running);
         let (observer, fractions) = fraction_log();
         let rows = h.run(RunOptions::new().observer(observer)).unwrap();
+        assert_eq!(h.state(), QueryState::Done, "no monitor needed");
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0).unwrap().as_i64().unwrap(), 5000);
         let fractions = fractions.lock().unwrap();
@@ -802,6 +820,7 @@ mod tests {
         let err = h.collect().unwrap_err();
         assert!(start.elapsed() < Duration::from_millis(100));
         assert!(err.is_cancelled(), "{err}");
+        assert_eq!(h.state(), QueryState::Failed(AbortKind::Cancelled));
     }
 
     #[test]
@@ -832,6 +851,96 @@ mod tests {
         assert!(matches!(h.state(), QueryState::Failed(_)));
         let detail = http_get(server.addr(), &format!("/progress/{id}"));
         assert!(detail.contains("\"state\":\"failed\""), "{detail}");
+        assert!(detail.contains("\"failure\":\"cancelled\""), "{detail}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn monitored_queries_send_one_terminal_frame_however_they_end() {
+        let session = SessionBuilder::new(catalog())
+            .observability(Observability::new().serve_on("127.0.0.1:0"))
+            .build()
+            .unwrap();
+        let server = Arc::clone(session.monitor().unwrap());
+        let firehose = server.hub().subscribe(None, 1 << 12);
+        let sql = "SELECT * FROM customer JOIN nation ON customer.nationkey = nation.nationkey";
+        let finished = {
+            let mut h = session.query(sql).unwrap();
+            h.collect().unwrap();
+            h.query_id().unwrap()
+        };
+        let aborted = {
+            let mut h = session.query(sql).unwrap();
+            h.cancel();
+            assert!(h.collect().is_err());
+            h.query_id().unwrap()
+        };
+        let never_ran = session.query(sql).unwrap().query_id().unwrap();
+        server.shutdown();
+        let mut terminals: Vec<String> = Vec::new();
+        while let qprog_monitor::StreamNext::Frame(f) = firehose.next(Duration::ZERO) {
+            if f.contains("event: terminal\n") {
+                terminals.push(f.to_string());
+            }
+        }
+        for (id, expect) in [
+            (finished, "\"state\":\"done\""),
+            (aborted, "\"failure\":\"cancelled\""),
+            (never_ran, "\"state\":\"running\""),
+        ] {
+            let mine: Vec<&String> = terminals
+                .iter()
+                .filter(|f| f.contains(&format!("data: {{\"id\":{id},")))
+                .collect();
+            assert_eq!(mine.len(), 1, "query {id}: {terminals:?}");
+            assert!(mine[0].contains(expect), "{}", mine[0]);
+        }
+    }
+
+    #[test]
+    fn aborted_monitored_query_shows_its_last_publication() {
+        let ring = Arc::new(qprog_obs::RingSink::with_capacity(1 << 14));
+        let session = SessionBuilder::new(catalog())
+            .observability(
+                Observability::new()
+                    .with_trace(EventBus::with_sink(Arc::clone(&ring) as _))
+                    .serve_on("127.0.0.1:0"),
+            )
+            .build()
+            .unwrap();
+        let server = Arc::clone(session.monitor().unwrap());
+        let mut h = session
+            .query("SELECT * FROM customer JOIN nation ON customer.nationkey = nation.nationkey")
+            .unwrap();
+        let id = h.query_id().unwrap();
+        let token = h.cancellation_token().unwrap();
+        let err = h
+            .run(RunOptions::new().observer(move |snap| {
+                if snap.fraction() > 0.3 {
+                    token.cancel();
+                }
+            }))
+            .unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+        let last = ring
+            .drain()
+            .into_iter()
+            .rev()
+            .find_map(|e| match e.kind {
+                TraceEventKind::ProgressSampled {
+                    fraction, lo, hi, ..
+                } => Some((fraction, lo, hi)),
+                _ => None,
+            })
+            .expect("a traced monitored query publishes");
+        assert!(last.0 > 0.3 && last.0 < 1.0, "aborted mid-flight: {last:?}");
+        let detail = server.directory().render_query(id).unwrap();
+        let field = |k| qprog_types::json::f64(&detail, k).unwrap();
+        assert_eq!(
+            (field("fraction"), field("lo"), field("hi")),
+            last,
+            "{detail}"
+        );
         assert!(detail.contains("\"failure\":\"cancelled\""), "{detail}");
         server.shutdown();
     }

@@ -177,8 +177,9 @@ fn fraction_bounds_bracket_fraction_throughout_execution() {
     let tracker = q.tracker();
     let mut checked = 0;
     while q.step().unwrap().is_some() {
-        let (lo, hi) = tracker.fraction_bounds();
-        let point = tracker.fraction();
+        let snap = tracker.snapshot();
+        let (lo, hi) = snap.bounds();
+        let point = snap.fraction();
         assert!(
             lo <= point + 1e-9 && point <= hi + 1e-9,
             "bounds [{lo}, {hi}] must bracket {point}"
@@ -187,7 +188,7 @@ fn fraction_bounds_bracket_fraction_throughout_execution() {
         checked += 1;
     }
     assert!(checked > 0);
-    assert_eq!(tracker.fraction_bounds(), (1.0, 1.0));
+    assert_eq!(tracker.snapshot().bounds(), (1.0, 1.0));
 }
 
 #[test]
