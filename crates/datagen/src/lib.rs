@@ -138,7 +138,10 @@ mod tests {
         assert_eq!(t.num_rows(), 1000);
         assert_eq!(t.schema().index_of("c.nationkey").unwrap(), 1);
         // custkey sequential
-        assert_eq!(t.row(5).unwrap().get(0).unwrap().as_i64().unwrap(), 5);
+        assert_eq!(
+            t.iter().nth(5).unwrap().get(0).unwrap().as_i64().unwrap(),
+            5
+        );
         // nationkey within domain
         for r in t.iter() {
             let nk = r.get(1).unwrap().as_i64().unwrap();

@@ -1,42 +1,9 @@
-//! Row-level expression evaluation with SQL three-valued logic.
+//! Expression evaluation with SQL three-valued logic, in place over the
+//! rows of a column-major [`RowBatch`] (no row is materialized).
 
 use std::fmt;
 
-use qprog_types::{DataType, QError, QResult, Row, RowBatch, Schema, Value};
-
-/// Column access abstraction so one evaluator serves both owned [`Row`]s
-/// and rows of a column-major [`RowBatch`] (the vectorized operators
-/// evaluate in place, without materializing rows).
-trait Cols {
-    fn col_value(&self, i: usize) -> QResult<&Value>;
-}
-
-impl Cols for Row {
-    #[inline]
-    fn col_value(&self, i: usize) -> QResult<&Value> {
-        self.get(i)
-    }
-}
-
-/// One row of a batch, viewed as a column accessor.
-struct BatchRow<'a> {
-    batch: &'a RowBatch,
-    row: usize,
-}
-
-impl Cols for BatchRow<'_> {
-    #[inline]
-    fn col_value(&self, i: usize) -> QResult<&Value> {
-        if i < self.batch.arity() {
-            Ok(self.batch.value(self.row, i))
-        } else {
-            Err(QError::internal(format!(
-                "column {i} out of bounds for arity {}",
-                self.batch.arity()
-            )))
-        }
-    }
-}
+use qprog_types::{DataType, QError, QResult, RowBatch, Schema, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,22 +93,18 @@ impl Expr {
         Expr::binary(BinOp::And, self, other)
     }
 
-    /// Evaluate against a row.
-    pub fn eval(&self, row: &Row) -> QResult<Value> {
-        self.eval_cols(row)
-    }
-
-    /// Evaluate against row `row` of a column-major batch (no row
-    /// materialization).
+    /// Evaluate against row `row` of `batch`.
     pub fn eval_at(&self, batch: &RowBatch, row: usize) -> QResult<Value> {
-        self.eval_cols(&BatchRow { batch, row })
-    }
-
-    fn eval_cols<C: Cols>(&self, cols: &C) -> QResult<Value> {
         match self {
-            Expr::Column(i) => cols.col_value(*i).cloned(),
+            Expr::Column(i) => match batch.cols().get(*i) {
+                Some(col) => Ok(col[row].clone()),
+                None => Err(QError::internal(format!(
+                    "column {i} out of bounds for arity {}",
+                    batch.arity()
+                ))),
+            },
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Not(e) => match e.eval_cols(cols)? {
+            Expr::Not(e) => match e.eval_at(batch, row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 other => Err(QError::type_err(format!(
@@ -150,32 +113,34 @@ impl Expr {
                 ))),
             },
             Expr::IsNull { expr, negate } => {
-                let isnull = expr.eval_cols(cols)?.is_null();
+                let isnull = expr.eval_at(batch, row)?.is_null();
                 Ok(Value::Bool(isnull != *negate))
             }
             Expr::Binary { op, left, right } => {
-                let l = left.eval_cols(cols)?;
+                let l = left.eval_at(batch, row)?;
                 // Short-circuit three-valued AND/OR.
                 match op {
-                    BinOp::And => return eval_and(&l, || right.eval_cols(cols)),
-                    BinOp::Or => return eval_or(&l, || right.eval_cols(cols)),
+                    BinOp::And => return eval_and(&l, || right.eval_at(batch, row)),
+                    BinOp::Or => return eval_or(&l, || right.eval_at(batch, row)),
                     _ => {}
                 }
-                let r = right.eval_cols(cols)?;
+                let r = right.eval_at(batch, row)?;
                 eval_scalar_binary(*op, &l, &r)
             }
         }
     }
 
-    /// Evaluate as a WHERE-clause predicate: NULL is treated as false.
-    pub fn eval_predicate(&self, row: &Row) -> QResult<bool> {
-        predicate_truth(self.eval(row)?)
-    }
-
-    /// [`eval_predicate`](Self::eval_predicate) against row `row` of a
-    /// batch.
+    /// Evaluate against row `row` of `batch` as a WHERE-clause predicate:
+    /// NULL is treated as false.
     pub fn eval_predicate_at(&self, batch: &RowBatch, row: usize) -> QResult<bool> {
-        predicate_truth(self.eval_at(batch, row)?)
+        match self.eval_at(batch, row)? {
+            Value::Bool(b) => Ok(b),
+            Value::Null => Ok(false),
+            other => Err(QError::type_err(format!(
+                "predicate must be BOOLEAN, got {}",
+                other.data_type()
+            ))),
+        }
     }
 
     /// Static result type against an input schema (for planning).
@@ -199,38 +164,6 @@ impl Expr {
                 }
             }
         }
-    }
-
-    /// All column indices this expression reads.
-    pub fn referenced_columns(&self) -> Vec<usize> {
-        let mut cols = Vec::new();
-        self.collect_columns(&mut cols);
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
-    fn collect_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Column(i) => out.push(*i),
-            Expr::Literal(_) => {}
-            Expr::Not(e) | Expr::IsNull { expr: e, .. } => e.collect_columns(out),
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-        }
-    }
-}
-
-fn predicate_truth(v: Value) -> QResult<bool> {
-    match v {
-        Value::Bool(b) => Ok(b),
-        Value::Null => Ok(false),
-        other => Err(QError::type_err(format!(
-            "predicate must be BOOLEAN, got {}",
-            other.data_type()
-        ))),
     }
 }
 
@@ -337,8 +270,26 @@ mod tests {
     use super::*;
     use qprog_types::{row, Field};
 
-    fn r() -> Row {
-        row![10i64, 2.5, "abc", true]
+    /// The one-row batch `[10, 2.5, "abc", true]`.
+    fn r() -> RowBatch {
+        let mut b = RowBatch::with_capacity(4, 2);
+        b.push_drain(&mut row![10i64, 2.5, "abc", true].into_values());
+        b
+    }
+
+    /// Evaluation against row 0, the shape these tests are written in.
+    trait EvalFirst {
+        fn eval(&self, b: &RowBatch) -> QResult<Value>;
+        fn eval_predicate(&self, b: &RowBatch) -> QResult<bool>;
+    }
+
+    impl EvalFirst for Expr {
+        fn eval(&self, b: &RowBatch) -> QResult<Value> {
+            self.eval_at(b, 0)
+        }
+        fn eval_predicate(&self, b: &RowBatch) -> QResult<bool> {
+            self.eval_predicate_at(b, 0)
+        }
     }
 
     #[test]
@@ -458,35 +409,19 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_deduped_sorted() {
-        let e = Expr::binary(
-            BinOp::Add,
-            Expr::binary(BinOp::Mul, Expr::col(3), Expr::col(1)),
-            Expr::col(3),
-        );
-        assert_eq!(e.referenced_columns(), vec![1, 3]);
-        assert!(Expr::lit(1i64).referenced_columns().is_empty());
-    }
-
-    #[test]
     fn predicate_rejects_non_boolean() {
         let e = Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1i64));
         assert!(e.eval_predicate(&r()).is_err());
     }
 
     #[test]
-    fn batch_eval_matches_row_eval() {
-        let mut b = RowBatch::with_capacity(4, 2);
-        b.push_row(r());
-        b.push_row(row![3i64, 0.5, "xyz", false]);
+    fn evaluates_the_addressed_row() {
+        let mut b = r();
+        b.push_drain(&mut row![3i64, 0.5, "xyz", false].into_values());
         let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(5i64));
-        for i in 0..b.len() {
-            assert_eq!(e.eval_at(&b, i).unwrap(), e.eval(&b.row(i)).unwrap());
-            assert_eq!(
-                e.eval_predicate_at(&b, i).unwrap(),
-                e.eval_predicate(&b.row(i)).unwrap()
-            );
-        }
-        assert!(Expr::col(9).eval_at(&b, 0).is_err());
+        assert_eq!(e.eval_at(&b, 0).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval_at(&b, 1).unwrap(), Value::Bool(false));
+        assert!(!e.eval_predicate_at(&b, 1).unwrap());
+        assert!(Expr::col(9).eval_at(&b, 1).is_err());
     }
 }

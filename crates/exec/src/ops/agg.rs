@@ -301,9 +301,8 @@ impl HashAggregate {
                             .rebuild(counts.len(), |row| key_hash(cols.iter().map(|k| &k[row])))?;
                     }
                     g = index.push(hash);
-                    new_key.clear();
                     new_key.extend(cells().cloned());
-                    keys.push_values(&new_key);
+                    keys.push_drain(&mut new_key);
                     counts.push(0);
                     accs.extend_from_slice(&new_accs);
                 }
@@ -335,7 +334,7 @@ impl HashAggregate {
         }
         // Global aggregation over an empty input still yields one row.
         if group_cols.is_empty() && keys.is_empty() {
-            keys.push_values(&[]);
+            keys.push_drain(&mut Vec::new());
             accs.extend_from_slice(&new_accs);
         }
         // The consume phase has enumerated the groups: exact cardinality.
@@ -389,12 +388,11 @@ impl Operator for HashAggregate {
                     while !out.is_full() && *pos < order.len() {
                         let g = order[*pos] as usize;
                         *pos += 1;
-                        row.clear();
                         row.extend(keys.cols().iter().map(|k| k[g].clone()));
                         for acc in &accs[g * stride..][..stride] {
                             row.push(acc.finalize()?);
                         }
-                        out.push_values(&row);
+                        out.push_drain(&mut row);
                     }
                     self.metrics.record_emitted_n(out.len() as u64);
                     if out.is_full() {

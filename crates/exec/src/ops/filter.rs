@@ -22,7 +22,7 @@ pub struct Filter {
     dne: Option<DneEstimator>,
     /// Reused input batch; bounded by the output's remaining room so a
     /// fully-selective batch can never overflow `out`.
-    scratch: Option<RowBatch>,
+    scratch: RowBatch,
     done: bool,
 }
 
@@ -30,11 +30,11 @@ impl Filter {
     /// New filter without online estimation.
     pub fn new(input: BoxedOp, predicate: Expr, metrics: Arc<OpMetrics>) -> Self {
         Filter {
+            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
             input,
             predicate,
             metrics,
             dne: None,
-            scratch: None,
             done: false,
         }
     }
@@ -57,12 +57,8 @@ impl Operator for Filter {
         if self.done {
             return Ok(BatchStatus::Exhausted);
         }
-        if self.scratch.is_none() {
-            let arity = self.input.schema().arity();
-            self.scratch = Some(RowBatch::with_capacity(arity, out.capacity()));
-        }
         loop {
-            let scratch = self.scratch.as_mut().expect("scratch just ensured");
+            let scratch = &mut self.scratch;
             scratch.clear();
             scratch.set_capacity(out.remaining());
             let status = self.input.next_batch(scratch)?;

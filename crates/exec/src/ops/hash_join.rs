@@ -37,7 +37,7 @@ use crate::sync::Mutex;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::join_est::{JoinKind, ProbeFragment};
-use qprog_types::{BatchStatus, Key, QError, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
 use crate::ops::chain::{key_hash, ChainIndex, NIL};
@@ -65,13 +65,13 @@ enum JState {
 }
 
 /// One drained input, hash-partitioned on its join key.
-#[derive(Default)]
 struct Partitions {
     /// Columnar partition accumulators, filled by gathers.
     parts: Vec<RowBatch>,
-    /// NULL-key rows a LeftOuter/Anti join stashed from its probe side;
-    /// emitted at the end (NULL keys never match anything).
-    null_rows: Vec<Row>,
+    /// NULL-key rows a LeftOuter/Anti join stashed from its probe side, in
+    /// scan order; emitted at the end, last stashed first (NULL keys never
+    /// match anything).
+    null_rows: RowBatch,
     /// Input rows drained, NULL keys included.
     rows: u64,
 }
@@ -82,7 +82,8 @@ impl Partitions {
             parts: (0..partitions)
                 .map(|_| RowBatch::accumulator(arity))
                 .collect(),
-            ..Partitions::default()
+            null_rows: RowBatch::accumulator(arity),
+            rows: 0,
         }
     }
 
@@ -93,7 +94,7 @@ impl Partitions {
         for (part, batch) in self.parts.iter_mut().zip(&mut chunk.parts) {
             part.append_batch(batch);
         }
-        self.null_rows.extend(chunk.null_rows);
+        self.null_rows.append_batch(&mut chunk.null_rows);
         self.rows += chunk.rows;
     }
 }
@@ -121,7 +122,8 @@ fn partition_input(
 ) -> QResult<()> {
     let mut scratch = RowBatch::with_capacity(input.schema().arity(), drain.batch_cap);
     let partitions = into.parts.len();
-    let mut sel: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+    let mut sel: Vec<Vec<u32>> = vec![Vec::new(); partitions];
+    let mut nulls: Vec<u32> = Vec::new();
     loop {
         let status = input.next_batch(&mut scratch)?;
         let n = scratch.len();
@@ -133,20 +135,22 @@ fn partition_input(
         for s in &mut sel {
             s.clear();
         }
-        for (r, key) in scratch.col(drain.key_col).iter().enumerate() {
+        nulls.clear();
+        for (r, key) in (0u32..).zip(scratch.col(drain.key_col)) {
+            // NULL keys never equi-join
             if key.is_null() {
-                // NULL keys never equi-join
-                if drain.keep_nulls {
-                    into.null_rows.push(scratch.row(r));
-                }
-                continue;
+                nulls.push(r);
+            } else {
+                sel[(key_hash([key])? % partitions as u64) as usize].push(r);
             }
-            sel[(key_hash([key])? % partitions as u64) as usize].push(r);
         }
         for (part, s) in into.parts.iter_mut().zip(&sel) {
             if !s.is_empty() {
                 part.gather_from(&scratch, s);
             }
+        }
+        if drain.keep_nulls {
+            into.null_rows.gather_from(&scratch, &nulls);
         }
         into.rows += n as u64;
         if status.is_exhausted() {
@@ -217,7 +221,7 @@ pub struct HashJoin {
     kind: JoinKind,
     schema: SchemaRef,
     /// Build-arity NULL padding for outer-join misses.
-    null_pad: Row,
+    null_pad: Vec<Value>,
     metrics: Arc<OpMetrics>,
     est: JoinEstimator,
     num_partitions: usize,
@@ -256,13 +260,13 @@ impl HashJoin {
             probe_key,
             kind: JoinKind::Inner,
             schema,
-            null_pad: Row::default(),
+            null_pad: Vec::new(),
             est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
             num_partitions: DEFAULT_PARTITIONS,
             threads: 1,
-            build_parts: Partitions::default(),
-            probe_parts: Partitions::default(),
+            build_parts: Partitions::new(0, 0),
+            probe_parts: Partitions::new(0, 0),
             index: ChainIndex::default(),
             pair_buf: Vec::new(),
             agg_pushdown: None,
@@ -299,13 +303,8 @@ impl HashJoin {
             }
             JoinKind::Semi | JoinKind::Anti => Arc::clone(&probe_schema),
         };
-        self.null_pad = Row::new(vec![qprog_types::Value::Null; build_schema.arity()]);
+        self.null_pad = vec![Value::Null; build_schema.arity()];
         self
-    }
-
-    /// The configured join semantics.
-    pub fn join_kind(&self) -> JoinKind {
-        self.kind
     }
 
     /// Override the partition count (≥ 1).
@@ -599,7 +598,7 @@ impl Operator for HashJoin {
                                 }
                                 if m == NIL && self.kind == JoinKind::LeftOuter {
                                     flush_pairs(out, bpart, ppart, pairs);
-                                    out.push_concat_row_from(self.null_pad.values(), ppart, pidx);
+                                    out.push_concat_row_from(&self.null_pad, ppart, pidx);
                                     emit += 1;
                                 }
                                 (pidx, m)
@@ -633,16 +632,16 @@ impl Operator for HashJoin {
                     }
                     // NULL-key probe rows never match: LeftOuter pads
                     // them, Anti passes them through.
-                    while !out.is_full() {
-                        let Some(row) = self.probe_parts.null_rows.pop() else {
-                            break;
-                        };
+                    let nulls = &mut self.probe_parts.null_rows;
+                    while !out.is_full() && !nulls.is_empty() {
+                        let last = nulls.len() - 1;
                         match self.kind {
                             JoinKind::LeftOuter => {
-                                out.push_concat(self.null_pad.values(), row.values())
+                                out.push_concat_row_from(&self.null_pad, nulls, last)
                             }
-                            _ => out.push_row(row),
+                            _ => out.push_from(nulls, last),
                         }
+                        nulls.truncate(last);
                         emit += 1;
                     }
                     self.est
@@ -671,6 +670,7 @@ mod tests {
     };
     use crate::ops::{PipelineHandle, PipelineShared, TableScan};
     use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
+    use qprog_types::Row;
     use qprog_types::{DataType, Value};
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {

@@ -358,7 +358,7 @@ mod tests {
     fn keys(vals: &[Option<i64>]) -> RowBatch {
         let mut batch = RowBatch::with_capacity(1, vals.len());
         for v in vals {
-            batch.push_values(&[v.map_or(Value::Null, Value::Int64)]);
+            batch.push_drain(&mut vec![v.map_or(Value::Null, Value::Int64)]);
         }
         batch
     }

@@ -15,7 +15,7 @@ pub struct Limit {
     metrics: Arc<OpMetrics>,
     /// Reused input batch, shrunk to the remaining quota before every pull
     /// so the input is never over-driven past the limit.
-    scratch: Option<RowBatch>,
+    scratch: RowBatch,
     done: bool,
 }
 
@@ -23,11 +23,11 @@ impl Limit {
     /// New limit.
     pub fn new(input: BoxedOp, limit: usize, metrics: Arc<OpMetrics>) -> Self {
         Limit {
+            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
             input,
             limit,
             emitted: 0,
             metrics,
-            scratch: None,
             done: false,
         }
     }
@@ -47,20 +47,14 @@ impl Operator for Limit {
             }
             return Ok(BatchStatus::Exhausted);
         }
-        if self.scratch.is_none() {
-            let arity = self.input.schema().arity();
-            self.scratch = Some(RowBatch::with_capacity(arity, out.capacity()));
-        }
         loop {
             let quota = (self.limit - self.emitted).min(out.remaining());
-            let scratch = self.scratch.as_mut().expect("scratch just ensured");
+            let scratch = &mut self.scratch;
             scratch.clear();
             scratch.set_capacity(quota);
             let status = self.input.next_batch(scratch)?;
             let n = scratch.len();
-            for r in 0..n {
-                out.push_from(scratch, r);
-            }
+            out.extend_from(scratch, 0..n);
             self.emitted += n;
             self.metrics.record_emitted_n(n as u64);
             if status.is_exhausted() {

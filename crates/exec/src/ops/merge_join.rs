@@ -209,7 +209,7 @@ fn drain_sorted(
     let mut rows = RowBatch::accumulator(arity);
     let mut all_ints = true;
     let mut scratch = RowBatch::with_capacity(arity, batch_cap);
-    let mut sel: Vec<usize> = Vec::new();
+    let mut sel: Vec<u32> = Vec::new();
     loop {
         let status = input.next_batch(&mut scratch)?;
         let n = scratch.len();
@@ -218,7 +218,7 @@ fn drain_sorted(
             on_batch(&scratch)?;
         }
         sel.clear();
-        for (r, key) in scratch.col(key_col).iter().enumerate() {
+        for (r, key) in (0u32..).zip(scratch.col(key_col)) {
             match key {
                 Value::Null => continue,
                 Value::Int64(_) => {}

@@ -72,48 +72,77 @@ pub trait Operator: Send {
 /// Boxed operator, the unit of plan composition.
 pub type BoxedOp = Box<dyn Operator>;
 
-/// Row-at-a-time adapter over a batch [`Operator`] — the Volcano `next()`
-/// the pre-vectorized engine exposed, for tests, examples, and stepping
-/// monitors that want single-row granularity.
-///
-/// Internally reuses one capacity-1 batch, so each `next_row()` performs the
-/// strict-mode per-tuple bookkeeping and no per-call allocation.
-pub struct RowSource<'a> {
-    op: &'a mut dyn Operator,
+/// A row-at-a-time read position over a refillable batch: the batch, the
+/// next unread row, and whether the source has said it is exhausted. The
+/// one cursor behind [`RowSource`], `CompiledQuery::step` and the
+/// nested-loops join's outer side.
+pub struct RowCursor {
     buf: RowBatch,
-    /// Rows of `buf` already handed out (buf holds ≤1 row, but a defensive
-    /// cursor keeps this correct even if an operator over-fills).
     pos: usize,
     exhausted: bool,
 }
 
-impl<'a> RowSource<'a> {
-    /// Wrap `op` for row-at-a-time consumption.
-    pub fn new(op: &'a mut dyn Operator) -> Self {
-        let arity = op.schema().arity();
-        RowSource {
-            op,
-            buf: RowBatch::with_capacity(arity, 1),
+impl RowCursor {
+    /// A cursor over batches of `arity` columns and up to `capacity` rows.
+    pub fn new(arity: usize, capacity: usize) -> Self {
+        RowCursor {
+            buf: RowBatch::with_capacity(arity, capacity),
             pos: 0,
             exhausted: false,
         }
     }
 
-    /// Produce the next output row, or `None` when exhausted.
-    pub fn next_row(&mut self) -> QResult<Option<Row>> {
+    /// Step to the next row and return its index in [`batch`](Self::batch)
+    /// (valid until the next call), refilling the drained batch with `fill`
+    /// — one `next_batch` call — as often as needed. `None` once a fill has
+    /// reported [`BatchStatus::Exhausted`] and its rows are all handed out;
+    /// `fill` is not called again after that.
+    pub fn advance(
+        &mut self,
+        mut fill: impl FnMut(&mut RowBatch) -> QResult<BatchStatus>,
+    ) -> QResult<Option<usize>> {
         loop {
             if self.pos < self.buf.len() {
-                let row = self.buf.row(self.pos);
                 self.pos += 1;
-                return Ok(Some(row));
+                return Ok(Some(self.pos - 1));
             }
             if self.exhausted {
                 return Ok(None);
             }
-            let status = self.op.next_batch(&mut self.buf)?;
             self.pos = 0;
-            self.exhausted = status.is_exhausted();
+            self.exhausted = fill(&mut self.buf)?.is_exhausted();
         }
+    }
+
+    /// The batch the cursor reads.
+    pub fn batch(&self) -> &RowBatch {
+        &self.buf
+    }
+}
+
+/// Row-at-a-time adapter over a batch [`Operator`] — the Volcano `next()`
+/// the pre-vectorized engine exposed, for tests, examples, and stepping
+/// monitors that want single-row granularity.
+///
+/// Pulls through a capacity-1 batch, so each `next_row()` performs the
+/// strict-mode per-tuple bookkeeping and no per-call allocation.
+pub struct RowSource<'a> {
+    op: &'a mut dyn Operator,
+    cursor: RowCursor,
+}
+
+impl<'a> RowSource<'a> {
+    /// Wrap `op` for row-at-a-time consumption.
+    pub fn new(op: &'a mut dyn Operator) -> Self {
+        let cursor = RowCursor::new(op.schema().arity(), 1);
+        RowSource { op, cursor }
+    }
+
+    /// Produce the next output row, or `None` when exhausted.
+    pub fn next_row(&mut self) -> QResult<Option<Row>> {
+        let op = &mut *self.op;
+        let row = self.cursor.advance(|buf| op.next_batch(buf))?;
+        Ok(row.map(|r| self.cursor.batch().row(r)))
     }
 }
 

@@ -7,11 +7,11 @@
 use std::sync::Arc;
 
 use qprog_core::dne::DneEstimator;
-use qprog_types::{BatchStatus, QError, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef};
 
 use crate::expr::Expr;
 use crate::metrics::OpMetrics;
-use crate::ops::{BoxedOp, Operator};
+use crate::ops::{BoxedOp, Operator, RowCursor};
 
 /// Join condition for the nested-loops join.
 pub enum NlCondition {
@@ -32,16 +32,15 @@ pub struct NestedLoopsJoin {
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
     dne: Option<DneEstimator>,
-    inner_rows: Vec<Row>,
-    /// Outer row currently being matched against the inner rows.
-    current_outer: Option<Row>,
+    /// The materialized inner input.
+    inner_rows: RowBatch,
+    /// The outer input, pulled a batch at a time and taken a row at a
+    /// time. Driver accounting happens as a row is taken, so batching the
+    /// pull changes nothing observable.
+    outer_rows: RowCursor,
+    /// Row of `outer_rows`' batch being matched against the inner rows.
+    current_outer: Option<usize>,
     inner_pos: usize,
-    /// Buffered outer rows not yet promoted to `current_outer`. Driver
-    /// accounting happens at promotion time, so batching the pull changes
-    /// nothing observable.
-    outer_buf: Option<RowBatch>,
-    outer_pos: usize,
-    outer_done: bool,
     /// The output batch filled up just as an inner scan completed: the next
     /// outer row (and its driver accounting) must wait for the next call.
     advance_pending: bool,
@@ -59,18 +58,16 @@ impl NestedLoopsJoin {
     ) -> Self {
         let schema = outer.schema().join(&inner.schema()).into_ref();
         NestedLoopsJoin {
+            inner_rows: RowBatch::accumulator(inner.schema().arity()),
+            outer_rows: RowCursor::new(outer.schema().arity(), 1),
             outer,
             inner: Some(inner),
             condition,
             schema,
             metrics,
             dne: None,
-            inner_rows: Vec::new(),
             current_outer: None,
             inner_pos: 0,
-            outer_buf: None,
-            outer_pos: 0,
-            outer_done: false,
             advance_pending: false,
             started: false,
             done: false,
@@ -84,50 +81,78 @@ impl NestedLoopsJoin {
         self
     }
 
-    fn matches(&self, outer: &Row, inner: &Row) -> QResult<bool> {
-        match &self.condition {
-            NlCondition::Cross => Ok(true),
-            NlCondition::Equi(oc, ic) => {
-                let a = outer.get(*oc)?;
-                let b = inner.get(*ic)?;
-                Ok(a.sql_eq(b).unwrap_or(false))
-            }
-            NlCondition::Theta(pred) => {
-                // Evaluate over the concatenated row so column indices match
-                // the output schema.
-                let combined = outer.concat(inner);
-                pred.eval_predicate(&combined)
+    /// Materialize the inner input, after checking the equi-join columns
+    /// against both arities (an out-of-range key is an error up front, as
+    /// in the merge join, not a row-dependent one).
+    fn start(&mut self, batch_cap: usize) -> QResult<()> {
+        let mut inner = self
+            .inner
+            .take()
+            .ok_or_else(|| QError::internal("nested-loops inner input consumed twice"))?;
+        let outer_arity = self.outer.schema().arity();
+        if let NlCondition::Equi(oc, ic) = self.condition {
+            for (side, key, arity) in [
+                ("outer", oc, outer_arity),
+                ("inner", ic, self.inner_rows.arity()),
+            ] {
+                if key >= arity {
+                    return Err(QError::internal(format!(
+                        "nested-loops join {side} key column {key} out of bounds for arity {arity}"
+                    )));
+                }
             }
         }
+        let mut scratch = RowBatch::with_capacity(self.inner_rows.arity(), batch_cap);
+        loop {
+            let status = inner.next_batch(&mut scratch)?;
+            let n = scratch.len();
+            if n > 0 {
+                self.metrics.checkpoint(n as u64)?;
+                self.inner_rows.append_batch(&mut scratch);
+            }
+            if status.is_exhausted() {
+                break;
+            }
+        }
+        // Pair indices are `u32`s, as in every join's output gather.
+        u32::try_from(self.inner_rows.len().max(batch_cap))
+            .map_err(|_| QError::internal("nested-loops join input exceeds 2^32 rows"))?;
+        self.outer_rows = RowCursor::new(outer_arity, batch_cap);
+        Ok(())
     }
 
-    fn advance_outer(&mut self, batch_cap: usize) -> QResult<Option<Row>> {
-        if self.outer_buf.is_none() {
-            let arity = self.outer.schema().arity();
-            self.outer_buf = Some(RowBatch::with_capacity(arity, batch_cap));
-        }
-        loop {
-            let buf = self.outer_buf.as_mut().expect("outer buffer just ensured");
-            if self.outer_pos < buf.len() {
-                let row = buf.row(self.outer_pos);
-                self.outer_pos += 1;
-                self.metrics.record_driver(1);
-                if let Some(dne) = &mut self.dne {
-                    dne.observe_driver(1);
-                    self.metrics.set_estimated_total(dne.estimate());
-                }
-                return Ok(Some(row));
-            }
-            if self.outer_done {
-                return Ok(None);
-            }
-            buf.clear();
-            self.outer_pos = 0;
-            let status = self.outer.next_batch(buf)?;
-            if status.is_exhausted() {
-                self.outer_done = true;
+    /// Append outer row `o` ++ inner row `i` to `out` if they join. A theta
+    /// condition is evaluated on the appended row, whose column indices are
+    /// the ones it is written against.
+    fn join_pair(&self, o: usize, i: usize, out: &mut RowBatch) -> QResult<bool> {
+        let outer = self.outer_rows.batch();
+        if let NlCondition::Equi(oc, ic) = self.condition {
+            if outer.value(o, oc).sql_eq(self.inner_rows.value(i, ic)) != Some(true) {
+                return Ok(false);
             }
         }
+        out.gather_concat_from(outer, &self.inner_rows, &[(o as u32, i as u32)]);
+        if let NlCondition::Theta(pred) = &self.condition {
+            if !pred.eval_predicate_at(out, out.len() - 1)? {
+                out.truncate(out.len() - 1);
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Take the next outer row, with its driver accounting.
+    fn advance_outer(&mut self) -> QResult<Option<usize>> {
+        let outer = &mut self.outer;
+        let row = self.outer_rows.advance(|buf| outer.next_batch(buf))?;
+        if row.is_some() {
+            self.metrics.record_driver(1);
+            if let Some(dne) = &mut self.dne {
+                dne.observe_driver(1);
+                self.metrics.set_estimated_total(dne.estimate());
+            }
+        }
+        Ok(row)
     }
 }
 
@@ -143,43 +168,26 @@ impl Operator for NestedLoopsJoin {
         }
         if !self.started {
             self.started = true;
-            let mut inner = self
-                .inner
-                .take()
-                .ok_or_else(|| QError::internal("nested-loops inner input consumed twice"))?;
-            let mut scratch = RowBatch::with_capacity(inner.schema().arity(), out.capacity());
-            loop {
-                let status = inner.next_batch(&mut scratch)?;
-                let n = scratch.len();
-                if n > 0 {
-                    self.metrics.checkpoint(n as u64)?;
-                    scratch.append_rows_to(&mut self.inner_rows);
-                }
-                if status.is_exhausted() {
-                    break;
-                }
-            }
-            self.current_outer = self.advance_outer(out.capacity())?;
+            self.start(out.capacity())?;
+            self.current_outer = self.advance_outer()?;
         }
         if self.advance_pending {
             self.advance_pending = false;
-            self.current_outer = self.advance_outer(out.capacity())?;
+            self.current_outer = self.advance_outer()?;
         }
         loop {
-            let Some(outer) = self.current_outer.take() else {
+            let Some(outer) = self.current_outer else {
                 self.done = true;
                 self.metrics.mark_finished();
                 return Ok(BatchStatus::Exhausted);
             };
             while self.inner_pos < self.inner_rows.len() {
                 if out.is_full() {
-                    self.current_outer = Some(outer);
                     return Ok(BatchStatus::HasMore);
                 }
                 let i = self.inner_pos;
                 self.inner_pos += 1;
-                if self.matches(&outer, &self.inner_rows[i])? {
-                    out.push_concat(outer.values(), self.inner_rows[i].values());
+                if self.join_pair(outer, i, out)? {
                     self.metrics.record_emitted();
                     if let Some(dne) = &mut self.dne {
                         dne.observe_output(1);
@@ -192,7 +200,7 @@ impl Operator for NestedLoopsJoin {
                 self.advance_pending = true;
                 return Ok(BatchStatus::HasMore);
             }
-            self.current_outer = self.advance_outer(out.capacity())?;
+            self.current_outer = self.advance_outer()?;
         }
     }
 
@@ -283,7 +291,7 @@ mod tests {
 
     #[test]
     fn null_keys_do_not_equi_join() {
-        use qprog_types::{DataType, Field, Schema, Value};
+        use qprog_types::{DataType, Field, Row, Schema, Value};
         let mut t = qprog_storage::Table::new(
             "n",
             Schema::new(vec![Field::new("k", DataType::Int64).with_nullable(true)]),
@@ -299,6 +307,21 @@ mod tests {
         let m = OpMetrics::with_initial_estimate(0.0);
         let mut j = NestedLoopsJoin::new(outer, inner, NlCondition::Equi(0, 0), m);
         assert_eq!(drain(&mut j).len(), 1);
+    }
+
+    #[test]
+    fn equi_key_indices_are_checked_up_front() {
+        // An empty inner side never compares a key: the check must not
+        // depend on the data.
+        for cond in [NlCondition::Equi(1, 0), NlCondition::Equi(0, 1)] {
+            let m = OpMetrics::with_initial_estimate(0.0);
+            let mut j = NestedLoopsJoin::new(scan1("r", &[1, 2]), scan1("s", &[]), cond, m);
+            let mut out = RowBatch::with_capacity(2, 8);
+            match j.next_batch(&mut out) {
+                Err(QError::Internal(msg)) => assert!(msg.contains("out of bounds"), "{msg}"),
+                other => panic!("expected an internal error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

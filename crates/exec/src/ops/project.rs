@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use qprog_types::{BatchStatus, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, QResult, RowBatch, SchemaRef, Value};
 
 use crate::expr::Expr;
 use crate::metrics::OpMetrics;
@@ -18,7 +18,9 @@ pub struct Project {
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
     /// Reused input batch.
-    scratch: Option<RowBatch>,
+    scratch: RowBatch,
+    /// Reused buffer of one output row's values, moved into the output.
+    vals: Vec<Value>,
     done: bool,
 }
 
@@ -31,11 +33,12 @@ impl Project {
         metrics: Arc<OpMetrics>,
     ) -> Self {
         Project {
+            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
             input,
             exprs,
             schema,
             metrics,
-            scratch: None,
+            vals: Vec::new(),
             done: false,
         }
     }
@@ -51,23 +54,18 @@ impl Operator for Project {
         if self.done {
             return Ok(BatchStatus::Exhausted);
         }
-        if self.scratch.is_none() {
-            let arity = self.input.schema().arity();
-            self.scratch = Some(RowBatch::with_capacity(arity, out.capacity()));
-        }
         loop {
-            let scratch = self.scratch.as_mut().expect("scratch just ensured");
+            let scratch = &mut self.scratch;
             scratch.clear();
             scratch.set_capacity(out.remaining());
             let status = self.input.next_batch(scratch)?;
             let n = scratch.len();
-            let mut vals = Vec::with_capacity(self.exprs.len());
             for r in 0..n {
+                self.vals.clear(); // a failed row leaves nothing behind
                 for e in &self.exprs {
-                    vals.push(e.eval_at(scratch, r)?);
+                    self.vals.push(e.eval_at(scratch, r)?);
                 }
-                out.push_row(Row::new(std::mem::take(&mut vals)));
-                vals = Vec::with_capacity(self.exprs.len());
+                out.push_drain(&mut self.vals);
             }
             self.metrics.record_emitted_n(n as u64);
             if status.is_exhausted() {

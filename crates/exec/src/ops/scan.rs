@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qprog_storage::{ScanOrder, Table};
-use qprog_types::{BatchStatus, QResult, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef};
 
 use crate::metrics::OpMetrics;
 use crate::ops::{BoxedOp, Operator};
@@ -68,15 +68,6 @@ impl TableScan {
         self.io_cost = cost;
         self
     }
-
-    /// The number of leading rows that constitute the random sample
-    /// (approximate: whole blocks).
-    pub fn sample_rows(&self) -> usize {
-        self.order.blocks()[..self.order.sample_blocks()]
-            .iter()
-            .map(|&b| self.table.block(b).map(|blk| blk.len()).unwrap_or(0))
-            .sum()
-    }
 }
 
 impl Operator for TableScan {
@@ -105,7 +96,11 @@ impl Operator for TableScan {
                 }
                 return Ok(BatchStatus::Exhausted);
             };
-            let block = self.table.block(block_id)?;
+            let block = self
+                .table
+                .blocks()
+                .get(block_id)
+                .ok_or_else(|| QError::internal(format!("block {block_id} out of bounds")))?;
             if self.row_offset == 0 && !self.io_cost.is_zero() && !block.is_empty() {
                 // A real sleep, not a spin: emulated I/O waits must be idle
                 // time so that partition-parallel sub-scans overlap them the
@@ -123,7 +118,7 @@ impl Operator for TableScan {
             let take = avail.min(out.remaining());
             self.metrics.checkpoint(take as u64)?;
             qprog_fault::fail_point!("exec/scan/next");
-            out.extend_from_cols(block.cols(), self.row_offset..self.row_offset + take);
+            out.extend_from(block, self.row_offset..self.row_offset + take);
             self.row_offset += take;
             self.metrics.record_emitted_n(take as u64);
             if out.is_full() {
@@ -180,13 +175,17 @@ mod tests {
     use crate::ops::test_util::{col_i64, drain, int_table};
     use std::collections::HashSet;
 
+    /// The scanned column and how many leading rows are the block sample.
     fn scan_all(vals: &[i64], fraction: f64) -> (Vec<i64>, usize) {
         let t = int_table("t", "a", vals).into_shared();
         let m = OpMetrics::with_initial_estimate(vals.len() as f64);
-        let mut s = TableScan::sampled(Arc::clone(&t), fraction, 7, m);
-        let sample = s.sample_rows();
-        let rows = drain(&mut s);
-        (col_i64(&rows, 0), sample)
+        let order = ScanOrder::for_table(&t, fraction, 7);
+        let sample = order.blocks()[..order.sample_blocks()]
+            .iter()
+            .map(|&b| t.blocks()[b].len())
+            .sum();
+        let mut s = TableScan::with_order(Arc::clone(&t), order, m);
+        (col_i64(&drain(&mut s), 0), sample)
     }
 
     #[test]

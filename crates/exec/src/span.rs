@@ -85,6 +85,30 @@ impl fmt::Display for SpanKind {
     }
 }
 
+/// Summed lifecycle durations of one query, one bucket per [`SpanKind`]
+/// (the journal append is nested inside submit), plus the dispatch-attempt
+/// count. The service's span log sums it for the per-tenant SLO metrics
+/// (`QueryService::span_totals`); `qprog-obs`'s assembled span tree sums
+/// the same buckets (`SpanTree::lifecycle_totals`), so the two agree field
+/// for field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanTotals {
+    /// Root (`query`) span duration: submit → terminal.
+    pub total_us: u64,
+    /// Submit-side time (validation, admission, journal append).
+    pub submit_us: u64,
+    /// Time parked in the ready queue, summed over every wait.
+    pub queue_wait_us: u64,
+    /// Time parked for retry backoff, summed over every park.
+    pub backoff_us: u64,
+    /// Execution time, summed over every dispatch attempt.
+    pub exec_us: u64,
+    /// Terminal-processing time.
+    pub finalize_us: u64,
+    /// Dispatch attempts that reached the executor.
+    pub attempts: u32,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,39 +34,36 @@ use qprog_exec::trace::{
     EstimateSource, EventBus, HealthReason, HealthState, TraceEvent, TraceEventKind, TraceSink,
 };
 
-/// Detector thresholds. Defaults are tuned so sub-second test queries and
-/// the scorecard workloads never false-positive, while an injected
-/// multi-second sleep or a genuinely thrashing estimator trips quickly.
+/// How many estimate direction flips / divergences within the calm window
+/// mark the query Unstable.
+const FLIP_THRESHOLD: usize = 4;
+/// A single refinement whose `max(new/old, old/new)` exceeds this counts as
+/// divergence evidence (same bucket as a flip).
+const DIVERGENCE_RATIO: f64 = 16.0;
+/// Relative ETA swing `|eta − prev| / max(eta, prev)` above which a sample
+/// counts toward volatility.
+const ETA_SWING: f64 = 0.6;
+/// Consecutive swinging ETA samples that mark the query Unstable.
+const ETA_SWING_SAMPLES: usize = 3;
+/// Evidence of instability older than this (µs) is discarded, letting the
+/// verdict recover to Healthy.
+const CALM_WINDOW_US: u64 = 2_000_000;
+
+/// Detector configuration: the stall window. The instability thresholds
+/// above are constants, tuned so sub-second test queries and the scorecard
+/// workloads never false-positive, while an injected multi-second sleep or
+/// a genuinely thrashing estimator trips quickly.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// How long observed work may sit still (while Running) before the
     /// query is declared Stalled.
     pub stall_window: Duration,
-    /// How many estimate direction flips / divergences within the calm
-    /// window mark the query Unstable.
-    pub flip_threshold: usize,
-    /// A single refinement whose `max(new/old, old/new)` exceeds this
-    /// counts as divergence evidence (same bucket as a flip).
-    pub divergence_ratio: f64,
-    /// Relative ETA swing `|eta − prev| / max(eta, prev)` above which a
-    /// sample counts toward volatility.
-    pub eta_swing: f64,
-    /// Consecutive swinging ETA samples that mark the query Unstable.
-    pub eta_swing_samples: usize,
-    /// Evidence of instability older than this is discarded, letting the
-    /// verdict recover to Healthy.
-    pub calm_window: Duration,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             stall_window: Duration::from_secs(2),
-            flip_threshold: 4,
-            divergence_ratio: 16.0,
-            eta_swing: 0.6,
-            eta_swing_samples: 3,
-            calm_window: Duration::from_secs(2),
         }
     }
 }
@@ -198,7 +195,7 @@ impl HealthAnalyzer {
                 >= self.config.stall_window.as_micros() as u64;
 
             // Drift evidence decays past the calm window.
-            let horizon = now_us.saturating_sub(self.config.calm_window.as_micros() as u64);
+            let horizon = now_us.saturating_sub(CALM_WINDOW_US);
             while inner
                 .drift_evidence_us
                 .front()
@@ -211,7 +208,7 @@ impl HealthAnalyzer {
             if let Some(eta) = eta_us.filter(|e| e.is_finite() && *e >= 0.0) {
                 if let Some(prev) = inner.last_eta {
                     let swing = (eta - prev).abs() / eta.max(prev).max(1.0);
-                    if swing > self.config.eta_swing {
+                    if swing > ETA_SWING {
                         inner.eta_swing_run += 1;
                     } else {
                         inner.eta_swing_run = 0;
@@ -220,8 +217,8 @@ impl HealthAnalyzer {
                 inner.last_eta = Some(eta);
             }
 
-            let oscillating = inner.drift_evidence_us.len() >= self.config.flip_threshold;
-            let volatile = inner.eta_swing_run >= self.config.eta_swing_samples;
+            let oscillating = inner.drift_evidence_us.len() >= FLIP_THRESHOLD;
+            let volatile = inner.eta_swing_run >= ETA_SWING_SAMPLES;
             let next = if stalled {
                 HealthState::Stalled
             } else if oscillating || volatile {
@@ -288,7 +285,7 @@ impl TraceSink for HealthAnalyzer {
                     // its own, flip or not.
                     if old > 0.0 && new > 0.0 {
                         let ratio = (new / old).max(old / new);
-                        if ratio > self.config.divergence_ratio {
+                        if ratio > DIVERGENCE_RATIO {
                             inner.drift_evidence_us.push_back(event.at_us);
                         }
                     }
@@ -311,11 +308,9 @@ mod tests {
     const MS: u64 = 1_000;
 
     fn analyzer(stall_ms: u64) -> HealthAnalyzer {
-        HealthAnalyzer::new(HealthConfig {
-            stall_window: Duration::from_millis(stall_ms),
-            calm_window: Duration::from_millis(stall_ms),
-            ..HealthConfig::default()
-        })
+        HealthAnalyzer::new(
+            HealthConfig::default().with_stall_window(Duration::from_millis(stall_ms)),
+        )
     }
 
     fn refine(at_us: u64, op: u32, old: f64, new: f64) -> TraceEvent {
@@ -409,7 +404,7 @@ mod tests {
         );
         // Evidence decays past the calm window (keep feeding work so the
         // stall detector stays quiet).
-        let t = h.observe_at(300 * MS, 100, None, true);
+        let t = h.observe_at(2_100 * MS, 100, None, true);
         assert_eq!(
             t,
             Some((

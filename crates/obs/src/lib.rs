@@ -71,5 +71,5 @@ pub use metrics_sink::MetricsSink;
 pub use replay::ReplayedTrace;
 pub use scoring::{score_events, ProgressScore, QErrorSummary};
 pub use sinks::{JsonlSink, RingSink, StderrSink, ValidatorSink};
-pub use spans::{LifecycleTotals, SpanNode, SpanTree, Track};
+pub use spans::{SpanNode, SpanTree, Track};
 pub use timeline::{ProgressLog, RecordedTimeline, TimelinePoint, TimelineRecorder};

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use qprog_exec::span::{SpanKind, NO_PARENT};
+use qprog_exec::span::{SpanKind, SpanTotals, NO_PARENT};
 use qprog_exec::trace::{Phase, TraceEvent, TraceEventKind};
 use qprog_types::json::escape;
 
@@ -91,26 +91,6 @@ impl SpanNode {
             c.sort_rec();
         }
     }
-}
-
-/// Summed lifecycle durations, one bucket per [`SpanKind`], plus the
-/// dispatch-attempt count. Drives the per-tenant SLO metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LifecycleTotals {
-    /// Root span duration (submit → terminal wall time).
-    pub total_us: u64,
-    /// Submit-side validation/admission/journal time.
-    pub submit_us: u64,
-    /// Time parked in the ready queue (all parks summed).
-    pub queue_wait_us: u64,
-    /// Time parked for retry backoff.
-    pub backoff_us: u64,
-    /// Execution time across all dispatch attempts.
-    pub exec_us: u64,
-    /// Terminal-processing time.
-    pub finalize_us: u64,
-    /// Number of dispatch attempts observed.
-    pub attempts: u32,
 }
 
 /// A query's assembled span tree.
@@ -278,12 +258,14 @@ impl SpanTree {
 
     /// Sum lifecycle durations per kind (direct tree walk; derived
     /// execution spans are ignored — only typed lifecycle spans count).
-    pub fn lifecycle_totals(&self) -> LifecycleTotals {
-        let mut t = LifecycleTotals {
+    /// For a service query this is what the service's own span log sums
+    /// (`QueryService::span_totals`).
+    pub fn lifecycle_totals(&self) -> SpanTotals {
+        let mut t = SpanTotals {
             total_us: self.root.duration_us(),
-            ..LifecycleTotals::default()
+            ..SpanTotals::default()
         };
-        fn walk(n: &SpanNode, t: &mut LifecycleTotals) {
+        fn walk(n: &SpanNode, t: &mut SpanTotals) {
             match n.kind {
                 Some(SpanKind::Submit) => t.submit_us += n.duration_us(),
                 Some(SpanKind::QueueWait) => t.queue_wait_us += n.duration_us(),

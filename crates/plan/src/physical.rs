@@ -8,13 +8,13 @@ use qprog_core::gnm::ProgressSnapshot;
 use qprog_core::join_est::JoinKind;
 use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 use qprog_core::EstimationMode;
-use qprog_exec::governor::{guarded, Budgets, CancellationToken, Governor};
+use qprog_exec::governor::{guarded, guarded_next_batch, Budgets, CancellationToken, Governor};
 use qprog_exec::metrics::{MetricsRegistry, OpMetrics};
 use qprog_exec::ops::agg::AggEstimation;
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
 use qprog_exec::ops::{
     BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, PipelineShared,
-    Project, Sort, TableScan,
+    Project, RowCursor, Sort, TableScan,
 };
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, EventBus, TraceEventKind};
@@ -134,11 +134,9 @@ pub struct CompiledQuery {
     /// Root batch capacity for [`collect`](Self::collect) (from
     /// `PhysicalOptions::batch_rows`).
     batch_rows: usize,
-    /// Single-row buffer for [`step`](Self::step) (Volcano stepping stays
+    /// Single-row cursor for [`step`](Self::step) (Volcano stepping stays
     /// tuple-granular regardless of `batch_rows`).
-    step_buf: Option<qprog_types::RowBatch>,
-    step_pos: usize,
-    step_exhausted: bool,
+    stepper: RowCursor,
 }
 
 impl CompiledQuery {
@@ -318,29 +316,14 @@ impl CompiledQuery {
     /// always pulls through a single-row batch, so it is tuple-granular
     /// regardless of the configured `batch_rows`.
     pub fn step(&mut self) -> QResult<Option<Row>> {
-        if self.step_buf.is_none() {
-            let arity = self.root.schema().arity();
-            self.step_buf = Some(qprog_types::RowBatch::with_capacity(arity, 1));
-        }
-        loop {
-            let buf = self.step_buf.as_mut().expect("step buffer just ensured");
-            if self.step_pos < buf.len() {
-                let row = buf.row(self.step_pos);
-                self.step_pos += 1;
+        let root = self.root.as_mut();
+        match self.stepper.advance(|buf| guarded_next_batch(root, buf)) {
+            Ok(Some(r)) => {
                 self.rows_emitted += 1;
-                return Ok(Some(row));
+                Ok(Some(self.stepper.batch().row(r)))
             }
-            if self.step_exhausted {
-                return self.terminate(None).map(|_| None);
-            }
-            self.step_pos = 0;
-            let status = match qprog_exec::governor::guarded_next_batch(self.root.as_mut(), buf) {
-                Ok(status) => status,
-                Err(e) => return self.terminate(Some(e)).map(|_| None),
-            };
-            if status.is_exhausted() {
-                self.step_exhausted = true;
-            }
+            Ok(None) => self.terminate(None).map(|_| None),
+            Err(e) => self.terminate(Some(e)).map(|_| None),
         }
     }
 }
@@ -380,6 +363,7 @@ pub fn compile_traced(
     let root_pipeline = c.pipelines.new_pipeline();
     let root = c.compile(plan, root_pipeline)?;
     let root_op = c.chain_root.take().unwrap_or(0);
+    let stepper = RowCursor::new(root.schema().arity(), 1);
     Ok(CompiledQuery {
         root,
         root_op,
@@ -393,9 +377,7 @@ pub fn compile_traced(
         outcome: None,
         publisher: OnceLock::new(),
         batch_rows: opts.batch_rows.max(1),
-        step_buf: None,
-        step_pos: 0,
-        step_exhausted: false,
+        stepper,
     })
 }
 

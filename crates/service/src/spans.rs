@@ -20,27 +20,9 @@
 
 use std::time::Instant;
 
+pub use qprog_exec::span::SpanTotals;
 use qprog_exec::span::{SpanKind, NO_PARENT};
 use qprog_exec::trace::{TraceEvent, TraceEventKind};
-
-/// Summed lifecycle durations for one job, derived from its [`SpanLog`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanTotals {
-    /// Root (`query`) span duration: submit → terminal.
-    pub total_us: u64,
-    /// Submit-side time (validation, admission, journal append).
-    pub submit_us: u64,
-    /// Time parked in the ready queue, summed over every wait.
-    pub queue_wait_us: u64,
-    /// Time parked for retry backoff, summed over every park.
-    pub backoff_us: u64,
-    /// Execution time, summed over every dispatch attempt.
-    pub exec_us: u64,
-    /// Terminal-processing time.
-    pub finalize_us: u64,
-    /// Dispatch attempts that reached the executor.
-    pub attempts: u32,
-}
 
 /// Append-only span event log for one job. See the module docs.
 #[derive(Debug)]

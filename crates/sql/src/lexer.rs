@@ -126,24 +126,22 @@ pub fn tokenize(input: &str) -> QResult<Vec<Token>> {
                 }
             }
             '\'' => {
+                // Copy the text between quotes as `str` slices: a `'` byte
+                // never occurs inside a multi-byte UTF-8 sequence, so every
+                // cut below is a char boundary.
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    match bytes.get(i) {
-                        None => return Err(QError::parse("unterminated string literal")),
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                    let Some(len) = input[i..].find('\'') else {
+                        return Err(QError::parse("unterminated string literal"));
+                    };
+                    s.push_str(&input[i..i + len]);
+                    i += len + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\''); // `''` is an escaped quote
+                    i += 1;
                 }
                 tokens.push(Token::Str(s));
             }
@@ -182,7 +180,10 @@ pub fn tokenize(input: &str) -> QResult<Vec<Token>> {
                 }
                 tokens.push(Token::Ident(input[start..i].to_string()));
             }
-            other => return Err(QError::parse(format!("unexpected character `{other}`"))),
+            _ => {
+                let other = input[i..].chars().next().unwrap_or_default();
+                return Err(QError::parse(format!("unexpected character `{other}`")));
+            }
         }
     }
     Ok(tokens)
@@ -241,9 +242,19 @@ mod tests {
     }
 
     #[test]
+    fn string_literals_keep_non_ascii_text() {
+        let toks = tokenize("WHERE name = 'Zürich' OR name = '東京 🎯''s'").unwrap();
+        assert_eq!(toks[3], Token::Str("Zürich".into()));
+        assert_eq!(toks[7], Token::Str("東京 🎯's".into()));
+        assert_eq!(tokenize("''''").unwrap(), vec![Token::Str("'".into())]);
+        assert!(tokenize("'Zürich").is_err());
+    }
+
+    #[test]
     fn errors() {
         assert!(tokenize("'unterminated").is_err());
         assert!(tokenize("a ! b").is_err());
-        assert!(tokenize("héllo").is_err());
+        let err = tokenize("héllo").unwrap_err().to_string();
+        assert!(err.contains("`é`"), "{err}");
     }
 }

@@ -5,10 +5,23 @@ use qprog_types::{QError, QResult};
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
 
+/// Expression limits. Binding, evaluating and dropping an expression
+/// recurse over its tree, and so does parsing a parenthesis or a `NOT`: past
+/// these bounds a `POST /submit` body could overflow the stack and abort the
+/// process. An expression of `n` tokens is at most `n / 2` levels deep, and
+/// `BETWEEN`/`IN` copy their left operand once per bound or item (nested,
+/// the copies would double the tree per level).
+const MAX_NESTING: usize = 100;
+const MAX_EXPR_TOKENS: usize = 1000;
+const MAX_COPIED_NODES: usize = 100_000;
+
 /// Parse one SELECT statement.
 pub fn parse(sql: &str) -> QResult<Query> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        ..Parser::default()
+    };
     let q = p.query()?;
     // allow a trailing semicolon
     if p.peek_is(&Token::Semicolon) {
@@ -23,12 +36,45 @@ pub fn parse(sql: &str) -> QResult<Query> {
     Ok(q)
 }
 
+#[derive(Default)]
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open parentheses and `NOT`s of the expression being parsed.
+    nesting: usize,
+    /// Token position where the outermost expression being parsed starts.
+    expr_start: usize,
+    /// Nodes copied by `BETWEEN` and `IN` so far.
+    copied: usize,
+}
+
+/// Refuse an expression past one of the limits.
+fn limit(exceeded: bool, what: &str) -> QResult<()> {
+    match exceeded {
+        true => Err(QError::parse(format!("expression {what}"))),
+        false => Ok(()),
+    }
+}
+
+/// Nodes in an expression tree.
+fn size(e: &AstExpr) -> usize {
+    match e {
+        AstExpr::Binary { left, right, .. } => 1 + size(left) + size(right),
+        AstExpr::Not(e) | AstExpr::IsNull { expr: e, .. } => 1 + size(e),
+        _ => 1,
+    }
 }
 
 impl Parser {
+    /// Charge `copies` clones of `e` to the statement's copy budget.
+    fn charge_copies(&mut self, e: &AstExpr, copies: usize) -> QResult<()> {
+        self.copied += size(e) * copies;
+        limit(
+            self.copied > MAX_COPIED_NODES,
+            "copies BETWEEN/IN operands too often",
+        )
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -278,6 +324,9 @@ impl Parser {
     // ---- expression precedence climbing ----
 
     fn expr(&mut self) -> QResult<AstExpr> {
+        if self.nesting == 0 {
+            self.expr_start = self.pos;
+        }
         self.or_expr()
     }
 
@@ -308,11 +357,15 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> QResult<AstExpr> {
-        if self.eat_keyword("not") {
-            Ok(AstExpr::Not(Box::new(self.not_expr()?)))
+        self.nesting += 1;
+        limit(self.nesting > MAX_NESTING, "nests too deeply")?;
+        let e = if self.eat_keyword("not") {
+            AstExpr::Not(Box::new(self.not_expr()?))
         } else {
-            self.comparison()
-        }
+            self.comparison()?
+        };
+        self.nesting -= 1;
+        Ok(e)
     }
 
     fn comparison(&mut self) -> QResult<AstExpr> {
@@ -343,6 +396,7 @@ impl Parser {
             let lo = self.additive()?;
             self.expect_keyword("and")?;
             let hi = self.additive()?;
+            self.charge_copies(&left, 1)?;
             let range = AstExpr::Binary {
                 op: AstBinOp::And,
                 left: Box::new(AstExpr::Binary {
@@ -375,6 +429,7 @@ impl Parser {
                 }
             }
             self.expect(Token::RParen)?;
+            self.charge_copies(&left, alts.len())?;
             let mut it = alts.into_iter();
             let first = it.next().ok_or_else(|| QError::parse("empty IN list"))?;
             let mut ors = AstExpr::Binary {
@@ -454,6 +509,8 @@ impl Parser {
     }
 
     fn unary(&mut self) -> QResult<AstExpr> {
+        // Every operand passes here, so no tree outgrows this check.
+        limit(self.pos - self.expr_start > MAX_EXPR_TOKENS, "is too long")?;
         if self.peek_is(&Token::Minus) {
             self.advance();
             return match self.advance() {
@@ -627,6 +684,23 @@ mod tests {
         let q = parse("SELECT a FROM t WHERE a NOT IN (1) AND b NOT BETWEEN 2 AND 3").unwrap();
         assert!(q.where_clause.is_some());
         assert!(parse("SELECT a FROM t WHERE a IN ()").is_err());
+    }
+
+    #[test]
+    fn expression_limits() {
+        let parsed = |s: String| parse(&s).map(|_| ()).map_err(|e| e.to_string());
+        let where_ = |e: String| format!("SELECT a FROM t WHERE {e}");
+        assert!(parsed(where_(format!("a IN ({}1)", "1, ".repeat(400)))).is_ok());
+        assert!(parsed(where_(format!("{}a = 1{}", "(".repeat(90), ")".repeat(90)))).is_ok());
+        let nested = parsed(where_(format!("{}a = 1", "(".repeat(101)))).unwrap_err();
+        assert!(nested.contains("nests too deeply"), "{nested}");
+        let long = parsed(where_("a = 1 OR ".repeat(300) + "a = 1")).unwrap_err();
+        assert!(long.contains("too long"), "{long}");
+        let mut copied = "a BETWEEN 1 AND 2".to_string();
+        for _ in 0..30 {
+            copied = format!("({copied}) BETWEEN 1 AND 2");
+        }
+        assert!(parsed(where_(copied)).unwrap_err().contains("BETWEEN/IN"));
     }
 
     #[test]

@@ -35,15 +35,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Register an already-shared table.
-    pub fn register_shared(&mut self, table: Arc<Table>) -> QResult<()> {
-        let stats = TableStats::analyze(&table)?;
-        let name = table.name().to_string();
-        self.tables.insert(name.clone(), table);
-        self.stats.insert(name, Arc::new(stats));
-        Ok(())
-    }
-
     /// Look up a table by name (case-insensitive).
     pub fn table(&self, name: &str) -> QResult<Arc<Table>> {
         self.lookup(&self.tables, name)

@@ -11,15 +11,18 @@
 //!    histograms) — see [`stats`].
 //! 3. A **catalog** mapping table names to tables and their statistics —
 //!    see [`catalog`].
+//!
+//! Storage owns no row container of its own: a [`Table`]'s blocks are
+//! [`RowBatch`](qprog_types::RowBatch)es of at most [`BLOCK_CAPACITY`]
+//! rows, the same columnar batch every operator reads, so scans copy
+//! column slices and ANALYZE reads block columns without building a row.
 
-pub mod block;
 pub mod catalog;
 pub mod sample;
 pub mod stats;
 pub mod table;
 
-pub use block::{Block, BLOCK_CAPACITY};
 pub use catalog::Catalog;
 pub use sample::ScanOrder;
 pub use stats::{ColumnStats, EquiWidthHistogram, TableStats};
-pub use table::Table;
+pub use table::{Table, BLOCK_CAPACITY};

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use qprog_types::{DataType, Key, QResult, Value};
+use qprog_types::{Key, QResult, Value};
 
 use crate::table::Table;
 
@@ -139,51 +139,32 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute statistics for a table (full scan, exact NDV).
+    /// Compute statistics for a table (full scan, exact NDV), one column
+    /// at a time over the block columns. Insertion type-checks every value,
+    /// so only BIGINT columns hold integers and get a histogram.
     pub fn analyze(table: &Table) -> QResult<TableStats> {
-        let arity = table.schema().arity();
-        let mut ndv_sets: Vec<HashSet<Key>> = (0..arity).map(|_| HashSet::new()).collect();
-        let mut null_counts = vec![0u64; arity];
-        let mut int_cols: Vec<Vec<i64>> = (0..arity).map(|_| Vec::new()).collect();
-        let int_col_mask: Vec<bool> = (0..arity)
-            .map(|i| {
-                table
-                    .schema()
-                    .field(i)
-                    .map(|f| f.data_type == DataType::Int64)
-                    .unwrap_or(false)
-            })
-            .collect();
-
-        for row in table.iter() {
-            for (i, v) in row.values().iter().enumerate() {
-                if v.is_null() {
-                    null_counts[i] += 1;
-                    continue;
-                }
-                if let Ok(k) = Key::from_value(v) {
-                    ndv_sets[i].insert(k);
-                }
-                if int_col_mask[i] {
+        let columns = (0..table.schema().arity())
+            .map(|c| {
+                let mut distinct: HashSet<Key> = HashSet::new();
+                let mut null_count = 0u64;
+                let mut ints: Vec<i64> = Vec::new();
+                for v in table.blocks().iter().flat_map(|b| b.col(c)) {
+                    if v.is_null() {
+                        null_count += 1;
+                        continue;
+                    }
+                    distinct.extend(Key::from_value(v).ok());
                     if let Value::Int64(x) = v {
-                        int_cols[i].push(*x);
+                        ints.push(*x);
                     }
                 }
-            }
-        }
-
-        let columns = (0..arity)
-            .map(|i| ColumnStats {
-                ndv: ndv_sets[i].len() as u64,
-                null_count: null_counts[i],
-                histogram: if int_col_mask[i] {
-                    EquiWidthHistogram::build(int_cols[i].iter().copied(), DEFAULT_BUCKETS)
-                } else {
-                    None
-                },
+                ColumnStats {
+                    ndv: distinct.len() as u64,
+                    null_count,
+                    histogram: EquiWidthHistogram::build(ints, DEFAULT_BUCKETS),
+                }
             })
             .collect();
-
         Ok(TableStats {
             row_count: table.num_rows() as u64,
             columns,
@@ -199,7 +180,7 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qprog_types::{row, DataType, Field, Schema};
+    use qprog_types::{row, DataType, Field, Row, Schema};
 
     fn table_with_ints(vals: &[i64]) -> Table {
         let mut t = Table::new("t", Schema::new(vec![Field::new("a", DataType::Int64)]));
@@ -289,6 +270,4 @@ mod tests {
         // string value on int column → 1/ndv fallback
         assert!((c.eq_selectivity(&Value::str("x")) - 0.25).abs() < 1e-9);
     }
-
-    use qprog_types::Row;
 }

@@ -2,11 +2,15 @@
 
 use std::sync::Arc;
 
-use qprog_types::{QError, QResult, Row, Schema, SchemaRef, Value};
+use qprog_types::{QError, QResult, Row, RowBatch, Schema, SchemaRef, Value};
 
-use crate::block::{Block, BLOCK_CAPACITY};
+/// Rows per block: few enough that a sample fraction of a few percent still
+/// selects many blocks, enough that per-block bookkeeping is negligible.
+pub const BLOCK_CAPACITY: usize = 256;
 
-/// A named, block-structured, in-memory table.
+/// A named in-memory table: a sequence of [`RowBatch`] blocks of at most
+/// [`BLOCK_CAPACITY`] rows, so that scans can sample whole blocks (the
+/// paper's block-level sampling) and copy column slices straight out.
 ///
 /// Rows are type-checked against the schema on insertion so that downstream
 /// operators can rely on column types without re-validating.
@@ -14,7 +18,7 @@ use crate::block::{Block, BLOCK_CAPACITY};
 pub struct Table {
     name: String,
     schema: SchemaRef,
-    blocks: Vec<Block>,
+    blocks: Vec<RowBatch>,
     num_rows: usize,
 }
 
@@ -52,11 +56,9 @@ impl Table {
         self.blocks.len()
     }
 
-    /// Borrow a block by id.
-    pub fn block(&self, id: usize) -> QResult<&Block> {
-        self.blocks
-            .get(id)
-            .ok_or_else(|| QError::internal(format!("block {id} out of bounds")))
+    /// All blocks, in storage order.
+    pub fn blocks(&self) -> &[RowBatch] {
+        &self.blocks
     }
 
     /// Append a row, validating arity and column types.
@@ -91,13 +93,14 @@ impl Table {
                 _ => {}
             }
         }
-        if self.blocks.last().is_none_or(Block::is_full) {
-            self.blocks.push(Block::new(self.schema.arity()));
+        if self.blocks.last().is_none_or(RowBatch::is_full) {
+            let block = RowBatch::with_capacity(self.schema.arity(), BLOCK_CAPACITY);
+            self.blocks.push(block);
         }
         self.blocks
             .last_mut()
             .expect("block just ensured")
-            .push(row);
+            .push_drain(&mut row.into_values());
         self.num_rows += 1;
         Ok(())
     }
@@ -111,20 +114,12 @@ impl Table {
     }
 
     /// Iterate over all rows in storage order, materializing each from the
-    /// columnar blocks (for tests, stats, and examples; scans read columns
-    /// directly via [`Block::cols`]).
+    /// columnar blocks (for tests and examples; scans and ANALYZE read the
+    /// block columns directly).
     pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
         self.blocks
             .iter()
-            .flat_map(|b| (0..b.len()).map(|r| b.row(r).expect("in-bounds row")))
-    }
-
-    /// Materialize a row by global index (for tests and examples; scans use
-    /// block-ordered iteration).
-    pub fn row(&self, idx: usize) -> Option<Row> {
-        let block = idx / BLOCK_CAPACITY;
-        let offset = idx % BLOCK_CAPACITY;
-        self.blocks.get(block).and_then(|b| b.row(offset))
+            .flat_map(|b| (0..b.len()).map(|r| b.row(r)))
     }
 
     /// Wrap in an [`Arc`] for registration in a catalog.
@@ -182,14 +177,10 @@ mod tests {
         }
         assert_eq!(t.num_rows(), n);
         assert_eq!(t.num_blocks(), 3);
+        assert!(t.blocks().iter().all(|b| b.capacity() == BLOCK_CAPACITY));
         assert_eq!(
-            t.row(BLOCK_CAPACITY)
-                .unwrap()
-                .get(0)
-                .unwrap()
-                .as_i64()
-                .unwrap(),
-            BLOCK_CAPACITY as i64
+            t.blocks()[1].value(0, 0),
+            &Value::Int64(BLOCK_CAPACITY as i64)
         );
         // iteration preserves insertion order
         let collected: Vec<i64> = t
@@ -200,8 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn row_out_of_bounds_is_none() {
+    fn empty_table_has_no_blocks() {
         let t = two_col_table();
-        assert!(t.row(0).is_none());
+        assert_eq!((t.num_blocks(), t.iter().count()), (0, 0));
     }
 }

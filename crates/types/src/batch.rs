@@ -8,6 +8,11 @@
 //! exact: published fractions, bounds, and converged estimates are
 //! unchanged from tuple-at-a-time execution.
 //!
+//! It is the one container rows live in between storage and the API edge:
+//! table blocks, pipeline edges and every operator buffer (join partitions,
+//! sort and merge runs, group keys, the nested-loops inner side) are
+//! `RowBatch`es; [`Row`]s exist only where rows leave the engine.
+//!
 //! Batches are reused: the driver allocates one batch per pipeline edge and
 //! operators [`clear`](RowBatch::clear) + refill it, so the steady state
 //! performs no heap allocation at all for fixed-width columns.
@@ -71,7 +76,7 @@ impl RowBatch {
 
     /// An unbounded accumulator batch: no capacity bound, no
     /// pre-allocation. Blocking operators use these as columnar buffers
-    /// (join partitions, sort runs) that grow with their input.
+    /// (join partitions, sort runs, stashes) that grow with their input.
     pub fn accumulator(arity: usize) -> Self {
         RowBatch {
             cols: (0..arity).map(|_| Vec::new()).collect(),
@@ -145,33 +150,13 @@ impl RowBatch {
         &self.cols[col][row]
     }
 
-    /// Append one row from a slice of values (must match the arity).
-    pub fn push_values(&mut self, values: &[Value]) {
+    /// Append one row, moving its values out of `values` (left empty,
+    /// its allocation kept for the caller's next row).
+    pub fn push_drain(&mut self, values: &mut Vec<Value>) {
         debug_assert_eq!(values.len(), self.cols.len());
         debug_assert!(!self.is_full());
-        for (col, v) in self.cols.iter_mut().zip(values) {
-            col.push(v.clone());
-        }
-        self.len += 1;
-    }
-
-    /// Append one row, consuming it.
-    pub fn push_row(&mut self, row: Row) {
-        debug_assert!(!self.is_full());
-        debug_assert_eq!(row.arity(), self.cols.len());
-        for (col, v) in self.cols.iter_mut().zip(row.into_values()) {
+        for (col, v) in self.cols.iter_mut().zip(values.drain(..)) {
             col.push(v);
-        }
-        self.len += 1;
-    }
-
-    /// Append the concatenation of two value slices (join output:
-    /// `left ++ right` must match the arity).
-    pub fn push_concat(&mut self, left: &[Value], right: &[Value]) {
-        debug_assert_eq!(left.len() + right.len(), self.cols.len());
-        debug_assert!(!self.is_full());
-        for (col, v) in self.cols.iter_mut().zip(left.iter().chain(right)) {
-            col.push(v.clone());
         }
         self.len += 1;
     }
@@ -187,14 +172,15 @@ impl RowBatch {
         self.len += 1;
     }
 
-    /// Append the selected rows of `src` column-wise — the
-    /// selection-vector gather used by filters. `sel` indexes rows of
-    /// `src`; the caller guarantees the result fits.
-    pub fn gather_from(&mut self, src: &RowBatch, sel: &[usize]) {
+    /// Append the selected rows of `src` column-wise, in `sel` order — the
+    /// selection-vector gather of partitioning drains and of emission
+    /// through a sort permutation. `sel` indexes rows of `src`; the caller
+    /// guarantees the result fits.
+    pub fn gather_from(&mut self, src: &RowBatch, sel: &[u32]) {
         debug_assert_eq!(src.arity(), self.arity());
         debug_assert!(self.len + sel.len() <= self.capacity);
         for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst.extend(sel.iter().map(|&r| s[r].clone()));
+            dst.extend(sel.iter().map(|&r| s[r as usize].clone()));
         }
         self.len += sel.len();
     }
@@ -249,16 +235,26 @@ impl RowBatch {
         }
     }
 
-    /// Append rows `range` from external column-major storage (the block
-    /// scan path). `src` must have this batch's arity; the caller
-    /// guarantees the range is in bounds for every column and that the
-    /// rows fit.
-    pub fn extend_from_cols(&mut self, src: &[Vec<Value>], range: std::ops::Range<usize>) {
-        debug_assert_eq!(src.len(), self.cols.len());
-        debug_assert!(self.len + (range.end - range.start) <= self.capacity);
-        self.len += range.end - range.start;
-        for (dst, s) in self.cols.iter_mut().zip(src) {
+    /// Append rows `range` of `src`, one contiguous slice copy per column
+    /// (the table scan's path out of a storage block). Arities must match;
+    /// the caller guarantees the range is in bounds and the rows fit.
+    pub fn extend_from(&mut self, src: &RowBatch, range: std::ops::Range<usize>) {
+        debug_assert_eq!(src.arity(), self.arity());
+        debug_assert!(range.end <= src.len);
+        debug_assert!(self.len + range.len() <= self.capacity);
+        self.len += range.len();
+        for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
             dst.extend_from_slice(&s[range.clone()]);
+        }
+    }
+
+    /// Drop every row from `len` on (no-op when the batch is shorter).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            for col in &mut self.cols {
+                col.truncate(len);
+            }
+            self.len = len;
         }
     }
 
@@ -267,8 +263,8 @@ impl RowBatch {
         Row::new(self.cols.iter().map(|c| c[r].clone()).collect())
     }
 
-    /// Materialize every row, appending to `out` (blocking operators that
-    /// buffer their input — sort, join partitioning — use this).
+    /// Materialize every row, appending to `out` (the result-row edge:
+    /// `runtime::collect` hands clients `Row`s).
     pub fn append_rows_to(&self, out: &mut Vec<Row>) {
         out.reserve(self.len);
         for r in 0..self.len {
@@ -292,8 +288,8 @@ mod tests {
         let mut b = RowBatch::with_capacity(2, 4);
         assert!(b.is_empty());
         assert_eq!(b.capacity(), 4);
-        b.push_values(&[Value::Int64(1), Value::str("a")]);
-        b.push_row(row![2i64, "b"]);
+        b.push_drain(&mut vec![Value::Int64(1), Value::str("a")]);
+        b.push_drain(&mut vec![Value::Int64(2), Value::str("b")]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.col(0), &[Value::Int64(1), Value::Int64(2)]);
         assert_eq!(b.value(1, 1), &Value::str("b"));
@@ -305,8 +301,8 @@ mod tests {
     #[test]
     fn clear_keeps_capacity() {
         let mut b = RowBatch::with_capacity(1, 2);
-        b.push_row(row![1i64]);
-        b.push_row(row![2i64]);
+        b.push_drain(&mut row![1i64].into_values());
+        b.push_drain(&mut row![2i64].into_values());
         assert!(b.is_full());
         b.clear();
         assert!(b.is_empty());
@@ -324,8 +320,8 @@ mod tests {
     fn set_capacity_rebounds_empty_batch() {
         let mut b = RowBatch::with_capacity(1, 8);
         b.set_capacity(2);
-        b.push_row(row![1i64]);
-        b.push_row(row![2i64]);
+        b.push_drain(&mut row![1i64].into_values());
+        b.push_drain(&mut row![2i64].into_values());
         assert!(b.is_full());
         b.clear();
         b.set_capacity(0);
@@ -336,20 +332,22 @@ mod tests {
     fn gather_applies_selection() {
         let mut src = RowBatch::with_capacity(1, 4);
         for i in 0..4i64 {
-            src.push_row(row![i]);
+            src.push_drain(&mut row![i].into_values());
         }
         let mut dst = RowBatch::with_capacity(1, 4);
-        dst.gather_from(&src, &[0, 2, 3]);
+        dst.gather_from(&src, &[3, 0, 2]);
         assert_eq!(
             dst.col(0),
-            &[Value::Int64(0), Value::Int64(2), Value::Int64(3)]
+            &[Value::Int64(3), Value::Int64(0), Value::Int64(2)]
         );
     }
 
     #[test]
     fn concat_and_from_batch() {
+        let mut right = RowBatch::with_capacity(2, 2);
+        right.push_drain(&mut row![2i64, "x"].into_values());
         let mut b = RowBatch::with_capacity(3, 2);
-        b.push_concat(&[Value::Int64(1)], &[Value::Int64(2), Value::str("x")]);
+        b.push_concat_row_from(&[Value::Int64(1)], &right, 0);
         assert_eq!(b.row(0), row![1i64, 2i64, "x"]);
         let mut c = RowBatch::with_capacity(3, 2);
         c.push_from(&b, 0);
@@ -357,22 +355,26 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_cols_copies_slices() {
-        let src = vec![
-            vec![Value::Int64(1), Value::Int64(2), Value::Int64(3)],
-            vec![Value::str("a"), Value::str("b"), Value::str("c")],
-        ];
+    fn extend_from_copies_slices_and_truncate_pops() {
+        let mut src = RowBatch::with_capacity(2, 8);
+        for r in [row![1i64, "a"], row![2i64, "b"], row![3i64, "c"]] {
+            src.push_drain(&mut r.into_values());
+        }
         let mut b = RowBatch::with_capacity(2, 8);
-        b.extend_from_cols(&src, 1..3);
+        b.extend_from(&src, 1..3);
         assert_eq!(b.len(), 2);
         assert_eq!(b.row(0), row![2i64, "b"]);
         assert_eq!(b.row(1), row![3i64, "c"]);
+        b.truncate(1);
+        assert_eq!((b.len(), b.col(1)), (1, &[Value::str("b")][..]));
+        b.truncate(5);
+        assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn keys_and_row_materialization() {
         let mut b = RowBatch::with_capacity(2, 2);
-        b.push_row(row![7i64, "k"]);
+        b.push_drain(&mut row![7i64, "k"].into_values());
         assert_eq!(b.key(0, 0).unwrap(), Key::Int(7));
         let mut rows = Vec::new();
         b.append_rows_to(&mut rows);
