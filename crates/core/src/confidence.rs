@@ -160,6 +160,11 @@ impl PowerSums {
         self.sum_sq = self.sum_sq.saturating_add(x as u128 * x as u128);
     }
 
+    /// Fold in `k` observations of zero, which move only `n`.
+    pub(crate) fn push_zeros(&mut self, k: u64) {
+        self.n += k;
+    }
+
     /// Combine with independently accumulated observations (associative
     /// and commutative: integer addition).
     pub fn merge(&mut self, other: &PowerSums) {
@@ -176,6 +181,16 @@ impl PowerSums {
     /// `Σx`.
     pub fn sum(&self) -> u128 {
         self.sum
+    }
+
+    /// `Σx` scaled to a population of `size`, `Σx / n · max(size, n)`: exactly
+    /// `Σx` once `n ≥ size`, the observed sum being a floor (0 when empty).
+    pub(crate) fn scaled_sum(&self, size: u64) -> f64 {
+        match self.n {
+            0 => 0.0,
+            n if n >= size => self.sum as f64,
+            n => self.sum as f64 / n as f64 * size as f64,
+        }
     }
 
     /// Sample mean (0 when empty).

@@ -268,35 +268,32 @@ impl FreqHist {
     }
 
     /// Column-at-a-time [`count`](Self::count): `out[r] = N_i` of `col[r]`,
-    /// 0 for NULL (NULL keys never equi-join). The lane is resolved once per
-    /// column, so on the dense lane each row costs one bounds-checked array
-    /// read. A DOUBLE value raises the same type error as
-    /// [`Key::from_value`].
-    pub fn counts_of_column(&self, col: &[Value], out: &mut [u64]) -> QResult<()> {
+    /// 0 for NULL (NULL keys never equi-join), read and written at the rows
+    /// of `sel` only (all rows when `None`; a selected row past the column
+    /// panics). The lane is resolved once per column, so on the dense lane a
+    /// row costs one bounds-checked array read. A DOUBLE value raises the
+    /// same type error as [`Key::from_value`].
+    pub fn counts_of_column(
+        &self,
+        col: &[Value],
+        sel: Option<&[u32]>,
+        out: &mut [u64],
+    ) -> QResult<()> {
         if col.len() != out.len() {
             return Err(QError::internal("counts_of_column: one slot per row"));
         }
         match &self.counts {
-            CountLane::Dense { lo, slots, .. } => {
-                for (v, o) in col.iter().zip(out) {
-                    *o = match v {
-                        Value::Int64(k) => dense_count(*lo, slots, *k),
-                        Value::Null => 0,
-                        // Only integers live on the dense lane.
-                        other => Key::from_value(other).map(|_| 0)?,
-                    };
-                }
-            }
-            CountLane::Map(map) => {
-                for (v, o) in col.iter().zip(out) {
-                    *o = match v {
-                        Value::Null => 0,
-                        other => map.get(&Key::from_value(other)?).copied().unwrap_or(0),
-                    };
-                }
-            }
+            CountLane::Dense { lo, slots } => fill_counts(col, sel, out, |v| match v {
+                Value::Int64(k) => Ok(dense_count(*lo, slots, *k)),
+                Value::Null => Ok(0),
+                // Only integers live on the dense lane.
+                other => Key::from_value(other).map(|_| 0),
+            }),
+            CountLane::Map(map) => fill_counts(col, sel, out, |v| match v {
+                Value::Null => Ok(0),
+                other => Ok(map.get(&Key::from_value(other)?).copied().unwrap_or(0)),
+            }),
         }
-        Ok(())
     }
 
     /// Total observations `t`.
@@ -432,6 +429,26 @@ fn dense_count(lo: i64, slots: &[u64], k: i64) -> u64 {
         slots[off as usize]
     } else {
         0
+    }
+}
+
+/// `out[r] = count(col[r])` at the rows of `sel` (all when `None`): one loop
+/// per count lane, with the lane's lookup inlined.
+fn fill_counts(
+    col: &[Value],
+    sel: Option<&[u32]>,
+    out: &mut [u64],
+    count: impl Fn(&Value) -> QResult<u64>,
+) -> QResult<()> {
+    match sel {
+        None => col
+            .iter()
+            .zip(out)
+            .try_for_each(|(v, o)| count(v).map(|c| *o = c)),
+        Some(rows) => rows.iter().try_for_each(|&r| {
+            let r = r as usize;
+            count(&col[r]).map(|c| out[r] = c)
+        }),
     }
 }
 
@@ -732,11 +749,23 @@ mod tests {
         assert_eq!((map.total(), map.distinct()), (7, 6));
         for h in [&dense, &map] {
             let mut out = [u64::MAX; 8];
-            h.counts_of_column(&col, &mut out).unwrap();
+            h.counts_of_column(&col, None, &mut out).unwrap();
             for (v, n) in col.iter().zip(out) {
                 let key = Key::from_value(v).unwrap();
                 let expect = if key.is_null() { 0 } else { h.count(&key) };
                 assert_eq!(n, expect, "{v:?}");
+            }
+            // A selection fills only its rows, with the same counts.
+            let mut picked = [u64::MAX; 8];
+            h.counts_of_column(&col, Some(&[0, 3, 4]), &mut picked)
+                .unwrap();
+            for (r, n) in picked.into_iter().enumerate() {
+                let expect = if [0, 3, 4].contains(&r) {
+                    out[r]
+                } else {
+                    u64::MAX
+                };
+                assert_eq!(n, expect, "row {r}");
             }
         }
         // Weighted observe is observe_n per row; zero weights are skipped.
@@ -757,10 +786,21 @@ mod tests {
         map.observe(&Key::from("force-map-lane"));
         for h in [&dense, &map] {
             assert_eq!(
-                h.counts_of_column(&doubles, &mut [0; 2]),
+                h.counts_of_column(&doubles, None, &mut [0; 2]),
                 Err(expect.clone())
             );
-            assert!(h.counts_of_column(&doubles[..1], &mut [0; 2]).is_err());
+            // Only selected cells are read: the DOUBLE is an error exactly
+            // when its row is selected.
+            assert_eq!(
+                h.counts_of_column(&doubles, Some(&[1]), &mut [0; 2]),
+                Err(expect.clone())
+            );
+            assert!(h
+                .counts_of_column(&doubles, Some(&[0]), &mut [0; 2])
+                .is_ok());
+            assert!(h
+                .counts_of_column(&doubles[..1], None, &mut [0; 2])
+                .is_err());
         }
         assert_eq!(dense.observe_column(&doubles, None), Err(expect));
         assert!(dense.observe_column(&doubles[..1], Some(&[1, 1])).is_err());

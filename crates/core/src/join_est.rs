@@ -163,40 +163,18 @@ impl OnceJoinEstimator {
         self.seen.seen()
     }
 
-    /// Fraction of the probe input observed (clamped to 1).
-    pub fn probe_fraction(&self) -> f64 {
-        if self.probe_size == 0 {
-            1.0
-        } else {
-            (self.seen.seen() as f64 / self.probe_size as f64).min(1.0)
-        }
-    }
-
     /// Exact number of join output tuples attributable to the probe tuples
     /// seen so far (the estimate's numerator before scaling).
     pub fn matched_so_far(&self) -> u128 {
         self.seen.matched()
     }
 
-    /// The join semantics this estimator is configured for.
-    pub fn kind(&self) -> JoinKind {
-        self.kind
-    }
-
-    /// Current estimate `D_t`. Before any probe tuple arrives this is 0 —
-    /// callers should keep using the optimizer estimate until `probe_seen`
-    /// is positive.
+    /// Current estimate `D_t = Σ/t · max(|S|, t)`: once `t` reaches the
+    /// probe-size hint it is exactly `Σ`, the output the rows seen certainly
+    /// produce. Before any probe tuple arrives this is 0 — callers should
+    /// keep using the optimizer estimate until `probe_seen` is positive.
     pub fn estimate(&self) -> f64 {
-        let (t, sum) = (self.seen.seen(), self.seen.matched());
-        if t == 0 {
-            0.0
-        } else if t == self.probe_size {
-            // the running sum IS the exact cardinality; avoid the
-            // floating-point round trip of sum/t·|S|
-            sum as f64
-        } else {
-            sum as f64 / t as f64 * self.probe_size as f64
-        }
+        self.seen.0.scaled_sum(self.probe_size)
     }
 
     /// Whether the estimator has seen the whole probe input and therefore
@@ -278,7 +256,7 @@ impl ProbeFragment {
         counts: &mut Vec<u64>,
     ) -> QResult<()> {
         counts.resize(keys.len(), 0);
-        build.counts_of_column(keys, counts)?;
+        build.counts_of_column(keys, None, counts)?;
         for &n in counts.iter() {
             self.0.push_u64(kind.contribution(n));
         }
@@ -409,7 +387,7 @@ mod tests {
         }
         // Half of probes match a build value of multiplicity 2 → mean 1.0
         assert!((est.estimate() - 100.0).abs() < 1e-9);
-        assert!((est.probe_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(est.probe_seen(), 50);
         assert!(!est.converged());
     }
 
@@ -485,8 +463,20 @@ mod tests {
     fn zero_sized_probe_is_converged() {
         let est = OnceJoinEstimator::new(FreqHist::new(), 0);
         assert!(est.converged());
-        assert_eq!(est.probe_fraction(), 1.0);
         assert_eq!(est.estimate(), 0.0);
+    }
+
+    #[test]
+    fn estimate_never_falls_below_the_output_already_seen() {
+        // The hint under-states the probe input: past it, the estimate is
+        // the exact running sum, not Σ·hint/t.
+        let build = keys(&[1]);
+        let mut est = OnceJoinEstimator::from_build_keys(build.iter(), 2);
+        for _ in 0..4 {
+            est.observe_probe(&Key::Int(1));
+        }
+        assert_eq!(est.estimate(), 4.0);
+        assert_eq!(est.confidence_interval(4.0).width(), 0.0);
     }
 
     #[test]
@@ -535,7 +525,7 @@ mod tests {
             }
             assert!(est.converged());
             assert_eq!(est.estimate().round() as u64, truth, "{kind:?}");
-            assert_eq!(est.kind(), kind);
+            assert_eq!(est.kind, kind);
         }
     }
 

@@ -117,18 +117,21 @@ pub struct PipelineEstimator {
     states: Vec<JoinEstState>,
     /// Translations in flight during the current build: `(join, new_hist)`.
     pending: Vec<(usize, FreqHist)>,
-    /// Per-join multiplicative factor lists, fixed at probe start:
-    /// `(join supplying the histogram, probe column for the lookup)`.
-    factors: Vec<Vec<(usize, usize)>>,
-    /// Distinct factor pairs across all lists; each fills one count lane
-    /// per probe batch (factor lists overlap heavily in deep pipelines, so
-    /// the naive per-join lookup is quadratic in the chain length).
+    /// Distinct `(join supplying the histogram, probe column)` factors of
+    /// all joins, fixed at probe start, in order of the lowest join using
+    /// each; each fills one count lane per probe batch (factor lists overlap
+    /// heavily in deep pipelines).
     uniq_factors: Vec<(usize, usize)>,
-    /// `factor_idx[u][k]`: position in `uniq_factors` of `factors[u][k]`.
+    /// `factor_idx[u]`: positions in `uniq_factors` of join `u`'s factors.
     factor_idx: Vec<Vec<usize>>,
     /// Reused batch scratch: lane `i` (`lanes[i·n..(i+1)·n]`) holds the
-    /// histogram counts of `uniq_factors[i]` for the batch's `n` rows.
+    /// histogram counts of `uniq_factors[i]` at the batch rows still live
+    /// when its lowest join is reached.
     lanes: Vec<u64>,
+    /// Reused batch scratch: the live rows, once some row has died.
+    live: Vec<u32>,
+    /// Reused batch scratch: each join's power sums over the batch.
+    batch_sums: Vec<PowerSums>,
     probe_size: u64,
     phase: Phase,
 }
@@ -141,37 +144,6 @@ fn batch_col(cols: &[Vec<Value>], c: usize, n: usize) -> QResult<&[Value]> {
             cols.len()
         ))
     })
-}
-
-/// `(n, Σc, Σc²)` of one batch, row `r`'s contribution `c` being the
-/// product of its counts in the lanes `idx` (layout as
-/// `PipelineEstimator::lanes`).
-fn batch_power_sums(
-    lanes: &[u64],
-    prod: &mut [u64],
-    n: usize,
-    idx: &[usize],
-    fits_u64: bool,
-) -> PowerSums {
-    let mut sums = PowerSums::default();
-    if fits_u64 {
-        // Lane-at-a-time running product: every pass is a zipped loop over
-        // contiguous slices, whatever the number of factors.
-        let lane = |k: usize| &lanes[idx[k] * n..][..n];
-        prod.copy_from_slice(lane(0));
-        for k in 1..idx.len() {
-            prod.iter_mut().zip(lane(k)).for_each(|(p, &x)| *p *= x);
-        }
-        prod.iter().for_each(|&c| sums.push_u64(c));
-    } else {
-        for r in 0..n {
-            sums.push(
-                idx.iter()
-                    .fold(1u128, |c, &i| c.saturating_mul(lanes[i * n + r] as u128)),
-            );
-        }
-    }
-    sums
 }
 
 impl PipelineEstimator {
@@ -219,10 +191,11 @@ impl PipelineEstimator {
             specs,
             states,
             pending: Vec::new(),
-            factors: Vec::new(),
             uniq_factors: Vec::new(),
             factor_idx: Vec::new(),
             lanes: Vec::new(),
+            live: Vec::new(),
+            batch_sums: Vec::new(),
             probe_size,
             phase: Phase::AwaitBuild(n - 1),
         })
@@ -317,7 +290,7 @@ impl PipelineEstimator {
             };
             self.states[*u]
                 .hist
-                .counts_of_column(col_of(col)?, &mut self.lanes)?;
+                .counts_of_column(col_of(col)?, None, &mut self.lanes)?;
             new_hist.observe_column(build_keys, Some(&self.lanes))?;
         }
         // Raw count for this join's own histogram.
@@ -366,73 +339,50 @@ impl PipelineEstimator {
     }
 
     fn compute_factors(&mut self) -> QResult<()> {
-        let n = self.specs.len();
-        for st in &self.states {
-            if let AttrSource::Build { .. } = st.source {
-                return Err(QError::internal(
-                    "histogram still build-sourced after all builds completed",
-                ));
-            }
+        let built = |st: &JoinEstState| matches!(st.source, AttrSource::Build { .. });
+        if self.states.iter().any(built) {
+            return Err(QError::internal(
+                "histogram still build-sourced after all builds completed",
+            ));
         }
-        self.factors = (0..n)
+        // Join u's factors are the joins ≤ u not folded into any histogram
+        // of a join ≤ u, each looked up by its histogram's probe column.
+        // The pairs are deduplicated so each (histogram, column) is looked
+        // up once per probe tuple no matter how many joins it feeds, and
+        // come in order of the lowest join using them.
+        let (mut folded, mut uniq) = (vec![false; self.specs.len()], Vec::new());
+        self.factor_idx = (0..self.specs.len())
             .map(|u| {
-                // Joins ≤ u not folded into any histogram of a join ≤ u.
-                let mut folded = vec![false; u + 1];
-                for w in 0..=u {
-                    for &c in &self.states[w].chain {
-                        folded[c] = true;
-                    }
-                }
+                self.states[u].chain.iter().for_each(|&c| folded[c] = true);
                 (0..=u)
                     .filter(|&w| !folded[w])
                     .map(|w| {
                         let AttrSource::Probe { col } = self.states[w].source else {
                             unreachable!("checked above");
                         };
-                        (w, col)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Dedup the factor pairs so each (histogram, column) is looked up
-        // once per probe tuple no matter how many joins it feeds.
-        let mut uniq: Vec<(usize, usize)> = Vec::new();
-        self.factor_idx = self
-            .factors
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .map(|&pair| {
-                        uniq.iter().position(|&q| q == pair).unwrap_or_else(|| {
-                            uniq.push(pair);
+                        uniq.iter().position(|&q| q == (w, col)).unwrap_or_else(|| {
+                            uniq.push((w, col));
                             uniq.len() - 1
                         })
                     })
                     .collect()
             })
             .collect();
-        self.uniq_factors = uniq;
         // The histograms are final from here on, so the largest count of
         // each bounds every lane value the probe pass will read.
-        for u in 0..n {
-            self.states[u].fits_u64 = self.factors[u]
-                .iter()
-                .try_fold(1u64, |bound, &(w, _)| {
-                    bound.checked_mul(self.states[w].hist.max_frequency())
-                })
-                .is_some();
+        for (u, idx) in self.factor_idx.iter().enumerate() {
+            let bound = idx.iter().try_fold(1u64, |bound, &i| {
+                bound.checked_mul(self.states[uniq[i].0].hist.max_frequency())
+            });
+            self.states[u].fits_u64 = bound.is_some();
         }
+        self.uniq_factors = uniq;
         Ok(())
-    }
-
-    /// Whether all builds are done and probe tuples may stream.
-    pub fn ready_to_probe(&self) -> bool {
-        self.phase == Phase::Probing
     }
 
     /// Observe one tuple of the lowest probe stream; updates every join's
     /// estimate (a one-row [`observe_probe_batch`](Self::observe_probe_batch);
-    /// it does not allocate).
+    /// it allocates nothing once the scratch has grown).
     pub fn observe_probe(&mut self, row: &Row) -> QResult<()> {
         self.probe_kernel(1, |c| row.get(c).map(std::slice::from_ref))
     }
@@ -441,14 +391,20 @@ impl PipelineEstimator {
     /// the lowest probe stream; updates every join's estimate. This is the
     /// hot path of the framework: the phase check and the
     /// `core/pipeline/observe_probe` failpoint run once per batch, each
-    /// distinct factor reads its column once, and nothing allocates once
-    /// the lanes have grown to the batch size.
+    /// distinct factor reads its column once at most, and nothing allocates
+    /// once the scratch has grown to the batch size.
     pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
         self.probe_kernel(n, |c| batch_col(cols, c, n))
     }
 
     /// The probe-side kernel; `col_of(c)` yields the `n` values of column
-    /// `c`. Nothing is accumulated unless every lane fills without error.
+    /// `c`. It walks the joins bottom-up over the rows still live. Join `u`'s
+    /// contribution `c_u(r)` counts the join-`u` outputs derived from probe
+    /// row `r`, each extending a join-`j` output of `r` (`j < u`), so
+    /// `c_j(r) = 0` implies `c_u(r) = 0` for every `u > j`: a row is looked
+    /// up and multiplied only up to the first join it misses, and every sum
+    /// is the all-rows product's. Nothing is accumulated unless every lane
+    /// fills without error.
     fn probe_kernel<'a>(
         &mut self,
         n: usize,
@@ -464,16 +420,50 @@ impl PipelineEstimator {
         if n == 0 {
             return Ok(());
         }
-        // (1) One count lane per distinct factor pair, column at a time.
-        self.lanes.resize((self.uniq_factors.len() + 1) * n, 0);
-        let (lanes, prod) = self.lanes.split_at_mut(self.uniq_factors.len() * n);
-        for (&(w, col), lane) in self.uniq_factors.iter().zip(lanes.chunks_exact_mut(n)) {
-            self.states[w].hist.counts_of_column(col_of(col)?, lane)?;
+        self.lanes.resize(self.uniq_factors.len() * n, 0);
+        self.live.resize(n, 0);
+        self.batch_sums.clear();
+        // Every row is live while `live == n`: the selection is then not
+        // materialized, and lanes and products are read contiguously.
+        // After that, `self.live[..live]` are.
+        let (mut live, mut filled) = (n, 0);
+        for (st, idx) in self.states.iter().zip(&self.factor_idx) {
+            // (1) The lanes this join is the lowest user of, at the live
+            // rows, column at a time: join 0's over the whole batch.
+            let sel = (live < n).then(|| &self.live[..live]);
+            let upto = idx.iter().map(|&i| i + 1).fold(filled, usize::max);
+            let lanes = self.lanes[filled * n..].chunks_exact_mut(n);
+            for (&(w, col), lane) in self.uniq_factors[filled..upto].iter().zip(lanes) {
+                let hist = &self.states[w].hist;
+                hist.counts_of_column(col_of(col)?, sel, lane)?;
+            }
+            filled = upto;
+            // (2) Its contributions over the live rows; the rows it keeps
+            // (non-zero product) are the selection for the join above.
+            let (dense, mut kept, mut sums) = (live == n, 0, PowerSums::default());
+            for k in 0..live {
+                let r = if dense { k } else { self.live[k] as usize };
+                let lane = |i: usize| self.lanes[i * n + r];
+                let hit = if st.fits_u64 {
+                    let c = idx.iter().fold(1u64, |c, &i| c * lane(i));
+                    sums.push_u64(c);
+                    c != 0
+                } else {
+                    let c = idx
+                        .iter()
+                        .fold(1u128, |c, &i| c.saturating_mul(lane(i) as u128));
+                    sums.push(c);
+                    c != 0
+                };
+                self.live[kept] = r as u32;
+                kept += usize::from(hit);
+            }
+            sums.push_zeros((n - live) as u64);
+            self.batch_sums.push(sums);
+            live = kept;
         }
-        // (2) Per join, the row-wise product of its lanes.
-        for (st, idx) in self.states.iter_mut().zip(&self.factor_idx) {
-            st.sums
-                .merge(&batch_power_sums(lanes, prod, n, idx, st.fits_u64));
+        for (st, sums) in self.states.iter_mut().zip(&self.batch_sums) {
+            st.sums.merge(sums);
         }
         Ok(())
     }
@@ -498,13 +488,10 @@ impl PipelineEstimator {
         }
     }
 
-    /// Current cardinality estimate for `join` (0 before any probe tuple).
+    /// Current cardinality estimate for `join`, `Σc / t · max(|C|, t)` (0
+    /// before any probe tuple; exactly `Σc` once `t` reaches `|C|`).
     pub fn estimate(&self, join: usize) -> f64 {
-        let sums = &self.states[join].sums;
-        if sums.count() == 0 {
-            return 0.0;
-        }
-        sums.sum() as f64 / sums.count() as f64 * self.probe_size as f64
+        self.states[join].sums.scaled_sum(self.probe_size)
     }
 
     /// Estimates for every join, bottom-up.
@@ -541,6 +528,8 @@ impl PipelineEstimator {
 mod tests {
     use super::*;
     use qprog_types::row;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn int_rows(cols: &[&[i64]]) -> Vec<Row> {
         // cols is column-major: cols[c][r]
@@ -592,7 +581,7 @@ mod tests {
         for j in (0..builds.len()).rev() {
             est.feed_build(j, builds[j].iter()).unwrap();
         }
-        assert!(est.ready_to_probe());
+        assert_eq!(est.phase, Phase::Probing);
         for r in probe {
             est.observe_probe(r).unwrap();
         }
@@ -783,6 +772,19 @@ mod tests {
     }
 
     #[test]
+    fn estimate_never_falls_below_the_output_already_seen() {
+        // The hint under-states the probe stream: past it, the estimate is
+        // the exact running sum, not Σ·hint/t.
+        let mut est = PipelineEstimator::same_attribute(1, 0, 0, 2).unwrap();
+        est.feed_build(0, [row![1i64]].iter()).unwrap();
+        for _ in 0..4 {
+            est.observe_probe(&row![1i64]).unwrap();
+        }
+        assert_eq!(est.estimate(0), 4.0);
+        assert_eq!(est.confidence_interval(0, 4.0).width(), 0.0);
+    }
+
+    #[test]
     fn validation_rejects_bad_sources() {
         // Build source not below the join
         let bad = PipelineEstimator::new(
@@ -837,7 +839,7 @@ mod tests {
         est.build_tuple(0, &row![5i64]).unwrap();
         assert!(est.build_tuple(1, &row![5i64]).is_err());
         est.end_build(0).unwrap();
-        assert!(est.ready_to_probe());
+        assert_eq!(est.phase, Phase::Probing);
         est.observe_probe(&row![5i64]).unwrap();
     }
 
@@ -879,5 +881,234 @@ mod tests {
         est.feed_build(0, b0.iter()).unwrap();
         est.observe_probe(&probe[0]).unwrap();
         assert_eq!(est.estimates(), vec![1.0, 2.0]);
+    }
+
+    /// Key domains of the differential test, eight values each.
+    #[derive(Debug, Clone, Copy)]
+    enum Domain {
+        Int,
+        Str,
+        Mixed,
+    }
+
+    impl Domain {
+        fn value(self, i: i64) -> Value {
+            match self {
+                Domain::Int => Value::Int64(i),
+                Domain::Str => Value::str(format!("k{i}")),
+                Domain::Mixed if i % 2 == 0 => Value::Int64(i),
+                Domain::Mixed => Value::str(format!("k{i}")),
+            }
+        }
+
+        fn pick(rng: &mut StdRng) -> Domain {
+            [Domain::Int, Domain::Str, Domain::Mixed][rng.random_range(0..3usize)]
+        }
+    }
+
+    /// A pipeline of `n` joins: each probes with a column of the probe
+    /// relation (same attribute, Case 1) or with the carried column of a
+    /// lower build no other join draws from (Case 2, cascading when that
+    /// lower join is Case 2 itself).
+    fn random_specs(rng: &mut StdRng, n: usize) -> Vec<JoinSpec> {
+        let mut drawn = vec![false; n];
+        (0..n)
+            .map(|u| {
+                let free: Vec<usize> = (0..u).filter(|&j| !drawn[j]).collect();
+                let probe_attr = if !free.is_empty() && rng.random_range(0..2) == 0 {
+                    let join = free[rng.random_range(0..free.len())];
+                    drawn[join] = true;
+                    AttrSource::Build { join, col: 1 }
+                } else {
+                    AttrSource::Probe {
+                        col: rng.random_range(0..2usize),
+                    }
+                };
+                JoinSpec {
+                    build_attr_col: 0,
+                    probe_attr,
+                }
+            })
+            .collect()
+    }
+
+    /// Every join's contribution from one probe row, as the all-rows kernel
+    /// formed it: the saturating product of the row's counts in all of the
+    /// join's factor histograms.
+    fn naive_contributions(est: &PipelineEstimator, row: &Row) -> Vec<u128> {
+        est.factor_idx
+            .iter()
+            .map(|idx| {
+                idx.iter().fold(1u128, |c, &i| {
+                    let (w, col) = est.uniq_factors[i];
+                    let key = row.key(col).unwrap();
+                    let n = if key.is_null() {
+                        0
+                    } else {
+                        est.states[w].hist.count(&key)
+                    };
+                    c.saturating_mul(n as u128)
+                })
+            })
+            .collect()
+    }
+
+    /// Differential test of the live-row probe kernel: on seeded random
+    /// pipelines (same attribute, Case 1, Case 2 and cascades; joins that
+    /// kill most rows and joins that kill none; NULL, string and mixed
+    /// keys; products beyond `u64`), every batch leaves every join's
+    /// `(n, Σc, Σc²)` equal to the naive all-rows product's, at splits
+    /// {1, 7, 1024}, and converged estimates equal the brute-force join
+    /// sizes.
+    #[test]
+    fn live_row_kernel_matches_all_rows_product() {
+        const HEAVY_ROWS: usize = 1800; // 1800^6 > u64::MAX
+        let mut rng = StdRng::seed_from_u64(0x11fe_0a75);
+        let (mut cascades, mut kill_most, mut kill_none, mut wide, mut strings) = (0, 0, 0, 0, 0);
+        for case in 0..240 {
+            let heavy = case % 40 == 7;
+            let n_joins = if heavy {
+                6
+            } else {
+                rng.random_range(1..=5usize)
+            };
+            let mut specs = random_specs(&mut rng, n_joins);
+            // A heavy derived histogram counts R^(depth + 1), which must
+            // fit its u64 counts: cascades at most three deep.
+            let depth = |specs: &[JoinSpec], mut u: usize| {
+                let mut d = 0;
+                while let AttrSource::Build { join, .. } = specs[u].probe_attr {
+                    (u, d) = (join, d + 1);
+                }
+                d
+            };
+            while heavy && (0..n_joins).any(|u| depth(&specs, u) > 3) {
+                specs = random_specs(&mut rng, n_joins);
+            }
+            cascades += specs
+                .iter()
+                .filter(|s| {
+                    matches!(s.probe_attr, AttrSource::Build { join, .. }
+                        if matches!(specs[join].probe_attr, AttrSource::Build { .. }))
+                })
+                .count();
+            let null_rate = if rng.random_range(0..2) == 0 { 0 } else { 8 };
+            let random_key = |rng: &mut StdRng, dom: Domain, span: i64| {
+                if null_rate > 0 && rng.random_range(0..null_rate) == 0 {
+                    Value::Null
+                } else {
+                    dom.value(rng.random_range(0..span))
+                }
+            };
+            let (builds, probe): (Vec<Vec<Row>>, Vec<Row>) = if heavy {
+                // Every build is one key, so each match multiplies by R.
+                let one = Row::new(vec![Value::Int64(1), Value::Int64(1)]);
+                let probe = (0..rng.random_range(1..40usize))
+                    .map(|_| {
+                        let k = random_key(&mut rng, Domain::Int, 3);
+                        Row::new(vec![k.clone(), k])
+                    })
+                    .collect();
+                (vec![vec![one; HEAVY_ROWS]; n_joins], probe)
+            } else {
+                let probe_dom = [Domain::pick(&mut rng), Domain::pick(&mut rng)];
+                let carried_dom: Vec<Domain> =
+                    (0..n_joins).map(|_| Domain::pick(&mut rng)).collect();
+                let builds = (0..n_joins)
+                    .map(|u| {
+                        let dom = match specs[u].probe_attr {
+                            AttrSource::Probe { col } => probe_dom[col],
+                            AttrSource::Build { join, .. } => carried_dom[join],
+                        };
+                        // Kill most (one key of eight), none (every key at
+                        // least once), or a random subset.
+                        let keys: Vec<i64> = match rng.random_range(0..3) {
+                            0 => vec![0; rng.random_range(1..4usize)],
+                            1 => (0..8)
+                                .chain((0..rng.random_range(0..8usize)).map(|i| i as i64))
+                                .collect(),
+                            _ => (0..rng.random_range(0..16usize))
+                                .map(|_| rng.random_range(0..8i64))
+                                .collect(),
+                        };
+                        keys.into_iter()
+                            .map(|k| {
+                                let carried = random_key(&mut rng, carried_dom[u], 8);
+                                Row::new(vec![dom.value(k), carried])
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let probe = (0..rng.random_range(0..200usize))
+                    .map(|_| {
+                        Row::new(vec![
+                            random_key(&mut rng, probe_dom[0], 8),
+                            random_key(&mut rng, probe_dom[1], 8),
+                        ])
+                    })
+                    .collect();
+                (builds, probe)
+            };
+
+            for split in [1usize, 7, 1024] {
+                let what = format!("case {case} split {split} specs {specs:?}");
+                let mut est = PipelineEstimator::new(specs.clone(), probe.len() as u64).unwrap();
+                for j in (0..n_joins).rev() {
+                    est.feed_build(j, builds[j].iter()).unwrap();
+                }
+                let mut expect = vec![PowerSums::default(); n_joins];
+                for chunk in probe.chunks(split) {
+                    for row in chunk {
+                        for (u, c) in naive_contributions(&est, row).into_iter().enumerate() {
+                            expect[u].push(c);
+                        }
+                    }
+                    let cols: Vec<Vec<Value>> = (0..2)
+                        .map(|c| chunk.iter().map(|r| r.values()[c].clone()).collect())
+                        .collect();
+                    est.observe_probe_batch(&cols, chunk.len()).unwrap();
+                    for (u, st) in est.states.iter().enumerate() {
+                        assert_eq!(st.sums, expect[u], "{what} join {u}");
+                    }
+                }
+                if split > 1 {
+                    continue;
+                }
+                // Coverage of the shapes the generator is meant to mix.
+                let per_row: Vec<Vec<u128>> =
+                    probe.iter().map(|r| naive_contributions(&est, r)).collect();
+                for u in 1..n_joins {
+                    let alive = |j: usize| per_row.iter().filter(|c| c[j] > 0).count();
+                    let (below, here) = (alive(u - 1), alive(u));
+                    kill_most += usize::from(here > 0 && 2 * here < below);
+                    kill_none += usize::from(here > 0 && here == below);
+                }
+                wide += per_row
+                    .iter()
+                    .filter(|c| c.iter().any(|&x| x > u64::MAX as u128))
+                    .count();
+                strings += probe
+                    .iter()
+                    .zip(&per_row)
+                    .filter(|(r, c)| {
+                        c[0] > 0 && r.values().iter().any(|v| matches!(v, Value::Str(_)))
+                    })
+                    .count();
+                if !heavy {
+                    assert!(est.converged(), "{what}");
+                    let truth = brute_force(&probe, &builds, &specs);
+                    for (u, &t) in truth.iter().enumerate() {
+                        assert_eq!(est.estimate(u), t as f64, "{what} join {u}");
+                    }
+                }
+            }
+        }
+        assert!(cascades > 10, "{cascades} cascaded Case-2 joins");
+        assert!(
+            kill_most > 10 && kill_none > 10,
+            "{kill_most} / {kill_none}"
+        );
+        assert!(wide > 10, "{wide} probe rows beyond u64");
+        assert!(strings > 10, "{strings} string-keyed matches");
     }
 }
