@@ -79,6 +79,17 @@ pub fn beta(t: u64, z: f64) -> f64 {
     }
 }
 
+/// `sum` over `n` observations scaled to a population of `size`,
+/// `sum / n · max(size, n)`: exactly `sum` once `n ≥ size`, the observed sum
+/// being a floor (0 when empty).
+pub fn scale_sum(sum: u128, n: u64, size: u64) -> f64 {
+    match n {
+        0 => 0.0,
+        n if n >= size => sum as f64,
+        n => sum as f64 / n as f64 * size as f64,
+    }
+}
+
 /// A symmetric confidence interval around a point estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
@@ -183,16 +194,6 @@ impl PowerSums {
         self.sum
     }
 
-    /// `Σx` scaled to a population of `size`, `Σx / n · max(size, n)`: exactly
-    /// `Σx` once `n ≥ size`, the observed sum being a floor (0 when empty).
-    pub(crate) fn scaled_sum(&self, size: u64) -> f64 {
-        match self.n {
-            0 => 0.0,
-            n if n >= size => self.sum as f64,
-            n => self.sum as f64 / n as f64 * size as f64,
-        }
-    }
-
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
@@ -242,6 +243,17 @@ mod tests {
         let mut sums = PowerSums::default();
         xs.iter().for_each(|&x| sums.push_u64(x));
         sums
+    }
+
+    #[test]
+    fn scale_sum_is_the_sum_itself_once_the_population_is_seen() {
+        // 1/49·49 rounds below 1 in f64: the sum must not go through it.
+        assert_ne!(1.0 / 49.0 * 49.0, 1.0);
+        for size in [0, 1, 48, 49] {
+            assert_eq!(scale_sum(1, 49, size), 1.0, "size {size}");
+        }
+        assert_eq!(scale_sum(1, 2, 4), 2.0);
+        assert_eq!(scale_sum(7, 0, 10), 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use qprog_types::{Key, QResult, Value};
 
-use crate::confidence::{beta, ConfidenceInterval, PowerSums};
+use crate::confidence::{beta, scale_sum, ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Join semantics, oriented around a completed build side `R` and a
@@ -174,7 +174,8 @@ impl OnceJoinEstimator {
     /// produce. Before any probe tuple arrives this is 0 — callers should
     /// keep using the optimizer estimate until `probe_seen` is positive.
     pub fn estimate(&self) -> f64 {
-        self.seen.0.scaled_sum(self.probe_size)
+        let sums = &self.seen.0;
+        scale_sum(sums.sum(), sums.count(), self.probe_size)
     }
 
     /// Whether the estimator has seen the whole probe input and therefore

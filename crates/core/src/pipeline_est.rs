@@ -34,7 +34,7 @@
 
 use qprog_types::{QError, QResult, Row, Value};
 
-use crate::confidence::{ConfidenceInterval, PowerSums};
+use crate::confidence::{scale_sum, ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Where a join's probe-side key comes from, relative to the pipeline's
@@ -491,7 +491,8 @@ impl PipelineEstimator {
     /// Current cardinality estimate for `join`, `Σc / t · max(|C|, t)` (0
     /// before any probe tuple; exactly `Σc` once `t` reaches `|C|`).
     pub fn estimate(&self, join: usize) -> f64 {
-        self.states[join].sums.scaled_sum(self.probe_size)
+        let sums = &self.states[join].sums;
+        scale_sum(sums.sum(), sums.count(), self.probe_size)
     }
 
     /// Estimates for every join, bottom-up.

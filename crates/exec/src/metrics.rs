@@ -137,22 +137,14 @@ pub struct OpMetrics {
 impl OpMetrics {
     /// Fresh counters with an initial (optimizer) total estimate.
     pub fn with_initial_estimate(estimate: f64) -> Arc<Self> {
-        OpMetrics::build(estimate, None)
+        OpMetrics::build(estimate, None, None)
     }
 
-    /// Fresh counters that additionally publish [`TraceEventKind`] events
-    /// for estimate refinements and phase transitions to `bus`, identifying
-    /// this operator as registry index `op`. The initial optimizer estimate
-    /// is traced immediately (with `old = NaN`).
-    pub fn with_initial_estimate_traced(estimate: f64, bus: Arc<EventBus>, op: u32) -> Arc<Self> {
-        OpMetrics::build(estimate, Some(TraceHandle::new(bus, op)))
-    }
-
-    fn build(estimate: f64, trace: Option<TraceHandle>) -> Arc<Self> {
-        OpMetrics::build_governed(estimate, trace, None)
-    }
-
-    fn build_governed(
+    /// Counters that publish [`TraceEventKind`] events for estimate
+    /// refinements and phase transitions through `trace` (the initial
+    /// optimizer estimate is traced immediately, with `old = NaN`) and check
+    /// in with `governor`.
+    fn build(
         estimate: f64,
         trace: Option<TraceHandle>,
         governor: Option<Arc<Governor>>,
@@ -450,18 +442,12 @@ impl MetricsRegistry {
 
     /// Register an operator; returns its metrics handle.
     pub fn register(&mut self, name: impl Into<String>, initial_estimate: f64) -> Arc<OpMetrics> {
+        let op = self.entries.len() as u32;
         let trace = self
             .bus
             .as_ref()
-            .map(|bus| (Arc::clone(bus), self.entries.len() as u32));
-        let m = match trace {
-            Some((bus, op)) => OpMetrics::build_governed(
-                initial_estimate,
-                Some(TraceHandle::new(bus, op)),
-                self.governor.clone(),
-            ),
-            None => OpMetrics::build_governed(initial_estimate, None, self.governor.clone()),
-        };
+            .map(|bus| TraceHandle::new(Arc::clone(bus), op));
+        let m = OpMetrics::build(initial_estimate, trace, self.governor.clone());
         self.entries.push((name.into(), Arc::clone(&m)));
         m
     }
@@ -501,11 +487,6 @@ impl MetricsRegistry {
     /// registered set).
     pub fn total_emitted(&self) -> u64 {
         self.entries.iter().map(|(_, m)| m.emitted()).sum()
-    }
-
-    /// Sum of the current `N_i` estimates across all operators.
-    pub fn total_estimated(&self) -> f64 {
-        self.entries.iter().map(|(_, m)| m.estimated_total()).sum()
     }
 }
 
@@ -579,7 +560,8 @@ mod tests {
         b.record_emitted();
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.total_emitted(), 3);
-        assert_eq!(reg.total_estimated(), 30.0);
+        let estimated: f64 = reg.iter().map(|(_, m)| m.estimated_total()).sum();
+        assert_eq!(estimated, 30.0);
         let names: Vec<&str> = reg.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["scan", "join"]);
         assert!(reg.get(1).is_some());
@@ -605,15 +587,15 @@ mod tests {
         // Batch execution advances counters by whole batches (e.g. 1024 ≫
         // the 64-unit stamp stride); the wall span must still be anchored
         // by the first unit and extended across every boundary crossing.
-        let bus = crate::trace::EventBus::builder().build();
-        let m = OpMetrics::with_initial_estimate_traced(0.0, Arc::clone(&bus), 0);
+        let mut registry = MetricsRegistry::traced(crate::trace::EventBus::builder().build());
+        let m = registry.register("a", 0.0);
         assert_eq!(m.wall_us(), None);
         m.record_emitted_n(1024);
         assert!(m.wall_us().is_some(), "first batch must stamp the span");
         m.record_emitted_n(1024);
         assert!(m.wall_us().is_some());
         // Sub-stride advances past the first unit also keep a valid span.
-        let m2 = OpMetrics::with_initial_estimate_traced(0.0, bus, 1);
+        let m2 = registry.register("b", 0.0);
         m2.record_driver(3);
         assert!(
             m2.wall_us().is_some(),

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::sync::Mutex;
+use qprog_core::confidence::scale_sum;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::join_est::{JoinKind, ProbeFragment};
@@ -319,8 +320,8 @@ impl HashJoin {
     /// histogram and `D_{t+1}` fragments are merged associatively in worker
     /// order, so both the output row order and the converged join estimate
     /// are identical to serial execution. Pipeline-estimated joins
-    /// (Algorithm 1 push-down) always run serial — the shared estimator's
-    /// push-down protocol is order-sensitive.
+    /// (Algorithm 1 push-down) always run serial: the chain's estimator has
+    /// no per-worker fragments to merge until pipelines run on morsels.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -431,7 +432,7 @@ impl HashJoin {
                         w.flushed = (w.frag.seen(), w.frag.matched());
                         let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
                         let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
-                        metrics.set_estimated_total(s as f64 / t as f64 * hint.max(t) as f64);
+                        metrics.set_estimated_total(scale_sum(s.into(), t, hint));
                     }
                     Ok(())
                 },
@@ -668,7 +669,7 @@ mod tests {
     use crate::ops::test_util::{
         assert_double_keys_rejected, drain, int_table, keyed_scan, random_keys,
     };
-    use crate::ops::{PipelineHandle, PipelineShared, TableScan};
+    use crate::ops::TableScan;
     use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
     use qprog_types::Row;
     use qprog_types::{DataType, Value};
@@ -847,20 +848,17 @@ mod tests {
         ];
         let m_lower = OpMetrics::with_initial_estimate(0.0);
         let m_upper = OpMetrics::with_initial_estimate(0.0);
-        let shared: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
-            estimator: PipelineEstimator::new(specs, c.len() as u64).unwrap(),
-            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
-        }));
+        let mut modes = JoinEstimation::pipeline(
+            PipelineEstimator::new(specs, c.len() as u64).unwrap(),
+            vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
+        )
+        .into_iter();
         let lower = HashJoin::new(
             scan1("b", &b),
             scan1("c", &c),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 0,
-                lowest: true,
-            },
+            modes.next().unwrap(),
             Arc::clone(&m_lower),
         );
         let mut upper = HashJoin::new(
@@ -868,11 +866,7 @@ mod tests {
             Box::new(lower),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 1,
-                lowest: false,
-            },
+            modes.next().unwrap(),
             Arc::clone(&m_upper),
         );
         let rows = drain(&mut upper);

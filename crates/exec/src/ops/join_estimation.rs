@@ -4,7 +4,8 @@
 //!
 //! 1. **Build** (hash build / first sort): `begin_build`, one
 //!    `observe_build` per batch, `end_build` — the exact join-key
-//!    histogram `N_R`, or the shared Algorithm-1 estimator's build side.
+//!    histogram `N_R`, or the build side of an Algorithm-1 chain's
+//!    estimator, which then moves on to the join below.
 //! 2. **Probe** (probe partitioning / second sort): `observe_probe_keys`
 //!    and `observe_probe_rows` refine `D_{t+1}`, `publish` makes the
 //!    estimate and its bounds visible, `end_probe` fixes `|S|` — the
@@ -17,6 +18,7 @@
 //! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
 //! everything else about estimation lives here.
 
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use qprog_core::byte::ByteEstimator;
@@ -24,39 +26,17 @@ use qprog_core::dne::DneEstimator;
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::join_est::{JoinKind, OnceJoinEstimator, ProbeFragment};
 use qprog_core::pipeline_est::PipelineEstimator;
-use qprog_types::{QResult, RowBatch, Value};
+use qprog_types::{QError, QResult, RowBatch, Value};
 
 use crate::metrics::OpMetrics;
-use crate::sync::Mutex;
 use crate::trace::DegradeReason;
 
 /// `Z_α` used for published confidence bounds (two-sided 99%).
 const CI_Z: f64 = 2.576;
 
-/// Shared pipeline estimation state: the Algorithm-1 estimator plus the
-/// metrics handle of each join in the pipeline (bottom-up order) for
-/// publishing refined estimates.
-#[derive(Debug)]
-pub struct PipelineShared {
-    /// The push-down estimator (joins indexed bottom-up).
-    pub estimator: PipelineEstimator,
-    /// Metrics of each join, indexed like the estimator's joins.
-    pub metrics: Vec<Arc<OpMetrics>>,
-}
-
-impl PipelineShared {
-    /// Publish every join's current estimate to its metrics handle.
-    pub fn publish(&self) {
-        for (u, m) in self.metrics.iter().enumerate() {
-            if self.estimator.probe_seen() > 0 {
-                m.set_estimated_total(self.estimator.estimate(u));
-            }
-        }
-    }
-}
-
-/// Handle shared by all joins of one pipeline.
-pub type PipelineHandle = Arc<Mutex<PipelineShared>>;
+/// What one join of an Algorithm-1 chain owns at a time: the push-down
+/// estimator and every join's metrics, both indexed bottom-up.
+type ChainState = (PipelineEstimator, Vec<Arc<OpMetrics>>);
 
 /// Which online estimation strategy a hash or sort-merge join runs. The
 /// *probe* input is the hash join's probe side / the merge join's right
@@ -68,12 +48,13 @@ pub enum JoinEstimation {
     /// is the known or optimizer-estimated probe input size.
     Once { probe_size_hint: u64 },
     /// Algorithm-1 pipeline push-down (§4.1.4; §4.1.4.3 for sort-merge
-    /// chains); this join is `join_index` in the shared estimator and
-    /// drives probe observation iff `lowest`.
+    /// chains); this join is `join_index` of the chain's estimator, which
+    /// arrives in `inbox` and leaves through `below` at `end_build` — join
+    /// 0 keeps it and drives the probe pass ([`JoinEstimation::pipeline`]).
     Pipeline {
-        handle: PipelineHandle,
         join_index: usize,
-        lowest: bool,
+        inbox: Receiver<ChainState>,
+        below: Option<Sender<ChainState>>,
     },
     /// Driver-node baseline (driver = probe rows consumed in the join
     /// pass).
@@ -85,15 +66,40 @@ pub enum JoinEstimation {
     },
 }
 
+impl JoinEstimation {
+    /// The modes of an Algorithm-1 chain's joins, bottom-up, one channel per
+    /// edge; the top join's already holds `estimator` and `metrics`.
+    pub fn pipeline(estimator: PipelineEstimator, metrics: Vec<Arc<OpMetrics>>) -> Vec<Self> {
+        let mut below = None;
+        let modes = (0..metrics.len())
+            .map(|join_index| {
+                let (to_this, inbox) = mpsc::channel();
+                let below = below.replace(to_this);
+                Self::Pipeline {
+                    join_index,
+                    inbox,
+                    below,
+                }
+            })
+            .collect();
+        if let Some(to_top) = below {
+            _ = to_top.send((estimator, metrics));
+        }
+        modes
+    }
+}
+
 /// The estimator state a join owns in its current phase.
 enum Stage {
-    /// Nothing of its own: `Off`, `Pipeline` (state lives behind the
-    /// handle), or a baseline before the join pass.
+    /// Nothing of its own: `Off`, a pipeline join that has handed the
+    /// chain's estimator down, or a baseline before the join pass.
     Idle,
     /// `Once`, build phase: the join-key histogram under construction.
     Building(FreqHist),
     /// `Once`, from the end of the build phase on.
     Probing(OnceJoinEstimator),
+    /// `Pipeline`, while this join owns the chain's estimator.
+    Pipeline(PipelineEstimator, Vec<Arc<OpMetrics>>),
     /// Baselines, from the end of the probe phase on.
     Dne(DneEstimator),
     Byte(ByteEstimator),
@@ -116,8 +122,8 @@ impl JoinEstimator {
         }
     }
 
-    /// Whether this join is part of an Algorithm-1 pipeline, whose shared
-    /// push-down protocol is order-sensitive (no parallel drains).
+    /// Whether this join is part of an Algorithm-1 pipeline, whose
+    /// estimator has no per-worker fragments to merge (no parallel drains).
     pub fn is_pipeline(&self) -> bool {
         matches!(self.mode, JoinEstimation::Pipeline { .. })
     }
@@ -128,33 +134,36 @@ impl JoinEstimator {
         matches!(self.stage, Stage::Building(_))
     }
 
+    /// Start the build phase; a pipeline join takes the chain's estimator.
     pub fn begin_build(&mut self) -> QResult<()> {
         match &self.mode {
             JoinEstimation::Once { .. } => self.stage = Stage::Building(FreqHist::new()),
             JoinEstimation::Pipeline {
-                handle, join_index, ..
-            } => handle.lock().estimator.begin_build(*join_index)?,
+                join_index, inbox, ..
+            } => {
+                let (mut estimator, metrics) = inbox
+                    .try_recv()
+                    .map_err(|_| QError::internal("pipeline estimator not handed down"))?;
+                estimator.begin_build(*join_index)?;
+                self.stage = Stage::Pipeline(estimator, metrics);
+            }
             _ => {}
         }
         Ok(())
     }
 
     /// Observe one non-empty build batch, in scan order. Reads columns (the
-    /// kernels skip NULL keys themselves): one kernel call, and for a
-    /// pipeline one shared-state lock, per batch.
+    /// kernels skip NULL keys themselves): one kernel call per batch.
     pub fn observe_build(&mut self, batch: &RowBatch, key_col: usize) -> QResult<()> {
-        if let JoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.mode
-        {
-            handle
-                .lock()
-                .estimator
-                .build_batch(*join_index, batch.cols(), batch.len())?;
-        }
-        if let Stage::Building(hist) = &mut self.stage {
-            hist.observe_column(batch.col(key_col), None)?;
-            self.enforce_hist_budget();
+        match (&mut self.stage, &self.mode) {
+            (Stage::Building(hist), _) => {
+                hist.observe_column(batch.col(key_col), None)?;
+                self.enforce_hist_budget();
+            }
+            (Stage::Pipeline(estimator, _), JoinEstimation::Pipeline { join_index, .. }) => {
+                estimator.build_batch(*join_index, batch.cols(), batch.len())?
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -189,18 +198,27 @@ impl JoinEstimator {
         }
     }
 
+    /// End the build phase; a pipeline join hands the estimator down.
     pub fn end_build(&mut self, kind: JoinKind) -> QResult<()> {
-        if let JoinEstimation::Pipeline {
-            handle, join_index, ..
-        } = &self.mode
-        {
-            handle.lock().estimator.end_build(*join_index)?;
-        }
-        if let JoinEstimation::Once { probe_size_hint } = self.mode {
-            if let Stage::Building(hist) = std::mem::replace(&mut self.stage, Stage::Idle) {
+        match (std::mem::replace(&mut self.stage, Stage::Idle), &self.mode) {
+            (Stage::Building(hist), &JoinEstimation::Once { probe_size_hint }) => {
                 self.stage =
                     Stage::Probing(OnceJoinEstimator::with_kind(hist, probe_size_hint, kind));
             }
+            (
+                Stage::Pipeline(mut estimator, metrics),
+                JoinEstimation::Pipeline {
+                    join_index, below, ..
+                },
+            ) => {
+                estimator.end_build(*join_index)?;
+                match below {
+                    // A join below that is gone has nothing left to estimate.
+                    Some(below) => _ = below.send((estimator, metrics)),
+                    None => self.stage = Stage::Pipeline(estimator, metrics),
+                }
+            }
+            (stage, _) => self.stage = stage,
         }
         Ok(())
     }
@@ -215,28 +233,19 @@ impl JoinEstimator {
         }
     }
 
-    /// Algorithm-1 push-down: the lowest join of a pipeline feeds one
-    /// non-empty probe batch to the shared estimator and publishes every
-    /// join of the chain, under one lock. Any other join observes nothing.
+    /// Algorithm-1 push-down: the join that owns the chain's estimator (join
+    /// 0) feeds it one non-empty probe batch and publishes every join of the
+    /// chain. Any other join observes nothing.
     pub fn observe_probe_rows(&mut self, batch: &RowBatch) -> QResult<()> {
-        if let JoinEstimation::Pipeline {
-            handle,
-            lowest: true,
-            ..
-        } = &self.mode
-        {
-            let mut shared = handle.lock();
-            shared
-                .estimator
-                .observe_probe_batch(batch.cols(), batch.len())?;
-            shared.publish();
+        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
+            estimator.observe_probe_batch(batch.cols(), batch.len())?;
+            publish_chain(estimator, metrics);
         }
         Ok(())
     }
 
     /// Publish the `Once` estimate and its confidence bounds (pipelines
-    /// publish inside [`observe_probe_rows`](Self::observe_probe_rows),
-    /// under the lock they already hold).
+    /// publish inside [`observe_probe_rows`](Self::observe_probe_rows)).
     pub fn publish(&self) {
         if let Stage::Probing(once) = &self.stage {
             self.metrics.set_estimated_total(once.estimate());
@@ -280,16 +289,11 @@ impl JoinEstimator {
             self.metrics.set_estimated_total(exact);
             self.metrics.set_estimated_bounds(exact, exact);
         }
+        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
+            estimator.set_probe_size(probe_rows);
+            publish_chain(estimator, metrics);
+        }
         match self.mode {
-            JoinEstimation::Pipeline {
-                ref handle,
-                lowest: true,
-                ..
-            } => {
-                let mut shared = handle.lock();
-                shared.estimator.set_probe_size(probe_rows);
-                shared.publish();
-            }
             JoinEstimation::Dne { optimizer_estimate } => {
                 self.stage = Stage::Dne(DneEstimator::new(probe_rows, optimizer_estimate));
                 self.metrics.set_estimated_total(optimizer_estimate);
@@ -341,6 +345,15 @@ impl JoinEstimator {
     }
 }
 
+/// Publish every join's current estimate of an Algorithm-1 chain.
+fn publish_chain(estimator: &PipelineEstimator, metrics: &[Arc<OpMetrics>]) {
+    if estimator.probe_seen() > 0 {
+        for (u, m) in metrics.iter().enumerate() {
+            m.set_estimated_total(estimator.estimate(u));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +366,16 @@ mod tests {
     const PROBE: [Option<i64>; 6] = [Some(1), Some(2), Some(2), Some(4), Some(9), None];
     /// Optimizer estimate handed to every join under test.
     const OPTIMIZER: f64 = 13.0;
+
+    impl JoinEstimator {
+        /// Probe rows the chain's estimator has seen, if this join owns it.
+        pub(crate) fn pipeline_probe_seen(&self) -> Option<u64> {
+            match &self.stage {
+                Stage::Pipeline(estimator, _) => Some(estimator.probe_seen()),
+                _ => None,
+            }
+        }
+    }
 
     /// One-column batch of join keys (`None` = NULL).
     fn keys(vals: &[Option<i64>]) -> RowBatch {
@@ -516,32 +539,34 @@ mod tests {
         let c = [Some(1), Some(2), Some(9)];
         let m_lower = OpMetrics::with_initial_estimate(OPTIMIZER);
         let m_upper = OpMetrics::with_initial_estimate(OPTIMIZER);
-        let handle: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
-            estimator: PipelineEstimator::same_attribute(2, 0, 0, 100).unwrap(),
-            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
-        }));
-        let join = |join_index: usize, metrics: &Arc<OpMetrics>| {
-            let mode = JoinEstimation::Pipeline {
-                handle: Arc::clone(&handle),
-                join_index,
-                lowest: join_index == 0,
-            };
-            JoinEstimator::new(mode, Arc::clone(metrics))
-        };
-        let (mut lower, mut upper) = (join(0, &m_lower), join(1, &m_upper));
+        let modes = JoinEstimation::pipeline(
+            PipelineEstimator::same_attribute(2, 0, 0, 100).unwrap(),
+            vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
+        );
+        let mut joins = modes
+            .into_iter()
+            .zip([&m_lower, &m_upper])
+            .map(|(mode, m)| JoinEstimator::new(mode, Arc::clone(m)));
+        let (mut lower, mut upper) = (joins.next().unwrap(), joins.next().unwrap());
         assert!(lower.is_pipeline() && upper.is_pipeline());
+        // The lower join cannot build before the upper one hands it the
+        // estimator.
+        assert!(lower.begin_build().is_err());
         // Execution order: the upper join builds first, then pulls its
         // probe input — the lower join — which builds and probes.
         build_phase(&mut upper, &a, JoinKind::Inner);
         build_phase(&mut lower, &b, JoinKind::Inner);
         assert!(!upper.builds_histogram() && !lower.builds_histogram());
 
+        // The estimator moved down at the upper join's end_build.
+        assert_eq!(upper.pipeline_probe_seen(), None);
+
         assert!(probe_phase(&mut upper, &c, 3).is_empty());
-        assert_eq!(handle.lock().estimator.probe_seen(), 0);
+        assert_eq!(lower.pipeline_probe_seen(), Some(0));
         assert_eq!(m_upper.estimated_total(), OPTIMIZER);
 
         assert!(probe_phase(&mut lower, &c, 3).is_empty());
-        assert_eq!(handle.lock().estimator.probe_seen(), 3);
+        assert_eq!(lower.pipeline_probe_seen(), Some(3));
         // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows
         assert_eq!(m_lower.estimated_total(), 3.0);
         assert_eq!(m_upper.estimated_total(), 4.0);

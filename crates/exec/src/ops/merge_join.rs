@@ -11,8 +11,9 @@
 //! Estimation runs through the same
 //! [driver](crate::ops::join_estimation) as the hash join's: left = build,
 //! right = probe (and, in a chain of sort-merge joins, §4.1.4.3, the lowest
-//! join's right-sort pass drives the shared push-down estimator, so every
-//! join of the chain is refined before any merge output exists).
+//! join's right-sort pass drives the chain's push-down estimator, handed
+//! down to it by the joins above, so every join of the chain is refined
+//! before any merge output exists).
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -349,8 +350,7 @@ mod tests {
     use crate::ops::test_util::{
         assert_double_keys_rejected, drain, drain_batched, int_table, keyed_scan, random_keys,
     };
-    use crate::ops::{PipelineHandle, PipelineShared, TableScan};
-    use crate::sync::Mutex;
+    use crate::ops::TableScan;
     use qprog_core::pipeline_est::PipelineEstimator;
     use qprog_types::{DataType, Row};
     use rand::rngs::StdRng;
@@ -482,6 +482,20 @@ mod tests {
         assert_eq!(m.estimated_total(), 0.0);
     }
 
+    /// The modes of a two-join same-attribute chain on column 0, bottom-up.
+    fn chain_modes(
+        m_lower: &Arc<OpMetrics>,
+        m_upper: &Arc<OpMetrics>,
+        probe_rows: usize,
+    ) -> [JoinEstimation; 2] {
+        let estimator = PipelineEstimator::same_attribute(2, 0, 0, probe_rows as u64).unwrap();
+        let metrics = vec![Arc::clone(m_lower), Arc::clone(m_upper)];
+        let Ok(modes) = JoinEstimation::pipeline(estimator, metrics).try_into() else {
+            unreachable!("one mode per join")
+        };
+        modes
+    }
+
     #[test]
     fn pipeline_mode_two_merge_joins_same_attribute() {
         let a = [1i64, 1, 2];
@@ -489,20 +503,13 @@ mod tests {
         let c = [1i64, 2, 9];
         let m_lower = OpMetrics::with_initial_estimate(0.0);
         let m_upper = OpMetrics::with_initial_estimate(0.0);
-        let shared: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
-            estimator: PipelineEstimator::same_attribute(2, 0, 0, c.len() as u64).unwrap(),
-            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
-        }));
+        let [lower_mode, upper_mode] = chain_modes(&m_lower, &m_upper, c.len());
         let lower = MergeJoin::new(
             scan1("b", &b),
             scan1("c", &c),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 0,
-                lowest: true,
-            },
+            lower_mode,
             Arc::clone(&m_lower),
         );
         let mut upper = MergeJoin::new(
@@ -510,11 +517,7 @@ mod tests {
             Box::new(lower),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 1,
-                lowest: false,
-            },
+            upper_mode,
             Arc::clone(&m_upper),
         );
         let rows = drain(&mut upper);
@@ -524,12 +527,16 @@ mod tests {
         assert_eq!(m_upper.estimated_total(), 4.0);
     }
 
-    /// Passes its child through, recording both joins' published estimates
-    /// the first time the child hands over a batch.
+    /// What [`Tap`] saw at the child's first batch: both joins' published
+    /// estimates and the probe rows the child's pipeline estimator had seen.
+    type FirstBatch = Option<([f64; 2], Option<u64>)>;
+
+    /// Passes a merge join through, recording what it saw the first time the
+    /// join hands over a batch.
     struct Tap {
-        child: BoxedOp,
+        child: MergeJoin,
         watched: [Arc<OpMetrics>; 2],
-        at_first_batch: Arc<std::sync::Mutex<Option<[f64; 2]>>>,
+        at_first_batch: Arc<std::sync::Mutex<FirstBatch>>,
     }
 
     impl Operator for Tap {
@@ -539,10 +546,10 @@ mod tests {
 
         fn next_batch(&mut self, out: &mut RowBatch) -> QResult<BatchStatus> {
             let status = self.child.next_batch(out)?;
-            self.at_first_batch
-                .lock()
-                .unwrap()
-                .get_or_insert_with(|| self.watched.each_ref().map(|m| m.estimated_total()));
+            self.at_first_batch.lock().unwrap().get_or_insert_with(|| {
+                let estimates = self.watched.each_ref().map(|m| m.estimated_total());
+                (estimates, self.child.est.pipeline_probe_seen())
+            });
             Ok(status)
         }
 
@@ -551,8 +558,9 @@ mod tests {
         }
     }
 
-    /// §4.1.4.3: the lowest merge join's right-sort pass drives the shared
-    /// push-down estimator, so every join of the chain is exact before the
+    /// §4.1.4.3: the lowest merge join's right-sort pass drives the chain's
+    /// push-down estimator — handed to it through an operator between the
+    /// two joins — so every join of the chain is exact before the
     /// lowest join emits its first row — not only once `mark_finished`
     /// overwrites the optimizer estimate.
     #[test]
@@ -562,25 +570,18 @@ mod tests {
         let c = [1i64, 2, 9];
         let m_lower = OpMetrics::with_initial_estimate(1.0);
         let m_upper = OpMetrics::with_initial_estimate(1.0);
-        let shared: PipelineHandle = Arc::new(Mutex::new(PipelineShared {
-            estimator: PipelineEstimator::same_attribute(2, 0, 0, c.len() as u64).unwrap(),
-            metrics: vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
-        }));
+        let [lower_mode, upper_mode] = chain_modes(&m_lower, &m_upper, c.len());
         let lower = MergeJoin::new(
             scan1("b", &b),
             scan1("c", &c),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 0,
-                lowest: true,
-            },
+            lower_mode,
             Arc::clone(&m_lower),
         );
         let at_first_batch = Arc::new(std::sync::Mutex::new(None));
         let tap = Tap {
-            child: Box::new(lower),
+            child: lower,
             watched: [Arc::clone(&m_lower), Arc::clone(&m_upper)],
             at_first_batch: Arc::clone(&at_first_batch),
         };
@@ -589,20 +590,20 @@ mod tests {
             Box::new(tap),
             0,
             0,
-            JoinEstimation::Pipeline {
-                handle: Arc::clone(&shared),
-                join_index: 1,
-                lowest: false,
-            },
+            upper_mode,
             Arc::clone(&m_upper),
         );
         let mut src = crate::ops::RowSource::new(&mut upper);
         assert!(src.next_row().unwrap().is_some());
-        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows
-        assert_eq!(*at_first_batch.lock().unwrap(), Some([3.0, 4.0]));
+        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows; the lower
+        // join, which owns the estimator, has seen every probe row
+        let probe_seen = Some(c.len() as u64);
+        assert_eq!(
+            *at_first_batch.lock().unwrap(),
+            Some(([3.0, 4.0], probe_seen))
+        );
         assert!(!m_upper.is_finished());
         assert_eq!(m_upper.estimated_total(), 4.0);
-        assert_eq!(shared.lock().estimator.probe_seen(), c.len() as u64);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use qprog_types::{BatchStatus, QResult, Row, RowBatch, SchemaRef};
 pub use agg::{AggFunc, AggSpec, HashAggregate};
 pub use filter::Filter;
 pub use hash_join::HashJoin;
-pub use join_estimation::{JoinEstimation, PipelineHandle, PipelineShared};
+pub use join_estimation::JoinEstimation;
 pub use limit::Limit;
 pub use merge_join::MergeJoin;
 pub use nl_join::NestedLoopsJoin;

@@ -13,8 +13,8 @@ use qprog_exec::metrics::{MetricsRegistry, OpMetrics};
 use qprog_exec::ops::agg::AggEstimation;
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
 use qprog_exec::ops::{
-    BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, PipelineShared,
-    Project, RowCursor, Sort, TableScan,
+    BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, Project, RowCursor,
+    Sort, TableScan,
 };
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, EventBus, TraceEventKind};
@@ -514,10 +514,12 @@ impl Compiler<'_> {
         let input_pipeline = self.pipelines.new_pipeline();
 
         // §4.2 (end): when grouping on the join attribute of a hash join
-        // directly below, push distinct-value tracking into the join.
+        // directly below, push distinct-value tracking into the join — unless
+        // it tops a pipeline chain, whose upper joins observe no probe keys.
         let pushdown_tracker = if self.opts.mode == EstimationMode::Once
             && group_cols.len() == 1
             && group_col_is_join_key(input, group_cols[0])
+            && collect_join_chain(input, JoinAlgo::Hash).len() == 1
         {
             Some(Arc::new(Mutex::new(DistinctTracker::new(
                 input.estimate.round() as u64,
@@ -582,8 +584,7 @@ impl Compiler<'_> {
                 if self.opts.mode == EstimationMode::Once && *kind == JoinKind::Inner {
                     let chain = collect_join_chain(plan, *algo);
                     if chain.len() >= 2 {
-                        match self.compile_join_chain(&chain, *algo, pipeline, agg_tracker.clone())
-                        {
+                        match self.compile_join_chain(&chain, *algo, pipeline) {
                             Ok(op) => return Ok(op),
                             Err(QError::Estimation(_)) => {
                                 // unsupported pipeline shape (e.g. shared
@@ -721,7 +722,6 @@ impl Compiler<'_> {
         chain: &[&LogicalPlan],
         algo: JoinAlgo,
         pipeline: usize,
-        agg_tracker: Option<Arc<Mutex<DistinctTracker>>>,
     ) -> QResult<BoxedOp> {
         // Resolve the probe-attribute source of each join through column
         // provenance (join output schema = build ++ probe).
@@ -761,16 +761,13 @@ impl Compiler<'_> {
         for &idx in &join_indices {
             self.set_label(idx, "pipeline");
         }
-        let handle = Arc::new(Mutex::new(PipelineShared {
-            estimator,
-            metrics: metrics.clone(),
-        }));
+        let modes = JoinEstimation::pipeline(estimator, metrics.clone());
 
         let lowest_probe_idx = self.registry.len();
         let mut cur: BoxedOp = self.compile(lowest_probe, pipeline)?;
         let lowest_probe_idx = self.chain_root.take().unwrap_or(lowest_probe_idx);
         self.op_inputs[join_indices[0]].push(lowest_probe_idx);
-        for (j, node) in chain.iter().enumerate() {
+        for ((j, node), estimation) in chain.iter().enumerate().zip(modes) {
             let Node::Join { build, .. } = &node.node else {
                 unreachable!("validated above");
             };
@@ -779,15 +776,8 @@ impl Compiler<'_> {
             if j > 0 {
                 self.op_inputs[join_indices[j]].push(join_indices[j - 1]);
             }
-            let estimation = JoinEstimation::Pipeline {
-                handle: Arc::clone(&handle),
-                join_index: j,
-                lowest: j == 0,
-            };
-            // Aggregation push-down attaches to the top join of the chain.
-            let tracker = agg_tracker.clone().filter(|_| j == chain.len() - 1);
             let metrics = Arc::clone(&metrics[j]);
-            cur = self.join_operator(node, build_op, cur, estimation, metrics, tracker)?;
+            cur = self.join_operator(node, build_op, cur, estimation, metrics, None)?;
         }
         // Joins were registered bottom-up, so this subtree's root operator
         // is the LAST chain index, not the first one registered — leave it
@@ -957,22 +947,24 @@ mod tests {
         c
     }
 
-    fn two_join_plan(b: &PlanBuilder) -> LogicalPlan {
-        // region ⋈ (nation ⋈ customer): chain of 2 hash joins on
-        // different attributes, Case 2 flavor (regionkey comes from nation,
-        // the lower build relation).
+    fn two_join_plan(b: &PlanBuilder, algo: JoinAlgo) -> LogicalPlan {
+        // region ⋈ (nation ⋈ customer): chain of 2 joins on different
+        // attributes, Case 2 flavor (regionkey comes from nation, the lower
+        // build relation).
         b.scan("customer")
             .unwrap()
-            .hash_join(
+            .join_build(
                 b.scan("nation").unwrap(),
                 "nation.nationkey",
                 "customer.nationkey",
+                algo,
             )
             .unwrap()
-            .hash_join(
+            .join_build(
                 b.scan("region").unwrap(),
                 "region.regionkey",
                 "nation.regionkey",
+                algo,
             )
             .unwrap()
     }
@@ -990,7 +982,7 @@ mod tests {
     #[test]
     fn results_identical_across_modes() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b);
+        let plan = two_join_plan(&b, JoinAlgo::Hash);
         let counts = run_all_modes(&plan);
         assert!(counts.iter().all(|&c| c == 2000), "{counts:?}");
     }
@@ -998,30 +990,61 @@ mod tests {
     #[test]
     fn pipeline_chain_estimates_converge_early() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b);
-        let mut q = compile(&plan, &PhysicalOptions::with_mode(EstimationMode::Once)).unwrap();
-        // one output row → preprocessing done → both joins exact
-        let first = q.step().unwrap();
-        assert!(first.is_some());
-        let totals: Vec<(String, f64)> = q
-            .registry()
-            .iter()
-            .filter(|(n, _)| *n == "hash_join")
-            .map(|(n, m)| (n.to_string(), m.estimated_total()))
-            .collect();
-        assert_eq!(totals.len(), 2);
-        for (_, t) in &totals {
-            assert_eq!(
-                *t, 2000.0,
-                "join estimates must be exact after preprocessing"
-            );
+        for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
+            let plan = two_join_plan(&b, algo);
+            let mut q = compile(&plan, &PhysicalOptions::with_mode(EstimationMode::Once)).unwrap();
+            // one output row → preprocessing done → both joins exact
+            let first = q.step().unwrap();
+            assert!(first.is_some());
+            let joins: Vec<usize> = (0..q.registry().len())
+                .filter(|&i| q.estimator_labels()[i] == "pipeline")
+                .collect();
+            assert_eq!(joins.len(), 2, "{algo:?}");
+            for (name, m) in joins.iter().map(|&i| q.registry().iter().nth(i).unwrap()) {
+                assert_eq!(name, join_op_name(algo));
+                assert_eq!(
+                    m.estimated_total(),
+                    2000.0,
+                    "{algo:?}: join estimates must be exact after preprocessing"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn aggregation_is_not_pushed_down_over_a_pipeline_chain() {
+        // GROUP BY the top join's probe key: the push-down condition holds,
+        // but the chain's top join observes no probe keys of its own.
+        let b = PlanBuilder::new(catalog());
+        let plan = two_join_plan(&b, JoinAlgo::Hash)
+            .aggregate(&["nation.regionkey"], &[(AggFunc::CountStar, None, "cnt")])
+            .unwrap();
+        let opts = PhysicalOptions {
+            batch_rows: 64,
+            ..PhysicalOptions::with_mode(EstimationMode::Once)
+        };
+        let mut q = compile(&plan, &opts).unwrap();
+        let (name, agg) = q.registry().iter().next().unwrap();
+        assert_eq!(name, "hash_agg");
+        assert_eq!(q.estimator_labels()[0], "gee/mle");
+        let agg = Arc::clone(agg);
+        let consuming = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&consuming);
+        q.on_progress(move |_| {
+            if agg.driver_consumed() > 0 {
+                sink.lock().push(agg.estimated_total());
+            }
+        });
+        assert_eq!(q.collect().unwrap().len(), 5);
+        let consuming = consuming.lock();
+        assert!(!consuming.is_empty());
+        assert!(consuming.iter().all(|&n| n > 0.0), "{consuming:?}");
     }
 
     #[test]
     fn pipelines_are_decomposed() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b);
+        let plan = two_join_plan(&b, JoinAlgo::Hash);
         let q = compile(&plan, &PhysicalOptions::default()).unwrap();
         // root pipeline + one per build side = 3
         assert_eq!(q.pipelines().len(), 3);
@@ -1032,7 +1055,7 @@ mod tests {
     #[test]
     fn progress_reaches_one_at_completion() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b);
+        let plan = two_join_plan(&b, JoinAlgo::Hash);
         let mut q = compile(&plan, &PhysicalOptions::default()).unwrap();
         let tracker = q.tracker();
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -1151,7 +1174,7 @@ mod tests {
     #[test]
     fn dne_and_byte_estimates_converge_by_completion() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b);
+        let plan = two_join_plan(&b, JoinAlgo::Hash);
         for mode in [EstimationMode::Dne, EstimationMode::Byte] {
             let mut q = compile(&plan, &PhysicalOptions::with_mode(mode)).unwrap();
             q.collect().unwrap();
