@@ -20,15 +20,13 @@
 //! | §4.2 Algorithm 3: adaptive recomputation interval | [`interval`] |
 //! | §4.2 `γ²` skew measure and online estimator choice | [`chooser`] |
 //! | §4.2 composed distinct-value tracking | [`distinct`] |
-//! | dne baseline (Chaudhuri et al.) | [`dne`] |
-//! | byte baseline (Luo et al.) | [`byte`] |
+//! | dne (Chaudhuri et al.) and byte (Luo et al.) baselines, as rules over operator counters | [`baseline`] |
 //! | §3/§4.4 `getnext()` model of progress | [`gnm`] |
 
-pub mod byte;
+pub mod baseline;
 pub mod chooser;
 pub mod confidence;
 pub mod distinct;
-pub mod dne;
 pub mod freq_hist;
 pub mod fx;
 pub mod gee;

@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use qprog_core::baseline::Baseline;
 use qprog_types::QResult;
 
 use crate::governor::Governor;
@@ -297,6 +298,14 @@ impl OpMetrics {
         }
     }
 
+    /// Publish `baseline`'s estimate over this operator's own counters:
+    /// `K_out` is [`emitted`](Self::emitted) and `K_driver` is
+    /// [`driver_consumed`](Self::driver_consumed).
+    #[inline]
+    pub fn refine(&self, baseline: &Baseline) {
+        self.set_estimated_total(baseline.estimate(self.emitted(), self.driver_consumed()));
+    }
+
     /// Mark the operator finished (its `N_i` is now exactly `K_i`).
     pub fn mark_finished(&self) {
         let first = !self.finished.swap(true, Ordering::Relaxed);
@@ -527,6 +536,21 @@ mod tests {
         m.mark_finished();
         assert!(m.is_finished());
         assert_eq!(m.estimated_total(), 7.0);
+    }
+
+    #[test]
+    fn baselines_read_the_operators_own_counters() {
+        let m = OpMetrics::with_initial_estimate(42.0);
+        let dne = Baseline::dne(100, 42.0);
+        m.refine(&dne);
+        assert_eq!(m.estimated_total(), 42.0); // the driver has not started
+        m.record_driver(25);
+        m.record_emitted_n(10);
+        m.refine(&dne);
+        assert_eq!(m.estimated_total(), 40.0);
+        m.refine(&Baseline::byte(100, 42.0));
+        // c = 0.25: E = 0.75·42 + 0.25·(10/0.25) = 31.5 + 10
+        assert_eq!(m.estimated_total(), 41.5);
     }
 
     #[test]

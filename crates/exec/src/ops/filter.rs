@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use qprog_core::dne::DneEstimator;
+use qprog_core::baseline::Baseline;
 use qprog_types::{BatchStatus, QResult, RowBatch, SchemaRef};
 
 use crate::expr::Expr;
@@ -18,8 +18,8 @@ pub struct Filter {
     input: BoxedOp,
     predicate: Expr,
     metrics: Arc<OpMetrics>,
-    /// dne refinement over (input consumed, output emitted).
-    dne: Option<DneEstimator>,
+    /// dne over the filter's counters (driver = input rows), once a batch.
+    dne: Option<Baseline>,
     /// Reused input batch; bounded by the output's remaining room so a
     /// fully-selective batch can never overflow `out`.
     scratch: RowBatch,
@@ -42,7 +42,7 @@ impl Filter {
     /// Enable dne refinement given the input size and the optimizer's
     /// output estimate.
     pub fn with_dne(mut self, input_size: u64, optimizer_estimate: f64) -> Self {
-        self.dne = Some(DneEstimator::new(input_size, optimizer_estimate));
+        self.dne = Some(Baseline::dne(input_size, optimizer_estimate));
         self
     }
 }
@@ -65,22 +65,16 @@ impl Operator for Filter {
             let n = scratch.len();
             let mut matched = 0u64;
             for r in 0..n {
-                if let Some(dne) = &mut self.dne {
-                    dne.observe_driver(1);
-                }
                 if self.predicate.eval_predicate_at(scratch, r)? {
                     out.push_from(scratch, r);
                     matched += 1;
-                    if let Some(dne) = &mut self.dne {
-                        dne.observe_output(1);
-                    }
                 }
             }
             if n > 0 {
                 self.metrics.record_driver(n as u64);
                 self.metrics.record_emitted_n(matched);
                 if let Some(dne) = &self.dne {
-                    self.metrics.set_estimated_total(dne.estimate());
+                    self.metrics.refine(dne);
                 }
             }
             if status.is_exhausted() {

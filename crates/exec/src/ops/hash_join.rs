@@ -670,6 +670,7 @@ mod tests {
         assert_double_keys_rejected, drain, int_table, keyed_scan, random_keys,
     };
     use crate::ops::TableScan;
+    use qprog_core::baseline::Rule;
     use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
     use qprog_types::Row;
     use qprog_types::{DataType, Value};
@@ -789,7 +790,8 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Dne {
+            JoinEstimation::Baseline {
+                rule: Rule::Dne,
                 optimizer_estimate: 50.0,
             },
             Arc::clone(&m),
@@ -821,9 +823,9 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Byte {
+            JoinEstimation::Baseline {
+                rule: Rule::Byte,
                 optimizer_estimate: 13.0,
-                probe_row_bytes: 8,
             },
             Arc::clone(&m),
         );

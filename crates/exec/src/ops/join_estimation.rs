@@ -11,8 +11,8 @@
 //!    estimate and its bounds visible, `end_probe` fixes `|S|` — the
 //!    estimate is exact before the first output row.
 //! 3. **Join pass**: `observe_join_pass` charges one output batch's driver
-//!    and emitted rows to the governor, the gnm counters and the dne/byte
-//!    baselines, which only ever watch this phase.
+//!    and emitted rows to the governor and the gnm counters, which a
+//!    dne/byte baseline then reads; baselines only ever watch this phase.
 //!
 //! The operators decide *when* to publish (hash join: every batch boundary;
 //! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
@@ -21,8 +21,7 @@
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
-use qprog_core::byte::ByteEstimator;
-use qprog_core::dne::DneEstimator;
+use qprog_core::baseline::{Baseline, Rule};
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::join_est::{JoinKind, OnceJoinEstimator, ProbeFragment};
 use qprog_core::pipeline_est::PipelineEstimator;
@@ -56,14 +55,9 @@ pub enum JoinEstimation {
         inbox: Receiver<ChainState>,
         below: Option<Sender<ChainState>>,
     },
-    /// Driver-node baseline (driver = probe rows consumed in the join
-    /// pass).
-    Dne { optimizer_estimate: f64 },
-    /// Byte-model baseline.
-    Byte {
-        optimizer_estimate: f64,
-        probe_row_bytes: u64,
-    },
+    /// A dne or byte baseline over the join pass's counters (driver = probe
+    /// rows consumed in the join pass, `N_driver` = the probe row count).
+    Baseline { rule: Rule, optimizer_estimate: f64 },
 }
 
 impl JoinEstimation {
@@ -100,9 +94,9 @@ enum Stage {
     Probing(OnceJoinEstimator),
     /// `Pipeline`, while this join owns the chain's estimator.
     Pipeline(PipelineEstimator, Vec<Arc<OpMetrics>>),
-    /// Baselines, from the end of the probe phase on.
-    Dne(DneEstimator),
-    Byte(ByteEstimator),
+    /// A baseline, from the end of the probe phase on: a rule over the
+    /// join's own counters.
+    Baseline(Baseline),
 }
 
 /// Drives one join's [`JoinEstimation`] through the phases above and
@@ -191,7 +185,8 @@ impl JoinEstimator {
         };
         if self.metrics.hist_budget_exceeded(hist.memory_allocated()) {
             self.stage = Stage::Idle;
-            self.mode = JoinEstimation::Dne {
+            self.mode = JoinEstimation::Baseline {
+                rule: Rule::Dne,
                 optimizer_estimate: self.metrics.estimated_total(),
             };
             self.metrics.trace_degraded(DegradeReason::HistogramMemory);
@@ -293,31 +288,25 @@ impl JoinEstimator {
             estimator.set_probe_size(probe_rows);
             publish_chain(estimator, metrics);
         }
-        match self.mode {
-            JoinEstimation::Dne { optimizer_estimate } => {
-                self.stage = Stage::Dne(DneEstimator::new(probe_rows, optimizer_estimate));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            JoinEstimation::Byte {
+        if let JoinEstimation::Baseline {
+            rule,
+            optimizer_estimate,
+        } = self.mode
+        {
+            self.stage = Stage::Baseline(Baseline {
+                rule,
+                driver_total: probe_rows,
                 optimizer_estimate,
-                probe_row_bytes,
-            } => {
-                self.stage = Stage::Byte(ByteEstimator::new(
-                    probe_rows,
-                    probe_row_bytes,
-                    optimizer_estimate,
-                ));
-                self.metrics.set_estimated_total(optimizer_estimate);
-            }
-            _ => {}
+            });
+            self.metrics.set_estimated_total(optimizer_estimate);
         }
     }
 
     /// Apply one output batch's accumulated bookkeeping: `driver_rows` probe
     /// rows consumed and `emitted_rows` rows emitted since the last call.
-    /// Governor checkpoint, gnm counters and baseline estimators all advance
-    /// by the summed deltas; with capacity-1 batches this runs once per
-    /// tuple, the legacy cadence.
+    /// Governor checkpoint and gnm counters advance by the summed deltas,
+    /// and a baseline is re-read off them; with capacity-1 batches this
+    /// runs once per tuple, the legacy cadence.
     pub fn observe_join_pass(&mut self, driver_rows: u64, emitted_rows: u64) -> QResult<()> {
         if driver_rows == 0 && emitted_rows == 0 {
             return Ok(());
@@ -327,20 +316,9 @@ impl JoinEstimator {
             self.metrics.record_driver(driver_rows);
         }
         self.metrics.record_emitted_n(emitted_rows);
-        let estimate = match &mut self.stage {
-            Stage::Dne(dne) => {
-                dne.observe_driver(driver_rows);
-                dne.observe_output(emitted_rows);
-                dne.estimate()
-            }
-            Stage::Byte(byte) => {
-                byte.observe_input_rows(driver_rows);
-                byte.observe_output_rows(emitted_rows);
-                byte.estimate()
-            }
-            _ => return Ok(()),
-        };
-        self.metrics.set_estimated_total(estimate);
+        if let Stage::Baseline(baseline) = &self.stage {
+            self.metrics.refine(baseline);
+        }
         Ok(())
     }
 }
@@ -451,13 +429,10 @@ mod tests {
 
     #[test]
     fn baselines_watch_only_the_join_pass() {
-        let dne = JoinEstimation::Dne {
+        let [dne, byte] = [Rule::Dne, Rule::Byte].map(|rule| JoinEstimation::Baseline {
+            rule,
             optimizer_estimate: OPTIMIZER,
-        };
-        let byte = JoinEstimation::Byte {
-            optimizer_estimate: OPTIMIZER,
-            probe_row_bytes: 8,
-        };
+        });
         // Halfway through the driver with 2 of 4 rows out: dne extrapolates
         // 2 / 0.5, byte blends that with the optimizer estimate.
         for (mode, halfway) in [(JoinEstimation::Off, OPTIMIZER), (dne, 4.0), (byte, 8.5)] {

@@ -351,6 +351,7 @@ mod tests {
         assert_double_keys_rejected, drain, drain_batched, int_table, keyed_scan, random_keys,
     };
     use crate::ops::TableScan;
+    use qprog_core::baseline::Rule;
     use qprog_core::pipeline_est::PipelineEstimator;
     use qprog_types::{DataType, Row};
     use rand::rngs::StdRng;
@@ -441,7 +442,8 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Dne {
+            JoinEstimation::Baseline {
+                rule: Rule::Dne,
                 optimizer_estimate: 7.0,
             },
             Arc::clone(&m),
@@ -616,9 +618,9 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Byte {
+            JoinEstimation::Baseline {
+                rule: Rule::Byte,
                 optimizer_estimate: 9.0,
-                probe_row_bytes: 16,
             },
             Arc::clone(&m),
         );

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use qprog_core::dne::DneEstimator;
+use qprog_core::baseline::Baseline;
 use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef};
 
 use crate::expr::Expr;
@@ -31,7 +31,8 @@ pub struct NestedLoopsJoin {
     condition: NlCondition,
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
-    dne: Option<DneEstimator>,
+    /// dne over the join's counters (driver = outer rows).
+    dne: Option<Baseline>,
     /// The materialized inner input.
     inner_rows: RowBatch,
     /// The outer input, pulled a batch at a time and taken a row at a
@@ -77,7 +78,7 @@ impl NestedLoopsJoin {
     /// Enable dne refinement given the outer input size and the optimizer's
     /// output estimate.
     pub fn with_dne(mut self, outer_size: u64, optimizer_estimate: f64) -> Self {
-        self.dne = Some(DneEstimator::new(outer_size, optimizer_estimate));
+        self.dne = Some(Baseline::dne(outer_size, optimizer_estimate));
         self
     }
 
@@ -147,9 +148,8 @@ impl NestedLoopsJoin {
         let row = self.outer_rows.advance(|buf| outer.next_batch(buf))?;
         if row.is_some() {
             self.metrics.record_driver(1);
-            if let Some(dne) = &mut self.dne {
-                dne.observe_driver(1);
-                self.metrics.set_estimated_total(dne.estimate());
+            if let Some(dne) = &self.dne {
+                self.metrics.refine(dne);
             }
         }
         Ok(row)
@@ -189,9 +189,8 @@ impl Operator for NestedLoopsJoin {
                 self.inner_pos += 1;
                 if self.join_pair(outer, i, out)? {
                     self.metrics.record_emitted();
-                    if let Some(dne) = &mut self.dne {
-                        dne.observe_output(1);
-                        self.metrics.set_estimated_total(dne.estimate());
+                    if let Some(dne) = &self.dne {
+                        self.metrics.refine(dne);
                     }
                 }
             }

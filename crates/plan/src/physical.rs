@@ -3,6 +3,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use qprog_core::baseline::Rule;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::gnm::ProgressSnapshot;
 use qprog_core::join_est::JoinKind;
@@ -610,12 +611,13 @@ impl Compiler<'_> {
                     EstimationMode::Once => JoinEstimation::Once {
                         probe_size_hint: probe.estimate.round() as u64,
                     },
-                    EstimationMode::Dne => JoinEstimation::Dne {
+                    EstimationMode::Dne => JoinEstimation::Baseline {
+                        rule: Rule::Dne,
                         optimizer_estimate: plan.estimate,
                     },
-                    EstimationMode::Byte => JoinEstimation::Byte {
+                    EstimationMode::Byte => JoinEstimation::Baseline {
+                        rule: Rule::Byte,
                         optimizer_estimate: plan.estimate,
-                        probe_row_bytes: row_bytes(probe),
                     },
                 };
                 self.join_operator(plan, build_op, probe_op, estimation, m, agg_tracker)
@@ -867,11 +869,6 @@ fn group_col_is_join_key(input: &LogicalPlan, g: usize) -> bool {
     (g < build_arity && g == *build_key) || (g >= build_arity && g - build_arity == *probe_key)
 }
 
-/// Fixed-width byte estimate of a plan's rows (for the byte baseline).
-fn row_bytes(plan: &LogicalPlan) -> u64 {
-    (plan.schema.arity() as u64) * 8
-}
-
 /// Rewrite a theta predicate from (build ++ probe) indexing to exec's
 /// (outer=probe ++ inner=build) indexing.
 fn remap_theta(
@@ -948,11 +945,14 @@ mod tests {
     }
 
     fn two_join_plan(b: &PlanBuilder, algo: JoinAlgo) -> LogicalPlan {
-        // region ⋈ (nation ⋈ customer): chain of 2 joins on different
-        // attributes, Case 2 flavor (regionkey comes from nation, the lower
-        // build relation).
-        b.scan("customer")
-            .unwrap()
+        two_joins_over(b, b.scan("customer").unwrap(), algo)
+    }
+
+    /// region ⋈ (nation ⋈ `customer`): chain of 2 joins on different
+    /// attributes, Case 2 flavor (regionkey comes from nation, the lower
+    /// build relation).
+    fn two_joins_over(b: &PlanBuilder, customer: LogicalPlan, algo: JoinAlgo) -> LogicalPlan {
+        customer
             .join_build(
                 b.scan("nation").unwrap(),
                 "nation.nationkey",
@@ -1172,15 +1172,61 @@ mod tests {
     }
 
     #[test]
-    fn dne_and_byte_estimates_converge_by_completion() {
+    fn baseline_estimates_are_rules_over_the_published_counters() {
+        // Every N̂ a dne or byte operator publishes is its rule over the
+        // counters published beside it, bit for bit, up to the exact total
+        // at completion. The filter runs dne in both modes.
+        use qprog_core::baseline::Baseline;
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b, JoinAlgo::Hash);
-        for mode in [EstimationMode::Dne, EstimationMode::Byte] {
-            let mut q = compile(&plan, &PhysicalOptions::with_mode(mode)).unwrap();
-            q.collect().unwrap();
-            for (name, m) in q.registry().iter() {
-                if name == "hash_join" {
-                    assert_eq!(m.estimated_total(), 2000.0, "{mode:?}");
+        let half = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(1000i64));
+        for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
+            let customer = b.scan("customer").unwrap().filter(half.clone()).unwrap();
+            let plan = two_joins_over(&b, customer, algo);
+            for mode in [EstimationMode::Dne, EstimationMode::Byte] {
+                let opts = PhysicalOptions {
+                    batch_rows: 64,
+                    ..PhysicalOptions::with_mode(mode)
+                };
+                let mut q = compile(&plan, &opts).unwrap();
+                let ops: Vec<(usize, Rule, Arc<OpMetrics>)> = (0..q.registry().len())
+                    .filter_map(|i| {
+                        let rule = match q.estimator_labels()[i] {
+                            "dne" => Rule::Dne,
+                            "byte" => Rule::Byte,
+                            _ => return None,
+                        };
+                        Some((i, rule, Arc::clone(q.registry().get(i).unwrap())))
+                    })
+                    .collect();
+                assert_eq!(ops.len(), 3, "{algo:?} {mode:?}: filter and two joins");
+                let published = Arc::new(Mutex::new(Vec::new()));
+                let (sink, watched) = (Arc::clone(&published), ops.clone());
+                q.on_progress(move |_| {
+                    let mut sink = sink.lock();
+                    for (i, _, m) in &watched {
+                        sink.push((*i, m.emitted(), m.driver_consumed(), m.estimated_total()));
+                    }
+                });
+                assert_eq!(q.collect().unwrap().len(), 1000);
+                let published = published.lock();
+                assert!(published.len() > 30, "{algo:?} {mode:?}");
+                for &(i, k_out, k_driver, n_hat) in published.iter() {
+                    let (_, rule, m) = ops.iter().find(|(j, ..)| *j == i).unwrap();
+                    // Every driver is consumed to its end, whose size the
+                    // optimizer (filter) or the probe phase (joins) knew.
+                    let rule = Baseline {
+                        rule: *rule,
+                        driver_total: m.driver_consumed(),
+                        optimizer_estimate: q.initial_estimates()[i],
+                    };
+                    assert_eq!(
+                        n_hat.to_bits(),
+                        rule.estimate(k_out, k_driver).to_bits(),
+                        "{algo:?} {mode:?} op {i} at ({k_out}, {k_driver})"
+                    );
+                }
+                for (i, _, m) in &ops {
+                    assert_eq!(m.estimated_total(), 1000.0, "{algo:?} {mode:?} op {i}");
                 }
             }
         }

@@ -4,11 +4,11 @@
 
 use std::sync::Arc;
 
+use qprog::core::baseline::Baseline;
 use qprog::core::chooser::EstimatorChoice;
 use qprog::core::distinct::DistinctTracker;
 use qprog::core::freq_hist::FreqHist;
 use qprog::core::join_est::OnceJoinEstimator;
-use qprog::core::{byte::ByteEstimator, dne::DneEstimator};
 use qprog_types::Key;
 
 fn keys_of(table: &qprog_storage::Table, col: usize) -> Vec<Key> {
@@ -82,13 +82,13 @@ fn dne_unstable_on_clustered_output_once_is_not() {
         Key::Int(i) => *i,
         _ => 0,
     });
-    let mut dne = DneEstimator::new(s.len() as u64, truth / 13.0);
+    let dne = Baseline::dne(s.len() as u64, truth / 13.0);
     let mut dne_worst_late_ratio = 1.0f64;
+    let mut output_seen = 0;
     for (i, k) in clustered.iter().enumerate() {
-        dne.observe_driver(1);
-        dne.observe_output(hist.count(k));
+        output_seen += hist.count(k);
         if i >= 2_000 && i < clustered.len() - 100 {
-            let ratio = dne.estimate() / truth;
+            let ratio = dne.estimate(output_seen, i as u64 + 1) / truth;
             dne_worst_late_ratio = dne_worst_late_ratio.max(ratio.max(1.0 / ratio));
         }
     }
@@ -108,28 +108,15 @@ fn byte_converges_slowly_from_bad_optimizer_estimate() {
     let truth = 100_000.0f64;
     let optimizer = truth / 13.0; // the paper's observed 13× error
     let n = 10_000u64;
-    let per_row = truth / n as f64;
-    let mut byte = ByteEstimator::new(n, 8, optimizer);
-    let mut rows_done = 0u64;
-    let mut outputs = 0.0f64;
-    // halfway through, byte should still be pulled toward the optimizer
-    while rows_done < n / 2 {
-        byte.observe_input_rows(1);
-        rows_done += 1;
-        outputs += per_row;
-        byte.observe_output_rows((outputs - byte.output_seen() as f64) as u64);
-    }
-    let mid = byte.estimate();
+    let byte = Baseline::byte(n, optimizer);
+    // Output arrives uniformly. Halfway through, byte should still be
+    // pulled toward the optimizer.
+    let mid = byte.estimate((truth / 2.0) as u64, n / 2);
     assert!(
         mid < 0.8 * truth,
         "byte at 50% should still underestimate: {mid} vs {truth}"
     );
-    while rows_done < n {
-        byte.observe_input_rows(1);
-        rows_done += 1;
-        byte.observe_output_rows(per_row as u64);
-    }
-    let end = byte.estimate();
+    let end = byte.estimate(truth as u64, n);
     assert!((end / truth - 1.0).abs() < 0.05, "end {end}");
 }
 
