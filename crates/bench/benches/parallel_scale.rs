@@ -5,9 +5,10 @@
 //! converged join estimates are bit-identical to the serial run and
 //! progress quality does not regress.
 //!
-//! TPC-H Q8 is reported for context only: its joins run under pipelined
-//! estimation, whose drains stay serial by design, so no speedup is
-//! expected there.
+//! TPC-H Q8 is reported for context only (not gated): its seven joins share
+//! one Algorithm-1 pipeline estimator, whose per-worker fragments let the
+//! `lineitem` probe drain and the splittable build drains run in chunks
+//! too; everything above the lowest join's probe drain stays serial.
 //!
 //! Results are written to **`BENCH_parallel.json`** at the repo root so CI
 //! can archive the scaling trajectory. Set `QPROG_PARALLEL_MIN_SPEEDUP`
@@ -82,7 +83,7 @@ fn skew_join_workload(scale: Scale) -> Workload {
     }
 }
 
-/// TPC-H Q8 (pipelined estimation — drains stay serial by design).
+/// TPC-H Q8 (pipelined estimation; its scan-fed drains run in chunks).
 fn q8_workload(scale: Scale) -> Workload {
     let catalog = TpchGenerator::new(TpchConfig {
         scale: scale.q8_sf(),
@@ -280,7 +281,7 @@ fn main() {
          reproduction's extension, constrained to keep §4's estimators \
          bit-identical to serial (mergeable FreqHist fragments)",
         "expect: near-linear I/O overlap on the partitioned skew join; Q8 \
-         flat (pipelined estimation keeps its drains serial by design)",
+         gains only on its scan-fed drains (the join pass stays serial)",
         "expect: converged join estimates identical at every thread count",
     ]);
 

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qprog::monitor::{PhaseSink, QueryDirectory};
+use qprog::monitor::QueryDirectory;
 use qprog::obs::{Corpus, CorpusConfig, ProgressScore, RunMeta};
 use qprog::plan::physical::{compile, compile_traced, CompiledQuery, PhysicalOptions};
 use qprog::plan::{LogicalPlan, PlanBuilder};
@@ -137,21 +137,17 @@ fn time_configs(plan: &LogicalPlan, mode: EstimationMode, runs: usize) -> Vec<Du
             let bus = EventBus::builder().sink(sink as _).build();
             drain(compile_traced(plan, &popts, Some(bus)).expect("compile"));
         }),
-        // monitor: metrics + phase tracking + live directory registration
-        // (whose progress cell subscribes to the query's publications),
-        // i.e. everything the HTTP monitor needs.
+        // monitor: metrics + live directory registration (whose progress
+        // cell subscribes to the query's publications; phases are read off
+        // the operators' counters), i.e. everything the HTTP monitor needs.
         Box::new(|| {
             let sink = Arc::new(MetricsSink::new(
                 Arc::clone(&monitor_registry),
                 mode.label(),
             ));
-            let phases = Arc::new(PhaseSink::new());
-            let bus = EventBus::builder()
-                .sink(sink as _)
-                .sink(Arc::clone(&phases) as _)
-                .build();
+            let bus = EventBus::builder().sink(sink as _).build();
             let mut q = compile_traced(plan, &popts, Some(bus)).expect("compile");
-            let monitored = directory.register("scorecard", mode.label(), &q, phases, None);
+            let monitored = directory.register("scorecard", mode.label(), &q, None);
             q.collect().expect("workload run");
             drop(monitored);
         }),
@@ -512,7 +508,7 @@ fn main() {
         "expect: once converges earliest with the lowest mean error; dne \
          runs ahead under skew; byte tracks once but weights wide rows more",
         "expect: trace < metrics < monitor overhead ordering, all small; \
-         the JSONL trace pays encoding, the monitor adds phase tracking",
+         the JSONL trace pays encoding, the monitor adds its directory entry",
     ]);
 
     // Hard gate: the reporting layer clamps published fractions to their

@@ -22,7 +22,7 @@
 
 use qprog_types::{Key, QResult, Value};
 
-use crate::confidence::{beta, scale_sum, ConfidenceInterval, PowerSums};
+use crate::confidence::{scale_sum, ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
 
 /// Join semantics, oriented around a completed build side `R` and a
@@ -69,11 +69,6 @@ impl JoinKind {
             JoinKind::Anti => u64::from(n == 0),
         }
     }
-
-    /// Whether the output carries the build relation's columns.
-    pub fn emits_build_columns(self) -> bool {
-        matches!(self, JoinKind::Inner | JoinKind::LeftOuter)
-    }
 }
 
 /// The paper's online cardinality estimator ("once") for a binary equi-join
@@ -96,11 +91,9 @@ impl JoinKind {
 #[derive(Debug, Clone)]
 pub struct OnceJoinEstimator {
     build: FreqHist,
-    probe_size: u64,
     kind: JoinKind,
-    /// `(t, Σ contribution, Σ contribution²)` over the probe tuples
-    /// observed so far, null-key tuples included.
-    seen: ProbeFragment,
+    /// The probe tuples observed so far, null-key tuples included.
+    totals: ProbeTotals,
     /// Reused scratch: the build-side multiplicities of the last batch.
     counts: Vec<u64>,
 }
@@ -116,9 +109,8 @@ impl OnceJoinEstimator {
     pub fn with_kind(build: FreqHist, probe_size: u64, kind: JoinKind) -> Self {
         OnceJoinEstimator {
             build,
-            probe_size,
             kind,
-            seen: ProbeFragment::new(),
+            totals: ProbeTotals::new(probe_size),
             counts: Vec::new(),
         }
     }
@@ -128,17 +120,14 @@ impl OnceJoinEstimator {
         OnceJoinEstimator::new(keys.into_iter().collect(), probe_size)
     }
 
-    /// The build-side histogram (e.g. for pushing aggregation estimation
-    /// down into the join, §4.2 end).
-    pub fn build_histogram(&self) -> &FreqHist {
-        &self.build
-    }
-
     /// Observe one probe tuple's join key and return its build-side
     /// multiplicity `N_R[key]` (NULL keys never equi-join and count as 0).
     /// The running estimate accumulates this kind's contribution function.
     pub fn observe_probe(&mut self, key: &Key) -> u64 {
-        self.seen.observe(&self.build, self.kind, key)
+        let mut fragment = ProbeFragment::new();
+        let n = fragment.observe(&self.build, self.kind, key);
+        self.totals.absorb(&fragment);
+        n
     }
 
     /// Observe a column of probe-side join keys, in order, and return their
@@ -147,88 +136,125 @@ impl OnceJoinEstimator {
     /// state as observing the rows one by one. A DOUBLE key raises the
     /// type error of [`Key::from_value`] and observes nothing.
     pub fn observe_probe_batch(&mut self, keys: &[Value]) -> QResult<&[u64]> {
-        self.seen
-            .observe_batch(&self.build, self.kind, keys, &mut self.counts)?;
+        let mut fragment = ProbeFragment::new();
+        fragment.observe_batch(&self.build, self.kind, keys, &mut self.counts)?;
+        self.totals.absorb(&fragment);
         Ok(&self.counts)
     }
 
-    /// Revise the probe input size (e.g. when `|S|` was itself an estimate
-    /// refined upstream).
+    /// See [`ProbeTotals::set_probe_size`].
+    pub fn set_probe_size(&mut self, probe_size: u64) {
+        self.totals.set_probe_size(probe_size);
+    }
+
+    /// See [`ProbeTotals::probe_seen`].
+    pub fn probe_seen(&self) -> u64 {
+        self.totals.probe_seen()
+    }
+
+    /// See [`ProbeTotals::matched_so_far`].
+    pub fn matched_so_far(&self) -> u128 {
+        self.totals.matched_so_far()
+    }
+
+    /// See [`ProbeTotals::estimate`]; callers should keep using the
+    /// optimizer estimate until `probe_seen` is positive.
+    pub fn estimate(&self) -> f64 {
+        self.totals.estimate()
+    }
+
+    /// See [`ProbeTotals::converged`].
+    pub fn converged(&self) -> bool {
+        self.totals.converged()
+    }
+
+    /// See [`ProbeTotals::confidence_interval`].
+    pub fn confidence_interval(&self, z: f64) -> ConfidenceInterval {
+        self.totals.confidence_interval(z)
+    }
+}
+
+/// The running totals of one join's probe pass: the power sums of the
+/// per-probe-tuple contributions folded in so far, and the probe-size hint
+/// `|S|` that scales them. Workers observe slices of the probe stream into
+/// private [`ProbeFragment`]s and fold them in here; the whole state is
+/// the integer triple `(t, Σc, Σc²)`, so fragments cut at any offset and
+/// folded in any order leave bit-equal estimates and intervals.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProbeTotals {
+    sums: PowerSums,
+    probe_size: u64,
+}
+
+impl ProbeTotals {
+    /// Empty totals for a probe input of (known or estimated) size `|S|`.
+    pub fn new(probe_size: u64) -> Self {
+        ProbeTotals {
+            sums: PowerSums::default(),
+            probe_size,
+        }
+    }
+
+    /// Fold in a fragment's probe tuples.
+    pub fn absorb(&mut self, fragment: &ProbeFragment) {
+        self.sums.merge(&fragment.0);
+    }
+
+    /// Probe tuples folded in so far.
+    pub fn probe_seen(&self) -> u64 {
+        self.sums.count()
+    }
+
+    /// Exact number of join output tuples attributable to the probe tuples
+    /// folded in so far (the estimate's numerator before scaling).
+    pub fn matched_so_far(&self) -> u128 {
+        self.sums.sum()
+    }
+
+    /// Revise the probe input size (e.g. to the exact count once the input
+    /// is exhausted).
     pub fn set_probe_size(&mut self, probe_size: u64) {
         self.probe_size = probe_size;
     }
 
-    /// Probe tuples observed so far.
-    pub fn probe_seen(&self) -> u64 {
-        self.seen.seen()
-    }
-
-    /// Exact number of join output tuples attributable to the probe tuples
-    /// seen so far (the estimate's numerator before scaling).
-    pub fn matched_so_far(&self) -> u128 {
-        self.seen.matched()
-    }
-
-    /// Current estimate `D_t = Σ/t · max(|S|, t)`: once `t` reaches the
-    /// probe-size hint it is exactly `Σ`, the output the rows seen certainly
-    /// produce. Before any probe tuple arrives this is 0 — callers should
-    /// keep using the optimizer estimate until `probe_seen` is positive.
+    /// `D_t = Σ/t · max(|S|, t)`: 0 before any probe tuple, and once `t`
+    /// reaches the hint exactly `Σ`, the output the rows seen certainly
+    /// produce.
     pub fn estimate(&self) -> f64 {
-        let sums = &self.seen.0;
-        scale_sum(sums.sum(), sums.count(), self.probe_size)
+        scale_sum(self.sums.sum(), self.sums.count(), self.probe_size)
     }
 
-    /// Whether the estimator has seen the whole probe input and therefore
-    /// reports the exact join cardinality.
+    /// Whether the whole probe input has been folded in, so the estimate is
+    /// the exact join cardinality.
     pub fn converged(&self) -> bool {
-        self.seen.seen() >= self.probe_size
+        self.probe_seen() >= self.probe_size
     }
 
     /// CLT confidence interval for `D_t` at the two-sided level implied by
-    /// `z` (e.g. `z = z_alpha(0.99)`): `|S| · (x̄ ± z·σ̂/√t)`.
+    /// `z` (e.g. `z = z_alpha(0.99)`): `|S| · (x̄ ± z·σ̂/√t)`, collapsed
+    /// onto the estimate once converged.
     pub fn confidence_interval(&self, z: f64) -> ConfidenceInterval {
         if self.converged() {
-            // exact: the remaining-sampling variance is zero
             return ConfidenceInterval::around(self.estimate(), 0.0);
         }
-        let mean_ci = self.seen.0.mean_ci(z);
+        let mean_ci = self.sums.mean_ci(z);
         ConfidenceInterval {
             estimate: self.estimate(),
             lo: mean_ci.lo * self.probe_size as f64,
             hi: mean_ci.hi * self.probe_size as f64,
         }
     }
-
-    /// The paper's distribution-free half-width bound `β = z/(2√t)` on the
-    /// per-value fraction estimates underlying `D_t`.
-    pub fn beta(&self, z: f64) -> f64 {
-        beta(self.seen.seen(), z)
-    }
-
-    /// Fold a worker-private [`ProbeFragment`] into this estimator, as if
-    /// its probe tuples had been observed here via
-    /// [`observe_probe`](Self::observe_probe).
-    ///
-    /// The whole state is the integer triple `(t, Σc, Σc²)`, and integer
-    /// addition is associative and commutative, so fragments may be
-    /// absorbed in any order and cut at any offset: the estimate *and* its
-    /// mid-flight confidence interval are bit-equal to the serial
-    /// accumulation's, and once every probe tuple is accounted for
-    /// (`t == |S|`) [`estimate`](Self::estimate) returns `sum as f64`.
-    pub fn absorb(&mut self, fragment: &ProbeFragment) {
-        self.seen.merge(fragment);
-    }
 }
 
-/// Worker-private probe-side accumulation for partition-parallel execution.
+/// Worker-private probe-side accumulation.
 ///
 /// Each worker observes its slice of the probe stream against the shared
 /// (completed, read-only) build histogram, accumulating the power sums of
-/// the per-tuple contributions (`t = n`, `Σ contribution = Σx`) the serial
-/// estimator keeps. Fragments merge by integer addition into each other and
-/// into an [`OnceJoinEstimator`] via [`OnceJoinEstimator::absorb`].
+/// the per-tuple contributions (`t = n`, `Σ contribution = Σx`), and folds
+/// them into the join's [`ProbeTotals`]. Fragments also merge by integer
+/// addition into each other.
 #[derive(Debug, Clone, Default)]
-pub struct ProbeFragment(PowerSums);
+pub struct ProbeFragment(pub(crate) PowerSums);
 
 impl ProbeFragment {
     /// An empty fragment.
@@ -237,8 +263,7 @@ impl ProbeFragment {
     }
 
     /// Observe one probe tuple against the shared build histogram,
-    /// returning its build-side multiplicity (NULL keys count as 0) —
-    /// the worker-side mirror of [`OnceJoinEstimator::observe_probe`].
+    /// returning its build-side multiplicity (NULL keys count as 0).
     pub fn observe(&mut self, build: &FreqHist, kind: JoinKind, key: &Key) -> u64 {
         let n = if key.is_null() { 0 } else { build.count(key) };
         self.0.push_u64(kind.contribution(n));
@@ -247,8 +272,8 @@ impl ProbeFragment {
 
     /// Observe a column of probe-side join keys against the shared build
     /// histogram, in order, leaving their build-side multiplicities in
-    /// `counts` (resized to one per row) — the worker-side mirror of
-    /// [`OnceJoinEstimator::observe_probe_batch`].
+    /// `counts` (resized to one per row). A DOUBLE key raises the type
+    /// error of [`Key::from_value`] and observes nothing.
     pub fn observe_batch(
         &mut self,
         build: &FreqHist,
@@ -267,16 +292,6 @@ impl ProbeFragment {
     /// Probe tuples this fragment has observed.
     pub fn seen(&self) -> u64 {
         self.0.count()
-    }
-
-    /// Exact `Σ contribution` over this fragment's probe tuples.
-    pub fn matched(&self) -> u128 {
-        self.0.sum()
-    }
-
-    /// Fold another fragment into this one (associative and commutative).
-    pub fn merge(&mut self, other: &ProbeFragment) {
-        self.0.merge(&other.0);
     }
 }
 
@@ -398,11 +413,12 @@ mod tests {
         let r = [1i64, 1, 1, 2, 5, 5];
         let s = [1i64, 5, 2, 2, 1, 9, 5, 5];
         let build = keys(&r);
+        let histogram: FreqHist = build.iter().collect();
         let mut est = OnceJoinEstimator::from_build_keys(build.iter(), s.len() as u64);
         let mut d = 0.0f64;
         let mut t = 0.0f64;
         for k in keys(&s) {
-            let hist = est.build_histogram().count(&k) as f64;
+            let hist = histogram.count(&k) as f64;
             d = (d * t + hist * s.len() as f64) / (t + 1.0);
             t += 1.0;
             est.observe_probe(&k);
@@ -451,16 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_matches_formula() {
-        let mut est = OnceJoinEstimator::new(FreqHist::new(), 100);
-        assert_eq!(est.beta(4.0), f64::INFINITY);
-        for _ in 0..25 {
-            est.observe_probe(&Key::Int(1));
-        }
-        assert!((est.beta(4.0) - 4.0 / (2.0 * 5.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_sized_probe_is_converged() {
         let est = OnceJoinEstimator::new(FreqHist::new(), 0);
         assert!(est.converged());
@@ -500,10 +506,6 @@ mod tests {
         assert_eq!(JoinKind::Semi.contribution(0), 0);
         assert_eq!(JoinKind::Anti.contribution(3), 0);
         assert_eq!(JoinKind::Anti.contribution(0), 1);
-        assert!(JoinKind::Inner.emits_build_columns());
-        assert!(JoinKind::LeftOuter.emits_build_columns());
-        assert!(!JoinKind::Semi.emits_build_columns());
-        assert!(!JoinKind::Anti.emits_build_columns());
     }
 
     #[test]
@@ -557,8 +559,8 @@ mod tests {
             for k in keys(&s) {
                 serial.observe_probe(&k);
             }
-            // Split the probe stream across 4 worker fragments, merge the
-            // fragments pairwise in a scrambled order, absorb.
+            // Split the probe stream across 4 worker fragments and fold
+            // them in a scrambled order.
             let mut frags: Vec<ProbeFragment> = s
                 .chunks(s.len() / 4)
                 .map(|chunk| {
@@ -569,12 +571,9 @@ mod tests {
                     f
                 })
                 .collect();
-            let mut merged = frags.swap_remove(2);
-            for f in &frags {
-                merged.merge(f);
-            }
+            frags.swap(0, 2);
             let mut parallel = OnceJoinEstimator::with_kind(hist, s.len() as u64, kind);
-            parallel.absorb(&merged);
+            frags.iter().for_each(|f| parallel.totals.absorb(f));
             assert!(parallel.converged(), "{kind:?}");
             assert_eq!(parallel.matched_so_far(), serial.matched_so_far());
             // bit-identical converged estimates: both are `sum as f64`
@@ -613,8 +612,8 @@ mod tests {
             let (head, tail) = (fragment(&probe[..cut]), fragment(&probe[cut..]));
             for order in [[&head, &tail], [&tail, &head]] {
                 let mut split = OnceJoinEstimator::new(hist.clone(), 1000);
-                order.iter().for_each(|f| split.absorb(f));
-                assert_eq!(split.seen.0, serial.seen.0, "cut {cut}");
+                order.iter().for_each(|f| split.totals.absorb(f));
+                assert_eq!(split.totals, serial.totals, "cut {cut}");
                 assert_eq!(
                     split.confidence_interval(z),
                     serial.confidence_interval(z),
@@ -633,10 +632,10 @@ mod tests {
         assert_eq!(f.observe(&hist, JoinKind::Inner, &Key::Null), 0);
         assert_eq!(f.observe(&hist, JoinKind::Inner, &Key::Int(8)), 0);
         assert_eq!(f.seen(), 3);
-        assert_eq!(f.matched(), 3);
         // mid-stream absorb scales like the serial estimator
         let mut est = OnceJoinEstimator::new(hist, 6);
-        est.absorb(&f);
+        est.totals.absorb(&f);
+        assert_eq!(est.matched_so_far(), 3);
         assert_eq!(est.probe_seen(), 3);
         assert!((est.estimate() - 6.0).abs() < 1e-9);
         assert!(!est.converged());

@@ -43,7 +43,9 @@ pub use distinct::DistinctTracker;
 pub use freq_hist::FreqHist;
 pub use gee::Gee;
 pub use gnm::{PipelineProgress, PipelineState, ProgressSnapshot};
-pub use join_est::{JoinKind, OnceJoinEstimator, ProbeFragment, SymmetricJoinEstimator};
+pub use join_est::{
+    JoinKind, OnceJoinEstimator, ProbeFragment, ProbeTotals, SymmetricJoinEstimator,
+};
 pub use mle::mle_estimate;
 pub use multi_est::{conjunction_key, DisjunctionJoinEstimator};
 pub use pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};

@@ -16,8 +16,8 @@
 
 use qprog_types::Key;
 
-use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
+use crate::join_est::{ProbeFragment, ProbeTotals};
 
 /// Builder for conjunctive (composite-key) estimation: collapse a
 /// multi-column equi-join condition into composite [`Key`]s and use the
@@ -37,9 +37,8 @@ pub struct DisjunctionJoinEstimator {
     hist_a: FreqHist,
     hist_b: FreqHist,
     hist_ab: FreqHist,
-    probe_size: u64,
     /// `(t, Σ matches, Σ matches²)` over the probe tuples observed.
-    seen: PowerSums,
+    totals: ProbeTotals,
 }
 
 impl DisjunctionJoinEstimator {
@@ -67,8 +66,7 @@ impl DisjunctionJoinEstimator {
             hist_a,
             hist_b,
             hist_ab,
-            probe_size,
-            seen: PowerSums::default(),
+            totals: ProbeTotals::new(probe_size),
         }
     }
 
@@ -84,41 +82,15 @@ impl DisjunctionJoinEstimator {
                 .count(&Key::composite(vec![x.clone(), y.clone()]))
         };
         let matches = na + nb - nab;
-        self.seen.push_u64(matches);
+        let mut fragment = ProbeFragment::new();
+        fragment.0.push_u64(matches);
+        self.totals.absorb(&fragment);
         matches
-    }
-
-    /// Probe tuples observed so far.
-    pub fn probe_seen(&self) -> u64 {
-        self.seen.count()
-    }
-
-    /// Revise the probe input size.
-    pub fn set_probe_size(&mut self, probe_size: u64) {
-        self.probe_size = probe_size;
     }
 
     /// Current estimate of the disjunctive join's cardinality.
     pub fn estimate(&self) -> f64 {
-        self.seen.mean() * self.probe_size as f64
-    }
-
-    /// Whether the probe stream has been fully observed (estimate exact).
-    pub fn converged(&self) -> bool {
-        self.seen.count() >= self.probe_size
-    }
-
-    /// CLT confidence interval for the estimate.
-    pub fn confidence_interval(&self, z: f64) -> ConfidenceInterval {
-        if self.converged() {
-            return ConfidenceInterval::around(self.estimate(), 0.0);
-        }
-        let ci = self.seen.mean_ci(z);
-        ConfidenceInterval {
-            estimate: self.estimate(),
-            lo: ci.lo * self.probe_size as f64,
-            hi: ci.hi * self.probe_size as f64,
-        }
+        self.totals.estimate()
     }
 }
 
@@ -187,12 +159,12 @@ mod tests {
         for (x, y) in pairs(&probe) {
             est.observe_probe(&x, &y);
         }
-        assert!(est.converged());
+        assert!(est.totals.converged());
         assert_eq!(
             est.estimate().round() as u64,
             brute_disjunction(&build, &probe)
         );
-        assert_eq!(est.confidence_interval(2.0).width(), 0.0);
+        assert_eq!(est.totals.confidence_interval(2.0).width(), 0.0);
     }
 
     #[test]
@@ -253,8 +225,8 @@ mod tests {
             DisjunctionJoinEstimator::from_build_pairs(bp.iter().map(|(a, b)| (a, b)), 100);
         est.observe_probe(&Key::Int(1), &Key::Int(2)); // matches all 10 on a
         assert!((est.estimate() - 1000.0).abs() < 1e-9);
-        assert!(!est.converged());
-        est.set_probe_size(10);
+        assert!(!est.totals.converged());
+        est.totals.set_probe_size(10);
         assert!((est.estimate() - 100.0).abs() < 1e-9);
     }
 }

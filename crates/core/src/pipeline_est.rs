@@ -32,10 +32,13 @@
 //! the driving stream `C`), join `n−1` is the top. Builds must be fed in
 //! execution order, i.e. top-down (`n−1`, `n−2`, …, `0`).
 
+use std::sync::{Mutex, MutexGuard};
+
 use qprog_types::{QError, QResult, Row, Value};
 
-use crate::confidence::{scale_sum, ConfidenceInterval, PowerSums};
+use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
+use crate::join_est::{ProbeFragment, ProbeTotals};
 
 /// Where a join's probe-side key comes from, relative to the pipeline's
 /// driving probe stream.
@@ -72,9 +75,6 @@ struct JoinEstState {
     /// Current key source for `hist`; estimation can start once every
     /// state's source is `Probe`.
     source: AttrSource,
-    /// `(t, Σc, Σc²)` of the per-probe-tuple output contributions `c` of
-    /// this join: `Σc / t · |C|` is the estimate, the rest its interval.
-    sums: PowerSums,
     /// Whether no contribution can exceed 64 bits (the product of the
     /// factor histograms' largest counts fits), fixed at probe start.
     fits_u64: bool,
@@ -93,7 +93,43 @@ enum Phase {
     Probing,
 }
 
+/// One worker's share of the build of join `join`: its rows counted into
+/// the join's own histogram and into every pending Case-2 translation.
+/// Fragments fold with [`FreqHist::merge`], so any cut builds the same
+/// histograms.
+#[derive(Debug)]
+pub struct PipelineBuildFragment {
+    join: usize,
+    own: FreqHist,
+    /// Translations in flight: `(upper join, its histogram re-keyed by this
+    /// build relation's key)`.
+    pending: Vec<(usize, FreqHist)>,
+    /// Reused batch scratch: the upper counts of the carried keys.
+    lanes: Vec<u64>,
+}
+
+/// One worker's share of the probe pass: every join's `(t, Σc, Σc²)` since
+/// its last [`fold_probe`](PipelineEstimator::fold_probe), and scratch.
+#[derive(Debug, Default)]
+pub struct PipelineProbeFragment {
+    delta: Vec<ProbeFragment>,
+    /// Reused batch scratch: lane `i` (`lanes[i·n..(i+1)·n]`) holds the
+    /// histogram counts of `uniq_factors[i]` at the batch rows still live
+    /// when its lowest join is reached.
+    lanes: Vec<u64>,
+    /// Reused batch scratch: the live rows, once some row has died.
+    live: Vec<u32>,
+    /// Reused batch scratch: each join's power sums over the batch.
+    batch_sums: Vec<PowerSums>,
+}
+
 /// Online estimator for every join in a hash- or sort-merge-join pipeline.
+///
+/// The histograms and factor tables change only at the end of a build, so
+/// the workers of a drain share the estimator by reference: each observes
+/// into its own fragment ([`build_into`](Self::build_into),
+/// [`probe_into`](Self::probe_into)) and folds it in. The row and batch
+/// methods are the one-worker case.
 ///
 /// # Example
 ///
@@ -115,8 +151,6 @@ enum Phase {
 pub struct PipelineEstimator {
     specs: Vec<JoinSpec>,
     states: Vec<JoinEstState>,
-    /// Translations in flight during the current build: `(join, new_hist)`.
-    pending: Vec<(usize, FreqHist)>,
     /// Distinct `(join supplying the histogram, probe column)` factors of
     /// all joins, fixed at probe start, in order of the lowest join using
     /// each; each fills one count lane per probe batch (factor lists overlap
@@ -124,16 +158,15 @@ pub struct PipelineEstimator {
     uniq_factors: Vec<(usize, usize)>,
     /// `factor_idx[u]`: positions in `uniq_factors` of join `u`'s factors.
     factor_idx: Vec<Vec<usize>>,
-    /// Reused batch scratch: lane `i` (`lanes[i·n..(i+1)·n]`) holds the
-    /// histogram counts of `uniq_factors[i]` at the batch rows still live
-    /// when its lowest join is reached.
-    lanes: Vec<u64>,
-    /// Reused batch scratch: the live rows, once some row has died.
-    live: Vec<u32>,
-    /// Reused batch scratch: each join's power sums over the batch.
-    batch_sums: Vec<PowerSums>,
-    probe_size: u64,
     phase: Phase,
+    /// Each join's running totals, bottom-up; probe fragments fold in under
+    /// this lock.
+    totals: Mutex<Vec<ProbeTotals>>,
+    /// The current build's fragment: the workers' fold into it (the first
+    /// moved into place), or the row and batch methods feed it.
+    building: Option<PipelineBuildFragment>,
+    /// The row and batch methods' probe fragment.
+    probing: PipelineProbeFragment,
 }
 
 /// Column `c` of a column-major batch, cut to its `n` rows.
@@ -181,7 +214,6 @@ impl PipelineEstimator {
             .map(|s| JoinEstState {
                 hist: FreqHist::new(),
                 source: s.probe_attr,
-                sums: PowerSums::default(),
                 fits_u64: false,
                 chain: Vec::new(),
             })
@@ -190,14 +222,12 @@ impl PipelineEstimator {
         Ok(PipelineEstimator {
             specs,
             states,
-            pending: Vec::new(),
             uniq_factors: Vec::new(),
             factor_idx: Vec::new(),
-            lanes: Vec::new(),
-            live: Vec::new(),
-            batch_sums: Vec::new(),
-            probe_size,
             phase: Phase::AwaitBuild(n - 1),
+            totals: Mutex::new(vec![ProbeTotals::new(probe_size); n]),
+            building: None,
+            probing: PipelineProbeFragment::default(),
         })
     }
 
@@ -240,39 +270,87 @@ impl PipelineEstimator {
                 )))
             }
         }
-        // Stage translations for every histogram currently keyed by a
-        // column of this build relation.
-        self.pending = self
+        self.phase = Phase::Building(join);
+        Ok(())
+    }
+
+    /// A fresh fragment of build `join`, which must be streaming: an empty
+    /// histogram of its own and one per upper histogram keyed by a column
+    /// of this build relation.
+    pub fn build_fragment(&self, join: usize) -> QResult<PipelineBuildFragment> {
+        if self.phase != Phase::Building(join) {
+            return Err(QError::estimation(format!(
+                "build_tuple({join}) outside its build phase ({:?})",
+                self.phase
+            )));
+        }
+        let pending = self
             .states
             .iter()
             .enumerate()
             .filter(|(_, st)| matches!(st.source, AttrSource::Build { join: j, .. } if j == join))
             .map(|(u, _)| (u, FreqHist::new()))
             .collect();
-        self.phase = Phase::Building(join);
-        Ok(())
+        Ok(PipelineBuildFragment {
+            join,
+            own: FreqHist::new(),
+            pending,
+            lanes: Vec::new(),
+        })
     }
 
     /// Feed one build tuple of the current build relation (a one-row
     /// [`build_batch`](Self::build_batch)).
     pub fn build_tuple(&mut self, join: usize, row: &Row) -> QResult<()> {
-        self.build_kernel(join, |c| row.get(c).map(std::slice::from_ref))
+        self.build_wrapped(join, |est, fragment| {
+            est.build_kernel(fragment, |c| row.get(c).map(std::slice::from_ref))
+        })
     }
 
     /// Feed the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// the current build relation, column at a time. The phase check and
-    /// the `core/pipeline/build_tuple` failpoint run once per batch.
+    /// the current build relation, column at a time.
     pub fn build_batch(&mut self, join: usize, cols: &[Vec<Value>], n: usize) -> QResult<()> {
-        self.build_kernel(join, |c| batch_col(cols, c, n))
+        self.build_wrapped(join, |est, fragment| est.build_into(fragment, cols, n))
+    }
+
+    /// Run `kernel` on the current build's own fragment.
+    fn build_wrapped(
+        &mut self,
+        join: usize,
+        kernel: impl FnOnce(&Self, &mut PipelineBuildFragment) -> QResult<()>,
+    ) -> QResult<()> {
+        let mut fragment = match self.building.take() {
+            Some(fragment) if fragment.join == join => fragment,
+            other => {
+                self.building = other;
+                self.build_fragment(join)?
+            }
+        };
+        let observed = kernel(self, &mut fragment);
+        self.building = Some(fragment);
+        observed
+    }
+
+    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
+    /// a build relation into one worker's `fragment`. The phase check and
+    /// the `core/pipeline/build_tuple` failpoint run once per batch.
+    pub fn build_into(
+        &self,
+        fragment: &mut PipelineBuildFragment,
+        cols: &[Vec<Value>],
+        n: usize,
+    ) -> QResult<()> {
+        self.build_kernel(fragment, |c| batch_col(cols, c, n))
     }
 
     /// The build-side kernel; `col_of(c)` yields column `c` of the batch.
     fn build_kernel<'a>(
-        &mut self,
-        join: usize,
+        &self,
+        fragment: &mut PipelineBuildFragment,
         col_of: impl Fn(usize) -> QResult<&'a [Value]>,
     ) -> QResult<()> {
         qprog_fault::fail_point!("core/pipeline/build_tuple");
+        let join = fragment.join;
         if self.phase != Phase::Building(join) {
             return Err(QError::estimation(format!(
                 "build_tuple({join}) outside its build phase ({:?})",
@@ -283,18 +361,31 @@ impl PipelineEstimator {
         // Translate pending upper histograms (Case 2 fold): each build
         // tuple adds the upper count of its carried key under its build
         // key. NULL carried keys count 0 and NULL build keys are skipped.
-        self.lanes.resize(build_keys.len(), 0);
-        for (u, new_hist) in &mut self.pending {
+        fragment.lanes.resize(build_keys.len(), 0);
+        for (u, new_hist) in &mut fragment.pending {
             let AttrSource::Build { col, .. } = self.states[*u].source else {
                 unreachable!("pending entries are Build-sourced by construction");
             };
             self.states[*u]
                 .hist
-                .counts_of_column(col_of(col)?, None, &mut self.lanes)?;
-            new_hist.observe_column(build_keys, Some(&self.lanes))?;
+                .counts_of_column(col_of(col)?, None, &mut fragment.lanes)?;
+            new_hist.observe_column(build_keys, Some(&fragment.lanes))?;
         }
         // Raw count for this join's own histogram.
-        self.states[join].hist.observe_column(build_keys, None)
+        fragment.own.observe_column(build_keys, None)
+    }
+
+    /// Fold a worker's fragment of the current build in, in chunk order.
+    pub fn fold_build(&mut self, fragment: PipelineBuildFragment) {
+        match &mut self.building {
+            Some(building) => {
+                building.own.merge(&fragment.own);
+                for ((_, hist), (_, more)) in building.pending.iter_mut().zip(&fragment.pending) {
+                    hist.merge(more);
+                }
+            }
+            None => self.building = Some(fragment),
+        }
     }
 
     /// Finish the current build relation, committing translations.
@@ -305,8 +396,14 @@ impl PipelineEstimator {
                 self.phase
             )));
         }
+        let fragment = match self.building.take() {
+            Some(fragment) => fragment,
+            None => self.build_fragment(join)?,
+        };
+        // Nothing reads or writes a join's own histogram before its build.
+        self.states[join].hist = fragment.own;
         let new_source = self.specs[join].probe_attr;
-        for (u, new_hist) in std::mem::take(&mut self.pending) {
+        for (u, new_hist) in fragment.pending {
             let st = &mut self.states[u];
             st.hist = new_hist;
             st.source = new_source;
@@ -384,17 +481,64 @@ impl PipelineEstimator {
     /// estimate (a one-row [`observe_probe_batch`](Self::observe_probe_batch);
     /// it allocates nothing once the scratch has grown).
     pub fn observe_probe(&mut self, row: &Row) -> QResult<()> {
-        self.probe_kernel(1, |c| row.get(c).map(std::slice::from_ref))
+        self.probe_wrapped(|est, fragment| {
+            est.probe_kernel(fragment, 1, |c| row.get(c).map(std::slice::from_ref))
+        })
     }
 
     /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// the lowest probe stream; updates every join's estimate. This is the
+    /// the lowest probe stream; updates every join's estimate.
+    pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
+        self.probe_wrapped(|est, fragment| est.probe_into(fragment, cols, n))
+    }
+
+    /// Run `kernel` on the row and batch methods' fragment, then fold it.
+    fn probe_wrapped(
+        &mut self,
+        kernel: impl FnOnce(&Self, &mut PipelineProbeFragment) -> QResult<()>,
+    ) -> QResult<()> {
+        let mut fragment = std::mem::take(&mut self.probing);
+        let observed = kernel(self, &mut fragment);
+        if observed.is_ok() {
+            drop(self.fold_probe(&mut fragment));
+        }
+        self.probing = fragment;
+        observed
+    }
+
+    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
+    /// the lowest probe stream into one worker's `fragment`. This is the
     /// hot path of the framework: the phase check and the
     /// `core/pipeline/observe_probe` failpoint run once per batch, each
     /// distinct factor reads its column once at most, and nothing allocates
-    /// once the scratch has grown to the batch size.
-    pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
-        self.probe_kernel(n, |c| batch_col(cols, c, n))
+    /// once the fragment's scratch has grown to the batch size.
+    pub fn probe_into(
+        &self,
+        fragment: &mut PipelineProbeFragment,
+        cols: &[Vec<Value>],
+        n: usize,
+    ) -> QResult<()> {
+        self.probe_kernel(fragment, n, |c| batch_col(cols, c, n))
+    }
+
+    /// Fold what `fragment` observed since its last fold into every join's
+    /// totals; returns them, still locked, for publication.
+    pub fn fold_probe(
+        &self,
+        fragment: &mut PipelineProbeFragment,
+    ) -> MutexGuard<'_, Vec<ProbeTotals>> {
+        let mut totals = self.totals();
+        for (total, delta) in totals.iter_mut().zip(&mut fragment.delta) {
+            total.absorb(&std::mem::take(delta));
+        }
+        totals
+    }
+
+    /// Every join's running totals, bottom-up, locked.
+    pub fn totals(&self) -> MutexGuard<'_, Vec<ProbeTotals>> {
+        self.totals
+            .lock()
+            .expect("a probe worker panicked while folding into the totals")
     }
 
     /// The probe-side kernel; `col_of(c)` yields the `n` values of column
@@ -406,7 +550,8 @@ impl PipelineEstimator {
     /// is the all-rows product's. Nothing is accumulated unless every lane
     /// fills without error.
     fn probe_kernel<'a>(
-        &mut self,
+        &self,
+        fragment: &mut PipelineProbeFragment,
         n: usize,
         col_of: impl Fn(usize) -> QResult<&'a [Value]>,
     ) -> QResult<()> {
@@ -420,20 +565,28 @@ impl PipelineEstimator {
         if n == 0 {
             return Ok(());
         }
-        self.lanes.resize(self.uniq_factors.len() * n, 0);
-        self.live.resize(n, 0);
-        self.batch_sums.clear();
+        let PipelineProbeFragment {
+            delta,
+            lanes,
+            live: live_rows,
+            batch_sums,
+        } = fragment;
+        lanes.resize(self.uniq_factors.len() * n, 0);
+        live_rows.resize(n, 0);
+        batch_sums.clear();
         // Every row is live while `live == n`: the selection is then not
         // materialized, and lanes and products are read contiguously.
-        // After that, `self.live[..live]` are.
+        // After that, `live_rows[..live]` are.
         let (mut live, mut filled) = (n, 0);
         for (st, idx) in self.states.iter().zip(&self.factor_idx) {
             // (1) The lanes this join is the lowest user of, at the live
             // rows, column at a time: join 0's over the whole batch.
-            let sel = (live < n).then(|| &self.live[..live]);
+            let sel = (live < n).then(|| &live_rows[..live]);
             let upto = idx.iter().map(|&i| i + 1).fold(filled, usize::max);
-            let lanes = self.lanes[filled * n..].chunks_exact_mut(n);
-            for (&(w, col), lane) in self.uniq_factors[filled..upto].iter().zip(lanes) {
+            for (&(w, col), lane) in self.uniq_factors[filled..upto]
+                .iter()
+                .zip(lanes[filled * n..].chunks_exact_mut(n))
+            {
                 let hist = &self.states[w].hist;
                 hist.counts_of_column(col_of(col)?, sel, lane)?;
             }
@@ -442,8 +595,8 @@ impl PipelineEstimator {
             // (non-zero product) are the selection for the join above.
             let (dense, mut kept, mut sums) = (live == n, 0, PowerSums::default());
             for k in 0..live {
-                let r = if dense { k } else { self.live[k] as usize };
-                let lane = |i: usize| self.lanes[i * n + r];
+                let r = if dense { k } else { live_rows[k] as usize };
+                let lane = |i: usize| lanes[i * n + r];
                 let hit = if st.fits_u64 {
                     let c = idx.iter().fold(1u64, |c, &i| c * lane(i));
                     sums.push_u64(c);
@@ -455,68 +608,54 @@ impl PipelineEstimator {
                     sums.push(c);
                     c != 0
                 };
-                self.live[kept] = r as u32;
+                live_rows[kept] = r as u32;
                 kept += usize::from(hit);
             }
             sums.push_zeros((n - live) as u64);
-            self.batch_sums.push(sums);
+            batch_sums.push(sums);
             live = kept;
         }
-        for (st, sums) in self.states.iter_mut().zip(&self.batch_sums) {
-            st.sums.merge(sums);
+        delta.resize_with(self.states.len(), ProbeFragment::default);
+        for (delta, sums) in delta.iter_mut().zip(batch_sums.iter()) {
+            delta.0.merge(sums);
         }
         Ok(())
     }
 
     /// Probe tuples observed so far.
     pub fn probe_seen(&self) -> u64 {
-        self.states[0].sums.count()
+        self.totals()[0].probe_seen()
     }
 
     /// Revise the probe stream size (e.g. once the stream is exhausted and
     /// the exact count is known).
     pub fn set_probe_size(&mut self, probe_size: u64) {
-        self.probe_size = probe_size;
-    }
-
-    /// Fraction of the probe stream observed (clamped to 1).
-    pub fn probe_fraction(&self) -> f64 {
-        if self.probe_size == 0 {
-            1.0
-        } else {
-            (self.probe_seen() as f64 / self.probe_size as f64).min(1.0)
+        let totals = self.totals.get_mut();
+        for totals in totals.expect("a probe worker panicked while folding into the totals") {
+            totals.set_probe_size(probe_size);
         }
     }
 
     /// Current cardinality estimate for `join`, `Σc / t · max(|C|, t)` (0
     /// before any probe tuple; exactly `Σc` once `t` reaches `|C|`).
     pub fn estimate(&self, join: usize) -> f64 {
-        let sums = &self.states[join].sums;
-        scale_sum(sums.sum(), sums.count(), self.probe_size)
+        self.totals()[join].estimate()
     }
 
     /// Estimates for every join, bottom-up.
     pub fn estimates(&self) -> Vec<f64> {
-        (0..self.specs.len()).map(|u| self.estimate(u)).collect()
+        self.totals().iter().map(ProbeTotals::estimate).collect()
     }
 
     /// CLT confidence interval for `join`'s estimate, derived from the
     /// power sums of its contributions.
     pub fn confidence_interval(&self, join: usize, z: f64) -> ConfidenceInterval {
-        if self.converged() {
-            return ConfidenceInterval::around(self.estimate(join), 0.0);
-        }
-        let ci = self.states[join].sums.mean_ci(z);
-        ConfidenceInterval {
-            estimate: self.estimate(join),
-            lo: ci.lo * self.probe_size as f64,
-            hi: ci.hi * self.probe_size as f64,
-        }
+        self.totals()[join].confidence_interval(z)
     }
 
     /// Whether the full probe stream has been observed (estimates exact).
     pub fn converged(&self) -> bool {
-        self.phase == Phase::Probing && self.probe_seen() >= self.probe_size
+        self.phase == Phase::Probing && self.totals()[0].converged()
     }
 
     /// This join's current histogram (e.g. for aggregation push-down).
@@ -764,7 +903,7 @@ mod tests {
         // after 1 of 4 probes, one tuple matching ×2 → estimate 2/1·4 = 8
         assert!((est.estimate(0) - 8.0).abs() < 1e-9);
         assert!(!est.converged());
-        assert!((est.probe_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(est.probe_seen(), 1);
         for r in &probe[1..] {
             est.observe_probe(r).unwrap();
         }
@@ -856,6 +995,86 @@ mod tests {
         let est = run_pipeline(&probe, &[build], specs);
         // only the 1-1 pair joins
         assert_eq!(est.estimate(0).round() as u64, 1);
+    }
+
+    /// Column-major copy of `rows` (`cols[c][r]`).
+    fn cols_of(rows: &[Row]) -> Vec<Vec<Value>> {
+        (0..rows[0].arity())
+            .map(|c| rows.iter().map(|r| r.values()[c].clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn worker_fragments_fold_to_the_one_worker_state() {
+        // J0: B0.x = C.x; J1: B1.y = B0.y (Case 2); J2: B2.z = B1.z (cascade).
+        let b0 = int_rows(&[&[1, 1, 2, 3, 2], &[10, 20, 10, 30, 20]]);
+        let b1 = int_rows(&[&[10, 10, 20, 30], &[7, 8, 7, 7]]);
+        let b2 = int_rows(&[&[7, 7, 8, 9]]);
+        let probe = int_rows(&[&[1, 2, 2, 4, 3, 1, 2]]);
+        let specs = vec![
+            JoinSpec {
+                build_attr_col: 0,
+                probe_attr: AttrSource::Probe { col: 0 },
+            },
+            JoinSpec {
+                build_attr_col: 0,
+                probe_attr: AttrSource::Build { join: 0, col: 1 },
+            },
+            JoinSpec {
+                build_attr_col: 0,
+                probe_attr: AttrSource::Build { join: 1, col: 1 },
+            },
+        ];
+        let builds = [b0, b1, b2];
+        let serial = run_pipeline(&probe, &builds, specs.clone());
+        // Half-way through the probe, so the intervals are mid-flight too.
+        let size = 2 * probe.len() as u64;
+        for workers in [2usize, 3] {
+            let mut est = PipelineEstimator::new(specs.clone(), size).unwrap();
+            for j in (0..3).rev() {
+                est.begin_build(j).unwrap();
+                for chunk in builds[j].chunks(builds[j].len().div_ceil(workers)) {
+                    let mut fragment = est.build_fragment(j).unwrap();
+                    est.build_into(&mut fragment, &cols_of(chunk), chunk.len())
+                        .unwrap();
+                    est.fold_build(fragment);
+                }
+                est.end_build(j).unwrap();
+            }
+            let mut fragments: Vec<PipelineProbeFragment> = probe
+                .chunks(probe.len().div_ceil(workers))
+                .map(|chunk| {
+                    let mut fragment = PipelineProbeFragment::default();
+                    est.probe_into(&mut fragment, &cols_of(chunk), chunk.len())
+                        .unwrap();
+                    fragment
+                })
+                .collect();
+            for fragment in fragments.iter_mut().rev() {
+                drop(est.fold_probe(fragment));
+            }
+            for u in 0..3 {
+                assert_eq!(
+                    est.histogram(u).iter().count(),
+                    serial.histogram(u).iter().count()
+                );
+                for (key, n) in serial.histogram(u).iter() {
+                    assert_eq!(est.histogram(u).count(&key), n, "join {u} {key:?}");
+                }
+            }
+            est.set_probe_size(probe.len() as u64);
+            let bits = |e: &PipelineEstimator| {
+                e.estimates()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&est), bits(&serial), "{workers} workers");
+            est.set_probe_size(size);
+            let mut half = run_pipeline(&probe, &builds, specs.clone());
+            half.set_probe_size(size);
+            assert_eq!(*est.totals(), *half.totals(), "{workers} workers");
+        }
     }
 
     #[test]
@@ -1068,8 +1287,12 @@ mod tests {
                         .map(|c| chunk.iter().map(|r| r.values()[c].clone()).collect())
                         .collect();
                     est.observe_probe_batch(&cols, chunk.len()).unwrap();
-                    for (u, st) in est.states.iter().enumerate() {
-                        assert_eq!(st.sums, expect[u], "{what} join {u}");
+                    for (u, totals) in est.totals().iter().enumerate() {
+                        let mut fragment = ProbeFragment::new();
+                        fragment.0 = expect[u];
+                        let mut want = ProbeTotals::new(probe.len() as u64);
+                        want.absorb(&fragment);
+                        assert_eq!(*totals, want, "{what} join {u}");
                     }
                 }
                 if split > 1 {

@@ -21,6 +21,45 @@
 //! - [`ops::agg::HashAggregate`] consumes its whole input into groups
 //!   (distinct-value estimation runs here) before emitting.
 
+/// A fieldless enum whose variants each carry a stable lowercase name (used
+/// by the JSONL sink, metrics labels and the monitor's JSON): `ALL` (in
+/// declaration order), `name`, its inverse `from_name` (used by the trace
+/// replay parser) and a `Display` that writes the name.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $name:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),+];
+
+            /// The variant's stable lowercase name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// The variant named `name`, if any.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                Self::ALL.iter().copied().find(|v| v.name() == name)
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+    };
+}
+
 pub mod expr;
 pub mod governor;
 pub mod metrics;

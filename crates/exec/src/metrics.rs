@@ -8,7 +8,7 @@
 //! monitor holds the same handles through a [`MetricsRegistry`] and reads
 //! them at any time, from any thread.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use qprog_core::baseline::Baseline;
@@ -127,6 +127,9 @@ pub struct OpMetrics {
     /// Worker threads that contributed to this operator's parallel phases
     /// (0 = serial execution; see [`record_worker_busy`](Self::record_worker_busy)).
     workers: AtomicU32,
+    /// The phase of the last [`trace_phase`](Self::trace_phase) transition,
+    /// as its index in [`Phase::ALL`] plus one (0 = no transition yet).
+    phase: AtomicU8,
     /// Trace publication state; `None` (the default) makes every trace hook
     /// a single branch.
     trace: Option<TraceHandle>,
@@ -340,14 +343,22 @@ impl OpMetrics {
         }
     }
 
-    /// Trace a phase boundary crossing (no-op without an attached bus).
-    /// Operators call this at blocking-phase transitions only — never per
-    /// tuple.
+    /// Record a phase boundary crossing, and trace it when a bus is
+    /// attached. Operators call this at blocking-phase transitions only —
+    /// never per tuple.
     pub fn trace_phase(&self, from: Phase, to: Phase) {
+        self.phase.store(to as u8 + 1, Ordering::Relaxed);
         if let Some(t) = &self.trace {
             t.bus
                 .publish(TraceEventKind::PhaseTransition { op: t.op, from, to });
         }
+    }
+
+    /// The phase the operator last transitioned into, `None` before its
+    /// first transition.
+    pub fn phase(&self) -> Option<Phase> {
+        let code = self.phase.load(Ordering::Relaxed);
+        Phase::ALL.get(usize::from(code).checked_sub(1)?).copied()
     }
 
     /// `K_i`: tuples emitted so far.

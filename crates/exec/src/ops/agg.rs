@@ -6,12 +6,13 @@
 //! clustered output of a join on the grouping attribute, estimation is
 //! instead *pushed down* into that join (see
 //! [`HashJoin::with_agg_pushdown`](crate::ops::hash_join::HashJoin::with_agg_pushdown))
-//! and this operator merely publishes the shared tracker's estimates.
+//! and this operator merely publishes the estimates of the tracker the join
+//! sends up when its probe pass ends.
 
 use std::cmp::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crate::sync::Mutex;
 use qprog_core::distinct::DistinctTracker;
 use qprog_types::{BatchStatus, DataType, QError, QResult, RowBatch, SchemaRef, Value};
 
@@ -63,8 +64,10 @@ pub enum AggEstimation {
     /// Observe the grouping key online (input in random order);
     /// `input_size_hint` is the known or estimated input size.
     Track { input_size_hint: u64 },
-    /// Publish estimates from a tracker fed by a join below (push-down).
-    Pushdown(Arc<Mutex<DistinctTracker>>),
+    /// Publish estimates from a tracker fed by a join below (push-down),
+    /// which arrives here by value once the join's probe pass has ended —
+    /// before this operator's first input batch.
+    Pushdown(Receiver<DistinctTracker>),
 }
 
 #[derive(Debug, Clone)]
@@ -277,6 +280,7 @@ impl HashAggregate {
         // tracker is handed per batch (it keeps no table of its own).
         let mut priors: Vec<u64> = Vec::new();
         let track = self.tracker.is_some();
+        let mut pushed: Option<DistinctTracker> = None;
         let mut scratch = RowBatch::with_capacity(input_schema.arity(), batch_cap);
         loop {
             let status = self.input.next_batch(&mut scratch)?;
@@ -324,8 +328,13 @@ impl HashAggregate {
                 if let Some(tracker) = &mut self.tracker {
                     tracker.observe_transitions(&priors);
                     self.metrics.set_estimated_total(tracker.estimate());
-                } else if let AggEstimation::Pushdown(shared) = &self.estimation {
-                    self.metrics.set_estimated_total(shared.lock().estimate());
+                } else if let AggEstimation::Pushdown(inbox) = &self.estimation {
+                    if pushed.is_none() {
+                        pushed = inbox.try_recv().ok();
+                    }
+                    if let Some(tracker) = &pushed {
+                        self.metrics.set_estimated_total(tracker.estimate());
+                    }
                 }
             }
             if status.is_exhausted() {

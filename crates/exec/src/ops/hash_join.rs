@@ -24,26 +24,25 @@
 //! fractions and converged estimates are identical to the per-tuple
 //! engine, which a capacity-1 batch reproduces exactly.
 //!
-//! Both drains run through one loop (`partition_input`), inline or on
-//! worker threads. What to estimate per batch is the business of the
+//! Both drains run through one loop (`partition_input`) at every width:
+//! the input is cut into `threads` chunks, each drained into chunk-local
+//! partitions and a private estimator fragment, and the chunks fold back in
+//! chunk order. What to estimate per batch is the business of the
 //! [join-estimation driver](crate::ops::join_estimation); the hash join
 //! only decides when to call it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::Mutex;
-use qprog_core::confidence::scale_sum;
 use qprog_core::distinct::DistinctTracker;
-use qprog_core::freq_hist::FreqHist;
-use qprog_core::join_est::{JoinKind, ProbeFragment};
-use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
+use qprog_core::join_est::JoinKind;
+use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
 use crate::ops::chain::{key_hash, ChainIndex, NIL};
-use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
-use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator, ProbeFragment};
+use crate::ops::{BoxedOp, Operator};
 use crate::parallel;
 use crate::trace::Phase;
 
@@ -103,6 +102,7 @@ impl Partitions {
 /// What one build- or probe-side drain needs besides its data.
 struct Drain<'a> {
     key_col: usize,
+    partitions: usize,
     /// Stash NULL-key rows instead of dropping them.
     keep_nulls: bool,
     failpoint: &'static str,
@@ -112,9 +112,8 @@ struct Drain<'a> {
 
 /// Drain `input` and hash-partition its rows into `into`, calling
 /// `on_batch` on every non-empty batch in scan order, before it is
-/// partitioned. The one drain loop of the hash join: the serial path runs
-/// it straight into the operator's partitions, [`partition_parallel`] on
-/// worker-local ones.
+/// partitioned. The one drain loop of the hash join, run once per chunk by
+/// [`partition_chunks`].
 fn partition_input(
     input: &mut dyn Operator,
     drain: &Drain<'_>,
@@ -122,8 +121,7 @@ fn partition_input(
     mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
 ) -> QResult<()> {
     let mut scratch = RowBatch::with_capacity(input.schema().arity(), drain.batch_cap);
-    let partitions = into.parts.len();
-    let mut sel: Vec<Vec<u32>> = vec![Vec::new(); partitions];
+    let mut sel: Vec<Vec<u32>> = vec![Vec::new(); drain.partitions];
     let mut nulls: Vec<u32> = Vec::new();
     loop {
         let status = input.next_batch(&mut scratch)?;
@@ -142,7 +140,7 @@ fn partition_input(
             if key.is_null() {
                 nulls.push(r);
             } else {
-                sel[(key_hash([key])? % partitions as u64) as usize].push(r);
+                sel[(key_hash([key])? % drain.partitions as u64) as usize].push(r);
             }
         }
         for (part, s) in into.parts.iter_mut().zip(&sel) {
@@ -160,56 +158,59 @@ fn partition_input(
     }
 }
 
-/// Run [`partition_input`] over pre-split chunks of one input on worker
-/// threads, each with private partitions and a private `on_batch` state
-/// from `new_state`. Chunks are appended to `into` **in worker order**, and
-/// the states come back in the same order for the caller to merge — which
-/// is what keeps partitions, histogram and `D_{t+1}` identical to serial
-/// execution.
-fn partition_parallel<S: Send>(
-    chunks: Vec<BoxedOp>,
+/// Drain `input` in up to `width` contiguous chunks: at width 1, or when
+/// the input cannot split, the input itself is the one chunk. Each chunk
+/// runs [`partition_input`] into chunk-local partitions with a private
+/// estimator fragment from `fragment`, fed by `on_batch`; chunks run on
+/// worker threads (one chunk runs inline). The chunks fold back **in chunk
+/// order** — the first chunk's partitions moved into place, the others
+/// appended — and the fragments come back in the same order for the
+/// estimator to fold, which keeps partitions, histograms and converged
+/// estimates identical to a one-chunk drain.
+fn partition_chunks<F: Send>(
+    input: &mut BoxedOp,
+    width: usize,
     drain: &Drain<'_>,
-    into: &mut Partitions,
     worker_busy: &mut Vec<Duration>,
-    new_state: impl Fn() -> S,
-    on_batch: impl Fn(&mut S, &RowBatch) -> QResult<()> + Sync,
-) -> QResult<Vec<S>> {
-    let partitions = into.parts.len();
-    let on_batch = &on_batch;
+    fragment: impl Fn() -> QResult<F> + Sync,
+    on_batch: impl Fn(&mut F, &RowBatch) -> QResult<()> + Sync,
+) -> QResult<(Partitions, Vec<F>)> {
+    let mut split = (width > 1).then(|| input.try_split(width)).flatten();
+    let chunks: Vec<&mut dyn Operator> = match &mut split {
+        Some(chunks) => chunks.iter_mut().map(|op| &mut **op as _).collect(),
+        None => vec![&mut **input],
+    };
+    let (fragment, on_batch) = (&fragment, &on_batch);
     let tasks: Vec<_> = chunks
         .into_iter()
-        .map(|mut op| {
-            let mut state = new_state();
-            move |_w: usize| -> QResult<(Partitions, S)> {
-                let mut local = Partitions::new(partitions, op.schema().arity());
-                partition_input(&mut *op, drain, &mut local, |b| on_batch(&mut state, b))?;
+        .map(|op| {
+            move |_w: usize| -> QResult<(Partitions, F)> {
+                let mut local = Partitions::new(drain.partitions, op.schema().arity());
+                let mut state = fragment()?;
+                partition_input(op, drain, &mut local, |b| on_batch(&mut state, b))?;
                 Ok((local, state))
             }
         })
         .collect();
     let outputs = parallel::run_tasks(tasks)?;
-    if worker_busy.len() < outputs.len() {
-        worker_busy.resize(outputs.len(), Duration::ZERO);
+    if outputs.len() > 1 {
+        worker_busy.resize(worker_busy.len().max(outputs.len()), Duration::ZERO);
+        for (busy, out) in worker_busy.iter_mut().zip(&outputs) {
+            *busy += out.busy;
+        }
     }
-    let mut states = Vec::with_capacity(outputs.len());
-    for (w, out) in outputs.into_iter().enumerate() {
-        worker_busy[w] += out.busy;
+    let mut folded: Option<Partitions> = None;
+    let mut fragments = Vec::with_capacity(outputs.len());
+    for out in outputs {
         let (local, state) = out.value;
-        into.append(local);
-        states.push(state);
+        match &mut folded {
+            Some(into) => into.append(local),
+            None => folded = Some(local),
+        }
+        fragments.push(state);
     }
-    Ok(states)
-}
-
-/// A parallel probe worker's private estimation state.
-#[derive(Default)]
-struct ProbeWorker {
-    frag: ProbeFragment,
-    /// Agg-push-down observations in arrival order.
-    agg: Vec<(Key, u64)>,
-    mults: Vec<u64>,
-    /// `(t, Σ contribution)` already added to the shared counters.
-    flushed: (u64, u128),
+    let folded = folded.ok_or_else(|| QError::internal("hash join drained no chunk"))?;
+    Ok((folded, fragments))
 }
 
 /// Grace hash join on single-column equi-keys, supporting inner,
@@ -236,9 +237,6 @@ pub struct HashJoin {
     /// Reused `(build row, probe row)` list of matches not yet gathered
     /// into the output batch.
     pair_buf: Vec<(u32, u32)>,
-    /// Optional aggregation push-down (§4.2 end): tracks the distinct
-    /// values of the join key in the join *output* distribution.
-    agg_pushdown: Option<Arc<Mutex<DistinctTracker>>>,
     state: JState,
 }
 
@@ -270,7 +268,6 @@ impl HashJoin {
             probe_parts: Partitions::new(0, 0),
             index: ChainIndex::default(),
             pair_buf: Vec::new(),
-            agg_pushdown: None,
             state: JState::Init,
         }
     }
@@ -314,29 +311,34 @@ impl HashJoin {
         self
     }
 
-    /// Set the degree of parallelism for the build and probe drains
-    /// (default 1). At `n > 1` each drain splits its input scan into `n`
-    /// contiguous chunks executed across worker threads; per-worker
-    /// histogram and `D_{t+1}` fragments are merged associatively in worker
-    /// order, so both the output row order and the converged join estimate
-    /// are identical to serial execution. Pipeline-estimated joins
-    /// (Algorithm 1 push-down) always run serial: the chain's estimator has
-    /// no per-worker fragments to merge until pipelines run on morsels.
+    /// Set how many chunks the build and probe drains cut their input into
+    /// (default 1). Each chunk drains on its own worker thread into private
+    /// partitions and a private estimator fragment — `Once` histograms and
+    /// `D_{t+1}` sums, or an Algorithm-1 chain's build histograms and
+    /// per-join power sums — which fold back in chunk order, so both the
+    /// output row order and the converged join estimates are identical to
+    /// a one-chunk drain. Only a fresh table scan splits; any other input
+    /// is one chunk.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
     }
 
-    /// Attach aggregation push-down: the tracker observes the join-key
+    /// Attach aggregation push-down: `tracker` observes the join-key
     /// distribution of the join *output* during the probe-partitioning
-    /// pass, so a GROUP BY on the join attribute above this join gets
-    /// GEE/MLE estimates long before the aggregation sees a tuple.
-    pub fn with_agg_pushdown(mut self, tracker: Arc<Mutex<DistinctTracker>>) -> Self {
-        self.agg_pushdown = Some(tracker);
+    /// pass and is sent through `to_agg` when that pass ends, so a GROUP BY
+    /// on the join attribute above this join gets GEE/MLE estimates long
+    /// before the aggregation sees a tuple.
+    pub fn with_agg_pushdown(
+        mut self,
+        tracker: DistinctTracker,
+        to_agg: Sender<DistinctTracker>,
+    ) -> Self {
+        self.est.push_down_agg(tracker, to_agg);
         self
     }
 
-    /// Run the build and probe-partitioning phases.
+    /// Run the build and probe-partitioning phases: one drain per side.
     fn preprocess(&mut self, batch_cap: usize) -> QResult<()> {
         let mut build = self
             .build
@@ -346,50 +348,32 @@ impl HashJoin {
             .probe
             .take()
             .ok_or_else(|| QError::internal("hash join probe input consumed twice"))?;
-        self.build_parts = Partitions::new(self.num_partitions, build.schema().arity());
-        self.probe_parts = Partitions::new(self.num_partitions, probe.schema().arity());
-        let width = if self.est.is_pipeline() {
-            1
-        } else {
-            self.threads
-        };
         // Per-worker busy time, build + probe combined.
         let mut worker_busy: Vec<Duration> = Vec::new();
         let (build_key, probe_key, kind) = (self.build_key, self.probe_key, self.kind);
-        let est = &mut self.est;
 
         // ---- Build phase ----
         self.metrics.trace_phase(Phase::Init, Phase::Build);
-        est.begin_build()?;
+        self.est.begin_build()?;
         let drain = Drain {
             key_col: build_key,
+            partitions: self.num_partitions,
             keep_nulls: false,
             failpoint: "exec/hash_build/insert",
             batch_cap,
             metrics: &self.metrics,
         };
-        let chunks = (width > 1).then(|| build.try_split(width)).flatten();
-        if let Some(chunks) = chunks {
-            // Each worker builds a local histogram fragment.
-            let want_hist = est.builds_histogram();
-            let fragments = partition_parallel(
-                chunks,
-                &drain,
-                &mut self.build_parts,
-                &mut worker_busy,
-                || want_hist.then(FreqHist::new),
-                |hist, batch| match hist {
-                    Some(h) => h.observe_column(batch.col(build_key), None),
-                    None => Ok(()),
-                },
-            )?;
-            est.absorb_build(fragments.iter().flatten());
-        } else {
-            partition_input(&mut *build, &drain, &mut self.build_parts, |batch| {
-                est.observe_build(batch, build_key)
-            })?;
-        }
-        est.end_build(kind)?;
+        let est = &self.est;
+        let (parts, fragments) = partition_chunks(
+            &mut build,
+            self.threads,
+            &drain,
+            &mut worker_busy,
+            || est.build_fragment(),
+            |fragment, batch| est.observe_build(fragment, batch, build_key),
+        )?;
+        self.build_parts = parts;
+        self.est.end_build(fragments, kind)?;
 
         // ---- Probe partitioning phase ----
         self.metrics.trace_phase(Phase::Build, Phase::Probe);
@@ -399,85 +383,29 @@ impl HashJoin {
             failpoint: "exec/hash_probe/observe",
             ..drain
         };
-        let tracker = self.agg_pushdown.as_deref();
-        let chunks = (width > 1).then(|| probe.try_split(width)).flatten();
-        if let Some(chunks) = chunks {
-            // Each worker refines a private `D_{t+1}` fragment against the
-            // (read-only) build histogram. Workers publish a combined
-            // mid-flight estimate through shared counters at batch
-            // boundaries, at most once per PUBLISH_EVERY local rows
-            // (confidence bounds are published only at the exact
-            // end-of-probe point when parallel).
-            let view = est.probe_worker_view();
-            let (seen, matched) = (AtomicU64::new(0), AtomicU64::new(0));
-            let metrics = &self.metrics;
-            let workers = partition_parallel(
-                chunks,
-                &drain,
-                &mut self.probe_parts,
-                &mut worker_busy,
-                ProbeWorker::default,
-                |w, batch| {
-                    let Some((hist, hint)) = view else {
-                        return Ok(());
-                    };
-                    w.frag
-                        .observe_batch(hist, kind, batch.col(probe_key), &mut w.mults)?;
-                    if tracker.is_some() {
-                        stage_matched_keys(&mut w.agg, batch, probe_key, &w.mults)?;
-                    }
-                    let dt = w.frag.seen() - w.flushed.0;
-                    if dt >= PUBLISH_EVERY {
-                        let ds = (w.frag.matched() - w.flushed.1) as u64;
-                        w.flushed = (w.frag.seen(), w.frag.matched());
-                        let t = seen.fetch_add(dt, Ordering::Relaxed) + dt;
-                        let s = matched.fetch_add(ds, Ordering::Relaxed) + ds;
-                        metrics.set_estimated_total(scale_sum(s.into(), t, hint));
-                    }
-                    Ok(())
-                },
-            )?;
-            for w in workers {
-                est.absorb_probe(&w.frag);
-                if let Some(tracker) = tracker {
-                    let mut t = tracker.lock();
-                    for (key, mult) in w.agg {
-                        t.observe_n(&key, mult);
-                    }
-                }
-            }
-        } else {
-            // Per-batch (key, multiplicity) staging for the push-down
-            // tracker, applied under one lock per batch.
-            let mut agg_buf: Vec<(Key, u64)> = Vec::new();
-            partition_input(&mut *probe, &drain, &mut self.probe_parts, |batch| {
-                let mults = est.observe_probe_keys(batch.col(probe_key))?;
-                if tracker.is_some() {
-                    stage_matched_keys(&mut agg_buf, batch, probe_key, mults)?;
-                }
-                est.observe_probe_rows(batch)?;
+        let est = &self.est;
+        let (parts, fragments) = partition_chunks(
+            &mut probe,
+            self.threads,
+            &drain,
+            &mut worker_busy,
+            || Ok(ProbeFragment::default()),
+            |fragment, batch| {
+                est.observe_probe_keys(fragment, batch.col(probe_key))?;
+                est.observe_probe_rows(fragment, batch)?;
                 // Batch-boundary estimate publication — the per-tuple
                 // cadence of the paper when `batch_rows = 1`.
-                est.publish();
-                if let (Some(tracker), Some(estimate)) = (tracker, est.once_estimate()) {
-                    let mut t = tracker.lock();
-                    for (key, mult) in agg_buf.drain(..) {
-                        t.observe_n(&key, mult);
-                    }
-                    t.set_input_size(estimate.round() as u64);
-                }
+                est.publish(fragment);
                 Ok(())
-            })?;
-        }
+            },
+        )?;
+        self.probe_parts = parts;
         for (w, busy) in worker_busy.iter().enumerate() {
             if !busy.is_zero() {
                 self.metrics.record_worker_busy(w as u32, *busy);
             }
         }
-        est.end_probe(self.probe_parts.rows);
-        if let (Some(tracker), Some(estimate)) = (tracker, est.once_estimate()) {
-            tracker.lock().set_input_size(estimate.round() as u64);
-        }
+        self.est.end_probe(self.probe_parts.rows, fragments);
 
         self.metrics.trace_phase(Phase::Probe, Phase::PartitionJoin);
         self.load_partition(0)
@@ -509,22 +437,6 @@ fn flush_pairs(
         out.gather_concat_from(build, probe, pairs);
         pairs.clear();
     }
-}
-
-/// Stage `(key, multiplicity)` of every probe row of `batch` with a build
-/// match, in row order, for the aggregation push-down tracker.
-fn stage_matched_keys(
-    staged: &mut Vec<(Key, u64)>,
-    batch: &RowBatch,
-    key_col: usize,
-    mults: &[u64],
-) -> QResult<()> {
-    for (r, &mult) in mults.iter().enumerate() {
-        if mult > 0 {
-            staged.push((batch.key(r, key_col)?, mult));
-        }
-    }
-    Ok(())
 }
 
 impl Operator for HashJoin {
@@ -884,7 +796,7 @@ mod tests {
         let r = [1i64, 1, 2, 3];
         let s = [1i64, 2, 2, 5];
         // join output keys: 1 (×2), 2 (×2) → 2 distinct
-        let tracker = Arc::new(Mutex::new(DistinctTracker::new(10)));
+        let (to_agg, inbox) = std::sync::mpsc::channel();
         let m = OpMetrics::with_initial_estimate(0.0);
         let mut j = HashJoin::new(
             scan1("r", &r),
@@ -894,10 +806,10 @@ mod tests {
             JoinEstimation::Once { probe_size_hint: 4 },
             Arc::clone(&m),
         )
-        .with_agg_pushdown(Arc::clone(&tracker));
+        .with_agg_pushdown(DistinctTracker::new(10), to_agg);
         let rows = drain(&mut j);
         assert_eq!(rows.len(), 4);
-        let t = tracker.lock();
+        let t = inbox.try_recv().unwrap();
         assert_eq!(t.groups_seen(), 2);
         assert_eq!(t.estimate(), 2.0);
     }
@@ -976,7 +888,7 @@ mod tests {
             .map(|i| if i % 3 == 0 { 7 } else { i % 90 })
             .collect();
         let s: Vec<i64> = (0..1100).map(|i| i % 130).collect();
-        let tracker = Arc::new(Mutex::new(DistinctTracker::new(1 << 20)));
+        let (to_agg, inbox) = std::sync::mpsc::channel();
         let m = OpMetrics::with_initial_estimate(0.0);
         let mut j = HashJoin::new(
             scan1("r", &r),
@@ -990,9 +902,9 @@ mod tests {
         )
         .with_join_kind(kind)
         .with_threads(threads)
-        .with_agg_pushdown(Arc::clone(&tracker));
+        .with_agg_pushdown(DistinctTracker::new(1 << 20), to_agg);
         let rows = drain(&mut j);
-        let distinct = tracker.lock().estimate();
+        let distinct = inbox.try_recv().unwrap().estimate();
         (rows, m.estimated_total(), distinct)
     }
 

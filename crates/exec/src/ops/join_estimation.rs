@@ -1,31 +1,40 @@
 //! The estimation protocol of joins with a preprocessing phase (§4.1.1–
 //! 4.1.2), driven the same way by [`HashJoin`](crate::ops::HashJoin) and
-//! [`MergeJoin`](crate::ops::MergeJoin):
+//! [`MergeJoin`](crate::ops::MergeJoin), whose drains cut their input into
+//! chunks and share the [`JoinEstimator`] by reference:
 //!
-//! 1. **Build** (hash build / first sort): `begin_build`, one
-//!    `observe_build` per batch, `end_build` — the exact join-key
-//!    histogram `N_R`, or the build side of an Algorithm-1 chain's
-//!    estimator, which then moves on to the join below.
-//! 2. **Probe** (probe partitioning / second sort): `observe_probe_keys`
-//!    and `observe_probe_rows` refine `D_{t+1}`, `publish` makes the
-//!    estimate and its bounds visible, `end_probe` fixes `|S|` — the
-//!    estimate is exact before the first output row.
+//! 1. **Build** (hash build / first sort): `begin_build`; each chunk
+//!    observes its batches into a private [`BuildFragment`]
+//!    (`observe_build`); `end_build` folds the fragments in chunk order —
+//!    the exact join-key histogram `N_R`, or the build side of an
+//!    Algorithm-1 chain's estimator, which then moves on to the join below.
+//! 2. **Probe** (probe partitioning / second sort): each chunk observes its
+//!    batches into a private [`ProbeFragment`] (`observe_probe_keys`, and
+//!    `observe_probe_rows` for a chain) and, when it publishes, folds it
+//!    into the join's totals under one lock and publishes from the merged
+//!    sums; `end_probe` fixes `|S|` — the estimate is exact before the
+//!    first output row.
 //! 3. **Join pass**: `observe_join_pass` charges one output batch's driver
 //!    and emitted rows to the governor and the gnm counters, which a
 //!    dne/byte baseline then reads; baselines only ever watch this phase.
 //!
-//! The operators decide *when* to publish (hash join: every batch boundary;
+//! A serial drain is the one-chunk case: its fragment is folded as soon as
+//! it is observed, so it publishes what the observation produced. The
+//! operators decide *when* to publish (hash join: every batch boundary;
 //! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
 //! everything else about estimation lives here.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
+use crate::sync::Mutex;
 use qprog_core::baseline::{Baseline, Rule};
+use qprog_core::distinct::DistinctTracker;
 use qprog_core::freq_hist::FreqHist;
-use qprog_core::join_est::{JoinKind, OnceJoinEstimator, ProbeFragment};
-use qprog_core::pipeline_est::PipelineEstimator;
-use qprog_types::{QError, QResult, RowBatch, Value};
+use qprog_core::join_est::{self, JoinKind, ProbeTotals};
+use qprog_core::pipeline_est::{PipelineBuildFragment, PipelineEstimator, PipelineProbeFragment};
+use qprog_types::{Key, QError, QResult, RowBatch, Value};
 
 use crate::metrics::OpMetrics;
 use crate::trace::DegradeReason;
@@ -50,9 +59,11 @@ pub enum JoinEstimation {
     /// chains); this join is `join_index` of the chain's estimator, which
     /// arrives in `inbox` and leaves through `below` at `end_build` — join
     /// 0 keeps it and drives the probe pass ([`JoinEstimation::pipeline`]).
+    /// The inbox is locked only so that a drain's chunks can share the
+    /// join's estimator by reference.
     Pipeline {
         join_index: usize,
-        inbox: Receiver<ChainState>,
+        inbox: Mutex<Receiver<ChainState>>,
         below: Option<Sender<ChainState>>,
     },
     /// A dne or byte baseline over the join pass's counters (driver = probe
@@ -71,7 +82,7 @@ impl JoinEstimation {
                 let below = below.replace(to_this);
                 Self::Pipeline {
                     join_index,
-                    inbox,
+                    inbox: Mutex::new(inbox),
                     below,
                 }
             })
@@ -83,17 +94,28 @@ impl JoinEstimation {
     }
 }
 
+/// A `once` join's probe-pass state that workers fold into.
+struct OnceTotals {
+    totals: ProbeTotals,
+    /// The aggregation push-down tracker, while the probe pass feeds it.
+    tracker: Option<DistinctTracker>,
+}
+
 /// The estimator state a join owns in its current phase.
 enum Stage {
-    /// Nothing of its own: `Off`, a pipeline join that has handed the
-    /// chain's estimator down, or a baseline before the join pass.
+    /// Nothing of its own: `Off`, `Once` before the end of its build, a
+    /// pipeline join that has handed the chain's estimator down, or a
+    /// baseline before the join pass.
     Idle,
-    /// `Once`, build phase: the join-key histogram under construction.
-    Building(FreqHist),
-    /// `Once`, from the end of the build phase on.
-    Probing(OnceJoinEstimator),
+    /// `Once`, from the end of the build phase on: the finished join-key
+    /// histogram, read unlocked, and the totals behind one lock.
+    Probing {
+        hist: FreqHist,
+        kind: JoinKind,
+        acc: Box<Mutex<OnceTotals>>,
+    },
     /// `Pipeline`, while this join owns the chain's estimator.
-    Pipeline(PipelineEstimator, Vec<Arc<OpMetrics>>),
+    Pipeline(Box<PipelineEstimator>, Vec<Arc<OpMetrics>>),
     /// A baseline, from the end of the probe phase on: a rule over the
     /// join's own counters.
     Baseline(Baseline),
@@ -105,6 +127,34 @@ pub(crate) struct JoinEstimator {
     mode: JoinEstimation,
     metrics: Arc<OpMetrics>,
     stage: Stage,
+    /// Set by the first chunk whose build histogram outgrows the soft
+    /// budget: every chunk then drops its histogram.
+    degraded: AtomicBool,
+    /// Aggregation push-down (§4.2 end): the tracker of the join key's
+    /// distinct values in the join *output*, and where it goes at
+    /// `end_probe`.
+    tracker: Option<DistinctTracker>,
+    to_agg: Option<Sender<DistinctTracker>>,
+}
+
+/// One chunk's private build-side estimator state.
+pub(crate) enum BuildFragment {
+    Off,
+    /// `Once`: the chunk's join-key histogram, dropped on a budget breach.
+    Hist(Option<FreqHist>),
+    Chain(PipelineBuildFragment),
+}
+
+/// One chunk's private probe-side estimator state since its last fold.
+#[derive(Default)]
+pub(crate) struct ProbeFragment {
+    /// `Once`: `(t, Σc, Σc²)` of the rows observed since the last fold.
+    once: join_est::ProbeFragment,
+    /// `Once`: the build-side multiplicities of the last keys observed.
+    counts: Vec<u64>,
+    /// Aggregation push-down: `(key, multiplicity)` of the matched rows.
+    matched: Vec<(Key, u64)>,
+    chain: PipelineProbeFragment,
 }
 
 impl JoinEstimator {
@@ -113,92 +163,113 @@ impl JoinEstimator {
             mode,
             metrics,
             stage: Stage::Idle,
+            degraded: AtomicBool::new(false),
+            tracker: None,
+            to_agg: None,
         }
     }
 
-    /// Whether this join is part of an Algorithm-1 pipeline, whose
-    /// estimator has no per-worker fragments to merge (no parallel drains).
-    pub fn is_pipeline(&self) -> bool {
-        matches!(self.mode, JoinEstimation::Pipeline { .. })
-    }
-
-    /// Whether the build phase is maintaining a join-key histogram (which
-    /// parallel build workers then contribute fragments to).
-    pub fn builds_histogram(&self) -> bool {
-        matches!(self.stage, Stage::Building(_))
+    /// Feed `tracker` the join key of every output row during the probe
+    /// pass, and send it to the aggregate through `to_agg` at `end_probe`.
+    pub fn push_down_agg(&mut self, tracker: DistinctTracker, to_agg: Sender<DistinctTracker>) {
+        (self.tracker, self.to_agg) = (Some(tracker), Some(to_agg));
     }
 
     /// Start the build phase; a pipeline join takes the chain's estimator.
     pub fn begin_build(&mut self) -> QResult<()> {
-        match &self.mode {
-            JoinEstimation::Once { .. } => self.stage = Stage::Building(FreqHist::new()),
-            JoinEstimation::Pipeline {
-                join_index, inbox, ..
-            } => {
-                let (mut estimator, metrics) = inbox
-                    .try_recv()
-                    .map_err(|_| QError::internal("pipeline estimator not handed down"))?;
-                estimator.begin_build(*join_index)?;
-                self.stage = Stage::Pipeline(estimator, metrics);
-            }
-            _ => {}
+        if let JoinEstimation::Pipeline {
+            join_index, inbox, ..
+        } = &self.mode
+        {
+            let (mut estimator, metrics) = inbox
+                .lock()
+                .try_recv()
+                .map_err(|_| QError::internal("pipeline estimator not handed down"))?;
+            estimator.begin_build(*join_index)?;
+            self.stage = Stage::Pipeline(Box::new(estimator), metrics);
         }
         Ok(())
     }
 
-    /// Observe one non-empty build batch, in scan order. Reads columns (the
-    /// kernels skip NULL keys themselves): one kernel call per batch.
-    pub fn observe_build(&mut self, batch: &RowBatch, key_col: usize) -> QResult<()> {
-        match (&mut self.stage, &self.mode) {
-            (Stage::Building(hist), _) => {
+    /// A fresh build fragment for one chunk.
+    pub fn build_fragment(&self) -> QResult<BuildFragment> {
+        Ok(match (&self.mode, &self.stage) {
+            (JoinEstimation::Once { .. }, _) => BuildFragment::Hist(Some(FreqHist::new())),
+            (JoinEstimation::Pipeline { join_index, .. }, Stage::Pipeline(estimator, _)) => {
+                BuildFragment::Chain(estimator.build_fragment(*join_index)?)
+            }
+            _ => BuildFragment::Off,
+        })
+    }
+
+    /// Observe one non-empty build batch into a chunk's `fragment`, in scan
+    /// order, column at a time. The soft histogram-memory budget is checked
+    /// after every batch: the first breach degrades the estimator one rung
+    /// (exact frequency histogram → dne baseline, DESIGN.md §5) instead of
+    /// aborting the query.
+    pub fn observe_build(
+        &self,
+        fragment: &mut BuildFragment,
+        batch: &RowBatch,
+        key_col: usize,
+    ) -> QResult<()> {
+        match (fragment, &self.stage) {
+            (BuildFragment::Hist(slot), _) => {
+                let Some(hist) = slot else {
+                    return Ok(());
+                };
                 hist.observe_column(batch.col(key_col), None)?;
-                self.enforce_hist_budget();
+                let breached = self.breaches_budget(hist);
+                if breached || self.degraded.load(Ordering::Relaxed) {
+                    *slot = None;
+                }
             }
-            (Stage::Pipeline(estimator, _), JoinEstimation::Pipeline { join_index, .. }) => {
-                estimator.build_batch(*join_index, batch.cols(), batch.len())?
+            (BuildFragment::Chain(fragment), Stage::Pipeline(estimator, _)) => {
+                estimator.build_into(fragment, batch.cols(), batch.len())?
             }
             _ => {}
         }
         Ok(())
     }
 
-    /// Fold in the histogram fragments of parallel build workers, in worker
-    /// order. Workers accumulate disjoint fragments, so the soft budget is
-    /// checked once on the merged histogram: the serial path's mid-build
-    /// degradation point has no parallel equivalent, but the ladder and its
-    /// trace event are the same.
-    pub fn absorb_build<'a>(&mut self, fragments: impl IntoIterator<Item = &'a FreqHist>) {
-        if let Stage::Building(hist) = &mut self.stage {
-            for fragment in fragments {
-                hist.merge(fragment);
-            }
-            self.enforce_hist_budget();
-        }
-    }
-
-    /// Soft histogram-memory budget: degrade the estimator one rung (exact
-    /// frequency histogram → dne baseline) instead of aborting the query
-    /// (ladder documented in DESIGN.md §5).
-    fn enforce_hist_budget(&mut self) {
-        let Stage::Building(hist) = &self.stage else {
-            return;
-        };
-        if self.metrics.hist_budget_exceeded(hist.memory_allocated()) {
-            self.stage = Stage::Idle;
-            self.mode = JoinEstimation::Baseline {
-                rule: Rule::Dne,
-                optimizer_estimate: self.metrics.estimated_total(),
-            };
+    /// Whether `hist` outgrows the soft budget; the first breach is traced.
+    fn breaches_budget(&self, hist: &FreqHist) -> bool {
+        let breached = self.metrics.hist_budget_exceeded(hist.memory_allocated());
+        if breached && !self.degraded.swap(true, Ordering::Relaxed) {
             self.metrics.trace_degraded(DegradeReason::HistogramMemory);
         }
+        breached
     }
 
-    /// End the build phase; a pipeline join hands the estimator down.
-    pub fn end_build(&mut self, kind: JoinKind) -> QResult<()> {
+    /// End the build phase: fold the chunks' fragments in chunk order, the
+    /// first moved into place. A `Once` join starts its probe totals, or
+    /// degrades to dne if a chunk or the merged histogram breached the
+    /// budget; a pipeline join hands the estimator down.
+    pub fn end_build(&mut self, fragments: Vec<BuildFragment>, kind: JoinKind) -> QResult<()> {
         match (std::mem::replace(&mut self.stage, Stage::Idle), &self.mode) {
-            (Stage::Building(hist), &JoinEstimation::Once { probe_size_hint }) => {
-                self.stage =
-                    Stage::Probing(OnceJoinEstimator::with_kind(hist, probe_size_hint, kind));
+            (_, &JoinEstimation::Once { probe_size_hint }) => {
+                let mut merged: Option<FreqHist> = None;
+                for fragment in fragments {
+                    match (&mut merged, fragment) {
+                        (Some(hist), BuildFragment::Hist(Some(more))) => hist.merge(&more),
+                        (None, BuildFragment::Hist(Some(first))) => merged = Some(first),
+                        _ => {}
+                    }
+                }
+                match merged.filter(|hist| !self.breaches_budget(hist)) {
+                    Some(hist) if !self.degraded.load(Ordering::Relaxed) => {
+                        let totals = ProbeTotals::new(probe_size_hint);
+                        let tracker = self.tracker.take();
+                        let acc = Box::new(Mutex::new(OnceTotals { totals, tracker }));
+                        self.stage = Stage::Probing { hist, kind, acc };
+                    }
+                    _ => {
+                        self.mode = JoinEstimation::Baseline {
+                            rule: Rule::Dne,
+                            optimizer_estimate: self.metrics.estimated_total(),
+                        }
+                    }
+                }
             }
             (
                 Stage::Pipeline(mut estimator, metrics),
@@ -206,10 +277,15 @@ impl JoinEstimator {
                     join_index, below, ..
                 },
             ) => {
+                for fragment in fragments {
+                    if let BuildFragment::Chain(fragment) = fragment {
+                        estimator.fold_build(fragment);
+                    }
+                }
                 estimator.end_build(*join_index)?;
                 match below {
                     // A join below that is gone has nothing left to estimate.
-                    Some(below) => _ = below.send((estimator, metrics)),
+                    Some(below) => _ = below.send((*estimator, metrics)),
                     None => self.stage = Stage::Pipeline(estimator, metrics),
                 }
             }
@@ -218,75 +294,95 @@ impl JoinEstimator {
         Ok(())
     }
 
-    /// `D_{t+1}` over a run of probe-side join keys, in scan order; returns
-    /// their build-side multiplicities (empty unless `Once`). A caller may
-    /// cut a batch's key column wherever its publication cadence falls.
-    pub fn observe_probe_keys(&mut self, keys: &[Value]) -> QResult<&[u64]> {
-        match &mut self.stage {
-            Stage::Probing(once) => once.observe_probe_batch(keys),
-            _ => Ok(&[]),
-        }
-    }
-
-    /// Algorithm-1 push-down: the join that owns the chain's estimator (join
-    /// 0) feeds it one non-empty probe batch and publishes every join of the
-    /// chain. Any other join observes nothing.
-    pub fn observe_probe_rows(&mut self, batch: &RowBatch) -> QResult<()> {
-        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
-            estimator.observe_probe_batch(batch.cols(), batch.len())?;
-            publish_chain(estimator, metrics);
+    /// `D_{t+1}` over a run of probe-side join keys, in scan order, into a
+    /// chunk's `fragment` (a no-op unless `Once`). A caller may cut a
+    /// batch's key column wherever its publication cadence falls.
+    pub fn observe_probe_keys(&self, fragment: &mut ProbeFragment, keys: &[Value]) -> QResult<()> {
+        if let Stage::Probing { hist, kind, .. } = &self.stage {
+            let counts = &mut fragment.counts;
+            fragment.once.observe_batch(hist, *kind, keys, counts)?;
+            if self.to_agg.is_some() {
+                for (key, &mult) in keys.iter().zip(counts.iter()) {
+                    if mult > 0 {
+                        fragment.matched.push((Key::from_value(key)?, mult));
+                    }
+                }
+            }
         }
         Ok(())
     }
 
-    /// Publish the `Once` estimate and its confidence bounds (pipelines
-    /// publish inside [`observe_probe_rows`](Self::observe_probe_rows)).
-    pub fn publish(&self) {
-        if let Stage::Probing(once) = &self.stage {
-            self.metrics.set_estimated_total(once.estimate());
-            let ci = once.confidence_interval(CI_Z);
-            self.metrics.set_estimated_bounds(ci.lo, ci.hi);
+    /// Algorithm-1 push-down: the join that owns the chain's estimator (join
+    /// 0) observes one non-empty probe batch into a chunk's `fragment`,
+    /// folds it in and publishes every join of the chain. Any other join
+    /// observes nothing.
+    pub fn observe_probe_rows(
+        &self,
+        fragment: &mut ProbeFragment,
+        batch: &RowBatch,
+    ) -> QResult<()> {
+        if let Stage::Pipeline(estimator, metrics) = &self.stage {
+            estimator.probe_into(&mut fragment.chain, batch.cols(), batch.len())?;
+            publish_chain(&estimator.fold_probe(&mut fragment.chain), metrics);
         }
+        Ok(())
     }
 
-    /// What a parallel probe worker refines a private [`ProbeFragment`]
-    /// against: the finished build histogram and the probe-size hint.
-    pub fn probe_worker_view(&self) -> Option<(&FreqHist, u64)> {
-        match (&self.stage, &self.mode) {
-            (Stage::Probing(once), JoinEstimation::Once { probe_size_hint }) => {
-                Some((once.build_histogram(), *probe_size_hint))
+    /// Fold the `Once` keys a chunk observed since its last fold into the
+    /// join's totals, and publish the estimate, its confidence bounds and
+    /// the push-down tracker's input from the merged sums.
+    pub fn publish(&self, fragment: &mut ProbeFragment) {
+        let Stage::Probing { acc, .. } = &self.stage else {
+            return;
+        };
+        if fragment.once.seen() == 0 {
+            return;
+        }
+        let OnceTotals { totals, tracker } = &mut *acc.lock();
+        totals.absorb(&std::mem::take(&mut fragment.once));
+        let estimate = totals.estimate();
+        self.metrics.set_estimated_total(estimate);
+        let ci = totals.confidence_interval(CI_Z);
+        self.metrics.set_estimated_bounds(ci.lo, ci.hi);
+        if let Some(tracker) = tracker {
+            for (key, mult) in fragment.matched.drain(..) {
+                tracker.observe_n(&key, mult);
             }
-            _ => None,
-        }
-    }
-
-    /// Fold in a parallel probe worker's fragment.
-    pub fn absorb_probe(&mut self, fragment: &ProbeFragment) {
-        if let Stage::Probing(once) = &mut self.stage {
-            once.absorb(fragment);
-        }
-    }
-
-    /// The current `Once` estimate, for aggregation push-down.
-    pub fn once_estimate(&self) -> Option<f64> {
-        match &self.stage {
-            Stage::Probing(once) => Some(once.estimate()),
-            _ => None,
+            tracker.set_input_size(estimate.round() as u64);
         }
     }
 
     /// The probe input is exhausted after `probe_rows` rows: `|S|` is exact,
     /// so `Once` and pipeline estimates are too; the baselines start here.
-    pub fn end_probe(&mut self, probe_rows: u64) {
-        if let Stage::Probing(once) = &mut self.stage {
-            once.set_probe_size(probe_rows);
-            let exact = once.estimate();
-            self.metrics.set_estimated_total(exact);
-            self.metrics.set_estimated_bounds(exact, exact);
+    /// What the chunks observed since their last publication is folded in
+    /// silently first, and the push-down tracker leaves for the aggregate.
+    pub fn end_probe(&mut self, probe_rows: u64, rest: Vec<ProbeFragment>) {
+        match &mut self.stage {
+            Stage::Probing { acc, .. } => {
+                let OnceTotals { totals, tracker } = &mut *acc.lock();
+                rest.iter()
+                    .for_each(|fragment| totals.absorb(&fragment.once));
+                totals.set_probe_size(probe_rows);
+                let exact = totals.estimate();
+                self.metrics.set_estimated_total(exact);
+                self.metrics.set_estimated_bounds(exact, exact);
+                if let Some(mut done) = tracker.take() {
+                    for (key, mult) in rest.iter().flat_map(|fragment| &fragment.matched) {
+                        done.observe_n(key, *mult);
+                    }
+                    done.set_input_size(exact.round() as u64);
+                    self.tracker = Some(done);
+                }
+            }
+            Stage::Pipeline(estimator, metrics) => {
+                estimator.set_probe_size(probe_rows);
+                publish_chain(&estimator.totals(), metrics);
+            }
+            _ => {}
         }
-        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
-            estimator.set_probe_size(probe_rows);
-            publish_chain(estimator, metrics);
+        if let (Some(tracker), Some(to_agg)) = (self.tracker.take(), self.to_agg.take()) {
+            // An aggregate that is gone has nothing left to publish.
+            _ = to_agg.send(tracker);
         }
         if let JoinEstimation::Baseline {
             rule,
@@ -324,10 +420,10 @@ impl JoinEstimator {
 }
 
 /// Publish every join's current estimate of an Algorithm-1 chain.
-fn publish_chain(estimator: &PipelineEstimator, metrics: &[Arc<OpMetrics>]) {
-    if estimator.probe_seen() > 0 {
-        for (u, m) in metrics.iter().enumerate() {
-            m.set_estimated_total(estimator.estimate(u));
+fn publish_chain(totals: &[ProbeTotals], metrics: &[Arc<OpMetrics>]) {
+    if totals[0].probe_seen() > 0 {
+        for (totals, m) in totals.iter().zip(metrics) {
+            m.set_estimated_total(totals.estimate());
         }
     }
 }
@@ -338,7 +434,7 @@ mod tests {
     use crate::governor::{Budgets, Governor};
     use crate::metrics::MetricsRegistry;
     use crate::trace::{EventBus, TraceEvent, TraceEventKind, TraceSink};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     const BUILD: [i64; 4] = [1, 1, 2, 3];
     const PROBE: [Option<i64>; 6] = [Some(1), Some(2), Some(2), Some(4), Some(9), None];
@@ -364,27 +460,33 @@ mod tests {
         batch
     }
 
+    fn some(vals: &[i64]) -> RowBatch {
+        keys(&vals.iter().copied().map(Some).collect::<Vec<_>>())
+    }
+
+    /// Build phase over `build` as one worker, in batches of two.
     fn build_phase(est: &mut JoinEstimator, build: &[i64], kind: JoinKind) {
         est.begin_build().unwrap();
+        let mut fragment = est.build_fragment().unwrap();
         for half in build.chunks(2) {
-            let batch = keys(&half.iter().copied().map(Some).collect::<Vec<_>>());
-            est.observe_build(&batch, 0).unwrap();
+            est.observe_build(&mut fragment, &some(half), 0).unwrap();
         }
-        est.end_build(kind).unwrap();
+        est.end_build(vec![fragment], kind).unwrap();
     }
 
     /// Probe phase over `probe` — the last rows of a `total_rows`-row probe
-    /// input — in batches of three, published at batch boundaries; returns
-    /// the multiplicities `observe_probe_keys` handed back.
+    /// input — as one worker in batches of three, published at batch
+    /// boundaries; returns the multiplicities the fragment was left with.
     fn probe_phase(est: &mut JoinEstimator, probe: &[Option<i64>], total_rows: u64) -> Vec<u64> {
-        let mut mults = Vec::new();
+        let (mut fragment, mut mults) = (ProbeFragment::default(), Vec::new());
         for chunk in probe.chunks(3) {
             let batch = keys(chunk);
-            mults.extend_from_slice(est.observe_probe_keys(batch.col(0)).unwrap());
-            est.observe_probe_rows(&batch).unwrap();
-            est.publish();
+            est.observe_probe_keys(&mut fragment, batch.col(0)).unwrap();
+            mults.extend_from_slice(&fragment.counts);
+            est.observe_probe_rows(&mut fragment, &batch).unwrap();
+            est.publish(&mut fragment);
         }
-        est.end_probe(total_rows);
+        est.end_probe(total_rows, vec![fragment]);
         mults
     }
 
@@ -402,29 +504,79 @@ mod tests {
                 probe_size_hint: 100, // wildly wrong; end_probe corrects it
             };
             let mut est = JoinEstimator::new(mode, Arc::clone(&m));
-            assert!(!est.is_pipeline());
             build_phase(&mut est, &BUILD, kind);
             assert_eq!(m.estimated_bounds(), None, "{kind:?}");
 
             // Mid-probe: the running estimate, inside published bounds.
-            let first = keys(&PROBE[..3]);
-            assert_eq!(est.observe_probe_keys(first.col(0)).unwrap(), [2, 1, 1]);
-            est.publish();
+            let mut fragment = ProbeFragment::default();
+            est.observe_probe_keys(&mut fragment, keys(&PROBE[..3]).col(0))
+                .unwrap();
+            assert_eq!(fragment.counts, [2, 1, 1]);
+            assert_eq!(m.estimated_total(), OPTIMIZER, "nothing folded yet");
+            est.publish(&mut fragment);
             let (lo, hi) = m.estimated_bounds().expect("bounds published");
             assert!(lo <= m.estimated_total() && m.estimated_total() <= hi);
-            assert_eq!(Some(m.estimated_total()), est.once_estimate(), "{kind:?}");
 
             let mults = probe_phase(&mut est, &PROBE[3..], 6);
             assert_eq!(mults, [0, 0, 0], "{kind:?}");
             assert_eq!(m.estimated_total(), truth, "{kind:?}");
             assert_eq!(m.estimated_bounds(), Some((truth, truth)), "{kind:?}");
-            assert_eq!(est.once_estimate(), Some(truth), "{kind:?}");
 
             // The join pass counts work but no longer moves the estimate.
             est.observe_join_pass(6, truth as u64).unwrap();
             assert_eq!((m.driver_consumed(), m.emitted()), (6, truth as u64));
             assert_eq!(m.estimated_total(), truth, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn fragments_of_several_workers_fold_to_the_one_worker_estimate() {
+        // Two build workers and three probe workers, folded out of order and
+        // with one fragment left for end_probe: the converged estimate and
+        // the tracker's input are the one-worker run's.
+        let run = |split: bool| {
+            let m = OpMetrics::with_initial_estimate(OPTIMIZER);
+            let mut est = JoinEstimator::new(JoinEstimation::Once { probe_size_hint: 6 }, m);
+            let (to_agg, inbox) = mpsc::channel();
+            est.push_down_agg(DistinctTracker::new(1), to_agg);
+            est.begin_build().unwrap();
+            let chunks: Vec<&[i64]> = if split {
+                BUILD.chunks(2).collect()
+            } else {
+                vec![&BUILD]
+            };
+            let fragments: Vec<_> = chunks
+                .iter()
+                .map(|chunk| {
+                    let mut fragment = est.build_fragment().unwrap();
+                    est.observe_build(&mut fragment, &some(chunk), 0).unwrap();
+                    fragment
+                })
+                .collect();
+            est.end_build(fragments, JoinKind::Inner).unwrap();
+            let chunks: Vec<&[Option<i64>]> = if split {
+                PROBE.chunks(2).collect()
+            } else {
+                vec![&PROBE]
+            };
+            let mut fragments: Vec<ProbeFragment> = chunks
+                .iter()
+                .map(|chunk| {
+                    let mut fragment = ProbeFragment::default();
+                    est.observe_probe_keys(&mut fragment, keys(chunk).col(0))
+                        .unwrap();
+                    fragment
+                })
+                .collect();
+            for fragment in fragments.iter_mut().skip(1).rev() {
+                est.publish(fragment);
+            }
+            est.end_probe(6, fragments);
+            let tracker = inbox.try_recv().unwrap();
+            (est.metrics.estimated_total(), tracker.estimate())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), (4.0, 2.0));
     }
 
     #[test]
@@ -440,9 +592,8 @@ mod tests {
             let m = OpMetrics::with_initial_estimate(OPTIMIZER);
             let mut est = JoinEstimator::new(mode, Arc::clone(&m));
             build_phase(&mut est, &BUILD, JoinKind::Inner);
-            assert!(!est.builds_histogram());
+            assert!(matches!(est.build_fragment(), Ok(BuildFragment::Off)));
             assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
-            assert_eq!(est.once_estimate(), None);
             assert_eq!(m.estimated_total(), OPTIMIZER);
             assert_eq!(m.estimated_bounds(), None);
 
@@ -470,9 +621,10 @@ mod tests {
 
     #[test]
     fn hist_budget_breach_degrades_once_to_dne() {
-        // Serial builds breach mid-build; parallel builds on the merged
-        // fragments. Either way: one event, dne from the join pass on.
-        for parallel in [false, true] {
+        // One worker breaches at its first batch; two workers both breach;
+        // two fragments that fit alone breach once merged. Either way: one
+        // event, dne from the join pass on.
+        for workers in ["one", "two", "merged"] {
             let degraded = Arc::new(DegradedCount::default());
             let mut registry = MetricsRegistry::traced(EventBus::with_sink(
                 Arc::clone(&degraded) as Arc<dyn TraceSink>
@@ -485,25 +637,39 @@ mod tests {
             let mode = JoinEstimation::Once { probe_size_hint: 6 };
             let mut est = JoinEstimator::new(mode, Arc::clone(&m));
             est.begin_build().unwrap();
-            assert!(est.builds_histogram());
-            if parallel {
-                let build: Vec<_> = BUILD.iter().map(|&v| qprog_types::Key::Int(v)).collect();
-                let fragments: Vec<FreqHist> =
-                    build.chunks(2).map(|c| c.iter().collect()).collect();
-                est.absorb_build(&fragments);
-            } else {
-                est.observe_build(&keys(&[Some(1), Some(1)]), 0).unwrap();
-                assert!(!est.builds_histogram(), "breached on the first batch");
-                est.observe_build(&keys(&[Some(2), Some(3)]), 0).unwrap();
-            }
-            assert!(!est.builds_histogram());
-            est.end_build(JoinKind::Inner).unwrap();
+            let fragments = match workers {
+                "one" => {
+                    let mut fragment = est.build_fragment().unwrap();
+                    est.observe_build(&mut fragment, &some(&[1, 1]), 0).unwrap();
+                    assert!(matches!(fragment, BuildFragment::Hist(None)));
+                    assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "at the first batch");
+                    est.observe_build(&mut fragment, &some(&[2, 3]), 0).unwrap();
+                    vec![fragment]
+                }
+                "two" => BUILD
+                    .chunks(2)
+                    .map(|half| {
+                        let mut fragment = est.build_fragment().unwrap();
+                        est.observe_build(&mut fragment, &some(half), 0).unwrap();
+                        fragment
+                    })
+                    .collect(),
+                _ => BUILD
+                    .chunks(2)
+                    .map(|half| {
+                        let keys: Vec<_> = half.iter().map(|&v| Key::Int(v)).collect();
+                        BuildFragment::Hist(Some(keys.iter().collect()))
+                    })
+                    .collect(),
+            };
+            est.end_build(fragments, JoinKind::Inner).unwrap();
+            assert!(matches!(est.build_fragment(), Ok(BuildFragment::Off)));
             assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
             assert_eq!(m.estimated_total(), OPTIMIZER);
             assert_eq!(m.estimated_bounds(), None);
             est.observe_join_pass(6, 4).unwrap();
             assert_eq!(m.estimated_total(), 4.0);
-            assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "parallel={parallel}");
+            assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "{workers}");
         }
     }
 
@@ -523,7 +689,6 @@ mod tests {
             .zip([&m_lower, &m_upper])
             .map(|(mode, m)| JoinEstimator::new(mode, Arc::clone(m)));
         let (mut lower, mut upper) = (joins.next().unwrap(), joins.next().unwrap());
-        assert!(lower.is_pipeline() && upper.is_pipeline());
         // The lower join cannot build before the upper one hands it the
         // estimator.
         assert!(lower.begin_build().is_err());
@@ -531,7 +696,6 @@ mod tests {
         // probe input — the lower join — which builds and probes.
         build_phase(&mut upper, &a, JoinKind::Inner);
         build_phase(&mut lower, &b, JoinKind::Inner);
-        assert!(!upper.builds_histogram() && !lower.builds_histogram());
 
         // The estimator moved down at the upper join's end_build.
         assert_eq!(upper.pipeline_probe_seen(), None);

@@ -23,7 +23,7 @@ use qprog_core::join_est::JoinKind;
 use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
-use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator, ProbeFragment};
 use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::trace::Phase;
 
@@ -156,15 +156,17 @@ impl MergeJoin {
         // Sort left (R): every tuple is seen before output → histogram.
         self.metrics.trace_phase(Phase::Init, Phase::SortInput);
         est.begin_build()?;
+        let mut fragment = est.build_fragment()?;
         let left = drain_sorted(left, left_key, batch_cap, &self.metrics, |batch| {
-            est.observe_build(batch, left_key)
+            est.observe_build(&mut fragment, batch, left_key)
         })?;
-        est.end_build(JoinKind::Inner)?;
+        est.end_build(vec![fragment], JoinKind::Inner)?;
 
         // Sort right (S): probe the histogram while consuming. Estimates
         // are published in batches — per-tuple publication is measurable
         // overhead for a monitor that polls far less often anyway.
         let mut right_count: u64 = 0;
+        let mut fragment = ProbeFragment::default();
         let right = drain_sorted(right, right_key, batch_cap, &self.metrics, |batch| {
             // Cut the key column where the publication cadence falls, so
             // every PUBLISH_EVERY-th row publishes the state it would have
@@ -173,16 +175,16 @@ impl MergeJoin {
             while !keys.is_empty() {
                 let due = (PUBLISH_EVERY - right_count % PUBLISH_EVERY) as usize;
                 let (head, rest) = keys.split_at(due.min(keys.len()));
-                est.observe_probe_keys(head)?;
+                est.observe_probe_keys(&mut fragment, head)?;
                 right_count += head.len() as u64;
                 keys = rest;
                 if right_count.is_multiple_of(PUBLISH_EVERY) {
-                    est.publish();
+                    est.publish(&mut fragment);
                 }
             }
-            est.observe_probe_rows(batch)
+            est.observe_probe_rows(&mut fragment, batch)
         })?;
-        est.end_probe(right_count);
+        est.end_probe(right_count, vec![fragment]);
 
         self.metrics.trace_phase(Phase::SortInput, Phase::Merge);
         self.state = MState::Merging(Box::new(Merge {

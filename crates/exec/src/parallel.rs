@@ -1,12 +1,13 @@
 //! Std-only scoped worker pool for partition-parallel operator phases.
 //!
-//! Blocking operators (hash join build/probe drains) split their input into
-//! contiguous chunks and run one task per chunk on a scoped thread. The pool
-//! is deliberately minimal: threads live only for the duration of one
-//! [`run_tasks`] call (no idle workers, no channels, nothing to leak), and
-//! results come back **in task-index order** so callers can concatenate
-//! per-worker fragments deterministically — the property the parallel hash
-//! join relies on to reproduce the serial scan order exactly.
+//! The hash join's build and probe drains cut their input into contiguous
+//! chunks and run every drain through [`run_tasks`], one task per chunk —
+//! a serial drain is the one-chunk case, run inline. The pool is
+//! deliberately minimal: threads live only for the duration of one call
+//! (no idle workers, no channels, nothing to leak), and results come back
+//! **in task-index order** so callers fold per-chunk fragments in scan
+//! order, which keeps partitions and converged estimates identical at
+//! every width.
 //!
 //! Error handling mirrors the serial engine's: a worker panic is captured at
 //! join and surfaces as [`ExecError::OperatorPanic`] (the same conversion
@@ -39,64 +40,54 @@ pub struct TaskOutput<T> {
 /// when a task fails or panics; remaining tasks run to completion and their
 /// results are discarded in favor of the lowest-index error.
 ///
-/// A single task runs inline on the calling thread — no spawn cost, and the
-/// behavior under fault injection stays identical to the multi-task path.
+/// A single task runs inline on the calling thread — no spawn cost — through
+/// the same fail points as the multi-task path, `exec/parallel/spawn` aside.
 pub fn run_tasks<T, F>(tasks: Vec<F>) -> QResult<Vec<TaskOutput<T>>>
 where
     T: Send,
     F: FnOnce(usize) -> QResult<T> + Send,
 {
-    if tasks.len() <= 1 {
-        let mut out = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.into_iter().enumerate() {
-            qprog_fault::fail_point!("exec/parallel/task");
-            let start = Instant::now();
-            let value = task(i)?;
-            out.push(TaskOutput {
-                value,
-                busy: start.elapsed(),
-            });
-        }
-        qprog_fault::fail_point!("exec/parallel/merge");
-        return Ok(out);
-    }
-    qprog_fault::fail_point!("exec/parallel/spawn");
-    let results: Vec<QResult<TaskOutput<T>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
+    let run = |i: usize, task: F| -> QResult<TaskOutput<T>> {
+        qprog_fault::fail_point!("exec/parallel/task");
+        let start = Instant::now();
+        let value = task(i)?;
+        Ok(TaskOutput {
+            value,
+            busy: start.elapsed(),
+        })
+    };
+    let results: Vec<QResult<TaskOutput<T>>> = if tasks.len() <= 1 {
+        tasks
             .into_iter()
             .enumerate()
-            .map(|(i, task)| {
-                std::thread::Builder::new()
-                    .name(format!("qprog-worker-{i}"))
-                    .spawn_scoped(scope, move || -> QResult<TaskOutput<T>> {
-                        qprog_fault::fail_point!("exec/parallel/task");
-                        let start = Instant::now();
-                        let value = task(i)?;
-                        Ok(TaskOutput {
-                            value,
-                            busy: start.elapsed(),
-                        })
-                    })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|spawned| match spawned {
-                Ok(handle) => match handle.join() {
-                    Ok(result) => result,
-                    Err(payload) => Err(ExecError::OperatorPanic(panic_message(&*payload)).into()),
-                },
-                Err(e) => Err(QError::internal(format!("worker spawn failed: {e}"))),
-            })
+            .map(|(i, task)| run(i, task))
             .collect()
-    });
+    } else {
+        qprog_fault::fail_point!("exec/parallel/spawn");
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .enumerate()
+                .map(|(i, task)| {
+                    std::thread::Builder::new()
+                        .name(format!("qprog-worker-{i}"))
+                        .spawn_scoped(scope, move || run(i, task))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|spawned| match spawned {
+                    Ok(handle) => handle.join().unwrap_or_else(|payload| {
+                        Err(ExecError::OperatorPanic(panic_message(&*payload)).into())
+                    }),
+                    Err(e) => Err(QError::internal(format!("worker spawn failed: {e}"))),
+                })
+                .collect()
+        })
+    };
     qprog_fault::fail_point!("exec/parallel/merge");
     // Deterministic error selection: the lowest task index's error wins.
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
+    results.into_iter().collect()
 }
 
 #[cfg(test)]

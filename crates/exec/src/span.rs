@@ -19,69 +19,32 @@
 //! [`TraceEventKind::SpanStart`]: crate::trace::TraceEventKind::SpanStart
 //! [`TraceEventKind::SpanEnd`]: crate::trace::TraceEventKind::SpanEnd
 
-use std::fmt;
-
 /// Sentinel parent id for a root span (no parent).
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// What a lifecycle span covers. The `arg` field of
-/// [`SpanStart`](crate::trace::TraceEventKind::SpanStart) qualifies the
-/// kind: the attempt number for [`QueueWait`](SpanKind::QueueWait) /
-/// [`BackoffPark`](SpanKind::BackoffPark) / [`Dispatch`](SpanKind::Dispatch)
-/// (0-based completed attempts at start time), unused (0) otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// Root: the query's whole life from submit to declared terminal.
-    Query,
-    /// Submit-side work: validation, admission control, id allocation.
-    Submit,
-    /// The crash-safety WAL append inside submit.
-    JournalAppend,
-    /// Parked in the tenant-fair ready queue waiting for a worker (one
-    /// span per DRR park/unpark, including post-backoff re-parks).
-    QueueWait,
-    /// Parked for retry backoff after a transient failure.
-    BackoffPark,
-    /// One execution attempt, dispatch to outcome.
-    Dispatch,
-    /// Terminal processing: outcome classification, journal terminal
-    /// append, eviction bookkeeping.
-    Finalize,
-}
-
-impl SpanKind {
-    /// Stable lowercase name (used by the JSONL encoding, the Chrome
-    /// trace-event export, and metrics labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Query => "query",
-            SpanKind::Submit => "submit",
-            SpanKind::JournalAppend => "journal_append",
-            SpanKind::QueueWait => "queue_wait",
-            SpanKind::BackoffPark => "backoff_park",
-            SpanKind::Dispatch => "dispatch",
-            SpanKind::Finalize => "finalize",
-        }
-    }
-
-    /// Inverse of [`SpanKind::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<SpanKind> {
-        Some(match name {
-            "query" => SpanKind::Query,
-            "submit" => SpanKind::Submit,
-            "journal_append" => SpanKind::JournalAppend,
-            "queue_wait" => SpanKind::QueueWait,
-            "backoff_park" => SpanKind::BackoffPark,
-            "dispatch" => SpanKind::Dispatch,
-            "finalize" => SpanKind::Finalize,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for SpanKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// What a lifecycle span covers. The `arg` field of
+    /// [`SpanStart`](crate::trace::TraceEventKind::SpanStart) qualifies the
+    /// kind: the attempt number for [`QueueWait`](SpanKind::QueueWait) /
+    /// [`BackoffPark`](SpanKind::BackoffPark) / [`Dispatch`](SpanKind::Dispatch)
+    /// (0-based completed attempts at start time), unused (0) otherwise.
+    pub enum SpanKind {
+        /// Root: the query's whole life from submit to declared terminal.
+        Query = "query",
+        /// Submit-side work: validation, admission control, id allocation.
+        Submit = "submit",
+        /// The crash-safety WAL append inside submit.
+        JournalAppend = "journal_append",
+        /// Parked in the tenant-fair ready queue waiting for a worker (one
+        /// span per DRR park/unpark, including post-backoff re-parks).
+        QueueWait = "queue_wait",
+        /// Parked for retry backoff after a transient failure.
+        BackoffPark = "backoff_park",
+        /// One execution attempt, dispatch to outcome.
+        Dispatch = "dispatch",
+        /// Terminal processing: outcome classification, journal terminal
+        /// append, eviction bookkeeping.
+        Finalize = "finalize",
     }
 }
 

@@ -20,152 +20,65 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution phase of a blocking operator, as exposed in
-/// [`TraceEventKind::PhaseTransition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Not yet started (the implicit phase before the first transition).
-    Init,
-    /// Hash join: draining + partitioning the build input.
-    Build,
-    /// Hash join: draining + partitioning the probe input (where `once`
-    /// estimation converges, §4.1.1).
-    Probe,
-    /// Hash join: partition-wise joining (output production).
-    PartitionJoin,
-    /// Merge join / sort: consuming and sorting an input.
-    SortInput,
-    /// Merge join: merging the sorted runs.
-    Merge,
-    /// Aggregation: consuming the input into groups.
-    Accumulate,
-    /// Producing output rows (generic final phase).
-    Emit,
-}
-
-impl Phase {
-    /// Stable lowercase name (used by the JSONL sink and EXPLAIN ANALYZE).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Init => "init",
-            Phase::Build => "build",
-            Phase::Probe => "probe",
-            Phase::PartitionJoin => "partition_join",
-            Phase::SortInput => "sort_input",
-            Phase::Merge => "merge",
-            Phase::Accumulate => "accumulate",
-            Phase::Emit => "emit",
-        }
-    }
-
-    /// Inverse of [`Phase::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Some(match name {
-            "init" => Phase::Init,
-            "build" => Phase::Build,
-            "probe" => Phase::Probe,
-            "partition_join" => Phase::PartitionJoin,
-            "sort_input" => Phase::SortInput,
-            "merge" => Phase::Merge,
-            "accumulate" => Phase::Accumulate,
-            "emit" => Phase::Emit,
-            _ => return None,
-        })
+named_enum! {
+    /// Execution phase of a blocking operator, as exposed in
+    /// [`TraceEventKind::PhaseTransition`].
+    pub enum Phase {
+        /// Not yet started (the implicit phase before the first transition).
+        Init = "init",
+        /// Hash join: draining + partitioning the build input.
+        Build = "build",
+        /// Hash join: draining + partitioning the probe input (where `once`
+        /// estimation converges, §4.1.1).
+        Probe = "probe",
+        /// Hash join: partition-wise joining (output production).
+        PartitionJoin = "partition_join",
+        /// Merge join / sort: consuming and sorting an input.
+        SortInput = "sort_input",
+        /// Merge join: merging the sorted runs.
+        Merge = "merge",
+        /// Aggregation: consuming the input into groups.
+        Accumulate = "accumulate",
+        /// Producing output rows (generic final phase).
+        Emit = "emit",
     }
 }
 
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Which estimator produced a refined `N_i` value.
+    pub enum EstimateSource {
+        /// The compile-time optimizer estimate (published at registration).
+        Optimizer = "optimizer",
+        /// An online estimator (framework / dne / byte) during execution.
+        Online = "online",
+        /// The exact count, pinned when the operator finishes.
+        Exact = "exact",
     }
 }
 
-/// Which estimator produced a refined `N_i` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EstimateSource {
-    /// The compile-time optimizer estimate (published at registration).
-    Optimizer,
-    /// An online estimator (framework / dne / byte) during execution.
-    Online,
-    /// The exact count, pinned when the operator finishes.
-    Exact,
-}
-
-impl EstimateSource {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EstimateSource::Optimizer => "optimizer",
-            EstimateSource::Online => "online",
-            EstimateSource::Exact => "exact",
-        }
+named_enum! {
+    /// Why a query terminated before draining its root operator, as carried by
+    /// [`TraceEventKind::QueryAborted`]. Mirrors the
+    /// [`ExecError`](qprog_types::ExecError) taxonomy plus a catch-all for
+    /// organic execution errors, flattened to `Copy` data so trace events stay
+    /// allocation-free.
+    pub enum AbortKind {
+        /// Cooperative cancellation via the query's token.
+        Cancelled = "cancelled",
+        /// The wall-clock deadline elapsed.
+        DeadlineExceeded = "deadline",
+        /// A hard per-query resource budget was breached.
+        BudgetExceeded = "budget",
+        /// An operator (or worker thread) panicked and was isolated.
+        OperatorPanic = "panic",
+        /// A fault-injection site fired (failpoints builds).
+        Injected = "injected",
+        /// Any other execution error (type error, division by zero, ...).
+        Error = "error",
     }
-
-    /// Inverse of [`EstimateSource::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<EstimateSource> {
-        Some(match name {
-            "optimizer" => EstimateSource::Optimizer,
-            "online" => EstimateSource::Online,
-            "exact" => EstimateSource::Exact,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for EstimateSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Why a query terminated before draining its root operator, as carried by
-/// [`TraceEventKind::QueryAborted`]. Mirrors the
-/// [`ExecError`](qprog_types::ExecError) taxonomy plus a catch-all for
-/// organic execution errors, flattened to `Copy` data so trace events stay
-/// allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AbortKind {
-    /// Cooperative cancellation via the query's token.
-    Cancelled,
-    /// The wall-clock deadline elapsed.
-    DeadlineExceeded,
-    /// A hard per-query resource budget was breached.
-    BudgetExceeded,
-    /// An operator (or worker thread) panicked and was isolated.
-    OperatorPanic,
-    /// A fault-injection site fired (failpoints builds).
-    Injected,
-    /// Any other execution error (type error, division by zero, ...).
-    Error,
 }
 
 impl AbortKind {
-    /// Stable lowercase name (used by the JSONL sink, metrics labels, and
-    /// the monitor's terminal-state rendering).
-    pub fn name(self) -> &'static str {
-        match self {
-            AbortKind::Cancelled => "cancelled",
-            AbortKind::DeadlineExceeded => "deadline",
-            AbortKind::BudgetExceeded => "budget",
-            AbortKind::OperatorPanic => "panic",
-            AbortKind::Injected => "injected",
-            AbortKind::Error => "error",
-        }
-    }
-
-    /// Inverse of [`AbortKind::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<AbortKind> {
-        Some(match name {
-            "cancelled" => AbortKind::Cancelled,
-            "deadline" => AbortKind::DeadlineExceeded,
-            "budget" => AbortKind::BudgetExceeded,
-            "panic" => AbortKind::OperatorPanic,
-            "injected" => AbortKind::Injected,
-            "error" => AbortKind::Error,
-            _ => return None,
-        })
-    }
-
     /// Classify an error into its abort kind.
     pub fn from_error(e: &qprog_types::QError) -> AbortKind {
         use qprog_types::ExecError;
@@ -180,175 +93,63 @@ impl AbortKind {
     }
 }
 
-impl fmt::Display for AbortKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Why an estimator stepped down a rung on the degradation ladder, as
+    /// carried by [`TraceEventKind::EstimatorDegraded`].
+    pub enum DegradeReason {
+        /// The exact frequency histogram outgrew its memory budget.
+        HistogramMemory = "histogram_memory",
     }
 }
 
-/// Why an estimator stepped down a rung on the degradation ladder, as
-/// carried by [`TraceEventKind::EstimatorDegraded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DegradeReason {
-    /// The exact frequency histogram outgrew its memory budget.
-    HistogramMemory,
-}
-
-impl DegradeReason {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeReason::HistogramMemory => "histogram_memory",
-        }
-    }
-
-    /// Inverse of [`DegradeReason::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<DegradeReason> {
-        match name {
-            "histogram_memory" => Some(DegradeReason::HistogramMemory),
-            _ => None,
-        }
+named_enum! {
+    /// Progress-health verdict for a running query, as carried by
+    /// [`TraceEventKind::HealthTransition`]. Computed by the `obs::health`
+    /// analyzer from the live trace stream plus periodic work/ETA samples.
+    pub enum HealthState {
+        /// Work is flowing and estimates are settled.
+        Healthy = "healthy",
+        /// No observed-work delta for longer than the configured stall window
+        /// while the query is still Running.
+        Stalled = "stalled",
+        /// Estimates are oscillating/diverging or the ETA is swinging beyond
+        /// the configured volatility thresholds.
+        Unstable = "unstable",
     }
 }
 
-impl fmt::Display for DegradeReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Why the health analyzer changed its verdict, as carried by
+    /// [`TraceEventKind::HealthTransition`].
+    pub enum HealthReason {
+        /// No observed-work delta past the stall window.
+        Stall = "stall",
+        /// Estimate refinements flipped direction (or diverged) too often.
+        Oscillation = "oscillation",
+        /// The smoothed ETA swung by more than the volatility threshold across
+        /// consecutive samples.
+        EtaVolatility = "eta_volatility",
+        /// Conditions cleared; the query is behaving again.
+        Recovered = "recovered",
     }
 }
 
-/// Progress-health verdict for a running query, as carried by
-/// [`TraceEventKind::HealthTransition`]. Computed by the `obs::health`
-/// analyzer from the live trace stream plus periodic work/ETA samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HealthState {
-    /// Work is flowing and estimates are settled.
-    Healthy,
-    /// No observed-work delta for longer than the configured stall window
-    /// while the query is still Running.
-    Stalled,
-    /// Estimates are oscillating/diverging or the ETA is swinging beyond
-    /// the configured volatility thresholds.
-    Unstable,
-}
-
-impl HealthState {
-    /// Stable lowercase name (used by the JSONL sink, metrics labels, and
-    /// the monitor's `"health"` JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Stalled => "stalled",
-            HealthState::Unstable => "unstable",
-        }
-    }
-
-    /// Inverse of [`HealthState::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<HealthState> {
-        Some(match name {
-            "healthy" => HealthState::Healthy,
-            "stalled" => HealthState::Stalled,
-            "unstable" => HealthState::Unstable,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for HealthState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Why the health analyzer changed its verdict, as carried by
-/// [`TraceEventKind::HealthTransition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HealthReason {
-    /// No observed-work delta past the stall window.
-    Stall,
-    /// Estimate refinements flipped direction (or diverged) too often.
-    Oscillation,
-    /// The smoothed ETA swung by more than the volatility threshold across
-    /// consecutive samples.
-    EtaVolatility,
-    /// Conditions cleared; the query is behaving again.
-    Recovered,
-}
-
-impl HealthReason {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthReason::Stall => "stall",
-            HealthReason::Oscillation => "oscillation",
-            HealthReason::EtaVolatility => "eta_volatility",
-            HealthReason::Recovered => "recovered",
-        }
-    }
-
-    /// Inverse of [`HealthReason::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<HealthReason> {
-        Some(match name {
-            "stall" => HealthReason::Stall,
-            "oscillation" => HealthReason::Oscillation,
-            "eta_volatility" => HealthReason::EtaVolatility,
-            "recovered" => HealthReason::Recovered,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for HealthReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Which progress-quality metric regressed against its corpus baseline, as
-/// carried by [`TraceEventKind::RegressionDetected`]. Computed by the
-/// `obs::corpus` regression engine when a completed run's scorecard is
-/// compared against rolling median/MAD baselines for the same
-/// (workload, estimator, threads) key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RegressionKind {
-    /// Mean absolute progress error vs the retrospective oracle grew.
-    MeanAbsErr,
-    /// The estimate converged later (larger fraction of the run elapsed
-    /// before entering the convergence band, 1.0 = never converged).
-    Convergence,
-    /// The progress fraction moved backwards more often.
-    Monotonicity,
-    /// The run's wall time grew.
-    WallTime,
-}
-
-impl RegressionKind {
-    /// Stable lowercase name (used by the JSONL sink, metrics labels, and
-    /// the monitor's history rendering).
-    pub fn name(self) -> &'static str {
-        match self {
-            RegressionKind::MeanAbsErr => "mean_abs_err",
-            RegressionKind::Convergence => "convergence",
-            RegressionKind::Monotonicity => "monotonicity",
-            RegressionKind::WallTime => "wall_time",
-        }
-    }
-
-    /// Inverse of [`RegressionKind::name`], used by the trace replay parser.
-    pub fn from_name(name: &str) -> Option<RegressionKind> {
-        Some(match name {
-            "mean_abs_err" => RegressionKind::MeanAbsErr,
-            "convergence" => RegressionKind::Convergence,
-            "monotonicity" => RegressionKind::Monotonicity,
-            "wall_time" => RegressionKind::WallTime,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for RegressionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Which progress-quality metric regressed against its corpus baseline, as
+    /// carried by [`TraceEventKind::RegressionDetected`]. Computed by the
+    /// `obs::corpus` regression engine when a completed run's scorecard is
+    /// compared against rolling median/MAD baselines for the same
+    /// (workload, estimator, threads) key.
+    pub enum RegressionKind {
+        /// Mean absolute progress error vs the retrospective oracle grew.
+        MeanAbsErr = "mean_abs_err",
+        /// The estimate converged later (larger fraction of the run elapsed
+        /// before entering the convergence band, 1.0 = never converged).
+        Convergence = "convergence",
+        /// The progress fraction moved backwards more often.
+        Monotonicity = "monotonicity",
+        /// The run's wall time grew.
+        WallTime = "wall_time",
     }
 }
 

@@ -33,7 +33,7 @@ use std::time::Instant;
 use qprog_core::gnm::{PipelineState, ProgressSnapshot};
 use qprog_exec::metrics::MetricsRegistry;
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::{AbortKind, Phase, TraceEvent, TraceEventKind, TraceSink};
+use qprog_exec::trace::AbortKind;
 use qprog_metrics::{Counter, Gauge, Registry};
 use qprog_obs::HealthAnalyzer;
 use qprog_plan::CompiledQuery;
@@ -85,46 +85,12 @@ pub enum ManagedState {
     },
 }
 
-/// A [`TraceSink`] tracking each operator's last observed phase, for the
-/// per-operator rows of `/progress/{id}`. One per monitored query.
-#[derive(Debug, Default)]
-pub struct PhaseSink {
-    phases: Mutex<Vec<Option<Phase>>>,
-}
-
-impl PhaseSink {
-    /// A fresh sink.
-    pub fn new() -> Self {
-        PhaseSink::default()
-    }
-
-    /// The last phase operator `op` transitioned into, if any transition
-    /// was observed.
-    pub fn phase(&self, op: usize) -> Option<Phase> {
-        self.phases.lock().get(op).copied().flatten()
-    }
-}
-
-impl TraceSink for PhaseSink {
-    fn publish(&self, event: &TraceEvent) {
-        if let TraceEventKind::PhaseTransition { op, to, .. } = event.kind {
-            let mut phases = self.phases.lock();
-            let idx = op as usize;
-            if phases.len() <= idx {
-                phases.resize(idx + 1, None);
-            }
-            phases[idx] = Some(to);
-        }
-    }
-}
-
 /// Live execution state attached to an entry (present from compile time
 /// for session-owned queries; from dispatch time for managed ones).
 struct ExecAttachment {
     /// The operators' counters: per-operator detail rows and the stall
     /// detector's work counter `ΣK`.
     registry: MetricsRegistry,
-    phases: Arc<PhaseSink>,
     health: Option<Arc<HealthAnalyzer>>,
 }
 
@@ -283,12 +249,10 @@ impl QueryDirectory {
         label: impl Into<String>,
         estimator: impl Into<String>,
         query: &CompiledQuery,
-        phases: Arc<PhaseSink>,
         health: Option<Arc<HealthAnalyzer>>,
     ) -> MonitoredQuery {
         let exec = ExecAttachment {
             registry: query.registry().clone(),
-            phases,
             health,
         };
         let entry = QueryEntry::new(
@@ -365,7 +329,6 @@ impl QueryDirectory {
         &self,
         id: u64,
         query: &CompiledQuery,
-        phases: Arc<PhaseSink>,
         health: Option<Arc<HealthAnalyzer>>,
     ) -> bool {
         let mut entries = self.entries.lock();
@@ -374,7 +337,6 @@ impl QueryDirectory {
         };
         e.exec = Some(ExecAttachment {
             registry: query.registry().clone(),
-            phases,
             health,
         });
         Self::subscribe(query, Arc::clone(&e.progress));
@@ -560,8 +522,7 @@ impl QueryDirectory {
             Some(exec) => exec
                 .registry
                 .iter()
-                .enumerate()
-                .map(|(i, (name, m))| {
+                .map(|(name, m)| {
                     let (lo, hi) = m
                         .estimated_bounds()
                         .map_or(("null".to_string(), "null".to_string()), |(lo, hi)| {
@@ -576,8 +537,7 @@ impl QueryDirectory {
                         m.driver_consumed(),
                         num(m.estimated_total()),
                         m.is_finished(),
-                        exec.phases
-                            .phase(i)
+                        m.phase()
                             .map_or("null".to_string(), |p| format!("\"{}\"", p.name())),
                         m.wall_us().map_or("null".to_string(), |w| w.to_string()),
                         m.workers().map_or("null".to_string(), |w| w.to_string()),
@@ -674,6 +634,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::hub::{StreamNext, StreamSubscriber};
     use qprog_core::gnm::PipelineProgress;
+    use qprog_exec::trace::{Phase, TraceEvent, TraceEventKind, TraceSink};
 
     /// A publication: `current` of `total` done, on one pipeline.
     fn snapshot(current: u64, total: f64) -> ProgressSnapshot {
@@ -694,7 +655,6 @@ pub(crate) mod tests {
     fn exec(registry: &MetricsRegistry) -> ExecAttachment {
         ExecAttachment {
             registry: registry.clone(),
-            phases: Arc::new(PhaseSink::new()),
             health: None,
         }
     }
@@ -818,29 +778,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn phase_sink_tracks_last_phase() {
-        let sink = PhaseSink::new();
-        assert_eq!(sink.phase(0), None);
-        sink.publish(&TraceEvent {
-            seq: 0,
-            at_us: 0,
-            kind: TraceEventKind::PhaseTransition {
-                op: 2,
-                from: Phase::Init,
-                to: Phase::Build,
-            },
-        });
-        sink.publish(&TraceEvent {
-            seq: 1,
-            at_us: 0,
-            kind: TraceEventKind::PhaseTransition {
-                op: 2,
-                from: Phase::Build,
-                to: Phase::Probe,
-            },
-        });
-        assert_eq!(sink.phase(2), Some(Phase::Probe));
-        assert_eq!(sink.phase(0), None);
+    fn detail_rows_show_each_operators_last_phase() {
+        let dir = Arc::new(QueryDirectory::new(None));
+        let (q, _, reg) = session_entry(&dir, "phased");
+        let phase = || {
+            let detail = dir.render_query(q.id()).unwrap();
+            let at = detail.find("\"phase\":").expect("an operator row");
+            detail[at..].split(',').next().unwrap().to_string()
+        };
+        assert_eq!(phase(), "\"phase\":null");
+        let (_, scan) = reg.iter().next().unwrap();
+        scan.trace_phase(Phase::Init, Phase::Build);
+        scan.trace_phase(Phase::Build, Phase::Probe);
+        assert_eq!(phase(), "\"phase\":\"probe\"");
     }
 
     #[test]
@@ -997,8 +947,11 @@ pub(crate) mod tests {
         let id = dir.allocate_id(1);
         let _q = dir.register_managed(id, "flaky", "gnm", "t");
         dir.set_managed_state(id, ManagedState::Running { attempt: 1 });
-        let attachment = exec(&one_scan());
-        let sink = Arc::clone(&attachment.phases);
+        let sink = Arc::new(HealthAnalyzer::new(qprog_obs::HealthConfig::default()));
+        let attachment = ExecAttachment {
+            health: Some(Arc::clone(&sink)),
+            ..exec(&one_scan())
+        };
         attach(&dir, id, attachment);
         frames(&firehose);
         sink.publish(&TraceEvent {

@@ -9,9 +9,7 @@
 //!   registration token drops. An entry is told, not polled: the token's
 //!   holder sets its lifecycle, and its progress is the query's own last
 //!   publication (`CompiledQuery::on_progress`), with per-operator detail
-//!   from the operators' counters and a
-//!   [`PhaseSink`](directory::PhaseSink) (last observed phase per
-//!   operator);
+//!   from the operators' counters (their last phase included);
 //! - [`server`] — a threaded [`MonitorServer`](server::MonitorServer) on
 //!   `std::net::TcpListener` answering
 //!   `GET /metrics` (Prometheus text from an attached
@@ -47,7 +45,7 @@ pub mod service;
 // re-exported so monitor users need only one dependency.
 pub use qprog_service;
 
-pub use directory::{ManagedState, MonitoredQuery, PhaseSink, QueryDirectory, QueryState};
+pub use directory::{ManagedState, MonitoredQuery, QueryDirectory, QueryState};
 pub use eta::EtaSmoother;
 pub use hub::{StreamHub, StreamNext, StreamSubscriber};
 pub use server::{MonitorServer, ServerConfig};

@@ -1,6 +1,7 @@
 //! Physical compilation: logical plans → instrumented operator trees with
 //! estimator wiring and pipeline decomposition.
 
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, OnceLock};
 
 use qprog_core::baseline::Rule;
@@ -17,7 +18,6 @@ use qprog_exec::ops::{
     BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, Project, RowCursor,
     Sort, TableScan,
 };
-use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, EventBus, TraceEventKind};
 use qprog_types::{QError, QResult, Row};
 
@@ -35,8 +35,6 @@ pub struct PhysicalOptions {
     pub sample_fraction: f64,
     /// Seed for sampling randomness.
     pub seed: u64,
-    /// Grace hash-join partition count.
-    pub partitions: usize,
     /// Simulated per-block scan I/O latency in microseconds (0 = in-memory).
     /// Reproduces the paper's disk-resident cost model for the overhead
     /// experiments.
@@ -69,7 +67,6 @@ impl Default for PhysicalOptions {
             mode: EstimationMode::Once,
             sample_fraction: 0.10,
             seed: 42,
-            partitions: 16,
             block_io_us: 0,
             max_rows: None,
             max_hist_bytes: None,
@@ -517,32 +514,30 @@ impl Compiler<'_> {
         // §4.2 (end): when grouping on the join attribute of a hash join
         // directly below, push distinct-value tracking into the join — unless
         // it tops a pipeline chain, whose upper joins observe no probe keys.
-        let pushdown_tracker = if self.opts.mode == EstimationMode::Once
+        let (pushdown, inbox) = if self.opts.mode == EstimationMode::Once
             && group_cols.len() == 1
             && group_col_is_join_key(input, group_cols[0])
             && collect_join_chain(input, JoinAlgo::Hash).len() == 1
         {
-            Some(Arc::new(Mutex::new(DistinctTracker::new(
-                input.estimate.round() as u64,
-            ))))
+            let (to_agg, inbox) = mpsc::channel();
+            let tracker = DistinctTracker::new(input.estimate.round() as u64);
+            (Some((tracker, to_agg)), Some(inbox))
         } else {
-            None
+            (None, None)
         };
 
         let child_idx = self.registry.len();
-        let child = match (&input.node, &pushdown_tracker) {
-            (Node::Join { .. }, Some(tracker)) => {
-                self.compile_join(input, input_pipeline, Some(Arc::clone(tracker)))?
-            }
-            _ => self.compile(input, input_pipeline)?,
+        let child = match pushdown {
+            Some(pushdown) => self.compile_join(input, input_pipeline, Some(pushdown))?,
+            None => self.compile(input, input_pipeline)?,
         };
         let child_idx = self.chain_root.take().unwrap_or(child_idx);
         self.op_inputs[agg_idx].push(child_idx);
 
-        let estimation = match (&pushdown_tracker, self.opts.mode) {
-            (Some(tracker), _) => {
+        let estimation = match (inbox, self.opts.mode) {
+            (Some(inbox), _) => {
                 self.set_label(agg_idx, "pushdown");
-                AggEstimation::Pushdown(Arc::clone(tracker))
+                AggEstimation::Pushdown(inbox)
             }
             (None, EstimationMode::Off) => AggEstimation::Off,
             (None, _) => {
@@ -566,7 +561,7 @@ impl Compiler<'_> {
         &mut self,
         plan: &LogicalPlan,
         pipeline: usize,
-        agg_tracker: Option<Arc<Mutex<DistinctTracker>>>,
+        agg_pushdown: Option<(DistinctTracker, Sender<DistinctTracker>)>,
     ) -> QResult<BoxedOp> {
         let Node::Join {
             build,
@@ -620,7 +615,7 @@ impl Compiler<'_> {
                         optimizer_estimate: plan.estimate,
                     },
                 };
-                self.join_operator(plan, build_op, probe_op, estimation, m, agg_tracker)
+                self.join_operator(plan, build_op, probe_op, estimation, m, agg_pushdown)
             }
             JoinAlgo::NestedLoops => {
                 let (idx, m) = self.register_idx(join_op_name(*algo), plan.estimate, pipeline);
@@ -682,7 +677,7 @@ impl Compiler<'_> {
         probe_op: BoxedOp,
         estimation: JoinEstimation,
         metrics: Arc<OpMetrics>,
-        agg_tracker: Option<Arc<Mutex<DistinctTracker>>>,
+        agg_pushdown: Option<(DistinctTracker, Sender<DistinctTracker>)>,
     ) -> QResult<BoxedOp> {
         let Node::Join {
             condition:
@@ -709,10 +704,9 @@ impl Compiler<'_> {
             build_op, probe_op, build_key, probe_key, estimation, metrics,
         )
         .with_join_kind(*kind)
-        .with_partitions(self.opts.partitions)
         .with_threads(self.opts.threads);
-        if let Some(tracker) = agg_tracker {
-            hj = hj.with_agg_pushdown(tracker);
+        if let Some((tracker, to_agg)) = agg_pushdown {
+            hj = hj.with_agg_pushdown(tracker, to_agg);
         }
         Ok(Box::new(hj))
     }
@@ -905,6 +899,7 @@ mod tests {
     use crate::builder::PlanBuilder;
     use qprog_exec::expr::{BinOp, Expr};
     use qprog_exec::ops::agg::AggFunc;
+    use qprog_exec::sync::Mutex;
     use qprog_storage::{Catalog, Table};
     use qprog_types::{row, DataType, Field, Schema};
 

@@ -52,7 +52,7 @@ fn main() -> QResult<()> {
             let e = est.estimates();
             println!(
                 "{:>8.1}% {:>16.0} {:>16.0} {:>16.0}",
-                est.probe_fraction() * 100.0,
+                (i + 1) as f64 / rows as f64 * 100.0,
                 e[0],
                 e[1],
                 e[2]

@@ -8,7 +8,7 @@ use qprog_exec::governor::CancellationToken;
 use qprog_exec::trace::HealthState;
 use qprog_exec::trace::{EventBus, TraceEvent, TraceSink};
 use qprog_metrics::Registry;
-use qprog_monitor::{ManagedState, MonitorServer, MonitoredQuery, PhaseSink, QueryState};
+use qprog_monitor::{ManagedState, MonitorServer, MonitoredQuery, QueryState};
 use qprog_obs::{
     ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, RunMeta,
 };
@@ -357,11 +357,9 @@ impl Session {
             .metrics
             .as_ref()
             .map(|r| Arc::new(MetricsSink::new(Arc::clone(r), self.options.mode.label())));
-        // Monitored queries keep each operator's last phase for the
-        // monitor's detail rows, and get a health analyzer: it taps the same
+        // Monitored queries get a health analyzer: it taps the query's
         // trace stream (estimate oscillation/divergence) and is sampled by
         // the monitor's broadcast tick (stall and ETA-volatility checks).
-        let phase_sink = self.monitor.as_ref().map(|_| Arc::new(PhaseSink::new()));
         let health_analyzer = self
             .monitor
             .as_ref()
@@ -376,7 +374,7 @@ impl Session {
             Arc::new(CorpusSink::new(Arc::clone(c), meta))
         });
 
-        let bus = if metrics_sink.is_none() && phase_sink.is_none() && corpus_sink.is_none() {
+        let bus = if metrics_sink.is_none() && health_analyzer.is_none() && corpus_sink.is_none() {
             // Fast path: exactly the user's bus (or none — zero overhead).
             self.bus.clone()
         } else {
@@ -388,9 +386,6 @@ impl Session {
             }
             if let Some(ms) = &metrics_sink {
                 b = b.sink(Arc::clone(ms) as Arc<dyn TraceSink>);
-            }
-            if let Some(ps) = &phase_sink {
-                b = b.sink(Arc::clone(ps) as Arc<dyn TraceSink>);
             }
             if let Some(ha) = &health_analyzer {
                 b = b.sink(Arc::clone(ha) as Arc<dyn TraceSink>);
@@ -427,29 +422,25 @@ impl Session {
             // which the query emits only while publication is on.
             compiled.on_progress(|_| {});
         }
-        let monitored = match (&self.monitor, &phase_sink) {
-            (Some(server), Some(phases)) => match adopt {
+        let monitored = match &self.monitor {
+            Some(server) => match adopt {
                 // Service-managed entry: attach this attempt's execution
                 // to the pre-registered id; its lifecycle stays with the
                 // service's status observer.
                 Some(id) => {
-                    server.directory().attach_execution(
-                        id,
-                        &compiled,
-                        Arc::clone(phases),
-                        health_analyzer.clone(),
-                    );
+                    server
+                        .directory()
+                        .attach_execution(id, &compiled, health_analyzer.clone());
                     None
                 }
                 None => Some(server.directory().register(
                     label,
                     self.options.mode.label(),
                     &compiled,
-                    Arc::clone(phases),
                     health_analyzer.clone(),
                 )),
             },
-            _ => None,
+            None => None,
         };
         Ok(QueryHandle {
             plan,

@@ -161,7 +161,6 @@ fn agg_pushdown_tracker_is_exact_after_probe_pass() {
     use qprog_exec::metrics::OpMetrics;
     use qprog_exec::ops::{BoxedOp, RowSource, TableScan};
     use qprog_exec::ops::{HashJoin, JoinEstimation};
-    use qprog_exec::sync::Mutex;
 
     let r = qprog::datagen::customer_table("r", 5_000, 1.0, 400, 1).into_shared();
     let s = qprog::datagen::customer_table("s", 5_000, 1.0, 400, 2).into_shared();
@@ -188,7 +187,7 @@ fn agg_pushdown_tracker_is_exact_after_probe_pass() {
             OpMetrics::with_initial_estimate(0.0),
         ))
     };
-    let tracker = Arc::new(Mutex::new(DistinctTracker::new(100)));
+    let (to_agg, inbox) = std::sync::mpsc::channel();
     let mut join = HashJoin::new(
         scan(&r),
         scan(&s),
@@ -199,9 +198,10 @@ fn agg_pushdown_tracker_is_exact_after_probe_pass() {
         },
         OpMetrics::with_initial_estimate(0.0),
     )
-    .with_agg_pushdown(Arc::clone(&tracker));
-    // pull one row: preprocessing has completed
+    .with_agg_pushdown(DistinctTracker::new(100), to_agg);
+    // pull one row: preprocessing has completed and sent the tracker up
     assert!(RowSource::new(&mut join).next_row().unwrap().is_some());
-    assert_eq!(tracker.lock().groups_seen(), expected_groups);
-    assert_eq!(tracker.lock().estimate(), expected_groups as f64);
+    let tracker = inbox.try_recv().unwrap();
+    assert_eq!(tracker.groups_seen(), expected_groups);
+    assert_eq!(tracker.estimate(), expected_groups as f64);
 }

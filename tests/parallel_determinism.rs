@@ -169,3 +169,59 @@ fn parallel_queries_leak_zero_threads() {
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// An Algorithm-1 chain drains in parallel too. TPC-H Q8's seven hash
+/// joins share one pipeline estimator whose lowest join probes with the
+/// `lineitem` scan: at P ∈ {2, 4} the row multiset is the serial one, every
+/// chain join's converged `N̂` is bit-equal to the serial run's, and the
+/// lowest join reports at least two workers.
+#[test]
+fn q8_chain_drains_in_parallel_and_converges_bit_identically() {
+    let run = |threads: usize| {
+        let catalog = qprog::datagen::TpchGenerator::new(qprog::datagen::TpchConfig {
+            scale: 0.004,
+            skew: 2.0,
+            seed: 88,
+        })
+        .catalog()
+        .unwrap();
+        let s = Session::new(catalog).with_options(PhysicalOptions {
+            threads,
+            ..PhysicalOptions::default()
+        });
+        let plan = qprog::workloads::q8_plan(s.builder()).unwrap();
+        let mut q = s.query_plan(plan).unwrap();
+        let mut rows: Vec<String> = q.collect().unwrap().iter().map(|r| r.to_string()).collect();
+        rows.sort();
+        // The chain's joins are registered bottom-up, join 0 first.
+        let joins: Vec<(u64, Option<u32>)> = q
+            .registry()
+            .iter()
+            .filter(|(n, _)| *n == "hash_join")
+            .map(|(_, m)| (m.estimated_total().to_bits(), m.workers()))
+            .collect();
+        (rows, joins)
+    };
+    let (serial_rows, serial_joins) = run(1);
+    assert_eq!(serial_joins.len(), 7);
+    assert!(serial_joins.iter().all(|&(_, workers)| workers.is_none()));
+    for threads in [2usize, 4] {
+        let (rows, joins) = run(threads);
+        assert_eq!(
+            rows, serial_rows,
+            "threads={threads} changed the result multiset"
+        );
+        let estimates =
+            |joins: &[(u64, Option<u32>)]| joins.iter().map(|j| j.0).collect::<Vec<_>>();
+        assert_eq!(
+            estimates(&joins),
+            estimates(&serial_joins),
+            "threads={threads} changed a chain join's converged estimate"
+        );
+        assert!(
+            joins[0].1 >= Some(2),
+            "threads={threads}: the lowest join ran on {:?} workers",
+            joins[0].1
+        );
+    }
+}
