@@ -13,7 +13,10 @@
 //! `D_{t+1} = (D_t·t + N_R[i]·|S|) / (t+1)` but maintained as an exact
 //! integer sum to avoid floating-point drift — converges to the *exact*
 //! join cardinality at `t = |S|`, i.e. by the end of the probe-side
-//! partitioning (or sorting) pass, before any real join work happens.
+//! partitioning (or sorting) pass, before any real join work happens. The
+//! engine runs a binary join as the one-join
+//! [`PipelineEstimator`](crate::pipeline_est::PipelineEstimator), whose
+//! kernel folds the same `(t, Σc, Σc²)`; this type is the per-row reference.
 //!
 //! [`SymmetricJoinEstimator`] is the §4.1 "basic scheme" where both streams
 //! are observed simultaneously (`D_t = |R||S| Σ_i N_i^R N_i^S / t²`); the

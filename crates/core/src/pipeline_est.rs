@@ -32,13 +32,14 @@
 //! the driving stream `C`), join `n−1` is the top. Builds must be fed in
 //! execution order, i.e. top-down (`n−1`, `n−2`, …, `0`).
 
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 use qprog_types::{QError, QResult, Row, Value};
 
 use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
-use crate::join_est::{ProbeFragment, ProbeTotals};
+use crate::join_est::{JoinKind, ProbeFragment, ProbeTotals};
 
 /// Where a join's probe-side key comes from, relative to the pipeline's
 /// driving probe stream.
@@ -108,11 +109,21 @@ pub struct PipelineBuildFragment {
     lanes: Vec<u64>,
 }
 
+impl PipelineBuildFragment {
+    /// Heap bytes held by the fragment's histograms.
+    pub fn memory_allocated(&self) -> usize {
+        let pending = self.pending.iter().map(|(_, hist)| hist.memory_allocated());
+        self.own.memory_allocated() + pending.sum::<usize>()
+    }
+}
+
 /// One worker's share of the probe pass: every join's `(t, Σc, Σc²)` since
 /// its last [`fold_probe`](PipelineEstimator::fold_probe), and scratch.
 #[derive(Debug, Default)]
 pub struct PipelineProbeFragment {
     delta: Vec<ProbeFragment>,
+    /// Rows of the last batch observed.
+    rows: usize,
     /// Reused batch scratch: lane `i` (`lanes[i·n..(i+1)·n]`) holds the
     /// histogram counts of `uniq_factors[i]` at the batch rows still live
     /// when its lowest join is reached.
@@ -121,6 +132,14 @@ pub struct PipelineProbeFragment {
     live: Vec<u32>,
     /// Reused batch scratch: each join's power sums over the batch.
     batch_sums: Vec<PowerSums>,
+}
+
+impl PipelineProbeFragment {
+    /// Join 0's build-side multiplicities at the rows of the last batch
+    /// observed, NULL keys 0 (its count lane, filled over the whole batch).
+    pub fn driving_counts(&self) -> &[u64] {
+        &self.lanes[..self.rows]
+    }
 }
 
 /// Online estimator for every join in a hash- or sort-merge-join pipeline.
@@ -159,6 +178,9 @@ pub struct PipelineEstimator {
     /// `factor_idx[u]`: positions in `uniq_factors` of join `u`'s factors.
     factor_idx: Vec<Vec<usize>>,
     phase: Phase,
+    /// Join 0's semantics, the only join whose probe rows are the driving
+    /// stream's; every join above is an inner join.
+    kind: JoinKind,
     /// Each join's running totals, bottom-up; probe fragments fold in under
     /// this lock.
     totals: Mutex<Vec<ProbeTotals>>,
@@ -169,14 +191,16 @@ pub struct PipelineEstimator {
     probing: PipelineProbeFragment,
 }
 
-/// Column `c` of a column-major batch, cut to its `n` rows.
-fn batch_col(cols: &[Vec<Value>], c: usize, n: usize) -> QResult<&[Value]> {
-    cols.get(c).and_then(|col| col.get(..n)).ok_or_else(|| {
-        QError::internal(format!(
-            "column {c} with {n} rows out of bounds for batch of arity {}",
-            cols.len()
-        ))
-    })
+/// Column `c` of a column-major batch, cut to `rows`.
+fn batch_col(cols: &[Vec<Value>], c: usize, rows: Range<usize>) -> QResult<&[Value]> {
+    cols.get(c)
+        .and_then(|col| col.get(rows.clone()))
+        .ok_or_else(|| {
+            QError::internal(format!(
+                "column {c} rows {rows:?} out of bounds for batch of arity {}",
+                cols.len()
+            ))
+        })
 }
 
 impl PipelineEstimator {
@@ -225,6 +249,7 @@ impl PipelineEstimator {
             uniq_factors: Vec::new(),
             factor_idx: Vec::new(),
             phase: Phase::AwaitBuild(n - 1),
+            kind: JoinKind::Inner,
             totals: Mutex::new(vec![ProbeTotals::new(probe_size); n]),
             building: None,
             probing: PipelineProbeFragment::default(),
@@ -256,6 +281,20 @@ impl PipelineEstimator {
     /// Number of joins in the pipeline.
     pub fn num_joins(&self) -> usize {
         self.specs.len()
+    }
+
+    /// Set join 0's [`JoinKind`] (default inner): its probe rows contribute
+    /// through [`JoinKind::contribution`]. The joins above join 0 extend its
+    /// output as inner joins, so any other kind needs a one-join pipeline.
+    pub fn set_kind(&mut self, kind: JoinKind) -> QResult<()> {
+        if kind != JoinKind::Inner && self.specs.len() > 1 {
+            return Err(QError::estimation(format!(
+                "a {kind:?} join cannot carry a pipeline of {} joins",
+                self.specs.len()
+            )));
+        }
+        self.kind = kind;
+        Ok(())
     }
 
     /// Begin feeding the build relation of `join`. Builds must be fed
@@ -340,7 +379,7 @@ impl PipelineEstimator {
         cols: &[Vec<Value>],
         n: usize,
     ) -> QResult<()> {
-        self.build_kernel(fragment, |c| batch_col(cols, c, n))
+        self.build_kernel(fragment, |c| batch_col(cols, c, 0..n))
     }
 
     /// The build-side kernel; `col_of(c)` yields column `c` of the batch.
@@ -373,6 +412,13 @@ impl PipelineEstimator {
         }
         // Raw count for this join's own histogram.
         fragment.own.observe_column(build_keys, None)
+    }
+
+    /// Heap bytes of the current build's histograms folded in so far.
+    pub fn build_memory(&self) -> usize {
+        self.building
+            .as_ref()
+            .map_or(0, PipelineBuildFragment::memory_allocated)
     }
 
     /// Fold a worker's fragment of the current build in, in chunk order.
@@ -489,7 +535,7 @@ impl PipelineEstimator {
     /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
     /// the lowest probe stream; updates every join's estimate.
     pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
-        self.probe_wrapped(|est, fragment| est.probe_into(fragment, cols, n))
+        self.probe_wrapped(|est, fragment| est.probe_into(fragment, cols, 0..n))
     }
 
     /// Run `kernel` on the row and batch methods' fragment, then fold it.
@@ -506,19 +552,20 @@ impl PipelineEstimator {
         observed
     }
 
-    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// the lowest probe stream into one worker's `fragment`. This is the
-    /// hot path of the framework: the phase check and the
-    /// `core/pipeline/observe_probe` failpoint run once per batch, each
+    /// Observe rows `rows` of a column-major batch (`cols[c][r]`) of the
+    /// lowest probe stream into one worker's `fragment`. This is the hot
+    /// path of the framework: the phase check and the
+    /// `core/pipeline/observe_probe` failpoint run once per call, each
     /// distinct factor reads its column once at most, and nothing allocates
     /// once the fragment's scratch has grown to the batch size.
     pub fn probe_into(
         &self,
         fragment: &mut PipelineProbeFragment,
         cols: &[Vec<Value>],
-        n: usize,
+        rows: Range<usize>,
     ) -> QResult<()> {
-        self.probe_kernel(fragment, n, |c| batch_col(cols, c, n))
+        let n = rows.len();
+        self.probe_kernel(fragment, n, |c| batch_col(cols, c, rows.clone()))
     }
 
     /// Fold what `fragment` observed since its last fold into every join's
@@ -547,8 +594,9 @@ impl PipelineEstimator {
     /// row `r`, each extending a join-`j` output of `r` (`j < u`), so
     /// `c_j(r) = 0` implies `c_u(r) = 0` for every `u > j`: a row is looked
     /// up and multiplied only up to the first join it misses, and every sum
-    /// is the all-rows product's. Nothing is accumulated unless every lane
-    /// fills without error.
+    /// is the all-rows product's. Join 0 contributes through its
+    /// [`JoinKind`]. Nothing is accumulated unless every lane fills without
+    /// error.
     fn probe_kernel<'a>(
         &self,
         fragment: &mut PipelineProbeFragment,
@@ -562,11 +610,13 @@ impl PipelineEstimator {
                 self.phase
             )));
         }
+        fragment.rows = 0;
         if n == 0 {
             return Ok(());
         }
         let PipelineProbeFragment {
             delta,
+            rows,
             lanes,
             live: live_rows,
             batch_sums,
@@ -578,7 +628,7 @@ impl PipelineEstimator {
         // materialized, and lanes and products are read contiguously.
         // After that, `live_rows[..live]` are.
         let (mut live, mut filled) = (n, 0);
-        for (st, idx) in self.states.iter().zip(&self.factor_idx) {
+        for (u, (st, idx)) in self.states.iter().zip(&self.factor_idx).enumerate() {
             // (1) The lanes this join is the lowest user of, at the live
             // rows, column at a time: join 0's over the whole batch.
             let sel = (live < n).then(|| &live_rows[..live]);
@@ -594,22 +644,37 @@ impl PipelineEstimator {
             // (2) Its contributions over the live rows; the rows it keeps
             // (non-zero product) are the selection for the join above.
             let (dense, mut kept, mut sums) = (live == n, 0, PowerSums::default());
-            for k in 0..live {
-                let r = if dense { k } else { live_rows[k] as usize };
-                let lane = |i: usize| lanes[i * n + r];
-                let hit = if st.fits_u64 {
-                    let c = idx.iter().fold(1u64, |c, &i| c * lane(i));
-                    sums.push_u64(c);
-                    c != 0
-                } else {
-                    let c = idx
-                        .iter()
-                        .fold(1u128, |c, &i| c.saturating_mul(lane(i) as u128));
-                    sums.push(c);
-                    c != 0
-                };
-                live_rows[kept] = r as u32;
-                kept += usize::from(hit);
+            if let ([i], true) = (idx.as_slice(), dense) {
+                // One factor over the whole batch — join 0 always, the only
+                // join with a kind: its lane is the product, which fits.
+                let lane = &lanes[i * n..(i + 1) * n];
+                let kind = if u == 0 { self.kind } else { JoinKind::Inner };
+                lane.iter()
+                    .for_each(|&c| sums.push_u64(kind.contribution(c)));
+                if u + 1 < self.states.len() {
+                    for (r, &c) in lane.iter().enumerate() {
+                        live_rows[kept] = r as u32;
+                        kept += usize::from(c != 0);
+                    }
+                }
+            } else {
+                for k in 0..live {
+                    let r = if dense { k } else { live_rows[k] as usize };
+                    let lane = |i: usize| lanes[i * n + r];
+                    let hit = if st.fits_u64 {
+                        let c = idx.iter().fold(1u64, |c, &i| c * lane(i));
+                        sums.push_u64(c);
+                        c != 0
+                    } else {
+                        let c = idx
+                            .iter()
+                            .fold(1u128, |c, &i| c.saturating_mul(lane(i) as u128));
+                        sums.push(c);
+                        c != 0
+                    };
+                    live_rows[kept] = r as u32;
+                    kept += usize::from(hit);
+                }
             }
             sums.push_zeros((n - live) as u64);
             batch_sums.push(sums);
@@ -619,6 +684,7 @@ impl PipelineEstimator {
         for (delta, sums) in delta.iter_mut().zip(batch_sums.iter()) {
             delta.0.merge(sums);
         }
+        *rows = n;
         Ok(())
     }
 
@@ -741,6 +807,44 @@ mod tests {
         assert!(est.converged());
         assert_eq!(est.estimate(0).round() as u64, truth[0]);
         assert_eq!(truth[0], 4); // 1→2 matches, 2→1 each, 9→0
+    }
+
+    #[test]
+    fn one_join_kinds_match_the_once_estimator() {
+        use crate::join_est::OnceJoinEstimator;
+        use qprog_types::Key;
+        // 1 matches twice, 2 once, 9 and NULL never; the hint is short.
+        let probe = [
+            Value::Int64(1),
+            Value::Int64(2),
+            Value::Int64(9),
+            Value::Null,
+        ];
+        let build: Vec<Key> = [1i64, 1, 2, 3].iter().map(|&v| Key::Int(v)).collect();
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let mut est = PipelineEstimator::same_attribute(1, 0, 0, 2).unwrap();
+            est.set_kind(kind).unwrap();
+            est.feed_build(0, int_rows(&[&[1, 1, 2, 3]]).iter())
+                .unwrap();
+            let mut once = OnceJoinEstimator::with_kind(build.iter().collect(), 2, kind);
+            for v in &probe {
+                est.observe_probe(&Row::new(vec![v.clone()])).unwrap();
+                once.observe_probe(&Key::from_value(v).unwrap());
+                assert_eq!(est.estimate(0).to_bits(), once.estimate().to_bits());
+                assert_eq!(
+                    est.confidence_interval(0, 2.576),
+                    once.confidence_interval(2.576)
+                );
+            }
+        }
+        let mut chain = PipelineEstimator::same_attribute(2, 0, 0, 1).unwrap();
+        assert!(chain.set_kind(JoinKind::Semi).is_err());
+        chain.set_kind(JoinKind::Inner).unwrap();
     }
 
     #[test]
@@ -1045,7 +1149,7 @@ mod tests {
                 .chunks(probe.len().div_ceil(workers))
                 .map(|chunk| {
                     let mut fragment = PipelineProbeFragment::default();
-                    est.probe_into(&mut fragment, &cols_of(chunk), chunk.len())
+                    est.probe_into(&mut fragment, &cols_of(chunk), 0..chunk.len())
                         .unwrap();
                     fragment
                 })

@@ -22,13 +22,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// Whether this operator yields a boolean.
-    pub fn is_predicate(self) -> bool {
-        !matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
-    }
-}
-
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -150,7 +143,8 @@ impl Expr {
             Expr::Literal(v) => Ok(v.data_type()),
             Expr::Not(_) | Expr::IsNull { .. } => Ok(DataType::Bool),
             Expr::Binary { op, left, right } => {
-                if op.is_predicate() {
+                // Every operator but arithmetic yields a boolean.
+                if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
                     return Ok(DataType::Bool);
                 }
                 let l = left.output_type(schema)?;

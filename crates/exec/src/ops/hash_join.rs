@@ -37,11 +37,12 @@ use std::time::Duration;
 
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::join_est::JoinKind;
+use qprog_core::pipeline_est::PipelineProbeFragment;
 use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
 use crate::ops::chain::{key_hash, ChainIndex, NIL};
-use crate::ops::join_estimation::{JoinEstimation, JoinEstimator, ProbeFragment};
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel;
 use crate::trace::Phase;
@@ -313,12 +314,11 @@ impl HashJoin {
 
     /// Set how many chunks the build and probe drains cut their input into
     /// (default 1). Each chunk drains on its own worker thread into private
-    /// partitions and a private estimator fragment — `Once` histograms and
-    /// `D_{t+1}` sums, or an Algorithm-1 chain's build histograms and
-    /// per-join power sums — which fold back in chunk order, so both the
-    /// output row order and the converged join estimates are identical to
-    /// a one-chunk drain. Only a fresh table scan splits; any other input
-    /// is one chunk.
+    /// partitions and a private estimator fragment — an Algorithm-1 chain's
+    /// build histograms and per-join power sums — which fold back in chunk
+    /// order, so both the output row order and the converged join estimates
+    /// are identical to a one-chunk drain. Only a fresh table scan splits;
+    /// any other input is one chunk.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -334,7 +334,7 @@ impl HashJoin {
         tracker: DistinctTracker,
         to_agg: Sender<DistinctTracker>,
     ) -> Self {
-        self.est.push_down_agg(tracker, to_agg);
+        self.est.push_down_agg(tracker, to_agg, self.probe_key);
         self
     }
 
@@ -370,7 +370,7 @@ impl HashJoin {
             &drain,
             &mut worker_busy,
             || est.build_fragment(),
-            |fragment, batch| est.observe_build(fragment, batch, build_key),
+            |fragment, batch| est.observe_build(fragment, batch),
         )?;
         self.build_parts = parts;
         self.est.end_build(fragments, kind)?;
@@ -389,15 +389,10 @@ impl HashJoin {
             self.threads,
             &drain,
             &mut worker_busy,
-            || Ok(ProbeFragment::default()),
-            |fragment, batch| {
-                est.observe_probe_keys(fragment, batch.col(probe_key))?;
-                est.observe_probe_rows(fragment, batch)?;
-                // Batch-boundary estimate publication — the per-tuple
-                // cadence of the paper when `batch_rows = 1`.
-                est.publish(fragment);
-                Ok(())
-            },
+            || Ok(PipelineProbeFragment::default()),
+            // Batch-boundary estimate publication — the per-tuple cadence
+            // of the paper when `batch_rows = 1`.
+            |fragment, batch| est.observe_probe(fragment, batch, 0..batch.len(), true),
         )?;
         self.probe_parts = parts;
         for (w, busy) in worker_busy.iter().enumerate() {
@@ -653,9 +648,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once {
-                probe_size_hint: s.len() as u64,
-            },
+            JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
             Arc::clone(&m),
         );
         // Pull exactly one output row: preprocessing (build + probe
@@ -680,9 +673,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once {
-                probe_size_hint: 4000, // wildly wrong
-            },
+            JoinEstimation::once(0, 0, 4000, Arc::clone(&m)), // wildly wrong hint
             Arc::clone(&m),
         );
         let rows = drain(&mut j);
@@ -803,7 +794,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once { probe_size_hint: 4 },
+            JoinEstimation::once(0, 0, 4, Arc::clone(&m)),
             Arc::clone(&m),
         )
         .with_agg_pushdown(DistinctTracker::new(10), to_agg);
@@ -832,9 +823,7 @@ mod tests {
                 scan1("s", &s),
                 0,
                 0,
-                JoinEstimation::Once {
-                    probe_size_hint: s.len() as u64,
-                },
+                JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
                 Arc::clone(&m),
             )
             .with_join_kind(kind);
@@ -895,9 +884,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once {
-                probe_size_hint: s.len() as u64,
-            },
+            JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
             Arc::clone(&m),
         )
         .with_join_kind(kind)
@@ -944,9 +931,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once {
-                probe_size_hint: s.len() as u64,
-            },
+            JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
             Arc::clone(&m),
         )
         .with_threads(4);
@@ -977,7 +962,7 @@ mod tests {
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Once { probe_size_hint: 3 },
+            JoinEstimation::once(0, 0, 3, Arc::clone(&m)),
             Arc::clone(&m),
         )
         .with_threads(8);
@@ -1003,7 +988,7 @@ mod tests {
             scan1("s", &[1, 2]),
             0,
             0,
-            JoinEstimation::Once { probe_size_hint: 2 },
+            JoinEstimation::once(0, 0, 2, Arc::clone(&m)),
             Arc::clone(&m),
         );
         assert!(crate::ops::RowSource::new(&mut j)
@@ -1039,9 +1024,7 @@ mod tests {
                 scan1("s", &s),
                 0,
                 0,
-                JoinEstimation::Once {
-                    probe_size_hint: s.len() as u64,
-                },
+                JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
                 Arc::clone(&m),
             );
             let rows: Vec<String> = crate::ops::test_util::drain_batched(&mut j, cap)
@@ -1072,9 +1055,7 @@ mod tests {
                     scan1("s", &s),
                     0,
                     0,
-                    JoinEstimation::Once {
-                        probe_size_hint: s.len() as u64,
-                    },
+                    JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
                     Arc::clone(&m),
                 )
                 .with_join_kind(kind);
@@ -1170,9 +1151,7 @@ mod tests {
                             let (prows, pscan) = keyed_scan("p", pt, &pkeys);
                             let expect = reference_join(&brows, &prows, kind, partitions);
                             let m = OpMetrics::with_initial_estimate(0.0);
-                            let estimation = JoinEstimation::Once {
-                                probe_size_hint: pn as u64,
-                            };
+                            let estimation = JoinEstimation::once(0, 0, pn as u64, Arc::clone(&m));
                             let mut j =
                                 HashJoin::new(bscan, pscan, 0, 0, estimation, Arc::clone(&m))
                                     .with_join_kind(kind)

@@ -1,29 +1,31 @@
 //! The estimation protocol of joins with a preprocessing phase (§4.1.1–
-//! 4.1.2), driven the same way by [`HashJoin`](crate::ops::HashJoin) and
-//! [`MergeJoin`](crate::ops::MergeJoin), whose drains cut their input into
-//! chunks and share the [`JoinEstimator`] by reference:
+//! 4.1.2, §4.1.4), driven the same way by [`HashJoin`](crate::ops::HashJoin)
+//! and [`MergeJoin`](crate::ops::MergeJoin). Every estimating join is a join
+//! of an Algorithm-1 chain: a binary join is the one-join chain, whose build
+//! histogram is its own and whose probe column is its probe key. The drains
+//! cut their input into chunks and share the [`JoinEstimator`] by reference:
 //!
-//! 1. **Build** (hash build / first sort): `begin_build`; each chunk
-//!    observes its batches into a private [`BuildFragment`]
-//!    (`observe_build`); `end_build` folds the fragments in chunk order —
-//!    the exact join-key histogram `N_R`, or the build side of an
-//!    Algorithm-1 chain's estimator, which then moves on to the join below.
-//! 2. **Probe** (probe partitioning / second sort): each chunk observes its
-//!    batches into a private [`ProbeFragment`] (`observe_probe_keys`, and
-//!    `observe_probe_rows` for a chain) and, when it publishes, folds it
-//!    into the join's totals under one lock and publishes from the merged
-//!    sums; `end_probe` fixes `|S|` — the estimate is exact before the
-//!    first output row.
+//! 1. **Build** (hash build / first sort): `begin_build` takes the chain's
+//!    estimator; each chunk observes its batches into a private build
+//!    fragment (`observe_build`), checked against the soft histogram budget
+//!    after every batch; `end_build` folds the fragments in chunk order,
+//!    checks the budget once more, and hands the estimator down to the join
+//!    below, if any.
+//! 2. **Probe** (probe partitioning / second sort), run by join 0 for the
+//!    whole chain: each chunk observes its rows into a private
+//!    [`PipelineProbeFragment`] and, when it publishes, folds it into the
+//!    chain's totals under one lock and publishes every join's estimate and
+//!    confidence bounds (`observe_probe`); `end_probe` fixes `|S|` — every
+//!    estimate is exact before the first output row.
 //! 3. **Join pass**: `observe_join_pass` charges one output batch's driver
 //!    and emitted rows to the governor and the gnm counters, which a
 //!    dne/byte baseline then reads; baselines only ever watch this phase.
 //!
-//! A serial drain is the one-chunk case: its fragment is folded as soon as
-//! it is observed, so it publishes what the observation produced. The
-//! operators decide *when* to publish (hash join: every batch boundary;
+//! The operators decide *when* to publish (hash join: every batch boundary;
 //! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
 //! everything else about estimation lives here.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -31,10 +33,9 @@ use std::sync::Arc;
 use crate::sync::Mutex;
 use qprog_core::baseline::{Baseline, Rule};
 use qprog_core::distinct::DistinctTracker;
-use qprog_core::freq_hist::FreqHist;
-use qprog_core::join_est::{self, JoinKind, ProbeTotals};
+use qprog_core::join_est::{JoinKind, ProbeTotals};
 use qprog_core::pipeline_est::{PipelineBuildFragment, PipelineEstimator, PipelineProbeFragment};
-use qprog_types::{Key, QError, QResult, RowBatch, Value};
+use qprog_types::{Key, QError, QResult, RowBatch};
 
 use crate::metrics::OpMetrics;
 use crate::trace::DegradeReason;
@@ -52,19 +53,18 @@ type ChainState = (PipelineEstimator, Vec<Arc<OpMetrics>>);
 pub enum JoinEstimation {
     /// No estimation.
     Off,
-    /// The paper's framework on a standalone binary join; `probe_size_hint`
-    /// is the known or optimizer-estimated probe input size.
-    Once { probe_size_hint: u64 },
-    /// Algorithm-1 pipeline push-down (§4.1.4; §4.1.4.3 for sort-merge
-    /// chains); this join is `join_index` of the chain's estimator, which
-    /// arrives in `inbox` and leaves through `below` at `end_build` — join
-    /// 0 keeps it and drives the probe pass ([`JoinEstimation::pipeline`]).
-    /// The inbox is locked only so that a drain's chunks can share the
-    /// join's estimator by reference.
+    /// Algorithm-1 push-down (§4.1.4; §4.1.4.3 for sort-merge chains); this
+    /// join is `join_index` of the chain's estimator, which arrives in
+    /// `inbox` and leaves through `below` at `end_build` — join 0 keeps it
+    /// and drives the probe pass. A binary join is the one-join chain
+    /// ([`JoinEstimation::once`]). The inbox is locked only so that a
+    /// drain's chunks can share the join's estimator by reference;
+    /// `degraded` is shared by the chain's joins.
     Pipeline {
         join_index: usize,
         inbox: Mutex<Receiver<ChainState>>,
         below: Option<Sender<ChainState>>,
+        degraded: Arc<AtomicBool>,
     },
     /// A dne or byte baseline over the join pass's counters (driver = probe
     /// rows consumed in the join pass, `N_driver` = the probe row count).
@@ -75,7 +75,7 @@ impl JoinEstimation {
     /// The modes of an Algorithm-1 chain's joins, bottom-up, one channel per
     /// edge; the top join's already holds `estimator` and `metrics`.
     pub fn pipeline(estimator: PipelineEstimator, metrics: Vec<Arc<OpMetrics>>) -> Vec<Self> {
-        let mut below = None;
+        let (mut below, degraded) = (None, Arc::new(AtomicBool::new(false)));
         let modes = (0..metrics.len())
             .map(|join_index| {
                 let (to_this, inbox) = mpsc::channel();
@@ -84,6 +84,7 @@ impl JoinEstimation {
                     join_index,
                     inbox: Mutex::new(inbox),
                     below,
+                    degraded: Arc::clone(&degraded),
                 }
             })
             .collect();
@@ -92,33 +93,44 @@ impl JoinEstimation {
         }
         modes
     }
-}
 
-/// A `once` join's probe-pass state that workers fold into.
-struct OnceTotals {
-    totals: ProbeTotals,
-    /// The aggregation push-down tracker, while the probe pass feeds it.
-    tracker: Option<DistinctTracker>,
+    /// The paper's framework on a binary join publishing to `metrics`: the
+    /// one-join chain that counts build key `build_key` and probes with
+    /// probe key `probe_key`; `probe_size_hint` is the known or
+    /// optimizer-estimated probe input size.
+    pub fn once(
+        build_key: usize,
+        probe_key: usize,
+        probe_size_hint: u64,
+        metrics: Arc<OpMetrics>,
+    ) -> Self {
+        let estimator = PipelineEstimator::same_attribute(1, build_key, probe_key, probe_size_hint)
+            .expect("one join is a valid chain");
+        Self::pipeline(estimator, vec![metrics]).remove(0)
+    }
 }
 
 /// The estimator state a join owns in its current phase.
 enum Stage {
-    /// Nothing of its own: `Off`, `Once` before the end of its build, a
-    /// pipeline join that has handed the chain's estimator down, or a
+    /// Nothing of its own: `Off`, a pipeline join before its build, after
+    /// handing the chain's estimator down or once the chain degraded, or a
     /// baseline before the join pass.
     Idle,
-    /// `Once`, from the end of the build phase on: the finished join-key
-    /// histogram, read unlocked, and the totals behind one lock.
-    Probing {
-        hist: FreqHist,
-        kind: JoinKind,
-        acc: Box<Mutex<OnceTotals>>,
-    },
     /// `Pipeline`, while this join owns the chain's estimator.
     Pipeline(Box<PipelineEstimator>, Vec<Arc<OpMetrics>>),
     /// A baseline, from the end of the probe phase on: a rule over the
     /// join's own counters.
     Baseline(Baseline),
+}
+
+/// Aggregation push-down (§4.2 end): the tracker of the join key's distinct
+/// values in the join *output*, fed from join 0's count lane, and where it
+/// goes at `end_probe`.
+struct PushDown {
+    /// The probe key column the tracker reads.
+    key_col: usize,
+    tracker: Mutex<DistinctTracker>,
+    to_agg: Sender<DistinctTracker>,
 }
 
 /// Drives one join's [`JoinEstimation`] through the phases above and
@@ -127,34 +139,7 @@ pub(crate) struct JoinEstimator {
     mode: JoinEstimation,
     metrics: Arc<OpMetrics>,
     stage: Stage,
-    /// Set by the first chunk whose build histogram outgrows the soft
-    /// budget: every chunk then drops its histogram.
-    degraded: AtomicBool,
-    /// Aggregation push-down (§4.2 end): the tracker of the join key's
-    /// distinct values in the join *output*, and where it goes at
-    /// `end_probe`.
-    tracker: Option<DistinctTracker>,
-    to_agg: Option<Sender<DistinctTracker>>,
-}
-
-/// One chunk's private build-side estimator state.
-pub(crate) enum BuildFragment {
-    Off,
-    /// `Once`: the chunk's join-key histogram, dropped on a budget breach.
-    Hist(Option<FreqHist>),
-    Chain(PipelineBuildFragment),
-}
-
-/// One chunk's private probe-side estimator state since its last fold.
-#[derive(Default)]
-pub(crate) struct ProbeFragment {
-    /// `Once`: `(t, Σc, Σc²)` of the rows observed since the last fold.
-    once: join_est::ProbeFragment,
-    /// `Once`: the build-side multiplicities of the last keys observed.
-    counts: Vec<u64>,
-    /// Aggregation push-down: `(key, multiplicity)` of the matched rows.
-    matched: Vec<(Key, u64)>,
-    chain: PipelineProbeFragment,
+    push_down: Option<PushDown>,
 }
 
 impl JoinEstimator {
@@ -163,24 +148,42 @@ impl JoinEstimator {
             mode,
             metrics,
             stage: Stage::Idle,
-            degraded: AtomicBool::new(false),
-            tracker: None,
-            to_agg: None,
+            push_down: None,
         }
     }
 
-    /// Feed `tracker` the join key of every output row during the probe
-    /// pass, and send it to the aggregate through `to_agg` at `end_probe`.
-    pub fn push_down_agg(&mut self, tracker: DistinctTracker, to_agg: Sender<DistinctTracker>) {
-        (self.tracker, self.to_agg) = (Some(tracker), Some(to_agg));
+    /// Feed `tracker` the probe key (column `key_col`) of every output row
+    /// during the probe pass, and send it to the aggregate through `to_agg`
+    /// at `end_probe`.
+    pub fn push_down_agg(
+        &mut self,
+        tracker: DistinctTracker,
+        to_agg: Sender<DistinctTracker>,
+        key_col: usize,
+    ) {
+        let tracker = Mutex::new(tracker);
+        self.push_down = Some(PushDown {
+            key_col,
+            tracker,
+            to_agg,
+        });
     }
 
-    /// Start the build phase; a pipeline join takes the chain's estimator.
+    /// Whether the chain this join belongs to dropped its estimator.
+    fn degraded(&self) -> bool {
+        matches!(&self.mode, JoinEstimation::Pipeline { degraded, .. } if degraded.load(Ordering::Relaxed))
+    }
+
+    /// Start the build phase; a pipeline join takes the chain's estimator,
+    /// unless the chain degraded above it.
     pub fn begin_build(&mut self) -> QResult<()> {
         if let JoinEstimation::Pipeline {
             join_index, inbox, ..
         } = &self.mode
         {
+            if self.degraded() {
+                return Ok(());
+            }
             let (mut estimator, metrics) = inbox
                 .lock()
                 .try_recv()
@@ -191,204 +194,156 @@ impl JoinEstimator {
         Ok(())
     }
 
-    /// A fresh build fragment for one chunk.
-    pub fn build_fragment(&self) -> QResult<BuildFragment> {
-        Ok(match (&self.mode, &self.stage) {
-            (JoinEstimation::Once { .. }, _) => BuildFragment::Hist(Some(FreqHist::new())),
+    /// A fresh build fragment for one chunk, if this join owns an estimator.
+    pub fn build_fragment(&self) -> QResult<Option<PipelineBuildFragment>> {
+        match (&self.mode, &self.stage) {
             (JoinEstimation::Pipeline { join_index, .. }, Stage::Pipeline(estimator, _)) => {
-                BuildFragment::Chain(estimator.build_fragment(*join_index)?)
+                estimator.build_fragment(*join_index).map(Some)
             }
-            _ => BuildFragment::Off,
-        })
+            _ => Ok(None),
+        }
     }
 
     /// Observe one non-empty build batch into a chunk's `fragment`, in scan
     /// order, column at a time. The soft histogram-memory budget is checked
-    /// after every batch: the first breach degrades the estimator one rung
-    /// (exact frequency histogram → dne baseline, DESIGN.md §5) instead of
-    /// aborting the query.
+    /// after every batch: the first breach degrades the whole chain one rung
+    /// (exact frequency histograms → dne baseline, DESIGN.md §5) instead of
+    /// aborting the query, and every chunk then drops its fragment.
     pub fn observe_build(
         &self,
-        fragment: &mut BuildFragment,
+        slot: &mut Option<PipelineBuildFragment>,
         batch: &RowBatch,
-        key_col: usize,
     ) -> QResult<()> {
-        match (fragment, &self.stage) {
-            (BuildFragment::Hist(slot), _) => {
-                let Some(hist) = slot else {
-                    return Ok(());
-                };
-                hist.observe_column(batch.col(key_col), None)?;
-                let breached = self.breaches_budget(hist);
-                if breached || self.degraded.load(Ordering::Relaxed) {
-                    *slot = None;
-                }
+        if let (Some(fragment), Stage::Pipeline(estimator, _)) = (&mut *slot, &self.stage) {
+            estimator.build_into(fragment, batch.cols(), batch.len())?;
+            if self.breaches_budget(fragment.memory_allocated()) || self.degraded() {
+                *slot = None;
             }
-            (BuildFragment::Chain(fragment), Stage::Pipeline(estimator, _)) => {
-                estimator.build_into(fragment, batch.cols(), batch.len())?
-            }
-            _ => {}
         }
         Ok(())
     }
 
-    /// Whether `hist` outgrows the soft budget; the first breach is traced.
-    fn breaches_budget(&self, hist: &FreqHist) -> bool {
-        let breached = self.metrics.hist_budget_exceeded(hist.memory_allocated());
-        if breached && !self.degraded.swap(true, Ordering::Relaxed) {
-            self.metrics.trace_degraded(DegradeReason::HistogramMemory);
+    /// Whether `bytes` of histograms outgrow the soft budget; the chain's
+    /// first breach is traced.
+    fn breaches_budget(&self, bytes: usize) -> bool {
+        let breached = self.metrics.hist_budget_exceeded(bytes);
+        if let (true, JoinEstimation::Pipeline { degraded, .. }) = (breached, &self.mode) {
+            if !degraded.swap(true, Ordering::Relaxed) {
+                self.metrics.trace_degraded(DegradeReason::HistogramMemory);
+            }
         }
         breached
     }
 
     /// End the build phase: fold the chunks' fragments in chunk order, the
-    /// first moved into place. A `Once` join starts its probe totals, or
-    /// degrades to dne if a chunk or the merged histogram breached the
-    /// budget; a pipeline join hands the estimator down.
-    pub fn end_build(&mut self, fragments: Vec<BuildFragment>, kind: JoinKind) -> QResult<()> {
-        match (std::mem::replace(&mut self.stage, Stage::Idle), &self.mode) {
-            (_, &JoinEstimation::Once { probe_size_hint }) => {
-                let mut merged: Option<FreqHist> = None;
-                for fragment in fragments {
-                    match (&mut merged, fragment) {
-                        (Some(hist), BuildFragment::Hist(Some(more))) => hist.merge(&more),
-                        (None, BuildFragment::Hist(Some(first))) => merged = Some(first),
-                        _ => {}
-                    }
-                }
-                match merged.filter(|hist| !self.breaches_budget(hist)) {
-                    Some(hist) if !self.degraded.load(Ordering::Relaxed) => {
-                        let totals = ProbeTotals::new(probe_size_hint);
-                        let tracker = self.tracker.take();
-                        let acc = Box::new(Mutex::new(OnceTotals { totals, tracker }));
-                        self.stage = Stage::Probing { hist, kind, acc };
-                    }
-                    _ => {
-                        self.mode = JoinEstimation::Baseline {
-                            rule: Rule::Dne,
-                            optimizer_estimate: self.metrics.estimated_total(),
-                        }
-                    }
-                }
-            }
-            (
-                Stage::Pipeline(mut estimator, metrics),
-                JoinEstimation::Pipeline {
-                    join_index, below, ..
-                },
-            ) => {
-                for fragment in fragments {
-                    if let BuildFragment::Chain(fragment) = fragment {
-                        estimator.fold_build(fragment);
-                    }
-                }
-                estimator.end_build(*join_index)?;
-                match below {
-                    // A join below that is gone has nothing left to estimate.
-                    Some(below) => _ = below.send((*estimator, metrics)),
-                    None => self.stage = Stage::Pipeline(estimator, metrics),
-                }
-            }
-            (stage, _) => self.stage = stage,
-        }
-        Ok(())
-    }
-
-    /// `D_{t+1}` over a run of probe-side join keys, in scan order, into a
-    /// chunk's `fragment` (a no-op unless `Once`). A caller may cut a
-    /// batch's key column wherever its publication cadence falls.
-    pub fn observe_probe_keys(&self, fragment: &mut ProbeFragment, keys: &[Value]) -> QResult<()> {
-        if let Stage::Probing { hist, kind, .. } = &self.stage {
-            let counts = &mut fragment.counts;
-            fragment.once.observe_batch(hist, *kind, keys, counts)?;
-            if self.to_agg.is_some() {
-                for (key, &mult) in keys.iter().zip(counts.iter()) {
-                    if mult > 0 {
-                        fragment.matched.push((Key::from_value(key)?, mult));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Algorithm-1 push-down: the join that owns the chain's estimator (join
-    /// 0) observes one non-empty probe batch into a chunk's `fragment`,
-    /// folds it in and publishes every join of the chain. Any other join
-    /// observes nothing.
-    pub fn observe_probe_rows(
-        &self,
-        fragment: &mut ProbeFragment,
-        batch: &RowBatch,
+    /// first moved into place, and check the budget once more. On a breach
+    /// the chain's estimator is dropped; otherwise join 0 takes its
+    /// `kind` and keeps the estimator, and any other join hands it down.
+    pub fn end_build(
+        &mut self,
+        fragments: Vec<Option<PipelineBuildFragment>>,
+        kind: JoinKind,
     ) -> QResult<()> {
-        if let Stage::Pipeline(estimator, metrics) = &self.stage {
-            estimator.probe_into(&mut fragment.chain, batch.cols(), batch.len())?;
-            publish_chain(&estimator.fold_probe(&mut fragment.chain), metrics);
+        let (
+            Stage::Pipeline(mut estimator, metrics),
+            JoinEstimation::Pipeline {
+                join_index, below, ..
+            },
+        ) = (std::mem::replace(&mut self.stage, Stage::Idle), &self.mode)
+        else {
+            return Ok(());
+        };
+        fragments
+            .into_iter()
+            .flatten()
+            .for_each(|fragment| estimator.fold_build(fragment));
+        if self.breaches_budget(estimator.build_memory()) || self.degraded() {
+            return Ok(());
+        }
+        if *join_index == 0 {
+            estimator.set_kind(kind)?;
+        }
+        estimator.end_build(*join_index)?;
+        match below {
+            // A join below that is gone has nothing left to estimate.
+            Some(below) => _ = below.send((*estimator, metrics)),
+            None => self.stage = Stage::Pipeline(estimator, metrics),
         }
         Ok(())
     }
 
-    /// Fold the `Once` keys a chunk observed since its last fold into the
-    /// join's totals, and publish the estimate, its confidence bounds and
-    /// the push-down tracker's input from the merged sums.
-    pub fn publish(&self, fragment: &mut ProbeFragment) {
-        let Stage::Probing { acc, .. } = &self.stage else {
-            return;
+    /// The join that owns the chain's estimator (join 0) observes rows
+    /// `rows` of a probe batch into a chunk's `fragment` and feeds the
+    /// push-down tracker their matches, as `(key, multiplicity)`; with
+    /// `publish` it folds the fragment in and publishes every join of the
+    /// chain. Any other join observes nothing. A caller may cut a batch
+    /// wherever its publication cadence falls.
+    pub fn observe_probe(
+        &self,
+        fragment: &mut PipelineProbeFragment,
+        batch: &RowBatch,
+        rows: Range<usize>,
+        publish: bool,
+    ) -> QResult<()> {
+        let Stage::Pipeline(estimator, metrics) = &self.stage else {
+            return Ok(());
         };
-        if fragment.once.seen() == 0 {
-            return;
-        }
-        let OnceTotals { totals, tracker } = &mut *acc.lock();
-        totals.absorb(&std::mem::take(&mut fragment.once));
-        let estimate = totals.estimate();
-        self.metrics.set_estimated_total(estimate);
-        let ci = totals.confidence_interval(CI_Z);
-        self.metrics.set_estimated_bounds(ci.lo, ci.hi);
-        if let Some(tracker) = tracker {
-            for (key, mult) in fragment.matched.drain(..) {
-                tracker.observe_n(&key, mult);
+        estimator.probe_into(fragment, batch.cols(), rows.clone())?;
+        if let Some(PushDown {
+            key_col, tracker, ..
+        }) = &self.push_down
+        {
+            let mut tracker = tracker.lock();
+            let keys = &batch.col(*key_col)[rows];
+            for (key, &mult) in keys.iter().zip(fragment.driving_counts()) {
+                if mult > 0 {
+                    tracker.observe_n(&Key::from_value(key)?, mult);
+                }
             }
-            tracker.set_input_size(estimate.round() as u64);
         }
+        if publish {
+            publish_chain(&estimator.fold_probe(fragment), metrics);
+        }
+        Ok(())
     }
 
     /// The probe input is exhausted after `probe_rows` rows: `|S|` is exact,
-    /// so `Once` and pipeline estimates are too; the baselines start here.
-    /// What the chunks observed since their last publication is folded in
-    /// silently first, and the push-down tracker leaves for the aggregate.
-    pub fn end_probe(&mut self, probe_rows: u64, rest: Vec<ProbeFragment>) {
-        match &mut self.stage {
-            Stage::Probing { acc, .. } => {
-                let OnceTotals { totals, tracker } = &mut *acc.lock();
-                rest.iter()
-                    .for_each(|fragment| totals.absorb(&fragment.once));
-                totals.set_probe_size(probe_rows);
-                let exact = totals.estimate();
-                self.metrics.set_estimated_total(exact);
-                self.metrics.set_estimated_bounds(exact, exact);
-                if let Some(mut done) = tracker.take() {
-                    for (key, mult) in rest.iter().flat_map(|fragment| &fragment.matched) {
-                        done.observe_n(key, *mult);
-                    }
-                    done.set_input_size(exact.round() as u64);
-                    self.tracker = Some(done);
-                }
+    /// so every estimate of the chain is too, and is published with
+    /// collapsed bounds; the baselines — and every join of a degraded chain
+    /// — start here. What the chunks observed since their last publication
+    /// is folded in first, and the push-down tracker, its input size now
+    /// exact, leaves for the aggregate.
+    pub fn end_probe(&mut self, probe_rows: u64, rest: Vec<PipelineProbeFragment>) {
+        let mut exact = None;
+        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
+            for mut fragment in rest {
+                drop(estimator.fold_probe(&mut fragment));
             }
-            Stage::Pipeline(estimator, metrics) => {
-                estimator.set_probe_size(probe_rows);
-                publish_chain(&estimator.totals(), metrics);
-            }
-            _ => {}
+            estimator.set_probe_size(probe_rows);
+            let totals = estimator.totals();
+            publish_chain(&totals, metrics);
+            exact = Some(totals[0].estimate());
         }
-        if let (Some(tracker), Some(to_agg)) = (self.tracker.take(), self.to_agg.take()) {
+        if let Some(PushDown {
+            tracker, to_agg, ..
+        }) = self.push_down.take()
+        {
+            let mut tracker = tracker.into_inner();
+            if let Some(exact) = exact {
+                tracker.set_input_size(exact.round() as u64);
+            }
             // An aggregate that is gone has nothing left to publish.
             _ = to_agg.send(tracker);
         }
-        if let JoinEstimation::Baseline {
-            rule,
-            optimizer_estimate,
-        } = self.mode
-        {
+        let baseline = match self.mode {
+            JoinEstimation::Baseline {
+                rule,
+                optimizer_estimate,
+            } => Some((rule, optimizer_estimate)),
+            _ if self.degraded() => Some((Rule::Dne, self.metrics.estimated_total())),
+            _ => None,
+        };
+        if let Some((rule, optimizer_estimate)) = baseline {
             self.stage = Stage::Baseline(Baseline {
                 rule,
                 driver_total: probe_rows,
@@ -419,12 +374,13 @@ impl JoinEstimator {
     }
 }
 
-/// Publish every join's current estimate of an Algorithm-1 chain.
+/// Publish every join's current estimate of an Algorithm-1 chain, each
+/// followed by its confidence bounds.
 fn publish_chain(totals: &[ProbeTotals], metrics: &[Arc<OpMetrics>]) {
-    if totals[0].probe_seen() > 0 {
-        for (totals, m) in totals.iter().zip(metrics) {
-            m.set_estimated_total(totals.estimate());
-        }
+    for (totals, m) in totals.iter().zip(metrics) {
+        m.set_estimated_total(totals.estimate());
+        let ci = totals.confidence_interval(CI_Z);
+        m.set_estimated_bounds(ci.lo, ci.hi);
     }
 }
 
@@ -434,6 +390,7 @@ mod tests {
     use crate::governor::{Budgets, Governor};
     use crate::metrics::MetricsRegistry;
     use crate::trace::{EventBus, TraceEvent, TraceEventKind, TraceSink};
+    use qprog_types::Value;
     use std::sync::atomic::AtomicUsize;
 
     const BUILD: [i64; 4] = [1, 1, 2, 3];
@@ -469,25 +426,29 @@ mod tests {
         est.begin_build().unwrap();
         let mut fragment = est.build_fragment().unwrap();
         for half in build.chunks(2) {
-            est.observe_build(&mut fragment, &some(half), 0).unwrap();
+            est.observe_build(&mut fragment, &some(half)).unwrap();
         }
         est.end_build(vec![fragment], kind).unwrap();
     }
 
     /// Probe phase over `probe` — the last rows of a `total_rows`-row probe
     /// input — as one worker in batches of three, published at batch
-    /// boundaries; returns the multiplicities the fragment was left with.
+    /// boundaries; returns join 0's multiplicities of the rows observed.
     fn probe_phase(est: &mut JoinEstimator, probe: &[Option<i64>], total_rows: u64) -> Vec<u64> {
-        let (mut fragment, mut mults) = (ProbeFragment::default(), Vec::new());
+        let (mut fragment, mut mults) = (PipelineProbeFragment::default(), Vec::new());
         for chunk in probe.chunks(3) {
             let batch = keys(chunk);
-            est.observe_probe_keys(&mut fragment, batch.col(0)).unwrap();
-            mults.extend_from_slice(&fragment.counts);
-            est.observe_probe_rows(&mut fragment, &batch).unwrap();
-            est.publish(&mut fragment);
+            est.observe_probe(&mut fragment, &batch, 0..batch.len(), true)
+                .unwrap();
+            mults.extend_from_slice(fragment.driving_counts());
         }
         est.end_probe(total_rows, vec![fragment]);
         mults
+    }
+
+    /// The one-join chain on column 0 of both sides.
+    fn once(probe_size_hint: u64, m: &Arc<OpMetrics>) -> JoinEstimation {
+        JoinEstimation::once(0, 0, probe_size_hint, Arc::clone(m))
     }
 
     #[test]
@@ -500,20 +461,20 @@ mod tests {
             (JoinKind::LeftOuter, 7.0),
         ] {
             let m = OpMetrics::with_initial_estimate(OPTIMIZER);
-            let mode = JoinEstimation::Once {
-                probe_size_hint: 100, // wildly wrong; end_probe corrects it
-            };
-            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+            // The hint is wildly wrong; end_probe corrects it.
+            let mut est = JoinEstimator::new(once(100, &m), Arc::clone(&m));
             build_phase(&mut est, &BUILD, kind);
             assert_eq!(m.estimated_bounds(), None, "{kind:?}");
 
             // Mid-probe: the running estimate, inside published bounds.
-            let mut fragment = ProbeFragment::default();
-            est.observe_probe_keys(&mut fragment, keys(&PROBE[..3]).col(0))
+            let mut fragment = PipelineProbeFragment::default();
+            let head = keys(&PROBE[..3]);
+            est.observe_probe(&mut fragment, &head, 0..3, false)
                 .unwrap();
-            assert_eq!(fragment.counts, [2, 1, 1]);
+            assert_eq!(fragment.driving_counts(), [2, 1, 1]);
             assert_eq!(m.estimated_total(), OPTIMIZER, "nothing folded yet");
-            est.publish(&mut fragment);
+            // An empty cut publishes what the fragment holds.
+            est.observe_probe(&mut fragment, &head, 3..3, true).unwrap();
             let (lo, hi) = m.estimated_bounds().expect("bounds published");
             assert!(lo <= m.estimated_total() && m.estimated_total() <= hi);
 
@@ -536,9 +497,9 @@ mod tests {
         // the tracker's input are the one-worker run's.
         let run = |split: bool| {
             let m = OpMetrics::with_initial_estimate(OPTIMIZER);
-            let mut est = JoinEstimator::new(JoinEstimation::Once { probe_size_hint: 6 }, m);
+            let mut est = JoinEstimator::new(once(6, &m), m);
             let (to_agg, inbox) = mpsc::channel();
-            est.push_down_agg(DistinctTracker::new(1), to_agg);
+            est.push_down_agg(DistinctTracker::new(1), to_agg, 0);
             est.begin_build().unwrap();
             let chunks: Vec<&[i64]> = if split {
                 BUILD.chunks(2).collect()
@@ -549,7 +510,7 @@ mod tests {
                 .iter()
                 .map(|chunk| {
                     let mut fragment = est.build_fragment().unwrap();
-                    est.observe_build(&mut fragment, &some(chunk), 0).unwrap();
+                    est.observe_build(&mut fragment, &some(chunk)).unwrap();
                     fragment
                 })
                 .collect();
@@ -559,17 +520,12 @@ mod tests {
             } else {
                 vec![&PROBE]
             };
-            let mut fragments: Vec<ProbeFragment> = chunks
-                .iter()
-                .map(|chunk| {
-                    let mut fragment = ProbeFragment::default();
-                    est.observe_probe_keys(&mut fragment, keys(chunk).col(0))
-                        .unwrap();
-                    fragment
-                })
-                .collect();
-            for fragment in fragments.iter_mut().skip(1).rev() {
-                est.publish(fragment);
+            // The chunks publish last to first, but for the first.
+            let mut fragments: Vec<_> = chunks.iter().map(|_| Default::default()).collect();
+            for (i, (chunk, fragment)) in chunks.iter().zip(&mut fragments).enumerate().rev() {
+                let batch = keys(chunk);
+                est.observe_probe(fragment, &batch, 0..batch.len(), i > 0)
+                    .unwrap();
             }
             est.end_probe(6, fragments);
             let tracker = inbox.try_recv().unwrap();
@@ -592,7 +548,7 @@ mod tests {
             let m = OpMetrics::with_initial_estimate(OPTIMIZER);
             let mut est = JoinEstimator::new(mode, Arc::clone(&m));
             build_phase(&mut est, &BUILD, JoinKind::Inner);
-            assert!(matches!(est.build_fragment(), Ok(BuildFragment::Off)));
+            assert!(matches!(est.build_fragment(), Ok(None)));
             assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
             assert_eq!(m.estimated_total(), OPTIMIZER);
             assert_eq!(m.estimated_bounds(), None);
@@ -619,51 +575,82 @@ mod tests {
         }
     }
 
+    /// Metrics registered as `name`, traced into `degraded`, under a
+    /// histogram budget of `max_hist_bytes`.
+    fn budgeted(
+        registry: &mut MetricsRegistry,
+        max_hist_bytes: usize,
+        name: &str,
+    ) -> Arc<OpMetrics> {
+        registry.set_governor(Arc::new(Governor::new(Budgets {
+            max_rows: None,
+            max_hist_bytes: Some(max_hist_bytes),
+        })));
+        registry.register(name, OPTIMIZER)
+    }
+
+    fn degraded_registry() -> (Arc<DegradedCount>, MetricsRegistry) {
+        let degraded = Arc::new(DegradedCount::default());
+        let bus = EventBus::with_sink(Arc::clone(&degraded) as Arc<dyn TraceSink>);
+        (degraded, MetricsRegistry::traced(bus))
+    }
+
     #[test]
     fn hist_budget_breach_degrades_once_to_dne() {
+        // Two halves of a build whose key span only their union covers, and
+        // the larger of their fragments, unbudgeted.
+        let far = [[1i64, 1], [1000, 1001]];
+        let half_bytes = {
+            let m = OpMetrics::with_initial_estimate(OPTIMIZER);
+            let mut est = JoinEstimator::new(once(6, &m), m);
+            est.begin_build().unwrap();
+            far.iter()
+                .map(|half| {
+                    let mut fragment = est.build_fragment().unwrap();
+                    est.observe_build(&mut fragment, &some(half)).unwrap();
+                    fragment.unwrap().memory_allocated()
+                })
+                .max()
+                .unwrap()
+        };
         // One worker breaches at its first batch; two workers both breach;
         // two fragments that fit alone breach once merged. Either way: one
         // event, dne from the join pass on.
         for workers in ["one", "two", "merged"] {
-            let degraded = Arc::new(DegradedCount::default());
-            let mut registry = MetricsRegistry::traced(EventBus::with_sink(
-                Arc::clone(&degraded) as Arc<dyn TraceSink>
-            ));
-            registry.set_governor(Arc::new(Governor::new(Budgets {
-                max_rows: None,
-                max_hist_bytes: Some(64),
-            })));
-            let m = registry.register("join", OPTIMIZER);
-            let mode = JoinEstimation::Once { probe_size_hint: 6 };
-            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+            let (degraded, mut registry) = degraded_registry();
+            let budget = if workers == "merged" { half_bytes } else { 64 };
+            let m = budgeted(&mut registry, budget, "join");
+            let mut est = JoinEstimator::new(once(6, &m), Arc::clone(&m));
             est.begin_build().unwrap();
-            let fragments = match workers {
+            let fragments: Vec<_> = match workers {
                 "one" => {
                     let mut fragment = est.build_fragment().unwrap();
-                    est.observe_build(&mut fragment, &some(&[1, 1]), 0).unwrap();
-                    assert!(matches!(fragment, BuildFragment::Hist(None)));
+                    est.observe_build(&mut fragment, &some(&[1, 1])).unwrap();
+                    assert!(fragment.is_none());
                     assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "at the first batch");
-                    est.observe_build(&mut fragment, &some(&[2, 3]), 0).unwrap();
+                    est.observe_build(&mut fragment, &some(&[2, 3])).unwrap();
                     vec![fragment]
                 }
-                "two" => BUILD
-                    .chunks(2)
-                    .map(|half| {
-                        let mut fragment = est.build_fragment().unwrap();
-                        est.observe_build(&mut fragment, &some(half), 0).unwrap();
-                        fragment
-                    })
-                    .collect(),
-                _ => BUILD
-                    .chunks(2)
-                    .map(|half| {
-                        let keys: Vec<_> = half.iter().map(|&v| Key::Int(v)).collect();
-                        BuildFragment::Hist(Some(keys.iter().collect()))
-                    })
-                    .collect(),
+                _ => {
+                    let halves = if workers == "two" {
+                        [&BUILD[..2], &BUILD[2..]]
+                    } else {
+                        far.each_ref().map(|h| &h[..])
+                    };
+                    halves
+                        .iter()
+                        .map(|half| {
+                            let mut fragment = est.build_fragment().unwrap();
+                            est.observe_build(&mut fragment, &some(half)).unwrap();
+                            fragment
+                        })
+                        .collect()
+                }
             };
+            let fit = fragments.iter().filter(|f| f.is_some()).count();
+            assert_eq!(fit, if workers == "merged" { 2 } else { 0 }, "{workers}");
             est.end_build(fragments, JoinKind::Inner).unwrap();
-            assert!(matches!(est.build_fragment(), Ok(BuildFragment::Off)));
+            assert!(matches!(est.build_fragment(), Ok(None)));
             assert!(probe_phase(&mut est, &PROBE, 6).is_empty());
             assert_eq!(m.estimated_total(), OPTIMIZER);
             assert_eq!(m.estimated_bounds(), None);
@@ -671,6 +658,39 @@ mod tests {
             assert_eq!(m.estimated_total(), 4.0);
             assert_eq!(degraded.0.load(Ordering::Relaxed), 1, "{workers}");
         }
+    }
+
+    #[test]
+    fn hist_budget_breach_degrades_every_join_of_a_chain_to_dne() {
+        // upper: A ⋈ (B ⋈ C); A's build breaches, so B never receives the
+        // chain's estimator and both joins run dne.
+        let (degraded, mut registry) = degraded_registry();
+        let m_lower = budgeted(&mut registry, 64, "lower");
+        let m_upper = registry.register("upper", OPTIMIZER);
+        let modes = JoinEstimation::pipeline(
+            PipelineEstimator::same_attribute(2, 0, 0, 3).unwrap(),
+            vec![Arc::clone(&m_lower), Arc::clone(&m_upper)],
+        );
+        let mut joins: Vec<_> = modes
+            .into_iter()
+            .zip([&m_lower, &m_upper])
+            .map(|(mode, m)| JoinEstimator::new(mode, Arc::clone(m)))
+            .collect();
+        build_phase(&mut joins[1], &[1, 1, 2], JoinKind::Inner);
+        assert_eq!(degraded.0.load(Ordering::Relaxed), 1);
+        build_phase(&mut joins[0], &[1, 2, 2], JoinKind::Inner);
+        assert!(matches!(joins[0].build_fragment(), Ok(None)));
+        let c = [Some(1), Some(2), Some(9)];
+        assert!(probe_phase(&mut joins[0], &c, 3).is_empty());
+        assert_eq!(m_lower.estimated_total(), OPTIMIZER);
+        // lower: 3 rows out of 3 probe rows; upper: 4 out of those 3.
+        joins[0].observe_join_pass(3, 3).unwrap();
+        assert!(probe_phase(&mut joins[1], &[], 3).is_empty());
+        joins[1].observe_join_pass(3, 4).unwrap();
+        assert_eq!(m_lower.estimated_total(), 3.0);
+        assert_eq!(m_upper.estimated_total(), 4.0);
+        assert_eq!(m_upper.estimated_bounds(), None);
+        assert_eq!(degraded.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -704,10 +724,13 @@ mod tests {
         assert_eq!(lower.pipeline_probe_seen(), Some(0));
         assert_eq!(m_upper.estimated_total(), OPTIMIZER);
 
-        assert!(probe_phase(&mut lower, &c, 3).is_empty());
+        // B's multiplicities of C's keys.
+        assert_eq!(probe_phase(&mut lower, &c, 3), [1, 2, 0]);
         assert_eq!(lower.pipeline_probe_seen(), Some(3));
-        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows
+        // lower: 1→1, 2→2 = 3 rows; upper: 1·2 + 2·1 = 4 rows, both exact.
         assert_eq!(m_lower.estimated_total(), 3.0);
         assert_eq!(m_upper.estimated_total(), 4.0);
+        assert_eq!(m_lower.estimated_bounds(), Some((3.0, 3.0)));
+        assert_eq!(m_upper.estimated_bounds(), Some((4.0, 4.0)));
     }
 }

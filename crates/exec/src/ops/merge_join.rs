@@ -20,10 +20,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use qprog_core::join_est::JoinKind;
+use qprog_core::pipeline_est::PipelineProbeFragment;
 use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
-use crate::ops::join_estimation::{JoinEstimation, JoinEstimator, ProbeFragment};
+use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::trace::Phase;
 
@@ -158,7 +159,7 @@ impl MergeJoin {
         est.begin_build()?;
         let mut fragment = est.build_fragment()?;
         let left = drain_sorted(left, left_key, batch_cap, &self.metrics, |batch| {
-            est.observe_build(&mut fragment, batch, left_key)
+            est.observe_build(&mut fragment, batch)
         })?;
         est.end_build(vec![fragment], JoinKind::Inner)?;
 
@@ -166,23 +167,21 @@ impl MergeJoin {
         // are published in batches — per-tuple publication is measurable
         // overhead for a monitor that polls far less often anyway.
         let mut right_count: u64 = 0;
-        let mut fragment = ProbeFragment::default();
+        let mut fragment = PipelineProbeFragment::default();
         let right = drain_sorted(right, right_key, batch_cap, &self.metrics, |batch| {
-            // Cut the key column where the publication cadence falls, so
-            // every PUBLISH_EVERY-th row publishes the state it would have
-            // had tuple at a time.
-            let mut keys = batch.col(right_key);
-            while !keys.is_empty() {
+            // Cut the batch where the publication cadence falls, so every
+            // PUBLISH_EVERY-th row publishes the state it would have had
+            // tuple at a time.
+            let mut start = 0;
+            while start < batch.len() {
                 let due = (PUBLISH_EVERY - right_count % PUBLISH_EVERY) as usize;
-                let (head, rest) = keys.split_at(due.min(keys.len()));
-                est.observe_probe_keys(&mut fragment, head)?;
-                right_count += head.len() as u64;
-                keys = rest;
-                if right_count.is_multiple_of(PUBLISH_EVERY) {
-                    est.publish(&mut fragment);
-                }
+                let end = batch.len().min(start + due);
+                right_count += (end - start) as u64;
+                let publish = right_count.is_multiple_of(PUBLISH_EVERY);
+                est.observe_probe(&mut fragment, batch, start..end, publish)?;
+                start = end;
             }
-            est.observe_probe_rows(&mut fragment, batch)
+            Ok(())
         })?;
         est.end_probe(right_count, vec![fragment]);
 
@@ -418,9 +417,7 @@ mod tests {
                 scan1("s", &s),
                 0,
                 0,
-                JoinEstimation::Once {
-                    probe_size_hint: s.len() as u64,
-                },
+                JoinEstimation::once(0, 0, s.len() as u64, Arc::clone(&m)),
                 Arc::clone(&m),
             );
             // The first call sorts both inputs and returns the first rows.
@@ -476,7 +473,7 @@ mod tests {
             scan1("s", &[]),
             0,
             0,
-            JoinEstimation::Once { probe_size_hint: 0 },
+            JoinEstimation::once(0, 0, 0, Arc::clone(&m)),
             Arc::clone(&m),
         );
         assert!(crate::ops::RowSource::new(&mut j)
@@ -676,9 +673,7 @@ mod tests {
                         let (rrows, rscan) = keyed_scan("r", rt, &rkeys);
                         let expect = reference_join(&lrows, &rrows);
                         let m = OpMetrics::with_initial_estimate(0.0);
-                        let estimation = JoinEstimation::Once {
-                            probe_size_hint: rn as u64,
-                        };
+                        let estimation = JoinEstimation::once(0, 0, rn as u64, Arc::clone(&m));
                         let mut j = MergeJoin::new(lscan, rscan, 0, 0, estimation, Arc::clone(&m));
                         let got = drain_batched(&mut j, cap);
                         assert_eq!(got, expect, "{lt} x {rt}, {ln} x {rn} rows, cap {cap}");

@@ -216,11 +216,11 @@ pub(crate) mod test_util {
                 let (_, d) = keyed_scan("d", DataType::Float64, &doubles);
                 let (_, i) = keyed_scan("i", DataType::Int64, &ints);
                 let (first, second) = if double_first { (d, i) } else { (i, d) };
+                let m = OpMetrics::with_initial_estimate(0.0);
                 let estimation = match once {
-                    true => JoinEstimation::Once { probe_size_hint: 2 },
+                    true => JoinEstimation::once(0, 0, 2, Arc::clone(&m)),
                     false => JoinEstimation::Off,
                 };
-                let m = OpMetrics::with_initial_estimate(0.0);
                 let mut j = make(first, second, estimation, Arc::clone(&m));
                 let mut out = RowBatch::with_capacity(4, 8);
                 assert_eq!(j.next_batch(&mut out), Err(expect.clone()));

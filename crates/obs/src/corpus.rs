@@ -247,12 +247,6 @@ impl RunMeta {
         }
     }
 
-    /// Override the baseline workload key.
-    pub fn with_workload(mut self, workload: impl Into<String>) -> Self {
-        self.workload = workload.into();
-        self
-    }
-
     /// Set the thread count (part of the baseline key).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -18,8 +18,6 @@
 //! lines are collected, not fatal, so a truncated production trace (killed
 //! writer, ring overflow) still replays its intact prefix.
 
-use std::sync::Arc;
-
 use qprog_exec::span::{SpanKind, NO_PARENT};
 use qprog_exec::trace::{
     AbortKind, DegradeReason, EstimateSource, HealthReason, HealthState, Phase, RegressionKind,
@@ -92,16 +90,6 @@ impl ReplayedTrace {
     pub fn replay_into(&self, sink: &dyn TraceSink) {
         for event in &self.events {
             sink.publish(event);
-        }
-    }
-
-    /// Feed every parsed event to each sink in turn (per-event fan-out,
-    /// like a live bus).
-    pub fn replay_into_all(&self, sinks: &[Arc<dyn TraceSink>]) {
-        for event in &self.events {
-            for sink in sinks {
-                sink.publish(event);
-            }
         }
     }
 }

@@ -603,9 +603,12 @@ impl Compiler<'_> {
                 let probe_op = self.compile_child(idx, probe, probe_pipeline)?;
                 let estimation = match self.opts.mode {
                     EstimationMode::Off => JoinEstimation::Off,
-                    EstimationMode::Once => JoinEstimation::Once {
-                        probe_size_hint: probe.estimate.round() as u64,
-                    },
+                    // A binary join is the one-join Algorithm-1 chain.
+                    EstimationMode::Once => {
+                        let (build_key, probe_key) = equi_keys(condition)?;
+                        let hint = probe.estimate.round() as u64;
+                        JoinEstimation::once(build_key, probe_key, hint, Arc::clone(&m))
+                    }
                     EstimationMode::Dne => JoinEstimation::Baseline {
                         rule: Rule::Dne,
                         optimizer_estimate: plan.estimate,
@@ -680,21 +683,15 @@ impl Compiler<'_> {
         agg_pushdown: Option<(DistinctTracker, Sender<DistinctTracker>)>,
     ) -> QResult<BoxedOp> {
         let Node::Join {
-            condition:
-                JoinCondition::Equi {
-                    build_key,
-                    probe_key,
-                },
+            condition,
             algo,
             kind,
             ..
         } = &join.node
         else {
-            return Err(QError::plan(
-                "hash and merge joins require an equi-join condition",
-            ));
+            return Err(QError::internal("join_operator on a non-join node"));
         };
-        let (build_key, probe_key) = (*build_key, *probe_key);
+        let (build_key, probe_key) = equi_keys(condition)?;
         if *algo == JoinAlgo::Merge {
             return Ok(Box::new(MergeJoin::new(
                 build_op, probe_op, build_key, probe_key, estimation, metrics,
@@ -723,20 +720,13 @@ impl Compiler<'_> {
         // provenance (join output schema = build ++ probe).
         let mut specs = Vec::with_capacity(chain.len());
         for (j, node) in chain.iter().enumerate() {
-            let Node::Join {
-                condition:
-                    JoinCondition::Equi {
-                        build_key,
-                        probe_key,
-                    },
-                ..
-            } = &node.node
-            else {
-                return Err(QError::internal("hash chain contains a non-equi join"));
+            let Node::Join { condition, .. } = &node.node else {
+                return Err(QError::internal("join chain contains a non-join"));
             };
+            let (build_key, probe_key) = equi_keys(condition)?;
             specs.push(JoinSpec {
-                build_attr_col: *build_key,
-                probe_attr: resolve_attr_source(chain, j, *probe_key),
+                build_attr_col: build_key,
+                probe_attr: resolve_attr_source(chain, j, probe_key),
             });
         }
         let lowest_probe = join_probe_child(chain[0]);
@@ -804,6 +794,19 @@ fn collect_join_chain(top: &LogicalPlan, chain_algo: JoinAlgo) -> Vec<&LogicalPl
     }
     top_down.reverse();
     top_down
+}
+
+/// The `(build, probe)` key columns of a hash or merge join's condition.
+fn equi_keys(condition: &JoinCondition) -> QResult<(usize, usize)> {
+    match condition {
+        JoinCondition::Equi {
+            build_key,
+            probe_key,
+        } => Ok((*build_key, *probe_key)),
+        _ => Err(QError::plan(
+            "hash and merge joins require an equi-join condition",
+        )),
+    }
 }
 
 /// Operator name of a join, for metrics registration.
@@ -985,23 +988,75 @@ mod tests {
     #[test]
     fn pipeline_chain_estimates_converge_early() {
         let b = PlanBuilder::new(catalog());
+        // region ⋈ (nation ⋈ customer) with the lower join on `custkey`:
+        // only the first 25 customers match, so the probe rows' contributions
+        // vary and the chain's intervals are not points until the end. (In
+        // `two_join_plan` every customer contributes one row to each join.)
+        let sparse = |algo| {
+            b.scan("customer")
+                .unwrap()
+                .join_build(
+                    b.scan("nation").unwrap(),
+                    "nation.nationkey",
+                    "customer.custkey",
+                    algo,
+                )
+                .unwrap()
+                .join_build(
+                    b.scan("region").unwrap(),
+                    "region.regionkey",
+                    "nation.regionkey",
+                    algo,
+                )
+                .unwrap()
+        };
         for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
-            let plan = two_join_plan(&b, algo);
-            let mut q = compile(&plan, &PhysicalOptions::with_mode(EstimationMode::Once)).unwrap();
-            // one output row → preprocessing done → both joins exact
-            let first = q.step().unwrap();
-            assert!(first.is_some());
-            let joins: Vec<usize> = (0..q.registry().len())
-                .filter(|&i| q.estimator_labels()[i] == "pipeline")
-                .collect();
-            assert_eq!(joins.len(), 2, "{algo:?}");
-            for (name, m) in joins.iter().map(|&i| q.registry().iter().nth(i).unwrap()) {
-                assert_eq!(name, join_op_name(algo));
-                assert_eq!(
-                    m.estimated_total(),
-                    2000.0,
-                    "{algo:?}: join estimates must be exact after preprocessing"
-                );
+            for (plan, truth) in [(two_join_plan(&b, algo), 2000.0), (sparse(algo), 25.0)] {
+                let opts = PhysicalOptions {
+                    batch_rows: 64,
+                    ..PhysicalOptions::with_mode(EstimationMode::Once)
+                };
+                let mut q = compile(&plan, &opts).unwrap();
+                let joins: Vec<(String, Arc<OpMetrics>)> = q
+                    .registry()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| q.estimator_labels()[i] == "pipeline")
+                    .map(|(_, (name, m))| (name.to_string(), Arc::clone(m)))
+                    .collect();
+                assert_eq!(joins.len(), 2, "{algo:?}");
+                // Every chain join's estimate and bounds at every publication.
+                let published = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&published);
+                let watched: Vec<_> = joins.iter().map(|(_, m)| Arc::clone(m)).collect();
+                q.on_progress(move |_| {
+                    let mut sink = sink.lock();
+                    for m in &watched {
+                        sink.push((m.estimated_total(), m.estimated_bounds()));
+                    }
+                });
+                // one output row → preprocessing done → both joins exact
+                let first = q.step().unwrap();
+                assert!(first.is_some());
+                for (name, m) in &joins {
+                    assert_eq!(name, join_op_name(algo));
+                    assert_eq!(
+                        m.estimated_total(),
+                        truth,
+                        "{algo:?}: join estimates must be exact after preprocessing"
+                    );
+                    assert_eq!(m.estimated_bounds(), Some((truth, truth)), "{algo:?}");
+                }
+                let published = published.lock();
+                for &(n, bounds) in published.iter() {
+                    if let Some((lo, hi)) = bounds {
+                        assert!(lo <= n && n <= hi, "{algo:?}: {lo} <= {n} <= {hi}");
+                    }
+                }
+                let open = published
+                    .iter()
+                    .any(|&(_, bounds)| bounds.is_some_and(|(lo, hi)| lo < hi));
+                assert_eq!(open, truth == 25.0, "{algo:?}: {published:?}");
             }
         }
     }

@@ -591,11 +591,6 @@ impl QueryService {
         &self.diagnostics
     }
 
-    /// Journal file path (tests simulate crashes against it).
-    pub fn journal_path(&self) -> &Path {
-        self.journal.path()
-    }
-
     /// Accept a submission: validate, admit, journal, queue. Returns the
     /// query id immediately — progress is observed via the monitor.
     pub fn submit(&self, req: SubmitRequest) -> Result<Ticket, SubmitError> {

@@ -25,6 +25,8 @@ fn catalog() -> Catalog {
     .unwrap();
     c.register(qprog::datagen::nation_table("nation", 500))
         .unwrap();
+    c.register(qprog::datagen::nation_table("nation2", 500))
+        .unwrap();
     c
 }
 
@@ -140,16 +142,44 @@ fn customer_nation_join(session: &Session, algo: qprog::plan::JoinAlgo) -> Query
     session.query_plan(plan).unwrap()
 }
 
-/// DESIGN §5 degradation ladder: a `once` join whose build histogram
-/// outgrows the soft budget drops it and continues as dne — same answer,
-/// one `EstimatorDegraded` event, one counter bump — whichever algorithm
-/// builds the histogram.
+/// `(customer ⋈ nation) ⋈ nation2` (50 000 output rows): a two-join
+/// Algorithm-1 chain of `algo`, both joins probing with the customer's
+/// nation key.
+fn customer_nation_chain(session: &Session, algo: qprog::plan::JoinAlgo) -> QueryHandle {
+    let b = session.builder();
+    let plan = b
+        .scan("customer")
+        .unwrap()
+        .join_build(
+            b.scan("nation").unwrap(),
+            "nation.nationkey",
+            "customer.nationkey",
+            algo,
+        )
+        .unwrap()
+        .join_build(
+            b.scan("nation2").unwrap(),
+            "nation2.nationkey",
+            "customer.nationkey",
+            algo,
+        )
+        .unwrap();
+    session.query_plan(plan).unwrap()
+}
+
+/// DESIGN §5 degradation ladder: a `once` join — a binary join or a
+/// two-join chain — whose build histograms outgrow the soft budget drops
+/// its estimator and every join continues as dne — same answer, one
+/// `EstimatorDegraded` event, one counter bump — whichever algorithm
+/// builds the histograms.
 #[test]
 fn hist_budget_breach_degrades_once_to_dne() {
     use qprog::exec::trace::TraceEventKind;
     use qprog::plan::JoinAlgo;
     let _scenario = scenario();
-    for algo in [JoinAlgo::Hash, JoinAlgo::Merge] {
+    let inputs = [JoinAlgo::Hash, JoinAlgo::Merge].map(|algo| [(algo, 1), (algo, 2)]);
+    for (algo, joins) in inputs.into_iter().flatten() {
+        let what = format!("{algo:?}, {joins} join(s)");
         let ring = Arc::new(RingSink::with_capacity(1 << 16));
         let registry = Arc::new(Registry::new());
         let session = SessionBuilder::new(catalog())
@@ -164,8 +194,25 @@ fn hist_budget_breach_degrades_once_to_dne() {
             )
             .build()
             .unwrap();
-        let rows = customer_nation_join(&session, algo).collect().unwrap();
-        assert_eq!(rows.len(), 50_000, "{algo:?}");
+        let query = match joins {
+            1 => customer_nation_join,
+            _ => customer_nation_chain,
+        };
+        let mut h = query(&session, algo);
+        let rows = h.collect().unwrap();
+        assert_eq!(rows.len(), 50_000, "{what}");
+        // Every join ends on the dne rule: no confidence bounds, and the
+        // estimate is the output once the driver is consumed.
+        let ops: Vec<_> = h
+            .registry()
+            .iter()
+            .filter(|(name, _)| name.ends_with("_join"))
+            .collect();
+        assert_eq!(ops.len(), joins, "{what}");
+        for (name, m) in ops {
+            assert_eq!(m.estimated_bounds(), None, "{what}: {name}");
+            assert_eq!(m.estimated_total(), m.emitted() as f64, "{what}: {name}");
+        }
         let degraded = ring
             .drain()
             .iter()
@@ -179,14 +226,14 @@ fn hist_budget_breach_degrades_once_to_dne() {
                 )
             })
             .count();
-        assert_eq!(degraded, 1, "{algo:?}");
+        assert_eq!(degraded, 1, "{what}");
         let text = registry.render();
         assert!(
             text.contains(
                 "qprog_estimator_degraded_total{estimator=\"once\",\
                  reason=\"histogram_memory\"} 1"
             ),
-            "{algo:?}: {text}"
+            "{what}: {text}"
         );
     }
 }

@@ -188,15 +188,14 @@ fn agg_pushdown_tracker_is_exact_after_probe_pass() {
         ))
     };
     let (to_agg, inbox) = std::sync::mpsc::channel();
+    let m = OpMetrics::with_initial_estimate(0.0);
     let mut join = HashJoin::new(
         scan(&r),
         scan(&s),
         1,
         1,
-        JoinEstimation::Once {
-            probe_size_hint: 5_000,
-        },
-        OpMetrics::with_initial_estimate(0.0),
+        JoinEstimation::once(1, 1, 5_000, Arc::clone(&m)),
+        m,
     )
     .with_agg_pushdown(DistinctTracker::new(100), to_agg);
     // pull one row: preprocessing has completed and sent the tracker up
