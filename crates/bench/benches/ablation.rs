@@ -12,7 +12,7 @@ use qprog_bench::{banner, paper_note, print_table, time_it, write_csv, Scale};
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::freq_hist::FreqHist;
 use qprog_core::interval::AdaptiveInterval;
-use qprog_core::join_est::{OnceJoinEstimator, SymmetricJoinEstimator};
+use qprog_core::join_est::OnceJoinEstimator;
 use qprog_core::mle::mle_estimate;
 use qprog_datagen::customer_table;
 use qprog_types::Key;
@@ -238,18 +238,6 @@ fn ablate_update_cadence(rows: usize, domain: usize) {
         "ablation4_cadence",
         &["cadence", "time_ms", "err_at_10pct"],
         &out,
-    );
-    // sanity: the symmetric estimator exists and agrees, documenting why
-    // the asymmetric form is preferred
-    let mut sym = SymmetricJoinEstimator::new(build.len() as u64, probe.len() as u64);
-    for (a, b) in build.iter().zip(probe.iter()) {
-        sym.observe_r(a);
-        sym.observe_s(b);
-    }
-    println!(
-        "(symmetric basic-scheme estimate after full observation: {:.0}, truth {:.0})",
-        sym.estimate(),
-        truth
     );
 }
 

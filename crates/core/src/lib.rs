@@ -12,8 +12,7 @@
 //! |---|---|
 //! | §4.1 confidence bounds (`β = Z_α / 2√t`) | [`confidence`] |
 //! | exact frequency histograms (`N_i` counts) + memory accounting (Table 2) | [`freq_hist`] |
-//! | §4.1 basic two-stream estimator; §4.1.1–4.1.2 incremental `D_{t+1}` | [`join_est`] |
-//! | §4.1 multi-attribute conditions (conjunction/disjunction) | [`multi_est`] |
+//! | §4.1.1–4.1.2 incremental `D_{t+1}` | [`join_est`] |
 //! | §4.1.4 Algorithm 1: pipeline push-down, same/different attributes, derived histograms | [`pipeline_est`] |
 //! | §4.2 Algorithm 2: incremental GEE | [`gee`] |
 //! | §4.2 MLE estimator | [`mle`] |
@@ -34,7 +33,6 @@ pub mod gnm;
 pub mod interval;
 pub mod join_est;
 pub mod mle;
-pub mod multi_est;
 pub mod pipeline_est;
 
 pub use chooser::{choose_estimator, EstimatorChoice, DEFAULT_TAU};
@@ -43,11 +41,8 @@ pub use distinct::DistinctTracker;
 pub use freq_hist::FreqHist;
 pub use gee::Gee;
 pub use gnm::{PipelineProgress, PipelineState, ProgressSnapshot};
-pub use join_est::{
-    JoinKind, OnceJoinEstimator, ProbeFragment, ProbeTotals, SymmetricJoinEstimator,
-};
+pub use join_est::{JoinKind, OnceJoinEstimator, ProbeFragment, ProbeTotals};
 pub use mle::mle_estimate;
-pub use multi_est::{conjunction_key, DisjunctionJoinEstimator};
 pub use pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 
 /// Which cardinality-refinement strategy an instrumented operator runs.

@@ -86,6 +86,23 @@ impl Expr {
         Expr::binary(BinOp::And, self, other)
     }
 
+    /// This expression with every column index `i` it reads, left to
+    /// right, read as `f(i)` instead.
+    pub fn map_columns(&self, f: &mut impl FnMut(usize) -> usize) -> Expr {
+        match self {
+            Expr::Column(i) => Expr::Column(f(*i)),
+            Expr::Literal(v) => Expr::Literal(v.clone()),
+            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
+            Expr::IsNull { expr, negate } => Expr::IsNull {
+                expr: Box::new(expr.map_columns(f)),
+                negate: *negate,
+            },
+            Expr::Binary { op, left, right } => {
+                Expr::binary(*op, left.map_columns(f), right.map_columns(f))
+            }
+        }
+    }
+
     /// Evaluate against row `row` of `batch`.
     pub fn eval_at(&self, batch: &RowBatch, row: usize) -> QResult<Value> {
         match self {

@@ -104,7 +104,6 @@ impl Acc {
     /// storage.
     fn update_value(&mut self, func: AggFunc, value: Option<&Value>) -> QResult<()> {
         match (self, func) {
-            (Acc::Count(n), AggFunc::CountStar) => *n += 1,
             (Acc::Count(n), AggFunc::Count) => {
                 if value.is_some_and(|v| !v.is_null()) {
                     *n += 1;
@@ -179,11 +178,12 @@ impl Acc {
 enum AState {
     Consuming,
     /// Emitting the groups, held column-major in first-seen order — group
-    /// `g`'s key values are row `g` of `keys`, its accumulators
-    /// `accs[g * stride..][..stride]` — in `order` (sorted by key), from
-    /// `order[pos]` on.
+    /// `g`'s key values are row `g` of `keys`, its row count `counts[g]`,
+    /// its accumulators `accs[g * stride..][..stride]` — in `order` (sorted
+    /// by key), from `order[pos]` on.
     Emitting {
         keys: RowBatch,
+        counts: Vec<u64>,
         accs: Vec<Acc>,
         order: Vec<u32>,
         pos: usize,
@@ -260,15 +260,22 @@ impl HashAggregate {
                 }
             }
         }
-        let new_accs: Vec<Acc> = self
+        // `COUNT(*)` is finalized from `counts`; the other aggregates, in
+        // order, each keep an accumulator per group.
+        let accumulated: Vec<AggSpec> = self
             .aggs
+            .iter()
+            .filter(|a| a.func != AggFunc::CountStar)
+            .copied()
+            .collect();
+        let new_accs: Vec<Acc> = accumulated
             .iter()
             .map(|a| {
                 let input = a.col.and_then(|c| input_schema.field(c).ok());
                 Acc::new(a.func, input.map(|f| f.data_type))
             })
             .collect();
-        let (group_cols, stride) = (&self.group_cols, self.aggs.len());
+        let (group_cols, stride) = (&self.group_cols, accumulated.len());
         let mut keys = RowBatch::accumulator(group_cols.len());
         let mut accs: Vec<Acc> = Vec::new();
         // The groups chained by key hash, and each group's input rows so
@@ -315,7 +322,7 @@ impl HashAggregate {
                     priors.push(counts[g]);
                 }
                 counts[g] += 1;
-                for (acc, spec) in accs[g * stride..][..stride].iter_mut().zip(&self.aggs) {
+                for (acc, spec) in accs[g * stride..][..stride].iter_mut().zip(&accumulated) {
                     acc.update_value(spec.func, spec.col.map(|c| scratch.value(r, c)))?;
                 }
             }
@@ -344,6 +351,7 @@ impl HashAggregate {
         // Global aggregation over an empty input still yields one row.
         if group_cols.is_empty() && keys.is_empty() {
             keys.push_drain(&mut Vec::new());
+            counts.push(0);
             accs.extend_from_slice(&new_accs);
         }
         // The consume phase has enumerated the groups: exact cardinality.
@@ -360,6 +368,7 @@ impl HashAggregate {
         let pos = 0;
         Ok(AState::Emitting {
             keys,
+            counts,
             accs,
             order,
             pos,
@@ -388,18 +397,23 @@ impl Operator for HashAggregate {
                 }
                 AState::Emitting {
                     keys,
+                    counts,
                     accs,
                     order,
                     pos,
                 } => {
-                    let stride = self.aggs.len();
+                    let stride = accs.len() / keys.len().max(1);
                     let mut row: Vec<Value> = Vec::with_capacity(out.arity());
                     while !out.is_full() && *pos < order.len() {
                         let g = order[*pos] as usize;
                         *pos += 1;
                         row.extend(keys.cols().iter().map(|k| k[g].clone()));
-                        for acc in &accs[g * stride..][..stride] {
-                            row.push(acc.finalize()?);
+                        let mut group_accs = accs[g * stride..][..stride].iter();
+                        for spec in &self.aggs {
+                            row.push(match spec.func {
+                                AggFunc::CountStar => Value::Int64(counts[g] as i64),
+                                _ => group_accs.next().expect("one per aggregate").finalize()?,
+                            });
                         }
                         out.push_drain(&mut row);
                     }
@@ -745,6 +759,8 @@ mod tests {
             spec(AggFunc::Count, Some(2)),
             spec(AggFunc::Sum, Some(2)),
             spec(AggFunc::Sum, Some(3)),
+            // COUNT(*) keeps no accumulator: one between two that do.
+            spec(AggFunc::CountStar, None),
             spec(AggFunc::Min, Some(2)),
             spec(AggFunc::Max, Some(1)),
             spec(AggFunc::Avg, Some(2)),

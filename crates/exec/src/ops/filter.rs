@@ -23,6 +23,8 @@ pub struct Filter {
     /// Reused input batch; bounded by the output's remaining room so a
     /// fully-selective batch can never overflow `out`.
     scratch: RowBatch,
+    /// Reused selection: the scratch rows that pass.
+    sel: Vec<u32>,
     done: bool,
 }
 
@@ -34,6 +36,7 @@ impl Filter {
             input,
             predicate,
             metrics,
+            sel: Vec::new(),
             dne: None,
             done: false,
         }
@@ -63,16 +66,16 @@ impl Operator for Filter {
             scratch.set_capacity(out.remaining());
             let status = self.input.next_batch(scratch)?;
             let n = scratch.len();
-            let mut matched = 0u64;
+            self.sel.clear();
             for r in 0..n {
                 if self.predicate.eval_predicate_at(scratch, r)? {
-                    out.push_from(scratch, r);
-                    matched += 1;
+                    self.sel.push(r as u32);
                 }
             }
+            out.gather_from(scratch, &self.sel);
             if n > 0 {
                 self.metrics.record_driver(n as u64);
-                self.metrics.record_emitted_n(matched);
+                self.metrics.record_emitted_n(self.sel.len() as u64);
                 if let Some(dne) = &self.dne {
                     self.metrics.refine(dne);
                 }

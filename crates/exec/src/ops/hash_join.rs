@@ -17,8 +17,9 @@
 //! All three phases are columnar: partitions are [`RowBatch`] accumulators
 //! filled by selection-vector gathers, the per-partition table is a
 //! [chained row index](crate::ops::chain) over the build partition, and
-//! matches leave as batches of `(build, probe)` pairs in one column-wise
-//! gather. Estimation, governor
+//! every output row — a match, a NULL-padded miss, a Semi/Anti probe row —
+//! leaves as a `(build, probe)` pair in one column-wise gather of just the
+//! columns the join emits. Estimation, governor
 //! checkpoints, and metrics are accounted **per batch** — the `K_i` deltas
 //! of a batch are summed and applied at its boundary, so published
 //! fractions and converged estimates are identical to the per-tuple
@@ -38,7 +39,7 @@ use std::time::Duration;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::join_est::JoinKind;
 use qprog_core::pipeline_est::PipelineProbeFragment;
-use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef, Value};
+use qprog_types::{BatchStatus, QError, QResult, RowBatch, Schema, SchemaRef, NO_ROW};
 
 use crate::metrics::OpMetrics;
 use crate::ops::chain::{key_hash, ChainIndex, NIL};
@@ -222,9 +223,9 @@ pub struct HashJoin {
     build_key: usize,
     probe_key: usize,
     kind: JoinKind,
+    /// The output columns, as indices into build ++ probe.
+    emit: Vec<usize>,
     schema: SchemaRef,
-    /// Build-arity NULL padding for outer-join misses.
-    null_pad: Vec<Value>,
     metrics: Arc<OpMetrics>,
     est: JoinEstimator,
     num_partitions: usize,
@@ -235,8 +236,9 @@ pub struct HashJoin {
     /// The current partition's build rows, chained by key hash (reused
     /// across partitions).
     index: ChainIndex,
-    /// Reused `(build row, probe row)` list of matches not yet gathered
-    /// into the output batch.
+    /// Reused `(build row, probe row)` list of output rows not yet
+    /// gathered into the output batch; a build row of [`NO_ROW`] is a
+    /// NULL-padded (LeftOuter) or probe-only (Semi/Anti) row.
     pair_buf: Vec<(u32, u32)>,
     state: JState,
 }
@@ -252,6 +254,7 @@ impl HashJoin {
         estimation: JoinEstimation,
         metrics: Arc<OpMetrics>,
     ) -> Self {
+        let emit = (0..build.schema().arity() + probe.schema().arity()).collect();
         let schema = build.schema().join(&probe.schema()).into_ref();
         HashJoin {
             build: Some(build),
@@ -259,8 +262,8 @@ impl HashJoin {
             build_key,
             probe_key,
             kind: JoinKind::Inner,
+            emit,
             schema,
-            null_pad: Vec::new(),
             est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
             num_partitions: DEFAULT_PARTITIONS,
@@ -273,37 +276,39 @@ impl HashJoin {
         }
     }
 
-    /// Select the join semantics; recomputes the output schema:
+    /// Select the join semantics and emit every column they yield:
     /// `Inner` → build ++ probe, `LeftOuter` → nullable(build) ++ probe,
     /// `Semi`/`Anti` → probe only. Call before execution starts.
     pub fn with_join_kind(mut self, kind: JoinKind) -> Self {
         self.kind = kind;
-        let build_schema = self
-            .build
-            .as_ref()
-            .expect("with_join_kind before execution")
-            .schema();
-        let probe_schema = self
-            .probe
-            .as_ref()
-            .expect("with_join_kind before execution")
-            .schema();
-        self.schema = match kind {
-            JoinKind::Inner => build_schema.join(&probe_schema).into_ref(),
-            JoinKind::LeftOuter => {
-                let nullable_build = qprog_types::Schema::new(
-                    build_schema
-                        .fields()
-                        .iter()
-                        .map(|f| f.clone().with_nullable(true))
-                        .collect(),
-                );
-                nullable_build.join(&probe_schema).into_ref()
-            }
-            JoinKind::Semi | JoinKind::Anti => Arc::clone(&probe_schema),
+        let (build, probe) = self.input_schemas();
+        let first = match kind {
+            JoinKind::Semi | JoinKind::Anti => build.arity(),
+            JoinKind::Inner | JoinKind::LeftOuter => 0,
         };
-        self.null_pad = vec![Value::Null; build_schema.arity()];
-        self
+        self.with_emit((first..build.arity() + probe.arity()).collect())
+            .expect("a join kind's own columns are in range")
+    }
+
+    /// Emit only the columns `emit`, indices into build ++ probe (a Semi or
+    /// Anti join's are probe columns). Call after
+    /// [`with_join_kind`](Self::with_join_kind), before execution starts.
+    pub fn with_emit(mut self, emit: Vec<usize>) -> QResult<Self> {
+        let (build, probe) = self.input_schemas();
+        let mut fields = build.fields().to_vec();
+        if self.kind == JoinKind::LeftOuter {
+            fields = fields.into_iter().map(|f| f.with_nullable(true)).collect();
+        }
+        fields.extend_from_slice(probe.fields());
+        self.schema = Schema::new(fields).project(&emit)?.into_ref();
+        self.emit = emit;
+        Ok(self)
+    }
+
+    fn input_schemas(&self) -> (SchemaRef, SchemaRef) {
+        let schema =
+            |op: &Option<BoxedOp>| op.as_ref().expect("join shaped before execution").schema();
+        (schema(&self.build), schema(&self.probe))
     }
 
     /// Override the partition count (≥ 1).
@@ -421,19 +426,6 @@ impl HashJoin {
     }
 }
 
-/// Gather the collected `(build, probe)` pairs into `out`.
-fn flush_pairs(
-    out: &mut RowBatch,
-    build: &RowBatch,
-    probe: &RowBatch,
-    pairs: &mut Vec<(u32, u32)>,
-) {
-    if !pairs.is_empty() {
-        out.gather_concat_from(build, probe, pairs);
-        pairs.clear();
-    }
-}
-
 impl Operator for HashJoin {
     fn schema(&self) -> SchemaRef {
         Arc::clone(&self.schema)
@@ -473,13 +465,12 @@ impl Operator for HashJoin {
                     // of probe rows is consumed between flushes, even when
                     // nothing matches.
                     let chunk = out.capacity().max(1);
-                    // Inner and LeftOuter collect their matches as index
-                    // pairs and emit them with one column-wise gather (a
-                    // LeftOuter miss flushes first: misses interleave with
-                    // matches in probe order); Semi and Anti emit probe
-                    // rows only.
+                    // Every kind collects its output rows as index pairs, in
+                    // probe order, and emits them with one column-wise
+                    // gather: Inner and LeftOuter their matches, LeftOuter a
+                    // NULL-padded miss, Semi and Anti a qualifying probe row.
                     let pairs = &mut self.pair_buf;
-                    let emits_pairs = matches!(self.kind, JoinKind::Inner | JoinKind::LeftOuter);
+                    let emits_matches = matches!(self.kind, JoinKind::Inner | JoinKind::LeftOuter);
                     let mut resume = pending.take();
                     let mut scanned = 0usize;
                     loop {
@@ -497,19 +488,16 @@ impl Operator for HashJoin {
                                 drv += 1;
                                 scanned += 1;
                                 let m = match_from(pidx, index.first(key_hash([&pkeys[pidx]])?));
-                                if !emits_pairs {
-                                    if (m != NIL) == (self.kind == JoinKind::Semi) {
-                                        out.push_from(ppart, pidx);
-                                        emit += 1;
-                                    }
-                                    continue;
-                                }
-                                if m == NIL && self.kind == JoinKind::LeftOuter {
-                                    flush_pairs(out, bpart, ppart, pairs);
-                                    out.push_concat_row_from(&self.null_pad, ppart, pidx);
+                                let probe_only = match self.kind {
+                                    JoinKind::Semi => m != NIL,
+                                    JoinKind::Anti | JoinKind::LeftOuter => m == NIL,
+                                    JoinKind::Inner => false,
+                                };
+                                if probe_only {
+                                    pairs.push((NO_ROW, pidx as u32));
                                     emit += 1;
                                 }
-                                (pidx, m)
+                                (pidx, if emits_matches { m } else { NIL })
                             }
                         };
                         while m != NIL {
@@ -522,7 +510,8 @@ impl Operator for HashJoin {
                             m = match_from(pidx, index.next(m));
                         }
                     }
-                    flush_pairs(out, bpart, ppart, pairs);
+                    out.gather_pairs_from(bpart, ppart, pairs, &self.emit);
+                    pairs.clear();
                     let more_here = *probe_pos < ppart.len() || pending.is_some();
                     self.est
                         .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
@@ -539,19 +528,16 @@ impl Operator for HashJoin {
                         continue;
                     }
                     // NULL-key probe rows never match: LeftOuter pads
-                    // them, Anti passes them through.
+                    // them, Anti passes them through (no other kind stashes
+                    // any). The build side's empty NULL stash stands in for
+                    // the build rows.
                     let nulls = &mut self.probe_parts.null_rows;
-                    while !out.is_full() && !nulls.is_empty() {
-                        let last = nulls.len() - 1;
-                        match self.kind {
-                            JoinKind::LeftOuter => {
-                                out.push_concat_row_from(&self.null_pad, nulls, last)
-                            }
-                            _ => out.push_from(nulls, last),
-                        }
-                        nulls.truncate(last);
-                        emit += 1;
-                    }
+                    let keep = nulls.len() - out.remaining().min(nulls.len());
+                    pairs.extend((keep..nulls.len()).rev().map(|p| (NO_ROW, p as u32)));
+                    emit += pairs.len() as u64;
+                    out.gather_pairs_from(&self.build_parts.null_rows, nulls, pairs, &self.emit);
+                    pairs.clear();
+                    nulls.truncate(keep);
                     self.est
                         .observe_join_pass(std::mem::take(&mut drv), std::mem::take(&mut emit))?;
                     if out.is_full() {

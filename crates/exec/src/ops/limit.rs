@@ -54,7 +54,7 @@ impl Operator for Limit {
             scratch.set_capacity(quota);
             let status = self.input.next_batch(scratch)?;
             let n = scratch.len();
-            out.extend_from(scratch, 0..n);
+            out.append_batch(scratch);
             self.emitted += n;
             self.metrics.record_emitted_n(n as u64);
             if status.is_exhausted() {

@@ -101,6 +101,8 @@ pub struct MergeJoin {
     right: Option<BoxedOp>,
     left_key: usize,
     right_key: usize,
+    /// The output columns, as indices into left ++ right.
+    emit: Vec<usize>,
     schema: SchemaRef,
     metrics: Arc<OpMetrics>,
     est: JoinEstimator,
@@ -125,12 +127,21 @@ impl MergeJoin {
             right: Some(right),
             left_key,
             right_key,
+            emit: (0..schema.arity()).collect(),
             schema,
             est: JoinEstimator::new(estimation, Arc::clone(&metrics)),
             metrics,
             pair_buf: Vec::new(),
             state: MState::Init,
         }
+    }
+
+    /// Emit only the columns `emit`, indices into left ++ right. Call
+    /// before execution starts.
+    pub fn with_emit(mut self, emit: Vec<usize>) -> QResult<Self> {
+        self.schema = self.schema.project(&emit)?.into_ref();
+        self.emit = emit;
+        Ok(self)
     }
 
     /// Sort phases for both inputs, with estimation interleaved.
@@ -332,7 +343,7 @@ impl Operator for MergeJoin {
                 }
             }
         };
-        out.gather_concat_from(&m.left.rows, &m.right.rows, pairs);
+        out.gather_pairs_from(&m.left.rows, &m.right.rows, pairs, &self.emit);
         if status.is_exhausted() {
             self.state = MState::Done;
             self.metrics.mark_finished();

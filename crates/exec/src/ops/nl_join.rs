@@ -30,6 +30,8 @@ pub struct NestedLoopsJoin {
     inner: Option<BoxedOp>,
     condition: NlCondition,
     schema: SchemaRef,
+    /// Every output column: what a joining pair's gather copies.
+    emit: Vec<usize>,
     metrics: Arc<OpMetrics>,
     /// dne over the join's counters (driver = outer rows).
     dne: Option<Baseline>,
@@ -64,6 +66,7 @@ impl NestedLoopsJoin {
             outer,
             inner: Some(inner),
             condition,
+            emit: (0..schema.arity()).collect(),
             schema,
             metrics,
             dne: None,
@@ -132,7 +135,7 @@ impl NestedLoopsJoin {
                 return Ok(false);
             }
         }
-        out.gather_concat_from(outer, &self.inner_rows, &[(o as u32, i as u32)]);
+        out.gather_pairs_from(outer, &self.inner_rows, &[(o as u32, i as u32)], &self.emit);
         if let NlCondition::Theta(pred) = &self.condition {
             if !pred.eval_predicate_at(out, out.len() - 1)? {
                 out.truncate(out.len() - 1);

@@ -17,6 +17,9 @@ use crate::ops::{BoxedOp, Operator};
 /// every base-table stream a genuine random sample.
 pub struct TableScan {
     table: Arc<Table>,
+    /// The block columns copied out, in output order.
+    cols: Vec<usize>,
+    schema: SchemaRef,
     order: ScanOrder,
     name: String,
     metrics: Arc<OpMetrics>,
@@ -48,6 +51,8 @@ impl TableScan {
     pub fn with_order(table: Arc<Table>, order: ScanOrder, metrics: Arc<OpMetrics>) -> Self {
         TableScan {
             name: format!("scan({})", table.name()),
+            cols: (0..table.schema().arity()).collect(),
+            schema: Arc::clone(table.schema()),
             table,
             order,
             metrics,
@@ -68,11 +73,19 @@ impl TableScan {
         self.io_cost = cost;
         self
     }
+
+    /// Emit only the table columns `cols`, in that order (default: every
+    /// column): the rest are never copied out of a block.
+    pub fn with_columns(mut self, cols: Vec<usize>) -> QResult<Self> {
+        self.schema = self.table.schema().project(&cols)?.into_ref();
+        self.cols = cols;
+        Ok(self)
+    }
 }
 
 impl Operator for TableScan {
     fn schema(&self) -> SchemaRef {
-        Arc::clone(self.table.schema())
+        Arc::clone(&self.schema)
     }
 
     fn next_batch(&mut self, out: &mut RowBatch) -> QResult<BatchStatus> {
@@ -118,7 +131,7 @@ impl Operator for TableScan {
             let take = avail.min(out.remaining());
             self.metrics.checkpoint(take as u64)?;
             qprog_fault::fail_point!("exec/scan/next");
-            out.extend_from(block, self.row_offset..self.row_offset + take);
+            out.extend_from(block, self.row_offset..self.row_offset + take, &self.cols);
             self.row_offset += take;
             self.metrics.record_emitted_n(take as u64);
             if out.is_full() {
@@ -152,6 +165,8 @@ impl Operator for TableScan {
                 Box::new(TableScan {
                     name: self.name.clone(),
                     table: Arc::clone(&self.table),
+                    cols: self.cols.clone(),
+                    schema: Arc::clone(&self.schema),
                     order,
                     metrics: Arc::clone(&self.metrics),
                     io_cost: self.io_cost,

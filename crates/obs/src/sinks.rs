@@ -2,59 +2,38 @@
 //! a debug-mode progress-sanity validator.
 //!
 //! Sinks implement [`TraceSink`] and run synchronously on the publishing
-//! (query) thread, so each is written to be cheap: the ring sink is
-//! lock-free, the JSONL/stderr sinks take a short mutex only at actual
-//! event boundaries (phase transitions and material estimate refinements —
-//! never per tuple).
+//! (query) thread, so each is written to be cheap: every sink takes one
+//! short mutex only at actual event boundaries (phase transitions and
+//! material estimate refinements — never per tuple), and the ring never
+//! waits on its consumer.
 
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::io::Write;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{EstimateSource, Phase, TraceEvent, TraceEventKind, TraceSink};
 
-/// One slot of the ring: a sequence stamp plus storage for an event.
-struct Slot {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<TraceEvent>>,
-}
-
-/// A lock-free bounded MPMC ring buffer of trace events (Vyukov's bounded
-/// queue). Producers never block: when the ring is full the event is
-/// dropped and counted, so a stalled or absent consumer can never slow the
-/// query down. `TraceEvent` is `Copy`, so slots need no destructors.
+/// A bounded ring buffer of trace events. Producers never wait on a
+/// consumer: when the ring is full the event is dropped and counted, so a
+/// stalled or absent consumer can never slow the query down. It serves a
+/// few hundred publications per query, so one short lock per event is
+/// noise.
 pub struct RingSink {
-    slots: Box<[Slot]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    events: Mutex<VecDeque<TraceEvent>>,
+    capacity: usize,
     delivered: AtomicU64,
     dropped: AtomicU64,
 }
-
-// SAFETY: slot contents are only accessed by the producer/consumer that
-// won the corresponding sequence handshake (the Vyukov protocol below).
-unsafe impl Send for RingSink {}
-unsafe impl Sync for RingSink {}
 
 impl RingSink {
     /// A ring holding at least `capacity` events (rounded up to a power of
     /// two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[Slot]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
+        let capacity = capacity.max(2).next_power_of_two();
         RingSink {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            events: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -62,7 +41,7 @@ impl RingSink {
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Events successfully buffered (delivered to the ring).
@@ -75,86 +54,27 @@ impl RingSink {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Try to enqueue; `false` means the ring was full.
-    fn try_push(&self, event: TraceEvent) -> bool {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match (seq as isize).wrapping_sub(pos as isize) {
-                0 => {
-                    match self.enqueue_pos.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS gives this thread exclusive
-                            // write access to the slot until the Release
-                            // store below hands it to a consumer.
-                            unsafe { (*slot.value.get()).write(event) };
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(p) => pos = p,
-                    }
-                }
-                d if d < 0 => return false, // full
-                _ => pos = self.enqueue_pos.load(Ordering::Relaxed),
-            }
-        }
-    }
-
     /// Pop the oldest event, if any.
     pub fn try_pop(&self) -> Option<TraceEvent> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match (seq as isize).wrapping_sub(pos.wrapping_add(1) as isize) {
-                0 => {
-                    match self.dequeue_pos.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS gives this thread exclusive
-                            // read access; the slot was initialized by the
-                            // producer that published `seq`.
-                            let event = unsafe { (*slot.value.get()).assume_init() };
-                            slot.seq
-                                .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                            return Some(event);
-                        }
-                        Err(p) => pos = p,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                _ => pos = self.dequeue_pos.load(Ordering::Relaxed),
-            }
-        }
+        self.events.lock().pop_front()
     }
 
     /// Drain everything currently buffered, in publication order.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        while let Some(e) = self.try_pop() {
-            out.push(e);
-        }
-        out
+        self.events.lock().drain(..).collect()
     }
 }
 
 impl TraceSink for RingSink {
     fn publish(&self, event: &TraceEvent) {
-        if self.try_push(*event) {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
+        let mut events = self.events.lock();
+        let counter = if events.len() < self.capacity {
+            events.push_back(*event);
+            &self.delivered
         } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.dropped
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -43,7 +43,7 @@ impl PlanBuilder {
             schema: Arc::clone(table.schema()),
             estimate: stats.row_count as f64,
             col_stats,
-            node: Node::Scan { table },
+            node: Node::Scan { table, emit: None },
         })
     }
 }
@@ -204,6 +204,7 @@ impl LogicalPlan {
                 condition,
                 algo,
                 kind,
+                emit: None,
             },
         })
     }
@@ -281,6 +282,7 @@ impl LogicalPlan {
                 condition,
                 algo: JoinAlgo::NestedLoops,
                 kind: JoinKind::Inner,
+                emit: None,
             },
         })
     }

@@ -13,7 +13,7 @@ use qprog_exec::ops::agg::AggSpec;
 use qprog_exec::ops::sort::SortKey;
 use qprog_storage::stats::ColumnStats;
 use qprog_storage::Table;
-use qprog_types::SchemaRef;
+use qprog_types::{Field, SchemaRef};
 
 /// Join algorithm choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +57,9 @@ pub struct LogicalPlan {
 pub enum Node {
     Scan {
         table: Arc<Table>,
+        /// The table columns emitted, if not all; set by
+        /// [`prune_columns`](crate::physical::prune_columns).
+        emit: Option<Vec<usize>>,
     },
     Filter {
         input: Box<LogicalPlan>,
@@ -75,6 +78,9 @@ pub enum Node {
         algo: JoinAlgo,
         /// Inner / probe-preserving outer / semi / anti semantics.
         kind: JoinKind,
+        /// A hash or merge join's emitted columns of build ++ probe, if not
+        /// all its kind yields; set by projection push-down.
+        emit: Option<Vec<usize>>,
     },
     Aggregate {
         input: Box<LogicalPlan>,
@@ -114,8 +120,10 @@ impl LogicalPlan {
 
     fn render(&self, depth: usize, out: &mut String) {
         let pad = "  ".repeat(depth);
-        let line = match &self.node {
-            Node::Scan { table } => format!("Scan {} (rows={})", table.name(), table.num_rows()),
+        let mut line = match &self.node {
+            Node::Scan { table, .. } => {
+                format!("Scan {} (rows={})", table.name(), table.num_rows())
+            }
             Node::Filter { .. } => "Filter".to_string(),
             Node::Project { .. } => "Project".to_string(),
             Node::Join {
@@ -135,6 +143,15 @@ impl LogicalPlan {
             Node::Sort { .. } => "Sort".to_string(),
             Node::Limit { n, .. } => format!("Limit {n}"),
         };
+        if let Node::Scan { emit: Some(_), .. } | Node::Join { emit: Some(_), .. } = &self.node {
+            let names: Vec<_> = self
+                .schema
+                .fields()
+                .iter()
+                .map(Field::qualified_name)
+                .collect();
+            line += &format!(" emit=[{}]", names.join(", "));
+        }
         out.push_str(&format!("{pad}{line} (est={:.0})\n", self.estimate));
         match &self.node {
             Node::Scan { .. } => {}

@@ -10,10 +10,12 @@ use qprog_core::gnm::ProgressSnapshot;
 use qprog_core::join_est::JoinKind;
 use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 use qprog_core::EstimationMode;
+use qprog_exec::expr::Expr;
 use qprog_exec::governor::{guarded, guarded_next_batch, Budgets, CancellationToken, Governor};
 use qprog_exec::metrics::{MetricsRegistry, OpMetrics};
-use qprog_exec::ops::agg::AggEstimation;
+use qprog_exec::ops::agg::{AggEstimation, AggSpec};
 use qprog_exec::ops::nl_join::{NestedLoopsJoin, NlCondition};
+use qprog_exec::ops::sort::SortKey;
 use qprog_exec::ops::{
     BoxedOp, Filter, HashAggregate, HashJoin, JoinEstimation, Limit, MergeJoin, Project, RowCursor,
     Sort, TableScan,
@@ -104,6 +106,8 @@ impl PhysicalOptions {
 
 /// A compiled, instrumented, ready-to-run query.
 pub struct CompiledQuery {
+    /// The plan as compiled: after [`prune_columns`].
+    plan: LogicalPlan,
     root: BoxedOp,
     /// Registry index of the plan-root operator. Usually `0` (registration
     /// is top-down), but a join chain at the root registers bottom-up.
@@ -138,6 +142,12 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
+    /// The plan as compiled, whose scans and hash or merge joins list the
+    /// columns they emit ([`prune_columns`]).
+    pub fn plan(&self) -> &LogicalPlan {
+        &self.plan
+    }
+
     /// Per-operator metrics in registration order.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
@@ -334,7 +344,8 @@ pub fn compile(plan: &LogicalPlan, opts: &PhysicalOptions) -> QResult<CompiledQu
 /// Compile a logical plan with an optional trace bus attached: every
 /// operator's metrics publish [`qprog_exec::trace::TraceEvent`]s
 /// (phase transitions, estimate refinements) to `bus`, and the compiled
-/// query publishes `QueryFinished` when its root is exhausted.
+/// query publishes `QueryFinished` when its root is exhausted. Operators
+/// carry only the columns read above them ([`prune_columns`]).
 pub fn compile_traced(
     plan: &LogicalPlan,
     opts: &PhysicalOptions,
@@ -358,11 +369,13 @@ pub fn compile_traced(
         scan_counter: 0,
         chain_root: None,
     };
+    let plan = prune_columns(plan);
     let root_pipeline = c.pipelines.new_pipeline();
-    let root = c.compile(plan, root_pipeline)?;
+    let root = c.compile(&plan, root_pipeline)?;
     let root_op = c.chain_root.take().unwrap_or(0);
     let stepper = RowCursor::new(root.schema().arity(), 1);
     Ok(CompiledQuery {
+        plan,
         root,
         root_op,
         registry: c.registry,
@@ -443,19 +456,22 @@ impl Compiler<'_> {
 
     fn compile(&mut self, plan: &LogicalPlan, pipeline: usize) -> QResult<BoxedOp> {
         match &plan.node {
-            Node::Scan { table } => {
+            Node::Scan { table, emit } => {
                 let (idx, m) =
                     self.register_idx(&format!("scan({})", table.name()), plan.estimate, pipeline);
                 // A scan's lifetime total is its table's row count.
                 self.set_label(idx, "exact");
                 self.scan_counter += 1;
-                let scan = TableScan::sampled(
+                let mut scan = TableScan::sampled(
                     Arc::clone(table),
                     self.opts.sample_fraction,
                     self.opts.seed.wrapping_add(self.scan_counter),
                     m,
                 )
                 .with_io_cost(std::time::Duration::from_micros(self.opts.block_io_us));
+                if let Some(emit) = emit {
+                    scan = scan.with_columns(emit.clone())?;
+                }
                 Ok(Box::new(scan))
             }
             Node::Filter { input, predicate } => {
@@ -505,7 +521,7 @@ impl Compiler<'_> {
         plan: &LogicalPlan,
         input: &LogicalPlan,
         group_cols: &[usize],
-        aggs: &[qprog_exec::ops::agg::AggSpec],
+        aggs: &[AggSpec],
         pipeline: usize,
     ) -> QResult<BoxedOp> {
         let (agg_idx, m) = self.register_idx("hash_agg", plan.estimate, pipeline);
@@ -569,6 +585,7 @@ impl Compiler<'_> {
             condition,
             algo,
             kind,
+            ..
         } = &plan.node
         else {
             return Err(QError::internal("compile_join on a non-join node"));
@@ -626,39 +643,28 @@ impl Compiler<'_> {
                 let outer_estimate = probe.estimate;
                 let inner_op = self.compile_child(idx, build, inner_pipeline)?;
                 let outer_op = self.compile_child(idx, probe, pipeline)?;
+                // Our schema is build ++ probe, but exec's NL join
+                // materializes its inner (build) side and emits outer ++
+                // inner: the probe streams as the exec outer, and build ++
+                // probe column `i` is exec column `rotate(i)`.
+                let (probe_arity, arity) = (probe.schema.arity(), plan.schema.arity());
+                let mut rotate = |i| (i + probe_arity) % arity;
                 let cond = match condition {
-                    // exec's NL join streams the OUTER first in its output
-                    // schema; our logical schema is build ++ probe, so the
-                    // materialized inner (build) side is the exec outer...
-                    // To keep build ++ probe column order, exec outer =
-                    // build is wrong — instead we materialize the build
-                    // side as exec's inner and flip the concat by making
-                    // the probe stream the exec outer, then reproject.
                     JoinCondition::Equi {
                         build_key,
                         probe_key,
                     } => NlCondition::Equi(*probe_key, *build_key),
-                    JoinCondition::Theta(e) => NlCondition::Theta(remap_theta(
-                        e,
-                        build.schema.arity(),
-                        probe.schema.arity(),
-                    )),
+                    JoinCondition::Theta(e) => NlCondition::Theta(e.map_columns(&mut rotate)),
                     JoinCondition::Cross => NlCondition::Cross,
                 };
-                // exec output = outer(probe) ++ inner(build); we need
-                // build ++ probe, so append a projection that swaps sides.
                 let mut nl = NestedLoopsJoin::new(outer_op, inner_op, cond, Arc::clone(&m));
                 if self.opts.mode != EstimationMode::Off {
                     // §4.1.3: nested-loops estimation reduces to dne.
                     nl = nl.with_dne(outer_estimate.round() as u64, plan.estimate);
                     self.set_label(idx, "dne");
                 }
-                let probe_arity = probe.schema.arity();
-                let build_arity = build.schema.arity();
-                let swap: Vec<qprog_exec::expr::Expr> = (0..build_arity)
-                    .map(|i| qprog_exec::expr::Expr::Column(probe_arity + i))
-                    .chain((0..probe_arity).map(qprog_exec::expr::Expr::Column))
-                    .collect();
+                // A projection swaps exec's output back to build ++ probe.
+                let swap = (0..arity).map(|i| Expr::Column(rotate(i))).collect();
                 let (pidx, pm) = self.register_idx("project(swap)", plan.estimate, pipeline);
                 self.op_inputs[pidx].push(idx);
                 Ok(Box::new(Project::new(
@@ -686,6 +692,7 @@ impl Compiler<'_> {
             condition,
             algo,
             kind,
+            emit,
             ..
         } = &join.node
         else {
@@ -693,15 +700,22 @@ impl Compiler<'_> {
         };
         let (build_key, probe_key) = equi_keys(condition)?;
         if *algo == JoinAlgo::Merge {
-            return Ok(Box::new(MergeJoin::new(
+            let mj = MergeJoin::new(
                 build_op, probe_op, build_key, probe_key, estimation, metrics,
-            )));
+            );
+            return Ok(Box::new(match emit {
+                Some(emit) => mj.with_emit(emit.clone())?,
+                None => mj,
+            }));
         }
         let mut hj = HashJoin::new(
             build_op, probe_op, build_key, probe_key, estimation, metrics,
         )
         .with_join_kind(*kind)
         .with_threads(self.opts.threads);
+        if let Some(emit) = emit {
+            hj = hj.with_emit(emit.clone())?;
+        }
         if let Some((tracker, to_agg)) = agg_pushdown {
             hj = hj.with_agg_pushdown(tracker, to_agg);
         }
@@ -773,6 +787,195 @@ impl Compiler<'_> {
     }
 }
 
+/// Projection push-down, run by [`compile_traced`] before any operator
+/// registers: a copy of `plan` in which every scan and every hash or merge
+/// join emits only the columns read above it, and every column index
+/// above them — filters, sort keys, aggregates, projections, join keys —
+/// reads the narrowed schemas. A nested-loops join prunes its inputs and
+/// emits them whole. The root keeps its full schema, and no node is added
+/// or removed.
+pub fn prune_columns(plan: &LogicalPlan) -> LogicalPlan {
+    prune(plan, &(0..plan.schema.arity()).collect::<Vec<_>>()).0
+}
+
+/// `plan` rewritten to output at least its columns `needed` (ascending),
+/// and which of its columns the rewrite outputs, ascending: output column
+/// `i` is old column `kept[i]`.
+fn prune(plan: &LogicalPlan, needed: &[usize]) -> (LogicalPlan, Vec<usize>) {
+    let all = || (0..plan.schema.arity()).collect();
+    let (node, kept) = match &plan.node {
+        Node::Scan { table, .. } => {
+            let (table, emit) = (Arc::clone(table), Some(needed.to_vec()));
+            (Node::Scan { table, emit }, needed.to_vec())
+        }
+        Node::Filter { input, predicate } => {
+            let (input, kept) = prune_input(input, [needed, &columns(predicate)].concat());
+            let predicate = predicate.map_columns(&mut |c| at(&kept, c));
+            (Node::Filter { input, predicate }, kept)
+        }
+        Node::Sort { input, keys } => {
+            let reads = needed.iter().copied().chain(keys.iter().map(|k| k.col));
+            let (input, kept) = prune_input(input, reads.collect());
+            let keys = keys.iter().map(|&k| SortKey {
+                col: at(&kept, k.col),
+                ..k
+            });
+            let keys = keys.collect();
+            (Node::Sort { input, keys }, kept)
+        }
+        Node::Limit { input, n } => {
+            let (input, kept) = prune_input(input, needed.to_vec());
+            (Node::Limit { input, n: *n }, kept)
+        }
+        Node::Project { input, exprs } => {
+            let (input, kept) = prune_input(input, exprs.iter().flat_map(columns).collect());
+            let exprs = exprs.iter().map(|e| e.map_columns(&mut |c| at(&kept, c)));
+            let exprs = exprs.collect();
+            (Node::Project { input, exprs }, all())
+        }
+        Node::Aggregate {
+            input,
+            group_cols,
+            aggs,
+        } => {
+            let reads = group_cols
+                .iter()
+                .copied()
+                .chain(aggs.iter().filter_map(|a| a.col));
+            let (input, kept) = prune_input(input, reads.collect());
+            let group_cols = group_cols.iter().map(|&c| at(&kept, c)).collect();
+            let aggs = aggs.iter().map(|&a| AggSpec {
+                col: a.col.map(|c| at(&kept, c)),
+                ..a
+            });
+            let aggs = aggs.collect();
+            (
+                Node::Aggregate {
+                    input,
+                    group_cols,
+                    aggs,
+                },
+                all(),
+            )
+        }
+        Node::Join {
+            build,
+            probe,
+            condition,
+            algo,
+            kind,
+            ..
+        } => {
+            // Columns of build ++ probe; a Semi or Anti join outputs probe's.
+            let build_arity = build.schema.arity();
+            let first = match kind {
+                JoinKind::Semi | JoinKind::Anti => build_arity,
+                JoinKind::Inner | JoinKind::LeftOuter => 0,
+            };
+            let mut reads: Vec<usize> = needed.iter().map(|&c| first + c).collect();
+            remap_condition(condition, build_arity, build_arity, &mut |c| {
+                reads.push(c);
+                c
+            });
+            let reads = sorted(reads);
+            let split = reads.partition_point(|&c| c < build_arity);
+            let (build, mut kept) = prune_input(build, reads[..split].to_vec());
+            let probe_reads = reads[split..].iter().map(|c| c - build_arity).collect();
+            let (probe, probe_kept) = prune_input(probe, probe_reads);
+            kept.extend(probe_kept.iter().map(|c| c + build_arity));
+            let new_build_arity = build.schema.arity();
+            let mut at_kept = |c| at(&kept, c);
+            let condition = remap_condition(condition, build_arity, new_build_arity, &mut at_kept);
+            let (emit, kept) = match algo {
+                JoinAlgo::NestedLoops => (None, kept),
+                _ => (
+                    Some(needed.iter().map(|&c| at(&kept, first + c)).collect()),
+                    needed.to_vec(),
+                ),
+            };
+            let (algo, kind) = (*algo, *kind);
+            (
+                Node::Join {
+                    build,
+                    probe,
+                    condition,
+                    algo,
+                    kind,
+                    emit,
+                },
+                kept,
+            )
+        }
+    };
+    let schema = plan
+        .schema
+        .project(&kept)
+        .expect("kept columns exist")
+        .into_ref();
+    let col_stats = kept.iter().map(|&c| plan.col_stats[c].clone()).collect();
+    let estimate = plan.estimate;
+    (
+        LogicalPlan {
+            node,
+            schema,
+            col_stats,
+            estimate,
+        },
+        kept,
+    )
+}
+
+/// [`prune`] of a node's `input` to the columns it `reads` (any order).
+fn prune_input(input: &LogicalPlan, reads: Vec<usize>) -> (Box<LogicalPlan>, Vec<usize>) {
+    let (input, kept) = prune(input, &sorted(reads));
+    (Box::new(input), kept)
+}
+
+/// The columns `e` reads.
+fn columns(e: &Expr) -> Vec<usize> {
+    let mut cols = Vec::new();
+    e.map_columns(&mut |c| {
+        cols.push(c);
+        c
+    });
+    cols
+}
+
+/// `condition` with every column it reads, as an index into build ++ probe
+/// with `build_arity` build columns, read as `f` of it instead, into a
+/// build ++ probe with `new_build_arity` build columns.
+fn remap_condition(
+    condition: &JoinCondition,
+    build_arity: usize,
+    new_build_arity: usize,
+    f: &mut impl FnMut(usize) -> usize,
+) -> JoinCondition {
+    match condition {
+        JoinCondition::Equi {
+            build_key,
+            probe_key,
+        } => JoinCondition::Equi {
+            build_key: f(*build_key),
+            probe_key: f(build_arity + probe_key) - new_build_arity,
+        },
+        JoinCondition::Theta(e) => JoinCondition::Theta(e.map_columns(f)),
+        JoinCondition::Cross => JoinCondition::Cross,
+    }
+}
+
+/// Where column `c` of a pruned node's input went: its position among
+/// the input's `kept` columns.
+fn at(kept: &[usize], c: usize) -> usize {
+    kept.binary_search(&c).expect("a column read above is kept")
+}
+
+/// `cols` sorted ascending, without duplicates.
+fn sorted(mut cols: Vec<usize>) -> Vec<usize> {
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// Collect the maximal chain of inner equi-joins of one algorithm
 /// connected through probe children, returned bottom-up (`[0]` = lowest).
 fn collect_join_chain(top: &LogicalPlan, chain_algo: JoinAlgo) -> Vec<&LogicalPlan> {
@@ -833,11 +1036,13 @@ fn resolve_attr_source(chain: &[&LogicalPlan], j: usize, col: usize) -> AttrSour
     if j == 0 {
         return AttrSource::Probe { col };
     }
-    // Probe input of join j is the output of join j-1: build ++ probe.
+    // Probe input of join j is the output of join j-1: its emitted
+    // columns of build ++ probe.
     let below = chain[j - 1];
-    let Node::Join { build, .. } = &below.node else {
+    let Node::Join { build, emit, .. } = &below.node else {
         unreachable!("chain contains only joins");
     };
+    let col = emitted(emit, col);
     let build_arity = build.schema.arity();
     if col < build_arity {
         AttrSource::Build { join: j - 1, col }
@@ -857,43 +1062,19 @@ fn group_col_is_join_key(input: &LogicalPlan, g: usize) -> bool {
         },
         algo: JoinAlgo::Hash,
         kind: JoinKind::Inner,
+        emit,
         ..
     } = &input.node
     else {
         return false;
     };
-    let build_arity = build.schema.arity();
-    (g < build_arity && g == *build_key) || (g >= build_arity && g - build_arity == *probe_key)
+    let g = emitted(emit, g);
+    g == *build_key || g == build.schema.arity() + probe_key
 }
 
-/// Rewrite a theta predicate from (build ++ probe) indexing to exec's
-/// (outer=probe ++ inner=build) indexing.
-fn remap_theta(
-    e: &qprog_exec::expr::Expr,
-    build_arity: usize,
-    probe_arity: usize,
-) -> qprog_exec::expr::Expr {
-    use qprog_exec::expr::Expr;
-    match e {
-        Expr::Column(i) => {
-            if *i < build_arity {
-                Expr::Column(probe_arity + i)
-            } else {
-                Expr::Column(i - build_arity)
-            }
-        }
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Not(inner) => Expr::Not(Box::new(remap_theta(inner, build_arity, probe_arity))),
-        Expr::IsNull { expr, negate } => Expr::IsNull {
-            expr: Box::new(remap_theta(expr, build_arity, probe_arity)),
-            negate: *negate,
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(remap_theta(left, build_arity, probe_arity)),
-            right: Box::new(remap_theta(right, build_arity, probe_arity)),
-        },
-    }
+/// Which column of build ++ probe a join emits as its output column `c`.
+fn emitted(emit: &Option<Vec<usize>>, c: usize) -> usize {
+    emit.as_ref().map_or(c, |emit| emit[c])
 }
 
 #[cfg(test)]
@@ -904,7 +1085,7 @@ mod tests {
     use qprog_exec::ops::agg::AggFunc;
     use qprog_exec::sync::Mutex;
     use qprog_storage::{Catalog, Table};
-    use qprog_types::{row, DataType, Field, Schema};
+    use qprog_types::{row, DataType, Field, Row, Schema, Value};
 
     /// customer(custkey, nationkey) with skew-free keys; nation(nationkey).
     fn catalog() -> Catalog {
@@ -1280,6 +1461,382 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a(custkey, nationkey)` — custkeys 0..60, every 41st NULL, so some
+    /// rows miss `nation` and some have NULL keys — and
+    /// `nation(nationkey, name, regionkey)` with keys 0..50: the shape of
+    /// the benchmark's `hash_agg_uniform`, with a string column nothing
+    /// reads.
+    fn pruning_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let nullable = |name| Field::new(name, DataType::Int64).with_nullable(true);
+        let mut a = Table::new(
+            "a",
+            Schema::new(vec![
+                nullable("custkey"),
+                Field::new("nationkey", DataType::Int64),
+            ]),
+        );
+        for i in 0..400i64 {
+            let custkey = if i % 41 == 0 {
+                Value::Null
+            } else {
+                Value::Int64(i % 60)
+            };
+            a.push(Row::new(vec![custkey, Value::Int64(i % 7)]))
+                .unwrap();
+        }
+        let mut nation = Table::new(
+            "nation",
+            Schema::new(vec![
+                Field::new("nationkey", DataType::Int64),
+                Field::new("name", DataType::Utf8),
+                Field::new("regionkey", DataType::Int64),
+            ]),
+        );
+        for i in 0..50i64 {
+            nation.push(row![i, format!("nation{i}"), i % 5]).unwrap();
+        }
+        c.register(a).unwrap();
+        c.register(nation).unwrap();
+        c
+    }
+
+    /// A table's rows, read without the engine.
+    fn rows_of(b: &PlanBuilder, table: &str) -> Vec<Row> {
+        b.catalog().table(table).unwrap().iter().collect()
+    }
+
+    /// Rows as a sorted multiset of their renderings.
+    fn multiset(rows: impl IntoIterator<Item = Row>) -> Vec<String> {
+        let mut rows: Vec<String> = rows.into_iter().map(|r| r.to_string()).collect();
+        rows.sort();
+        rows
+    }
+
+    /// Compile `plan`, check its EXPLAIN lists `emits`, and return its rows.
+    fn run_pruned(plan: &LogicalPlan, emits: &[&str]) -> Vec<Row> {
+        let mut q = compile(plan, &PhysicalOptions::default()).unwrap();
+        let explain = q.plan().display();
+        for line in emits {
+            assert!(explain.contains(line), "{line:?} in\n{explain}");
+        }
+        assert_eq!(q.plan().schema, plan.schema, "the root keeps its schema");
+        q.collect().unwrap()
+    }
+
+    /// `plan` projected onto the named columns.
+    fn select(plan: LogicalPlan, names: &[&str]) -> LogicalPlan {
+        let exprs: Vec<_> = names
+            .iter()
+            .map(|n| (plan.col_expr(n).unwrap(), *n))
+            .collect();
+        plan.project(exprs).unwrap()
+    }
+
+    /// `a`'s rows with the `nation` rows their custkey matches.
+    fn matches<'a>(b: &PlanBuilder, nations: &'a [Row]) -> Vec<(Row, Vec<&'a Row>)> {
+        let key = |r: &Row, c| r.get(c).unwrap().clone();
+        rows_of(b, "a")
+            .into_iter()
+            .map(|a| {
+                let m = nations
+                    .iter()
+                    .filter(|n| key(n, 0).sql_eq(&key(&a, 0)) == Some(true));
+                let m = m.collect();
+                (a, m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_agg_shape_carries_one_column_through_the_join() {
+        let b = PlanBuilder::new(pruning_catalog());
+        let plan = b
+            .scan("a")
+            .unwrap()
+            .hash_join(b.scan("nation").unwrap(), "nation.nationkey", "a.custkey")
+            .unwrap()
+            .aggregate(&["a.nationkey"], &[(AggFunc::CountStar, None, "tally")])
+            .unwrap();
+        let got = run_pruned(
+            &plan,
+            &[
+                "Scan nation (rows=50) emit=[nation.nationkey] ",
+                "Scan a (rows=400) emit=[a.custkey, a.nationkey] ",
+                "build.0 = probe.0 emit=[a.nationkey] ",
+            ],
+        );
+        let nations = rows_of(&b, "nation");
+        let mut tally = std::collections::BTreeMap::new();
+        for (a, m) in matches(&b, &nations) {
+            *tally
+                .entry(a.get(1).unwrap().as_i64().unwrap())
+                .or_insert(0i64) += m.len() as i64;
+        }
+        tally.retain(|_, n| *n > 0);
+        let expect = tally.into_iter().map(|(k, n)| row![k, n]);
+        assert_eq!(multiset(got), multiset(expect));
+    }
+
+    #[test]
+    fn count_star_reads_no_column() {
+        let b = PlanBuilder::new(pruning_catalog());
+        let count = [(AggFunc::CountStar, None, "n")];
+        let nation = b.scan("nation").unwrap().aggregate(&[], &count).unwrap();
+        let got = run_pruned(&nation, &["Scan nation (rows=50) emit=[] "]);
+        assert_eq!(got, vec![row![50i64]]);
+        let expect = matches(&b, &rows_of(&b, "nation"))
+            .iter()
+            .map(|(_, m)| m.len())
+            .sum::<usize>();
+        for (algo, line) in [
+            (JoinAlgo::Hash, "Join[Hash/Inner]"),
+            (JoinAlgo::Merge, "Join[Merge/Inner]"),
+        ] {
+            let plan = b
+                .scan("a")
+                .unwrap()
+                .join_build(
+                    b.scan("nation").unwrap(),
+                    "nation.nationkey",
+                    "a.custkey",
+                    algo,
+                )
+                .unwrap()
+                .aggregate(&[], &count)
+                .unwrap();
+            let emits = [
+                &format!("{line} build.0 = probe.0 emit=[] ")[..],
+                "emit=[a.custkey] ",
+            ];
+            assert_eq!(
+                run_pruned(&plan, &emits),
+                vec![row![expect as i64]],
+                "{algo:?}"
+            );
+        }
+        // A cross product over two zero-column inputs.
+        let cross = b
+            .scan("a")
+            .unwrap()
+            .nl_join(b.scan("nation").unwrap(), JoinCondition::Cross);
+        let plan = cross.unwrap().aggregate(&[], &count).unwrap();
+        let emits = [
+            "Scan a (rows=400) emit=[] ",
+            "Scan nation (rows=50) emit=[] ",
+        ];
+        assert_eq!(run_pruned(&plan, &emits), vec![row![20_000i64]]);
+    }
+
+    #[test]
+    fn pruned_plans_return_the_naive_rows() {
+        let b = PlanBuilder::new(pruning_catalog());
+        let nations = rows_of(&b, "nation");
+        let joined = matches(&b, &nations);
+        let (a, nation) = (|| b.scan("a").unwrap(), || b.scan("nation").unwrap());
+        let by_key = "nation.nationkey";
+        let name_and_custkey = |p| select(p, &["nation.name", "a.custkey"]);
+
+        // LeftOuter: a miss pads the one emitted build column.
+        let plan = name_and_custkey(a().left_outer_join(nation(), by_key, "a.custkey").unwrap());
+        let got = run_pruned(
+            &plan,
+            &["Join[Hash/LeftOuter] build.0 = probe.0 emit=[nation.name, a.custkey] "],
+        );
+        let expect = joined.iter().flat_map(|(a, m)| {
+            let c = a.get(0).unwrap().clone();
+            let names: Vec<Value> = m.iter().map(|n| n.get(1).unwrap().clone()).collect();
+            let names = if names.is_empty() {
+                vec![Value::Null]
+            } else {
+                names
+            };
+            names.into_iter().map(move |n| Row::new(vec![n, c.clone()]))
+        });
+        assert_eq!(multiset(got), multiset(expect), "LeftOuter");
+
+        // Semi and Anti emit probe columns only.
+        for (semi, kind) in [(true, "Semi"), (false, "Anti")] {
+            let join = match semi {
+                true => a().semi_join(nation(), by_key, "a.custkey"),
+                false => a().anti_join(nation(), by_key, "a.custkey"),
+            };
+            let plan = select(join.unwrap(), &["a.nationkey"]);
+            let emits = [&format!("Join[Hash/{kind}] build.0 = probe.0 emit=[a.nationkey] ")[..]];
+            let got = run_pruned(&plan, &emits);
+            let expect = joined.iter().filter(|(_, m)| m.is_empty() != semi);
+            let expect = expect.map(|(a, _)| Row::new(vec![a.get(1).unwrap().clone()]));
+            assert_eq!(multiset(got), multiset(expect), "{kind}");
+        }
+
+        // A nested-loops theta join, nation.regionkey = a.nationkey, over
+        // pruned inputs.
+        let theta = Expr::binary(BinOp::Eq, Expr::col(2), Expr::col(4));
+        let plan = name_and_custkey(a().nl_join(nation(), JoinCondition::Theta(theta)).unwrap());
+        let got = run_pruned(
+            &plan,
+            &[
+                "emit=[nation.name, nation.regionkey] ",
+                "emit=[a.custkey, a.nationkey] ",
+            ],
+        );
+        let all_a = rows_of(&b, "a");
+        let expect = nations.iter().flat_map(|n| {
+            let hits = all_a
+                .iter()
+                .filter(|a| a.get(1).unwrap() == n.get(2).unwrap());
+            hits.map(|a| Row::new(vec![n.get(1).unwrap().clone(), a.get(0).unwrap().clone()]))
+        });
+        assert_eq!(multiset(got), multiset(expect), "theta");
+
+        // A filter on a column nothing above it reads.
+        let regionkey = Expr::binary(BinOp::Eq, Expr::col(2), Expr::lit(2i64));
+        let plan = a()
+            .hash_join(nation().filter(regionkey).unwrap(), by_key, "a.custkey")
+            .unwrap()
+            .aggregate(&[], &[(AggFunc::CountStar, None, "n")])
+            .unwrap();
+        let emits = [
+            "emit=[nation.nationkey, nation.regionkey] ",
+            "Join[Hash/Inner] build.0 = probe.0 emit=[] ",
+        ];
+        let n = joined
+            .iter()
+            .flat_map(|(_, m)| m)
+            .filter(|n| n.get(2).unwrap() == &Value::Int64(2));
+        assert_eq!(
+            run_pruned(&plan, &emits),
+            vec![row![n.count() as i64]],
+            "filter"
+        );
+
+        // Sort and Limit carry only the sort key to the projection.
+        let top = a().hash_join(nation(), by_key, "a.custkey").unwrap();
+        let top = top
+            .sort(&[("a.custkey", false)])
+            .unwrap()
+            .limit(10)
+            .unwrap();
+        let plan = select(top, &["a.custkey"]);
+        let got = run_pruned(&plan, &["build.0 = probe.0 emit=[a.custkey] "]);
+        let mut custkeys: Vec<i64> = joined
+            .iter()
+            .flat_map(|(a, m)| m.iter().map(|_| a.get(0).unwrap().as_i64().unwrap()))
+            .collect();
+        custkeys.sort_unstable_by(|x, y| y.cmp(x));
+        assert_eq!(
+            got,
+            custkeys[..10].iter().map(|&c| row![c]).collect::<Vec<_>>(),
+            "sort"
+        );
+
+        // A projection computing over the emitted columns.
+        let join = a().hash_join(nation(), by_key, "a.custkey").unwrap();
+        let plus = Expr::binary(
+            BinOp::Add,
+            join.col_expr("a.nationkey").unwrap(),
+            Expr::lit(1i64),
+        );
+        let name = join.col_expr("nation.name").unwrap();
+        let plan = join.project(vec![(name, "n"), (plus, "k")]).unwrap();
+        let got = run_pruned(&plan, &["emit=[nation.name, a.nationkey] "]);
+        let expect = joined.iter().flat_map(|(a, m)| {
+            let k = a.get(1).unwrap().as_i64().unwrap() + 1;
+            m.iter()
+                .map(move |n| Row::new(vec![n.get(1).unwrap().clone(), Value::Int64(k)]))
+        });
+        assert_eq!(multiset(got), multiset(expect), "project");
+    }
+
+    /// TPC-H Q8's shape (the root crate's `workloads::q8_plan`): seven
+    /// hash joins in one Algorithm-1 chain, four of them probing with keys
+    /// carried by lower build relations, under an aggregate that reads two
+    /// columns.
+    fn q8(b: &PlanBuilder) -> LogicalPlan {
+        let eq = |c, v: &str| Expr::binary(BinOp::Eq, Expr::col(c), Expr::lit(v));
+        let part = b.scan("part").unwrap().filter(eq(1, "PROMO")).unwrap();
+        let region = b.scan("region").unwrap().filter(eq(1, "AMERICA")).unwrap();
+        let scan = |t: &str| b.scan(t).unwrap();
+        [
+            (part, "part.partkey", "lineitem.partkey"),
+            (scan("supplier"), "supplier.suppkey", "lineitem.suppkey"),
+            (scan("orders"), "orders.orderkey", "lineitem.orderkey"),
+            (scan("customer"), "customer.custkey", "orders.custkey"),
+            (
+                scan("nation").with_alias("n1"),
+                "n1.nationkey",
+                "customer.nationkey",
+            ),
+            (
+                scan("nation").with_alias("n2"),
+                "n2.nationkey",
+                "supplier.nationkey",
+            ),
+            (region, "region.regionkey", "n1.regionkey"),
+        ]
+        .into_iter()
+        .fold(scan("lineitem"), |probe, (build, bk, pk)| {
+            probe.hash_join(build, bk, pk).unwrap()
+        })
+        .aggregate(
+            &["orders.orderyear"],
+            &[
+                (AggFunc::Sum, Some("lineitem.extendedprice"), "volume"),
+                (AggFunc::CountStar, None, "rows"),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn q8_chain_estimates_are_exact_and_identical_over_split_pruned_scans() {
+        use qprog_datagen::{TpchConfig, TpchGenerator};
+        let config = TpchConfig {
+            scale: 0.002,
+            skew: 1.0,
+            seed: 5,
+        };
+        let b = PlanBuilder::new(TpchGenerator::new(config).catalog().unwrap());
+        let plan = q8(&b);
+        let run = |threads| {
+            let opts = PhysicalOptions {
+                threads,
+                ..PhysicalOptions::with_mode(EstimationMode::Once)
+            };
+            let mut q = compile(&plan, &opts).unwrap();
+            let rows = q.collect().unwrap();
+            let chain: Vec<Arc<OpMetrics>> = (0..q.registry().len())
+                .filter(|&i| q.estimator_labels()[i] == "pipeline")
+                .map(|i| Arc::clone(q.registry().get(i).unwrap()))
+                .collect();
+            assert_eq!(chain.len(), 7);
+            for m in &chain {
+                assert_eq!(m.estimated_total(), m.emitted() as f64, "threads={threads}");
+            }
+            // The chain registers bottom-up: its lowest join drains the
+            // pruned lineitem scan.
+            let workers = chain[0].workers();
+            let bits: Vec<u64> = chain
+                .iter()
+                .map(|m| m.estimated_total().to_bits())
+                .collect();
+            (multiset(rows), bits, workers, q.plan().display())
+        };
+        let (rows, bits, workers, explain) = run(1);
+        assert!(!rows.is_empty());
+        assert_eq!(workers, None);
+        // Four of lineitem's columns, and two under the aggregate.
+        let carried = [
+            "Scan lineitem (rows=12000) emit=[lineitem.orderkey, lineitem.partkey, \
+             lineitem.suppkey, lineitem.extendedprice] ",
+            "emit=[orders.orderyear, lineitem.extendedprice] ",
+        ];
+        assert!(carried.iter().all(|c| explain.contains(c)), "{explain}");
+        let (rows4, bits4, workers4, _) = run(4);
+        assert_eq!(workers4, Some(4), "the pruned scan splits");
+        assert_eq!((rows4, bits4), (rows, bits));
     }
 }
 

@@ -17,8 +17,6 @@
 //! operators [`clear`](RowBatch::clear) + refill it, so the steady state
 //! performs no heap allocation at all for fixed-width columns.
 
-use crate::error::QResult;
-use crate::key::Key;
 use crate::row::Row;
 use crate::value::Value;
 
@@ -27,6 +25,10 @@ use crate::value::Value;
 /// resident. `1` selects the strict legacy-equivalent mode reproducing
 /// tuple-at-a-time traces byte-for-byte.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
+
+/// The row index that stands for "no row" in a
+/// [`gather_pairs_from`](RowBatch::gather_pairs_from) pair list.
+pub const NO_ROW: u32 = u32::MAX;
 
 /// What a `next_batch` call (`qprog_exec::ops::Operator`) promises about
 /// future output.
@@ -161,17 +163,6 @@ impl RowBatch {
         self.len += 1;
     }
 
-    /// Append row `row` of `src` (a column-wise gather; arities must
-    /// match).
-    pub fn push_from(&mut self, src: &RowBatch, row: usize) {
-        debug_assert_eq!(src.arity(), self.arity());
-        debug_assert!(!self.is_full());
-        for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst.push(s[row].clone());
-        }
-        self.len += 1;
-    }
-
     /// Append the selected rows of `src` column-wise, in `sel` order — the
     /// selection-vector gather of partitioning drains and of emission
     /// through a sort permutation. `sel` indexes rows of `src`; the caller
@@ -185,40 +176,36 @@ impl RowBatch {
         self.len += sel.len();
     }
 
-    /// Append the join-output gather `left[b] ++ right[p]` for every
-    /// `(b, p)` pair, column-wise: each output column is filled in one
-    /// tight loop over the pair list, so an inner join emits a whole batch
-    /// of matches without materializing any row. The caller guarantees the
-    /// pairs fit.
-    pub fn gather_concat_from(&mut self, left: &RowBatch, right: &RowBatch, pairs: &[(u32, u32)]) {
-        debug_assert_eq!(left.arity() + right.arity(), self.arity());
+    /// Append, for every `(l, r)` pair, the columns `cols` of the row
+    /// `left[l] ++ right[r]` (`cols` index that concatenation), column-wise:
+    /// each output column is filled in one tight loop over the pair list,
+    /// so a join emits a whole batch of matches without materializing any
+    /// row. A left index of [`NO_ROW`] reads NULL in every left column —
+    /// an outer join's padding. The caller guarantees the pairs fit.
+    pub fn gather_pairs_from(
+        &mut self,
+        left: &RowBatch,
+        right: &RowBatch,
+        pairs: &[(u32, u32)],
+        cols: &[usize],
+    ) {
+        debug_assert_eq!(cols.len(), self.arity());
         debug_assert!(self.len + pairs.len() <= self.capacity);
         let split = left.arity();
-        for (c, dst) in self.cols.iter_mut().enumerate() {
+        for (dst, &c) in self.cols.iter_mut().zip(cols) {
             if c < split {
                 let s = &left.cols[c];
-                dst.extend(pairs.iter().map(|&(b, _)| s[b as usize].clone()));
+                dst.extend(
+                    pairs
+                        .iter()
+                        .map(|&(l, _)| s.get(l as usize).cloned().unwrap_or(Value::Null)),
+                );
             } else {
                 let s = &right.cols[c - split];
-                dst.extend(pairs.iter().map(|&(_, p)| s[p as usize].clone()));
+                dst.extend(pairs.iter().map(|&(_, r)| s[r as usize].clone()));
             }
         }
         self.len += pairs.len();
-    }
-
-    /// Append the concatenation of a value slice (e.g. an outer join's
-    /// NULL padding) and row `rrow` of `right`.
-    pub fn push_concat_row_from(&mut self, left: &[Value], right: &RowBatch, rrow: usize) {
-        debug_assert_eq!(left.len() + right.arity(), self.cols.len());
-        debug_assert!(!self.is_full());
-        for (col, v) in self
-            .cols
-            .iter_mut()
-            .zip(left.iter().chain(right.cols.iter().map(|c| &c[rrow])))
-        {
-            col.push(v.clone());
-        }
-        self.len += 1;
     }
 
     /// Move every row of `src` onto the end of this batch, leaving `src`
@@ -235,16 +222,16 @@ impl RowBatch {
         }
     }
 
-    /// Append rows `range` of `src`, one contiguous slice copy per column
-    /// (the table scan's path out of a storage block). Arities must match;
-    /// the caller guarantees the range is in bounds and the rows fit.
-    pub fn extend_from(&mut self, src: &RowBatch, range: std::ops::Range<usize>) {
-        debug_assert_eq!(src.arity(), self.arity());
+    /// Append columns `cols` of rows `range` of `src`, one contiguous slice
+    /// copy per column (the table scan's path out of a storage block). The
+    /// caller guarantees the range is in bounds and the rows fit.
+    pub fn extend_from(&mut self, src: &RowBatch, range: std::ops::Range<usize>, cols: &[usize]) {
+        debug_assert_eq!(cols.len(), self.arity());
         debug_assert!(range.end <= src.len);
         debug_assert!(self.len + range.len() <= self.capacity);
         self.len += range.len();
-        for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst.extend_from_slice(&s[range.clone()]);
+        for (dst, &c) in self.cols.iter_mut().zip(cols) {
+            dst.extend_from_slice(&src.cols[c][range.clone()]);
         }
     }
 
@@ -270,11 +257,6 @@ impl RowBatch {
         for r in 0..self.len {
             out.push(self.row(r));
         }
-    }
-
-    /// Single-column [`Key`] of (`row`, `col`).
-    pub fn key(&self, row: usize, col: usize) -> QResult<Key> {
-        Key::from_value(&self.cols[col][row])
     }
 }
 
@@ -343,15 +325,22 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_from_batch() {
+    fn pair_gather_selects_columns_and_pads() {
+        let mut left = RowBatch::with_capacity(2, 2);
+        left.push_drain(&mut row![1i64, "l"].into_values());
         let mut right = RowBatch::with_capacity(2, 2);
         right.push_drain(&mut row![2i64, "x"].into_values());
-        let mut b = RowBatch::with_capacity(3, 2);
-        b.push_concat_row_from(&[Value::Int64(1)], &right, 0);
-        assert_eq!(b.row(0), row![1i64, 2i64, "x"]);
+        right.push_drain(&mut row![3i64, "y"].into_values());
+        let mut b = RowBatch::with_capacity(3, 4);
+        b.gather_pairs_from(&left, &right, &[(0, 1), (NO_ROW, 0)], &[3, 0, 2]);
+        assert_eq!(b.row(0), row![Value::str("y"), 1i64, 3i64]);
+        assert_eq!(b.row(1), row![Value::str("x"), Value::Null, 2i64]);
+        let mut none = RowBatch::with_capacity(0, 4);
+        none.gather_pairs_from(&left, &right, &[(0, 0), (0, 1)], &[]);
+        assert_eq!((none.len(), none.row(1)), (2, row![]));
         let mut c = RowBatch::with_capacity(3, 2);
-        c.push_from(&b, 0);
-        assert_eq!(c.row(0), b.row(0));
+        c.gather_from(&b, &[1]);
+        assert_eq!(c.row(0), b.row(1));
     }
 
     #[test]
@@ -361,10 +350,16 @@ mod tests {
             src.push_drain(&mut r.into_values());
         }
         let mut b = RowBatch::with_capacity(2, 8);
-        b.extend_from(&src, 1..3);
+        b.extend_from(&src, 1..3, &[0, 1]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.row(0), row![2i64, "b"]);
         assert_eq!(b.row(1), row![3i64, "c"]);
+        let mut narrow = RowBatch::with_capacity(1, 8);
+        narrow.extend_from(&src, 0..3, &[1]);
+        assert_eq!(
+            narrow.col(0),
+            &[Value::str("a"), Value::str("b"), Value::str("c")]
+        );
         b.truncate(1);
         assert_eq!((b.len(), b.col(1)), (1, &[Value::str("b")][..]));
         b.truncate(5);
@@ -372,10 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_row_materialization() {
+    fn row_materialization() {
         let mut b = RowBatch::with_capacity(2, 2);
         b.push_drain(&mut row![7i64, "k"].into_values());
-        assert_eq!(b.key(0, 0).unwrap(), Key::Int(7));
         let mut rows = Vec::new();
         b.append_rows_to(&mut rows);
         assert_eq!(rows, vec![row![7i64, "k"]]);

@@ -16,7 +16,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use batch::{BatchStatus, RowBatch, DEFAULT_BATCH_ROWS};
+pub use batch::{BatchStatus, RowBatch, DEFAULT_BATCH_ROWS, NO_ROW};
 pub use error::{ExecError, QError, QResult};
 pub use key::Key;
 pub use row::Row;

@@ -443,7 +443,6 @@ impl Session {
             None => None,
         };
         Ok(QueryHandle {
-            plan,
             compiled,
             monitored,
             health: health_analyzer,
@@ -539,7 +538,6 @@ impl std::fmt::Debug for RunOptions {
 /// `/progress/{query_id}` until the handle drops, and the handle reports
 /// the query's outcome there when it ends.
 pub struct QueryHandle {
-    plan: LogicalPlan,
     compiled: CompiledQuery,
     monitored: Option<MonitoredQuery>,
     health: Option<Arc<HealthAnalyzer>>,
@@ -547,14 +545,15 @@ pub struct QueryHandle {
 }
 
 impl QueryHandle {
-    /// EXPLAIN-style plan rendering with optimizer estimates.
+    /// EXPLAIN-style rendering of the plan as compiled, with optimizer
+    /// estimates and the columns each scan and join emits.
     pub fn explain(&self) -> String {
-        self.plan.display()
+        self.plan().display()
     }
 
-    /// The logical plan.
+    /// The logical plan as compiled, after projection push-down.
     pub fn plan(&self) -> &LogicalPlan {
-        &self.plan
+        self.compiled.plan()
     }
 
     /// The monitor's id for this query (`/progress/{id}`), when the

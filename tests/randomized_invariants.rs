@@ -12,10 +12,16 @@ use rand::{RngExt, SeedableRng};
 use qprog::core::freq_hist::FreqHist;
 use qprog::core::gee::Gee;
 use qprog::core::gnm::{PipelineProgress, ProgressSnapshot};
-use qprog::core::join_est::{OnceJoinEstimator, SymmetricJoinEstimator};
+use qprog::core::join_est::OnceJoinEstimator;
 use qprog::core::mle::mle_estimate;
 use qprog::core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
 use qprog_types::{Key, Row, Value};
+
+#[path = "support/multi_est.rs"]
+mod multi_est;
+#[path = "support/symmetric.rs"]
+mod symmetric;
+use symmetric::SymmetricJoinEstimator;
 
 const CASES: u64 = 64;
 
@@ -455,7 +461,7 @@ fn freq_hist_observe_n_equivalence() {
 /// The disjunction estimator equals brute force for arbitrary pairs.
 #[test]
 fn disjunction_estimator_exact() {
-    use qprog::core::multi_est::DisjunctionJoinEstimator;
+    use multi_est::DisjunctionJoinEstimator;
     let mut rng = StdRng::seed_from_u64(0xd15);
     for case in 0..CASES {
         let pairs = |rng: &mut StdRng, case: u64| -> Vec<(i64, i64)> {
