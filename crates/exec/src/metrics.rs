@@ -23,6 +23,12 @@ use crate::trace::{DegradeReason, EstimateSource, EventBus, Phase, TraceEventKin
 /// refinement.
 pub const TRACE_REFINE_REL_EPS: f64 = 0.01;
 
+/// Whether `new` differs from the last traced `last` by more than
+/// [`TRACE_REFINE_REL_EPS`] (always true when nothing was traced yet).
+pub fn materially_different(last: f64, new: f64) -> bool {
+    !last.is_finite() || (new - last).abs() > TRACE_REFINE_REL_EPS * last.abs().max(1.0)
+}
+
 /// How many observed work units elapse between `Instant` reads for the
 /// wall-time span. Matches the governor's deadline stride so the traced
 /// path's clock cost stays amortized to the same degree as deadline checks.
@@ -32,7 +38,7 @@ const WALL_STAMP_STRIDE: u64 = crate::governor::DEADLINE_STRIDE;
 const WALL_UNSET: u64 = u64::MAX;
 
 /// Per-operator tracing state: the bus, this operator's registry index, and
-/// the last estimate/bounds values actually published as events (f64 bit
+/// the estimate and interval endpoints as last traced moving (f64 bit
 /// patterns, NaN = never published).
 #[derive(Debug)]
 struct TraceHandle {
@@ -100,11 +106,37 @@ impl TraceHandle {
         Some(last.saturating_sub(first))
     }
 
-    /// Whether `new` differs from the last traced value by more than
-    /// [`TRACE_REFINE_REL_EPS`] (always true for the first publication).
-    fn materially_different(last_bits: &AtomicU64, new: f64) -> bool {
-        let last = f64::from_bits(last_bits.load(Ordering::Relaxed));
-        !last.is_finite() || (new - last).abs() > TRACE_REFINE_REL_EPS * last.abs().max(1.0)
+    /// Trace `N_i = new` from `source` with its interval, if any; `old` is
+    /// the estimate as last traced moving. An online publication is traced
+    /// only when `N_i` or an endpoint has moved materially since it was
+    /// last traced moving.
+    fn refined(&self, new: f64, source: EstimateSource, bounds: Option<(f64, f64)>) {
+        let last = |bits: &AtomicU64| f64::from_bits(bits.load(Ordering::Relaxed));
+        let old = last(&self.last_estimate);
+        let moved = materially_different(old, new);
+        let bracket_moved = bounds.is_some_and(|(lo, hi)| {
+            materially_different(last(&self.last_lo), lo)
+                || materially_different(last(&self.last_hi), hi)
+        });
+        if source == EstimateSource::Online && !moved && !bracket_moved {
+            return;
+        }
+        if moved {
+            self.last_estimate.store(new.to_bits(), Ordering::Relaxed);
+        }
+        let (lo, hi) = bounds.unwrap_or((f64::NAN, f64::NAN));
+        if bracket_moved {
+            self.last_lo.store(lo.to_bits(), Ordering::Relaxed);
+            self.last_hi.store(hi.to_bits(), Ordering::Relaxed);
+        }
+        self.bus.publish(TraceEventKind::EstimateRefined {
+            op: self.op,
+            old,
+            new,
+            source,
+            lo,
+            hi,
+        });
     }
 }
 
@@ -159,41 +191,12 @@ impl OpMetrics {
             ..OpMetrics::default()
         };
         if let Some(t) = &m.trace {
-            t.last_estimate
-                .store(estimate.max(0.0).to_bits(), Ordering::Relaxed);
-            t.bus.publish(TraceEventKind::EstimateRefined {
-                op: t.op,
-                old: f64::NAN,
-                new: estimate.max(0.0),
-                source: EstimateSource::Optimizer,
-            });
+            t.refined(estimate.max(0.0), EstimateSource::Optimizer, None);
         }
-        m.set_estimated_total(estimate);
+        m.set_estimated_total(estimate, None);
         m.estimated_lo.store(f64::NAN.to_bits(), Ordering::Relaxed);
         m.estimated_hi.store(f64::NAN.to_bits(), Ordering::Relaxed);
         Arc::new(m)
-    }
-
-    /// Publish a confidence interval around the current `N_i` estimate
-    /// (§4.1's `β`-style guarantees, surfaced to progress monitors). An
-    /// inverted interval (`lo > hi`, e.g. from an estimator bug or a caller
-    /// mixing up arguments) is repaired by swapping the endpoints so
-    /// [`estimated_bounds`](Self::estimated_bounds) never returns `lo > hi`.
-    pub fn set_estimated_bounds(&self, lo: f64, hi: f64) {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let (lo, hi) = (lo.max(0.0), hi.max(0.0));
-        self.estimated_lo.store(lo.to_bits(), Ordering::Relaxed);
-        self.estimated_hi.store(hi.to_bits(), Ordering::Relaxed);
-        if let Some(t) = &self.trace {
-            if TraceHandle::materially_different(&t.last_lo, lo)
-                || TraceHandle::materially_different(&t.last_hi, hi)
-            {
-                t.last_lo.store(lo.to_bits(), Ordering::Relaxed);
-                t.last_hi.store(hi.to_bits(), Ordering::Relaxed);
-                t.bus
-                    .publish(TraceEventKind::BoundsRefined { op: t.op, lo, hi });
-            }
-        }
     }
 
     /// The published confidence bounds on `N_i`, if any; both are clamped
@@ -280,23 +283,28 @@ impl OpMetrics {
         }
     }
 
-    /// Publish a new estimate of the lifetime total `N_i`.
+    /// Publish a new estimate of the lifetime total `N_i`, with the
+    /// confidence interval around it when the estimator has one (§4.1's
+    /// `β`-style guarantees, surfaced to progress monitors). An inverted
+    /// interval (an estimator bug, or a caller mixing up arguments) is
+    /// repaired by swapping its endpoints, and both are clamped at 0, so
+    /// [`estimated_bounds`](Self::estimated_bounds) never returns `lo > hi`.
     #[inline]
-    pub fn set_estimated_total(&self, estimate: f64) {
+    pub fn set_estimated_total(&self, estimate: f64, bounds: Option<(f64, f64)>) {
         let estimate = estimate.max(0.0);
         self.estimated_total
             .store(estimate.to_bits(), Ordering::Relaxed);
+        let bounds = bounds.map(|(lo, hi)| {
+            let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+            (lo.max(0.0), hi.max(0.0))
+        });
+        if let Some((lo, hi)) = bounds {
+            self.estimated_lo.store(lo.to_bits(), Ordering::Relaxed);
+            self.estimated_hi.store(hi.to_bits(), Ordering::Relaxed);
+        }
         if let Some(t) = &self.trace {
-            if !self.is_finished() && TraceHandle::materially_different(&t.last_estimate, estimate)
-            {
-                let old = f64::from_bits(t.last_estimate.load(Ordering::Relaxed));
-                t.last_estimate.store(estimate.to_bits(), Ordering::Relaxed);
-                t.bus.publish(TraceEventKind::EstimateRefined {
-                    op: t.op,
-                    old,
-                    new: estimate,
-                    source: EstimateSource::Online,
-                });
+            if !self.is_finished() {
+                t.refined(estimate, EstimateSource::Online, bounds);
             }
         }
     }
@@ -306,25 +314,18 @@ impl OpMetrics {
     /// [`driver_consumed`](Self::driver_consumed).
     #[inline]
     pub fn refine(&self, baseline: &Baseline) {
-        self.set_estimated_total(baseline.estimate(self.emitted(), self.driver_consumed()));
+        let estimate = baseline.estimate(self.emitted(), self.driver_consumed());
+        self.set_estimated_total(estimate, None);
     }
 
     /// Mark the operator finished (its `N_i` is now exactly `K_i`).
     pub fn mark_finished(&self) {
         let first = !self.finished.swap(true, Ordering::Relaxed);
         let k = self.emitted();
-        self.set_estimated_total(k as f64);
+        self.set_estimated_total(k as f64, None);
         if first {
             if let Some(t) = &self.trace {
-                let old = f64::from_bits(t.last_estimate.load(Ordering::Relaxed));
-                t.last_estimate
-                    .store((k as f64).to_bits(), Ordering::Relaxed);
-                t.bus.publish(TraceEventKind::EstimateRefined {
-                    op: t.op,
-                    old,
-                    new: k as f64,
-                    source: EstimateSource::Exact,
-                });
+                t.refined(k as f64, EstimateSource::Exact, None);
                 // Close the observed span at the finish instant so the
                 // stride's tail (< 64 unstamped ticks) is attributed, then
                 // publish the final attribution.
@@ -534,7 +535,7 @@ mod tests {
             m.record_emitted();
         }
         assert_eq!(m.estimated_total(), 10.0);
-        m.set_estimated_total(50.0);
+        m.set_estimated_total(50.0, None);
         assert_eq!(m.estimated_total(), 50.0);
     }
 
@@ -568,7 +569,12 @@ mod tests {
     fn bounds_lifecycle() {
         let m = OpMetrics::with_initial_estimate(100.0);
         assert!(m.estimated_bounds().is_none());
-        m.set_estimated_bounds(80.0, 120.0);
+        m.set_estimated_total(100.0, None);
+        assert!(m.estimated_bounds().is_none());
+        // an inverted interval is repaired, a negative endpoint clamped
+        m.set_estimated_total(100.0, Some((120.0, -3.0)));
+        assert_eq!(m.estimated_bounds(), Some((0.0, 120.0)));
+        m.set_estimated_total(100.0, Some((80.0, 120.0)));
         assert_eq!(m.estimated_bounds(), Some((80.0, 120.0)));
         // clamped below by emitted work
         for _ in 0..90 {
@@ -577,6 +583,68 @@ mod tests {
         assert_eq!(m.estimated_bounds(), Some((90.0, 120.0)));
         m.mark_finished();
         assert_eq!(m.estimated_bounds(), Some((90.0, 90.0)));
+    }
+
+    #[test]
+    fn one_publication_is_at_most_one_event_carrying_its_bracket() {
+        #[derive(Default)]
+        struct Collect(crate::sync::Mutex<Vec<TraceEventKind>>);
+        impl crate::trace::TraceSink for Collect {
+            fn publish(&self, event: &crate::trace::TraceEvent) {
+                self.0.lock().push(event.kind);
+            }
+        }
+        let sink = Arc::new(Collect::default());
+        let mut registry = MetricsRegistry::traced(EventBus::with_sink(sink.clone()));
+        let m = registry.register("join", 100.0);
+        let refined = || -> Vec<(f64, f64, f64, f64)> {
+            let events = sink.0.lock();
+            events
+                .iter()
+                .filter_map(|k| match *k {
+                    TraceEventKind::EstimateRefined {
+                        old,
+                        new,
+                        source: EstimateSource::Online,
+                        lo,
+                        hi,
+                        ..
+                    } => Some((old, new, lo, hi)),
+                    _ => None,
+                })
+                .collect()
+        };
+        // N̂ and bracket both move: one event.
+        m.set_estimated_total(200.0, Some((150.0, 250.0)));
+        // Nothing moves by more than 1%: no event.
+        m.set_estimated_total(201.0, Some((151.0, 251.0)));
+        // Only the bracket moves: an event whose `old` is the estimate as
+        // last traced moving.
+        m.set_estimated_total(201.5, Some((190.0, 251.0)));
+        // Only N̂ moves; the event carries the current bracket.
+        m.set_estimated_total(300.0, Some((190.5, 251.0)));
+        // A point estimate carries no bracket.
+        m.set_estimated_total(400.0, None);
+        let nan = f64::NAN;
+        let want = [
+            (100.0, 200.0, 150.0, 250.0),
+            (200.0, 201.5, 190.0, 251.0),
+            (200.0, 300.0, 190.5, 251.0),
+            (300.0, 400.0, nan, nan),
+        ];
+        let got = refined();
+        assert_eq!(got.len(), want.len(), "{got:?}");
+        for (g, w) in got.iter().zip(want) {
+            let same = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+            assert!(
+                same(g.0, w.0) && same(g.1, w.1) && same(g.2, w.2) && same(g.3, w.3),
+                "{got:?}"
+            );
+        }
+        // Nothing is traced once the operator has finished.
+        m.mark_finished();
+        m.set_estimated_total(0.0, Some((0.0, 1e6)));
+        assert_eq!(refined().len(), want.len());
     }
 
     #[test]
@@ -655,7 +723,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             for i in 0..1000 {
                 writer.record_emitted();
-                writer.set_estimated_total(i as f64);
+                writer.set_estimated_total(i as f64, None);
             }
             writer.mark_finished();
         });

@@ -334,13 +334,13 @@ impl HashAggregate {
             if n > 0 {
                 if let Some(tracker) = &mut self.tracker {
                     tracker.observe_transitions(&priors);
-                    self.metrics.set_estimated_total(tracker.estimate());
+                    self.metrics.set_estimated_total(tracker.estimate(), None);
                 } else if let AggEstimation::Pushdown(inbox) = &self.estimation {
                     if pushed.is_none() {
                         pushed = inbox.try_recv().ok();
                     }
                     if let Some(tracker) = &pushed {
-                        self.metrics.set_estimated_total(tracker.estimate());
+                        self.metrics.set_estimated_total(tracker.estimate(), None);
                     }
                 }
             }
@@ -355,7 +355,7 @@ impl HashAggregate {
             accs.extend_from_slice(&new_accs);
         }
         // The consume phase has enumerated the groups: exact cardinality.
-        self.metrics.set_estimated_total(keys.len() as f64);
+        self.metrics.set_estimated_total(keys.len() as f64, None);
 
         // Groups are distinct, so no two compare equal and the order is
         // the same from any starting permutation.

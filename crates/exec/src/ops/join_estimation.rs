@@ -349,7 +349,7 @@ impl JoinEstimator {
                 driver_total: probe_rows,
                 optimizer_estimate,
             });
-            self.metrics.set_estimated_total(optimizer_estimate);
+            self.metrics.set_estimated_total(optimizer_estimate, None);
         }
     }
 
@@ -374,13 +374,12 @@ impl JoinEstimator {
     }
 }
 
-/// Publish every join's current estimate of an Algorithm-1 chain, each
-/// followed by its confidence bounds.
+/// Publish every join's current estimate of an Algorithm-1 chain with its
+/// confidence interval.
 fn publish_chain(totals: &[ProbeTotals], metrics: &[Arc<OpMetrics>]) {
     for (totals, m) in totals.iter().zip(metrics) {
-        m.set_estimated_total(totals.estimate());
         let ci = totals.confidence_interval(CI_Z);
-        m.set_estimated_bounds(ci.lo, ci.hi);
+        m.set_estimated_total(totals.estimate(), Some((ci.lo, ci.hi)));
     }
 }
 

@@ -168,16 +168,17 @@ pub enum TraceEventKind {
     /// A blocking operator crossed a phase boundary (build→probe,
     /// sort→merge, ...). Published synchronously by the operator.
     PhaseTransition { op: u32, from: Phase, to: Phase },
-    /// An operator's lifetime-total estimate `N_i` changed materially.
-    /// `old` is NaN for the very first (optimizer) publication.
+    /// An operator's estimate `N_i`, or the interval `[lo, hi]` published
+    /// with it (NaN: none), moved; `old` is `N_i` as last traced moving (NaN
+    /// before the first, optimizer, publication).
     EstimateRefined {
         op: u32,
         old: f64,
         new: f64,
         source: EstimateSource,
+        lo: f64,
+        hi: f64,
     },
-    /// An operator published a confidence interval on `N_i`.
-    BoundsRefined { op: u32, lo: f64, hi: f64 },
     /// An operator returned `None`; `emitted` is its exact `K_i = N_i`.
     OperatorFinished { op: u32, emitted: u64 },
     /// The query's root operator is exhausted.
@@ -264,6 +265,30 @@ pub enum TraceEventKind {
     /// The span opened by the matching [`SpanStart`](Self::SpanStart)
     /// closed; its duration is `at_us(end) - at_us(start)`.
     SpanEnd { span: u32 },
+}
+
+impl TraceEventKind {
+    /// The kind's stable wire name: the `event` member of its JSON line
+    /// and the `event` label of its metrics series.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TraceEventKind::PipelineStarted { .. } => "pipeline_started",
+            TraceEventKind::PipelineFinished { .. } => "pipeline_finished",
+            TraceEventKind::PhaseTransition { .. } => "phase_transition",
+            TraceEventKind::EstimateRefined { .. } => "estimate_refined",
+            TraceEventKind::OperatorFinished { .. } => "operator_finished",
+            TraceEventKind::QueryFinished { .. } => "query_finished",
+            TraceEventKind::QueryAborted { .. } => "query_aborted",
+            TraceEventKind::EstimatorDegraded { .. } => "estimator_degraded",
+            TraceEventKind::ProgressSampled { .. } => "progress_sampled",
+            TraceEventKind::OperatorWallTime { .. } => "operator_wall_time",
+            TraceEventKind::WorkerWallTime { .. } => "worker_wall_time",
+            TraceEventKind::HealthTransition { .. } => "health_transition",
+            TraceEventKind::RegressionDetected { .. } => "regression_detected",
+            TraceEventKind::SpanStart { .. } => "span_start",
+            TraceEventKind::SpanEnd { .. } => "span_end",
+        }
+    }
 }
 
 /// A timestamped, globally ordered trace event.

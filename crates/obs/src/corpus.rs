@@ -923,6 +923,39 @@ mod tests {
     }
 
     #[test]
+    fn segments_with_retired_bounds_lines_keep_their_runs() {
+        // A segment archived before intervals rode on `estimate_refined`
+        // carries `bounds_refined` lines; reopening must not tear it.
+        let dir = tmpdir("retired");
+        let corpus = Corpus::open(&dir).unwrap();
+        let meta = RunMeta::new("q8", "once");
+        let archived = corpus.archive(&meta, &run_events(0.0, 1000), &[]).unwrap();
+        drop(corpus);
+        let seg = dir.join(segment_name(archived.record.run));
+        let mut old = String::new();
+        for (i, line) in fs::read_to_string(&seg).unwrap().lines().enumerate() {
+            old.push_str(&format!(
+                "{{\"seq\":{},\"at_us\":{i},\"event\":\"bounds_refined\",\"op\":0,\"lo\":90,\"hi\":110}}\n{line}\n",
+                100 + i
+            ));
+        }
+        fs::write(&seg, old).unwrap();
+
+        let corpus = Corpus::open(&dir).unwrap();
+        assert!(
+            corpus.diagnostics().is_empty(),
+            "{:?}",
+            corpus.diagnostics()
+        );
+        assert_eq!(corpus.runs(), vec![archived.record.clone()]);
+        let trace = ReplayedTrace::parse(&corpus.trace_jsonl(archived.record.run).unwrap());
+        assert!(trace.errors.is_empty(), "{:?}", trace.errors);
+        assert_eq!(trace.events.len(), run_events(0.0, 1000).len());
+        assert_eq!(score_events(&trace.events), archived.record.score);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn aborted_runs_record_their_reason_and_skip_detection() {
         let dir = tmpdir("abort");
         let corpus = Corpus::open(&dir).unwrap();

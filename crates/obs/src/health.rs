@@ -29,6 +29,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+use qprog_exec::metrics::materially_different;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{
     EstimateSource, EventBus, HealthReason, HealthState, TraceEvent, TraceEventKind, TraceSink,
@@ -261,13 +262,16 @@ impl TraceSink for HealthAnalyzer {
                 old,
                 new,
                 source: EstimateSource::Online,
+                ..
             } => {
                 let mut inner = self.inner.lock();
                 let idx = op as usize;
                 if inner.last_dir.len() <= idx {
                     inner.last_dir.resize(idx + 1, 0);
                 }
-                if old.is_finite() && new.is_finite() {
+                // A publication that moved only its interval keeps `N̂`
+                // within the trace threshold of `old`: no drift evidence.
+                if old.is_finite() && new.is_finite() && materially_different(old, new) {
                     let dir: i8 = match new.partial_cmp(&old) {
                         Some(std::cmp::Ordering::Greater) => 1,
                         Some(std::cmp::Ordering::Less) => -1,
@@ -322,6 +326,8 @@ mod tests {
                 old,
                 new,
                 source: EstimateSource::Online,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
         }
     }
@@ -422,6 +428,17 @@ mod tests {
         assert_eq!(h.observe_at(MS, 1, None, true), None);
         assert_eq!(h.state(), HealthState::Healthy);
         assert_eq!(h.inner.lock().drift_evidence_us.len(), 1);
+    }
+
+    #[test]
+    fn interval_only_publications_are_not_drift() {
+        let h = analyzer(100);
+        // `N̂` wobbles within the trace threshold while the interval moves.
+        for i in 0..6u64 {
+            let new = if i % 2 == 0 { 1005.0 } else { 995.0 };
+            h.publish(&refine(i * MS, 0, 1000.0, new));
+        }
+        assert!(h.inner.lock().drift_evidence_us.is_empty());
     }
 
     #[test]

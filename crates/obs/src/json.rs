@@ -19,7 +19,13 @@ pub fn event_to_json(event: &TraceEvent, op_names: &[String]) -> String {
 /// streaming form the JSONL sink uses on its hot path: one pre-sized
 /// buffer, no intermediate field allocations.
 pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String]) {
-    let _ = write!(out, "{{\"seq\":{},\"at_us\":{}", event.seq, event.at_us);
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"at_us\":{},\"event\":\"{}\"",
+        event.seq,
+        event.at_us,
+        event.kind.name()
+    );
     // A float field: finite values as numbers, NaN/inf as null.
     macro_rules! fnum {
         ($key:literal, $x:expr) => {
@@ -39,20 +45,11 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
         }
     };
     match &event.kind {
-        TraceEventKind::PipelineStarted { pipeline } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"pipeline_started\",\"pipeline\":{pipeline}"
-            );
-        }
-        TraceEventKind::PipelineFinished { pipeline } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"pipeline_finished\",\"pipeline\":{pipeline}"
-            );
+        TraceEventKind::PipelineStarted { pipeline }
+        | TraceEventKind::PipelineFinished { pipeline } => {
+            let _ = write!(out, ",\"pipeline\":{pipeline}");
         }
         TraceEventKind::PhaseTransition { op, from, to } => {
-            out.push_str(",\"event\":\"phase_transition\"");
             op_field(out, *op);
             let _ = write!(out, ",\"from\":\"{from}\",\"to\":\"{to}\"");
         }
@@ -61,35 +58,30 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             old,
             new,
             source,
+            lo,
+            hi,
         } => {
-            out.push_str(",\"event\":\"estimate_refined\"");
             op_field(out, *op);
             fnum!("old", *old);
             fnum!("new", *new);
             let _ = write!(out, ",\"source\":\"{source}\"");
-        }
-        TraceEventKind::BoundsRefined { op, lo, hi } => {
-            out.push_str(",\"event\":\"bounds_refined\"");
-            op_field(out, *op);
-            fnum!("lo", *lo);
-            fnum!("hi", *hi);
+            // Only a publication with an interval writes one.
+            if !(lo.is_nan() && hi.is_nan()) {
+                fnum!("lo", *lo);
+                fnum!("hi", *hi);
+            }
         }
         TraceEventKind::OperatorFinished { op, emitted } => {
-            out.push_str(",\"event\":\"operator_finished\"");
             op_field(out, *op);
             let _ = write!(out, ",\"emitted\":{emitted}");
         }
         TraceEventKind::QueryFinished { rows } => {
-            let _ = write!(out, ",\"event\":\"query_finished\",\"rows\":{rows}");
+            let _ = write!(out, ",\"rows\":{rows}");
         }
         TraceEventKind::QueryAborted { reason, rows } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"query_aborted\",\"reason\":\"{reason}\",\"rows\":{rows}"
-            );
+            let _ = write!(out, ",\"reason\":\"{reason}\",\"rows\":{rows}");
         }
         TraceEventKind::EstimatorDegraded { op, reason } => {
-            out.push_str(",\"event\":\"estimator_degraded\"");
             op_field(out, *op);
             let _ = write!(out, ",\"reason\":\"{reason}\"");
         }
@@ -100,14 +92,13 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             lo,
             hi,
         } => {
-            let _ = write!(out, ",\"event\":\"progress_sampled\",\"current\":{current}");
+            let _ = write!(out, ",\"current\":{current}");
             fnum!("total", *total);
             fnum!("fraction", *fraction);
             fnum!("lo", *lo);
             fnum!("hi", *hi);
         }
         TraceEventKind::OperatorWallTime { op, wall_us } => {
-            out.push_str(",\"event\":\"operator_wall_time\"");
             op_field(out, *op);
             let _ = write!(out, ",\"wall_us\":{wall_us}");
         }
@@ -116,14 +107,13 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             worker,
             busy_us,
         } => {
-            out.push_str(",\"event\":\"worker_wall_time\"");
             op_field(out, *op);
             let _ = write!(out, ",\"worker\":{worker},\"busy_us\":{busy_us}");
         }
         TraceEventKind::HealthTransition { from, to, reason } => {
             let _ = write!(
                 out,
-                ",\"event\":\"health_transition\",\"from\":\"{from}\",\"to\":\"{to}\",\"reason\":\"{reason}\""
+                ",\"from\":\"{from}\",\"to\":\"{to}\",\"reason\":\"{reason}\""
             );
         }
         TraceEventKind::RegressionDetected {
@@ -132,10 +122,7 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             baseline,
             threshold,
         } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"regression_detected\",\"kind\":\"{kind}\""
-            );
+            let _ = write!(out, ",\"kind\":\"{kind}\"");
             fnum!("observed", *observed);
             fnum!("baseline", *baseline);
             fnum!("threshold", *threshold);
@@ -146,7 +133,7 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             kind,
             arg,
         } => {
-            let _ = write!(out, ",\"event\":\"span_start\",\"span\":{span}");
+            let _ = write!(out, ",\"span\":{span}");
             // Root spans omit `parent` (the sentinel is an encoding detail).
             if *parent != qprog_exec::span::NO_PARENT {
                 let _ = write!(out, ",\"parent\":{parent}");
@@ -154,7 +141,7 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
             let _ = write!(out, ",\"kind\":\"{kind}\",\"arg\":{arg}");
         }
         TraceEventKind::SpanEnd { span } => {
-            let _ = write!(out, ",\"event\":\"span_end\",\"span\":{span}");
+            let _ = write!(out, ",\"span\":{span}");
         }
     }
     out.push('}');
@@ -176,6 +163,8 @@ mod tests {
                 old: f64::NAN,
                 new: 500.0,
                 source: EstimateSource::Online,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
         };
         let names = vec![
@@ -191,6 +180,8 @@ mod tests {
         assert_eq!(raw_field(&line, "old"), Some("null"));
         assert_eq!(raw_field(&line, "new"), Some("500"));
         assert_eq!(raw_field(&line, "source"), Some("online"));
+        assert_eq!(raw_field(&line, "lo"), None, "no interval, no members");
+        assert_eq!(raw_field(&line, "hi"), None);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 use std::sync::Arc;
 
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::{EstimateSource, Phase, TraceEvent, TraceEventKind, TraceSink};
+use qprog_exec::trace::{
+    AbortKind, DegradeReason, EstimateSource, Phase, TraceEvent, TraceEventKind, TraceSink,
+};
 use qprog_metrics::{Counter, Histogram, Registry};
 
 use crate::explain::q_error;
@@ -27,24 +29,48 @@ use crate::explain::q_error;
 /// paper's evaluation sees errors from ~1 to a few orders of magnitude.
 pub const Q_ERROR_BUCKETS: [f64; 10] = [1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0];
 
-/// All phases, indexable for pre-resolved counters.
-const PHASES: [Phase; 8] = [
-    Phase::Init,
-    Phase::Build,
-    Phase::Probe,
-    Phase::PartitionJoin,
-    Phase::SortInput,
-    Phase::Merge,
-    Phase::Accumulate,
-    Phase::Emit,
+/// The kinds whose `qprog_trace_events_total` series every sink registers
+/// up front, so they read 0 before their first event. The other kinds
+/// register on first sight, so a serial run without an analyzer or a
+/// corpus never shows them: worker wall times exist only for parallel
+/// drains, health transitions only with an analyzer, regressions only
+/// with a corpus. Lifecycle spans are not counted; the service aggregates
+/// its own SLO metrics from them.
+const EAGER_EVENTS: [TraceEventKind; 10] = [
+    TraceEventKind::PipelineStarted { pipeline: 0 },
+    TraceEventKind::PipelineFinished { pipeline: 0 },
+    TraceEventKind::PhaseTransition {
+        op: 0,
+        from: Phase::Init,
+        to: Phase::Init,
+    },
+    TraceEventKind::EstimateRefined {
+        op: 0,
+        old: 0.0,
+        new: 0.0,
+        source: EstimateSource::Online,
+        lo: 0.0,
+        hi: 0.0,
+    },
+    TraceEventKind::OperatorFinished { op: 0, emitted: 0 },
+    TraceEventKind::QueryFinished { rows: 0 },
+    TraceEventKind::QueryAborted {
+        reason: AbortKind::Error,
+        rows: 0,
+    },
+    TraceEventKind::EstimatorDegraded {
+        op: 0,
+        reason: DegradeReason::HistogramMemory,
+    },
+    TraceEventKind::ProgressSampled {
+        current: 0,
+        total: 0.0,
+        fraction: 0.0,
+        lo: 0.0,
+        hi: 0.0,
+    },
+    TraceEventKind::OperatorWallTime { op: 0, wall_us: 0 },
 ];
-
-fn phase_index(p: Phase) -> usize {
-    PHASES
-        .iter()
-        .position(|&q| q == p)
-        .expect("PHASES covers every Phase variant")
-}
 
 /// Per-operator aggregation state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,12 +85,15 @@ struct OpAgg {
 pub struct MetricsSink {
     registry: Arc<Registry>,
     estimator: String,
-    /// `qprog_trace_events_total{event=...}`, one per event kind.
-    events: [Arc<Counter>; 11],
-    /// `qprog_phase_transitions_total{phase=...}`, by entered phase.
-    phases: [Arc<Counter>; 8],
-    /// `qprog_estimate_refinements_total{source=...}`.
-    refinements: [Arc<Counter>; 3],
+    /// `qprog_trace_events_total{event=...}` of the [`EAGER_EVENTS`], by
+    /// kind name.
+    events: [(&'static str, Arc<Counter>); 10],
+    /// `qprog_phase_transitions_total{phase=...}`, by entered phase, in
+    /// [`Phase::ALL`] order.
+    phases: Vec<Arc<Counter>>,
+    /// `qprog_estimate_refinements_total{source=...}`, in
+    /// [`EstimateSource::ALL`] order.
+    refinements: Vec<Arc<Counter>>,
     /// `qprog_operator_tuples_total{estimator=...}`: exact tuples emitted,
     /// accumulated at operator finish.
     tuples: Arc<Counter>,
@@ -87,45 +116,23 @@ impl MetricsSink {
     /// [`EstimationMode::label`](qprog_core::EstimationMode::label):
     /// `off`/`once`/`dne`/`byte`).
     pub fn new(registry: Arc<Registry>, estimator: &str) -> Self {
-        let event_kinds = [
-            "pipeline_started",
-            "pipeline_finished",
-            "phase_transition",
-            "estimate_refined",
-            "bounds_refined",
-            "operator_finished",
-            "query_finished",
-            "query_aborted",
-            "estimator_degraded",
-            "progress_sampled",
-            "operator_wall_time",
-        ];
-        let events = event_kinds.map(|k| {
-            registry.counter(
-                "qprog_trace_events_total",
-                "Trace events published, by event kind",
-                &[("event", k)],
-            )
-        });
-        let phases = PHASES.map(|p| {
+        let events = EAGER_EVENTS.map(|kind| (kind.name(), events_counter(&registry, kind.name())));
+        let phases = Phase::ALL.iter().map(|p| {
             registry.counter(
                 "qprog_phase_transitions_total",
                 "Operator phase transitions, by entered phase",
                 &[("phase", p.name())],
             )
         });
-        let refinements = [
-            EstimateSource::Optimizer,
-            EstimateSource::Online,
-            EstimateSource::Exact,
-        ]
-        .map(|s| {
+        let phases = phases.collect();
+        let refinements = EstimateSource::ALL.iter().map(|s| {
             registry.counter(
                 "qprog_estimate_refinements_total",
                 "Cardinality estimate refinements, by source",
                 &[("source", s.name())],
             )
         });
+        let refinements = refinements.collect();
         let est = &[("estimator", estimator)][..];
         let tuples = registry.counter(
             "qprog_operator_tuples_total",
@@ -196,6 +203,15 @@ impl MetricsSink {
     }
 }
 
+/// The `qprog_trace_events_total` series of the kind named `event`.
+fn events_counter(registry: &Registry, event: &str) -> Arc<Counter> {
+    registry.counter(
+        "qprog_trace_events_total",
+        "Trace events published, by event kind",
+        &[("event", event)],
+    )
+}
+
 impl std::fmt::Debug for MetricsSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsSink")
@@ -206,47 +222,26 @@ impl std::fmt::Debug for MetricsSink {
 
 impl TraceSink for MetricsSink {
     fn publish(&self, event: &TraceEvent) {
-        let event_idx = match event.kind {
-            TraceEventKind::PipelineStarted { .. } => Some(0),
-            TraceEventKind::PipelineFinished { .. } => Some(1),
-            TraceEventKind::PhaseTransition { .. } => Some(2),
-            TraceEventKind::EstimateRefined { .. } => Some(3),
-            TraceEventKind::BoundsRefined { .. } => Some(4),
-            TraceEventKind::OperatorFinished { .. } => Some(5),
-            TraceEventKind::QueryFinished { .. } => Some(6),
-            TraceEventKind::QueryAborted { .. } => Some(7),
-            TraceEventKind::EstimatorDegraded { .. } => Some(8),
-            TraceEventKind::ProgressSampled { .. } => Some(9),
-            TraceEventKind::OperatorWallTime { .. } => Some(10),
-            // Parallel-only events resolve their counters lazily below so a
-            // serial (threads = 1) run never registers them — keeping the
-            // exposition byte-identical to a pre-parallelism engine.
-            TraceEventKind::WorkerWallTime { .. } => None,
-            // Same deal: health events only exist when an analyzer is
-            // attached, so plain traces never register health series.
-            TraceEventKind::HealthTransition { .. } => None,
-            // And regressions only exist when a corpus is attached.
-            TraceEventKind::RegressionDetected { .. } => None,
-            // Lifecycle spans only exist for service-managed queries; the
-            // service aggregates its own SLO metrics from them.
-            TraceEventKind::SpanStart { .. } | TraceEventKind::SpanEnd { .. } => None,
-        };
-        if let Some(event_idx) = event_idx {
-            self.events[event_idx].inc();
+        let name = event.kind.name();
+        match self.events.iter().find(|(eager, _)| *eager == name) {
+            Some((_, counter)) => counter.inc(),
+            None if !matches!(
+                event.kind,
+                TraceEventKind::SpanStart { .. } | TraceEventKind::SpanEnd { .. }
+            ) =>
+            {
+                events_counter(&self.registry, name).inc()
+            }
+            None => {}
         }
         match event.kind {
             TraceEventKind::PhaseTransition { to, .. } => {
-                self.phases[phase_index(to)].inc();
+                self.phases[to as usize].inc();
             }
             TraceEventKind::EstimateRefined {
                 op, new, source, ..
             } => {
-                self.refinements[match source {
-                    EstimateSource::Optimizer => 0,
-                    EstimateSource::Online => 1,
-                    EstimateSource::Exact => 2,
-                }]
-                .inc();
+                self.refinements[source as usize].inc();
                 match source {
                     EstimateSource::Exact => {
                         // Exact pin: score the last pre-exact estimate. Only
@@ -318,13 +313,6 @@ impl TraceSink for MetricsSink {
                 // Worker attribution only exists for parallel drains, which
                 // fire a handful of events per join — lazy resolution keeps
                 // serial expositions free of parallel-only series.
-                self.registry
-                    .counter(
-                        "qprog_trace_events_total",
-                        "Trace events published, by event kind",
-                        &[("event", "worker_wall_time")],
-                    )
-                    .inc();
                 let name = self.op_names.lock().get(op as usize).cloned();
                 if let Some(name) = name {
                     let worker = worker.to_string();
@@ -341,13 +329,6 @@ impl TraceSink for MetricsSink {
             TraceEventKind::HealthTransition { to, reason, .. } => {
                 self.registry
                     .counter(
-                        "qprog_trace_events_total",
-                        "Trace events published, by event kind",
-                        &[("event", "health_transition")],
-                    )
-                    .inc();
-                self.registry
-                    .counter(
                         "qprog_health_transitions_total",
                         "Progress-health verdict changes, by entered state \
                          and reason",
@@ -356,13 +337,6 @@ impl TraceSink for MetricsSink {
                     .inc();
             }
             TraceEventKind::RegressionDetected { kind, .. } => {
-                self.registry
-                    .counter(
-                        "qprog_trace_events_total",
-                        "Trace events published, by event kind",
-                        &[("event", "regression_detected")],
-                    )
-                    .inc();
                 self.registry
                     .counter(
                         "qprog_regressions_total",
@@ -425,6 +399,8 @@ mod tests {
                     old: f64::NAN,
                     new: 100.0,
                     source: EstimateSource::Optimizer,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
                 TraceEventKind::QueryFinished { rows: 42 },
             ],
@@ -450,18 +426,24 @@ mod tests {
                     old: f64::NAN,
                     new: 1000.0,
                     source: EstimateSource::Optimizer,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
                 TraceEventKind::EstimateRefined {
                     op: 0,
                     old: 1000.0,
                     new: 50.0,
                     source: EstimateSource::Online,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
                 TraceEventKind::EstimateRefined {
                     op: 0,
                     old: 50.0,
                     new: 100.0,
                     source: EstimateSource::Exact,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
             ],
         );
@@ -487,12 +469,16 @@ mod tests {
                     old: f64::NAN,
                     new: 10.0,
                     source: EstimateSource::Optimizer,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
                 TraceEventKind::EstimateRefined {
                     op: 3,
                     old: 10.0,
                     new: 7.0,
                     source: EstimateSource::Exact,
+                    lo: f64::NAN,
+                    hi: f64::NAN,
                 },
             ],
         );

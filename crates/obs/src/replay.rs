@@ -29,6 +29,11 @@ use qprog_types::json;
 /// make [`ReplayedTrace::parse`] allocate.
 const MAX_OPS: usize = 1 << 16;
 
+/// A retired kind: an interval once traced apart from its estimate. Older
+/// traces' lines of it are dropped, not reported, so a corpus archived
+/// before `estimate_refined` carried the interval keeps its runs.
+const RETIRED_EVENT: &str = "bounds_refined";
+
 /// A parsed trace: the event stream plus whatever operator names the JSONL
 /// carried.
 #[derive(Debug, Clone, Default)]
@@ -80,6 +85,7 @@ impl ReplayedTrace {
                     }
                     trace.events.push(event);
                 }
+                Err(_) if json::raw(line, "event") == Some(RETIRED_EVENT) => {}
                 Err(reason) => trace.errors.push((i + 1, reason)),
             }
         }
@@ -117,6 +123,9 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
 fn parse_kind(line: &str, event: &str) -> Option<TraceEventKind> {
     let phase = |key| Phase::from_name(json::raw(line, key)?);
     let health = |key| HealthState::from_name(json::raw(line, key)?);
+    // An absent end is no interval; a malformed one is an error.
+    let interval_end =
+        |key| json::f64(line, key).or_else(|| json::raw(line, key).is_none().then_some(f64::NAN));
     Some(match event {
         "pipeline_started" => TraceEventKind::PipelineStarted {
             pipeline: u32_of(line, "pipeline")?,
@@ -134,11 +143,8 @@ fn parse_kind(line: &str, event: &str) -> Option<TraceEventKind> {
             old: json::f64(line, "old")?,
             new: json::f64(line, "new")?,
             source: EstimateSource::from_name(json::raw(line, "source")?)?,
-        },
-        "bounds_refined" => TraceEventKind::BoundsRefined {
-            op: u32_of(line, "op")?,
-            lo: json::f64(line, "lo")?,
-            hi: json::f64(line, "hi")?,
+            lo: interval_end("lo")?,
+            hi: interval_end("hi")?,
         },
         "operator_finished" => TraceEventKind::OperatorFinished {
             op: u32_of(line, "op")?,
@@ -204,71 +210,10 @@ mod tests {
     use super::*;
     use crate::json::event_to_json;
 
-    /// NaN-tolerant event equality (NaN == NaN for round-trip purposes).
+    /// NaN-tolerant event equality (NaN == NaN for round-trip purposes):
+    /// `Debug` prints every float in its shortest round-tripping form.
     fn kinds_equal(a: &TraceEventKind, b: &TraceEventKind) -> bool {
-        fn f(x: f64, y: f64) -> bool {
-            (x.is_nan() && y.is_nan()) || x == y
-        }
-        use TraceEventKind::*;
-        match (a, b) {
-            (
-                EstimateRefined {
-                    op: o1,
-                    old: a1,
-                    new: n1,
-                    source: s1,
-                },
-                EstimateRefined {
-                    op: o2,
-                    old: a2,
-                    new: n2,
-                    source: s2,
-                },
-            ) => o1 == o2 && f(*a1, *a2) && f(*n1, *n2) && s1 == s2,
-            (
-                BoundsRefined {
-                    op: o1,
-                    lo: l1,
-                    hi: h1,
-                },
-                BoundsRefined {
-                    op: o2,
-                    lo: l2,
-                    hi: h2,
-                },
-            ) => o1 == o2 && f(*l1, *l2) && f(*h1, *h2),
-            (
-                ProgressSampled {
-                    current: c1,
-                    total: t1,
-                    fraction: fr1,
-                    lo: l1,
-                    hi: h1,
-                },
-                ProgressSampled {
-                    current: c2,
-                    total: t2,
-                    fraction: fr2,
-                    lo: l2,
-                    hi: h2,
-                },
-            ) => c1 == c2 && f(*t1, *t2) && f(*fr1, *fr2) && f(*l1, *l2) && f(*h1, *h2),
-            (
-                RegressionDetected {
-                    kind: k1,
-                    observed: o1,
-                    baseline: b1,
-                    threshold: t1,
-                },
-                RegressionDetected {
-                    kind: k2,
-                    observed: o2,
-                    baseline: b2,
-                    threshold: t2,
-                },
-            ) => k1 == k2 && f(*o1, *o2) && f(*b1, *b2) && f(*t1, *t2),
-            _ => a == b,
-        }
+        format!("{a:?}") == format!("{b:?}")
     }
 
     #[test]
@@ -286,9 +231,14 @@ mod tests {
                 old: f64::NAN,
                 new: 1234.5678901234,
                 source: EstimateSource::Online,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
-            TraceEventKind::BoundsRefined {
+            TraceEventKind::EstimateRefined {
                 op: 2,
+                old: 1000.0,
+                new: 1234.5678901234,
+                source: EstimateSource::Online,
                 lo: 0.125,
                 hi: 1e12,
             },
@@ -397,6 +347,44 @@ not json at all\n\
         );
         let lines: Vec<usize> = trace.errors.iter().map(|(n, _)| *n).collect();
         assert_eq!(lines, vec![3, 4, 6, 7], "{:?}", trace.errors);
+    }
+
+    #[test]
+    fn estimate_intervals_are_optional_but_strict() {
+        let line = |tail: &str| {
+            format!(
+                "{{\"seq\":0,\"at_us\":0,\"event\":\"estimate_refined\",\"op\":1,\
+                 \"old\":2,\"new\":3,\"source\":\"online\"{tail}}}"
+            )
+        };
+        let bracket = |tail: &str| match parse_event(&line(tail)).map(|e| e.kind) {
+            Ok(TraceEventKind::EstimateRefined { lo, hi, .. }) => Some((lo, hi)),
+            _ => None,
+        };
+        let (lo, hi) = bracket("").expect("no interval parses");
+        assert!(lo.is_nan() && hi.is_nan());
+        assert_eq!(bracket(",\"lo\":1.5,\"hi\":4"), Some((1.5, 4.0)));
+        for bad in [
+            ",\"lo\":\"1\",\"hi\":4",
+            ",\"lo\":1,\"hi\":4x",
+            ",\"hi\":true",
+        ] {
+            assert!(parse_event(&line(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn retired_bounds_lines_are_dropped_silently() {
+        let retired =
+            "{\"seq\":1,\"at_us\":2,\"event\":\"bounds_refined\",\"op\":0,\"lo\":1,\"hi\":9}";
+        let jsonl = format!(
+            "{retired}\n{{\"seq\":2,\"at_us\":3,\"event\":\"query_finished\",\"rows\":5}}\n"
+        );
+        let trace = ReplayedTrace::parse(&jsonl);
+        assert!(trace.errors.is_empty(), "{:?}", trace.errors);
+        assert_eq!(trace.events.len(), 1);
+        // The per-line codec itself knows no such kind.
+        assert!(parse_event(retired).is_err());
     }
 
     #[test]

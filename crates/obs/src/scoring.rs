@@ -306,6 +306,8 @@ mod tests {
                 old: f64::NAN,
                 new: 1000.0,
                 source: EstimateSource::Optimizer,
+                lo: f64::NAN,
+                hi: f64::NAN,
             }),
             mk(TraceEventKind::ProgressSampled {
                 current: 50,
@@ -319,12 +321,16 @@ mod tests {
                 old: 1000.0,
                 new: 50.0,
                 source: EstimateSource::Online,
+                lo: f64::NAN,
+                hi: f64::NAN,
             }),
             mk(TraceEventKind::EstimateRefined {
                 op: 0,
                 old: 50.0,
                 new: 100.0,
                 source: EstimateSource::Exact,
+                lo: f64::NAN,
+                hi: f64::NAN,
             }),
             mk(TraceEventKind::ProgressSampled {
                 current: 100,

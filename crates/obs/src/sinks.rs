@@ -268,7 +268,12 @@ impl TraceSink for ValidatorSink {
                 }
             }
             TraceEventKind::EstimateRefined {
-                op, new, source, ..
+                op,
+                new,
+                source,
+                lo,
+                hi,
+                ..
             } => {
                 let mut bad = Vec::new();
                 {
@@ -277,6 +282,13 @@ impl TraceSink for ValidatorSink {
                         bad.push(format!("op {op}: non-finite/negative estimate {new}"));
                     }
                     o.last_estimate = Some(new);
+                    if !(lo.is_nan() && hi.is_nan()) {
+                        o.last_bounds = Some((lo, hi));
+                        // A NaN endpoint is as invalid as an inverted interval.
+                        if lo > hi || lo.is_nan() || hi.is_nan() {
+                            bad.push(format!("op {op}: invalid bounds lo={lo}, hi={hi}"));
+                        }
+                    }
                     if source == EstimateSource::Exact {
                         o.exact = Some(new);
                         if let Some((lo, hi)) = o.last_bounds {
@@ -291,15 +303,6 @@ impl TraceSink for ValidatorSink {
                     }
                 }
                 s.violations.extend(bad);
-            }
-            TraceEventKind::BoundsRefined { op, lo, hi } => {
-                let o = s.op(op);
-                o.last_bounds = Some((lo, hi));
-                // NaN endpoints are as invalid as an inverted interval.
-                if lo > hi || lo.is_nan() || hi.is_nan() {
-                    s.violations
-                        .push(format!("op {op}: invalid bounds lo={lo}, hi={hi}"));
-                }
             }
             TraceEventKind::OperatorFinished { op, emitted } => {
                 let o = s.op(op);
@@ -453,6 +456,8 @@ mod tests {
                 old: f64::NAN,
                 new: 100.0,
                 source: Optimizer,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
             TraceEventKind::PhaseTransition {
                 op: 0,
@@ -469,9 +474,6 @@ mod tests {
                 old: 100.0,
                 new: 120.0,
                 source: Online,
-            },
-            TraceEventKind::BoundsRefined {
-                op: 0,
                 lo: 110.0,
                 hi: 130.0,
             },
@@ -480,6 +482,8 @@ mod tests {
                 old: 120.0,
                 new: 121.0,
                 source: Exact,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
             TraceEventKind::OperatorFinished {
                 op: 0,
@@ -509,8 +513,11 @@ mod tests {
         // inverted bounds
         v.publish(&ev(
             1,
-            TraceEventKind::BoundsRefined {
+            TraceEventKind::EstimateRefined {
                 op: 1,
+                old: 5.0,
+                new: 7.0,
+                source: Online,
                 lo: 10.0,
                 hi: 5.0,
             },
@@ -523,13 +530,42 @@ mod tests {
                 old: 5.0,
                 new: 50.0,
                 source: Exact,
+                lo: f64::NAN,
+                hi: f64::NAN,
             },
         ));
         v.publish(&ev(
             3,
             TraceEventKind::OperatorFinished { op: 2, emitted: 7 },
         ));
+        // exact count outside the last published bounds
+        v.publish(&ev(
+            4,
+            TraceEventKind::EstimateRefined {
+                op: 3,
+                old: 5.0,
+                new: 15.0,
+                source: Online,
+                lo: 10.0,
+                hi: 20.0,
+            },
+        ));
+        v.publish(&ev(
+            5,
+            TraceEventKind::EstimateRefined {
+                op: 3,
+                old: 15.0,
+                new: 50.0,
+                source: Exact,
+                lo: f64::NAN,
+                hi: f64::NAN,
+            },
+        ));
         let violations = v.violations();
-        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert_eq!(violations.len(), 4, "{violations:?}");
+        assert!(
+            violations[3].contains("outside last bounds"),
+            "{violations:?}"
+        );
     }
 }

@@ -427,7 +427,6 @@ fn derive_exec_spans(events: &[TraceEvent], op_names: &[String], t_max: u64) -> 
                     .push((worker, e.at_us.saturating_sub(busy_us), e.at_us));
             }
             TraceEventKind::EstimateRefined { op, .. }
-            | TraceEventKind::BoundsRefined { op, .. }
             | TraceEventKind::EstimatorDegraded { op, .. } => {
                 touch(&mut ops, op, e.at_us);
             }

@@ -326,7 +326,7 @@ mod tests {
         for _ in 0..60 {
             scan.record_emitted();
         }
-        scan.set_estimated_total(120.0);
+        scan.set_estimated_total(120.0, None);
         sample(&mut rec);
         let log = rec.log;
         assert_eq!(log.len(), 2);
@@ -389,7 +389,7 @@ mod tests {
         let before = rec.log.points().last().unwrap().fraction;
         assert!(before > 0.0);
         // An upward estimate revision shrinks the raw fraction...
-        scan.set_estimated_total(10_000.0);
+        scan.set_estimated_total(10_000.0, None);
         sample(&mut rec);
         let log = rec.log;
         let after = log.points().last().unwrap();

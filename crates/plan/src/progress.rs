@@ -328,14 +328,14 @@ mod tests {
         pipes.assign(p0, 0);
         pipes.assign(p1, 1);
         let tracker = ProgressTracker::new(reg, pipes);
-        scan.set_estimated_total(1000.0);
+        scan.set_estimated_total(1000.0, None);
         for _ in 0..500 {
             scan.record_emitted();
         }
         agg.record_driver(500);
         let before = tracker.snapshot().fraction();
         // the group estimate rises with no counter advance: raw ratio drops
-        agg.set_estimated_total(120.0);
+        agg.set_estimated_total(120.0, None);
         let after = tracker.snapshot().fraction();
         assert!(
             tracker.snapshot().raw_fraction() < before,
@@ -373,8 +373,7 @@ mod tests {
         for _ in 0..40 {
             a.record_emitted();
         }
-        a.set_estimated_total(100.0);
-        a.set_estimated_bounds(80.0, 120.0);
+        a.set_estimated_total(100.0, Some((80.0, 120.0)));
         let snap = tracker.snapshot();
         let (lo, hi) = snap.bounds();
         let point = snap.fraction();
@@ -405,7 +404,7 @@ mod tests {
 
         // join started and refined its estimate online
         join.record_driver(1);
-        join.set_estimated_total(10_000.0);
+        join.set_estimated_total(10_000.0, None);
         let refined = tracker.refined_estimates();
         assert_eq!(refined[1], 10_000.0);
         assert_eq!(refined[0], 1_000.0, "pending agg scales by the input ratio");
@@ -413,7 +412,7 @@ mod tests {
         // once the agg starts, its own estimate takes over
         let m0 = tracker.registry().get(0).unwrap();
         m0.record_driver(1);
-        m0.set_estimated_total(4242.0);
+        m0.set_estimated_total(4242.0, None);
         assert_eq!(tracker.refined_estimates()[0], 4242.0);
     }
 
@@ -433,7 +432,7 @@ mod tests {
         let tracker = ProgressTracker::new(reg, pipes)
             .with_refinement(vec![50.0, 500.0, 1000.0], vec![vec![1], vec![2], vec![]]);
         join.record_driver(1);
-        join.set_estimated_total(2000.0);
+        join.set_estimated_total(2000.0, None);
         let refined = tracker.refined_estimates();
         assert_eq!(refined[2], 2000.0);
         assert_eq!(refined[1], 1000.0);
@@ -453,7 +452,7 @@ mod tests {
             .with_refinement(vec![100.0, 1000.0], vec![vec![1], vec![]]);
         // child collapses to 1 row...
         child.record_driver(1);
-        child.set_estimated_total(1.0);
+        child.set_estimated_total(1.0, None);
         // ...but the filter already emitted 7
         for _ in 0..7 {
             top.record_emitted();

@@ -87,6 +87,8 @@ fn concurrent_publication_loses_no_events_and_counters_stay_monotone() {
                         old: i as f64,
                         new: (i + 1) as f64,
                         source: EstimateSource::Online,
+                        lo: f64::NAN,
+                        hi: f64::NAN,
                     });
                 }
                 bus.publish(TraceEventKind::OperatorFinished {
