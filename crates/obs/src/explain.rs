@@ -8,8 +8,8 @@
 //!   **q-error** `max(actual/est, est/actual)` between them,
 //! - the final online estimate (`N_i` at query end — exact for operators
 //!   that ran to completion),
-//! - which estimator produced the online `N_i` (`framework`, `pipeline`,
-//!   `dne`, `byte`, `gee/mle`, `pushdown`, `exact`, or plain `optimizer`),
+//! - which estimator produced the online `N_i` (`pipeline`, `dne`,
+//!   `byte`, `gee/mle`, `pushdown`, `exact`, or plain `optimizer`),
 //! - `getnext()` and driver-tuple counts,
 //! - phase wall-times and online-refinement counts recovered from the
 //!   trace event stream, when one was captured.
@@ -147,7 +147,7 @@ pub fn explain_analyze(query: &CompiledQuery, events: &[TraceEvent]) -> String {
         ));
     }
 
-    render(query, &names, &traces, end_us, query.root_op(), 0, &mut out);
+    render(query, &names, &traces, end_us, 0, 0, &mut out);
     out
 }
 
@@ -316,7 +316,7 @@ mod tests {
         assert!(report.contains("phases: build"), "{report}");
         assert!(report.contains("probe"), "{report}");
         // Estimator attribution for the online mode.
-        assert!(report.contains("[framework]"), "{report}");
+        assert!(report.contains("[pipeline]"), "{report}");
         assert!(report.contains("[exact]"), "{report}");
     }
 

@@ -109,9 +109,6 @@ pub struct CompiledQuery {
     /// The plan as compiled: after [`prune_columns`].
     plan: LogicalPlan,
     root: BoxedOp,
-    /// Registry index of the plan-root operator. Usually `0` (registration
-    /// is top-down), but a join chain at the root registers bottom-up.
-    root_op: usize,
     registry: MetricsRegistry,
     pipelines: PipelineSet,
     /// Compile-time optimizer estimates per operator (registry order).
@@ -168,14 +165,8 @@ impl CompiledQuery {
         &self.op_inputs
     }
 
-    /// Registry index of the plan-root operator (the top of the
-    /// [`op_inputs`](Self::op_inputs) tree).
-    pub fn root_op(&self) -> usize {
-        self.root_op
-    }
-
     /// Which estimator drives each operator's `N_i` (registry order):
-    /// `"exact"`, `"framework"`, `"pipeline"`, `"gee/mle"`, `"pushdown"`,
+    /// `"exact"`, `"pipeline"`, `"gee/mle"`, `"pushdown"`,
     /// `"dne"`, `"byte"`, or `"optimizer"`.
     pub fn estimator_labels(&self) -> &[&'static str] {
         &self.estimator_labels
@@ -367,17 +358,14 @@ pub fn compile_traced(
         op_inputs: Vec::new(),
         estimator_labels: Vec::new(),
         scan_counter: 0,
-        chain_root: None,
     };
     let plan = prune_columns(plan);
     let root_pipeline = c.pipelines.new_pipeline();
     let root = c.compile(&plan, root_pipeline)?;
-    let root_op = c.chain_root.take().unwrap_or(0);
     let stepper = RowCursor::new(root.schema().arity(), 1);
     Ok(CompiledQuery {
         plan,
         root,
-        root_op,
         registry: c.registry,
         pipelines: c.pipelines,
         initial_estimates: c.initial_estimates,
@@ -400,12 +388,6 @@ struct Compiler<'a> {
     op_inputs: Vec<Vec<usize>>,
     estimator_labels: Vec<&'static str>,
     scan_counter: u64,
-    /// Set by [`compile_join_chain`](Self::compile_join_chain): a compiled
-    /// chain registers its joins bottom-up, so the subtree's root operator
-    /// is NOT the first index registered (the default assumption of
-    /// [`compile_child`](Self::compile_child)). The chain leaves its true
-    /// root index here for the caller to consume.
-    chain_root: Option<usize>,
 }
 
 impl Compiler<'_> {
@@ -429,18 +411,9 @@ impl Compiler<'_> {
         self.estimator_labels[idx] = label;
     }
 
-    /// The label for a join estimation mode under the current options.
-    fn join_label(&self) -> &'static str {
-        match self.opts.mode {
-            EstimationMode::Off => "optimizer",
-            EstimationMode::Once => "framework",
-            EstimationMode::Dne => "dne",
-            EstimationMode::Byte => "byte",
-        }
-    }
-
     /// Compile a child plan and record the edge from `parent` to the
-    /// child's root operator (for future-pipeline refinement).
+    /// child's root operator, the first one it registers (for
+    /// future-pipeline refinement).
     fn compile_child(
         &mut self,
         parent: usize,
@@ -449,7 +422,6 @@ impl Compiler<'_> {
     ) -> QResult<BoxedOp> {
         let child_idx = self.registry.len();
         let op = self.compile(plan, pipeline)?;
-        let child_idx = self.chain_root.take().unwrap_or(child_idx);
         self.op_inputs[parent].push(child_idx);
         Ok(op)
     }
@@ -512,7 +484,7 @@ impl Compiler<'_> {
                 group_cols,
                 aggs,
             } => self.compile_aggregate(plan, input, group_cols, aggs, pipeline),
-            Node::Join { .. } => self.compile_join(plan, pipeline, None),
+            Node::Join { .. } => self.compile_join(plan, pipeline),
         }
     }
 
@@ -544,10 +516,9 @@ impl Compiler<'_> {
 
         let child_idx = self.registry.len();
         let child = match pushdown {
-            Some(pushdown) => self.compile_join(input, input_pipeline, Some(pushdown))?,
+            Some(pushdown) => self.compile_join_chain(input, input_pipeline, Some(pushdown))?,
             None => self.compile(input, input_pipeline)?,
         };
-        let child_idx = self.chain_root.take().unwrap_or(child_idx);
         self.op_inputs[agg_idx].push(child_idx);
 
         let estimation = match (inbox, self.opts.mode) {
@@ -573,70 +544,19 @@ impl Compiler<'_> {
         )))
     }
 
-    fn compile_join(
-        &mut self,
-        plan: &LogicalPlan,
-        pipeline: usize,
-        agg_pushdown: Option<(DistinctTracker, Sender<DistinctTracker>)>,
-    ) -> QResult<BoxedOp> {
+    fn compile_join(&mut self, plan: &LogicalPlan, pipeline: usize) -> QResult<BoxedOp> {
         let Node::Join {
             build,
             probe,
             condition,
             algo,
-            kind,
             ..
         } = &plan.node
         else {
             return Err(QError::internal("compile_join on a non-join node"));
         };
         match algo {
-            JoinAlgo::Hash | JoinAlgo::Merge => {
-                // §4.1.4 / §4.1.4.3: a chain of hash joins, or of sort-merge
-                // joins, shares one push-down estimator.
-                if self.opts.mode == EstimationMode::Once && *kind == JoinKind::Inner {
-                    let chain = collect_join_chain(plan, *algo);
-                    if chain.len() >= 2 {
-                        match self.compile_join_chain(&chain, *algo, pipeline) {
-                            Ok(op) => return Ok(op),
-                            Err(QError::Estimation(_)) => {
-                                // unsupported pipeline shape (e.g. shared
-                                // derived sources): fall back to per-join
-                                // binary estimation below
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                let (idx, m) = self.register_idx(join_op_name(*algo), plan.estimate, pipeline);
-                self.set_label(idx, self.join_label());
-                let build_pipeline = self.pipelines.new_pipeline();
-                // A merge join sorts its probe side too: a blocking input.
-                let probe_pipeline = match algo {
-                    JoinAlgo::Merge => self.pipelines.new_pipeline(),
-                    _ => pipeline,
-                };
-                let build_op = self.compile_child(idx, build, build_pipeline)?;
-                let probe_op = self.compile_child(idx, probe, probe_pipeline)?;
-                let estimation = match self.opts.mode {
-                    EstimationMode::Off => JoinEstimation::Off,
-                    // A binary join is the one-join Algorithm-1 chain.
-                    EstimationMode::Once => {
-                        let (build_key, probe_key) = equi_keys(condition)?;
-                        let hint = probe.estimate.round() as u64;
-                        JoinEstimation::once(build_key, probe_key, hint, Arc::clone(&m))
-                    }
-                    EstimationMode::Dne => JoinEstimation::Baseline {
-                        rule: Rule::Dne,
-                        optimizer_estimate: plan.estimate,
-                    },
-                    EstimationMode::Byte => JoinEstimation::Baseline {
-                        rule: Rule::Byte,
-                        optimizer_estimate: plan.estimate,
-                    },
-                };
-                self.join_operator(plan, build_op, probe_op, estimation, m, agg_pushdown)
-            }
+            JoinAlgo::Hash | JoinAlgo::Merge => self.compile_join_chain(plan, pipeline, None),
             JoinAlgo::NestedLoops => {
                 let (idx, m) = self.register_idx(join_op_name(*algo), plan.estimate, pipeline);
                 let inner_pipeline = self.pipelines.new_pipeline();
@@ -675,6 +595,65 @@ impl Compiler<'_> {
                 )))
             }
         }
+    }
+
+    /// Compile the hash or merge join `top` with the joins of its chain
+    /// ([`join_chain`]) in every estimation mode. Operators register
+    /// top-down — each join, then its build subtree, then the lowest probe
+    /// subtree — so `top` is the first operator registered, and are
+    /// constructed bottom-up. Aggregation push-down is only offered over a
+    /// one-join chain.
+    fn compile_join_chain(
+        &mut self,
+        top: &LogicalPlan,
+        mut pipeline: usize,
+        mut agg_pushdown: Option<(DistinctTracker, Sender<DistinctTracker>)>,
+    ) -> QResult<BoxedOp> {
+        let (chain, estimator) = join_chain(top)?;
+        // Each join's registry index, metrics and build operator, top-down.
+        let mut joins: Vec<(usize, Arc<OpMetrics>, BoxedOp)> = Vec::with_capacity(chain.len());
+        for node in chain.iter().rev() {
+            let Node::Join { build, algo, .. } = &node.node else {
+                unreachable!("a chain holds joins");
+            };
+            let (idx, m) = self.register_idx(join_op_name(*algo), node.estimate, pipeline);
+            if let Some((above, ..)) = joins.last() {
+                self.op_inputs[*above].push(idx);
+            }
+            let build_pipeline = self.pipelines.new_pipeline();
+            // A merge join sorts its probe side too: a blocking input.
+            if *algo == JoinAlgo::Merge {
+                pipeline = self.pipelines.new_pipeline();
+            }
+            let build_op = self.compile_child(idx, build, build_pipeline)?;
+            joins.push((idx, m, build_op));
+        }
+        let lowest = joins.last().expect("a chain holds a join").0;
+        let mut cur = self.compile_child(lowest, join_probe_child(chain[0]), pipeline)?;
+
+        let metrics = joins.iter().rev().map(|(_, m, _)| Arc::clone(m)).collect();
+        let off = chain.iter().map(|_| JoinEstimation::Off);
+        let baseline = |rule| {
+            let modes = chain.iter().map(|node| JoinEstimation::Baseline {
+                rule,
+                optimizer_estimate: node.estimate,
+            });
+            modes.collect()
+        };
+        let (label, modes): (_, Vec<_>) = match self.opts.mode {
+            EstimationMode::Off => ("optimizer", off.collect()),
+            EstimationMode::Once => ("pipeline", JoinEstimation::pipeline(estimator, metrics)),
+            EstimationMode::Dne => ("dne", baseline(Rule::Dne)),
+            EstimationMode::Byte => ("byte", baseline(Rule::Byte)),
+        };
+        for &(idx, ..) in &joins {
+            self.set_label(idx, label);
+        }
+        let bottom_up = chain.iter().zip(joins.into_iter().rev()).zip(modes);
+        for ((node, (_, m, build_op)), estimation) in bottom_up {
+            cur = self.join_operator(node, build_op, cur, estimation, m, agg_pushdown.take())?;
+        }
+        Ok(cur)
     }
 
     /// Instantiate the hash or sort-merge join of plan node `join` over its
@@ -720,70 +699,6 @@ impl Compiler<'_> {
             hj = hj.with_agg_pushdown(tracker, to_agg);
         }
         Ok(Box::new(hj))
-    }
-
-    /// Compile a chain of ≥2 hash or merge joins as one Algorithm-1
-    /// pipeline. `chain` is bottom-up: `chain[0]` is the lowest join.
-    fn compile_join_chain(
-        &mut self,
-        chain: &[&LogicalPlan],
-        algo: JoinAlgo,
-        pipeline: usize,
-    ) -> QResult<BoxedOp> {
-        // Resolve the probe-attribute source of each join through column
-        // provenance (join output schema = build ++ probe).
-        let mut specs = Vec::with_capacity(chain.len());
-        for (j, node) in chain.iter().enumerate() {
-            let Node::Join { condition, .. } = &node.node else {
-                return Err(QError::internal("join chain contains a non-join"));
-            };
-            let (build_key, probe_key) = equi_keys(condition)?;
-            specs.push(JoinSpec {
-                build_attr_col: build_key,
-                probe_attr: resolve_attr_source(chain, j, probe_key),
-            });
-        }
-        let lowest_probe = join_probe_child(chain[0]);
-        let probe_size = lowest_probe.estimate.round() as u64;
-        // Validate the pipeline shape BEFORE registering any operators so a
-        // fallback leaves no stray metrics behind.
-        let estimator = PipelineEstimator::new(specs, probe_size)?;
-
-        let mut join_indices = Vec::with_capacity(chain.len());
-        let metrics: Vec<Arc<OpMetrics>> = chain
-            .iter()
-            .map(|node| {
-                let (idx, m) = self.register_idx(join_op_name(algo), node.estimate, pipeline);
-                join_indices.push(idx);
-                m
-            })
-            .collect();
-        for &idx in &join_indices {
-            self.set_label(idx, "pipeline");
-        }
-        let modes = JoinEstimation::pipeline(estimator, metrics.clone());
-
-        let lowest_probe_idx = self.registry.len();
-        let mut cur: BoxedOp = self.compile(lowest_probe, pipeline)?;
-        let lowest_probe_idx = self.chain_root.take().unwrap_or(lowest_probe_idx);
-        self.op_inputs[join_indices[0]].push(lowest_probe_idx);
-        for ((j, node), estimation) in chain.iter().enumerate().zip(modes) {
-            let Node::Join { build, .. } = &node.node else {
-                unreachable!("validated above");
-            };
-            let build_pipeline = self.pipelines.new_pipeline();
-            let build_op = self.compile_child(join_indices[j], build, build_pipeline)?;
-            if j > 0 {
-                self.op_inputs[join_indices[j]].push(join_indices[j - 1]);
-            }
-            let metrics = Arc::clone(&metrics[j]);
-            cur = self.join_operator(node, build_op, cur, estimation, metrics, None)?;
-        }
-        // Joins were registered bottom-up, so this subtree's root operator
-        // is the LAST chain index, not the first one registered — leave it
-        // for the caller's op-tree bookkeeping.
-        self.chain_root = Some(*join_indices.last().expect("chain.len() >= 2"));
-        Ok(cur)
     }
 }
 
@@ -976,6 +891,46 @@ fn sorted(mut cols: Vec<usize>) -> Vec<usize> {
     cols
 }
 
+/// The join chain the hash or merge join `top` compiles as, bottom-up
+/// (`[0]` = lowest), with its Algorithm-1 estimator (§4.1.4, §4.1.4.3):
+/// the maximal inner equi-chain below `top` ([`collect_join_chain`]), or
+/// `top` alone when that is empty (a non-inner `top`) or when the
+/// estimator rejects its shape (e.g. two joins drawing probe keys from one
+/// build relation). Every estimation mode compiles the same chain.
+fn join_chain(top: &LogicalPlan) -> QResult<(Vec<&LogicalPlan>, PipelineEstimator)> {
+    let Node::Join { algo, .. } = &top.node else {
+        return Err(QError::internal("join_chain on a non-join node"));
+    };
+    let chain = collect_join_chain(top, *algo);
+    if !chain.is_empty() {
+        match chain_estimator(&chain) {
+            Err(QError::Estimation(_)) => {}
+            estimator => return Ok((chain, estimator?)),
+        }
+    }
+    let chain = vec![top];
+    let estimator = chain_estimator(&chain)?;
+    Ok((chain, estimator))
+}
+
+/// The Algorithm-1 estimator of a bottom-up `chain`, each join's probe key
+/// resolved through column provenance (join output = build ++ probe).
+fn chain_estimator(chain: &[&LogicalPlan]) -> QResult<PipelineEstimator> {
+    let mut specs = Vec::with_capacity(chain.len());
+    for (j, node) in chain.iter().enumerate() {
+        let Node::Join { condition, .. } = &node.node else {
+            return Err(QError::internal("join chain contains a non-join"));
+        };
+        let (build_key, probe_key) = equi_keys(condition)?;
+        specs.push(JoinSpec {
+            build_attr_col: build_key,
+            probe_attr: resolve_attr_source(chain, j, probe_key),
+        });
+    }
+    let probe_size = join_probe_child(chain[0]).estimate.round() as u64;
+    PipelineEstimator::new(specs, probe_size)
+}
+
 /// Collect the maximal chain of inner equi-joins of one algorithm
 /// connected through probe children, returned bottom-up (`[0]` = lowest).
 fn collect_join_chain(top: &LogicalPlan, chain_algo: JoinAlgo) -> Vec<&LogicalPlan> {
@@ -1148,22 +1103,77 @@ mod tests {
             .unwrap()
     }
 
-    fn run_all_modes(plan: &LogicalPlan) -> Vec<usize> {
-        EstimationMode::ALL
-            .iter()
-            .map(|&mode| {
-                let mut q = compile(plan, &PhysicalOptions::with_mode(mode)).unwrap();
-                q.collect().unwrap().len()
-            })
-            .collect()
+    /// Registry names, pipelines, operator inputs and optimizer estimates.
+    type Layout = (Vec<String>, Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<f64>);
+
+    /// The layout `plan` compiles to under `mode`, and its rows unsorted,
+    /// which pin the scan samples.
+    fn layout_and_rows(plan: &LogicalPlan, mode: EstimationMode) -> (Layout, Vec<String>) {
+        let mut q = compile(plan, &PhysicalOptions::with_mode(mode)).unwrap();
+        let rows = q.collect().unwrap().iter().map(|r| r.to_string()).collect();
+        let names = q.registry().iter().map(|(n, _)| n.to_string()).collect();
+        let layout = (
+            names,
+            q.pipelines().groups().to_vec(),
+            q.op_inputs().to_vec(),
+            q.initial_estimates().to_vec(),
+        );
+        (layout, rows)
     }
 
     #[test]
     fn results_identical_across_modes() {
+        // One plan compiles to one layout and reads the same scan samples
+        // in every estimation mode.
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b, JoinAlgo::Hash);
-        let counts = run_all_modes(&plan);
-        assert!(counts.iter().all(|&c| c == 2000), "{counts:?}");
+        let tpch = PlanBuilder::new(tpch_catalog());
+        for (name, plan) in [
+            ("hash", two_join_plan(&b, JoinAlgo::Hash)),
+            ("merge", two_join_plan(&b, JoinAlgo::Merge)),
+            ("rejected chain", shared_source_plan(&b)),
+            ("q8", q8(&tpch)),
+        ] {
+            let (layout, rows) = layout_and_rows(&plan, EstimationMode::Off);
+            assert!(!rows.is_empty(), "{name}");
+            if name != "q8" {
+                assert_eq!(rows.len(), 2000, "{name}");
+            }
+            for mode in EstimationMode::ALL {
+                let (l, r) = layout_and_rows(&plan, mode);
+                assert_eq!(l, layout, "{name} {mode:?}");
+                assert_eq!(r, rows, "{name} {mode:?}");
+            }
+        }
+    }
+
+    /// n2 ⋈ (region ⋈ (nation ⋈ customer)): both upper joins probe with
+    /// keys of `nation`, the lowest build relation, which one Algorithm-1
+    /// estimator cannot fold.
+    fn shared_source_plan(b: &PlanBuilder) -> LogicalPlan {
+        let n2 = b.scan("nation").unwrap().with_alias("n2");
+        two_join_plan(b, JoinAlgo::Hash)
+            .hash_join(n2, "n2.nationkey", "nation.nationkey")
+            .unwrap()
+    }
+
+    #[test]
+    fn a_chain_the_estimator_rejects_compiles_its_top_join_alone() {
+        // The top join compiles as a one-join chain over the two-join chain
+        // below it; its layout and rows are every mode's
+        // (`results_identical_across_modes`).
+        let b = PlanBuilder::new(catalog());
+        let plan = shared_source_plan(&b);
+        let mut q = compile(&plan, &PhysicalOptions::with_mode(EstimationMode::Once)).unwrap();
+        assert_eq!(collect_join_chain(q.plan(), JoinAlgo::Hash).len(), 3);
+        assert_eq!(join_chain(q.plan()).unwrap().0.len(), 1);
+        assert_eq!(q.collect().unwrap().len(), 2000);
+        let joins = q.registry().iter().enumerate();
+        let joins: Vec<_> = joins.filter(|(_, (n, _))| *n == "hash_join").collect();
+        assert_eq!(joins.len(), 3);
+        for (i, (_, m)) in joins {
+            assert_eq!(q.estimator_labels()[i], "pipeline");
+            assert_eq!(m.estimated_total(), m.emitted() as f64, "join {i}");
+        }
     }
 
     #[test]
@@ -1275,12 +1285,15 @@ mod tests {
     #[test]
     fn pipelines_are_decomposed() {
         let b = PlanBuilder::new(catalog());
-        let plan = two_join_plan(&b, JoinAlgo::Hash);
-        let q = compile(&plan, &PhysicalOptions::default()).unwrap();
-        // root pipeline + one per build side = 3
-        assert_eq!(q.pipelines().len(), 3);
-        let tracker = q.tracker();
-        assert_eq!(tracker.fraction(), 0.0);
+        // root pipeline + one per build side = 3; a merge join blocks its
+        // probe side too, so a merge chain has 5.
+        for (algo, pipelines) in [(JoinAlgo::Hash, 3), (JoinAlgo::Merge, 5)] {
+            let plan = two_join_plan(&b, algo);
+            let q = compile(&plan, &PhysicalOptions::default()).unwrap();
+            assert_eq!(q.pipelines().len(), pipelines, "{algo:?}");
+            let tracker = q.tracker();
+            assert_eq!(tracker.fraction(), 0.0);
+        }
     }
 
     #[test]
@@ -1790,15 +1803,20 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn q8_chain_estimates_are_exact_and_identical_over_split_pruned_scans() {
+    /// A small TPC-H database with Zipf-1 foreign keys.
+    fn tpch_catalog() -> Catalog {
         use qprog_datagen::{TpchConfig, TpchGenerator};
         let config = TpchConfig {
             scale: 0.002,
             skew: 1.0,
             seed: 5,
         };
-        let b = PlanBuilder::new(TpchGenerator::new(config).catalog().unwrap());
+        TpchGenerator::new(config).catalog().unwrap()
+    }
+
+    #[test]
+    fn q8_chain_estimates_are_exact_and_identical_over_split_pruned_scans() {
+        let b = PlanBuilder::new(tpch_catalog());
         let plan = q8(&b);
         let run = |threads| {
             let opts = PhysicalOptions {
@@ -1815,9 +1833,9 @@ mod tests {
             for m in &chain {
                 assert_eq!(m.estimated_total(), m.emitted() as f64, "threads={threads}");
             }
-            // The chain registers bottom-up: its lowest join drains the
-            // pruned lineitem scan.
-            let workers = chain[0].workers();
+            // The chain registers top-down: its lowest join, the last one
+            // registered, drains the pruned lineitem scan.
+            let workers = chain[6].workers();
             let bits: Vec<u64> = chain
                 .iter()
                 .map(|m| m.estimated_total().to_bits())
@@ -1887,10 +1905,10 @@ mod merge_chain_tests {
         while q.step().unwrap().is_some() {
             counts[0] += 1;
         }
-        // chain metrics register bottom-up: totals[0] is the lower join
-        // (800·20 = 16_000 rows), totals[1] the upper (×20 again)
-        assert_eq!(totals[0], 16_000.0);
-        assert_eq!(totals[1], 320_000.0);
+        // chain metrics register top-down: totals[1] is the lower join
+        // (800·20 = 16_000 rows), totals[0] the upper (×20 again)
+        assert_eq!(totals[1], 16_000.0);
+        assert_eq!(totals[0], 320_000.0);
         assert_eq!(counts[0], 320_000);
     }
 
