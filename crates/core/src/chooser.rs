@@ -6,8 +6,6 @@
 //! the observed group frequencies — incrementally maintainable, hence
 //! cheap — and thresholds it at `τ = 10`: `γ² < τ → MLE`, else GEE.
 
-use crate::freq_hist::FreqHist;
-
 /// The paper's empirically chosen threshold `τ` on `γ²`.
 pub const DEFAULT_TAU: f64 = 10.0;
 
@@ -40,15 +38,10 @@ pub fn choose_estimator(gamma_squared: f64, tau: f64) -> EstimatorChoice {
     }
 }
 
-/// Choose an estimator directly from a frequency histogram with the paper's
-/// default threshold.
-pub fn choose_for_histogram(hist: &FreqHist) -> EstimatorChoice {
-    choose_estimator(hist.gamma_squared(), DEFAULT_TAU)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freq_hist::FreqHist;
     use qprog_types::Key;
 
     #[test]
@@ -65,7 +58,10 @@ mod tests {
         for i in 0..10_000 {
             h.observe(&Key::Int(i % 500));
         }
-        assert_eq!(choose_for_histogram(&h), EstimatorChoice::Mle);
+        assert_eq!(
+            choose_estimator(h.gamma_squared(), DEFAULT_TAU),
+            EstimatorChoice::Mle
+        );
     }
 
     #[test]
@@ -79,7 +75,10 @@ mod tests {
             h.observe(&Key::Int(i));
         }
         assert!(h.gamma_squared() > DEFAULT_TAU);
-        assert_eq!(choose_for_histogram(&h), EstimatorChoice::Gee);
+        assert_eq!(
+            choose_estimator(h.gamma_squared(), DEFAULT_TAU),
+            EstimatorChoice::Gee
+        );
     }
 
     #[test]

@@ -171,6 +171,18 @@ impl PowerSums {
         self.sum_sq = self.sum_sq.saturating_add(x as u128 * x as u128);
     }
 
+    /// [`push_u64`](Self::push_u64) of every `x` of `xs`, each below 2³²
+    /// (fewer than 2³² of them): no square or sum can saturate, so the loop
+    /// is plain additions.
+    pub fn push_small(&mut self, xs: impl ExactSizeIterator<Item = u64>) {
+        self.n += xs.len() as u64;
+        let (sum, sum_sq) = xs.fold((0u128, 0u128), |(s, q), x| {
+            debug_assert!(x < 1 << 32);
+            (s + u128::from(x), q + u128::from(x * x))
+        });
+        self.merge(&PowerSums { n: 0, sum, sum_sq });
+    }
+
     /// Fold in `k` observations of zero, which move only `n`.
     pub(crate) fn push_zeros(&mut self, k: u64) {
         self.n += k;
@@ -309,6 +321,20 @@ mod tests {
         wide.push(u128::MAX);
         assert_eq!(wide.sum(), u128::MAX);
         assert!(wide.variance() >= 0.0);
+    }
+
+    #[test]
+    fn push_small_is_push_u64_of_each() {
+        let xs = [0u64, 1, 7, u32::MAX as u64, 3, u32::MAX as u64];
+        let mut small = sums_of(&[5, 9]);
+        small.push_small(xs.iter().copied());
+        assert_eq!(
+            small,
+            sums_of(&[5, 9, 0, 1, 7, u32::MAX as u64, 3, u32::MAX as u64])
+        );
+        let mut empty = PowerSums::default();
+        empty.push_small(std::iter::empty());
+        assert_eq!(empty, PowerSums::default());
     }
 
     #[test]

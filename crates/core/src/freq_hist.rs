@@ -14,7 +14,9 @@
 //! *lightweight*. Memory accounting (`memory_used` / `memory_allocated`)
 //! reproduces the bookkeeping of the paper's Table 2.
 
-use qprog_types::{Key, QError, QResult, Value};
+use std::ops::Range;
+
+use qprog_types::{Column, Key, QError, QResult};
 
 use crate::fx::FxHashMap;
 
@@ -126,8 +128,9 @@ impl FreqHist {
                         slots.push(n);
                         return 0;
                     }
-                    if k >= *lo && ((k - *lo) as u64) < slots.len() as u64 {
-                        let slot = &mut slots[(k - *lo) as usize];
+                    let off = k.wrapping_sub(*lo) as u64;
+                    if k >= *lo && off < slots.len() as u64 {
+                        let slot = &mut slots[off as usize];
                         let before = *slot;
                         *slot += n;
                         return before;
@@ -207,7 +210,8 @@ impl FreqHist {
     pub(crate) fn transition(&mut self, before: u64, n: u64) {
         let after = before + n;
         self.total += n;
-        self.sum_sq += (after as u128) * (after as u128) - (before as u128) * (before as u128);
+        // after² − before², with one narrow product instead of two squares.
+        self.sum_sq += u128::from(n) * (u128::from(before) + u128::from(after));
         if before == 0 {
             self.distinct += 1;
         } else if before < DENSE_CLASSES {
@@ -233,25 +237,38 @@ impl FreqHist {
         self.max_freq = self.max_freq.max(after);
     }
 
-    /// Record every non-NULL key of a column: `weights[r]` occurrences of
-    /// `keys[r]` (one each when `weights` is `None`; zero weights are
-    /// skipped) — the column-at-a-time form of [`observe_n`](Self::observe_n)
-    /// the build side of a join feeds a whole batch through. A DOUBLE value
-    /// raises the same type error as [`Key::from_value`].
-    pub fn observe_column(&mut self, keys: &[Value], weights: Option<&[u64]>) -> QResult<()> {
-        if weights.is_some_and(|w| w.len() != keys.len()) {
+    /// [`observe_n`](Self::observe_n) of every non-NULL cell of rows `rows`
+    /// of `col`, `weights[i]` times the `i`-th (once each when `None`): the
+    /// build side of a join. A DOUBLE lane is the [`Key::check_type`] error.
+    pub fn observe_column(
+        &mut self,
+        col: &Column,
+        rows: Range<usize>,
+        weights: Option<&[u64]>,
+    ) -> QResult<()> {
+        Key::check_type(col.data_type())?;
+        if weights.is_some_and(|w| w.len() != rows.len()) {
             return Err(QError::internal("observe_column: one weight per key"));
         }
-        for (r, v) in keys.iter().enumerate() {
-            let key = match v {
-                Value::Null => continue,
-                Value::Int64(k) => Key::Int(*k),
-                other => Key::from_value(other)?,
-            };
-            let n = weights.map_or(1, |w| w[r]);
-            if n > 0 {
-                self.observe_n(&key, n);
+        let ints = col.ints();
+        for (i, r) in rows.enumerate() {
+            let n = weights.map_or(1, |w| w[i]);
+            if n == 0 || !col.is_valid(r) {
+                continue;
             }
+            // A BIGINT cell inside the dense lane is counted in place; any
+            // other cell takes `bump`'s lane selection, growth and spill.
+            let slot = match (&mut self.counts, ints) {
+                (CountLane::Dense { lo, slots }, Some(v)) => {
+                    slots.get_mut(v[r].wrapping_sub(*lo) as usize)
+                }
+                _ => None,
+            };
+            let before = match slot {
+                Some(slot) => std::mem::replace(slot, *slot + n),
+                None => self.bump(&col.key(r), n),
+            };
+            self.transition(before, n);
         }
         Ok(())
     }
@@ -267,33 +284,33 @@ impl FreqHist {
         }
     }
 
-    /// Column-at-a-time [`count`](Self::count): `out[r] = N_i` of `col[r]`,
-    /// 0 for NULL (NULL keys never equi-join), read and written at the rows
-    /// of `sel` only (all rows when `None`; a selected row past the column
-    /// panics). The lane is resolved once per column, so on the dense lane a
-    /// row costs one bounds-checked array read. A DOUBLE value raises the
-    /// same type error as [`Key::from_value`].
+    /// `out[i]` = [`count`](Self::count) of the `i`-th of rows `rows` of
+    /// `col` (0 for NULL), at the positions of `sel` only (all when `None`).
+    /// The lane is resolved once per column: on the dense lane a BIGINT cell
+    /// costs one array read. A DOUBLE lane is the [`Key::check_type`] error.
     pub fn counts_of_column(
         &self,
-        col: &[Value],
+        col: &Column,
+        rows: Range<usize>,
         sel: Option<&[u32]>,
         out: &mut [u64],
     ) -> QResult<()> {
-        if col.len() != out.len() {
+        Key::check_type(col.data_type())?;
+        if rows.len() != out.len() {
             return Err(QError::internal("counts_of_column: one slot per row"));
         }
-        match &self.counts {
-            CountLane::Dense { lo, slots } => fill_counts(col, sel, out, |v| match v {
-                Value::Int64(k) => Ok(dense_count(*lo, slots, *k)),
-                Value::Null => Ok(0),
-                // Only integers live on the dense lane.
-                other => Key::from_value(other).map(|_| 0),
-            }),
-            CountLane::Map(map) => fill_counts(col, sel, out, |v| match v {
-                Value::Null => Ok(0),
-                other => Ok(map.get(&Key::from_value(other)?).copied().unwrap_or(0)),
+        let start = rows.start;
+        match (&self.counts, col.ints()) {
+            (CountLane::Dense { lo, slots }, Some(v)) => {
+                fill_counts(col, start, sel, out, |r| dense_count(*lo, slots, v[r]))
+            }
+            // Only integers live on the dense lane.
+            (CountLane::Dense { .. }, _) => fill_counts(col, start, sel, out, |_| 0),
+            (CountLane::Map(map), _) => fill_counts(col, start, sel, out, |r| {
+                map.get(&col.key(r)).copied().unwrap_or(0)
             }),
         }
+        Ok(())
     }
 
     /// Total observations `t`.
@@ -432,23 +449,19 @@ fn dense_count(lo: i64, slots: &[u64], k: i64) -> u64 {
     }
 }
 
-/// `out[r] = count(col[r])` at the rows of `sel` (all when `None`): one loop
-/// per count lane, with the lane's lookup inlined.
+/// `out[i] = count(start + i)`, 0 for NULL, at the positions of `sel` (all
+/// when `None`): one loop per count lane, its lookup inlined.
 fn fill_counts(
-    col: &[Value],
+    col: &Column,
+    start: usize,
     sel: Option<&[u32]>,
     out: &mut [u64],
-    count: impl Fn(&Value) -> QResult<u64>,
-) -> QResult<()> {
+    count: impl Fn(usize) -> u64,
+) {
+    let at = |i: usize| u64::from(col.is_valid(start + i)) * count(start + i);
     match sel {
-        None => col
-            .iter()
-            .zip(out)
-            .try_for_each(|(v, o)| count(v).map(|c| *o = c)),
-        Some(rows) => rows.iter().try_for_each(|&r| {
-            let r = r as usize;
-            count(&col[r]).map(|c| out[r] = c)
-        }),
+        None => out.iter_mut().enumerate().for_each(|(i, o)| *o = at(i)),
+        Some(sel) => sel.iter().for_each(|&i| out[i as usize] = at(i as usize)),
     }
 }
 
@@ -465,6 +478,7 @@ impl<'a> FromIterator<&'a Key> for FreqHist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qprog_types::{DataType, Value};
 
     fn hist_of(keys: &[i64]) -> FreqHist {
         let mut h = FreqHist::new();
@@ -723,87 +737,88 @@ mod tests {
         );
     }
 
+    /// A column of `cells`, and its length.
+    fn lane(ty: DataType, cells: &[Value]) -> (Column, usize) {
+        let mut col = Column::with_capacity(ty, cells.len());
+        cells.iter().for_each(|v| col.push(v.clone()).unwrap());
+        (col, cells.len())
+    }
+
     #[test]
     fn column_kernels_match_per_key_calls_on_both_lanes() {
-        let col = [
-            Value::Int64(5),
-            Value::Null,
-            Value::Int64(-2),
-            Value::Int64(5),
-            Value::str("s"),
-            Value::Int64(i64::MAX),
-            Value::Int64(i64::MIN),
-            Value::Bool(true),
-        ];
-        let ints = [
-            Value::Int64(5),
-            Value::Null,
-            Value::Int64(-2),
-            Value::Int64(5),
+        let (ints, _) = lane(
+            DataType::Int64,
+            &[5, 0, -2, 5, i64::MAX, i64::MIN].map(|k| match k {
+                0 => Value::Null,
+                k => Value::Int64(k),
+            }),
+        );
+        let others = [
+            lane(
+                DataType::Utf8,
+                &[Value::str("s"), Value::Null, Value::str("s")],
+            ),
+            lane(DataType::Bool, &[Value::Bool(true), Value::Bool(false)]),
+            lane(DataType::Null, &[Value::Null, Value::Null]),
         ];
         let mut dense = FreqHist::new();
-        dense.observe_column(&ints, None).unwrap();
+        dense.observe_column(&ints, 0..4, None).unwrap();
         let mut map = FreqHist::new();
-        map.observe_column(&col, None).unwrap();
+        map.observe_column(&ints, 0..6, None).unwrap();
+        for (col, n) in &others {
+            map.observe_column(col, 0..*n, None).unwrap();
+        }
         assert_eq!((dense.total(), dense.distinct()), (3, 2)); // NULL skipped
-        assert_eq!((map.total(), map.distinct()), (7, 6));
+        assert_eq!((map.total(), map.distinct()), (9, 7));
         for h in [&dense, &map] {
-            let mut out = [u64::MAX; 8];
-            h.counts_of_column(&col, None, &mut out).unwrap();
-            for (v, n) in col.iter().zip(out) {
-                let key = Key::from_value(v).unwrap();
-                let expect = if key.is_null() { 0 } else { h.count(&key) };
-                assert_eq!(n, expect, "{v:?}");
-            }
-            // A selection fills only its rows, with the same counts.
-            let mut picked = [u64::MAX; 8];
-            h.counts_of_column(&col, Some(&[0, 3, 4]), &mut picked)
-                .unwrap();
-            for (r, n) in picked.into_iter().enumerate() {
-                let expect = if [0, 3, 4].contains(&r) {
-                    out[r]
-                } else {
-                    u64::MAX
-                };
-                assert_eq!(n, expect, "row {r}");
+            for (col, n) in others.iter().chain([&(ints.clone(), 6)]) {
+                let n = *n;
+                let mut out = vec![u64::MAX; n - 1];
+                h.counts_of_column(col, 1..n, None, &mut out).unwrap();
+                for (r, got) in (1..n).zip(&out) {
+                    let key = Key::from_value(&col.value(r)).unwrap();
+                    let expect = if key.is_null() { 0 } else { h.count(&key) };
+                    assert_eq!(*got, expect, "{key:?}");
+                }
+                // A selection fills only its positions, with the same counts.
+                let mut picked = vec![u64::MAX; n - 1];
+                h.counts_of_column(col, 1..n, Some(&[0]), &mut picked)
+                    .unwrap();
+                assert_eq!(picked[0], out[0]);
+                assert!(picked[1..].iter().all(|&c| c == u64::MAX));
             }
         }
         // Weighted observe is observe_n per row; zero weights are skipped.
         let mut weighted = FreqHist::new();
-        weighted.observe_column(&ints, Some(&[2, 9, 0, 3])).unwrap();
+        weighted
+            .observe_column(&ints, 0..4, Some(&[2, 9, 0, 3]))
+            .unwrap();
         assert_eq!(weighted.count(&Key::Int(5)), 5);
         assert_eq!((weighted.total(), weighted.distinct()), (5, 1));
         assert_eq!(weighted.sum_squared_counts(), 25);
     }
 
     #[test]
-    fn column_kernels_reject_double_keys_and_ragged_slices() {
-        let doubles = [Value::Int64(1), Value::Float64(1.5)];
-        let expect = Key::from_value(&doubles[1]).unwrap_err();
+    fn column_kernels_reject_double_lanes_and_ragged_slices() {
+        let (doubles, _) = lane(DataType::Float64, &[Value::Float64(1.5), Value::Null]);
+        let expect = Key::from_value(&Value::Float64(1.5)).unwrap_err();
         let mut dense = FreqHist::new();
         dense.observe(&Key::Int(1));
         let mut map = dense.clone();
         map.observe(&Key::from("force-map-lane"));
         for h in [&dense, &map] {
-            assert_eq!(
-                h.counts_of_column(&doubles, None, &mut [0; 2]),
-                Err(expect.clone())
-            );
-            // Only selected cells are read: the DOUBLE is an error exactly
-            // when its row is selected.
-            assert_eq!(
-                h.counts_of_column(&doubles, Some(&[1]), &mut [0; 2]),
-                Err(expect.clone())
-            );
-            assert!(h
-                .counts_of_column(&doubles, Some(&[0]), &mut [0; 2])
-                .is_ok());
-            assert!(h
-                .counts_of_column(&doubles[..1], None, &mut [0; 2])
-                .is_err());
+            // The lane type is rejected, whichever cells are read.
+            for (rows, sel) in [(0..2, None), (1..2, None), (0..2, Some(&[1u32][..]))] {
+                let mut out = vec![0; rows.len()];
+                let got = h.counts_of_column(&doubles, rows, sel, &mut out);
+                assert_eq!(got, Err(expect.clone()));
+            }
+            let (ints, _) = lane(DataType::Int64, &[Value::Int64(1)]);
+            assert!(h.counts_of_column(&ints, 0..1, None, &mut [0; 2]).is_err());
         }
-        assert_eq!(dense.observe_column(&doubles, None), Err(expect));
-        assert!(dense.observe_column(&doubles[..1], Some(&[1, 1])).is_err());
+        assert_eq!(dense.observe_column(&doubles, 1..2, None), Err(expect));
+        let (ints, _) = lane(DataType::Int64, &[Value::Int64(1)]);
+        assert!(dense.observe_column(&ints, 0..1, Some(&[1, 1])).is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! [`PipelineEstimator`](crate::pipeline_est::PipelineEstimator), whose
 //! kernel folds the same `(t, Σc, Σc²)`; this type is the per-row reference.
 
-use qprog_types::{Key, QResult, Value};
+use std::ops::Range;
+
+use qprog_types::{Column, Key, QResult};
 
 use crate::confidence::{scale_sum, ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
@@ -128,14 +130,19 @@ impl OnceJoinEstimator {
         n
     }
 
-    /// Observe a column of probe-side join keys, in order, and return their
-    /// build-side multiplicities (one per row, NULL keys 0) — the batch
-    /// form of [`observe_probe`](Self::observe_probe), leaving the same
-    /// state as observing the rows one by one. A DOUBLE key raises the
-    /// type error of [`Key::from_value`] and observes nothing.
-    pub fn observe_probe_batch(&mut self, keys: &[Value]) -> QResult<&[u64]> {
+    /// Observe the probe-side join keys at rows `rows` of `keys`, in order,
+    /// and return their build-side multiplicities (one per row, NULL keys
+    /// 0) — the batch form of [`observe_probe`](Self::observe_probe),
+    /// leaving the same state as observing the rows one by one. A DOUBLE
+    /// lane is the [`Key::check_type`] error and observes nothing.
+    pub fn observe_probe_batch(&mut self, keys: &Column, rows: Range<usize>) -> QResult<&[u64]> {
+        self.counts.resize(rows.len(), 0);
+        self.build
+            .counts_of_column(keys, rows, None, &mut self.counts)?;
         let mut fragment = ProbeFragment::new();
-        fragment.observe_batch(&self.build, self.kind, keys, &mut self.counts)?;
+        for &n in &self.counts {
+            fragment.0.push_u64(self.kind.contribution(n));
+        }
         self.totals.absorb(&fragment);
         Ok(&self.counts)
     }
@@ -266,25 +273,6 @@ impl ProbeFragment {
         let n = if key.is_null() { 0 } else { build.count(key) };
         self.0.push_u64(kind.contribution(n));
         n
-    }
-
-    /// Observe a column of probe-side join keys against the shared build
-    /// histogram, in order, leaving their build-side multiplicities in
-    /// `counts` (resized to one per row). A DOUBLE key raises the type
-    /// error of [`Key::from_value`] and observes nothing.
-    pub fn observe_batch(
-        &mut self,
-        build: &FreqHist,
-        kind: JoinKind,
-        keys: &[Value],
-        counts: &mut Vec<u64>,
-    ) -> QResult<()> {
-        counts.resize(keys.len(), 0);
-        build.counts_of_column(keys, None, counts)?;
-        for &n in counts.iter() {
-            self.0.push_u64(kind.contribution(n));
-        }
-        Ok(())
     }
 
     /// Probe tuples this fragment has observed.

@@ -35,7 +35,7 @@
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
-use qprog_types::{QError, QResult, Row, Value};
+use qprog_types::{QError, QResult, Row, RowBatch};
 
 use crate::confidence::{ConfidenceInterval, PowerSums};
 use crate::freq_hist::FreqHist;
@@ -191,18 +191,6 @@ pub struct PipelineEstimator {
     probing: PipelineProbeFragment,
 }
 
-/// Column `c` of a column-major batch, cut to `rows`.
-fn batch_col(cols: &[Vec<Value>], c: usize, rows: Range<usize>) -> QResult<&[Value]> {
-    cols.get(c)
-        .and_then(|col| col.get(rows.clone()))
-        .ok_or_else(|| {
-            QError::internal(format!(
-                "column {c} rows {rows:?} out of bounds for batch of arity {}",
-                cols.len()
-            ))
-        })
-}
-
 impl PipelineEstimator {
     /// Create an estimator for a pipeline of `specs.len()` joins driven by a
     /// probe stream of (known or estimated) size `probe_size`.
@@ -341,23 +329,11 @@ impl PipelineEstimator {
     /// Feed one build tuple of the current build relation (a one-row
     /// [`build_batch`](Self::build_batch)).
     pub fn build_tuple(&mut self, join: usize, row: &Row) -> QResult<()> {
-        self.build_wrapped(join, |est, fragment| {
-            est.build_kernel(fragment, |c| row.get(c).map(std::slice::from_ref))
-        })
+        self.build_batch(join, &RowBatch::from(row))
     }
 
-    /// Feed the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// the current build relation, column at a time.
-    pub fn build_batch(&mut self, join: usize, cols: &[Vec<Value>], n: usize) -> QResult<()> {
-        self.build_wrapped(join, |est, fragment| est.build_into(fragment, cols, n))
-    }
-
-    /// Run `kernel` on the current build's own fragment.
-    fn build_wrapped(
-        &mut self,
-        join: usize,
-        kernel: impl FnOnce(&Self, &mut PipelineBuildFragment) -> QResult<()>,
-    ) -> QResult<()> {
+    /// Feed a batch of the current build relation, column at a time.
+    pub fn build_batch(&mut self, join: usize, batch: &RowBatch) -> QResult<()> {
         let mut fragment = match self.building.take() {
             Some(fragment) if fragment.join == join => fragment,
             other => {
@@ -365,28 +341,18 @@ impl PipelineEstimator {
                 self.build_fragment(join)?
             }
         };
-        let observed = kernel(self, &mut fragment);
+        let observed = self.build_into(&mut fragment, batch);
         self.building = Some(fragment);
         observed
     }
 
-    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// a build relation into one worker's `fragment`. The phase check and
-    /// the `core/pipeline/build_tuple` failpoint run once per batch.
+    /// Observe a batch of a build relation into one worker's `fragment`.
+    /// The phase check and the `core/pipeline/build_tuple` failpoint run
+    /// once per batch.
     pub fn build_into(
         &self,
         fragment: &mut PipelineBuildFragment,
-        cols: &[Vec<Value>],
-        n: usize,
-    ) -> QResult<()> {
-        self.build_kernel(fragment, |c| batch_col(cols, c, 0..n))
-    }
-
-    /// The build-side kernel; `col_of(c)` yields column `c` of the batch.
-    fn build_kernel<'a>(
-        &self,
-        fragment: &mut PipelineBuildFragment,
-        col_of: impl Fn(usize) -> QResult<&'a [Value]>,
+        batch: &RowBatch,
     ) -> QResult<()> {
         qprog_fault::fail_point!("core/pipeline/build_tuple");
         let join = fragment.join;
@@ -396,22 +362,27 @@ impl PipelineEstimator {
                 self.phase
             )));
         }
-        let build_keys = col_of(self.specs[join].build_attr_col)?;
+        let rows = 0..batch.len();
+        let build_keys = batch.col(self.specs[join].build_attr_col);
         // Translate pending upper histograms (Case 2 fold): each build
         // tuple adds the upper count of its carried key under its build
         // key. NULL carried keys count 0 and NULL build keys are skipped.
-        fragment.lanes.resize(build_keys.len(), 0);
+        fragment.lanes.resize(rows.len(), 0);
         for (u, new_hist) in &mut fragment.pending {
             let AttrSource::Build { col, .. } = self.states[*u].source else {
                 unreachable!("pending entries are Build-sourced by construction");
             };
-            self.states[*u]
-                .hist
-                .counts_of_column(col_of(col)?, None, &mut fragment.lanes)?;
-            new_hist.observe_column(build_keys, Some(&fragment.lanes))?;
+            let carried = batch.col(col);
+            self.states[*u].hist.counts_of_column(
+                carried,
+                rows.clone(),
+                None,
+                &mut fragment.lanes,
+            )?;
+            new_hist.observe_column(build_keys, rows.clone(), Some(&fragment.lanes))?;
         }
         // Raw count for this join's own histogram.
-        fragment.own.observe_column(build_keys, None)
+        fragment.own.observe_column(build_keys, rows, None)
     }
 
     /// Heap bytes of the current build's histograms folded in so far.
@@ -524,48 +495,21 @@ impl PipelineEstimator {
     }
 
     /// Observe one tuple of the lowest probe stream; updates every join's
-    /// estimate (a one-row [`observe_probe_batch`](Self::observe_probe_batch);
-    /// it allocates nothing once the scratch has grown).
+    /// estimate (a one-row [`observe_probe_batch`](Self::observe_probe_batch)).
     pub fn observe_probe(&mut self, row: &Row) -> QResult<()> {
-        self.probe_wrapped(|est, fragment| {
-            est.probe_kernel(fragment, 1, |c| row.get(c).map(std::slice::from_ref))
-        })
+        self.observe_probe_batch(&RowBatch::from(row))
     }
 
-    /// Observe the first `n` rows of a column-major batch (`cols[c][r]`) of
-    /// the lowest probe stream; updates every join's estimate.
-    pub fn observe_probe_batch(&mut self, cols: &[Vec<Value>], n: usize) -> QResult<()> {
-        self.probe_wrapped(|est, fragment| est.probe_into(fragment, cols, 0..n))
-    }
-
-    /// Run `kernel` on the row and batch methods' fragment, then fold it.
-    fn probe_wrapped(
-        &mut self,
-        kernel: impl FnOnce(&Self, &mut PipelineProbeFragment) -> QResult<()>,
-    ) -> QResult<()> {
+    /// Observe a batch of the lowest probe stream; updates every join's
+    /// estimate.
+    pub fn observe_probe_batch(&mut self, batch: &RowBatch) -> QResult<()> {
         let mut fragment = std::mem::take(&mut self.probing);
-        let observed = kernel(self, &mut fragment);
+        let observed = self.probe_into(&mut fragment, batch, 0..batch.len());
         if observed.is_ok() {
             drop(self.fold_probe(&mut fragment));
         }
         self.probing = fragment;
         observed
-    }
-
-    /// Observe rows `rows` of a column-major batch (`cols[c][r]`) of the
-    /// lowest probe stream into one worker's `fragment`. This is the hot
-    /// path of the framework: the phase check and the
-    /// `core/pipeline/observe_probe` failpoint run once per call, each
-    /// distinct factor reads its column once at most, and nothing allocates
-    /// once the fragment's scratch has grown to the batch size.
-    pub fn probe_into(
-        &self,
-        fragment: &mut PipelineProbeFragment,
-        cols: &[Vec<Value>],
-        rows: Range<usize>,
-    ) -> QResult<()> {
-        let n = rows.len();
-        self.probe_kernel(fragment, n, |c| batch_col(cols, c, rows.clone()))
     }
 
     /// Fold what `fragment` observed since its last fold into every join's
@@ -588,8 +532,12 @@ impl PipelineEstimator {
             .expect("a probe worker panicked while folding into the totals")
     }
 
-    /// The probe-side kernel; `col_of(c)` yields the `n` values of column
-    /// `c`. It walks the joins bottom-up over the rows still live. Join `u`'s
+    /// Observe rows `rows` of a batch of the lowest probe stream into one
+    /// worker's `fragment`. This is the hot path of the framework: the
+    /// phase check and the `core/pipeline/observe_probe` failpoint run once
+    /// per call, each distinct factor reads its column lane once at most,
+    /// and nothing allocates once the fragment's scratch has grown to the
+    /// batch size. It walks the joins bottom-up over the rows still live. Join `u`'s
     /// contribution `c_u(r)` counts the join-`u` outputs derived from probe
     /// row `r`, each extending a join-`j` output of `r` (`j < u`), so
     /// `c_j(r) = 0` implies `c_u(r) = 0` for every `u > j`: a row is looked
@@ -597,12 +545,13 @@ impl PipelineEstimator {
     /// is the all-rows product's. Join 0 contributes through its
     /// [`JoinKind`]. Nothing is accumulated unless every lane fills without
     /// error.
-    fn probe_kernel<'a>(
+    pub fn probe_into(
         &self,
         fragment: &mut PipelineProbeFragment,
-        n: usize,
-        col_of: impl Fn(usize) -> QResult<&'a [Value]>,
+        batch: &RowBatch,
+        rows: Range<usize>,
     ) -> QResult<()> {
+        let n = rows.len();
         qprog_fault::fail_point!("core/pipeline/observe_probe");
         if self.phase != Phase::Probing {
             return Err(QError::estimation(format!(
@@ -616,7 +565,7 @@ impl PipelineEstimator {
         }
         let PipelineProbeFragment {
             delta,
-            rows,
+            rows: observed,
             lanes,
             live: live_rows,
             batch_sums,
@@ -638,7 +587,7 @@ impl PipelineEstimator {
                 .zip(lanes[filled * n..].chunks_exact_mut(n))
             {
                 let hist = &self.states[w].hist;
-                hist.counts_of_column(col_of(col)?, sel, lane)?;
+                hist.counts_of_column(batch.col(col), rows.clone(), sel, lane)?;
             }
             filled = upto;
             // (2) Its contributions over the live rows; the rows it keeps
@@ -649,8 +598,12 @@ impl PipelineEstimator {
                 // join with a kind: its lane is the product, which fits.
                 let lane = &lanes[i * n..(i + 1) * n];
                 let kind = if u == 0 { self.kind } else { JoinKind::Inner };
-                lane.iter()
-                    .for_each(|&c| sums.push_u64(kind.contribution(c)));
+                let contributions = lane.iter().map(|&c| kind.contribution(c));
+                if self.states[self.uniq_factors[*i].0].hist.max_frequency() < 1 << 32 {
+                    sums.push_small(contributions);
+                } else {
+                    contributions.for_each(|c| sums.push_u64(c));
+                }
                 if u + 1 < self.states.len() {
                     for (r, &c) in lane.iter().enumerate() {
                         live_rows[kept] = r as u32;
@@ -684,7 +637,7 @@ impl PipelineEstimator {
         for (delta, sums) in delta.iter_mut().zip(batch_sums.iter()) {
             delta.0.merge(sums);
         }
-        *rows = n;
+        *observed = n;
         Ok(())
     }
 
@@ -733,7 +686,7 @@ impl PipelineEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qprog_types::row;
+    use qprog_types::{row, DataType, Value};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -1101,11 +1054,45 @@ mod tests {
         assert_eq!(est.estimate(0).round() as u64, 1);
     }
 
-    /// Column-major copy of `rows` (`cols[c][r]`).
-    fn cols_of(rows: &[Row]) -> Vec<Vec<Value>> {
-        (0..rows[0].arity())
-            .map(|c| rows.iter().map(|r| r.values()[c].clone()).collect())
+    /// `rows` as batches of typed lanes, cut wherever a column's type
+    /// changes (NULL fits every lane): a column mixing types is no lane.
+    fn batches_of(rows: &[Row]) -> Vec<RowBatch> {
+        let mut runs: Vec<(Vec<DataType>, Vec<Row>)> = Vec::new();
+        for r in rows {
+            let types = r.values().iter().map(Value::data_type);
+            let fits = |run: &[DataType]| {
+                run.iter()
+                    .zip(types.clone())
+                    .all(|(&a, b)| a == b || a == DataType::Null || b == DataType::Null)
+            };
+            match runs.last_mut().filter(|(run, _)| fits(run)) {
+                Some((run, rows)) => {
+                    for (a, b) in run.iter_mut().zip(types) {
+                        if *a == DataType::Null {
+                            *a = b;
+                        }
+                    }
+                    rows.push(r.clone());
+                }
+                None => runs.push((types.collect(), vec![r.clone()])),
+            }
+        }
+        runs.into_iter()
+            .map(|(types, rows)| {
+                let mut batch = RowBatch::with_capacity(types, rows.len());
+                for r in rows {
+                    batch.push_drain(&mut r.into_values()).unwrap();
+                }
+                batch
+            })
             .collect()
+    }
+
+    /// `rows` of one type per column as one batch.
+    fn batch_of(rows: &[Row]) -> RowBatch {
+        let mut batches = batches_of(rows);
+        assert_eq!(batches.len(), 1);
+        batches.remove(0)
     }
 
     #[test]
@@ -1139,8 +1126,7 @@ mod tests {
                 est.begin_build(j).unwrap();
                 for chunk in builds[j].chunks(builds[j].len().div_ceil(workers)) {
                     let mut fragment = est.build_fragment(j).unwrap();
-                    est.build_into(&mut fragment, &cols_of(chunk), chunk.len())
-                        .unwrap();
+                    est.build_into(&mut fragment, &batch_of(chunk)).unwrap();
                     est.fold_build(fragment);
                 }
                 est.end_build(j).unwrap();
@@ -1149,7 +1135,7 @@ mod tests {
                 .chunks(probe.len().div_ceil(workers))
                 .map(|chunk| {
                     let mut fragment = PipelineProbeFragment::default();
-                    est.probe_into(&mut fragment, &cols_of(chunk), 0..chunk.len())
+                    est.probe_into(&mut fragment, &batch_of(chunk), 0..chunk.len())
                         .unwrap();
                     fragment
                 })
@@ -1387,10 +1373,9 @@ mod tests {
                             expect[u].push(c);
                         }
                     }
-                    let cols: Vec<Vec<Value>> = (0..2)
-                        .map(|c| chunk.iter().map(|r| r.values()[c].clone()).collect())
-                        .collect();
-                    est.observe_probe_batch(&cols, chunk.len()).unwrap();
+                    for batch in batches_of(chunk) {
+                        est.observe_probe_batch(&batch).unwrap();
+                    }
                     for (u, totals) in est.totals().iter().enumerate() {
                         let mut fragment = ProbeFragment::new();
                         fragment.0 = expect[u];

@@ -107,7 +107,7 @@ impl Expr {
     pub fn eval_at(&self, batch: &RowBatch, row: usize) -> QResult<Value> {
         match self {
             Expr::Column(i) => match batch.cols().get(*i) {
-                Some(col) => Ok(col[row].clone()),
+                Some(col) => Ok(col.value(row)),
                 None => Err(QError::internal(format!(
                     "column {i} out of bounds for arity {}",
                     batch.arity()
@@ -283,8 +283,15 @@ mod tests {
 
     /// The one-row batch `[10, 2.5, "abc", true]`.
     fn r() -> RowBatch {
-        let mut b = RowBatch::with_capacity(4, 2);
-        b.push_drain(&mut row![10i64, 2.5, "abc", true].into_values());
+        let types = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Bool,
+        ];
+        let mut b = RowBatch::with_capacity(types, 2);
+        b.push_drain(&mut row![10i64, 2.5, "abc", true].into_values())
+            .unwrap();
         b
     }
 
@@ -428,7 +435,8 @@ mod tests {
     #[test]
     fn evaluates_the_addressed_row() {
         let mut b = r();
-        b.push_drain(&mut row![3i64, 0.5, "xyz", false].into_values());
+        b.push_drain(&mut row![3i64, 0.5, "xyz", false].into_values())
+            .unwrap();
         let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(5i64));
         assert_eq!(e.eval_at(&b, 0).unwrap(), Value::Bool(true));
         assert_eq!(e.eval_at(&b, 1).unwrap(), Value::Bool(false));

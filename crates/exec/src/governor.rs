@@ -84,7 +84,7 @@ impl std::fmt::Debug for ProgressHook {
 #[derive(Debug)]
 pub struct Governor {
     token: CancellationToken,
-    /// Deadline as microseconds after `anchor`; 0 = none.
+    /// One more than the deadline in microseconds after `anchor`; 0 = none.
     deadline_us: AtomicU64,
     anchor: Instant,
     budgets: Budgets,
@@ -151,8 +151,8 @@ impl Governor {
 
     /// Arm (or re-arm) a wall-clock deadline `after` from now.
     pub fn set_deadline(&self, after: Duration) {
-        let us = self.anchor.elapsed().as_micros() as u64 + after.as_micros().max(1) as u64;
-        self.deadline_us.store(us, Ordering::Relaxed);
+        let us = self.anchor.elapsed().as_micros() as u64 + after.as_micros() as u64;
+        self.deadline_us.store(us + 1, Ordering::Relaxed);
     }
 
     /// The configured budgets.
@@ -205,7 +205,7 @@ impl Governor {
         if deadline != 0 {
             let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
             if tick.is_multiple_of(DEADLINE_STRIDE)
-                && self.anchor.elapsed().as_micros() as u64 >= deadline
+                && self.anchor.elapsed().as_micros() as u64 >= deadline - 1
             {
                 return Err(ExecError::DeadlineExceeded.into());
             }
@@ -331,6 +331,16 @@ mod tests {
         let e = g.check(1).unwrap_err();
         assert!(matches!(e, QError::Lifecycle(ExecError::BudgetExceeded(_))));
         assert!(e.to_string().contains("max_rows=10"), "{e}");
+    }
+
+    /// A zero deadline has passed by the first checkpoint, however soon
+    /// it comes (it used to be 1 µs away, which a fast query could beat).
+    #[test]
+    fn zero_deadline_fails_the_first_checkpoint() {
+        let g = Governor::default();
+        g.set_deadline(Duration::ZERO);
+        let e = g.check(1).unwrap_err();
+        assert!(matches!(e, QError::Lifecycle(ExecError::DeadlineExceeded)));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use qprog_core::distinct::DistinctTracker;
 use qprog_types::{BatchStatus, DataType, QError, QResult, RowBatch, SchemaRef, Value};
 
 use crate::metrics::OpMetrics;
-use crate::ops::chain::{key_hash, ChainIndex, NIL};
+use crate::ops::chain::{key_hashes, ChainIndex, NIL};
 use crate::ops::{BoxedOp, Operator};
 use crate::trace::Phase;
 
@@ -276,19 +276,19 @@ impl HashAggregate {
             })
             .collect();
         let (group_cols, stride) = (&self.group_cols, accumulated.len());
-        let mut keys = RowBatch::accumulator(group_cols.len());
+        let mut keys = RowBatch::accumulator(input_schema.project(group_cols)?.types());
         let mut accs: Vec<Acc> = Vec::new();
-        // The groups chained by key hash, and each group's input rows so
-        // far (the `N_i` of §4.2).
+        // The groups chained by key hash, each group's hash, and each
+        // group's input rows so far (the `N_i` of §4.2).
         let mut index = ChainIndex::default();
+        let (mut group_hashes, mut hashes) = (Vec::new(), Vec::new());
         let mut counts: Vec<u64> = Vec::new();
-        let mut new_key: Vec<Value> = Vec::with_capacity(group_cols.len());
         // Each row's group count before the row, in row order: what the
         // tracker is handed per batch (it keeps no table of its own).
         let mut priors: Vec<u64> = Vec::new();
         let track = self.tracker.is_some();
         let mut pushed: Option<DistinctTracker> = None;
-        let mut scratch = RowBatch::with_capacity(input_schema.arity(), batch_cap);
+        let mut scratch = RowBatch::with_capacity(input_schema.types(), batch_cap);
         loop {
             let status = self.input.next_batch(&mut scratch)?;
             let n = scratch.len();
@@ -298,22 +298,26 @@ impl HashAggregate {
                 self.metrics.record_driver(n as u64);
             }
             priors.clear();
-            for r in 0..n {
-                let cells = || group_cols.iter().map(|&c| scratch.value(r, c));
-                let hash = key_hash(cells())?;
+            let cells = group_cols.iter().map(|&c| scratch.col(c));
+            key_hashes(cells.clone(), 0..n, &mut hashes)?;
+            for (r, &hash) in hashes.iter().enumerate() {
+                let same = |g: u32| {
+                    cells
+                        .clone()
+                        .zip(keys.cols())
+                        .all(|(c, k)| k.cell_cmp(g as usize, c, r).is_eq())
+                };
                 let mut g = index.first(hash);
-                while g != NIL && !cells().eq(keys.cols().iter().map(|k| &k[g as usize])) {
+                while g != NIL && !same(g) {
                     g = index.next(g);
                 }
                 if g == NIL {
                     if index.is_crowded() {
-                        let cols = keys.cols();
-                        index
-                            .rebuild(counts.len(), |row| key_hash(cols.iter().map(|k| &k[row])))?;
+                        index.rebuild(&group_hashes);
                     }
                     g = index.push(hash);
-                    new_key.extend(cells().cloned());
-                    keys.push_drain(&mut new_key);
+                    group_hashes.push(hash);
+                    keys.extend_from(&scratch, r..r + 1, group_cols);
                     counts.push(0);
                     accs.extend_from_slice(&new_accs);
                 }
@@ -323,7 +327,8 @@ impl HashAggregate {
                 }
                 counts[g] += 1;
                 for (acc, spec) in accs[g * stride..][..stride].iter_mut().zip(&accumulated) {
-                    acc.update_value(spec.func, spec.col.map(|c| scratch.value(r, c)))?;
+                    let value = spec.col.map(|c| scratch.col(c).value(r));
+                    acc.update_value(spec.func, value.as_ref())?;
                 }
             }
             // Estimates are published once per batch, after K_i has been
@@ -350,7 +355,7 @@ impl HashAggregate {
         }
         // Global aggregation over an empty input still yields one row.
         if group_cols.is_empty() && keys.is_empty() {
-            keys.push_drain(&mut Vec::new());
+            keys.push_drain(&mut Vec::new())?;
             counts.push(0);
             accs.extend_from_slice(&new_accs);
         }
@@ -362,7 +367,7 @@ impl HashAggregate {
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         let cols = keys.cols();
         order.sort_unstable_by(|&a, &b| {
-            let mut by_col = cols.iter().map(|k| k[a as usize].total_cmp(&k[b as usize]));
+            let mut by_col = cols.iter().map(|k| k.cell_cmp(a as usize, k, b as usize));
             by_col.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
         });
         let pos = 0;
@@ -407,7 +412,7 @@ impl Operator for HashAggregate {
                     while !out.is_full() && *pos < order.len() {
                         let g = order[*pos] as usize;
                         *pos += 1;
-                        row.extend(keys.cols().iter().map(|k| k[g].clone()));
+                        row.extend(keys.cols().iter().map(|k| k.value(g)));
                         let mut group_accs = accs[g * stride..][..stride].iter();
                         for spec in &self.aggs {
                             row.push(match spec.func {
@@ -415,7 +420,7 @@ impl Operator for HashAggregate {
                                 _ => group_accs.next().expect("one per aggregate").finalize()?,
                             });
                         }
-                        out.push_drain(&mut row);
+                        out.push_drain(&mut row)?;
                     }
                     self.metrics.record_emitted_n(out.len() as u64);
                     if out.is_full() {
@@ -735,8 +740,14 @@ mod tests {
         estimation: AggEstimation,
     ) -> (HashAggregate, Arc<OpMetrics>) {
         let scan = TableScan::new(Arc::clone(table), OpMetrics::with_initial_estimate(0.0));
-        let arity = group_cols.len() + aggs.len();
-        let fields = (0..arity).map(|i| Field::new(format!("c{i}"), DataType::Int64));
+        // The planner's output schema: the group columns, then each
+        // aggregate's output type.
+        let input = table.schema().types().collect::<Vec<_>>();
+        let types = group_cols.iter().map(|&c| input[c]).chain(
+            aggs.iter()
+                .map(|a| a.func.output_type(a.col.map(|c| input[c]))),
+        );
+        let fields = types.map(|t| Field::new("c", t).with_nullable(true));
         let schema = Schema::new(fields.collect()).into_ref();
         let m = OpMetrics::with_initial_estimate(0.0);
         let (groups, aggs) = (group_cols.to_vec(), aggs.to_vec());
@@ -812,7 +823,7 @@ mod tests {
         for group_cols in [&[3][..], &[0, 3]] {
             let count = [spec(AggFunc::CountStar, None)];
             let (mut agg, m) = mixed_aggregate(&table, group_cols, &count, AggEstimation::Off);
-            let mut out = RowBatch::with_capacity(3, 8);
+            let mut out = RowBatch::with_capacity(agg.schema().types(), 8);
             assert_eq!(agg.next_batch(&mut out), Err(expect.clone()));
             assert!(out.is_empty());
             assert_eq!(m.emitted(), 0);
@@ -834,8 +845,8 @@ mod tests {
                 AggEstimation::Off,
                 OpMetrics::with_initial_estimate(0.0),
             );
-            let mut out = RowBatch::with_capacity(2, 8);
-            agg.next_batch(&mut out).map(|_| out.value(0, 1).clone())
+            let mut out = RowBatch::with_capacity(agg.schema().types(), 8);
+            agg.next_batch(&mut out).map(|_| out.col(1).value(0))
         };
         assert_eq!(sum_of(&[i64::MAX, -1]), Ok(Value::Int64(i64::MAX - 1)));
         assert_eq!(

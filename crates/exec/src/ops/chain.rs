@@ -9,26 +9,41 @@
 //! handed.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
-use qprog_types::{Key, QResult, Value};
+use qprog_types::{Column, Key, QResult};
 
 /// End of a chain / empty bucket.
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// Tagged Fx hash of a key's cells (one cell for a join key, one per
-/// grouping column). `% partitions` of it picks the grace partition, its
-/// high bits pick the bucket — so the rows of one partition, which agree on
-/// the low bits, still spread over all buckets. DOUBLE cells raise the
-/// "cannot be join/grouping keys" type error.
-#[inline]
-pub(crate) fn key_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> QResult<u64> {
-    let mut h = qprog_core::fx::FxHasher::default();
-    // Fixed tag decorrelates this from the estimators' Fx tables.
-    0x9E37_79B9_7F4A_7C15_u64.hash(&mut h);
-    for cell in cells {
-        Key::hash_value(cell, &mut h)?;
+/// Into `out`, the tagged Fx hash of the [`Key`]s of rows `rows` of `cols`
+/// (the join or grouping key columns): `% partitions` picks the grace
+/// partition, its spread high bits the bucket; a DOUBLE column is an error.
+pub(crate) fn key_hashes<'a>(
+    cols: impl Iterator<Item = &'a Column> + Clone,
+    rows: Range<usize>,
+    out: &mut Vec<u64>,
+) -> QResult<()> {
+    out.clear();
+    if !rows.is_empty() {
+        cols.clone()
+            .try_for_each(|c| Key::check_type(c.data_type()))?;
     }
-    Ok(h.finish())
+    let mut seed = qprog_core::fx::FxHasher::default();
+    // Fixed tag decorrelates this from the estimators' Fx tables.
+    0x9E37_79B9_7F4A_7C15_u64.hash(&mut seed);
+    out.extend(rows.map(|r| {
+        let mut h = seed;
+        cols.clone().for_each(|c| c.key(r).hash(&mut h));
+        h.finish()
+    }));
+    Ok(())
+}
+
+/// Low bits folded into the high bucket bits, so sequential integers spread.
+#[inline]
+fn spread(h: u64) -> u64 {
+    h ^ (h << 17) ^ (h >> 29)
 }
 
 /// `heads[bucket]` is the first row of the bucket's chain, `next[row]` the
@@ -36,7 +51,7 @@ pub(crate) fn key_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> QResul
 pub(crate) struct ChainIndex {
     heads: Vec<u32>,
     next: Vec<u32>,
-    /// `64 - log2(heads.len())`: a hash's bucket is its high bits.
+    /// `64 - log2(heads.len())`: a hash's bucket is its spread high bits.
     shift: u32,
 }
 
@@ -54,14 +69,12 @@ impl Default for ChainIndex {
 }
 
 impl ChainIndex {
-    /// Index rows `0..rows` afresh over at least `2 × rows` buckets
-    /// (allocations are reused). Rows are linked last to first, so every
-    /// chain ascends: walking it yields rows in buffer order.
-    pub fn rebuild(
-        &mut self,
-        rows: usize,
-        mut hash_of: impl FnMut(usize) -> QResult<u64>,
-    ) -> QResult<()> {
+    /// Index rows `0..hashes.len()`, row `r` of hash `hashes[r]`, afresh
+    /// over at least `2 × rows` buckets (allocations are reused). Rows are
+    /// linked last to first, so every chain ascends: walking it yields rows
+    /// in buffer order.
+    pub fn rebuild(&mut self, hashes: &[u64]) {
+        let rows = hashes.len();
         assert!(rows < NIL as usize, "row index exceeds u32");
         let buckets = (2 * rows).next_power_of_two().max(MIN_BUCKETS);
         self.shift = 64 - buckets.trailing_zeros();
@@ -69,11 +82,10 @@ impl ChainIndex {
         self.heads.resize(buckets, NIL);
         self.next.clear();
         self.next.resize(rows, NIL);
-        for row in (0..rows).rev() {
-            let b = (hash_of(row)? >> self.shift) as usize;
+        for (row, &h) in hashes.iter().enumerate().rev() {
+            let b = (spread(h) >> self.shift) as usize;
             self.next[row] = std::mem::replace(&mut self.heads[b], row as u32);
         }
-        Ok(())
     }
 
     /// True when one more row would outnumber the buckets: the caller
@@ -86,7 +98,7 @@ impl ChainIndex {
     /// far — at the front of its chain.
     pub fn push(&mut self, hash: u64) -> u32 {
         let row = self.next.len() as u32;
-        let b = (hash >> self.shift) as usize;
+        let b = (spread(hash) >> self.shift) as usize;
         self.next.push(std::mem::replace(&mut self.heads[b], row));
         row
     }
@@ -94,7 +106,7 @@ impl ChainIndex {
     /// First candidate row for `hash`, or [`NIL`].
     #[inline]
     pub fn first(&self, hash: u64) -> u32 {
-        self.heads[(hash >> self.shift) as usize]
+        self.heads[(spread(hash) >> self.shift) as usize]
     }
 
     /// The candidate after `row` in its chain, or [`NIL`].
@@ -107,7 +119,22 @@ impl ChainIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qprog_types::{DataType, Value};
 
+    fn lane(ty: DataType, cells: &[Value]) -> Column {
+        let mut col = Column::with_capacity(ty, cells.len());
+        cells.iter().for_each(|v| col.push(v.clone()).unwrap());
+        col
+    }
+
+    fn hashes<'a>(cols: impl Iterator<Item = &'a Column> + Clone, rows: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        key_hashes(cols, 0..rows, &mut out).unwrap();
+        out
+    }
+
+    /// A lane cell of every key type, NULL included, hashes as its tagged
+    /// `Key` does, and cells hash in column order.
     #[test]
     fn key_hash_is_the_tagged_hash_of_the_key() {
         let by_key = |k: &Key| {
@@ -116,21 +143,58 @@ mod tests {
             k.hash(&mut h);
             h.finish()
         };
-        for v in [
-            Value::Bool(true),
-            Value::Int64(-7),
-            Value::Int64(i64::MAX),
-            Value::str(""),
-            Value::str("nine bytes"),
-        ] {
-            let key = Key::from_value(&v).unwrap();
-            assert_eq!(key_hash([&v]).unwrap(), by_key(&key), "{v:?}");
+        let lanes = [
+            lane(DataType::Bool, &[true, false].map(Value::Bool)),
+            lane(
+                DataType::Int64,
+                &[-7, 0, i64::MAX, i64::MIN].map(Value::Int64),
+            ),
+            lane(
+                DataType::Utf8,
+                &["", "nine bytes", "sixteen bytes.."].map(Value::str),
+            ),
+            lane(DataType::Null, &[Value::Null]),
+        ];
+        for (col, n) in lanes.iter().zip([3, 5, 4, 2]) {
+            let mut nullable = col.clone();
+            nullable.push(Value::Null).unwrap();
+            let got = hashes(std::iter::once(&nullable), n);
+            for (r, h) in got.into_iter().enumerate() {
+                let key = Key::from_value(&nullable.value(r)).unwrap();
+                assert_eq!(h, by_key(&key), "{key:?}");
+            }
         }
-        assert!(key_hash([&Value::Float64(0.5)]).is_err());
-        assert_ne!(
-            key_hash([&Value::Int64(1), &Value::Int64(2)]).unwrap(),
-            key_hash([&Value::Int64(2), &Value::Int64(1)]).unwrap()
+        let doubles = lane(DataType::Float64, &[Value::Null]);
+        let mut out = Vec::new();
+        let err = key_hashes(std::iter::once(&doubles), 0..1, &mut out).unwrap_err();
+        assert_eq!(err, Key::from_value(&Value::Float64(0.5)).unwrap_err());
+        assert!(key_hashes(std::iter::once(&doubles), 0..0, &mut out).is_ok());
+        // Cells hash in column order: (-7, 0) is not (0, -7).
+        let zero = lane(DataType::Int64, &[Value::Int64(0)]);
+        let pair = |x, y| hashes([x, y].into_iter(), 1)[0];
+        assert_ne!(pair(&lanes[1], &zero), pair(&zero, &lanes[1]));
+    }
+
+    /// Sequential BIGINT keys, grouped the way the aggregate grows its
+    /// index, occupy most of the buckets once spread (the raw hash's top
+    /// bits occupy about a quarter).
+    #[test]
+    fn sequential_keys_spread_over_the_buckets() {
+        let keys = lane(
+            DataType::Int64,
+            &(0..24_989).map(Value::Int64).collect::<Vec<_>>(),
         );
+        let h = hashes(std::iter::once(&keys), 24_989);
+        let mut index = ChainIndex::default();
+        for (row, &hash) in h.iter().enumerate() {
+            if index.is_crowded() {
+                index.rebuild(&h[..row]);
+            }
+            index.push(hash);
+        }
+        assert_eq!(index.heads.len(), 32_768);
+        let occupied = index.heads.iter().filter(|&&r| r != NIL).count();
+        assert!(occupied * 100 >= 45 * 32_768, "{occupied} of 32768");
     }
 
     /// Every row is found from its hash exactly once, chains of a rebuilt
@@ -142,7 +206,8 @@ mod tests {
         let hash = |row: usize| (((row % 7) as u64) << 61) | (row as u64 % 3);
         let mut index = ChainIndex::default();
         assert_eq!(index.first(hash(5)), NIL);
-        index.rebuild(100, |r| Ok(hash(r))).unwrap();
+        let all: Vec<u64> = (0..1000).map(hash).collect();
+        index.rebuild(&all[..100]);
         let chain = |index: &ChainIndex, h: u64| {
             let mut rows = Vec::new();
             let mut c = index.first(h);
@@ -165,7 +230,7 @@ mod tests {
         let mut rebuilds = 0;
         for row in 0..1000usize {
             if grown.is_crowded() {
-                grown.rebuild(row, |r| Ok(hash(r))).unwrap();
+                grown.rebuild(&all[..row]);
                 rebuilds += 1;
             }
             assert_eq!(grown.push(hash(row)) as usize, row);

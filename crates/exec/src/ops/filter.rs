@@ -32,7 +32,7 @@ impl Filter {
     /// New filter without online estimation.
     pub fn new(input: BoxedOp, predicate: Expr, metrics: Arc<OpMetrics>) -> Self {
         Filter {
-            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
+            scratch: RowBatch::with_capacity(input.schema().types(), 1),
             input,
             predicate,
             metrics,

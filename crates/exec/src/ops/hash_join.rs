@@ -42,7 +42,7 @@ use qprog_core::pipeline_est::PipelineProbeFragment;
 use qprog_types::{BatchStatus, QError, QResult, RowBatch, Schema, SchemaRef, NO_ROW};
 
 use crate::metrics::OpMetrics;
-use crate::ops::chain::{key_hash, ChainIndex, NIL};
+use crate::ops::chain::{key_hashes, ChainIndex, NIL};
 use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel;
@@ -79,12 +79,12 @@ struct Partitions {
 }
 
 impl Partitions {
-    fn new(partitions: usize, arity: usize) -> Self {
+    fn new(partitions: usize, schema: &Schema) -> Self {
         Partitions {
             parts: (0..partitions)
-                .map(|_| RowBatch::accumulator(arity))
+                .map(|_| RowBatch::accumulator(schema.types()))
                 .collect(),
-            null_rows: RowBatch::accumulator(arity),
+            null_rows: RowBatch::accumulator(schema.types()),
             rows: 0,
         }
     }
@@ -122,9 +122,9 @@ fn partition_input(
     into: &mut Partitions,
     mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
 ) -> QResult<()> {
-    let mut scratch = RowBatch::with_capacity(input.schema().arity(), drain.batch_cap);
+    let mut scratch = RowBatch::with_capacity(input.schema().types(), drain.batch_cap);
     let mut sel: Vec<Vec<u32>> = vec![Vec::new(); drain.partitions];
-    let mut nulls: Vec<u32> = Vec::new();
+    let (mut nulls, mut hashes) = (Vec::new(), Vec::new());
     loop {
         let status = input.next_batch(&mut scratch)?;
         let n = scratch.len();
@@ -137,12 +137,14 @@ fn partition_input(
             s.clear();
         }
         nulls.clear();
-        for (r, key) in (0u32..).zip(scratch.col(drain.key_col)) {
+        let keys = scratch.col(drain.key_col);
+        key_hashes(std::iter::once(keys), 0..n, &mut hashes)?;
+        for (r, &h) in (0u32..).zip(&hashes) {
             // NULL keys never equi-join
-            if key.is_null() {
-                nulls.push(r);
+            if keys.is_valid(r as usize) {
+                sel[(h % drain.partitions as u64) as usize].push(r);
             } else {
-                sel[(key_hash([key])? % drain.partitions as u64) as usize].push(r);
+                nulls.push(r);
             }
         }
         for (part, s) in into.parts.iter_mut().zip(&sel) {
@@ -187,7 +189,7 @@ fn partition_chunks<F: Send>(
         .into_iter()
         .map(|op| {
             move |_w: usize| -> QResult<(Partitions, F)> {
-                let mut local = Partitions::new(drain.partitions, op.schema().arity());
+                let mut local = Partitions::new(drain.partitions, &op.schema());
                 let mut state = fragment()?;
                 partition_input(op, drain, &mut local, |b| on_batch(&mut state, b))?;
                 Ok((local, state))
@@ -236,6 +238,8 @@ pub struct HashJoin {
     /// The current partition's build rows, chained by key hash (reused
     /// across partitions).
     index: ChainIndex,
+    /// Key hashes of the current partition's build, then probe, rows.
+    hashes: Vec<u64>,
     /// Reused `(build row, probe row)` list of output rows not yet
     /// gathered into the output batch; a build row of [`NO_ROW`] is a
     /// NULL-padded (LeftOuter) or probe-only (Semi/Anti) row.
@@ -268,9 +272,10 @@ impl HashJoin {
             metrics,
             num_partitions: DEFAULT_PARTITIONS,
             threads: 1,
-            build_parts: Partitions::new(0, 0),
-            probe_parts: Partitions::new(0, 0),
+            build_parts: Partitions::new(0, &Schema::default()),
+            probe_parts: Partitions::new(0, &Schema::default()),
             index: ChainIndex::default(),
+            hashes: Vec::new(),
             pair_buf: Vec::new(),
             state: JState::Init,
         }
@@ -411,12 +416,15 @@ impl HashJoin {
         self.load_partition(0)
     }
 
-    /// Chain the build rows of partition `part`. Chains ascend, so a probe
-    /// row meets its matches in build-row order.
+    /// Chain the build rows of partition `part` and hash its probe keys.
+    /// Chains ascend, so a probe row meets its matches in build-row order.
     fn load_partition(&mut self, part: usize) -> QResult<()> {
-        let keys = self.build_parts.parts[part].col(self.build_key);
-        self.index
-            .rebuild(keys.len(), |row| key_hash([&keys[row]]))?;
+        let (build, probe) = (&self.build_parts.parts[part], &self.probe_parts.parts[part]);
+        let keys = std::iter::once(build.col(self.build_key));
+        key_hashes(keys, 0..build.len(), &mut self.hashes)?;
+        self.index.rebuild(&self.hashes);
+        let keys = std::iter::once(probe.col(self.probe_key));
+        key_hashes(keys, 0..probe.len(), &mut self.hashes)?;
         self.state = JState::Joining {
             part,
             probe_pos: 0,
@@ -451,12 +459,12 @@ impl Operator for HashJoin {
                     let bpart = &self.build_parts.parts[part_idx];
                     let ppart = &self.probe_parts.parts[part_idx];
                     let (bkeys, pkeys) = (bpart.col(self.build_key), ppart.col(self.probe_key));
-                    let index = &self.index;
+                    let (index, hashes) = (&self.index, &self.hashes);
                     // The first build row at or after chain candidate `c`
                     // whose key cell equals probe row `pidx`'s. Cells of
                     // different types never compare equal.
                     let match_from = |pidx: usize, mut c: u32| {
-                        while c != NIL && bkeys[c as usize] != pkeys[pidx] {
+                        while c != NIL && bkeys.cell_cmp(c as usize, pkeys, pidx).is_ne() {
                             c = index.next(c);
                         }
                         c
@@ -487,7 +495,7 @@ impl Operator for HashJoin {
                                 *probe_pos += 1;
                                 drv += 1;
                                 scanned += 1;
-                                let m = match_from(pidx, index.first(key_hash([&pkeys[pidx]])?));
+                                let m = match_from(pidx, index.first(hashes[pidx]));
                                 let probe_only = match self.kind {
                                     JoinKind::Semi => m != NIL,
                                     JoinKind::Anti | JoinKind::LeftOuter => m == NIL,
@@ -565,7 +573,7 @@ mod tests {
     use crate::ops::TableScan;
     use qprog_core::baseline::Rule;
     use qprog_core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
-    use qprog_types::Row;
+    use qprog_types::{Column, Row};
     use qprog_types::{DataType, Value};
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
@@ -1067,8 +1075,13 @@ mod tests {
         let padded = |p: &Row| Row::new([&[Value::Null, Value::Null], p.values()].concat());
         let mut out = Vec::new();
         for part in 0..partitions {
-            let here =
-                |r: &&Row| !key(r).is_null() && key_hash([&key(r)]).unwrap() % partitions == part;
+            let here = |r: &&Row| {
+                let mut lane = Column::with_capacity(key(r).data_type(), 1);
+                lane.push(key(r)).unwrap();
+                let mut hash = Vec::new();
+                key_hashes(std::iter::once(&lane), 0..1, &mut hash).unwrap();
+                !key(r).is_null() && hash[0] % partitions == part
+            };
             for p in probe.iter().filter(here) {
                 let matches: Vec<&Row> = build.iter().filter(|b| key(b) == key(p)).collect();
                 match kind {

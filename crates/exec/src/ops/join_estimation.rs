@@ -35,7 +35,7 @@ use qprog_core::baseline::{Baseline, Rule};
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::join_est::{JoinKind, ProbeTotals};
 use qprog_core::pipeline_est::{PipelineBuildFragment, PipelineEstimator, PipelineProbeFragment};
-use qprog_types::{Key, QError, QResult, RowBatch};
+use qprog_types::{QError, QResult, RowBatch};
 
 use crate::metrics::OpMetrics;
 use crate::trace::DegradeReason;
@@ -215,7 +215,7 @@ impl JoinEstimator {
         batch: &RowBatch,
     ) -> QResult<()> {
         if let (Some(fragment), Stage::Pipeline(estimator, _)) = (&mut *slot, &self.stage) {
-            estimator.build_into(fragment, batch.cols(), batch.len())?;
+            estimator.build_into(fragment, batch)?;
             if self.breaches_budget(fragment.memory_allocated()) || self.degraded() {
                 *slot = None;
             }
@@ -288,16 +288,16 @@ impl JoinEstimator {
         let Stage::Pipeline(estimator, metrics) = &self.stage else {
             return Ok(());
         };
-        estimator.probe_into(fragment, batch.cols(), rows.clone())?;
+        estimator.probe_into(fragment, batch, rows.clone())?;
         if let Some(PushDown {
             key_col, tracker, ..
         }) = &self.push_down
         {
             let mut tracker = tracker.lock();
-            let keys = &batch.col(*key_col)[rows];
-            for (key, &mult) in keys.iter().zip(fragment.driving_counts()) {
+            let keys = batch.col(*key_col);
+            for (r, &mult) in rows.zip(fragment.driving_counts()) {
                 if mult > 0 {
-                    tracker.observe_n(&Key::from_value(key)?, mult);
+                    tracker.observe_n(&keys.key(r), mult);
                 }
             }
         }
@@ -389,7 +389,7 @@ mod tests {
     use crate::governor::{Budgets, Governor};
     use crate::metrics::MetricsRegistry;
     use crate::trace::{EventBus, TraceEvent, TraceEventKind, TraceSink};
-    use qprog_types::Value;
+    use qprog_types::{DataType, Value};
     use std::sync::atomic::AtomicUsize;
 
     const BUILD: [i64; 4] = [1, 1, 2, 3];
@@ -409,9 +409,11 @@ mod tests {
 
     /// One-column batch of join keys (`None` = NULL).
     fn keys(vals: &[Option<i64>]) -> RowBatch {
-        let mut batch = RowBatch::with_capacity(1, vals.len());
+        let mut batch = RowBatch::with_capacity([DataType::Int64], vals.len());
         for v in vals {
-            batch.push_drain(&mut vec![v.map_or(Value::Null, Value::Int64)]);
+            batch
+                .push_drain(&mut vec![v.map_or(Value::Null, Value::Int64)])
+                .unwrap();
         }
         batch
     }

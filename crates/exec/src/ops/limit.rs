@@ -23,7 +23,7 @@ impl Limit {
     /// New limit.
     pub fn new(input: BoxedOp, limit: usize, metrics: Arc<OpMetrics>) -> Self {
         Limit {
-            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
+            scratch: RowBatch::with_capacity(input.schema().types(), 1),
             input,
             limit,
             emitted: 0,

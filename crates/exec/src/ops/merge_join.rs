@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use qprog_core::join_est::JoinKind;
 use qprog_core::pipeline_est::PipelineProbeFragment;
-use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef, Value};
+use qprog_types::{BatchStatus, Key, QError, QResult, RowBatch, SchemaRef};
 
 use crate::metrics::OpMetrics;
 use crate::ops::join_estimation::{JoinEstimation, JoinEstimator};
@@ -29,13 +29,13 @@ use crate::ops::{BoxedOp, Operator, PUBLISH_EVERY};
 use crate::trace::Phase;
 
 /// How a [`Run`]'s rows are ordered by key; the form is decided by the key
-/// values the input actually delivered.
+/// column's lane.
 enum RunIndex {
-    /// Every key was a BIGINT: `(key, row)` sorted, so ties fall in row —
-    /// that is scan — order without a stable sort.
+    /// A BIGINT lane: `(key, row)` sorted, so ties fall in row — that is
+    /// scan — order without a stable sort.
     Int(Vec<(i64, u32)>),
-    /// Any other key type: row numbers, stably sorted by
-    /// [`Value::total_cmp`] of their keys.
+    /// Any other lane: row numbers, stably sorted by
+    /// [`qprog_types::Column::cell_cmp`] of their keys.
     Perm(Vec<u32>),
 }
 
@@ -56,16 +56,15 @@ impl Run {
         }
     }
 
-    /// Key of the `i`-th row in key order.
-    fn key(&self, i: usize) -> &Value {
-        self.rows.value(self.row(i) as usize, self.key_col)
-    }
-
     /// Order this run's `i`-th key against `other`'s `j`-th.
     fn cmp_key(&self, i: usize, other: &Run, j: usize) -> Ordering {
         match (&self.index, &other.index) {
             (RunIndex::Int(a), RunIndex::Int(b)) => a[i].0.cmp(&b[j].0),
-            _ => self.key(i).total_cmp(other.key(j)),
+            _ => self.rows.col(self.key_col).cell_cmp(
+                self.row(i) as usize,
+                other.rows.col(other.key_col),
+                other.row(j) as usize,
+            ),
         }
     }
 
@@ -210,7 +209,8 @@ impl MergeJoin {
 
 /// Drain `input` into a [`Run`] sorted on `key_col` (NULL keys never
 /// equi-join and are dropped), calling `on_batch` on every non-empty batch
-/// in scan order. A DOUBLE key is the type error of [`Key::from_value`].
+/// in scan order. A batch with a non-NULL DOUBLE key is the type error of
+/// [`Key::check_type`].
 fn drain_sorted(
     mut input: BoxedOp,
     key_col: usize,
@@ -218,10 +218,9 @@ fn drain_sorted(
     metrics: &OpMetrics,
     mut on_batch: impl FnMut(&RowBatch) -> QResult<()>,
 ) -> QResult<Run> {
-    let arity = input.schema().arity();
-    let mut rows = RowBatch::accumulator(arity);
-    let mut all_ints = true;
-    let mut scratch = RowBatch::with_capacity(arity, batch_cap);
+    let schema = input.schema();
+    let mut rows = RowBatch::accumulator(schema.types());
+    let mut scratch = RowBatch::with_capacity(schema.types(), batch_cap);
     let mut sel: Vec<u32> = Vec::new();
     loop {
         let status = input.next_batch(&mut scratch)?;
@@ -230,17 +229,11 @@ fn drain_sorted(
             metrics.checkpoint(n as u64)?;
             on_batch(&scratch)?;
         }
+        let keys = scratch.col(key_col);
         sel.clear();
-        for (r, key) in (0u32..).zip(scratch.col(key_col)) {
-            match key {
-                Value::Null => continue,
-                Value::Int64(_) => {}
-                other => {
-                    Key::from_value(other)?;
-                    all_ints = false;
-                }
-            }
-            sel.push(r);
+        sel.extend((0..n as u32).filter(|&r| keys.is_valid(r as usize)));
+        if !sel.is_empty() {
+            Key::check_type(keys.data_type())?;
         }
         rows.gather_from(&scratch, &sel);
         if status.is_exhausted() {
@@ -252,17 +245,17 @@ fn drain_sorted(
         .map_err(|_| QError::internal("merge join input exceeds 2^32 rows"))?;
     let keys = rows.col(key_col);
     // Either index is built once, at its exact size, after the drain.
-    let index = if all_ints {
-        let mut index = Vec::with_capacity(keys.len());
-        for (row, key) in (0..len).zip(keys) {
-            index.push((key.as_i64()?, row));
+    let index = match keys.ints() {
+        Some(keys) => {
+            let mut index: Vec<(i64, u32)> = keys.iter().copied().zip(0..len).collect();
+            index.sort_unstable();
+            RunIndex::Int(index)
         }
-        index.sort_unstable();
-        RunIndex::Int(index)
-    } else {
-        let mut perm: Vec<u32> = (0..len).collect();
-        perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
-        RunIndex::Perm(perm)
+        _ => {
+            let mut perm: Vec<u32> = (0..len).collect();
+            perm.sort_by(|&a, &b| keys.cell_cmp(a as usize, keys, b as usize));
+            RunIndex::Perm(perm)
+        }
     };
     Ok(Run {
         rows,
@@ -365,7 +358,7 @@ mod tests {
     use crate::ops::TableScan;
     use qprog_core::baseline::Rule;
     use qprog_core::pipeline_est::PipelineEstimator;
-    use qprog_types::{DataType, Row};
+    use qprog_types::{DataType, Row, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -432,7 +425,7 @@ mod tests {
                 Arc::clone(&m),
             );
             // The first call sorts both inputs and returns the first rows.
-            let mut first = RowBatch::with_capacity(2, cap);
+            let mut first = RowBatch::with_capacity(j.schema().types(), cap);
             assert_eq!(j.next_batch(&mut first).unwrap(), BatchStatus::HasMore);
             assert_eq!(m.emitted(), cap as u64);
             assert_eq!(m.estimated_total(), truth, "cap {cap}");
@@ -719,7 +712,7 @@ mod tests {
                 JoinEstimation::Off,
                 Arc::clone(&m),
             );
-            let mut out = RowBatch::with_capacity(2, 8);
+            let mut out = RowBatch::with_capacity(j.schema().types(), 8);
             let err = j.next_batch(&mut out).unwrap_err();
             assert!(matches!(err, QError::Internal(_)), "{err}");
             assert!(err.to_string().contains("out of bounds"), "{err}");

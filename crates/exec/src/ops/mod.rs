@@ -12,7 +12,7 @@ pub mod project;
 pub mod scan;
 pub mod sort;
 
-use qprog_types::{BatchStatus, QResult, Row, RowBatch, SchemaRef};
+use qprog_types::{BatchStatus, QResult, Row, RowBatch, Schema, SchemaRef};
 
 pub use agg::{AggFunc, AggSpec, HashAggregate};
 pub use filter::Filter;
@@ -83,10 +83,11 @@ pub struct RowCursor {
 }
 
 impl RowCursor {
-    /// A cursor over batches of `arity` columns and up to `capacity` rows.
-    pub fn new(arity: usize, capacity: usize) -> Self {
+    /// A cursor over batches of `schema`'s columns and up to `capacity`
+    /// rows.
+    pub fn new(schema: &Schema, capacity: usize) -> Self {
         RowCursor {
-            buf: RowBatch::with_capacity(arity, capacity),
+            buf: RowBatch::with_capacity(schema.types(), capacity),
             pos: 0,
             exhausted: false,
         }
@@ -134,7 +135,7 @@ pub struct RowSource<'a> {
 impl<'a> RowSource<'a> {
     /// Wrap `op` for row-at-a-time consumption.
     pub fn new(op: &'a mut dyn Operator) -> Self {
-        let cursor = RowCursor::new(op.schema().arity(), 1);
+        let cursor = RowCursor::new(&op.schema(), 1);
         RowSource { op, cursor }
     }
 
@@ -222,7 +223,7 @@ pub(crate) mod test_util {
                     false => JoinEstimation::Off,
                 };
                 let mut j = make(first, second, estimation, Arc::clone(&m));
-                let mut out = RowBatch::with_capacity(4, 8);
+                let mut out = RowBatch::with_capacity(j.schema().types(), 8);
                 assert_eq!(j.next_batch(&mut out), Err(expect.clone()));
                 assert!(out.is_empty());
                 assert_eq!(m.emitted(), 0);
@@ -260,7 +261,7 @@ pub(crate) mod test_util {
 
     /// Drain an operator through batches of `cap` rows.
     pub fn drain_batched(op: &mut dyn Operator, cap: usize) -> Vec<Row> {
-        let mut batch = qprog_types::RowBatch::with_capacity(op.schema().arity(), cap);
+        let mut batch = qprog_types::RowBatch::with_capacity(op.schema().types(), cap);
         let mut out = Vec::new();
         loop {
             let status = op.next_batch(&mut batch).unwrap();

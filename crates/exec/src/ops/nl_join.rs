@@ -61,8 +61,8 @@ impl NestedLoopsJoin {
     ) -> Self {
         let schema = outer.schema().join(&inner.schema()).into_ref();
         NestedLoopsJoin {
-            inner_rows: RowBatch::accumulator(inner.schema().arity()),
-            outer_rows: RowCursor::new(outer.schema().arity(), 1),
+            inner_rows: RowBatch::accumulator(inner.schema().types()),
+            outer_rows: RowCursor::new(&outer.schema(), 1),
             outer,
             inner: Some(inner),
             condition,
@@ -93,10 +93,10 @@ impl NestedLoopsJoin {
             .inner
             .take()
             .ok_or_else(|| QError::internal("nested-loops inner input consumed twice"))?;
-        let outer_arity = self.outer.schema().arity();
+        let outer = self.outer.schema();
         if let NlCondition::Equi(oc, ic) = self.condition {
             for (side, key, arity) in [
-                ("outer", oc, outer_arity),
+                ("outer", oc, outer.arity()),
                 ("inner", ic, self.inner_rows.arity()),
             ] {
                 if key >= arity {
@@ -106,7 +106,7 @@ impl NestedLoopsJoin {
                 }
             }
         }
-        let mut scratch = RowBatch::with_capacity(self.inner_rows.arity(), batch_cap);
+        let mut scratch = RowBatch::with_capacity(inner.schema().types(), batch_cap);
         loop {
             let status = inner.next_batch(&mut scratch)?;
             let n = scratch.len();
@@ -121,7 +121,7 @@ impl NestedLoopsJoin {
         // Pair indices are `u32`s, as in every join's output gather.
         u32::try_from(self.inner_rows.len().max(batch_cap))
             .map_err(|_| QError::internal("nested-loops join input exceeds 2^32 rows"))?;
-        self.outer_rows = RowCursor::new(outer_arity, batch_cap);
+        self.outer_rows = RowCursor::new(&outer, batch_cap);
         Ok(())
     }
 
@@ -131,7 +131,8 @@ impl NestedLoopsJoin {
     fn join_pair(&self, o: usize, i: usize, out: &mut RowBatch) -> QResult<bool> {
         let outer = self.outer_rows.batch();
         if let NlCondition::Equi(oc, ic) = self.condition {
-            if outer.value(o, oc).sql_eq(self.inner_rows.value(i, ic)) != Some(true) {
+            let (l, r) = (outer.col(oc).value(o), self.inner_rows.col(ic).value(i));
+            if l.sql_eq(&r) != Some(true) {
                 return Ok(false);
             }
         }
@@ -318,7 +319,7 @@ mod tests {
         for cond in [NlCondition::Equi(1, 0), NlCondition::Equi(0, 1)] {
             let m = OpMetrics::with_initial_estimate(0.0);
             let mut j = NestedLoopsJoin::new(scan1("r", &[1, 2]), scan1("s", &[]), cond, m);
-            let mut out = RowBatch::with_capacity(2, 8);
+            let mut out = RowBatch::with_capacity(j.schema().types(), 8);
             match j.next_batch(&mut out) {
                 Err(QError::Internal(msg)) => assert!(msg.contains("out of bounds"), "{msg}"),
                 other => panic!("expected an internal error, got {other:?}"),

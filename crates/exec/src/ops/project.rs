@@ -33,7 +33,7 @@ impl Project {
         metrics: Arc<OpMetrics>,
     ) -> Self {
         Project {
-            scratch: RowBatch::with_capacity(input.schema().arity(), 1),
+            scratch: RowBatch::with_capacity(input.schema().types(), 1),
             input,
             exprs,
             schema,
@@ -65,7 +65,7 @@ impl Operator for Project {
                 for e in &self.exprs {
                     self.vals.push(e.eval_at(scratch, r)?);
                 }
-                out.push_drain(&mut self.vals);
+                out.push_drain(&mut self.vals)?;
             }
             self.metrics.record_emitted_n(n as u64);
             if status.is_exhausted() {

@@ -65,8 +65,9 @@ impl Sort {
                 k.col
             )));
         }
-        let mut rows = RowBatch::accumulator(arity);
-        let mut scratch = RowBatch::with_capacity(arity, batch_cap);
+        let schema = self.input.schema();
+        let mut rows = RowBatch::accumulator(schema.types());
+        let mut scratch = RowBatch::with_capacity(schema.types(), batch_cap);
         loop {
             let status = self.input.next_batch(&mut scratch)?;
             let n = scratch.len();
@@ -87,7 +88,7 @@ impl Sort {
         order.sort_by(|&a, &b| {
             let mut by_key = self.keys.iter().map(|k| {
                 let col = rows.col(k.col);
-                let ord = col[a as usize].total_cmp(&col[b as usize]);
+                let ord = col.cell_cmp(a as usize, col, b as usize);
                 if k.ascending {
                     ord
                 } else {
@@ -259,7 +260,7 @@ mod tests {
     fn key_past_the_input_arity_is_an_internal_error() {
         let m = OpMetrics::with_initial_estimate(0.0);
         let mut s = ascending(scan1(&[3, 1, 2]), 1, Arc::clone(&m));
-        let mut out = RowBatch::with_capacity(1, 8);
+        let mut out = RowBatch::with_capacity(s.schema().types(), 8);
         match s.next_batch(&mut out) {
             Err(QError::Internal(msg)) => assert!(msg.contains("out of bounds"), "{msg}"),
             other => panic!("expected an internal error, got {other:?}"),

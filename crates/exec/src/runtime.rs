@@ -16,10 +16,10 @@ use crate::ops::Operator;
 /// `batch_rows` is the root batch capacity (1 = strict tuple-at-a-time
 /// equivalence mode).
 pub fn collect(op: &mut dyn Operator, batch_rows: usize) -> QResult<Vec<Row>> {
-    let arity = op.schema().arity();
+    let schema = op.schema();
     guarded(|| {
         let mut out = Vec::new();
-        let mut batch = RowBatch::with_capacity(arity, batch_rows);
+        let mut batch = RowBatch::with_capacity(schema.types(), batch_rows);
         loop {
             let status = op.next_batch(&mut batch)?;
             batch.append_rows_to(&mut out);

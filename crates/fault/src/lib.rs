@@ -393,7 +393,8 @@ pub use noop::{
     configure, configure_many, eval, hits, list, remove, set_seed, teardown, FailScenario,
 };
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
+#[cfg(feature = "failpoints")]
 mod tests {
     use super::*;
     use qprog_types::{ExecError, QError};

@@ -362,7 +362,7 @@ pub fn compile_traced(
     let plan = prune_columns(plan);
     let root_pipeline = c.pipelines.new_pipeline();
     let root = c.compile(&plan, root_pipeline)?;
-    let stepper = RowCursor::new(root.schema().arity(), 1);
+    let stepper = RowCursor::new(&root.schema(), 1);
     Ok(CompiledQuery {
         plan,
         root,

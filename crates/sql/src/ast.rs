@@ -21,13 +21,6 @@ pub struct TableRef {
     pub alias: Option<String>,
 }
 
-impl TableRef {
-    /// The name other clauses refer to this table by.
-    pub fn effective_name(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.table)
-    }
-}
-
 /// Join type keywords.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinType {

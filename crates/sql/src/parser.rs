@@ -581,11 +581,11 @@ mod tests {
              INNER JOIN region ON n.regionkey = region.regionkey",
         )
         .unwrap();
-        assert_eq!(q.from.effective_name(), "c");
+        assert_eq!(q.from.alias.as_deref(), Some("c"));
         assert_eq!(q.joins.len(), 2);
-        assert_eq!(q.joins[0].table.effective_name(), "n");
+        assert_eq!(q.joins[0].table.alias.as_deref(), Some("n"));
         assert_eq!(q.joins[0].on.0, "c.nationkey");
-        assert_eq!(q.joins[1].table.effective_name(), "region");
+        assert_eq!(q.joins[1].table.table, "region");
     }
 
     #[test]

@@ -103,29 +103,6 @@ impl ScanOrder {
     }
 }
 
-/// Uniform reservoir sample of `k` items from an iterator (Algorithm R).
-///
-/// Used by tests and by on-the-fly sampling when no precomputed block sample
-/// exists.
-pub fn reservoir_sample<T, I>(items: I, k: usize, seed: u64) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    for (i, item) in items.into_iter().enumerate() {
-        if reservoir.len() < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.random_range(0..=i);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,31 +222,5 @@ mod tests {
         let parts = o.split(0);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].blocks(), o.blocks());
-    }
-
-    #[test]
-    fn reservoir_sample_size_and_membership() {
-        let s = reservoir_sample(0..1000, 10, 3);
-        assert_eq!(s.len(), 10);
-        assert!(s.iter().all(|&x| x < 1000));
-        let small = reservoir_sample(0..5, 10, 3);
-        assert_eq!(small.len(), 5);
-    }
-
-    #[test]
-    fn reservoir_sample_is_roughly_uniform() {
-        let mut hits = [0u32; 10];
-        for seed in 0..5000 {
-            for x in reservoir_sample(0..10, 3, seed) {
-                hits[x] += 1;
-            }
-        }
-        // expected 5000 * 3/10 = 1500
-        for (i, &h) in hits.iter().enumerate() {
-            assert!(
-                (1300..=1700).contains(&h),
-                "item {i} sampled {h} times, expected ~1500"
-            );
-        }
     }
 }

@@ -148,14 +148,16 @@ impl TableStats {
                 let mut distinct: HashSet<Key> = HashSet::new();
                 let mut null_count = 0u64;
                 let mut ints: Vec<i64> = Vec::new();
-                for v in table.blocks().iter().flat_map(|b| b.col(c)) {
-                    if v.is_null() {
-                        null_count += 1;
-                        continue;
-                    }
-                    distinct.extend(Key::from_value(v).ok());
-                    if let Value::Int64(x) = v {
-                        ints.push(*x);
+                for b in table.blocks() {
+                    for v in (0..b.len()).map(|r| b.col(c).value(r)) {
+                        if v.is_null() {
+                            null_count += 1;
+                            continue;
+                        }
+                        distinct.extend(Key::from_value(&v).ok());
+                        if let Value::Int64(x) = v {
+                            ints.push(x);
+                        }
                     }
                 }
                 ColumnStats {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use qprog_types::{QError, QResult, Row, RowBatch, Schema, SchemaRef, Value};
+use qprog_types::{QError, QResult, Row, RowBatch, Schema, SchemaRef};
 
 /// Rows per block: few enough that a sample fraction of a few percent still
 /// selects many blocks, enough that per-block bookkeeping is negligible.
@@ -61,7 +61,7 @@ impl Table {
         &self.blocks
     }
 
-    /// Append a row, validating arity and column types.
+    /// Append a row, validating arity, nullability and column types.
     pub fn push(&mut self, row: Row) -> QResult<()> {
         if row.arity() != self.schema.arity() {
             return Err(QError::schema(format!(
@@ -71,36 +71,22 @@ impl Table {
                 self.name
             )));
         }
-        for (i, v) in row.values().iter().enumerate() {
-            let field = self.schema.field(i)?;
-            match v {
-                Value::Null if field.nullable => {}
-                Value::Null => {
-                    return Err(QError::schema(format!(
-                        "NULL in non-nullable column `{}` of `{}`",
-                        field.name, self.name
-                    )))
-                }
-                v if v.data_type() != field.data_type => {
-                    return Err(QError::type_err(format!(
-                        "column `{}` of `{}` expects {}, got {}",
-                        field.name,
-                        self.name,
-                        field.data_type,
-                        v.data_type()
-                    )))
-                }
-                _ => {}
+        for (field, v) in self.schema.fields().iter().zip(row.values()) {
+            if v.is_null() && !field.nullable {
+                return Err(QError::schema(format!(
+                    "NULL in non-nullable column `{}` of `{}`",
+                    field.name, self.name
+                )));
             }
         }
         if self.blocks.last().is_none_or(RowBatch::is_full) {
-            let block = RowBatch::with_capacity(self.schema.arity(), BLOCK_CAPACITY);
+            let block = RowBatch::with_capacity(self.schema.types(), BLOCK_CAPACITY);
             self.blocks.push(block);
         }
         self.blocks
             .last_mut()
             .expect("block just ensured")
-            .push_drain(&mut row.into_values());
+            .push_drain(&mut row.into_values())?;
         self.num_rows += 1;
         Ok(())
     }
@@ -131,7 +117,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qprog_types::{row, DataType, Field};
+    use qprog_types::{row, DataType, Field, Value};
 
     fn two_col_table() -> Table {
         Table::new(
@@ -179,8 +165,8 @@ mod tests {
         assert_eq!(t.num_blocks(), 3);
         assert!(t.blocks().iter().all(|b| b.capacity() == BLOCK_CAPACITY));
         assert_eq!(
-            t.blocks()[1].value(0, 0),
-            &Value::Int64(BLOCK_CAPACITY as i64)
+            t.blocks()[1].col(0).value(0),
+            Value::Int64(BLOCK_CAPACITY as i64)
         );
         // iteration preserves insertion order
         let collected: Vec<i64> = t

@@ -1,8 +1,9 @@
 //! Columnar row batches: the unit of exchange in the vectorized engine.
 //!
 //! A [`RowBatch`] holds up to `capacity` rows in column-major order — one
-//! `Vec<Value>` per column — so operators touch values without per-row
-//! allocation, and per-tuple bookkeeping (governor checkpoints, metrics,
+//! typed [`Column`] lane per column, built from the schema's types — so
+//! operators copy cells as slices, without per-row allocation or per-cell
+//! tags, and per-tuple bookkeeping (governor checkpoints, metrics,
 //! failpoints, trace publication) amortizes to batch boundaries. The gnm
 //! progress model counts `K_i` *deltas*, so summing them per batch is
 //! exact: published fractions, bounds, and converged estimates are
@@ -17,8 +18,10 @@
 //! operators [`clear`](RowBatch::clear) + refill it, so the steady state
 //! performs no heap allocation at all for fixed-width columns.
 
+use crate::column::Column;
+use crate::error::QResult;
 use crate::row::Row;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Default rows per batch (`PhysicalOptions::batch_rows`): large enough to
 /// amortize per-batch overhead to noise, small enough to stay cache
@@ -56,35 +59,31 @@ impl BatchStatus {
 /// A reusable, fixed-capacity, column-major batch of rows.
 #[derive(Debug, Clone)]
 pub struct RowBatch {
-    /// Column-major storage: `cols[c][r]` is row `r`'s value in column `c`.
-    cols: Vec<Vec<Value>>,
-    /// Rows currently stored (every column vector has exactly this length).
+    /// Column-major storage: row `r`'s cell of column `c` is `cols[c]`'s.
+    cols: Vec<Column>,
+    /// Rows currently stored (every column has exactly this length).
     len: usize,
     /// Maximum rows before [`is_full`](Self::is_full).
     capacity: usize,
 }
 
 impl RowBatch {
-    /// An empty batch of `arity` columns holding up to `capacity` rows
-    /// (clamped to at least 1).
-    pub fn with_capacity(arity: usize, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+    /// An empty batch of one column per type in `types` holding up to
+    /// `capacity` rows (clamped to at least 1). Its columns grow on the
+    /// first fill and keep their allocation through every refill.
+    pub fn with_capacity(types: impl IntoIterator<Item = DataType>, capacity: usize) -> Self {
+        let cols = types.into_iter().map(|ty| Column::with_capacity(ty, 0));
+        let (len, capacity) = (0, capacity.max(1));
         RowBatch {
-            cols: (0..arity).map(|_| Vec::with_capacity(capacity)).collect(),
-            len: 0,
+            cols: cols.collect(),
+            len,
             capacity,
         }
     }
 
-    /// An unbounded accumulator batch: no capacity bound, no
-    /// pre-allocation. Blocking operators use these as columnar buffers
-    /// (join partitions, sort runs, stashes) that grow with their input.
-    pub fn accumulator(arity: usize) -> Self {
-        RowBatch {
-            cols: (0..arity).map(|_| Vec::new()).collect(),
-            len: 0,
-            capacity: usize::MAX,
-        }
+    /// An unbounded batch: a join partition, sort run or stash that grows.
+    pub fn accumulator(types: impl IntoIterator<Item = DataType>) -> Self {
+        RowBatch::with_capacity(types, usize::MAX)
     }
 
     /// Number of columns.
@@ -131,36 +130,32 @@ impl RowBatch {
 
     /// Drop all rows, keeping the column allocations for reuse.
     pub fn clear(&mut self) {
-        for col in &mut self.cols {
-            col.clear();
-        }
-        self.len = 0;
+        self.truncate(0);
     }
 
-    /// Borrow column `c` (its `self.len()` values).
-    pub fn col(&self, c: usize) -> &[Value] {
+    /// Borrow column `c`.
+    pub fn col(&self, c: usize) -> &Column {
         &self.cols[c]
     }
 
-    /// Borrow all columns (column-major; each has `self.len()` values).
-    pub fn cols(&self) -> &[Vec<Value>] {
+    /// Borrow all columns.
+    pub fn cols(&self) -> &[Column] {
         &self.cols
     }
 
-    /// Borrow the value at (`row`, `col`).
-    pub fn value(&self, row: usize, col: usize) -> &Value {
-        &self.cols[col][row]
-    }
-
     /// Append one row, moving its values out of `values` (left empty,
-    /// its allocation kept for the caller's next row).
-    pub fn push_drain(&mut self, values: &mut Vec<Value>) {
+    /// its allocation kept for the caller's next row). A value its
+    /// column's lane does not take is a type error, and appends nothing.
+    pub fn push_drain(&mut self, values: &mut Vec<Value>) -> QResult<()> {
         debug_assert_eq!(values.len(), self.cols.len());
         debug_assert!(!self.is_full());
-        for (col, v) in self.cols.iter_mut().zip(values.drain(..)) {
-            col.push(v);
+        let mut pushed = self.cols.iter_mut().zip(values.drain(..));
+        if let Err(e) = pushed.try_for_each(|(col, v)| col.push(v)) {
+            self.cols.iter_mut().for_each(|col| col.truncate(self.len));
+            return Err(e);
         }
         self.len += 1;
+        Ok(())
     }
 
     /// Append the selected rows of `src` column-wise, in `sel` order — the
@@ -171,7 +166,7 @@ impl RowBatch {
         debug_assert_eq!(src.arity(), self.arity());
         debug_assert!(self.len + sel.len() <= self.capacity);
         for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst.extend(sel.iter().map(|&r| s[r as usize].clone()));
+            dst.gather(s, sel.iter().map(|&r| Some(r as usize)));
         }
         self.len += sel.len();
     }
@@ -181,7 +176,8 @@ impl RowBatch {
     /// each output column is filled in one tight loop over the pair list,
     /// so a join emits a whole batch of matches without materializing any
     /// row. A left index of [`NO_ROW`] reads NULL in every left column —
-    /// an outer join's padding. The caller guarantees the pairs fit.
+    /// an outer join's padding; any other index past its side panics. The
+    /// caller guarantees the pairs fit.
     pub fn gather_pairs_from(
         &mut self,
         left: &RowBatch,
@@ -194,15 +190,13 @@ impl RowBatch {
         let split = left.arity();
         for (dst, &c) in self.cols.iter_mut().zip(cols) {
             if c < split {
-                let s = &left.cols[c];
-                dst.extend(
-                    pairs
-                        .iter()
-                        .map(|&(l, _)| s.get(l as usize).cloned().unwrap_or(Value::Null)),
-                );
+                let rows = pairs
+                    .iter()
+                    .map(|&(l, _)| (l != NO_ROW).then_some(l as usize));
+                dst.gather(&left.cols[c], rows);
             } else {
-                let s = &right.cols[c - split];
-                dst.extend(pairs.iter().map(|&(_, r)| s[r as usize].clone()));
+                let rows = pairs.iter().map(|&(_, r)| Some(r as usize));
+                dst.gather(&right.cols[c - split], rows);
             }
         }
         self.len += pairs.len();
@@ -211,14 +205,15 @@ impl RowBatch {
     /// Move every row of `src` onto the end of this batch, leaving `src`
     /// empty (arities must match; the caller guarantees the rows fit).
     /// Used to merge per-worker columnar partition fragments in worker
-    /// order without cloning any value.
+    /// order, one slice copy per column.
     pub fn append_batch(&mut self, src: &mut RowBatch) {
         debug_assert_eq!(src.arity(), self.arity());
         debug_assert!(self.len + src.len <= self.capacity);
         self.len += src.len;
         src.len = 0;
         for (dst, s) in self.cols.iter_mut().zip(&mut src.cols) {
-            dst.append(s);
+            dst.gather(s, (0..s.len()).map(Some));
+            s.truncate(0);
         }
     }
 
@@ -231,7 +226,7 @@ impl RowBatch {
         debug_assert!(self.len + range.len() <= self.capacity);
         self.len += range.len();
         for (dst, &c) in self.cols.iter_mut().zip(cols) {
-            dst.extend_from_slice(&src.cols[c][range.clone()]);
+            dst.gather(&src.cols[c], range.clone().map(Some));
         }
     }
 
@@ -247,7 +242,7 @@ impl RowBatch {
 
     /// Materialize row `r` as an owned [`Row`].
     pub fn row(&self, r: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c[r].clone()).collect())
+        Row::new(self.cols.iter().map(|c| c.value(r)).collect())
     }
 
     /// Materialize every row, appending to `out` (the result-row edge:
@@ -260,21 +255,50 @@ impl RowBatch {
     }
 }
 
+impl From<&Row> for RowBatch {
+    /// `row` as a one-row batch, each column typed by its value.
+    fn from(row: &Row) -> Self {
+        let mut batch = RowBatch::with_capacity(row.values().iter().map(Value::data_type), 1);
+        batch
+            .push_drain(&mut row.values().to_vec())
+            .expect("typed by its values");
+        batch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row;
+    use DataType::*;
+
+    /// A batch of `types` holding `rows`.
+    fn batch_of(types: &[DataType], rows: &[Row]) -> RowBatch {
+        let mut b = RowBatch::with_capacity(types.iter().copied(), rows.len().max(1));
+        for r in rows {
+            b.push_drain(&mut r.clone().into_values()).unwrap();
+        }
+        b
+    }
+
+    fn rows_of(b: &RowBatch) -> Vec<Row> {
+        let mut rows = Vec::new();
+        b.append_rows_to(&mut rows);
+        rows
+    }
 
     #[test]
     fn push_and_read_column_major() {
-        let mut b = RowBatch::with_capacity(2, 4);
+        let mut b = RowBatch::with_capacity([Int64, Utf8], 4);
         assert!(b.is_empty());
         assert_eq!(b.capacity(), 4);
-        b.push_drain(&mut vec![Value::Int64(1), Value::str("a")]);
-        b.push_drain(&mut vec![Value::Int64(2), Value::str("b")]);
+        b.push_drain(&mut vec![Value::Int64(1), Value::str("a")])
+            .unwrap();
+        b.push_drain(&mut vec![Value::Int64(2), Value::str("b")])
+            .unwrap();
         assert_eq!(b.len(), 2);
-        assert_eq!(b.col(0), &[Value::Int64(1), Value::Int64(2)]);
-        assert_eq!(b.value(1, 1), &Value::str("b"));
+        assert_eq!(b.col(0).ints(), Some(&[1, 2][..]));
+        assert_eq!(b.col(1).value(1), Value::str("b"));
         assert_eq!(b.row(0), row![1i64, "a"]);
         assert!(!b.is_full());
         assert_eq!(b.remaining(), 2);
@@ -282,9 +306,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut b = RowBatch::with_capacity(1, 2);
-        b.push_drain(&mut row![1i64].into_values());
-        b.push_drain(&mut row![2i64].into_values());
+        let mut b = batch_of(&[Int64], &[row![1i64], row![2i64]]);
         assert!(b.is_full());
         b.clear();
         assert!(b.is_empty());
@@ -294,16 +316,16 @@ mod tests {
 
     #[test]
     fn capacity_clamps_to_one() {
-        let b = RowBatch::with_capacity(1, 0);
+        let b = RowBatch::with_capacity([Int64], 0);
         assert_eq!(b.capacity(), 1);
     }
 
     #[test]
     fn set_capacity_rebounds_empty_batch() {
-        let mut b = RowBatch::with_capacity(1, 8);
+        let mut b = RowBatch::with_capacity([Int64], 8);
         b.set_capacity(2);
-        b.push_drain(&mut row![1i64].into_values());
-        b.push_drain(&mut row![2i64].into_values());
+        b.push_drain(&mut row![1i64].into_values()).unwrap();
+        b.push_drain(&mut row![2i64].into_values()).unwrap();
         assert!(b.is_full());
         b.clear();
         b.set_capacity(0);
@@ -312,72 +334,225 @@ mod tests {
 
     #[test]
     fn gather_applies_selection() {
-        let mut src = RowBatch::with_capacity(1, 4);
-        for i in 0..4i64 {
-            src.push_drain(&mut row![i].into_values());
-        }
-        let mut dst = RowBatch::with_capacity(1, 4);
+        let src = batch_of(&[Int64], &(0..4i64).map(|i| row![i]).collect::<Vec<_>>());
+        let mut dst = RowBatch::with_capacity([Int64], 4);
         dst.gather_from(&src, &[3, 0, 2]);
-        assert_eq!(
-            dst.col(0),
-            &[Value::Int64(3), Value::Int64(0), Value::Int64(2)]
-        );
+        assert_eq!(rows_of(&dst), vec![row![3i64], row![0i64], row![2i64]]);
     }
 
     #[test]
     fn pair_gather_selects_columns_and_pads() {
-        let mut left = RowBatch::with_capacity(2, 2);
-        left.push_drain(&mut row![1i64, "l"].into_values());
-        let mut right = RowBatch::with_capacity(2, 2);
-        right.push_drain(&mut row![2i64, "x"].into_values());
-        right.push_drain(&mut row![3i64, "y"].into_values());
-        let mut b = RowBatch::with_capacity(3, 4);
-        b.gather_pairs_from(&left, &right, &[(0, 1), (NO_ROW, 0)], &[3, 0, 2]);
-        assert_eq!(b.row(0), row![Value::str("y"), 1i64, 3i64]);
-        assert_eq!(b.row(1), row![Value::str("x"), Value::Null, 2i64]);
-        let mut none = RowBatch::with_capacity(0, 4);
+        let left = batch_of(&[Int64, Utf8], &[row![1i64, "l"]]);
+        let right = batch_of(&[Int64, Utf8], &[row![2i64, "x"], row![3i64, "y"]]);
+        let mut b = RowBatch::with_capacity([Utf8, Int64, Int64, Utf8], 4);
+        b.gather_pairs_from(&left, &right, &[(0, 1), (NO_ROW, 0)], &[3, 0, 2, 1]);
+        assert_eq!(b.row(0), row![Value::str("y"), 1i64, 3i64, "l"]);
+        assert_eq!(
+            b.row(1),
+            row![Value::str("x"), Value::Null, 2i64, Value::Null]
+        );
+        // Padding an empty side (the hash join's NULL-key stash) and a
+        // padded cell gathered on keep their NULLs.
+        let empty = RowBatch::with_capacity([Int64, Utf8], 1);
+        let mut p = RowBatch::with_capacity([Int64, Int64], 2);
+        p.gather_pairs_from(&empty, &right, &[(NO_ROW, 1), (NO_ROW, 0)], &[0, 2]);
+        assert_eq!(
+            rows_of(&p),
+            vec![row![Value::Null, 3i64], row![Value::Null, 2i64]]
+        );
+        let mut none = RowBatch::with_capacity([], 4);
         none.gather_pairs_from(&left, &right, &[(0, 0), (0, 1)], &[]);
         assert_eq!((none.len(), none.row(1)), (2, row![]));
-        let mut c = RowBatch::with_capacity(3, 2);
+        let mut c = RowBatch::with_capacity([Utf8, Int64, Int64, Utf8], 2);
         c.gather_from(&b, &[1]);
         assert_eq!(c.row(0), b.row(1));
     }
 
+    /// Only `NO_ROW` pads: any other build index past its side is a bug,
+    /// not a LeftOuter miss.
+    #[test]
+    #[should_panic]
+    fn pair_gather_panics_on_an_out_of_range_build_row() {
+        let left = batch_of(&[Int64], &[row![1i64]]);
+        let right = batch_of(&[Int64], &[row![2i64]]);
+        let mut b = RowBatch::with_capacity([Int64, Int64], 2);
+        b.gather_pairs_from(&left, &right, &[(1, 0)], &[0, 1]);
+    }
+
     #[test]
     fn extend_from_copies_slices_and_truncate_pops() {
-        let mut src = RowBatch::with_capacity(2, 8);
-        for r in [row![1i64, "a"], row![2i64, "b"], row![3i64, "c"]] {
-            src.push_drain(&mut r.into_values());
-        }
-        let mut b = RowBatch::with_capacity(2, 8);
-        b.extend_from(&src, 1..3, &[0, 1]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.row(0), row![2i64, "b"]);
-        assert_eq!(b.row(1), row![3i64, "c"]);
-        let mut narrow = RowBatch::with_capacity(1, 8);
-        narrow.extend_from(&src, 0..3, &[1]);
-        assert_eq!(
-            narrow.col(0),
-            &[Value::str("a"), Value::str("b"), Value::str("c")]
+        let src = batch_of(
+            &[Int64, Utf8],
+            &[row![1i64, "a"], row![2i64, "b"], row![3i64, "c"]],
         );
+        let mut b = RowBatch::with_capacity([Int64, Utf8], 8);
+        b.extend_from(&src, 1..3, &[0, 1]);
+        assert_eq!(rows_of(&b), vec![row![2i64, "b"], row![3i64, "c"]]);
+        let mut narrow = RowBatch::with_capacity([Utf8], 8);
+        narrow.extend_from(&src, 0..3, &[1]);
+        assert_eq!(rows_of(&narrow), vec![row!["a"], row!["b"], row!["c"]]);
         b.truncate(1);
-        assert_eq!((b.len(), b.col(1)), (1, &[Value::str("b")][..]));
+        assert_eq!(rows_of(&b), vec![row![2i64, "b"]]);
         b.truncate(5);
         assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn row_materialization() {
-        let mut b = RowBatch::with_capacity(2, 2);
-        b.push_drain(&mut row![7i64, "k"].into_values());
-        let mut rows = Vec::new();
-        b.append_rows_to(&mut rows);
-        assert_eq!(rows, vec![row![7i64, "k"]]);
+        let b = batch_of(&[Int64, Utf8], &[row![7i64, "k"]]);
+        assert_eq!(rows_of(&b), vec![row![7i64, "k"]]);
+    }
+
+    #[test]
+    fn a_row_converts_to_a_batch_typed_by_its_values() {
+        for r in [row![1i64, "a"], row![Value::Null, 2.5], row![3i64, "c"]] {
+            let b = RowBatch::from(&r);
+            assert_eq!((b.len(), b.row(0)), (1, r.clone()));
+            let types: Vec<DataType> = b.cols().iter().map(Column::data_type).collect();
+            assert_eq!(
+                types,
+                r.values().iter().map(Value::data_type).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
     fn status_helpers() {
         assert!(BatchStatus::Exhausted.is_exhausted());
         assert!(!BatchStatus::HasMore.is_exhausted());
+    }
+
+    /// xorshift64*: the test's own dependency-free generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n.max(1)
+        }
+
+        /// A cell of type `ty`, NULL one time in four.
+        fn cell(&mut self, ty: DataType) -> Value {
+            if ty == Null || self.below(4) == 0 {
+                return Value::Null;
+            }
+            let k = self.below(7) as i64 - 3;
+            match ty {
+                Bool => Value::Bool(k > 0),
+                Int64 => Value::Int64(k),
+                Float64 => Value::Float64(k as f64 / 2.0),
+                _ => Value::str(format!("s{k}")),
+            }
+        }
+
+        fn rows(&mut self, types: &[DataType], n: usize) -> Vec<Row> {
+            (0..n)
+                .map(|_| Row::new(types.iter().map(|&t| self.cell(t)).collect()))
+                .collect()
+        }
+    }
+
+    /// Random lanes of every type, NULLs included, through every batch op:
+    /// each result equals the same op on a row-major reference model.
+    #[test]
+    fn lanes_match_a_value_model() {
+        let all = [Null, Bool, Int64, Float64, Utf8];
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for case in 0..200 {
+            let types: Vec<DataType> = (0..1 + rng.below(4))
+                .map(|_| all[rng.below(5) as usize])
+                .collect();
+            let (na, nb) = (rng.below(9) as usize, 1 + rng.below(9) as usize);
+            let (a_rows, b_rows) = (rng.rows(&types, na), rng.rows(&types, nb));
+            // Some cases have no NULL at all: masks that stay empty.
+            let (a, b) = (batch_of(&types, &a_rows), batch_of(&types, &b_rows));
+            assert_eq!(rows_of(&a), a_rows, "case {case}");
+            let acc = || RowBatch::accumulator(types.iter().copied());
+
+            let sel: Vec<u32> = (0..rng.below(12))
+                .map(|_| rng.below(b_rows.len() as u64) as u32)
+                .collect();
+            let mut got = a.clone();
+            got.capacity = usize::MAX;
+            got.gather_from(&b, &sel);
+            let mut want = a_rows.clone();
+            want.extend(sel.iter().map(|&r| b_rows[r as usize].clone()));
+            assert_eq!(rows_of(&got), want, "case {case} gather");
+
+            let (lo, hi) = (rng.below(b_rows.len() as u64) as usize, b_rows.len());
+            let cols: Vec<usize> = (0..types.len()).rev().collect();
+            let mut got = acc();
+            got.cols.reverse();
+            got.extend_from(&b, lo..hi, &cols);
+            let project = |r: &Row| Row::new(cols.iter().map(|&c| r.values()[c].clone()).collect());
+            let want: Vec<Row> = b_rows[lo..hi].iter().map(project).collect();
+            assert_eq!(rows_of(&got), want, "case {case} extend_from");
+
+            let mut got = acc();
+            let mut moved = a.clone();
+            got.append_batch(&mut b.clone());
+            got.append_batch(&mut moved);
+            assert!(moved.is_empty() && moved.cols.iter().all(|c| c.len() == 0));
+            let want: Vec<Row> = b_rows.iter().chain(&a_rows).cloned().collect();
+            assert_eq!(rows_of(&got), want, "case {case} append");
+            let keep = rng.below(want.len() as u64 + 1) as usize;
+            got.truncate(keep);
+            assert_eq!(rows_of(&got), want[..keep], "case {case} truncate");
+
+            let pairs: Vec<(u32, u32)> = (0..rng.below(12))
+                .map(|_| {
+                    let l = rng.below(a_rows.len() as u64 + 1) as u32;
+                    let l = if l as usize == a_rows.len() {
+                        NO_ROW
+                    } else {
+                        l
+                    };
+                    (l, rng.below(b_rows.len() as u64) as u32)
+                })
+                .collect();
+            let emit: Vec<usize> = (0..rng.below(5))
+                .map(|_| rng.below(2 * types.len() as u64) as usize)
+                .collect();
+            let emit_types = emit.iter().map(|&c| types[c % types.len()]);
+            let mut got = RowBatch::accumulator(emit_types);
+            got.gather_pairs_from(&a, &b, &pairs, &emit);
+            let want: Vec<Row> = pairs
+                .iter()
+                .map(|&(l, r)| {
+                    let left = match l {
+                        NO_ROW => Row::new(vec![Value::Null; types.len()]),
+                        l => a_rows[l as usize].clone(),
+                    };
+                    let whole = left.concat(&b_rows[r as usize]);
+                    Row::new(emit.iter().map(|&c| whole.values()[c].clone()).collect())
+                })
+                .collect();
+            assert_eq!(rows_of(&got), want, "case {case} pairs");
+        }
+    }
+
+    /// A value of another type is an error that appends nothing, never a
+    /// cast; NULL fits every lane.
+    #[test]
+    fn a_wrongly_typed_push_is_an_error() {
+        let mut b = RowBatch::with_capacity([Int64, Float64], 4);
+        for bad in [
+            row![1.5, 1.5],
+            row![1i64, 1i64],
+            row![1i64, "x"],
+            row![true, 1.5],
+        ] {
+            let err = b.push_drain(&mut bad.into_values()).unwrap_err();
+            assert!(matches!(err, crate::QError::Type(_)), "{err}");
+            assert!(b.is_empty() && b.cols().iter().all(|c| c.len() == 0));
+        }
+        b.push_drain(&mut row![Value::Null, Value::Null].into_values())
+            .unwrap();
+        let mut null = Column::with_capacity(Null, 1);
+        assert!(null.push(Value::Int64(1)).is_err());
+        null.push(Value::Null).unwrap();
+        assert_eq!((null.len(), null.value(0)), (1, Value::Null));
     }
 }

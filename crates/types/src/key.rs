@@ -6,11 +6,10 @@
 //! compact composite form for multi-column keys.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{QError, QResult};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// A single-column join or grouping key.
 ///
@@ -31,42 +30,21 @@ pub enum Key {
 impl Key {
     /// Convert a [`Value`] into a key, rejecting non-key types (floats).
     pub fn from_value(v: &Value) -> QResult<Key> {
-        match v {
-            Value::Null => Ok(Key::Null),
-            Value::Bool(b) => Ok(Key::Bool(*b)),
-            Value::Int64(i) => Ok(Key::Int(*i)),
-            Value::Str(s) => Ok(Key::Str(Arc::clone(s))),
-            Value::Float64(_) => Err(QError::type_err(
-                "DOUBLE columns cannot be join/grouping keys",
-            )),
-        }
+        Key::check_type(v.data_type())?;
+        Ok(match v {
+            Value::Bool(b) => Key::Bool(*b),
+            Value::Int64(i) => Key::Int(*i),
+            Value::Str(s) => Key::Str(Arc::clone(s)),
+            Value::Null | Value::Float64(_) => Key::Null,
+        })
     }
 
-    /// Feed `state` exactly what `Key::from_value(v)?.hash(state)` would,
-    /// without building the key (no `Arc` traffic for strings): operators
-    /// that hash key cells in place land in the same partitions and buckets
-    /// as code that hashes a [`Key`].
-    #[inline]
-    pub fn hash_value<H: Hasher>(v: &Value, state: &mut H) -> QResult<()> {
-        // The derived `Hash` writes the variant index as an `isize`, then
-        // the payload's own hash.
-        match v {
-            Value::Null => state.write_isize(0),
-            Value::Bool(b) => {
-                state.write_isize(1);
-                b.hash(state);
-            }
-            Value::Int64(i) => {
-                state.write_isize(2);
-                i.hash(state);
-            }
-            Value::Str(s) => {
-                state.write_isize(3);
-                s.hash(state);
-            }
-            Value::Float64(_) => return Key::from_value(v).map(|_| ()),
-        }
-        Ok(())
+    /// Reject DOUBLE, a type whose bit patterns define no sound equality.
+    pub fn check_type(ty: DataType) -> QResult<()> {
+        let msg = "DOUBLE columns cannot be join/grouping keys";
+        (ty != DataType::Float64)
+            .then_some(())
+            .ok_or_else(|| QError::type_err(msg))
     }
 
     /// Build a composite key from parts. A composite containing any NULL
@@ -82,16 +60,6 @@ impl Key {
             Key::Null => true,
             Key::Composite(parts) => parts.iter().any(Key::is_null),
             _ => false,
-        }
-    }
-
-    /// Approximate in-memory footprint in bytes, counting string payloads.
-    pub fn memory_size(&self) -> usize {
-        let base = std::mem::size_of::<Key>();
-        match self {
-            Key::Str(s) => base + s.len(),
-            Key::Composite(parts) => base + parts.iter().map(Key::memory_size).sum::<usize>(),
-            _ => base,
         }
     }
 }
@@ -146,22 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_value_feeds_the_hasher_what_the_key_would() {
-        use std::collections::hash_map::DefaultHasher;
-        let mut cells = vec![Value::Null, Value::Bool(false), Value::Bool(true)];
-        cells.extend([0, 1, -1, i64::MAX, i64::MIN].map(Value::Int64));
-        cells.extend((0..20).map(|n| Value::str(&"abcdefghijklmnopqrst"[..n])));
-        for v in &cells {
-            let (mut by_key, mut in_place) = (DefaultHasher::new(), DefaultHasher::new());
-            Key::from_value(v).unwrap().hash(&mut by_key);
-            Key::hash_value(v, &mut in_place).unwrap();
-            assert_eq!(in_place.finish(), by_key.finish(), "{v:?}");
-        }
-        let err = Key::hash_value(&Value::Float64(1.0), &mut DefaultHasher::new());
-        assert_eq!(err, Key::from_value(&Value::Float64(1.0)).map(|_| ()));
-    }
-
-    #[test]
     fn keys_work_in_hash_maps() {
         let mut m: HashMap<Key, u64> = HashMap::new();
         *m.entry(Key::Int(5)).or_default() += 1;
@@ -182,6 +134,5 @@ mod tests {
         let mut m = HashMap::new();
         m.insert(k.clone(), 5);
         assert_eq!(m[&Key::composite(vec![Key::Int(1), Key::from("a")])], 5);
-        assert!(k.memory_size() > Key::Int(1).memory_size());
     }
 }

@@ -73,11 +73,6 @@ impl Row {
         }
         Ok(Row { values })
     }
-
-    /// Approximate in-memory footprint in bytes.
-    pub fn memory_size(&self) -> usize {
-        std::mem::size_of::<Row>() + self.values.iter().map(Value::memory_size).sum::<usize>()
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -151,6 +146,5 @@ mod tests {
     fn display_and_size() {
         let r = row![1i64, "ab"];
         assert_eq!(r.to_string(), "[1, ab]");
-        assert!(r.memory_size() > std::mem::size_of::<Row>());
     }
 }

@@ -115,6 +115,11 @@ impl Schema {
         self.fields.len()
     }
 
+    /// The column types in order.
+    pub fn types(&self) -> impl Iterator<Item = DataType> + '_ {
+        self.fields.iter().map(|f| f.data_type)
+    }
+
     /// Borrow the field at `idx`.
     pub fn field(&self, idx: usize) -> QResult<&Field> {
         self.fields.get(idx).ok_or_else(|| {

@@ -172,15 +172,6 @@ impl Value {
             },
         }
     }
-
-    /// Approximate in-memory footprint in bytes, counting string payloads.
-    pub fn memory_size(&self) -> usize {
-        let base = std::mem::size_of::<Value>();
-        match self {
-            Value::Str(s) => base + s.len(),
-            _ => base,
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -310,13 +301,5 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int64(-4).to_string(), "-4");
         assert_eq!(Value::str("hi").to_string(), "hi");
-    }
-
-    #[test]
-    fn memory_size_counts_string_payload() {
-        let short = Value::str("a");
-        let long = Value::str("aaaaaaaaaaaaaaaaaaaa");
-        assert!(long.memory_size() > short.memory_size());
-        assert_eq!(Value::Int64(1).memory_size(), std::mem::size_of::<Value>());
     }
 }

@@ -15,7 +15,7 @@ use qprog::core::gnm::{PipelineProgress, ProgressSnapshot};
 use qprog::core::join_est::OnceJoinEstimator;
 use qprog::core::mle::mle_estimate;
 use qprog::core::pipeline_est::{AttrSource, JoinSpec, PipelineEstimator};
-use qprog_types::{Key, Row, Value};
+use qprog_types::{DataType, Key, Row, RowBatch, Value};
 
 #[path = "support/multi_est.rs"]
 mod multi_est;
@@ -535,10 +535,42 @@ impl Domain {
     }
 }
 
-/// Rows to a column-major batch (`cols[c][r]`).
-fn to_cols(rows: &[Row], arity: usize) -> Vec<Vec<Value>> {
-    (0..arity)
-        .map(|c| rows.iter().map(|r| r.values()[c].clone()).collect())
+/// One one-column row per value.
+fn one_column(values: &[Value]) -> Vec<Row> {
+    values.iter().map(|v| Row::new(vec![v.clone()])).collect()
+}
+
+/// Rows to batches of typed lanes, in order, cut wherever a column's type
+/// changes (NULL fits every lane): a column mixing types is no one lane.
+fn to_batches(rows: &[Row]) -> Vec<RowBatch> {
+    let mut runs: Vec<(Vec<DataType>, Vec<Row>)> = Vec::new();
+    for r in rows {
+        let types = r.values().iter().map(Value::data_type);
+        let fits = |run: &[DataType]| {
+            run.iter()
+                .zip(types.clone())
+                .all(|(&a, b)| a == b || a == DataType::Null || b == DataType::Null)
+        };
+        match runs.last_mut().filter(|(run, _)| fits(run)) {
+            Some((run, rows)) => {
+                for (a, b) in run.iter_mut().zip(types) {
+                    if *a == DataType::Null {
+                        *a = b;
+                    }
+                }
+                rows.push(r.clone());
+            }
+            None => runs.push((types.collect(), vec![r.clone()])),
+        }
+    }
+    runs.into_iter()
+        .map(|(types, rows)| {
+            let mut batch = RowBatch::with_capacity(types, rows.len());
+            for r in rows {
+                batch.push_drain(&mut r.into_values()).unwrap();
+            }
+            batch
+        })
         .collect()
 }
 
@@ -558,7 +590,9 @@ fn drive_pipeline(
             rows.iter().try_for_each(|r| est.build_tuple(j, r))?;
         } else {
             for chunk in rows.chunks(split) {
-                est.build_batch(j, &to_cols(chunk, 2), chunk.len())?;
+                for batch in to_batches(chunk) {
+                    est.build_batch(j, &batch)?;
+                }
             }
         }
         est.end_build(j)?;
@@ -567,7 +601,9 @@ fn drive_pipeline(
         probe.iter().try_for_each(|r| est.observe_probe(r))?;
     } else {
         for chunk in probe.chunks(split) {
-            est.observe_probe_batch(&to_cols(chunk, 2), chunk.len())?;
+            for batch in to_batches(chunk) {
+                est.observe_probe_batch(&batch)?;
+            }
         }
     }
     Ok(est)
@@ -777,7 +813,10 @@ fn once_batch_kernel_matches_row_wrapper() {
         let build: Vec<Value> = (0..rng.random_range(0..80usize))
             .map(|_| domain.random(&mut rng))
             .collect();
-        hist.observe_column(&build, None).unwrap();
+        for lane in to_batches(&one_column(&build)) {
+            hist.observe_column(lane.col(0), 0..lane.len(), None)
+                .unwrap();
+        }
         let by_key: FreqHist = build
             .iter()
             .map(|v| Key::from_value(v).unwrap())
@@ -805,7 +844,10 @@ fn once_batch_kernel_matches_row_wrapper() {
                 let mut by_batch = OnceJoinEstimator::with_kind(hist.clone(), size, kind);
                 let mut seen = Vec::new();
                 for chunk in probe.chunks(split) {
-                    seen.extend_from_slice(by_batch.observe_probe_batch(chunk).unwrap());
+                    for lane in to_batches(&one_column(chunk)) {
+                        let counts = by_batch.observe_probe_batch(lane.col(0), 0..lane.len());
+                        seen.extend_from_slice(counts.unwrap());
+                    }
                 }
                 let what = format!("case {case} {kind:?} split {split}");
                 assert_eq!(seen, mults, "{what}");
@@ -830,10 +872,11 @@ fn once_batch_kernel_matches_row_wrapper() {
     }
     // A DOUBLE key is the typed error of the one-key path, and observes nothing.
     let mut est = OnceJoinEstimator::new(FreqHist::new(), 4);
-    let keys = [Value::Int64(1), Value::Float64(2.0)];
+    let keys = [Value::Float64(2.0), Value::Null];
+    let lane = &to_batches(&one_column(&keys))[0];
     assert_eq!(
-        est.observe_probe_batch(&keys).unwrap_err(),
-        Key::from_value(&keys[1]).unwrap_err()
+        est.observe_probe_batch(lane.col(0), 0..2).unwrap_err(),
+        Key::from_value(&keys[0]).unwrap_err()
     );
     assert_eq!(est.probe_seen(), 0);
 }
