@@ -206,35 +206,33 @@ pub struct QueryDirectory {
     ///
     /// [`MonitorServer`]: crate::server::MonitorServer
     hub: Mutex<Option<Arc<StreamHub>>>,
-    /// `qprog_queries_live`, when a metrics registry is attached.
-    live_gauge: Option<Arc<Gauge>>,
-    /// `qprog_queries_registered_total`, when a registry is attached.
-    registered: Option<Arc<Counter>>,
+    /// `qprog_queries_live`.
+    live_gauge: Arc<Gauge>,
+    /// `qprog_queries_registered_total`.
+    registered: Arc<Counter>,
 }
 
 impl QueryDirectory {
-    /// A directory; with a metrics registry attached it also maintains the
-    /// `qprog_queries_live` gauge and `qprog_queries_registered_total`
-    /// counter.
+    /// A directory maintaining the `qprog_queries_live` gauge and
+    /// `qprog_queries_registered_total` counter in `metrics`, or in a
+    /// private registry when it is `None`.
     pub fn new(metrics: Option<&Registry>) -> Self {
+        let private = Registry::new();
+        let r = metrics.unwrap_or(&private);
         QueryDirectory {
             next_id: AtomicU64::new(1),
             entries: Mutex::new(BTreeMap::new()),
             hub: Mutex::new(None),
-            live_gauge: metrics.map(|r| {
-                r.gauge(
-                    "qprog_queries_live",
-                    "Queries currently registered with the monitor",
-                    &[],
-                )
-            }),
-            registered: metrics.map(|r| {
-                r.counter(
-                    "qprog_queries_registered_total",
-                    "Queries ever registered with the monitor",
-                    &[],
-                )
-            }),
+            live_gauge: r.gauge(
+                "qprog_queries_live",
+                "Queries currently registered with the monitor",
+                &[],
+            ),
+            registered: r.counter(
+                "qprog_queries_registered_total",
+                "Queries ever registered with the monitor",
+                &[],
+            ),
         }
     }
 
@@ -309,12 +307,8 @@ impl QueryDirectory {
             Self::publish_state(&hub, id, &entries[&id], false, true);
         }
         drop(entries);
-        if let Some(g) = &self.live_gauge {
-            g.add(1.0);
-        }
-        if let Some(c) = &self.registered {
-            c.inc();
-        }
+        self.live_gauge.add(1.0);
+        self.registered.inc();
         MonitoredQuery {
             directory: Arc::clone(self),
             id,
@@ -380,9 +374,7 @@ impl QueryDirectory {
     fn remove(&self, id: u64) {
         let removed = self.entries.lock().remove(&id);
         if let Some(e) = removed {
-            if let Some(g) = &self.live_gauge {
-                g.sub(1.0);
-            }
+            self.live_gauge.sub(1.0);
             // A query can unregister while still running (handle dropped
             // early). Streams must still always learn the outcome: emit the
             // final frame if none went out, then close per-query subscribers.

@@ -26,9 +26,10 @@
 //! does not.
 //!
 //! Self-observability: the hub counts delivered/dropped frames and
-//! evictions, and maintains the `qprog_stream_subscribers` gauge plus
-//! `qprog_stream_events_{delivered,dropped}_total` and
-//! `qprog_stream_evictions_total` when a metrics registry is attached.
+//! evictions once, in the `qprog_stream_events_{delivered,dropped}_total`
+//! and `qprog_stream_evictions_total` counters, and keeps the
+//! `qprog_stream_subscribers` gauge: in the attached metrics registry, or
+//! in a private one when none is attached.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,13 +134,10 @@ pub struct StreamHub {
     /// The last [`REPLAY_RING_CAP`] published frames, oldest first, for
     /// `Last-Event-ID` reconnect replay.
     replay: Mutex<VecDeque<(u64, Arc<String>)>>,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    evicted: AtomicU64,
-    gauge: Option<Arc<Gauge>>,
-    delivered_counter: Option<Arc<Counter>>,
-    dropped_counter: Option<Arc<Counter>>,
-    evictions_counter: Option<Arc<Counter>>,
+    live: Arc<Gauge>,
+    delivered: Arc<Counter>,
+    dropped: Arc<Counter>,
+    evicted: Arc<Counter>,
 }
 
 impl std::fmt::Debug for StreamHub {
@@ -153,56 +151,41 @@ impl std::fmt::Debug for StreamHub {
 }
 
 impl StreamHub {
-    /// A hub; with a metrics registry attached it also maintains the
-    /// `qprog_stream_*` gauge and counters.
+    /// A hub counting into the `qprog_stream_*` gauge and counters of
+    /// `metrics`, or of a private registry when it is `None`.
     pub fn new(metrics: Option<&Registry>) -> Self {
+        let private = Registry::new();
+        let r = metrics.unwrap_or(&private);
         StreamHub {
             subscribers: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             frame_seq: AtomicU64::new(0),
             replay: Mutex::new(VecDeque::with_capacity(REPLAY_RING_CAP)),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            gauge: metrics.map(|r| {
-                r.gauge(
-                    "qprog_stream_subscribers",
-                    "Live SSE stream subscribers",
-                    &[],
-                )
-            }),
-            delivered_counter: metrics.map(|r| {
-                r.counter(
-                    "qprog_stream_events_delivered_total",
-                    "SSE frames enqueued to stream subscribers",
-                    &[],
-                )
-            }),
-            dropped_counter: metrics.map(|r| {
-                r.counter(
-                    "qprog_stream_events_dropped_total",
-                    "Non-terminal SSE frames dropped at full subscriber queues",
-                    &[],
-                )
-            }),
-            evictions_counter: metrics.map(|r| {
-                r.counter(
-                    "qprog_stream_evictions_total",
-                    "Subscribers evicted for falling too far behind",
-                    &[],
-                )
-            }),
+            live: r.gauge(
+                "qprog_stream_subscribers",
+                "Live SSE stream subscribers",
+                &[],
+            ),
+            delivered: r.counter(
+                "qprog_stream_events_delivered_total",
+                "SSE frames enqueued to stream subscribers",
+                &[],
+            ),
+            dropped: r.counter(
+                "qprog_stream_events_dropped_total",
+                "Non-terminal SSE frames dropped at full subscriber queues",
+                &[],
+            ),
+            evicted: r.counter(
+                "qprog_stream_evictions_total",
+                "Subscribers evicted for falling too far behind",
+                &[],
+            ),
         }
     }
 
     fn subs(&self) -> MutexGuard<'_, Vec<Arc<StreamSubscriber>>> {
         self.subscribers.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn update_gauge(&self, len: usize) {
-        if let Some(g) = &self.gauge {
-            g.set(len as f64);
-        }
     }
 
     /// Register a subscriber: `filter = Some(id)` for one query's stream,
@@ -218,7 +201,7 @@ impl StreamHub {
         });
         let mut subs = self.subs();
         subs.push(Arc::clone(&sub));
-        self.update_gauge(subs.len());
+        self.live.set(subs.len() as f64);
         sub
     }
 
@@ -226,7 +209,7 @@ impl StreamHub {
     pub fn unsubscribe(&self, sub: &StreamSubscriber) {
         let mut subs = self.subs();
         subs.retain(|s| s.id != sub.id);
-        self.update_gauge(subs.len());
+        self.live.set(subs.len() as f64);
         {
             let mut st = sub.lock();
             st.closed = true;
@@ -302,6 +285,7 @@ impl StreamHub {
             .iter()
             .filter(|s| s.filter.is_none_or(|f| f == query_id));
         let mut any_closed = false;
+        let mut delivered = 0;
         for sub in matching {
             let frame = &frame;
             let mut st = sub.lock();
@@ -311,28 +295,19 @@ impl StreamHub {
             }
             if !terminal && st.queue.len() >= sub.cap {
                 st.dropped += 1;
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = &self.dropped_counter {
-                    c.inc();
-                }
+                self.dropped.inc();
                 // A subscriber that has lost a full queue's worth of
                 // frames is never catching up: evict it.
                 if st.dropped > sub.cap as u64 {
                     st.closed = true;
                     any_closed = true;
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &self.evictions_counter {
-                        c.inc();
-                    }
+                    self.evicted.inc();
                     sub.cv.notify_all();
                 }
                 continue;
             }
             st.queue.push_back(Arc::clone(frame));
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = &self.delivered_counter {
-                c.inc();
-            }
+            delivered += 1;
             if terminal && sub.filter == Some(query_id) {
                 // The query's story is over; close after the drain.
                 st.closed = true;
@@ -342,6 +317,7 @@ impl StreamHub {
             sub.cv.notify_all();
         }
         drop(subs);
+        self.delivered.add(delivered);
         if any_closed {
             self.reap();
         }
@@ -352,7 +328,7 @@ impl StreamHub {
     fn reap(&self) {
         let mut subs = self.subs();
         subs.retain(|s| !s.lock().closed);
-        self.update_gauge(subs.len());
+        self.live.set(subs.len() as f64);
     }
 
     /// Close every subscriber filtered on `query_id` (the query
@@ -366,7 +342,7 @@ impl StreamHub {
             }
         }
         subs.retain(|s| !s.lock().closed);
-        self.update_gauge(subs.len());
+        self.live.set(subs.len() as f64);
     }
 
     /// Close every subscriber (server shutdown). Queued frames still
@@ -377,22 +353,22 @@ impl StreamHub {
             sub.lock().closed = true;
             sub.cv.notify_all();
         }
-        self.update_gauge(0);
+        self.live.set(0.0);
     }
 
     /// Frames enqueued across all subscribers so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
+        self.delivered.get()
     }
 
     /// Non-terminal frames dropped at full queues so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// Subscribers evicted for falling behind so far.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.evicted.get()
     }
 }
 
@@ -547,14 +523,32 @@ mod tests {
         }
         hub.unsubscribe(&sub);
         assert_eq!(gauge.get(), 0.0);
+        // A capacity-1 subscriber loses a second queue's worth and is
+        // evicted: every count is the registry's series, read back.
+        let slow = hub.subscribe(None, 1);
+        for i in 0..4 {
+            hub.publish(1, "progress", &format!("{i}"), false);
+        }
+        assert!(slow.is_closed());
+        let series = |name: &str| registry.counter(name, "", &[]).get();
+        assert_eq!((hub.delivered(), hub.dropped(), hub.evicted()), (3, 3, 1));
+        assert_eq!(
+            (hub.delivered(), hub.dropped(), hub.evicted()),
+            (
+                series("qprog_stream_events_delivered_total"),
+                series("qprog_stream_events_dropped_total"),
+                series("qprog_stream_evictions_total"),
+            )
+        );
         let text = registry.render();
         assert!(
-            text.contains("qprog_stream_events_delivered_total 2"),
+            text.contains("qprog_stream_events_delivered_total 3"),
             "{text}"
         );
         assert!(
-            text.contains("qprog_stream_events_dropped_total 1"),
+            text.contains("qprog_stream_events_dropped_total 3"),
             "{text}"
         );
+        assert!(text.contains("qprog_stream_evictions_total 1"), "{text}");
     }
 }

@@ -128,8 +128,8 @@ pub struct MonitorServer {
 
 impl MonitorServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start serving with default
-    /// bounds. With a metrics registry attached, `/metrics` exposes it and
-    /// the query directory maintains the `qprog_queries_live` gauge.
+    /// bounds. With a metrics registry attached, `/metrics` exposes it,
+    /// the query directory's and stream hub's series included.
     pub fn start(addr: impl ToSocketAddrs, metrics: Option<Arc<Registry>>) -> QResult<Arc<Self>> {
         Self::start_with(addr, metrics, ServerConfig::default())
     }

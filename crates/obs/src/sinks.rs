@@ -54,11 +54,6 @@ impl RingSink {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Pop the oldest event, if any.
-    pub fn try_pop(&self) -> Option<TraceEvent> {
-        self.events.lock().pop_front()
-    }
-
     /// Drain everything currently buffered, in publication order.
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.events.lock().drain(..).collect()

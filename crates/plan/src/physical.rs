@@ -253,15 +253,6 @@ impl CompiledQuery {
         self.batch_rows
     }
 
-    /// Override the root batch capacity for subsequent
-    /// [`collect`](Self::collect) calls
-    /// (clamped to ≥ 1; `1` is strict per-row equivalence mode). Operators
-    /// size their internal scratch batches from the capacity of the batch
-    /// they are handed, so the override applies to the whole plan.
-    pub fn set_batch_rows(&mut self, n: usize) {
-        self.batch_rows = n.max(1);
-    }
-
     /// The query's lifecycle governor (attached at compile time).
     pub fn governor(&self) -> Option<&Arc<Governor>> {
         self.registry.governor()

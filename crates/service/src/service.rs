@@ -39,6 +39,17 @@ use crate::journal::{Journal, PendingEntry};
 use crate::queue::{AdmissionConfig, JobSpec, Pop, ReadyQueue, RejectReason};
 use crate::spans::{SpanLog, SpanTotals};
 
+/// `GET /service`'s per-tenant members after `inflight`, each with the
+/// series it reads: (member, sample name, `where` label or "").
+const TENANT_SERIES: [(&str, &str, &str); 6] = [
+    ("completed", "qprog_exec_us_count", ""),
+    ("queue_wait_us", "qprog_queue_wait_us_sum", ""),
+    ("exec_us", "qprog_exec_us_sum", ""),
+    ("attempts", "qprog_dispatch_attempts_total", ""),
+    ("deadline_miss_queue", "qprog_deadline_miss_total", "queue"),
+    ("deadline_miss_exec", "qprog_deadline_miss_total", "exec"),
+];
+
 /// Recent dispatch timestamps retained for the shed-time estimate.
 const DRAIN_RATE_WINDOW: usize = 64;
 
@@ -345,20 +356,8 @@ impl StatusObserver for LocalIds {
     }
 }
 
-#[derive(Debug, Default)]
-struct SvcCounters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    invalid: AtomicU64,
-    dispatched: AtomicU64,
-    retries: AtomicU64,
-    finished: AtomicU64,
-    failed: AtomicU64,
-    journal_errors: AtomicU64,
-}
-
-/// Counters snapshot for `/service` and assertions.
+/// Counters snapshot for `/service` and assertions, read back from the
+/// service's registry instruments (the same series `/metrics` exposes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions received (any outcome).
@@ -367,7 +366,7 @@ pub struct ServiceStats {
     pub admitted: u64,
     /// Submissions shed by admission control.
     pub rejected: u64,
-    /// Submissions refused as malformed.
+    /// Submissions refused as malformed (HTTP 400).
     pub invalid: u64,
     /// Jobs handed to the executor (includes retry attempts).
     pub dispatched: u64,
@@ -377,8 +376,8 @@ pub struct ServiceStats {
     pub finished: u64,
     /// Jobs that reached a failure terminal.
     pub failed: u64,
-    /// Journal terminal-append failures (job completion still reported;
-    /// the affected job may be re-dispatched after a crash).
+    /// Journal append and compaction failures (a job whose terminal
+    /// append failed may be re-dispatched after a crash).
     pub journal_errors: u64,
     /// Jobs currently queued or in backoff.
     pub queue_depth: usize,
@@ -386,10 +385,26 @@ pub struct ServiceStats {
     pub running: usize,
 }
 
+/// Every count the service keeps, each kept once, in a registry
+/// instrument. The fixed-label series are resolved at open; the per-tenant
+/// ones at a tenant's first use, so a read registers nothing.
 struct SvcMetrics {
     registry: Arc<Registry>,
-    queue_depth: Arc<Gauge>,
+    /// `qprog_submissions_total{outcome}`: every submission counts exactly
+    /// one outcome.
+    admitted: Arc<Counter>,
+    invalid: Arc<Counter>,
+    queue_full: Arc<Counter>,
+    tenant_cap: Arc<Counter>,
+    shutdown: Arc<Counter>,
+    error: Arc<Counter>,
+    dispatches: Arc<Counter>,
     retries: Arc<Counter>,
+    /// `qprog_terminals_total{outcome}`.
+    finished: Arc<Counter>,
+    failed: Arc<Counter>,
+    journal_errors: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
     /// Shared bucket bounds for the per-tenant SLO histograms: 100µs to
     /// ~26s in ×4 steps, fixed so every tenant series is comparable.
     slo_buckets: Vec<f64>,
@@ -397,28 +412,41 @@ struct SvcMetrics {
 
 impl SvcMetrics {
     fn new(registry: Arc<Registry>) -> Self {
-        let queue_depth = registry.gauge(
-            "qprog_queue_depth",
-            "Submissions queued or in retry backoff",
-            &[],
-        );
-        let retries = registry.counter("qprog_retries_total", "Retry attempts scheduled", &[]);
-        SvcMetrics {
-            registry,
-            queue_depth,
-            retries,
-            slo_buckets: Histogram::exponential_buckets(100.0, 4.0, 10),
-        }
-    }
-
-    fn submission(&self, outcome: &str) {
-        self.registry
-            .counter(
+        let submissions = |outcome| {
+            registry.counter(
                 "qprog_submissions_total",
                 "Submissions received, by outcome",
                 &[("outcome", outcome)],
             )
-            .inc();
+        };
+        let terminals = |outcome| {
+            registry.counter(
+                "qprog_terminals_total",
+                "Submissions that reached a terminal, by outcome",
+                &[("outcome", outcome)],
+            )
+        };
+        let counter = |name, help| registry.counter(name, help, &[]);
+        SvcMetrics {
+            admitted: submissions("admitted"),
+            invalid: submissions("invalid"),
+            queue_full: submissions(RejectReason::QueueFull.label()),
+            tenant_cap: submissions(RejectReason::TenantCap.label()),
+            shutdown: submissions("shutdown"),
+            error: submissions("error"),
+            dispatches: counter("qprog_dispatches_total", "Jobs handed to the executor"),
+            retries: counter("qprog_retries_total", "Retry attempts scheduled"),
+            finished: terminals("finished"),
+            failed: terminals("failed"),
+            journal_errors: counter("qprog_journal_errors_total", "Journal append failures"),
+            queue_depth: registry.gauge(
+                "qprog_queue_depth",
+                "Submissions queued or in retry backoff",
+                &[],
+            ),
+            slo_buckets: Histogram::exponential_buckets(100.0, 4.0, 10),
+            registry,
+        }
     }
 
     fn tenant_inflight(&self, tenant: &str, value: f64) {
@@ -469,18 +497,6 @@ impl SvcMetrics {
     }
 }
 
-/// Per-tenant lifecycle aggregates across completed submissions, surfaced
-/// in [`QueryService::stats_json`] for `GET /service`.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantSlo {
-    completed: u64,
-    queue_wait_us: u64,
-    exec_us: u64,
-    attempts: u64,
-    deadline_miss_queue: u64,
-    deadline_miss_exec: u64,
-}
-
 struct JobRecord {
     spec: JobSpec,
     state: JobState,
@@ -501,7 +517,6 @@ struct JobRecord {
 struct SvcState {
     jobs: std::collections::BTreeMap<u64, JobRecord>,
     tenant_inflight: std::collections::BTreeMap<String, usize>,
-    tenant_slo: std::collections::BTreeMap<String, TenantSlo>,
     cancels: std::collections::BTreeMap<u64, CancellationToken>,
     terminal_order: std::collections::VecDeque<u64>,
 }
@@ -519,8 +534,7 @@ pub struct QueryService {
     stop: AtomicBool,
     running: AtomicUsize,
     id_floor: u64,
-    counters: SvcCounters,
-    metrics: Option<SvcMetrics>,
+    metrics: SvcMetrics,
     diagnostics: Vec<String>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Recent worker-pop timestamps (bounded to [`DRAIN_RATE_WINDOW`]);
@@ -532,6 +546,8 @@ impl QueryService {
     /// Open the service over journal directory `dir`: replay pending
     /// submissions from the previous incarnation (re-queued exactly once,
     /// in original order), then start `cfg.workers` dispatcher threads.
+    /// The service counts into `metrics`, or into a private registry when
+    /// it is `None`.
     pub fn open(
         dir: &Path,
         cfg: ServiceConfig,
@@ -551,8 +567,7 @@ impl QueryService {
             stop: AtomicBool::new(false),
             running: AtomicUsize::new(0),
             id_floor: replay.next_id,
-            counters: SvcCounters::default(),
-            metrics: metrics.map(SvcMetrics::new),
+            metrics: SvcMetrics::new(metrics.unwrap_or_default()),
             diagnostics: replay.diagnostics,
             workers: Mutex::new(Vec::new()),
             dispatch_times: Mutex::new(VecDeque::with_capacity(DRAIN_RATE_WINDOW)),
@@ -597,19 +612,16 @@ impl QueryService {
         // Lifecycle span epoch: every later span (and the journal's wall
         // time) is measured from this instant.
         let accepted_at = Instant::now();
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = qprog_fault::eval("service/submit") {
-            self.count_submission("error");
-            self.counters.invalid.fetch_add(1, Ordering::Relaxed);
+            self.metrics.error.inc();
             return Err(SubmitError::Internal(e.to_string()));
         }
         if !self.admitting.load(Ordering::Acquire) {
-            self.count_submission("shutdown");
+            self.metrics.shutdown.inc();
             return Err(SubmitError::ShuttingDown);
         }
         if let Err(detail) = self.validate(&req) {
-            self.count_submission("invalid");
-            self.counters.invalid.fetch_add(1, Ordering::Relaxed);
+            self.metrics.invalid.inc();
             return Err(SubmitError::Invalid(detail));
         }
         let mut state = self.state.lock();
@@ -657,8 +669,8 @@ impl QueryService {
         spans.push(SpanKind::JournalAppend, 0);
         if let Err(e) = self.journal.append_submit(&entry) {
             drop(state);
-            self.count_submission("error");
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
+            self.metrics.error.inc();
+            self.metrics.journal_errors.inc();
             return Err(SubmitError::Internal(format!("journal append failed: {e}")));
         }
         spans.pop();
@@ -673,8 +685,7 @@ impl QueryService {
         };
         Self::enqueue_locked(self, &mut state, spec, spans);
         drop(state);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.count_submission("admitted");
+        self.metrics.admitted.inc();
         Ok(Ticket {
             id,
             queue_depth: self.refresh_depth(),
@@ -698,8 +709,10 @@ impl QueryService {
     }
 
     fn reject(&self, reason: RejectReason, detail: String) -> SubmitError {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        self.count_submission(reason.label());
+        match reason {
+            RejectReason::QueueFull => self.metrics.queue_full.inc(),
+            RejectReason::TenantCap => self.metrics.tenant_cap.inc(),
+        }
         SubmitError::Rejected {
             reason,
             detail,
@@ -757,9 +770,8 @@ impl QueryService {
             .tenant_inflight
             .entry(spec.tenant.clone())
             .or_insert(0) += 1;
-        if let Some(m) = &self.metrics {
-            m.tenant_inflight(&spec.tenant, state.tenant_inflight[&spec.tenant] as f64);
-        }
+        self.metrics
+            .tenant_inflight(&spec.tenant, state.tenant_inflight[&spec.tenant] as f64);
         state.jobs.insert(
             spec.id,
             JobRecord {
@@ -832,19 +844,24 @@ impl QueryService {
         }
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot, read from the service's instruments.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.counters;
+        let m = &self.metrics;
+        let rejected = m.queue_full.get() + m.tenant_cap.get();
         ServiceStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            invalid: c.invalid.load(Ordering::Relaxed),
-            dispatched: c.dispatched.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            finished: c.finished.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            journal_errors: c.journal_errors.load(Ordering::Relaxed),
+            submitted: m.admitted.get()
+                + m.invalid.get()
+                + rejected
+                + m.shutdown.get()
+                + m.error.get(),
+            admitted: m.admitted.get(),
+            rejected,
+            invalid: m.invalid.get(),
+            dispatched: m.dispatches.get(),
+            retries: m.retries.get(),
+            finished: m.finished.get(),
+            failed: m.failed.get(),
+            journal_errors: m.journal_errors.get(),
             queue_depth: self.queue.depth(),
             running: self.running.load(Ordering::Relaxed),
         }
@@ -882,35 +899,46 @@ impl QueryService {
         self.admitting.load(Ordering::Acquire)
     }
 
-    /// JSON snapshot for the monitor's `GET /service` endpoint.
+    /// JSON snapshot for the monitor's `GET /service` endpoint. A tenant's
+    /// lifecycle numbers are its series in a registry snapshot: the count
+    /// and sum of its `qprog_exec_us` and the sum of its
+    /// `qprog_queue_wait_us` histograms, and its dispatch-attempt and
+    /// deadline-miss counters.
     pub fn stats_json(&self) -> String {
         let s = self.stats();
-        let tenants: Vec<String> = {
-            let state = self.state.lock();
-            let mut names: std::collections::BTreeSet<&String> =
-                state.tenant_inflight.keys().collect();
-            names.extend(state.tenant_slo.keys());
-            names
-                .into_iter()
-                .map(|t| {
-                    let inflight = state.tenant_inflight.get(t).copied().unwrap_or(0);
-                    let slo = state.tenant_slo.get(t).copied().unwrap_or_default();
-                    format!(
-                        "{{\"tenant\":\"{}\",\"inflight\":{inflight},\
-                         \"completed\":{},\"queue_wait_us\":{},\"exec_us\":{},\
-                         \"attempts\":{},\"deadline_miss_queue\":{},\
-                         \"deadline_miss_exec\":{}}}",
-                        escape(t),
-                        slo.completed,
-                        slo.queue_wait_us,
-                        slo.exec_us,
-                        slo.attempts,
-                        slo.deadline_miss_queue,
-                        slo.deadline_miss_exec
-                    )
-                })
-                .collect()
-        };
+        let mut tenants: std::collections::BTreeMap<String, (usize, [u64; 6])> = self
+            .state
+            .lock()
+            .tenant_inflight
+            .iter()
+            .map(|(t, &n)| (t.clone(), (n, [0; 6])))
+            .collect();
+        for sample in self.metrics.registry.snapshot() {
+            let label = |key: &str| {
+                let mut labels = sample.labels.iter();
+                labels.find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+            };
+            let column = TENANT_SERIES.iter().position(|&(_, name, place)| {
+                name == sample.name && (place.is_empty() || label("where") == Some(place))
+            });
+            if let (Some(c), Some(tenant)) = (column, label("tenant")) {
+                tenants.entry(tenant.to_string()).or_default().1[c] = sample.value as u64;
+            }
+        }
+        let tenants: Vec<String> = tenants
+            .iter()
+            .map(|(t, (inflight, values))| {
+                let members: String = TENANT_SERIES
+                    .iter()
+                    .zip(values)
+                    .map(|((key, ..), v)| format!(",\"{key}\":{v}"))
+                    .collect();
+                format!(
+                    "{{\"tenant\":\"{}\",\"inflight\":{inflight}{members}}}",
+                    escape(t)
+                )
+            })
+            .collect();
         format!(
             "{{\"admitting\":{},\"queue_depth\":{},\"running\":{},\
              \"submitted\":{},\"admitted\":{},\"rejected\":{},\"invalid\":{},\
@@ -1061,7 +1089,7 @@ impl QueryService {
             state.cancels.insert(job.id, token.clone());
         }
         self.running.fetch_add(1, Ordering::Relaxed);
-        self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
+        self.metrics.dispatches.inc();
         self.observer.on_dispatched(&job);
         let result = self.executor.execute(&job, token, remaining);
         self.running.fetch_sub(1, Ordering::Relaxed);
@@ -1091,10 +1119,7 @@ impl QueryService {
                 return;
             }
             let backoff = self.cfg.retry.backoff(job.id, attempts_done);
-            self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.retries.inc();
-            }
+            self.metrics.retries.inc();
             {
                 let mut state = self.state.lock();
                 if let Some(r) = state.jobs.get_mut(&job.id) {
@@ -1160,45 +1185,24 @@ impl QueryService {
             wall_us = t_term;
             totals = r.spans.totals();
         }
-        if let Err(e) = self
+        if self
             .journal
             .append_terminal(job.id, outcome.label(), wall_us)
+            .is_err()
         {
             // Completion is still reported; after a crash the job may be
             // re-dispatched (at-least-once on journal IO failure).
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = e;
+            self.metrics.journal_errors.inc();
         }
+        self.metrics.slo(&job.tenant, &totals);
         match &outcome {
-            JobOutcome::Finished { .. } => self.counters.finished.fetch_add(1, Ordering::Relaxed),
-            JobOutcome::Failed { .. } => self.counters.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        let deadline_missed = matches!(
-            &outcome,
-            JobOutcome::Failed {
-                kind: "deadline",
-                ..
-            }
-        );
-        let miss_location = if was_running { "exec" } else { "queue" };
-        {
-            let slo = state.tenant_slo.entry(job.tenant.clone()).or_default();
-            slo.completed += 1;
-            slo.queue_wait_us += totals.queue_wait_us + totals.backoff_us;
-            slo.exec_us += totals.exec_us;
-            slo.attempts += u64::from(totals.attempts);
-            if deadline_missed {
-                if was_running {
-                    slo.deadline_miss_exec += 1;
-                } else {
-                    slo.deadline_miss_queue += 1;
+            JobOutcome::Finished { .. } => self.metrics.finished.inc(),
+            JobOutcome::Failed { kind, .. } => {
+                if *kind == "deadline" {
+                    let location = if was_running { "exec" } else { "queue" };
+                    self.metrics.deadline_miss(&job.tenant, location);
                 }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.slo(&job.tenant, &totals);
-            if deadline_missed {
-                m.deadline_miss(&job.tenant, miss_location);
+                self.metrics.failed.inc();
             }
         }
         if let Some(n) = state.tenant_inflight.get_mut(&job.tenant) {
@@ -1207,9 +1211,7 @@ impl QueryService {
             if left == 0 {
                 state.tenant_inflight.remove(&job.tenant);
             }
-            if let Some(m) = &self.metrics {
-                m.tenant_inflight(&job.tenant, left as f64);
-            }
+            self.metrics.tenant_inflight(&job.tenant, left as f64);
         }
         self.observer.on_terminal(job, &outcome);
         state.terminal_order.push_back(job.id);
@@ -1243,9 +1245,8 @@ impl QueryService {
                     deadline: r.spec.deadline,
                 })
                 .collect();
-            if let Err(e) = self.journal.compact(&live) {
-                self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = e;
+            if self.journal.compact(&live).is_err() {
+                self.metrics.journal_errors.inc();
             }
         }
         for id in evicted {
@@ -1253,17 +1254,9 @@ impl QueryService {
         }
     }
 
-    fn count_submission(&self, outcome: &str) {
-        if let Some(m) = &self.metrics {
-            m.submission(outcome);
-        }
-    }
-
     fn refresh_depth(&self) -> usize {
         let depth = self.queue.depth();
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(depth as f64);
-        }
+        self.metrics.queue_depth.set(depth as f64);
         depth
     }
 }
@@ -1763,6 +1756,168 @@ mod tests {
         assert!(json.contains("\"admitting\":true"), "{json}");
         assert!(json.contains("\"queue_depth\":1"), "{json}");
         assert!(json.contains("\"tenant\":\"a\\\"b\""), "{json}");
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_and_stats_json_read_the_registry_series() {
+        let dir = tmpdir("onebook");
+        let registry = Arc::new(Registry::new());
+        // One worker, each run 150ms, the first attempt an injected fault.
+        let exec = Arc::new(MockExec {
+            fail_first: AtomicU32::new(1),
+            error: || QError::injected("unit"),
+            executions: Mutex::new(Vec::new()),
+            delay: Duration::from_millis(150),
+        });
+        let cfg = ServiceConfig {
+            admission: AdmissionConfig {
+                max_queue_depth: 3,
+                max_tenant_inflight: 2,
+                retry_after: Duration::from_millis(250),
+            },
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::from_millis(5),
+                cap: Duration::from_millis(20),
+                seed: 3,
+            },
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let s = QueryService::open(
+            &dir,
+            cfg,
+            exec,
+            Arc::new(LocalIds::default()),
+            Some(Arc::clone(&registry)),
+        )
+        .unwrap();
+        let retried = s.submit(req("select 0", "a")).unwrap().id;
+        let spin = Instant::now();
+        while s.stats().running == 0 && spin.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Waits behind the running job long past its 1ms budget.
+        let expired = s
+            .submit(SubmitRequest {
+                deadline: Some(Duration::from_millis(1)),
+                ..req("select 1", "a")
+            })
+            .unwrap()
+            .id;
+        assert!(matches!(
+            s.submit(req("syntax error", "a")),
+            Err(SubmitError::Invalid(_))
+        ));
+        assert!(matches!(
+            s.submit(req("select 2", "a")),
+            Err(SubmitError::Rejected {
+                reason: RejectReason::TenantCap,
+                ..
+            })
+        ));
+        let b = s.submit(req("select 3", "b")).unwrap().id;
+        let c = s.submit(req("select 4", "c")).unwrap().id;
+        assert!(matches!(
+            s.submit(req("select 5", "d")),
+            Err(SubmitError::Rejected {
+                reason: RejectReason::QueueFull,
+                ..
+            })
+        ));
+        for id in [retried, expired, b, c] {
+            wait_terminal(&s, id);
+        }
+        assert_eq!(wait_terminal(&s, expired).failure, Some("deadline"));
+
+        let before = registry.snapshot();
+        let stats = s.stats();
+        let json = s.stats_json();
+        assert_eq!(before, registry.snapshot(), "a read registers no series");
+        let series = |name: &str, labels: &[(&str, &str)]| -> u64 {
+            before
+                .iter()
+                .filter(|x| x.name == name)
+                .filter(|x| {
+                    labels
+                        .iter()
+                        .all(|(k, v)| x.labels.iter().any(|(a, b)| a == k && b == v))
+                })
+                .map(|x| x.value as u64)
+                .sum()
+        };
+        let outcome = |o: &str| series("qprog_submissions_total", &[("outcome", o)]);
+        let terminal = |o: &str| series("qprog_terminals_total", &[("outcome", o)]);
+        assert_eq!(
+            stats,
+            ServiceStats {
+                submitted: series("qprog_submissions_total", &[]),
+                admitted: outcome("admitted"),
+                rejected: outcome("queue_full") + outcome("tenant_cap"),
+                invalid: outcome("invalid"),
+                dispatched: series("qprog_dispatches_total", &[]),
+                retries: series("qprog_retries_total", &[]),
+                finished: terminal("finished"),
+                failed: terminal("failed"),
+                journal_errors: series("qprog_journal_errors_total", &[]),
+                queue_depth: series("qprog_queue_depth", &[]) as usize,
+                running: 0,
+            }
+        );
+        assert_eq!(
+            stats,
+            ServiceStats {
+                submitted: 7,
+                admitted: 4,
+                rejected: 2,
+                invalid: 1,
+                dispatched: 4,
+                retries: 1,
+                finished: 3,
+                failed: 1,
+                journal_errors: 0,
+                queue_depth: 0,
+                running: 0,
+            }
+        );
+        for tenant in ["a", "b", "c"] {
+            let t = [("tenant", tenant)];
+            let miss = |w: &str| {
+                series(
+                    "qprog_deadline_miss_total",
+                    &[("tenant", tenant), ("where", w)],
+                )
+            };
+            let expect = format!(
+                "{{\"tenant\":\"{tenant}\",\"inflight\":0,\"completed\":{},\
+                 \"queue_wait_us\":{},\"exec_us\":{},\"attempts\":{},\
+                 \"deadline_miss_queue\":{},\"deadline_miss_exec\":{}}}",
+                series("qprog_exec_us_count", &t),
+                series("qprog_queue_wait_us_sum", &t),
+                series("qprog_exec_us_sum", &t),
+                series("qprog_dispatch_attempts_total", &t),
+                miss("queue"),
+                miss("exec"),
+            );
+            assert!(json.contains(&expect), "{expect} not in {json}");
+        }
+        assert!(json.contains("\"tenant\":\"a\",\"inflight\":0,\"completed\":2,"));
+        assert_eq!(
+            series("qprog_dispatch_attempts_total", &[("tenant", "a")]),
+            2
+        );
+        assert_eq!(
+            series("qprog_deadline_miss_total", &[("where", "queue")]),
+            1
+        );
+        assert!(
+            !before.iter().any(|x| x.name == "qprog_deadline_miss_total"
+                && x.labels.iter().any(|(_, v)| v == "exec")),
+            "a deadline-miss series appears only at its first miss"
+        );
+        assert!(!json.contains("\"tenant\":\"d\""), "{json}");
         s.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

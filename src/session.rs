@@ -451,8 +451,8 @@ impl Session {
     }
 }
 
-/// How to drive a query to completion: progress observer, deadline,
-/// external cancellation token and batch capacity in one options value.
+/// How to drive a query to completion: progress observer, deadline and
+/// external cancellation token in one options value.
 ///
 /// Every field is optional; [`RunOptions::new`] (or `Default`) reproduces
 /// plain [`QueryHandle::collect`]. Compose freely:
@@ -473,7 +473,6 @@ pub struct RunOptions {
     observer: Option<Subscriber>,
     deadline: Option<Duration>,
     cancel: Option<CancellationToken>,
-    batch_rows: Option<usize>,
 }
 
 impl RunOptions {
@@ -508,16 +507,6 @@ impl RunOptions {
         self.cancel = Some(token);
         self
     }
-
-    /// Override the vectorized batch capacity for this run (clamped to
-    /// ≥ 1). `1` is strict per-row equivalence mode, reproducing the
-    /// serial engine's trace byte-for-byte; the default comes from the
-    /// session's [`PhysicalOptions::batch_rows`] (env `QPROG_BATCH_ROWS`,
-    /// normally 1024).
-    pub fn batch_rows(mut self, n: usize) -> Self {
-        self.batch_rows = Some(n.max(1));
-        self
-    }
 }
 
 impl std::fmt::Debug for RunOptions {
@@ -526,7 +515,6 @@ impl std::fmt::Debug for RunOptions {
             .field("observer", &self.observer.is_some())
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel.is_some())
-            .field("batch_rows", &self.batch_rows)
             .finish()
     }
 }
@@ -594,9 +582,6 @@ impl QueryHandle {
     /// wall-clock deadline, and external cancellation token, in any
     /// combination. `RunOptions::new()` is plain [`collect`](Self::collect).
     pub fn run(&mut self, options: RunOptions) -> QResult<Vec<Row>> {
-        if let Some(n) = options.batch_rows {
-            self.compiled.set_batch_rows(n);
-        }
         if let Some(after) = options.deadline {
             self.set_deadline(after);
         }
@@ -1052,8 +1037,8 @@ mod tests {
 
     #[test]
     fn batch_rows_override_preserves_results() {
-        // Session-level and run-level batch capacities agree with strict
-        // per-row mode on the result multiset.
+        // A session-wide batch capacity agrees with strict per-row mode on
+        // the result multiset.
         let strict = {
             let session = Session::new(catalog()).with_options(PhysicalOptions {
                 batch_rows: 1,
@@ -1075,15 +1060,7 @@ mod tests {
             assert_eq!(h.compiled().batch_rows(), 512);
             h.collect().unwrap()
         };
-        let per_run = {
-            let session = Session::new(catalog());
-            let mut h = session
-                .query("SELECT nationkey, count(*) FROM customer GROUP BY nationkey")
-                .unwrap();
-            h.run(RunOptions::new().batch_rows(7)).unwrap()
-        };
         assert_eq!(strict, session_wide);
-        assert_eq!(strict, per_run);
     }
 
     #[test]

@@ -607,6 +607,8 @@ mod chaos {
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 500, "{body}");
         assert!(body.contains("{\"error\":\"internal\""), "{body}");
+        // An internal fault is no malformed submission.
+        assert_eq!(runtime.service().stats().invalid, 0);
         // The fault was one-shot: the service recovers immediately.
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
