@@ -8,8 +8,9 @@
 //! - **finished** pipelines: `T(p)` known exactly,
 //! - the **running** pipeline: `T(p)` from the online estimators of this
 //!   crate,
-//! - **pending** pipelines: `T(p)` from refined optimizer estimates,
-//!   clamped to `[lower, upper]` bounds as in Chaudhuri et al.
+//! - **pending** pipelines: `T(p)` from refined optimizer estimates.
+//!
+//! No `T(p)` is ever below the calls its pipeline has already made.
 //!
 //! The executor summarizes each pipeline into a [`PipelineProgress`] and
 //! hands the set to [`ProgressSnapshot`], which does the gnm arithmetic.
@@ -37,10 +38,6 @@ pub struct PipelineProgress {
     /// `T(p)`: estimated total `getnext()` calls over the pipeline's
     /// lifetime (exact when finished).
     pub total_estimate: f64,
-    /// Hard lower bound on `T(p)` (at least the calls already made).
-    pub lower: f64,
-    /// Upper bound on `T(p)` (`∞` when nothing better is known).
-    pub upper: f64,
 }
 
 impl PipelineProgress {
@@ -51,8 +48,6 @@ impl PipelineProgress {
             state: PipelineState::Finished,
             done: total,
             total_estimate: total as f64,
-            lower: total as f64,
-            upper: total as f64,
         }
     }
 
@@ -63,8 +58,6 @@ impl PipelineProgress {
             state: PipelineState::Running,
             done,
             total_estimate,
-            lower: done as f64,
-            upper: f64::INFINITY,
         }
     }
 
@@ -75,24 +68,13 @@ impl PipelineProgress {
             state: PipelineState::Pending,
             done: 0,
             total_estimate,
-            lower: 0.0,
-            upper: f64::INFINITY,
         }
     }
 
-    /// Attach refinement bounds.
-    pub fn with_bounds(mut self, lower: f64, upper: f64) -> Self {
-        self.lower = lower;
-        self.upper = upper;
-        self
-    }
-
-    /// `T(p)` after clamping the estimate to the bounds and to the work
-    /// already observed.
+    /// `T(p)`: the estimate, never below the work already observed (a NaN
+    /// or negative estimate reads as that work).
     pub fn total(&self) -> f64 {
-        self.total_estimate
-            .clamp(self.lower, self.upper.max(self.lower))
-            .max(self.done as f64)
+        self.total_estimate.max(self.done as f64)
     }
 }
 
@@ -261,14 +243,30 @@ mod tests {
     }
 
     #[test]
-    fn bounds_clamp_estimates() {
-        let p = PipelineProgress::pending(0, 1_000_000.0).with_bounds(10.0, 500.0);
-        assert_eq!(p.total(), 500.0);
-        let p = PipelineProgress::pending(0, 1.0).with_bounds(10.0, 500.0);
-        assert_eq!(p.total(), 10.0);
-        // degenerate bounds (upper < lower) resolve to lower
-        let p = PipelineProgress::pending(0, 5.0).with_bounds(10.0, 2.0);
-        assert_eq!(p.total(), 10.0);
+    fn nan_and_negative_estimates_total_as_the_bounds_clamp_did() {
+        // Every constructor's old `[lower, ∞]` clamp: lower was the calls
+        // made (running), 0 (pending) or the exact total (finished).
+        for est in [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -5.0,
+            0.0,
+            3.0,
+            1e9,
+            f64::INFINITY,
+        ] {
+            for (p, lower) in [
+                (PipelineProgress::running(0, 7, est), 7.0),
+                (PipelineProgress::pending(0, est), 0.0),
+            ] {
+                let old = est.clamp(lower, f64::INFINITY).max(p.done as f64);
+                assert_eq!(p.total(), old, "{est}");
+                if est.is_nan() || est < lower {
+                    assert_eq!(p.total(), lower, "{est}");
+                }
+            }
+        }
+        assert_eq!(PipelineProgress::finished(0, 9).total(), 9.0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! them at any time, from any thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use qprog_core::baseline::Baseline;
+use qprog_core::baseline::{Baseline, Rule};
 use qprog_types::QResult;
 
 use crate::governor::Governor;
@@ -162,6 +162,12 @@ pub struct OpMetrics {
     /// The phase of the last [`trace_phase`](Self::trace_phase) transition,
     /// as its index in [`Phase::ALL`] plus one (0 = no transition yet).
     phase: AtomicU8,
+    /// The dne/byte rule this operator's `N_i` follows, with `E_opt`, the
+    /// optimizer's estimate of its output ([`bind_baseline`](Self::bind_baseline)).
+    rule: OnceLock<(Rule, f64)>,
+    /// The bound rule over its driver's size `N_driver`, once that is known
+    /// ([`arm_baseline`](Self::arm_baseline)): what publishes.
+    armed: OnceLock<Baseline>,
     /// Trace publication state; `None` (the default) makes every trace hook
     /// a single branch.
     trace: Option<TraceHandle>,
@@ -309,13 +315,50 @@ impl OpMetrics {
         }
     }
 
-    /// Publish `baseline`'s estimate over this operator's own counters:
+    /// Bind the dne or byte `rule` this operator's `N_i` follows, with
+    /// `E_opt = optimizer_estimate`. The rule is bound once (a later bind
+    /// is ignored) and publishes nothing until it is armed.
+    pub fn bind_baseline(&self, rule: Rule, optimizer_estimate: f64) {
+        _ = self.rule.set((rule, optimizer_estimate));
+    }
+
+    /// Arm the bound rule with its driver's size `N_driver` and republish
+    /// `E_opt`: from here on every [`record_driven`](Self::record_driven)
+    /// re-reads the rule. Does nothing when no rule is bound or it is
+    /// already armed.
+    pub fn arm_baseline(&self, driver_total: u64) {
+        if let Some(&(rule, optimizer_estimate)) = self.rule.get() {
+            let baseline = Baseline {
+                rule,
+                driver_total,
+                optimizer_estimate,
+            };
+            if self.armed.set(baseline).is_ok() {
+                self.set_estimated_total(optimizer_estimate, None);
+            }
+        }
+    }
+
+    /// Record `driver` driver tuples consumed and `emitted` tuples emitted,
+    /// then publish the armed rule's estimate over the new counts, if any.
+    #[inline]
+    pub fn record_driven(&self, driver: u64, emitted: u64) {
+        if driver > 0 {
+            self.record_driver(driver);
+        }
+        self.record_emitted_n(emitted);
+        self.refine();
+    }
+
+    /// Publish the armed rule's estimate over this operator's own counters:
     /// `K_out` is [`emitted`](Self::emitted) and `K_driver` is
     /// [`driver_consumed`](Self::driver_consumed).
     #[inline]
-    pub fn refine(&self, baseline: &Baseline) {
-        let estimate = baseline.estimate(self.emitted(), self.driver_consumed());
-        self.set_estimated_total(estimate, None);
+    fn refine(&self) {
+        if let Some(baseline) = self.armed.get() {
+            let estimate = baseline.estimate(self.emitted(), self.driver_consumed());
+            self.set_estimated_total(estimate, None);
+        }
     }
 
     /// Mark the operator finished (its `N_i` is now exactly `K_i`).
@@ -551,18 +594,51 @@ mod tests {
     }
 
     #[test]
-    fn baselines_read_the_operators_own_counters() {
+    fn bound_rules_publish_over_the_counted_rows() {
+        // The driver's size is armed late, as a join learns it at the end of
+        // its probe phase: rows counted before then leave E_opt standing.
+        for (rule, want) in [(Rule::Dne, 40.0), (Rule::Byte, 41.5)] {
+            let m = OpMetrics::with_initial_estimate(50.0);
+            m.bind_baseline(rule, 42.0);
+            m.record_driven(0, 3);
+            assert_eq!(m.estimated_total(), 50.0, "{rule:?}: not armed yet");
+            m.arm_baseline(100);
+            assert_eq!(m.estimated_total(), 42.0, "{rule:?}: E_opt republished");
+            let baseline = Baseline {
+                rule,
+                driver_total: 100,
+                optimizer_estimate: 42.0,
+            };
+            for (driver, emitted) in [(0, 0), (25, 7), (0, 2), (50, 0), (25, 30)] {
+                m.record_driven(driver, emitted);
+                let published = m.estimated_total();
+                assert_eq!(
+                    published.to_bits(),
+                    baseline
+                        .estimate(m.emitted(), m.driver_consumed())
+                        .to_bits(),
+                    "{rule:?} at ({}, {})",
+                    m.emitted(),
+                    m.driver_consumed()
+                );
+                if (m.emitted(), m.driver_consumed()) == (10, 25) {
+                    // c = 0.25 after 10 rows out: dne 10 / 0.25; byte
+                    // 0.75·42 + 0.25·(10/0.25) = 31.5 + 10.
+                    assert_eq!(published, want, "{rule:?}");
+                    // A second bind or arm changes nothing.
+                    m.bind_baseline(Rule::Dne, 7.0);
+                    m.arm_baseline(5);
+                    assert_eq!(m.estimated_total(), want, "{rule:?}");
+                }
+            }
+            assert_eq!((m.driver_consumed(), m.estimated_total()), (100, 42.0));
+        }
+        // Without a bound rule, counting moves no estimate.
         let m = OpMetrics::with_initial_estimate(42.0);
-        let dne = Baseline::dne(100, 42.0);
-        m.refine(&dne);
-        assert_eq!(m.estimated_total(), 42.0); // the driver has not started
-        m.record_driver(25);
-        m.record_emitted_n(10);
-        m.refine(&dne);
-        assert_eq!(m.estimated_total(), 40.0);
-        m.refine(&Baseline::byte(100, 42.0));
-        // c = 0.25: E = 0.75·42 + 0.25·(10/0.25) = 31.5 + 10
-        assert_eq!(m.estimated_total(), 41.5);
+        m.arm_baseline(100);
+        m.record_driven(50, 10);
+        assert_eq!((m.driver_consumed(), m.emitted()), (50, 10));
+        assert_eq!(m.estimated_total(), 42.0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Selection (σ) with optional dne cardinality refinement.
+//! Selection (σ).
 //!
 //! Selections have no preprocessing phase, so per §4.3 the framework uses
 //! the driver-node estimator here: on randomly ordered input it has zero
-//! error in expectation.
+//! error in expectation. The compiler binds it to the filter's metrics
+//! (driver = input rows), which re-read it after every batch.
 
 use std::sync::Arc;
 
-use qprog_core::baseline::Baseline;
 use qprog_types::{BatchStatus, QResult, RowBatch, SchemaRef};
 
 use crate::expr::Expr;
@@ -18,8 +18,6 @@ pub struct Filter {
     input: BoxedOp,
     predicate: Expr,
     metrics: Arc<OpMetrics>,
-    /// dne over the filter's counters (driver = input rows), once a batch.
-    dne: Option<Baseline>,
     /// Reused input batch; bounded by the output's remaining room so a
     /// fully-selective batch can never overflow `out`.
     scratch: RowBatch,
@@ -29,7 +27,7 @@ pub struct Filter {
 }
 
 impl Filter {
-    /// New filter without online estimation.
+    /// New filter, counting into `metrics`.
     pub fn new(input: BoxedOp, predicate: Expr, metrics: Arc<OpMetrics>) -> Self {
         Filter {
             scratch: RowBatch::with_capacity(input.schema().types(), 1),
@@ -37,16 +35,8 @@ impl Filter {
             predicate,
             metrics,
             sel: Vec::new(),
-            dne: None,
             done: false,
         }
-    }
-
-    /// Enable dne refinement given the input size and the optimizer's
-    /// output estimate.
-    pub fn with_dne(mut self, input_size: u64, optimizer_estimate: f64) -> Self {
-        self.dne = Some(Baseline::dne(input_size, optimizer_estimate));
-        self
     }
 }
 
@@ -74,11 +64,7 @@ impl Operator for Filter {
             }
             out.gather_from(scratch, &self.sel);
             if n > 0 {
-                self.metrics.record_driver(n as u64);
-                self.metrics.record_emitted_n(self.sel.len() as u64);
-                if let Some(dne) = &self.dne {
-                    self.metrics.refine(dne);
-                }
+                self.metrics.record_driven(n as u64, self.sel.len() as u64);
             }
             if status.is_exhausted() {
                 self.done = true;
@@ -100,8 +86,9 @@ impl Operator for Filter {
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::ops::test_util::{col_i64, drain, int_table};
+    use crate::ops::test_util::{bound, col_i64, drain, int_table};
     use crate::ops::TableScan;
+    use qprog_core::baseline::Rule;
 
     fn scan(vals: &[i64]) -> BoxedOp {
         let t = int_table("t", "a", vals).into_shared();
@@ -127,8 +114,8 @@ mod tests {
         // extrapolation overshoots, converging once the driver is drained.
         let vals: Vec<i64> = (0..1000).collect();
         let pred = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(500i64));
-        let m = OpMetrics::with_initial_estimate(123.0);
-        let mut f = Filter::new(scan(&vals), pred, Arc::clone(&m)).with_dne(1000, 123.0);
+        let m = bound(Rule::Dne, Some(1000), 123.0);
+        let mut f = Filter::new(scan(&vals), pred, Arc::clone(&m));
         // consume 100 rows of output (first 100 input rows all match)
         let mut src = crate::ops::RowSource::new(&mut f);
         for _ in 0..100 {
@@ -165,14 +152,14 @@ mod tests {
         let pred = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(500i64));
         let vals: Vec<i64> = (0..1000).rev().collect();
         let strict = {
-            let m = OpMetrics::with_initial_estimate(0.0);
-            let mut f = Filter::new(scan(&vals), pred.clone(), Arc::clone(&m)).with_dne(1000, 0.0);
+            let m = bound(Rule::Dne, Some(1000), 0.0);
+            let mut f = Filter::new(scan(&vals), pred.clone(), Arc::clone(&m));
             let rows = drain(&mut f);
             (col_i64(&rows, 0), m.estimated_total())
         };
         let wide = {
-            let m = OpMetrics::with_initial_estimate(0.0);
-            let mut f = Filter::new(scan(&vals), pred, Arc::clone(&m)).with_dne(1000, 0.0);
+            let m = bound(Rule::Dne, Some(1000), 0.0);
+            let mut f = Filter::new(scan(&vals), pred, Arc::clone(&m));
             let rows = crate::ops::test_util::drain_batched(&mut f, 64);
             (col_i64(&rows, 0), m.estimated_total())
         };

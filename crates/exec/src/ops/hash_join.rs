@@ -568,7 +568,7 @@ impl Operator for HashJoin {
 mod tests {
     use super::*;
     use crate::ops::test_util::{
-        assert_double_keys_rejected, drain, int_table, keyed_scan, random_keys,
+        assert_double_keys_rejected, bound, drain, int_table, keyed_scan, random_keys,
     };
     use crate::ops::TableScan;
     use qprog_core::baseline::Rule;
@@ -681,16 +681,13 @@ mod tests {
         // clustered by partition, so its estimate must move a lot.
         let r: Vec<i64> = std::iter::repeat_n(7, 200).chain(0..50).collect();
         let s: Vec<i64> = (0..1000).map(|i| i % 100).collect();
-        let m = OpMetrics::with_initial_estimate(50.0);
+        let m = bound(Rule::Dne, None, 50.0);
         let mut j = HashJoin::new(
             scan1("r", &r),
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Baseline {
-                rule: Rule::Dne,
-                optimizer_estimate: 50.0,
-            },
+            JoinEstimation::Off,
             Arc::clone(&m),
         );
         let mut estimates = Vec::new();
@@ -714,16 +711,13 @@ mod tests {
     fn byte_estimator_publishes_and_converges() {
         let r: Vec<i64> = (0..100).collect();
         let s: Vec<i64> = (0..100).collect();
-        let m = OpMetrics::with_initial_estimate(13.0);
+        let m = bound(Rule::Byte, None, 13.0);
         let mut j = HashJoin::new(
             scan1("r", &r),
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Baseline {
-                rule: Rule::Byte,
-                optimizer_estimate: 13.0,
-            },
+            JoinEstimation::Off,
             Arc::clone(&m),
         );
         let rows = drain(&mut j);

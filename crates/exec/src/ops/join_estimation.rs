@@ -18,8 +18,10 @@
 //!    confidence bounds (`observe_probe`); `end_probe` fixes `|S|` — every
 //!    estimate is exact before the first output row.
 //! 3. **Join pass**: `observe_join_pass` charges one output batch's driver
-//!    and emitted rows to the governor and the gnm counters, which a
-//!    dne/byte baseline then reads; baselines only ever watch this phase.
+//!    and emitted rows to the governor and the gnm counters, which re-read
+//!    the dne/byte rule bound to the join's metrics, if any. `end_probe`
+//!    arms that rule with the probe row count, so baselines only ever watch
+//!    this phase.
 //!
 //! The operators decide *when* to publish (hash join: every batch boundary;
 //! merge join: every [`PUBLISH_EVERY`](crate::ops::PUBLISH_EVERY)-th row);
@@ -31,7 +33,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use crate::sync::Mutex;
-use qprog_core::baseline::{Baseline, Rule};
+use qprog_core::baseline::Rule;
 use qprog_core::distinct::DistinctTracker;
 use qprog_core::join_est::{JoinKind, ProbeTotals};
 use qprog_core::pipeline_est::{PipelineBuildFragment, PipelineEstimator, PipelineProbeFragment};
@@ -49,9 +51,11 @@ type ChainState = (PipelineEstimator, Vec<Arc<OpMetrics>>);
 
 /// Which online estimation strategy a hash or sort-merge join runs. The
 /// *probe* input is the hash join's probe side / the merge join's right
-/// (second-sorted) side.
+/// (second-sorted) side. A dne or byte baseline is no strategy of the
+/// join's own: it is the rule bound to the join's metrics
+/// ([`OpMetrics::bind_baseline`]), which the join arms at `end_probe`.
 pub enum JoinEstimation {
-    /// No estimation.
+    /// No estimation of the join's own.
     Off,
     /// Algorithm-1 push-down (§4.1.4; §4.1.4.3 for sort-merge chains); this
     /// join is `join_index` of the chain's estimator, which arrives in
@@ -66,9 +70,6 @@ pub enum JoinEstimation {
         below: Option<Sender<ChainState>>,
         degraded: Arc<AtomicBool>,
     },
-    /// A dne or byte baseline over the join pass's counters (driver = probe
-    /// rows consumed in the join pass, `N_driver` = the probe row count).
-    Baseline { rule: Rule, optimizer_estimate: f64 },
 }
 
 impl JoinEstimation {
@@ -110,19 +111,6 @@ impl JoinEstimation {
     }
 }
 
-/// The estimator state a join owns in its current phase.
-enum Stage {
-    /// Nothing of its own: `Off`, a pipeline join before its build, after
-    /// handing the chain's estimator down or once the chain degraded, or a
-    /// baseline before the join pass.
-    Idle,
-    /// `Pipeline`, while this join owns the chain's estimator.
-    Pipeline(Box<PipelineEstimator>, Vec<Arc<OpMetrics>>),
-    /// A baseline, from the end of the probe phase on: a rule over the
-    /// join's own counters.
-    Baseline(Baseline),
-}
-
 /// Aggregation push-down (§4.2 end): the tracker of the join key's distinct
 /// values in the join *output*, fed from join 0's count lane, and where it
 /// goes at `end_probe`.
@@ -138,7 +126,9 @@ struct PushDown {
 pub(crate) struct JoinEstimator {
     mode: JoinEstimation,
     metrics: Arc<OpMetrics>,
-    stage: Stage,
+    /// The chain's estimator while this join owns it: `None` under `Off`,
+    /// before the build, after handing it down, or once the chain degraded.
+    chain: Option<(Box<PipelineEstimator>, Vec<Arc<OpMetrics>>)>,
     push_down: Option<PushDown>,
 }
 
@@ -147,7 +137,7 @@ impl JoinEstimator {
         JoinEstimator {
             mode,
             metrics,
-            stage: Stage::Idle,
+            chain: None,
             push_down: None,
         }
     }
@@ -189,15 +179,15 @@ impl JoinEstimator {
                 .try_recv()
                 .map_err(|_| QError::internal("pipeline estimator not handed down"))?;
             estimator.begin_build(*join_index)?;
-            self.stage = Stage::Pipeline(Box::new(estimator), metrics);
+            self.chain = Some((Box::new(estimator), metrics));
         }
         Ok(())
     }
 
     /// A fresh build fragment for one chunk, if this join owns an estimator.
     pub fn build_fragment(&self) -> QResult<Option<PipelineBuildFragment>> {
-        match (&self.mode, &self.stage) {
-            (JoinEstimation::Pipeline { join_index, .. }, Stage::Pipeline(estimator, _)) => {
+        match (&self.mode, &self.chain) {
+            (JoinEstimation::Pipeline { join_index, .. }, Some((estimator, _))) => {
                 estimator.build_fragment(*join_index).map(Some)
             }
             _ => Ok(None),
@@ -214,7 +204,7 @@ impl JoinEstimator {
         slot: &mut Option<PipelineBuildFragment>,
         batch: &RowBatch,
     ) -> QResult<()> {
-        if let (Some(fragment), Stage::Pipeline(estimator, _)) = (&mut *slot, &self.stage) {
+        if let (Some(fragment), Some((estimator, _))) = (&mut *slot, &self.chain) {
             estimator.build_into(fragment, batch)?;
             if self.breaches_budget(fragment.memory_allocated()) || self.degraded() {
                 *slot = None;
@@ -245,11 +235,11 @@ impl JoinEstimator {
         kind: JoinKind,
     ) -> QResult<()> {
         let (
-            Stage::Pipeline(mut estimator, metrics),
+            Some((mut estimator, metrics)),
             JoinEstimation::Pipeline {
                 join_index, below, ..
             },
-        ) = (std::mem::replace(&mut self.stage, Stage::Idle), &self.mode)
+        ) = (self.chain.take(), &self.mode)
         else {
             return Ok(());
         };
@@ -267,7 +257,7 @@ impl JoinEstimator {
         match below {
             // A join below that is gone has nothing left to estimate.
             Some(below) => _ = below.send((*estimator, metrics)),
-            None => self.stage = Stage::Pipeline(estimator, metrics),
+            None => self.chain = Some((estimator, metrics)),
         }
         Ok(())
     }
@@ -285,7 +275,7 @@ impl JoinEstimator {
         rows: Range<usize>,
         publish: bool,
     ) -> QResult<()> {
-        let Stage::Pipeline(estimator, metrics) = &self.stage else {
+        let Some((estimator, metrics)) = &self.chain else {
             return Ok(());
         };
         estimator.probe_into(fragment, batch, rows.clone())?;
@@ -309,13 +299,15 @@ impl JoinEstimator {
 
     /// The probe input is exhausted after `probe_rows` rows: `|S|` is exact,
     /// so every estimate of the chain is too, and is published with
-    /// collapsed bounds; the baselines — and every join of a degraded chain
-    /// — start here. What the chunks observed since their last publication
-    /// is folded in first, and the push-down tracker, its input size now
-    /// exact, leaves for the aggregate.
+    /// collapsed bounds. The rule bound to the join's metrics is armed with
+    /// `N_driver = probe_rows` here; every join of a degraded chain binds
+    /// dne first, from the estimate it has published so far. What the
+    /// chunks observed since their last publication is folded in first,
+    /// and the push-down tracker, its input size now exact, leaves for the
+    /// aggregate.
     pub fn end_probe(&mut self, probe_rows: u64, rest: Vec<PipelineProbeFragment>) {
         let mut exact = None;
-        if let Stage::Pipeline(estimator, metrics) = &mut self.stage {
+        if let Some((estimator, metrics)) = &mut self.chain {
             for mut fragment in rest {
                 drop(estimator.fold_probe(&mut fragment));
             }
@@ -335,41 +327,26 @@ impl JoinEstimator {
             // An aggregate that is gone has nothing left to publish.
             _ = to_agg.send(tracker);
         }
-        let baseline = match self.mode {
-            JoinEstimation::Baseline {
-                rule,
-                optimizer_estimate,
-            } => Some((rule, optimizer_estimate)),
-            _ if self.degraded() => Some((Rule::Dne, self.metrics.estimated_total())),
-            _ => None,
-        };
-        if let Some((rule, optimizer_estimate)) = baseline {
-            self.stage = Stage::Baseline(Baseline {
-                rule,
-                driver_total: probe_rows,
-                optimizer_estimate,
-            });
-            self.metrics.set_estimated_total(optimizer_estimate, None);
+        if self.degraded() {
+            let published = self.metrics.estimated_total();
+            self.metrics.bind_baseline(Rule::Dne, published);
         }
+        self.metrics.arm_baseline(probe_rows);
     }
 
     /// Apply one output batch's accumulated bookkeeping: `driver_rows` probe
     /// rows consumed and `emitted_rows` rows emitted since the last call.
     /// Governor checkpoint and gnm counters advance by the summed deltas,
-    /// and a baseline is re-read off them; with capacity-1 batches this
-    /// runs once per tuple, the legacy cadence.
+    /// and an armed baseline is re-read off them; with capacity-1 batches
+    /// this runs once per tuple, the legacy cadence.
     pub fn observe_join_pass(&mut self, driver_rows: u64, emitted_rows: u64) -> QResult<()> {
         if driver_rows == 0 && emitted_rows == 0 {
             return Ok(());
         }
         if driver_rows > 0 {
             self.metrics.checkpoint(driver_rows)?;
-            self.metrics.record_driver(driver_rows);
         }
-        self.metrics.record_emitted_n(emitted_rows);
-        if let Stage::Baseline(baseline) = &self.stage {
-            self.metrics.refine(baseline);
-        }
+        self.metrics.record_driven(driver_rows, emitted_rows);
         Ok(())
     }
 }
@@ -388,6 +365,7 @@ mod tests {
     use super::*;
     use crate::governor::{Budgets, Governor};
     use crate::metrics::MetricsRegistry;
+    use crate::ops::test_util::bound;
     use crate::trace::{EventBus, TraceEvent, TraceEventKind, TraceSink};
     use qprog_types::{DataType, Value};
     use std::sync::atomic::AtomicUsize;
@@ -400,10 +378,9 @@ mod tests {
     impl JoinEstimator {
         /// Probe rows the chain's estimator has seen, if this join owns it.
         pub(crate) fn pipeline_probe_seen(&self) -> Option<u64> {
-            match &self.stage {
-                Stage::Pipeline(estimator, _) => Some(estimator.probe_seen()),
-                _ => None,
-            }
+            self.chain
+                .as_ref()
+                .map(|(estimator, _)| estimator.probe_seen())
         }
     }
 
@@ -538,16 +515,13 @@ mod tests {
 
     #[test]
     fn baselines_watch_only_the_join_pass() {
-        let [dne, byte] = [Rule::Dne, Rule::Byte].map(|rule| JoinEstimation::Baseline {
-            rule,
-            optimizer_estimate: OPTIMIZER,
-        });
+        let [dne, byte] = [Rule::Dne, Rule::Byte].map(|rule| Some(bound(rule, None, OPTIMIZER)));
         // Halfway through the driver with 2 of 4 rows out: dne extrapolates
         // 2 / 0.5, byte blends that with the optimizer estimate.
-        for (mode, halfway) in [(JoinEstimation::Off, OPTIMIZER), (dne, 4.0), (byte, 8.5)] {
-            let off = matches!(mode, JoinEstimation::Off);
-            let m = OpMetrics::with_initial_estimate(OPTIMIZER);
-            let mut est = JoinEstimator::new(mode, Arc::clone(&m));
+        for (bound, halfway) in [(None, OPTIMIZER), (dne, 4.0), (byte, 8.5)] {
+            let off = bound.is_none();
+            let m = bound.unwrap_or_else(|| OpMetrics::with_initial_estimate(OPTIMIZER));
+            let mut est = JoinEstimator::new(JoinEstimation::Off, Arc::clone(&m));
             build_phase(&mut est, &BUILD, JoinKind::Inner);
             assert!(matches!(est.build_fragment(), Ok(None)));
             assert!(probe_phase(&mut est, &PROBE, 6).is_empty());

@@ -353,7 +353,8 @@ impl Operator for MergeJoin {
 mod tests {
     use super::*;
     use crate::ops::test_util::{
-        assert_double_keys_rejected, drain, drain_batched, int_table, keyed_scan, random_keys,
+        assert_double_keys_rejected, bound, drain, drain_batched, int_table, keyed_scan,
+        random_keys,
     };
     use crate::ops::TableScan;
     use qprog_core::baseline::Rule;
@@ -439,16 +440,13 @@ mod tests {
     fn dne_converges_at_end() {
         let r: Vec<i64> = (0..50).collect();
         let s: Vec<i64> = (0..100).map(|i| i % 50).collect();
-        let m = OpMetrics::with_initial_estimate(7.0);
+        let m = bound(Rule::Dne, None, 7.0);
         let mut j = MergeJoin::new(
             scan1("r", &r),
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Baseline {
-                rule: Rule::Dne,
-                optimizer_estimate: 7.0,
-            },
+            JoinEstimation::Off,
             Arc::clone(&m),
         );
         let rows = drain(&mut j);
@@ -615,16 +613,13 @@ mod tests {
     fn byte_mode_runs() {
         let r = [1i64, 2, 3];
         let s = [2i64, 3, 4];
-        let m = OpMetrics::with_initial_estimate(9.0);
+        let m = bound(Rule::Byte, None, 9.0);
         let mut j = MergeJoin::new(
             scan1("r", &r),
             scan1("s", &s),
             0,
             0,
-            JoinEstimation::Baseline {
-                rule: Rule::Byte,
-                optimizer_estimate: 9.0,
-            },
+            JoinEstimation::Off,
             Arc::clone(&m),
         );
         assert_eq!(drain(&mut j).len(), 2);

@@ -162,6 +162,23 @@ pub(crate) mod test_util {
     use rand::RngExt;
     use std::sync::Arc;
 
+    /// Metrics registered at `E_opt = optimizer_estimate` and bound to
+    /// `rule`, armed with `driver_total` when it is known at compile, as a
+    /// filter's or nested-loops join's is (a hash or merge join arms its
+    /// rule at the end of its probe phase).
+    pub fn bound(
+        rule: qprog_core::baseline::Rule,
+        driver_total: Option<u64>,
+        optimizer_estimate: f64,
+    ) -> Arc<OpMetrics> {
+        let m = OpMetrics::with_initial_estimate(optimizer_estimate);
+        m.bind_baseline(rule, optimizer_estimate);
+        if let Some(n) = driver_total {
+            m.arm_baseline(n);
+        }
+        m
+    }
+
     /// Build a one-column BIGINT table from values.
     pub fn int_table(name: &str, col: &str, vals: &[i64]) -> Table {
         let mut t = Table::new(name, Schema::new(vec![Field::new(col, DataType::Int64)]));

@@ -2,11 +2,12 @@
 //!
 //! Nested-loops joins have no preprocessing phase — the outer input is
 //! joined as it is read — so per §4.1.3 the framework's estimation here
-//! *is* the dne estimator (driver = outer input).
+//! *is* the dne estimator (driver = outer input), which the compiler binds
+//! to the join's metrics: they re-read it after every outer row taken and
+//! every pair emitted.
 
 use std::sync::Arc;
 
-use qprog_core::baseline::Baseline;
 use qprog_types::{BatchStatus, QError, QResult, RowBatch, SchemaRef};
 
 use crate::expr::Expr;
@@ -33,8 +34,6 @@ pub struct NestedLoopsJoin {
     /// Every output column: what a joining pair's gather copies.
     emit: Vec<usize>,
     metrics: Arc<OpMetrics>,
-    /// dne over the join's counters (driver = outer rows).
-    dne: Option<Baseline>,
     /// The materialized inner input.
     inner_rows: RowBatch,
     /// The outer input, pulled a batch at a time and taken a row at a
@@ -69,20 +68,12 @@ impl NestedLoopsJoin {
             emit: (0..schema.arity()).collect(),
             schema,
             metrics,
-            dne: None,
             current_outer: None,
             inner_pos: 0,
             advance_pending: false,
             started: false,
             done: false,
         }
-    }
-
-    /// Enable dne refinement given the outer input size and the optimizer's
-    /// output estimate.
-    pub fn with_dne(mut self, outer_size: u64, optimizer_estimate: f64) -> Self {
-        self.dne = Some(Baseline::dne(outer_size, optimizer_estimate));
-        self
     }
 
     /// Materialize the inner input, after checking the equi-join columns
@@ -151,10 +142,7 @@ impl NestedLoopsJoin {
         let outer = &mut self.outer;
         let row = self.outer_rows.advance(|buf| outer.next_batch(buf))?;
         if row.is_some() {
-            self.metrics.record_driver(1);
-            if let Some(dne) = &self.dne {
-                self.metrics.refine(dne);
-            }
+            self.metrics.record_driven(1, 0);
         }
         Ok(row)
     }
@@ -192,10 +180,7 @@ impl Operator for NestedLoopsJoin {
                 let i = self.inner_pos;
                 self.inner_pos += 1;
                 if self.join_pair(outer, i, out)? {
-                    self.metrics.record_emitted();
-                    if let Some(dne) = &self.dne {
-                        self.metrics.refine(dne);
-                    }
+                    self.metrics.record_driven(0, 1);
                 }
             }
             self.inner_pos = 0;
@@ -216,8 +201,9 @@ impl Operator for NestedLoopsJoin {
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::ops::test_util::{drain, int_table};
+    use crate::ops::test_util::{bound, drain, int_table};
     use crate::ops::TableScan;
+    use qprog_core::baseline::Rule;
 
     fn scan1(name: &str, vals: &[i64]) -> BoxedOp {
         let t = int_table(name, "k", vals).into_shared();
@@ -271,14 +257,13 @@ mod tests {
         // uniform matching: each outer row matches exactly one inner row
         let r: Vec<i64> = (0..100).collect();
         let s: Vec<i64> = (0..100).collect();
-        let m = OpMetrics::with_initial_estimate(5.0);
+        let m = bound(Rule::Dne, Some(100), 5.0);
         let mut j = NestedLoopsJoin::new(
             scan1("r", &r),
             scan1("s", &s),
             NlCondition::Equi(0, 0),
             Arc::clone(&m),
-        )
-        .with_dne(100, 5.0);
+        );
         let mut src = crate::ops::RowSource::new(&mut j);
         let mut seen = 0;
         while let Some(_row) = src.next_row().unwrap() {

@@ -7,10 +7,9 @@
 //!
 //! - [`sinks`] — pluggable [`TraceSink`](qprog_exec::trace::TraceSink)s:
 //!   a lock-free bounded [`RingSink`](sinks::RingSink), a
-//!   [`JsonlSink`](sinks::JsonlSink) that streams events as JSON lines, a
-//!   human-readable [`StderrSink`](sinks::StderrSink), and a debug-mode
-//!   [`ValidatorSink`](sinks::ValidatorSink) that flags events violating
-//!   the progress model's invariants.
+//!   [`JsonlSink`](sinks::JsonlSink) that streams events as JSON lines,
+//!   and a debug-mode [`ValidatorSink`](sinks::ValidatorSink) that flags
+//!   events violating the progress model's invariants.
 //! - [`timeline`] — a [`TimelineRecorder`](timeline::TimelineRecorder)
 //!   that subscribes to a query's progress publications and records them
 //!   into a [`ProgressLog`](timeline::ProgressLog) of timestamped
@@ -70,6 +69,6 @@ pub use health::{HealthAnalyzer, HealthConfig};
 pub use metrics_sink::MetricsSink;
 pub use replay::ReplayedTrace;
 pub use scoring::{score_events, ProgressScore, QErrorSummary};
-pub use sinks::{JsonlSink, RingSink, StderrSink, ValidatorSink};
+pub use sinks::{JsonlSink, RingSink, ValidatorSink};
 pub use spans::{SpanNode, SpanTree, Track};
 pub use timeline::{ProgressLog, RecordedTimeline, TimelinePoint, TimelineRecorder};

@@ -1,5 +1,5 @@
-//! Trace sinks: bounded in-memory ring, JSONL writer, stderr logger, and
-//! a debug-mode progress-sanity validator.
+//! Trace sinks: bounded in-memory ring, JSONL writer, and a debug-mode
+//! progress-sanity validator.
 //!
 //! Sinks implement [`TraceSink`] and run synchronously on the publishing
 //! (query) thread, so each is written to be cheap: every sink takes one
@@ -152,20 +152,6 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         let _ = inner.writer.flush();
-    }
-}
-
-/// Logs each event as a human-readable line on stderr (handy for quick
-/// debugging without a file in the loop).
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn publish(&self, event: &TraceEvent) {
-        eprintln!(
-            "[trace +{:>8}us #{}] {:?}",
-            event.at_us, event.seq, event.kind
-        );
     }
 }
 

@@ -307,7 +307,7 @@ mod tests {
         let p1 = pipes.new_pipeline();
         pipes.assign(p0, 0);
         pipes.assign(p1, 1);
-        let tracker = ProgressTracker::new(reg.clone(), pipes);
+        let tracker = ProgressTracker::new(reg.clone(), pipes, vec![100.0, 300.0], vec![vec![]; 2]);
         (tracker, reg)
     }
 

@@ -282,8 +282,12 @@ impl CompiledQuery {
     /// A cloneable, thread-safe progress tracker for this query, with
     /// future-pipeline refinement wired in (§4.4).
     pub fn tracker(&self) -> ProgressTracker {
-        ProgressTracker::new(self.registry.clone(), self.pipelines.clone())
-            .with_refinement(self.initial_estimates.clone(), self.op_inputs.clone())
+        ProgressTracker::new(
+            self.registry.clone(),
+            self.pipelines.clone(),
+            self.initial_estimates.clone(),
+            self.op_inputs.clone(),
+        )
     }
 
     /// Run to completion, collecting all output rows. On failure —
@@ -402,6 +406,17 @@ impl Compiler<'_> {
         self.estimator_labels[idx] = label;
     }
 
+    /// In every mode but `off`, bind dne to operator `idx`, whose output
+    /// the optimizer estimates at `estimate` rows, over a driver input of
+    /// `driver_estimate` rows.
+    fn bind_dne(&mut self, idx: usize, m: &OpMetrics, driver_estimate: f64, estimate: f64) {
+        if self.opts.mode != EstimationMode::Off {
+            m.bind_baseline(Rule::Dne, estimate);
+            m.arm_baseline(driver_estimate.round() as u64);
+            self.set_label(idx, "dne");
+        }
+    }
+
     /// Compile a child plan and record the edge from `parent` to the
     /// child's root operator, the first one it registers (for
     /// future-pipeline refinement).
@@ -441,13 +456,9 @@ impl Compiler<'_> {
                 let (idx, m) = self.register_idx("filter", plan.estimate, pipeline);
                 let input_estimate = input.estimate;
                 let child = self.compile_child(idx, input, pipeline)?;
-                let mut f = Filter::new(child, predicate.clone(), m);
-                if self.opts.mode != EstimationMode::Off {
-                    // §4.3: selections have no preprocessing phase → dne.
-                    f = f.with_dne(input_estimate.round() as u64, plan.estimate);
-                    self.set_label(idx, "dne");
-                }
-                Ok(Box::new(f))
+                // §4.3: selections have no preprocessing phase → dne.
+                self.bind_dne(idx, &m, input_estimate, plan.estimate);
+                Ok(Box::new(Filter::new(child, predicate.clone(), m)))
             }
             Node::Project { input, exprs } => {
                 let (idx, m) = self.register_idx("project", plan.estimate, pipeline);
@@ -568,12 +579,9 @@ impl Compiler<'_> {
                     JoinCondition::Theta(e) => NlCondition::Theta(e.map_columns(&mut rotate)),
                     JoinCondition::Cross => NlCondition::Cross,
                 };
-                let mut nl = NestedLoopsJoin::new(outer_op, inner_op, cond, Arc::clone(&m));
-                if self.opts.mode != EstimationMode::Off {
-                    // §4.1.3: nested-loops estimation reduces to dne.
-                    nl = nl.with_dne(outer_estimate.round() as u64, plan.estimate);
-                    self.set_label(idx, "dne");
-                }
+                // §4.1.3: nested-loops estimation reduces to dne.
+                self.bind_dne(idx, &m, outer_estimate, plan.estimate);
+                let nl = NestedLoopsJoin::new(outer_op, inner_op, cond, m);
                 // A projection swaps exec's output back to build ++ probe.
                 let swap = (0..arity).map(|i| Expr::Column(rotate(i))).collect();
                 let (pidx, pm) = self.register_idx("project(swap)", plan.estimate, pipeline);
@@ -623,22 +631,24 @@ impl Compiler<'_> {
         let mut cur = self.compile_child(lowest, join_probe_child(chain[0]), pipeline)?;
 
         let metrics = joins.iter().rev().map(|(_, m, _)| Arc::clone(m)).collect();
-        let off = chain.iter().map(|_| JoinEstimation::Off);
-        let baseline = |rule| {
-            let modes = chain.iter().map(|node| JoinEstimation::Baseline {
-                rule,
-                optimizer_estimate: node.estimate,
-            });
-            modes.collect()
+        let (label, rule) = match self.opts.mode {
+            EstimationMode::Off => ("optimizer", None),
+            EstimationMode::Once => ("pipeline", None),
+            EstimationMode::Dne => ("dne", Some(Rule::Dne)),
+            EstimationMode::Byte => ("byte", Some(Rule::Byte)),
         };
-        let (label, modes): (_, Vec<_>) = match self.opts.mode {
-            EstimationMode::Off => ("optimizer", off.collect()),
-            EstimationMode::Once => ("pipeline", JoinEstimation::pipeline(estimator, metrics)),
-            EstimationMode::Dne => ("dne", baseline(Rule::Dne)),
-            EstimationMode::Byte => ("byte", baseline(Rule::Byte)),
+        let modes = if self.opts.mode == EstimationMode::Once {
+            JoinEstimation::pipeline(estimator, metrics)
+        } else {
+            chain.iter().map(|_| JoinEstimation::Off).collect()
         };
-        for &(idx, ..) in &joins {
-            self.set_label(idx, label);
+        // A baseline join arms its rule with its probe row count at the end
+        // of its probe phase.
+        for (node, (idx, m, _)) in chain.iter().zip(joins.iter().rev()) {
+            if let Some(rule) = rule {
+                m.bind_baseline(rule, node.estimate);
+            }
+            self.set_label(*idx, label);
         }
         let bottom_up = chain.iter().zip(joins.into_iter().rev()).zip(modes);
         for ((node, (_, m, build_op)), estimation) in bottom_up {

@@ -38,31 +38,24 @@ pub struct ProgressTracker {
 
 impl ProgressTracker {
     /// New tracker over a compiled query's metrics and pipeline
-    /// decomposition, without refinement structure (estimates are read
-    /// as-published).
-    pub fn new(registry: MetricsRegistry, pipelines: PipelineSet) -> Self {
-        let n = registry.len();
-        ProgressTracker {
-            registry,
-            pipelines,
-            initial_estimates: Vec::new(),
-            op_inputs: vec![Vec::new(); n],
-            high_water: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Attach the refinement structure: the compile-time optimizer estimate
-    /// and the direct-input registry indices of every operator.
-    pub fn with_refinement(
-        mut self,
+    /// decomposition, with the refinement structure: the compile-time
+    /// optimizer estimate and the direct-input registry indices of every
+    /// operator.
+    pub fn new(
+        registry: MetricsRegistry,
+        pipelines: PipelineSet,
         initial_estimates: Vec<f64>,
         op_inputs: Vec<Vec<usize>>,
     ) -> Self {
-        debug_assert_eq!(initial_estimates.len(), self.registry.len());
-        debug_assert_eq!(op_inputs.len(), self.registry.len());
-        self.initial_estimates = initial_estimates;
-        self.op_inputs = op_inputs;
-        self
+        debug_assert_eq!(initial_estimates.len(), registry.len());
+        debug_assert_eq!(op_inputs.len(), registry.len());
+        ProgressTracker {
+            registry,
+            pipelines,
+            initial_estimates,
+            op_inputs,
+            high_water: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// The metrics registry (per-operator `K_i` and `N_i` estimates).
@@ -96,7 +89,7 @@ impl ProgressTracker {
         // and `byte` republish the optimizer's number until `end_probe`, so
         // they stay on the cascade below.
         let published = || m.estimated_total() != self.initial_estimates[i].max(0.0);
-        let value = if started || self.initial_estimates.is_empty() || published() {
+        let value = if started || published() {
             m.estimated_total()
         } else {
             let mut ratio = 1.0f64;
@@ -291,7 +284,7 @@ mod tests {
         pipes.assign(p0, 0);
         pipes.assign(p1, 1);
 
-        let tracker = ProgressTracker::new(reg, pipes);
+        let tracker = ProgressTracker::new(reg, pipes, vec![100.0, 300.0], vec![vec![]; 2]);
         // nothing has run: all pending, fraction 0
         let s = tracker.snapshot();
         assert_eq!(s.fraction(), 0.0);
@@ -327,7 +320,7 @@ mod tests {
         let p1 = pipes.new_pipeline();
         pipes.assign(p0, 0);
         pipes.assign(p1, 1);
-        let tracker = ProgressTracker::new(reg, pipes);
+        let tracker = ProgressTracker::new(reg, pipes, vec![1000.0, 50.0], vec![vec![]; 2]);
         scan.set_estimated_total(1000.0, None);
         for _ in 0..500 {
             scan.record_emitted();
@@ -356,7 +349,7 @@ mod tests {
         let mut pipes = PipelineSet::new();
         let p = pipes.new_pipeline();
         pipes.assign(p, 0);
-        let tracker = ProgressTracker::new(reg, pipes);
+        let tracker = ProgressTracker::new(reg, pipes, vec![10.0], vec![vec![]]);
         let clone = tracker.clone();
         a.record_emitted();
         assert_eq!(clone.snapshot().current(), 1);
@@ -369,7 +362,7 @@ mod tests {
         let mut pipes = PipelineSet::new();
         let p = pipes.new_pipeline();
         pipes.assign(p, 0);
-        let tracker = ProgressTracker::new(reg, pipes);
+        let tracker = ProgressTracker::new(reg, pipes, vec![100.0], vec![vec![]]);
         for _ in 0..40 {
             a.record_emitted();
         }
@@ -399,8 +392,7 @@ mod tests {
         let p1 = pipes.new_pipeline();
         pipes.assign(p0, 0);
         pipes.assign(p1, 1);
-        let tracker = ProgressTracker::new(reg, pipes)
-            .with_refinement(vec![100.0, 1000.0], vec![vec![1], vec![]]);
+        let tracker = ProgressTracker::new(reg, pipes, vec![100.0, 1000.0], vec![vec![1], vec![]]);
 
         // join started and refined its estimate online
         join.record_driver(1);
@@ -429,8 +421,8 @@ mod tests {
         for i in 0..3 {
             pipes.assign(p, i);
         }
-        let tracker = ProgressTracker::new(reg, pipes)
-            .with_refinement(vec![50.0, 500.0, 1000.0], vec![vec![1], vec![2], vec![]]);
+        let (estimates, inputs) = (vec![50.0, 500.0, 1000.0], vec![vec![1], vec![2], vec![]]);
+        let tracker = ProgressTracker::new(reg, pipes, estimates, inputs);
         join.record_driver(1);
         join.set_estimated_total(2000.0, None);
         let refined = tracker.refined_estimates();
@@ -448,8 +440,7 @@ mod tests {
         let p = pipes.new_pipeline();
         pipes.assign(p, 0);
         pipes.assign(p, 1);
-        let tracker = ProgressTracker::new(reg, pipes)
-            .with_refinement(vec![100.0, 1000.0], vec![vec![1], vec![]]);
+        let tracker = ProgressTracker::new(reg, pipes, vec![100.0, 1000.0], vec![vec![1], vec![]]);
         // child collapses to 1 row...
         child.record_driver(1);
         child.set_estimated_total(1.0, None);

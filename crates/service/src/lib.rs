@@ -11,7 +11,7 @@
 //!   work exactly once, tolerating torn trailing lines.
 //! - **Admission control** — bounded queue depth and per-tenant in-flight
 //!   caps shed load with a typed rejection instead of unbounded memory.
-//! - **Fair scheduling** — deficit round-robin across tenants ([`queue`]),
+//! - **Fair scheduling** — round-robin across tenants ([`queue`]),
 //!   so a flooding tenant cannot starve a polite one.
 //! - **Retries** — transient failures (injected faults, operator panics)
 //!   re-dispatch with capped exponential backoff and deterministic jitter;

@@ -1,13 +1,11 @@
 //! Tenant-fair ready queue with delayed (retry-backoff) entries.
 //!
-//! Scheduling is deficit round-robin: tenants with ready work sit in a
-//! rotation; each visit credits the tenant one quantum of deficit and
-//! serves its head job when the accumulated deficit covers the job's cost.
-//! All jobs currently cost one unit, so the rotation degenerates to strict
-//! round-robin — which is exactly the fairness the service needs: a tenant
-//! flooding the queue with hundreds of submissions still only gets one slot
-//! per rotation, so a polite tenant's single query dispatches after at most
-//! `#tenants` pops, never after the flood.
+//! Scheduling is round-robin: tenants with ready work sit in a rotation,
+//! and each visit serves the tenant's head job. That is exactly the
+//! fairness the service needs: a tenant flooding the queue with hundreds
+//! of submissions still only gets one slot per rotation, so a polite
+//! tenant's single query dispatches after at most `#tenants` pops, never
+//! after the flood.
 //!
 //! Retry backoff lands in a delayed min-heap keyed by ready time; due
 //! entries are promoted into their tenant's ready queue before every pop,
@@ -17,11 +15,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// One unit of scheduling credit per rotation visit.
-const QUANTUM: u32 = 1;
-/// Cost charged per dispatched job.
-const JOB_COST: u32 = 1;
 
 /// A submission travelling through the queue/dispatch lifecycle.
 #[derive(Debug, Clone)]
@@ -95,14 +88,9 @@ pub enum Pop {
 }
 
 #[derive(Default)]
-struct Tenant {
-    ready: VecDeque<JobSpec>,
-    deficit: u32,
-}
-
-#[derive(Default)]
 struct QState {
-    tenants: BTreeMap<String, Tenant>,
+    /// Each tenant's ready jobs, in arrival order.
+    tenants: BTreeMap<String, VecDeque<JobSpec>>,
     /// Rotation of tenant names with non-empty ready queues.
     rotation: VecDeque<String>,
     /// (ready_at, id) min-heap of backoff entries.
@@ -139,12 +127,11 @@ impl ReadyQueue {
     }
 
     fn push_locked(s: &mut QState, job: JobSpec) {
-        let tenant = s.tenants.entry(job.tenant.clone()).or_default();
-        let was_empty = tenant.ready.is_empty();
-        if was_empty {
+        let ready = s.tenants.entry(job.tenant.clone()).or_default();
+        if ready.is_empty() {
             s.rotation.push_back(job.tenant.clone());
         }
-        tenant.ready.push_back(job);
+        ready.push_back(job);
         s.ready += 1;
     }
 
@@ -172,9 +159,9 @@ impl ReadyQueue {
             // The heap entry stays; promotion skips ids no longer present.
             return Some(job);
         }
-        for tenant in s.tenants.values_mut() {
-            if let Some(pos) = tenant.ready.iter().position(|j| j.id == id) {
-                let job = tenant.ready.remove(pos);
+        for ready in s.tenants.values_mut() {
+            if let Some(pos) = ready.iter().position(|j| j.id == id) {
+                let job = ready.remove(pos);
                 s.ready -= 1;
                 return job;
             }
@@ -186,8 +173,8 @@ impl ReadyQueue {
     pub fn drain_all(&self) -> Vec<JobSpec> {
         let mut s = self.lock();
         let mut out = Vec::with_capacity(s.ready + s.delayed_jobs.len());
-        for (_, tenant) in std::mem::take(&mut s.tenants) {
-            out.extend(tenant.ready);
+        for (_, ready) in std::mem::take(&mut s.tenants) {
+            out.extend(ready);
         }
         s.rotation.clear();
         s.ready = 0;
@@ -204,7 +191,7 @@ impl ReadyQueue {
         self.cv.notify_all();
     }
 
-    /// Blocking pop with deficit round-robin tenant selection.
+    /// Blocking pop with round-robin tenant selection.
     pub fn pop(&self, timeout: Duration) -> Pop {
         let deadline = Instant::now() + timeout;
         let mut s = self.lock();
@@ -248,28 +235,22 @@ impl ReadyQueue {
     }
 
     fn pop_locked(s: &mut QState) -> Option<JobSpec> {
-        // Bounded by one full rotation: every visited tenant either serves
-        // (deficit covers cost) or accumulates credit for the next visit.
-        for _ in 0..s.rotation.len() {
-            let name = s.rotation.pop_front()?;
-            let tenant = match s.tenants.get_mut(&name) {
-                Some(t) if !t.ready.is_empty() => t,
-                _ => continue, // drained or drained-and-removed: drop from rotation
+        // Every visit either serves the tenant or drops it from the
+        // rotation (drained, or drained and removed).
+        while let Some(name) = s.rotation.pop_front() {
+            let Some(ready) = s.tenants.get_mut(&name) else {
+                continue;
             };
-            tenant.deficit += QUANTUM;
-            if tenant.deficit >= JOB_COST {
-                tenant.deficit -= JOB_COST;
-                let job = tenant.ready.pop_front().expect("checked non-empty");
-                s.ready -= 1;
-                if tenant.ready.is_empty() {
-                    tenant.deficit = 0;
-                    s.tenants.remove(&name);
-                } else {
-                    s.rotation.push_back(name);
-                }
-                return Some(job);
+            let Some(job) = ready.pop_front() else {
+                continue;
+            };
+            s.ready -= 1;
+            if ready.is_empty() {
+                s.tenants.remove(&name);
+            } else {
+                s.rotation.push_back(name);
             }
-            s.rotation.push_back(name);
+            return Some(job);
         }
         None
     }

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use qprog_obs::{
         explain_analyze, ArchivedRun, Corpus, CorpusConfig, HealthAnalyzer, HealthConfig,
         JsonlSink, MetricsSink, ProgressLog, RegressionConfig, RingSink, RunMeta, RunRecord,
-        StderrSink, TimelineRecorder, ValidatorSink,
+        TimelineRecorder, ValidatorSink,
     };
     pub use qprog_plan::builder::PlanBuilder;
     pub use qprog_plan::physical::PhysicalOptions;

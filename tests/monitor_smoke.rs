@@ -233,6 +233,17 @@ fn sse_stream_delivers_well_formed_frames_and_always_a_terminal() {
         .unwrap();
     let id = handle.query_id().unwrap();
     let reader = std::thread::spawn(move || stream_get(addr, &format!("/progress/{id}/stream")));
+    // Run the query once the stream has subscribed, so that the hub's
+    // broadcast frames reach it: a stream opened after the query ended
+    // gets its opening snapshot alone.
+    let connecting = std::time::Instant::now();
+    while server.hub().subscriber_count() == 0 {
+        assert!(
+            connecting.elapsed().as_secs() < 20,
+            "the stream never subscribed"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let rows = handle.collect().unwrap();
     assert_eq!(rows.len(), 400);
     // The stream closes by itself once the terminal frame is delivered.
