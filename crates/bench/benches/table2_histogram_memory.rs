@@ -68,7 +68,9 @@ fn main() {
         "paper: ~20 B/entry used (8 B payload + pointer overhead of the \
          PostgreSQL generic hashtable), allocation slightly above that; \
          1M entries ≈ 20.3 MB used / 25.2 MB allocated",
-        "here: the per-entry footprint is the (Key, u64) pair plus the std \
-         HashMap's capacity slack — same order, no pointer chains",
+        "here: keys 0..n fill a bounded integer span, so they take the dense \
+         count lane (one 8 B count per slot plus the count-of-counts \
+         profile); strings, composites and wide spans take the hash lane at \
+         a 32 B (Key, u64) pair per entry plus capacity slack",
     ]);
 }

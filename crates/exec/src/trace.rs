@@ -20,6 +20,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+use qprog_types::json::Token;
+
+use crate::span::{SpanKind, NO_PARENT};
+
 named_enum! {
     /// Execution phase of a blocking operator, as exposed in
     /// [`TraceEventKind::PhaseTransition`].
@@ -153,141 +157,246 @@ named_enum! {
     }
 }
 
-/// The event taxonomy. `op` fields are metrics-registry indices (resolve
-/// names through the registry); `pipeline` fields are pipeline ids from the
-/// plan's pipeline decomposition. Events are plain `Copy` data so sinks can
-/// buffer them without allocation.
+/// Declares [`TraceEventKind`] with its wire form, once. Each kind gives
+/// its wire name (the `event` member of its JSON line and the `event`
+/// label of its metrics series) and its members in wire order; a member's
+/// key is its field name and its rule says how it is written and read:
+///
+/// - `int`: a non-negative integer;
+/// - `float`: a number, with `null` ⇄ NaN (±inf is written `null` too);
+/// - `name`: a `named_enum!` value as its name;
+/// - `op`: an operator index, followed by an [`OP_NAME`] member when the
+///   encoder is given names;
+/// - `interval`: one end of the `lo`/`hi` pair, written only when the
+///   publication has an interval (either end not NaN) and read as NaN
+///   when absent;
+/// - `parent`: a span's parent, omitted when it is [`NO_PARENT`], which an
+///   absent member reads as.
+///
+/// `name()`, `NAMES`, the encoder's walk
+/// ([`TraceEventKind::for_each_member`]) and the decoder
+/// ([`TraceEventKind::decode`]) are generated from it.
+macro_rules! trace_kinds {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $name:literal {
+            $($(#[$fmeta:meta])* $field:ident: $fty:ty = $rule:ident),+ $(,)?
+        },)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $fty,)+ },)+
+        }
+
+        impl $ty {
+            /// Every kind's wire name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
+
+            /// The kind's stable wire name.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $name,)+
+                }
+            }
+
+            /// Visit the members a line of this event carries, in wire
+            /// order, as `(key, value)`.
+            pub fn for_each_member(&self, mut visit: impl FnMut(&'static str, Wire)) {
+                match *self {
+                    $($ty::$variant { $($field,)+ } => {
+                        // Read by the `interval` rule only.
+                        #[allow(unused_variables)]
+                        let interval = [$(trace_kinds!(@open $rule $field)),+].contains(&true);
+                        $(if let Some(value) = trace_kinds!(@write $rule $field, interval) {
+                            visit(stringify!($field), value);
+                        })+
+                    })+
+                }
+            }
+
+            /// The kind named `name`, its members looked up by key with
+            /// `member`; `None` when the name is unknown or a member the
+            /// kind needs is missing, mistyped or out of range.
+            pub fn decode<'a>(
+                name: &str,
+                mut member: impl FnMut(&str) -> Option<Token<'a>>,
+            ) -> Option<$ty> {
+                Some(match name {
+                    $($name => $ty::$variant {
+                        $($field: trace_kinds!(@read $rule $fty, member(stringify!($field)))?,)+
+                    },)+
+                    _ => return None,
+                })
+            }
+        }
+    };
+    (@open interval $f:ident) => { !$f.is_nan() };
+    (@open $rule:ident $f:ident) => { false };
+    (@write int $f:ident, $interval:ident) => { Some(Wire::Int(u64::from($f))) };
+    (@write float $f:ident, $interval:ident) => { Some(Wire::Float($f)) };
+    (@write name $f:ident, $interval:ident) => { Some(Wire::Name($f.name())) };
+    (@write op $f:ident, $interval:ident) => { Some(Wire::Op($f)) };
+    (@write interval $f:ident, $interval:ident) => { $interval.then_some(Wire::Float($f)) };
+    (@write parent $f:ident, $interval:ident) => {
+        ($f != NO_PARENT).then_some(Wire::Int(u64::from($f)))
+    };
+    (@read float $t:ty, $v:expr) => { $v.and_then(Token::f64) };
+    (@read name $t:ty, $v:expr) => { $v.and_then(|v| <$t>::from_name(v.raw())) };
+    (@read interval $t:ty, $v:expr) => { $v.map_or(Some(f64::NAN), Token::f64) };
+    (@read parent $t:ty, $v:expr) => {
+        $v.map_or(Some(NO_PARENT), |v| v.u64()?.try_into().ok())
+    };
+    // `int` and `op` (a rule `@write` does not know fails to compile there).
+    (@read $rule:ident $t:ty, $v:expr) => { $v.and_then(|v| v.u64()?.try_into().ok()) };
+}
+
+/// The key of the operator's registry name, written after its `op` member.
+pub const OP_NAME: &str = "op_name";
+
+/// A member's value as [`TraceEventKind::for_each_member`] hands it to the
+/// encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEventKind {
-    /// A pipeline moved from pending to running (derived by a timeline
-    /// recorder, so the timestamp is accurate to the query's progress
-    /// publications).
-    PipelineStarted { pipeline: u32 },
-    /// Every operator of a pipeline finished (observer-derived).
-    PipelineFinished { pipeline: u32 },
-    /// A blocking operator crossed a phase boundary (build→probe,
-    /// sort→merge, ...). Published synchronously by the operator.
-    PhaseTransition { op: u32, from: Phase, to: Phase },
-    /// An operator's estimate `N_i`, or the interval `[lo, hi]` published
-    /// with it (NaN: none), moved; `old` is `N_i` as last traced moving (NaN
-    /// before the first, optimizer, publication).
-    EstimateRefined {
-        op: u32,
-        old: f64,
-        new: f64,
-        source: EstimateSource,
-        lo: f64,
-        hi: f64,
-    },
-    /// An operator returned `None`; `emitted` is its exact `K_i = N_i`.
-    OperatorFinished { op: u32, emitted: u64 },
-    /// The query's root operator is exhausted.
-    QueryFinished { rows: u64 },
-    /// The query terminated *without* exhausting its root operator —
-    /// cancelled, past deadline, over budget, panicked, or errored. `rows`
-    /// is how many rows the driver had consumed when it stopped. Terminal:
-    /// at most one of `QueryFinished` / `QueryAborted` is published per
-    /// query.
-    QueryAborted { reason: AbortKind, rows: u64 },
-    /// An operator's estimator fell back to a cheaper rung on the
-    /// degradation ladder (e.g. exact frequency histogram → dne baseline)
-    /// after breaching a resource budget; progress estimates continue but
-    /// coarser.
-    EstimatorDegraded { op: u32, reason: DegradeReason },
-    /// One of the query's `gnm` progress publications (made in-thread at
-    /// operator batch boundaries while publication is on: a progress
-    /// subscriber is attached, or the session archives into a corpus).
-    /// Makes a recorded trace self-sufficient for post-hoc quality scoring
-    /// (replay needs no live tracker): `fraction = current / total` with
-    /// the estimator's current `ΣN_i`, and `[lo, hi]` the bounds-derived
-    /// progress interval.
-    ProgressSampled {
-        /// `ΣK_i` — total work done across monitored operators.
-        current: u64,
-        /// `ΣN_i` — estimated total work (NaN when unknown).
-        total: f64,
-        /// `current / total`, clamped to `[0, 1]`.
-        fraction: f64,
-        /// Lower progress bound (NaN when no bounds are published).
-        lo: f64,
-        /// Upper progress bound (NaN when no bounds are published).
-        hi: f64,
-    },
-    /// An operator's observed active wall-time span, stamped when it
-    /// finishes. `wall_us` is the *inclusive* span from the operator's
-    /// first to last observed unit of work (like `EXPLAIN ANALYZE`
-    /// inclusive time: a parent's span contains its children's), measured
-    /// by `Instant` reads amortized over the governor's 64-checkpoint
-    /// stride.
-    OperatorWallTime { op: u32, wall_us: u64 },
-    /// One worker thread's busy time inside an operator's partition-parallel
-    /// phases, published when the operator's parallel preprocessing
-    /// completes. `worker` is the task index within the operator's pool;
-    /// `busy_us` is wall time the worker spent executing (build + probe
-    /// drains combined). Never published by serial execution, so
-    /// single-threaded traces are byte-identical to pre-parallel builds.
-    WorkerWallTime { op: u32, worker: u32, busy_us: u64 },
-    /// The progress-health analyzer changed its verdict about the query
-    /// (Healthy ↔ Stalled / Unstable). Published by the `obs::health`
-    /// analyzer from the monitor's sampling thread — never from the query
-    /// thread — and never published at all unless a health analyzer is
-    /// attached, so plain traces stay byte-identical to pre-health builds.
-    HealthTransition {
-        from: HealthState,
-        to: HealthState,
-        reason: HealthReason,
-    },
-    /// A completed run's progress-quality scorecard regressed against the
-    /// rolling corpus baseline for its (workload, estimator, threads) key.
-    /// Published by the `obs::corpus` archival sink at terminal time — never
-    /// unless a corpus is attached, so plain traces stay byte-identical to
-    /// pre-corpus builds. `observed` exceeded `threshold`, which was derived
-    /// from `baseline` (the rolling median) plus a MAD-scaled margin.
-    RegressionDetected {
-        kind: RegressionKind,
-        observed: f64,
-        baseline: f64,
-        threshold: f64,
-    },
-    /// A causal lifecycle span opened. `span` is unique within the emitting
-    /// stream, `parent` names the enclosing span
-    /// ([`NO_PARENT`](crate::span::NO_PARENT) for the root), and `arg`
-    /// qualifies the kind (see [`SpanKind`](crate::span::SpanKind)).
-    /// Emitted by the query service's lifecycle instrumentation — never by
-    /// execution operators, whose span detail is derived from the events
-    /// they already publish — so the traced hot path gains no new atomics.
-    SpanStart {
-        span: u32,
-        parent: u32,
-        kind: crate::span::SpanKind,
-        arg: u32,
-    },
-    /// The span opened by the matching [`SpanStart`](Self::SpanStart)
-    /// closed; its duration is `at_us(end) - at_us(start)`.
-    SpanEnd { span: u32 },
+pub enum Wire {
+    /// A non-negative integer.
+    Int(u64),
+    /// A float: a number when finite, `null` otherwise.
+    Float(f64),
+    /// A named enum value's name, written as a string.
+    Name(&'static str),
+    /// An operator index, followed by its [`OP_NAME`] when the encoder has one.
+    Op(u32),
+}
+
+// Declaration order matters: the first ten kinds (`pipeline_started` to
+// `operator_wall_time`) are the ones every run can publish, and
+// `obs::MetricsSink` registers their `qprog_trace_events_total` series up
+// front from the head of `TraceEventKind::NAMES`. Reordering this
+// declaration changes which series exist before their first event.
+trace_kinds! {
+    /// The event taxonomy. `op` fields are metrics-registry indices (resolve
+    /// names through the registry); `pipeline` fields are pipeline ids from the
+    /// plan's pipeline decomposition. Events are plain `Copy` data so sinks can
+    /// buffer them without allocation.
+    pub enum TraceEventKind {
+        /// A pipeline moved from pending to running (derived by a timeline
+        /// recorder, so the timestamp is accurate to the query's progress
+        /// publications).
+        PipelineStarted = "pipeline_started" { pipeline: u32 = int },
+        /// Every operator of a pipeline finished (observer-derived).
+        PipelineFinished = "pipeline_finished" { pipeline: u32 = int },
+        /// A blocking operator crossed a phase boundary (build→probe,
+        /// sort→merge, ...). Published synchronously by the operator.
+        PhaseTransition = "phase_transition" { op: u32 = op, from: Phase = name, to: Phase = name },
+        /// An operator's estimate `N_i`, or the interval `[lo, hi]` published
+        /// with it (NaN: none), moved; `old` is `N_i` as last traced moving (NaN
+        /// before the first, optimizer, publication).
+        EstimateRefined = "estimate_refined" {
+            op: u32 = op,
+            old: f64 = float,
+            new: f64 = float,
+            source: EstimateSource = name,
+            lo: f64 = interval,
+            hi: f64 = interval,
+        },
+        /// An operator returned `None`; `emitted` is its exact `K_i = N_i`.
+        OperatorFinished = "operator_finished" { op: u32 = op, emitted: u64 = int },
+        /// The query's root operator is exhausted.
+        QueryFinished = "query_finished" { rows: u64 = int },
+        /// The query terminated *without* exhausting its root operator —
+        /// cancelled, past deadline, over budget, panicked, or errored. `rows`
+        /// is how many rows the driver had consumed when it stopped. Terminal:
+        /// at most one of `QueryFinished` / `QueryAborted` is published per
+        /// query.
+        QueryAborted = "query_aborted" { reason: AbortKind = name, rows: u64 = int },
+        /// An operator's estimator fell back to a cheaper rung on the
+        /// degradation ladder (e.g. exact frequency histogram → dne baseline)
+        /// after breaching a resource budget; progress estimates continue but
+        /// coarser.
+        EstimatorDegraded = "estimator_degraded" { op: u32 = op, reason: DegradeReason = name },
+        /// One of the query's `gnm` progress publications (made in-thread at
+        /// operator batch boundaries while publication is on: a progress
+        /// subscriber is attached, or the session archives into a corpus).
+        /// Makes a recorded trace self-sufficient for post-hoc quality scoring
+        /// (replay needs no live tracker): `fraction = current / total` with
+        /// the estimator's current `ΣN_i`, and `[lo, hi]` the bounds-derived
+        /// progress interval.
+        ProgressSampled = "progress_sampled" {
+            /// `ΣK_i` — total work done across monitored operators.
+            current: u64 = int,
+            /// `ΣN_i` — estimated total work (NaN when unknown).
+            total: f64 = float,
+            /// `current / total`, clamped to `[0, 1]`.
+            fraction: f64 = float,
+            /// Lower progress bound (NaN when no bounds are published).
+            lo: f64 = float,
+            /// Upper progress bound (NaN when no bounds are published).
+            hi: f64 = float,
+        },
+        /// An operator's observed active wall-time span, stamped when it
+        /// finishes. `wall_us` is the *inclusive* span from the operator's
+        /// first to last observed unit of work (like `EXPLAIN ANALYZE`
+        /// inclusive time: a parent's span contains its children's), measured
+        /// by `Instant` reads amortized over the governor's 64-checkpoint
+        /// stride.
+        OperatorWallTime = "operator_wall_time" { op: u32 = op, wall_us: u64 = int },
+        /// One worker thread's busy time inside an operator's partition-parallel
+        /// phases, published when the operator's parallel preprocessing
+        /// completes. `worker` is the task index within the operator's pool;
+        /// `busy_us` is wall time the worker spent executing (build + probe
+        /// drains combined). Never published by serial execution, so
+        /// single-threaded traces are byte-identical to pre-parallel builds.
+        WorkerWallTime = "worker_wall_time" { op: u32 = op, worker: u32 = int, busy_us: u64 = int },
+        /// The progress-health analyzer changed its verdict about the query
+        /// (Healthy ↔ Stalled / Unstable). Published by the `obs::health`
+        /// analyzer from the monitor's sampling thread — never from the query
+        /// thread — and never published at all unless a health analyzer is
+        /// attached, so plain traces stay byte-identical to pre-health builds.
+        HealthTransition = "health_transition" {
+            from: HealthState = name,
+            to: HealthState = name,
+            reason: HealthReason = name,
+        },
+        /// A completed run's progress-quality scorecard regressed against the
+        /// rolling corpus baseline for its (workload, estimator, threads) key.
+        /// Published by the `obs::corpus` archival sink at terminal time — never
+        /// unless a corpus is attached, so plain traces stay byte-identical to
+        /// pre-corpus builds. `observed` exceeded `threshold`, which was derived
+        /// from `baseline` (the rolling median) plus a MAD-scaled margin.
+        RegressionDetected = "regression_detected" {
+            kind: RegressionKind = name,
+            observed: f64 = float,
+            baseline: f64 = float,
+            threshold: f64 = float,
+        },
+        /// A causal lifecycle span opened. `span` is unique within the emitting
+        /// stream, `parent` names the enclosing span
+        /// ([`NO_PARENT`] for the root), and `arg`
+        /// qualifies the kind (see [`SpanKind`]).
+        /// Emitted by the query service's lifecycle instrumentation — never by
+        /// execution operators, whose span detail is derived from the events
+        /// they already publish — so the traced hot path gains no new atomics.
+        SpanStart = "span_start" {
+            span: u32 = int,
+            parent: u32 = parent,
+            kind: SpanKind = name,
+            arg: u32 = int,
+        },
+        /// The span opened by the matching [`SpanStart`](Self::SpanStart)
+        /// closed; its duration is `at_us(end) - at_us(start)`.
+        SpanEnd = "span_end" { span: u32 = int },
+    }
 }
 
 impl TraceEventKind {
-    /// The kind's stable wire name: the `event` member of its JSON line
-    /// and the `event` label of its metrics series.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEventKind::PipelineStarted { .. } => "pipeline_started",
-            TraceEventKind::PipelineFinished { .. } => "pipeline_finished",
-            TraceEventKind::PhaseTransition { .. } => "phase_transition",
-            TraceEventKind::EstimateRefined { .. } => "estimate_refined",
-            TraceEventKind::OperatorFinished { .. } => "operator_finished",
-            TraceEventKind::QueryFinished { .. } => "query_finished",
-            TraceEventKind::QueryAborted { .. } => "query_aborted",
-            TraceEventKind::EstimatorDegraded { .. } => "estimator_degraded",
-            TraceEventKind::ProgressSampled { .. } => "progress_sampled",
-            TraceEventKind::OperatorWallTime { .. } => "operator_wall_time",
-            TraceEventKind::WorkerWallTime { .. } => "worker_wall_time",
-            TraceEventKind::HealthTransition { .. } => "health_transition",
-            TraceEventKind::RegressionDetected { .. } => "regression_detected",
-            TraceEventKind::SpanStart { .. } => "span_start",
-            TraceEventKind::SpanEnd { .. } => "span_end",
-        }
+    /// The operator index the kind's `op` member carries, if it has one.
+    pub fn op(&self) -> Option<u32> {
+        let mut op = None;
+        self.for_each_member(|_, value| {
+            if let Wire::Op(index) = value {
+                op = Some(index);
+            }
+        });
+        op
     }
 }
 

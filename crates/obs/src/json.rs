@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use qprog_exec::trace::{TraceEvent, TraceEventKind};
+use qprog_exec::trace::{TraceEvent, Wire, OP_NAME};
 use qprog_types::json::escape_into;
 
 /// Encode one trace event as a single JSON object (no trailing newline).
@@ -17,7 +17,8 @@ pub fn event_to_json(event: &TraceEvent, op_names: &[String]) -> String {
 
 /// Append one event's JSON object to `out` (no trailing newline). The
 /// streaming form the JSONL sink uses on its hot path: one pre-sized
-/// buffer, no intermediate field allocations.
+/// buffer, no intermediate field allocations. The members and their rules
+/// are the kind's declaration in [`qprog_exec::trace`].
 pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String]) {
     let _ = write!(
         out,
@@ -26,131 +27,39 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
         event.at_us,
         event.kind.name()
     );
-    // A float field: finite values as numbers, NaN/inf as null.
-    macro_rules! fnum {
-        ($key:literal, $x:expr) => {
-            if $x.is_finite() {
-                let _ = write!(out, concat!(",\"", $key, "\":{}"), $x);
-            } else {
-                out.push_str(concat!(",\"", $key, "\":null"));
+    event.kind.for_each_member(|key, value| {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        let _ = match value {
+            Wire::Int(n) => write!(out, "{n}"),
+            Wire::Float(x) if x.is_finite() => write!(out, "{x}"),
+            Wire::Float(_) => out.write_str("null"),
+            Wire::Name(name) => {
+                out.push('"');
+                out.push_str(name);
+                out.write_char('"')
+            }
+            Wire::Op(op) => {
+                let written = write!(out, "{op}");
+                if let Some(name) = op_names.get(op as usize) {
+                    out.push_str(",\"");
+                    out.push_str(OP_NAME);
+                    out.push_str("\":\"");
+                    escape_into(out, name);
+                    out.push('"');
+                }
+                written
             }
         };
-    }
-    let op_field = |out: &mut String, op: u32| {
-        let _ = write!(out, ",\"op\":{op}");
-        if let Some(name) = op_names.get(op as usize) {
-            out.push_str(",\"op_name\":\"");
-            escape_into(out, name);
-            out.push('"');
-        }
-    };
-    match &event.kind {
-        TraceEventKind::PipelineStarted { pipeline }
-        | TraceEventKind::PipelineFinished { pipeline } => {
-            let _ = write!(out, ",\"pipeline\":{pipeline}");
-        }
-        TraceEventKind::PhaseTransition { op, from, to } => {
-            op_field(out, *op);
-            let _ = write!(out, ",\"from\":\"{from}\",\"to\":\"{to}\"");
-        }
-        TraceEventKind::EstimateRefined {
-            op,
-            old,
-            new,
-            source,
-            lo,
-            hi,
-        } => {
-            op_field(out, *op);
-            fnum!("old", *old);
-            fnum!("new", *new);
-            let _ = write!(out, ",\"source\":\"{source}\"");
-            // Only a publication with an interval writes one.
-            if !(lo.is_nan() && hi.is_nan()) {
-                fnum!("lo", *lo);
-                fnum!("hi", *hi);
-            }
-        }
-        TraceEventKind::OperatorFinished { op, emitted } => {
-            op_field(out, *op);
-            let _ = write!(out, ",\"emitted\":{emitted}");
-        }
-        TraceEventKind::QueryFinished { rows } => {
-            let _ = write!(out, ",\"rows\":{rows}");
-        }
-        TraceEventKind::QueryAborted { reason, rows } => {
-            let _ = write!(out, ",\"reason\":\"{reason}\",\"rows\":{rows}");
-        }
-        TraceEventKind::EstimatorDegraded { op, reason } => {
-            op_field(out, *op);
-            let _ = write!(out, ",\"reason\":\"{reason}\"");
-        }
-        TraceEventKind::ProgressSampled {
-            current,
-            total,
-            fraction,
-            lo,
-            hi,
-        } => {
-            let _ = write!(out, ",\"current\":{current}");
-            fnum!("total", *total);
-            fnum!("fraction", *fraction);
-            fnum!("lo", *lo);
-            fnum!("hi", *hi);
-        }
-        TraceEventKind::OperatorWallTime { op, wall_us } => {
-            op_field(out, *op);
-            let _ = write!(out, ",\"wall_us\":{wall_us}");
-        }
-        TraceEventKind::WorkerWallTime {
-            op,
-            worker,
-            busy_us,
-        } => {
-            op_field(out, *op);
-            let _ = write!(out, ",\"worker\":{worker},\"busy_us\":{busy_us}");
-        }
-        TraceEventKind::HealthTransition { from, to, reason } => {
-            let _ = write!(
-                out,
-                ",\"from\":\"{from}\",\"to\":\"{to}\",\"reason\":\"{reason}\""
-            );
-        }
-        TraceEventKind::RegressionDetected {
-            kind,
-            observed,
-            baseline,
-            threshold,
-        } => {
-            let _ = write!(out, ",\"kind\":\"{kind}\"");
-            fnum!("observed", *observed);
-            fnum!("baseline", *baseline);
-            fnum!("threshold", *threshold);
-        }
-        TraceEventKind::SpanStart {
-            span,
-            parent,
-            kind,
-            arg,
-        } => {
-            let _ = write!(out, ",\"span\":{span}");
-            // Root spans omit `parent` (the sentinel is an encoding detail).
-            if *parent != qprog_exec::span::NO_PARENT {
-                let _ = write!(out, ",\"parent\":{parent}");
-            }
-            let _ = write!(out, ",\"kind\":\"{kind}\",\"arg\":{arg}");
-        }
-        TraceEventKind::SpanEnd { span } => {
-            let _ = write!(out, ",\"span\":{span}");
-        }
-    }
+    });
     out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qprog_exec::trace::{EstimateSource, Phase};
+    use qprog_exec::trace::{EstimateSource, Phase, TraceEventKind};
     use qprog_types::json::raw as raw_field;
 
     #[test]

@@ -18,9 +18,7 @@
 use std::sync::Arc;
 
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::{
-    AbortKind, DegradeReason, EstimateSource, Phase, TraceEvent, TraceEventKind, TraceSink,
-};
+use qprog_exec::trace::{EstimateSource, Phase, TraceEvent, TraceEventKind, TraceSink};
 use qprog_metrics::{Counter, Histogram, Registry};
 
 use crate::explain::q_error;
@@ -29,48 +27,16 @@ use crate::explain::q_error;
 /// paper's evaluation sees errors from ~1 to a few orders of magnitude.
 pub const Q_ERROR_BUCKETS: [f64; 10] = [1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0];
 
-/// The kinds whose `qprog_trace_events_total` series every sink registers
-/// up front, so they read 0 before their first event. The other kinds
-/// register on first sight, so a serial run without an analyzer or a
-/// corpus never shows them: worker wall times exist only for parallel
-/// drains, health transitions only with an analyzer, regressions only
-/// with a corpus. Lifecycle spans are not counted; the service aggregates
-/// its own SLO metrics from them.
-const EAGER_EVENTS: [TraceEventKind; 10] = [
-    TraceEventKind::PipelineStarted { pipeline: 0 },
-    TraceEventKind::PipelineFinished { pipeline: 0 },
-    TraceEventKind::PhaseTransition {
-        op: 0,
-        from: Phase::Init,
-        to: Phase::Init,
-    },
-    TraceEventKind::EstimateRefined {
-        op: 0,
-        old: 0.0,
-        new: 0.0,
-        source: EstimateSource::Online,
-        lo: 0.0,
-        hi: 0.0,
-    },
-    TraceEventKind::OperatorFinished { op: 0, emitted: 0 },
-    TraceEventKind::QueryFinished { rows: 0 },
-    TraceEventKind::QueryAborted {
-        reason: AbortKind::Error,
-        rows: 0,
-    },
-    TraceEventKind::EstimatorDegraded {
-        op: 0,
-        reason: DegradeReason::HistogramMemory,
-    },
-    TraceEventKind::ProgressSampled {
-        current: 0,
-        total: 0.0,
-        fraction: 0.0,
-        lo: 0.0,
-        hi: 0.0,
-    },
-    TraceEventKind::OperatorWallTime { op: 0, wall_us: 0 },
-];
+/// How many kinds, from the first of [`TraceEventKind::NAMES`]
+/// (`pipeline_started` to `operator_wall_time`), have the
+/// `qprog_trace_events_total` series every sink registers up front, so
+/// they read 0 before their first event. The other kinds register on
+/// first sight, so a serial run without an analyzer or a corpus never
+/// shows them: worker wall times exist only for parallel drains, health
+/// transitions only with an analyzer, regressions only with a corpus.
+/// Lifecycle spans are not counted; the service aggregates its own SLO
+/// metrics from them.
+const EAGER_EVENTS: usize = 10;
 
 /// Per-operator aggregation state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,9 +51,9 @@ struct OpAgg {
 pub struct MetricsSink {
     registry: Arc<Registry>,
     estimator: String,
-    /// `qprog_trace_events_total{event=...}` of the [`EAGER_EVENTS`], by
-    /// kind name.
-    events: [(&'static str, Arc<Counter>); 10],
+    /// `qprog_trace_events_total{event=...}` of the first [`EAGER_EVENTS`]
+    /// kinds, by kind name.
+    events: [(&'static str, Arc<Counter>); EAGER_EVENTS],
     /// `qprog_phase_transitions_total{phase=...}`, by entered phase, in
     /// [`Phase::ALL`] order.
     phases: Vec<Arc<Counter>>,
@@ -116,7 +82,10 @@ impl MetricsSink {
     /// [`EstimationMode::label`](qprog_core::EstimationMode::label):
     /// `off`/`once`/`dne`/`byte`).
     pub fn new(registry: Arc<Registry>, estimator: &str) -> Self {
-        let events = EAGER_EVENTS.map(|kind| (kind.name(), events_counter(&registry, kind.name())));
+        let events = std::array::from_fn(|i| {
+            let name = TraceEventKind::NAMES[i];
+            (name, events_counter(&registry, name))
+        });
         let phases = Phase::ALL.iter().map(|p| {
             registry.counter(
                 "qprog_phase_transitions_total",
@@ -553,6 +522,47 @@ mod tests {
         assert!(text.contains("qprog_trace_events_total{event=\"query_aborted\"} 2"));
         // aborted queries are not "finished"
         assert!(!text.contains("qprog_queries_finished_total{estimator=\"once\"} 1"));
+    }
+
+    #[test]
+    fn eager_series_are_the_kinds_every_run_can_publish() {
+        use qprog_exec::span::{SpanKind, NO_PARENT};
+        use qprog_exec::trace::{HealthReason, HealthState, RegressionKind};
+        let lazy = [
+            TraceEventKind::WorkerWallTime {
+                op: 0,
+                worker: 0,
+                busy_us: 0,
+            },
+            TraceEventKind::HealthTransition {
+                from: HealthState::Healthy,
+                to: HealthState::Healthy,
+                reason: HealthReason::Stall,
+            },
+            TraceEventKind::RegressionDetected {
+                kind: RegressionKind::WallTime,
+                observed: 0.0,
+                baseline: 0.0,
+                threshold: 0.0,
+            },
+            TraceEventKind::SpanStart {
+                span: 0,
+                parent: NO_PARENT,
+                kind: SpanKind::Query,
+                arg: 0,
+            },
+            TraceEventKind::SpanEnd { span: 0 },
+        ];
+        let (eager, rest) = TraceEventKind::NAMES.split_at(EAGER_EVENTS);
+        let lazy: Vec<&str> = lazy.iter().map(TraceEventKind::name).collect();
+        assert_eq!(rest, lazy);
+        let registry = Arc::new(Registry::new());
+        let _sink = MetricsSink::new(Arc::clone(&registry), "once");
+        let text = registry.render();
+        for name in eager {
+            let series = format!("qprog_trace_events_total{{event=\"{name}\"}} 0");
+            assert!(text.contains(&series), "{text}");
+        }
     }
 
     #[test]

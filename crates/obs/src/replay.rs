@@ -14,16 +14,14 @@
 //! re-stamp them with wall-clock values.
 //!
 //! Parsing is line-oriented over the flat one-line objects produced by
-//! [`event_to_json`](crate::json::event_to_json); malformed or unknown
-//! lines are collected, not fatal, so a truncated production trace (killed
+//! [`event_to_json`](crate::json::event_to_json): each line is split into
+//! its members once ([`qprog_types::json::members`]) and decoded by its
+//! kind's declaration in [`qprog_exec::trace`]. Malformed or unknown lines
+//! are collected, not fatal, so a truncated production trace (killed
 //! writer, ring overflow) still replays its intact prefix.
 
-use qprog_exec::span::{SpanKind, NO_PARENT};
-use qprog_exec::trace::{
-    AbortKind, DegradeReason, EstimateSource, HealthReason, HealthState, Phase, RegressionKind,
-    TraceEvent, TraceEventKind, TraceSink,
-};
-use qprog_types::json;
+use qprog_exec::trace::{TraceEvent, TraceEventKind, TraceSink, OP_NAME};
+use qprog_types::json::{self, Token};
 
 /// Operator indices a trace may name: bounds what one hostile line can
 /// make [`ReplayedTrace::parse`] allocate.
@@ -53,17 +51,17 @@ impl ReplayedTrace {
     /// lines are skipped).
     pub fn parse(jsonl: &str) -> ReplayedTrace {
         let mut trace = ReplayedTrace::default();
+        let mut members = Vec::new();
         for (i, line) in jsonl.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            match parse_event(line) {
+            match decode(line, &mut members) {
                 Ok(event) => {
                     // Only events about an operator carry `op`/`op_name`.
-                    let named = json::raw(line, "op_name")
-                        .and_then(|name| Some((u32_of(line, "op")? as usize, name)));
-                    if let Some((idx, name)) = named {
+                    if let Some((idx, name)) = event.kind.op().zip(member(&members, OP_NAME)) {
+                        let idx = idx as usize;
                         if trace.op_names.len() <= idx && idx < MAX_OPS {
                             trace.op_names.resize(idx + 1, String::new());
                         }
@@ -71,11 +69,11 @@ impl ReplayedTrace {
                         // that does not decode, or an index no plan reaches,
                         // is a diagnostic and the event still replays.
                         match trace.op_names.get_mut(idx) {
-                            Some(slot) if slot.is_empty() => match json::unescape(name) {
+                            Some(slot) if slot.is_empty() => match name.str() {
                                 Some(name) => *slot = name,
                                 None => trace
                                     .errors
-                                    .push((i + 1, "malformed escape in \"op_name\"".to_string())),
+                                    .push((i + 1, format!("malformed escape in \"{OP_NAME}\""))),
                             },
                             Some(_) => {}
                             None => trace
@@ -85,7 +83,7 @@ impl ReplayedTrace {
                     }
                     trace.events.push(event);
                 }
-                Err(_) if json::raw(line, "event") == Some(RETIRED_EVENT) => {}
+                Err(_) if member(&members, "event").map(Token::raw) == Some(RETIRED_EVENT) => {}
                 Err(reason) => trace.errors.push((i + 1, reason)),
             }
         }
@@ -100,115 +98,49 @@ impl ReplayedTrace {
     }
 }
 
-fn u32_of(line: &str, key: &str) -> Option<u32> {
-    json::u64(line, key)?.try_into().ok()
-}
-
 /// Parse one event object produced by
 /// [`event_to_json`](crate::json::event_to_json).
 pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let event = json::raw(line, "event").ok_or("not an event object (no \"event\" member)")?;
+    decode(line, &mut Vec::new())
+}
+
+type Members<'a> = Vec<(&'a str, Token<'a>)>;
+
+/// The first member `key` of a line split into its `members`.
+fn member<'a>(members: &Members<'a>, key: &str) -> Option<Token<'a>> {
+    let (_, value) = members.iter().find(|(name, _)| *name == key)?;
+    Some(*value)
+}
+
+/// Split `line` into `members` (a buffer the caller may reuse) in one walk
+/// and decode the event from them by its kind's declaration.
+fn decode<'a>(line: &'a str, members: &mut Members<'a>) -> Result<TraceEvent, String> {
+    members.clear();
+    for m in json::members(line) {
+        members.push(m.map_err(|_| "not a JSON object, or a malformed member")?);
+    }
+    let get = |key: &str| member(members, key);
+    let event = get("event")
+        .ok_or("not an event object (no \"event\" member)")?
+        .raw();
     let parsed = || {
         Some(TraceEvent {
-            seq: json::u64(line, "seq")?,
-            at_us: json::u64(line, "at_us")?,
-            kind: parse_kind(line, event)?,
+            seq: get("seq")?.u64()?,
+            at_us: get("at_us")?.u64()?,
+            kind: TraceEventKind::decode(event, get)?,
         })
     };
     parsed().ok_or_else(|| format!("unknown or malformed \"{event}\" event"))
-}
-
-/// The payload of an `event`-tagged line; `None` when the tag is unknown
-/// or any member the kind needs is missing, mistyped or out of range.
-fn parse_kind(line: &str, event: &str) -> Option<TraceEventKind> {
-    let phase = |key| Phase::from_name(json::raw(line, key)?);
-    let health = |key| HealthState::from_name(json::raw(line, key)?);
-    // An absent end is no interval; a malformed one is an error.
-    let interval_end =
-        |key| json::f64(line, key).or_else(|| json::raw(line, key).is_none().then_some(f64::NAN));
-    Some(match event {
-        "pipeline_started" => TraceEventKind::PipelineStarted {
-            pipeline: u32_of(line, "pipeline")?,
-        },
-        "pipeline_finished" => TraceEventKind::PipelineFinished {
-            pipeline: u32_of(line, "pipeline")?,
-        },
-        "phase_transition" => TraceEventKind::PhaseTransition {
-            op: u32_of(line, "op")?,
-            from: phase("from")?,
-            to: phase("to")?,
-        },
-        "estimate_refined" => TraceEventKind::EstimateRefined {
-            op: u32_of(line, "op")?,
-            old: json::f64(line, "old")?,
-            new: json::f64(line, "new")?,
-            source: EstimateSource::from_name(json::raw(line, "source")?)?,
-            lo: interval_end("lo")?,
-            hi: interval_end("hi")?,
-        },
-        "operator_finished" => TraceEventKind::OperatorFinished {
-            op: u32_of(line, "op")?,
-            emitted: json::u64(line, "emitted")?,
-        },
-        "query_finished" => TraceEventKind::QueryFinished {
-            rows: json::u64(line, "rows")?,
-        },
-        "query_aborted" => TraceEventKind::QueryAborted {
-            reason: AbortKind::from_name(json::raw(line, "reason")?)?,
-            rows: json::u64(line, "rows")?,
-        },
-        "estimator_degraded" => TraceEventKind::EstimatorDegraded {
-            op: u32_of(line, "op")?,
-            reason: DegradeReason::from_name(json::raw(line, "reason")?)?,
-        },
-        "progress_sampled" => TraceEventKind::ProgressSampled {
-            current: json::u64(line, "current")?,
-            total: json::f64(line, "total")?,
-            fraction: json::f64(line, "fraction")?,
-            lo: json::f64(line, "lo")?,
-            hi: json::f64(line, "hi")?,
-        },
-        "operator_wall_time" => TraceEventKind::OperatorWallTime {
-            op: u32_of(line, "op")?,
-            wall_us: json::u64(line, "wall_us")?,
-        },
-        "worker_wall_time" => TraceEventKind::WorkerWallTime {
-            op: u32_of(line, "op")?,
-            worker: u32_of(line, "worker")?,
-            busy_us: json::u64(line, "busy_us")?,
-        },
-        "health_transition" => TraceEventKind::HealthTransition {
-            from: health("from")?,
-            to: health("to")?,
-            reason: HealthReason::from_name(json::raw(line, "reason")?)?,
-        },
-        "regression_detected" => TraceEventKind::RegressionDetected {
-            kind: RegressionKind::from_name(json::raw(line, "kind")?)?,
-            observed: json::f64(line, "observed")?,
-            baseline: json::f64(line, "baseline")?,
-            threshold: json::f64(line, "threshold")?,
-        },
-        "span_start" => TraceEventKind::SpanStart {
-            span: u32_of(line, "span")?,
-            // Roots encode no parent field at all.
-            parent: match json::raw(line, "parent") {
-                Some(_) => u32_of(line, "parent")?,
-                None => NO_PARENT,
-            },
-            kind: SpanKind::from_name(json::raw(line, "kind")?)?,
-            arg: u32_of(line, "arg")?,
-        },
-        "span_end" => TraceEventKind::SpanEnd {
-            span: u32_of(line, "span")?,
-        },
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::event_to_json;
+    use qprog_exec::span::{SpanKind, NO_PARENT};
+    use qprog_exec::trace::{
+        AbortKind, DegradeReason, EstimateSource, HealthReason, HealthState, Phase, RegressionKind,
+    };
 
     /// NaN-tolerant event equality (NaN == NaN for round-trip purposes):
     /// `Debug` prints every float in its shortest round-tripping form.

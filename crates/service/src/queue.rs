@@ -159,14 +159,21 @@ impl ReadyQueue {
             // The heap entry stays; promotion skips ids no longer present.
             return Some(job);
         }
-        for ready in s.tenants.values_mut() {
-            if let Some(pos) = ready.iter().position(|j| j.id == id) {
-                let job = ready.remove(pos);
-                s.ready -= 1;
-                return job;
-            }
+        let (tenant, pos) = s.tenants.iter().find_map(|(tenant, ready)| {
+            let pos = ready.iter().position(|j| j.id == id)?;
+            Some((tenant.clone(), pos))
+        })?;
+        let ready = s.tenants.get_mut(&tenant)?;
+        let job = ready.remove(pos);
+        let emptied = ready.is_empty();
+        s.ready -= 1;
+        // An emptied tenant leaves the rotation, so its next push gives it
+        // one slot again, not a second.
+        if emptied {
+            s.tenants.remove(&tenant);
+            s.rotation.retain(|name| *name != tenant);
         }
-        None
+        job
     }
 
     /// Remove and return everything still queued or delayed (drain).
@@ -323,6 +330,22 @@ mod tests {
         assert_eq!(q.depth(), 0);
         // The stale heap entry for 2 must not resurrect anything.
         assert!(matches!(q.pop(Duration::from_millis(5)), Pop::Timeout));
+    }
+
+    #[test]
+    fn a_cancel_that_empties_a_tenant_keeps_one_slot_per_rotation() {
+        let q = ReadyQueue::new();
+        q.push(job(1, "a"));
+        assert_eq!(q.remove(1).map(|j| j.id), Some(1));
+        for id in 10..14 {
+            q.push(job(id, "a"));
+        }
+        for id in 20..24 {
+            q.push(job(id, "b"));
+        }
+        let order: Vec<u64> = (0..8).map(|_| pop_id(&q)).collect();
+        assert_eq!(order, [10, 20, 11, 21, 12, 22, 13, 23]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The flat-JSON wire format, once: journal lines, trace lines, corpus
 //! index records, submit bodies and SSE frames are one-line JSON objects
-//! written with [`escape`]/[`num`] and read back with [`raw`], [`str`],
-//! [`u64`] and [`f64`].
+//! written with [`escape`]/[`num`] and read back through one tokenizer,
+//! [`members`]: a decoder that needs the whole line walks it once, and the
+//! getters [`raw`], [`str`], [`u64`] and [`f64`] walk it up to their key.
 //!
-//! The getters walk the object's top-level members in order, so `"sql":`
+//! The walk goes over the object's top-level members in order, so `"sql":`
 //! text inside a string value, or a key of a nested object, never shadows
 //! the real member. Whitespace between tokens is tolerated; anything that
 //! is not a `{`…`}` object (a truncated line included) reads as `None`.
@@ -119,49 +120,117 @@ fn value_len(s: &str) -> Option<usize> {
     None
 }
 
-/// The value token of top-level member `key`, string quotes included.
-fn value<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let mut rest = obj.trim_ascii().strip_prefix('{')?.strip_suffix('}')?;
-    loop {
-        rest = rest.trim_ascii_start();
-        let name = &rest[..value_len(rest).filter(|_| rest.starts_with('"'))?];
-        rest = rest[name.len()..].trim_ascii_start().strip_prefix(':')?;
-        rest = rest.trim_ascii_start();
-        let value = &rest[..value_len(rest)?];
-        if name[1..name.len() - 1] == *key {
-            return Some(value);
+/// A member's value token as it stands in the line: a string with its
+/// quotes, a number or literal, or a nested value verbatim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a>(&'a str);
+
+impl<'a> Token<'a> {
+    /// The value text: a string as the escaped text between its quotes
+    /// (pass through [`unescape`] to decode it), anything else verbatim.
+    pub fn raw(self) -> &'a str {
+        let quote = usize::from(self.0.starts_with('"'));
+        &self.0[quote..self.0.len() - quote]
+    }
+
+    /// The string, decoded; `None` when not a string, or malformed.
+    pub fn str(self) -> Option<String> {
+        unescape(self.0.strip_prefix('"')?.strip_suffix('"')?)
+    }
+
+    /// The non-negative integer.
+    pub fn u64(self) -> Option<u64> {
+        self.0.parse().ok()
+    }
+
+    /// The float. `null` (how [`num`] writes NaN/inf) reads back as NaN;
+    /// finite values round-trip exactly through `Display`.
+    pub fn f64(self) -> Option<f64> {
+        match self.0 {
+            "null" => Some(f64::NAN),
+            v => v.parse().ok(),
         }
-        rest = rest[value.len()..].trim_ascii_start().strip_prefix(',')?;
     }
 }
 
-/// Raw value text of member `key` in a flat one-line JSON object: a
-/// number, literal or nested value verbatim, a string as the escaped text
-/// between its quotes (pass through [`unescape`] to decode it).
-pub fn raw<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let v = value(obj, key)?;
-    let quote = usize::from(v.starts_with('"'));
-    Some(&v[quote..v.len() - quote])
+/// What [`members`] yields for a member it cannot read; the walk ends there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Malformed;
+
+/// The one tokenizer: the top-level members of a one-line JSON object, in
+/// order, as `(key, value)` with the key as the escaped text between its
+/// quotes. Nested values are skipped whole (string-aware) and whitespace
+/// between tokens is tolerated. A text that is not a `{`…`}` object, a
+/// torn line included, or a member that does not read yields one
+/// [`Malformed`] and ends the walk.
+pub fn members(obj: &str) -> impl Iterator<Item = Result<(&str, Token<'_>), Malformed>> {
+    let inner = obj
+        .trim_ascii()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'));
+    // The unread text between the braces; `None` once the walk has ended.
+    let mut rest = Some(inner.ok_or(Malformed));
+    let mut after_member = false;
+    std::iter::from_fn(move || {
+        let text = match rest.take()? {
+            Ok(text) => text.trim_ascii_start(),
+            Err(malformed) => return Some(Err(malformed)),
+        };
+        if text.is_empty() {
+            return None;
+        }
+        let text = match after_member {
+            true => text.strip_prefix(','),
+            false => Some(text),
+        };
+        after_member = true;
+        let Some((key, value, text)) = text.and_then(member) else {
+            return Some(Err(Malformed));
+        };
+        rest = Some(Ok(text));
+        Some(Ok((key, value)))
+    })
 }
 
-/// String member `key`, decoded; `None` when absent, not a string, or
-/// malformed.
+/// One `"key": value` off the front of `s`, and the text behind it.
+fn member(s: &str) -> Option<(&str, Token<'_>, &str)> {
+    let s = s.trim_ascii_start();
+    let key_len = value_len(s).filter(|_| s.starts_with('"'))?;
+    let key = &s[1..key_len - 1];
+    let s = s[key_len..].trim_ascii_start().strip_prefix(':')?;
+    let s = s.trim_ascii_start();
+    let len = value_len(s)?;
+    Some((key, Token(&s[..len]), &s[len..]))
+}
+
+/// The value of the first top-level member `key`: a lazy find over
+/// [`members`], so it stops at its key and a malformed member behind the
+/// key does not hide it.
+fn find<'a>(obj: &'a str, key: &str) -> Option<Token<'a>> {
+    let (_, value) = members(obj)
+        .map_while(Result::ok)
+        .find(|(name, _)| *name == key)?;
+    Some(value)
+}
+
+/// Raw value text of member `key` ([`Token::raw`]).
+pub fn raw<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    find(obj, key).map(Token::raw)
+}
+
+/// String member `key`, decoded ([`Token::str`]).
 pub fn str(obj: &str, key: &str) -> Option<String> {
-    unescape(value(obj, key)?.strip_prefix('"')?.strip_suffix('"')?)
+    find(obj, key)?.str()
 }
 
 /// Non-negative integer member `key`.
 pub fn u64(obj: &str, key: &str) -> Option<u64> {
-    value(obj, key)?.parse().ok()
+    find(obj, key)?.u64()
 }
 
-/// Float member `key`. `null` (how [`num`] writes NaN/inf) reads back as
-/// NaN; finite values round-trip exactly through `Display`.
+/// Float member `key` ([`Token::f64`]).
 pub fn f64(obj: &str, key: &str) -> Option<f64> {
-    match value(obj, key)? {
-        "null" => Some(f64::NAN),
-        v => v.parse().ok(),
-    }
+    find(obj, key)?.f64()
 }
 
 #[cfg(test)]
@@ -276,6 +345,29 @@ mod tests {
         assert_eq!(str(spaced, "sql").unwrap(), "select 1");
         assert_eq!(str(spaced, "tenant").unwrap(), "t");
         assert_eq!(u64(spaced, "n"), Some(3));
+    }
+
+    #[test]
+    fn members_split_a_line_once_and_stop_at_the_first_fault() {
+        let walk = |obj| members(obj).collect::<Vec<_>>();
+        let spaced = " { \"a\" : 1 , \"s\" : \"x,\\\"y\" , \"n\":[{\"a\":2}] , \"a\":3 } ";
+        let split = walk(spaced);
+        let keys: Vec<&str> = split.iter().map(|m| m.unwrap().0).collect();
+        assert_eq!(keys, ["a", "s", "n", "a"]);
+        assert_eq!(split[1].unwrap().1.str().as_deref(), Some("x,\"y"));
+        assert_eq!(split[2].unwrap().1.raw(), "[{\"a\":2}]");
+        // A duplicate key: the getters keep the first value.
+        assert_eq!(u64(spaced, "a"), Some(1));
+        assert!(walk("{}").is_empty() && walk(" { } ").is_empty());
+        for bad in ["", "[1]", "{\"a\":1", "{,}", "{\"a\"}", "{\"a\":}", "{a:1}"] {
+            assert_eq!(walk(bad), [Err(Malformed)], "{bad}");
+        }
+        // A fault ends the walk where it stands; getters before it still read.
+        for bad in ["{\"a\":1,}", "{\"a\":1 \"b\":2}", "{\"a\":1,\"b\"}"] {
+            assert_eq!(walk(bad).last(), Some(&Err(Malformed)), "{bad}");
+            assert_eq!(u64(bad, "a"), Some(1), "{bad}");
+            assert_eq!(raw(bad, "b"), None, "{bad}");
+        }
     }
 
     #[test]
